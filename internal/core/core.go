@@ -26,11 +26,26 @@
 // The engine is transport-agnostic: all interaction with time and the
 // network goes through Env, implemented by the discrete-event simulator
 // (internal/experiment) and the real-time UDP driver (internal/rt).
+//
+// # Allocation
+//
+// A peer's per-event state is flat: pull state lives by value in a
+// per-peer slab behind a 4-byte index per stream id, retransmission
+// batches in a second slab, and gossip ticks and retransmission checks
+// are (kind, arg) timer records rather than closures (see TimerEnv). What
+// a handler still allocates is per message, not per id or per timer: one
+// exactly sized id list per PROPOSE sent (tick) and per REQUEST sent
+// (shared between the message and its retransmission record), and the
+// boxing of each message into wire.Message at Env.Send — the message
+// travels as that interface value, so the box is the in-flight message
+// record. Over a plain Env a retransmission timer adds the closure
+// Env.After takes. alloc_test.go holds the handlers to these budgets.
 package core
 
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gossipstream/internal/member"
@@ -39,7 +54,9 @@ import (
 )
 
 // Env is the environment a peer runs in. Implementations must invoke the
-// peer's handlers sequentially (never concurrently).
+// peer's handlers sequentially (never concurrently). These five methods are
+// all a peer needs; an Env that can also carry timers as flat records
+// offers TimerEnv on top.
 type Env interface {
 	// ID returns the local node id.
 	ID() wire.NodeID
@@ -52,6 +69,40 @@ type Env interface {
 	// Rand returns the node's deterministic random source.
 	Rand() *rand.Rand
 }
+
+// TimerEnv is an optional extension of Env for environments that can carry
+// a peer's timers as flat records instead of closures. A peer checks for
+// it at Start: when its Env implements TimerEnv and FlatTimers reports
+// true, every gossip tick and retransmission check is armed with
+// AfterTimer and comes back through (*Peer).OnTimer, which costs no
+// allocation per arm; otherwise the same OnTimer calls are wrapped in
+// closures and armed with After. Both routes run the one timer state
+// machine and arm in the same order, so which one is taken never changes
+// what the peer does. The sharded engine's *megasim.NodeEnv implements it;
+// the classic kernel, the real-time driver and any wrapper that defines
+// only Env's five methods do not need to.
+type TimerEnv interface {
+	Env
+	// FlatTimers reports whether AfterTimer reaches this peer: the
+	// environment's driver must have registered the peer itself as the
+	// receiver of OnTimer calls. Asked once per Start.
+	FlatTimers() bool
+	// AfterTimer schedules OnTimer(kind, arg) on the peer once after d.
+	// There is no cancel: the peer recognizes and ignores timers it no
+	// longer wants. An environment may drop the timers of a node it has
+	// removed.
+	AfterTimer(d time.Duration, kind uint8, arg uint32)
+}
+
+// Timer kinds, the first argument of OnTimer.
+const (
+	// timerTick is a gossip round; arg is the Start epoch that armed the
+	// chain, so a chain left over from before a Stop ends when it fires.
+	timerTick uint8 = iota
+	// timerRetransmit is a retransmission check; arg indexes the batch in
+	// the peer's retransmission slab.
+	timerRetransmit
+)
 
 // RetryPolicy selects the target of retransmitted REQUESTs.
 type RetryPolicy int
@@ -144,10 +195,24 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// requestState tracks the pull lifecycle of one packet id.
+// requestState tracks the pull lifecycle of one packet id: a by-value
+// record in the peer's request slab. Record i's proposers are stored
+// inline at Peer.proposers[i*MaxProposers:], the first nproposers of them
+// valid.
 type requestState struct {
-	requests  int // REQUESTs issued so far (K cap)
-	proposers []wire.NodeID
+	requests   int32 // REQUESTs issued so far (K cap)
+	nproposers int32
+}
+
+// retBatch is one armed retransmission check: the ids requested together
+// from proposer, in the peer's retransmission slab. ids is the backing the
+// REQUEST itself carries, shared read-only. A slot is live while ids is
+// non-nil; it returns to the free list when its timer fires or is
+// cancelled.
+type retBatch struct {
+	proposer wire.NodeID
+	ids      []stream.PacketID
+	cancel   func() // plain Env only: cancels the After timer
 }
 
 // Counters exposes protocol-level statistics of a peer.
@@ -179,18 +244,43 @@ type Peer struct {
 	// layoutTotal before insertion): direct indexing beats a map on both
 	// memory and lookup cost, which matters when simulations hold 100k+
 	// peers at once.
-	store     []*stream.Packet
+	store []*stream.Packet
+	// toPropose collects the ids delivered since the last round. It is
+	// scratch: each round's PROPOSE gets its own exact copy.
 	toPropose []stream.PacketID
-	// req is dense like store: one slot per stream id, nil once the
-	// packet is delivered or never requested. Profiling 100k-node runs
-	// showed the former map's hashing among the top costs.
-	req []*requestState
+	// req is dense like store: one slot per stream id, holding the id's
+	// request-slab index plus one, or zero when the packet is delivered or
+	// was never requested. Profiling 100k-node runs showed the former
+	// map's hashing among the top costs; a 4-byte index instead of a
+	// pointer halves what a long stream costs every node.
+	req []uint32
+	// reqs is the request slab, proposers its inline proposer lists at
+	// stride cfg.MaxProposers, reqFree the indexes ready for reuse. Only
+	// ids requested and not yet delivered hold a record, so the slab stays
+	// a few rounds' worth of ids however long the stream.
+	reqs      []requestState
+	proposers []wire.NodeID
+	reqFree   []uint32
+	// batches is the retransmission slab (see retBatch), batchFree its
+	// free list.
+	batches   []retBatch
+	batchFree []uint32
+	// idScratch collects the ids handlePropose and retransmit are about to
+	// request, retTargets where retransmit sends each.
+	idScratch  []stream.PacketID
+	retTargets []wire.NodeID
 
-	round       int
-	running     bool
+	round   int
+	running bool
+	// epoch counts Starts; the tick chain carries it (see timerTick).
+	epoch uint32
+	// flat is the Env as a TimerEnv while the peer runs on flat timers,
+	// nil while it arms them through After; decided at Start.
+	flat TimerEnv
+	// tickFn and cancelTick serve the After route only: the tick's closure,
+	// built once per Start, and the pending tick's cancel.
+	tickFn      func()
 	cancelTick  func()
-	retCancels  map[int]func()
-	nextRetID   int
 	counters    Counters
 	layoutTotal int
 
@@ -238,8 +328,7 @@ func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, 
 		recv:        stream.NewReceiver(layout),
 		source:      src,
 		store:       make([]*stream.Packet, layout.TotalPackets()),
-		req:         make([]*requestState, layout.TotalPackets()),
-		retCancels:  make(map[int]func()),
+		req:         make([]uint32, layout.TotalPackets()),
 		layoutTotal: layout.TotalPackets(),
 	}
 	return p, nil
@@ -252,8 +341,14 @@ func (p *Peer) Start() {
 		return
 	}
 	p.running = true
-	offset := time.Duration(p.env.Rand().Int63n(int64(p.cfg.GossipPeriod)))
-	p.cancelTick = p.env.After(offset, p.tick)
+	p.epoch++
+	p.flat = nil
+	if te, ok := p.env.(TimerEnv); ok && te.FlatTimers() {
+		p.flat = te
+	} else {
+		p.tickFn = p.timerFunc(timerTick, p.epoch)
+	}
+	p.armTick(time.Duration(p.env.Rand().Int63n(int64(p.cfg.GossipPeriod))))
 }
 
 // Stop halts gossip rounds and pending retransmission timers. Already
@@ -264,11 +359,53 @@ func (p *Peer) Stop() {
 		p.cancelTick()
 		p.cancelTick = nil
 	}
-	//lint:ordered each cancel only tombstones its own timer; the effects commute
-	for _, cancel := range p.retCancels {
-		cancel()
+	for i := range p.batches {
+		b := &p.batches[i]
+		if b.ids == nil {
+			continue
+		}
+		if p.flat == nil {
+			b.cancel()
+			p.freeBatch(uint32(i))
+		} else {
+			// A flat timer cannot be cancelled: drop the ids now, the slot
+			// follows when the timer fires (it must not be reused before).
+			b.ids = nil
+		}
 	}
-	p.retCancels = make(map[int]func())
+}
+
+// timerFunc wraps OnTimer(kind, arg) for an Env that only takes closures.
+func (p *Peer) timerFunc(kind uint8, arg uint32) func() {
+	//lint:coldpath only the After route (classic kernel, rt, wrapped Envs) gets here, to build the closure its Env demands; on the sharded engine timers are flat
+	return func() { p.OnTimer(kind, arg) }
+}
+
+// armTick schedules the next gossip round.
+func (p *Peer) armTick(d time.Duration) {
+	if p.flat != nil {
+		p.flat.AfterTimer(d, timerTick, p.epoch)
+		return
+	}
+	p.cancelTick = p.env.After(d, p.tickFn)
+}
+
+// OnTimer is the peer's one timer entry point: the environment calls it
+// when a timer armed through TimerEnv.AfterTimer (or its closure over
+// After) fires.
+func (p *Peer) OnTimer(kind uint8, arg uint32) {
+	switch kind {
+	case timerTick:
+		if arg == p.epoch {
+			p.tick()
+		}
+	case timerRetransmit:
+		b := p.batches[arg]
+		p.freeBatch(arg)
+		if b.ids != nil {
+			p.retransmit(b.proposer, b.ids)
+		}
+	}
 }
 
 // Receiver exposes per-window delivery state for metrics.
@@ -296,11 +433,13 @@ func (p *Peer) tick() {
 	}
 
 	if len(p.toPropose) > 0 {
-		ids := p.toPropose
-		p.toPropose = nil // infect and die (a leech just forgets the ids)
 		if !p.cfg.Leech {
+			// The messages in flight own one exact copy of the round's ids.
+			rest := slices.Clone(p.toPropose)
 			partners := p.view.Partners()
-			for _, chunk := range wire.SplitIDs(ids) {
+			for len(rest) > 0 {
+				var chunk []stream.PacketID
+				chunk, rest = wire.CutIDs(rest)
 				// Box the message once: Send takes an interface, and
 				// converting per partner would allocate fanout times per round.
 				var msg wire.Message = wire.Propose{IDs: chunk}
@@ -310,9 +449,10 @@ func (p *Peer) tick() {
 				}
 			}
 		}
+		p.toPropose = p.toPropose[:0] // infect and die (a leech just forgets the ids)
 	}
 
-	p.cancelTick = p.env.After(p.cfg.GossipPeriod, p.tick)
+	p.armTick(p.cfg.GossipPeriod)
 }
 
 // publishNew delivers freshly produced stream packets locally (publish(e) in
@@ -322,6 +462,7 @@ func (p *Peer) publishNew() {
 	for _, pkt := range fresh {
 		p.recv.Deliver(pkt.ID, p.env.Now())
 		p.store[pkt.ID] = pkt
+		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, pkt.ID)
 	}
 	clear(fresh)
@@ -332,6 +473,7 @@ func (p *Peer) publishNew() {
 // of the current partner set, paper §3) to insert us into their views.
 func (p *Peer) sendFeedMe() {
 	for _, target := range p.sampler.Sample(p.cfg.Fanout) {
+		//lint:boxed FeedMe is zero-size: boxing it allocates nothing
 		p.env.Send(target, wire.FeedMe{})
 		p.counters.FeedMesSent++
 	}
@@ -364,56 +506,99 @@ func (p *Peer) handlePropose(from wire.NodeID, m wire.Propose) {
 	if p.source != nil {
 		return // the source already has everything
 	}
-	var wanted []stream.PacketID
+	// The ids to request collect in scratch: most PROPOSEs carry nothing
+	// new and allocate nothing; the rest get one exactly sized copy, shared
+	// by the REQUEST and its retransmission record.
+	fresh := p.idScratch[:0]
 	for _, id := range m.IDs {
-		if int(id) >= p.layoutTotal {
+		if int(id) >= p.layoutTotal || p.recv.Has(id) {
 			continue
 		}
-		if p.recv.Has(id) {
-			continue
+		ri := p.req[id]
+		if ri == 0 {
+			ri = p.newRequest()
+			p.req[id] = ri
+			p.reqs[ri-1].requests = 1
+			//lint:pooled idScratch is per-peer scratch, reused by every PROPOSE
+			fresh = append(fresh, id)
 		}
-		st := p.req[id]
-		if st == nil {
-			st = &requestState{}
-			p.req[id] = st
-		}
-		if len(st.proposers) < p.cfg.MaxProposers {
-			st.proposers = append(st.proposers, from)
-		}
-		if st.requests == 0 {
-			st.requests = 1
-			wanted = append(wanted, id)
+		if st := &p.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
+			p.proposers[int(ri-1)*p.cfg.MaxProposers+int(st.nproposers)] = from
+			st.nproposers++
 		}
 	}
-	if len(wanted) == 0 {
+	p.idScratch = fresh[:0]
+	if len(fresh) == 0 {
 		return
 	}
-	for _, chunk := range wire.SplitIDs(wanted) {
-		p.env.Send(from, wire.Request{IDs: chunk})
-		p.counters.RequestsSent++
-	}
+	wanted := slices.Clone(fresh)
+	p.sendRequests(from, wanted)
 	if p.cfg.MaxRequests > 1 {
 		p.armRetTimer(from, wanted)
 	}
 }
 
+// newRequest takes a zeroed record from the request slab and returns its
+// index plus one, the form Peer.req stores.
+func (p *Peer) newRequest() uint32 {
+	if n := len(p.reqFree); n > 0 {
+		i := p.reqFree[n-1]
+		p.reqFree = p.reqFree[:n-1]
+		return i + 1
+	}
+	//lint:pooled the slab and its proposer lists grow to the peak of concurrently pending ids, then recycle through reqFree
+	p.reqs = append(p.reqs, requestState{})
+	//lint:pooled see above
+	p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
+	return uint32(len(p.reqs))
+}
+
+// sendRequests sends ids to target as REQUESTs, one per MTU-sized chunk,
+// and returns how many it sent. The messages alias ids.
+func (p *Peer) sendRequests(target wire.NodeID, ids []stream.PacketID) (sent int) {
+	for len(ids) > 0 {
+		var chunk []stream.PacketID
+		chunk, ids = wire.CutIDs(ids)
+		//lint:boxed the boxed REQUEST is the in-flight message record; a message slab (ROADMAP 1d) would replace it
+		p.env.Send(target, wire.Request{IDs: chunk})
+		sent++
+	}
+	p.counters.RequestsSent += sent
+	return sent
+}
+
 // armRetTimer schedules a retransmission check for ids first requested from
-// proposer (lines 14–15). The delay is jittered over [1.0, 1.5]×RetPeriod:
+// proposer (lines 14–15); the batch keeps ids itself, which nothing may
+// write to any more. The delay is jittered over [1.0, 1.5]×RetPeriod:
 // a burst of requesters dropped together at one congested uplink must not
 // retry in lock-step or they re-create the very burst that dropped them.
 // Jitter only extends the delay — RetPeriod is chosen to exceed the
 // worst-case honest delivery time, and firing earlier than that turns
 // queued-but-coming serves into duplicates.
 func (p *Peer) armRetTimer(proposer wire.NodeID, ids []stream.PacketID) {
-	retID := p.nextRetID
-	p.nextRetID++
-	idsCopy := make([]stream.PacketID, len(ids))
-	copy(idsCopy, ids)
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
-	p.retCancels[retID] = p.env.After(delay, func() {
-		delete(p.retCancels, retID)
-		p.retransmit(proposer, idsCopy)
-	})
+	var bi uint32
+	if n := len(p.batchFree); n > 0 {
+		bi = p.batchFree[n-1]
+		p.batchFree = p.batchFree[:n-1]
+	} else {
+		bi = uint32(len(p.batches))
+		//lint:pooled the slab grows to the peak of concurrently armed batches, then recycles through batchFree
+		p.batches = append(p.batches, retBatch{})
+	}
+	p.batches[bi] = retBatch{proposer: proposer, ids: ids}
+	if p.flat != nil {
+		p.flat.AfterTimer(delay, timerRetransmit, bi)
+		return
+	}
+	p.batches[bi].cancel = p.env.After(delay, p.timerFunc(timerRetransmit, bi))
+}
+
+// freeBatch returns a retransmission slot to the free list.
+func (p *Peer) freeBatch(bi uint32) {
+	p.batches[bi] = retBatch{}
+	//lint:pooled the free list is bounded by the slab it indexes
+	p.batchFree = append(p.batchFree, bi)
 }
 
 // retransmit re-requests still-missing ids, respecting the K = MaxRequests
@@ -423,41 +608,64 @@ func (p *Peer) retransmit(proposer wire.NodeID, ids []stream.PacketID) {
 	if !p.running {
 		return
 	}
-	// targets keeps first-use order: iterating the grouping map directly
-	// would randomize send order and with it the whole run (uplink queue
-	// order, event sequence numbers), breaking seed-determinism.
-	perTarget := make(map[wire.NodeID][]stream.PacketID)
-	var targets []wire.NodeID
-	var again []stream.PacketID
+	// retry collects the ids to request again, targets[i] where retry[i]
+	// goes.
+	retry, targets := p.idScratch[:0], p.retTargets[:0]
 	for _, id := range ids {
-		if p.recv.Has(id) {
+		ri := p.req[id]
+		if ri == 0 || p.recv.Has(id) {
 			continue
 		}
-		st := p.req[id]
-		if st == nil || st.requests >= p.cfg.MaxRequests {
+		st := &p.reqs[ri-1]
+		if int(st.requests) >= p.cfg.MaxRequests {
 			continue
 		}
 		st.requests++
 		target := proposer
-		if p.cfg.Retry == RetryRandomProposer && len(st.proposers) > 0 {
-			target = st.proposers[p.env.Rand().Intn(len(st.proposers))]
+		if p.cfg.Retry == RetryRandomProposer && st.nproposers > 0 {
+			target = p.proposers[int(ri-1)*p.cfg.MaxProposers+p.env.Rand().Intn(int(st.nproposers))]
 		}
-		if _, seen := perTarget[target]; !seen {
-			targets = append(targets, target)
+		//lint:pooled idScratch is per-peer scratch, reused by every retransmission
+		retry = append(retry, id)
+		//lint:pooled retTargets is per-peer scratch, reused by every retransmission
+		targets = append(targets, target)
+	}
+	p.idScratch, p.retTargets = retry[:0], targets[:0]
+	if len(retry) == 0 {
+		return
+	}
+	again := slices.Clone(retry) // the next batch, exactly sized and its own
+	// Targets are served in first-use order, each with its ids in batch
+	// order: send order feeds uplink queues and event sequence numbers, so
+	// it must be a pure function of the batch.
+	for i, target := range targets {
+		if slices.Contains(targets[:i], target) {
+			continue // sent together with the target's first id
 		}
-		perTarget[target] = append(perTarget[target], id)
-		again = append(again, id)
+		toTarget := again // the one-target case (always, under RetrySameProposer) shares the batch's backing
+		if k := count(targets[i:], target); k < len(again) {
+			toTarget = make([]stream.PacketID, 0, k)
+			for j := i; j < len(targets); j++ {
+				if targets[j] == target {
+					//lint:pooled toTarget was allocated above with room for the target's k ids
+					toTarget = append(toTarget, again[j])
+				}
+			}
+		}
+		p.counters.Retransmissions += p.sendRequests(target, toTarget)
 	}
-	for _, target := range targets {
-		for _, chunk := range wire.SplitIDs(perTarget[target]) {
-			p.env.Send(target, wire.Request{IDs: chunk})
-			p.counters.RequestsSent++
-			p.counters.Retransmissions++
+	p.armRetTimer(proposer, again)
+}
+
+// count returns how many elements of s equal v.
+func count(s []wire.NodeID, v wire.NodeID) int {
+	n := 0
+	for _, x := range s {
+		if x == v {
+			n++
 		}
 	}
-	if len(again) > 0 {
-		p.armRetTimer(proposer, again)
-	}
+	return n
 }
 
 // handleRequest implements phase 3: serve the payloads we hold. A leech
@@ -470,6 +678,7 @@ func (p *Peer) handleRequest(from wire.NodeID, m wire.Request) {
 	pkts := p.serveScratch[:0]
 	for _, id := range m.IDs {
 		if pkt := p.lookup(id); pkt != nil {
+			//lint:pooled serveScratch is per-peer scratch, reused by every REQUEST
 			pkts = append(pkts, pkt)
 		}
 	}
@@ -478,6 +687,7 @@ func (p *Peer) handleRequest(from wire.NodeID, m wire.Request) {
 		// transport recycles them once the messages are consumed or dropped.
 		batches := wire.SplitServeInto(p.serveBatches[:0], pkts)
 		for _, serve := range batches {
+			//lint:boxed the boxed SERVE is the in-flight message record; a message slab (ROADMAP 1d) would replace it
 			p.env.Send(from, serve)
 			p.counters.ServesSent++
 			p.counters.PacketsServed += len(serve.Packets)
@@ -511,7 +721,13 @@ func (p *Peer) handleServe(m wire.Serve) {
 			continue
 		}
 		p.store[pkt.ID] = pkt
+		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, pkt.ID)
-		p.req[pkt.ID] = nil // retransmission state no longer needed
+		if ri := p.req[pkt.ID]; ri != 0 { // retransmission state no longer needed
+			p.req[pkt.ID] = 0
+			p.reqs[ri-1] = requestState{}
+			//lint:pooled the free list is bounded by the slab it indexes
+			p.reqFree = append(p.reqFree, ri-1)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -130,12 +131,15 @@ func TestMaxProposersBounded(t *testing.T) {
 	for from := wire.NodeID(1); from <= 8; from++ {
 		h.peer.HandleMessage(from, wire.Propose{IDs: []stream.PacketID{0}})
 	}
-	st := h.peer.req[0]
-	if st == nil {
+	ri := h.peer.req[0]
+	if ri == 0 {
 		t.Fatal("no request state recorded")
 	}
-	if len(st.proposers) != cfg.MaxProposers {
-		t.Fatalf("recorded %d proposers, bound is %d", len(st.proposers), cfg.MaxProposers)
+	if got := int(h.peer.reqs[ri-1].nproposers); got != cfg.MaxProposers {
+		t.Fatalf("recorded %d proposers, bound is %d", got, cfg.MaxProposers)
+	}
+	if got, want := h.peer.proposers[:cfg.MaxProposers], []wire.NodeID{1, 2}; !slices.Equal(got, want) {
+		t.Fatalf("recorded proposers %v, want the first two, %v", got, want)
 	}
 	h.peer.Stop()
 }
@@ -160,7 +164,7 @@ func TestNoRetryTimersWhenKIsOne(t *testing.T) {
 	cfg.MaxRequests = 1
 	h := newHarness(t, cfg, tinyLayout())
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0, 1}})
-	if len(h.peer.retCancels) != 0 {
+	if len(h.peer.batches) != 0 {
 		t.Fatal("ret timer armed although K=1 forbids retries")
 	}
 	h.sched.RunUntil(time.Minute)

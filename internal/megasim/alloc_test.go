@@ -1,0 +1,103 @@
+package megasim
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"gossipstream/internal/wire"
+)
+
+// relay forwards every delivery to the next node: one send, one shaped
+// uplink, one latency draw and one delivery per event, no node logic.
+type relay struct {
+	env  *NodeEnv
+	next NodeID
+}
+
+func (r *relay) HandleMessage(NodeID, wire.Message) { r.env.Send(r.next, wire.FeedMe{}) }
+
+// ticker re-arms one flat timer every time it fires.
+type ticker struct{ env *NodeEnv }
+
+func (k *ticker) HandleMessage(NodeID, wire.Message) {}
+func (k *ticker) OnTimer(kind uint8, arg uint32)     { k.env.AfterTimer(time.Millisecond, kind, arg) }
+
+// allocsPerEvent runs the engine to until and returns the heap allocations
+// of the whole Run call per executed event. Queue and outbox growth is in
+// the count, amortized over the run.
+func allocsPerEvent(t *testing.T, eng *Engine, until time.Duration) float64 {
+	t.Helper()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	if err := eng.Run(until); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&m1)
+	if eng.Fired() < 100_000 {
+		t.Fatalf("only %d events fired: too few to amortize set-up", eng.Fired())
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(eng.Fired())
+}
+
+// TestEngineAllocBudget is the engine's allocation budget, the guard
+// behind the package doc's "allocates nothing per event": send→deliver
+// and flat node timers cost no allocation, an After chain costs the one
+// cancel function After must return. Before events were pushed by value
+// every scheduled event escaped to the heap (1 and 3 allocations per
+// event here). The slack is for the queue's amortized growth.
+func TestEngineAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	const nodes = 500
+	build := func(t *testing.T, handler func(i int) Handler) (*Engine, []*NodeEnv) {
+		eng, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		envs := make([]*NodeEnv, nodes)
+		for i := range envs {
+			envs[i] = eng.NodeEnv(eng.PeekNextID(), NewRand(int64(i)))
+			eng.AddNode(handler(i), 10_000_000, 1<<20)
+		}
+		return eng, envs
+	}
+
+	t.Run("send-deliver", func(t *testing.T) {
+		eng, envs := build(t, func(i int) Handler { return &relay{next: NodeID((i + 1) % nodes)} })
+		for i, env := range envs {
+			eng.nodes[i].handler.(*relay).env = env
+			env.Send(NodeID((i+1)%nodes), wire.FeedMe{})
+		}
+		if got := allocsPerEvent(t, eng, 3*time.Second); got > 0.01 {
+			t.Fatalf("send→deliver allocates %.3f per event, want 0", got)
+		}
+	})
+
+	t.Run("flat-timer-chain", func(t *testing.T) {
+		eng, envs := build(t, func(int) Handler { return &ticker{} })
+		for i, env := range envs {
+			eng.nodes[i].handler.(*ticker).env = env
+			if !env.FlatTimers() {
+				t.Fatal("a TimerHandler's NodeEnv does not offer flat timers")
+			}
+			env.AfterTimer(time.Millisecond, 0, uint32(i))
+		}
+		if got := allocsPerEvent(t, eng, 300*time.Millisecond); got > 0.01 {
+			t.Fatalf("a flat timer chain allocates %.3f per event, want 0", got)
+		}
+	})
+
+	t.Run("after-chain", func(t *testing.T) {
+		eng, envs := build(t, func(int) Handler { return &relay{} })
+		for _, env := range envs {
+			var rearm func()
+			rearm = func() { env.After(time.Millisecond, rearm) }
+			env.After(time.Millisecond, rearm)
+		}
+		if got := allocsPerEvent(t, eng, 300*time.Millisecond); got > 1.01 {
+			t.Fatalf("a re-arming After chain allocates %.3f per event, want at most 1 (the cancel function)", got)
+		}
+	})
+}

@@ -38,9 +38,20 @@
 // # Event representation
 //
 // Unlike internal/simnet, which allocates a closure and a heap node per
-// message, megasim stores events by value in a growable per-shard array
-// heap (one compact record per in-flight message, no per-event
-// allocation) and reuses outbox capacity across windows.
+// message, megasim stores events by value in the shard's scheduler (one
+// compact 64-byte record per in-flight message, timer or tick) and reuses
+// outbox capacity across windows. The engine itself allocates nothing per
+// event: a delivery, a membership tick and a node timer (AfterTimer) are
+// each one record that reaches the scheduler by value; only NodeEnv.After
+// pays one allocation, the cancel function it must return.
+// TestEngineAllocBudget holds the engine to that (0 per event for
+// send→deliver, at most 1 for an After chain), and CI fails on any
+// "moved to heap" the compiler reports in shard.go.
+//
+// What remains per message is allocated above the engine: node logic
+// boxes every message it sends into the wire.Message interface, and
+// internal/core allocates one id list per PROPOSE and per REQUEST (see
+// its package doc and alloc-budget tests).
 //
 // # Membership
 //
@@ -144,6 +155,14 @@ type Handler interface {
 	HandleMessage(from NodeID, msg wire.Message)
 }
 
+// TimerHandler is implemented by handlers that take their timers as flat
+// records: NodeEnv.AfterTimer schedules OnTimer(kind, arg) on the handler
+// the node was added with. kind and arg are the handler's own and opaque
+// to the engine.
+type TimerHandler interface {
+	OnTimer(kind uint8, arg uint32)
+}
+
 // QueueKind selects the per-shard event-scheduler implementation. Both
 // kinds maintain the same strict (at, seq) total order, so for a fixed
 // (seed, shards) pair the simulated run is bit-identical across kinds —
@@ -213,6 +232,9 @@ const infTime = time.Duration(1<<63 - 1)
 
 type nodeState struct {
 	handler Handler
+	// timer is handler when it implements TimerHandler, resolved once at
+	// AddNode so firing a node timer costs no type assertion.
+	timer TimerHandler
 	// sampler, when non-nil, is the node's dynamic membership record
 	// (AttachSampler): the engine ticks it every tickEvery and routes
 	// SHUFFLE deliveries to it instead of the handler. Like stats it is
@@ -383,6 +405,7 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	if upBps != shaping.Unlimited {
 		up = *shaping.NewShaper(upBps, queueBytes)
 	}
+	timer, _ := h.(TimerHandler)
 	e.added++
 	e.live++
 	if slot, ok := e.takeFree(); ok {
@@ -394,14 +417,14 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 		// traffic still addressed to its stale handles.
 		e.departed.Add(nd.stats)
 		gen := nd.gen + 1
-		*nd = nodeState{handler: h, uplink: up, base: base, prevBase: nd.base, gen: gen, alive: true}
+		*nd = nodeState{handler: h, timer: timer, uplink: up, base: base, prevBase: nd.base, gen: gen, alive: true}
 		e.recycled++
 		return makeID(slot, gen)
 	}
 	if len(e.nodes) > slotMask {
 		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", len(e.nodes), slotMask+1))
 	}
-	e.nodes = append(e.nodes, nodeState{handler: h, uplink: up, base: base, alive: true})
+	e.nodes = append(e.nodes, nodeState{handler: h, timer: timer, uplink: up, base: base, alive: true})
 	return NodeID(len(e.nodes) - 1)
 }
 
@@ -615,6 +638,7 @@ func (e *Engine) Release(id NodeID) {
 	}
 	nd.released = true
 	nd.handler = nil
+	nd.timer = nil
 	nd.sampler = nil
 	nd.uplink = shaping.Shaper{}
 	//lint:pooled quarantine ring capacity is reused in place (drainQuarantine resets or compacts it)
@@ -1134,7 +1158,8 @@ func (e *Engine) lookup(op string, id NodeID) *nodeState {
 	return nd
 }
 
-// NodeEnv adapts one node to the engine. It satisfies core.Env.
+// NodeEnv adapts one node to the engine. It satisfies core.Env and, for
+// nodes whose handler is a TimerHandler, core.TimerEnv.
 type NodeEnv struct {
 	eng *Engine
 	sh  *shard
@@ -1157,3 +1182,27 @@ func (v *NodeEnv) Send(to NodeID, msg wire.Message) { v.eng.send(v.sh, v.id, to,
 // After schedules fn once after d on the node's shard; the returned
 // function cancels it.
 func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d, fn) }
+
+// FlatTimers reports whether AfterTimer is usable: the node has been added
+// and its handler is a TimerHandler. Node logic that is not itself the
+// registered handler (it sits behind a wrapper the engine delivers to)
+// gets false and arms its timers through After.
+func (v *NodeEnv) FlatTimers() bool {
+	slot := Slot(v.id)
+	if slot >= len(v.eng.nodes) {
+		return false
+	}
+	nd := &v.eng.nodes[slot]
+	return int(nd.gen) == Gen(v.id) && nd.timer != nil
+}
+
+// AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once
+// after d, as one by-value event: no closure, no cancel function. A timer
+// cannot be cancelled — the handler ignores the ones it no longer wants —
+// but it never outlives its node: timers of a crashed or departed node
+// are dropped unexecuted and uncounted, as cancelled After timers are.
+// Timer ids and sequence numbers are drawn as After draws them, so a run
+// is the same event for event over either call.
+func (v *NodeEnv) AfterTimer(d time.Duration, kind uint8, arg uint32) {
+	v.sh.afterNode(d, v.id, kind, arg)
+}

@@ -31,7 +31,7 @@ func benchQueueSetup(q scheduler) []time.Duration {
 		jitter[i] = time.Duration(rng.Int63n(int64(benchQueuePeriod / 4)))
 	}
 	for i := 0; i < benchQueueOccupancy; i++ {
-		q.push(&event{at: time.Duration(rng.Int63n(int64(benchQueuePeriod))), seq: uint64(i)})
+		q.push(event{at: time.Duration(rng.Int63n(int64(benchQueuePeriod))), seq: uint64(i)})
 	}
 	return jitter
 }
@@ -46,7 +46,7 @@ func BenchmarkMegasimQueueOpsHeap(b *testing.B) {
 		ev.at += benchQueuePeriod + jitter[i&1023]
 		ev.seq = seq
 		seq++
-		q.push(&ev)
+		q.push(ev)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")
@@ -62,7 +62,7 @@ func BenchmarkMegasimQueueOpsCalendar(b *testing.B) {
 		ev.at += benchQueuePeriod + jitter[i&1023]
 		ev.seq = seq
 		seq++
-		q.push(&ev)
+		q.push(ev)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")

@@ -157,7 +157,7 @@ func (q *calendarQueue) moveTo(t time.Duration) {
 // an event touches an effectively random bucket in a working set far
 // beyond cache, and draining 64 at once lets those misses overlap in the
 // memory pipeline instead of serializing, one per push, on the hot path.
-func (q *calendarQueue) push(ev *event) {
+func (q *calendarQueue) push(ev event) {
 	if q.total == 0 {
 		// Empty queue: re-anchor the year at the new event so a long idle
 		// gap never has to be scanned slot by slot.
@@ -169,7 +169,7 @@ func (q *calendarQueue) push(ev *event) {
 	}
 	q.sinceRebuild++
 	//lint:pooled the staging buffer's backing is bounded (calStageMax) and reused across drains
-	q.stage = append(q.stage, *ev)
+	q.stage = append(q.stage, ev)
 	if ev.at < q.stageMin {
 		q.stageMin = ev.at
 	}

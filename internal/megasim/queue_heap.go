@@ -14,11 +14,11 @@ import "time"
 // overflow in), which is why even the read-shaped calls are documented as
 // owner-only.
 type scheduler interface {
-	// push inserts *ev; the caller has already assigned ev.seq and
-	// retains ownership of the pointed-to record (implementations copy).
-	// Pointer passing keeps the 64-byte record out of a second stack
-	// copy at the interface call, which dispatch cannot inline away.
-	push(ev *event)
+	// push inserts ev; the caller has already assigned ev.seq. The record
+	// travels by value: a pointer handed through the interface escapes, and
+	// one heap allocation per scheduled event costs far more than copying
+	// 64 bytes of arguments.
+	push(ev event)
 	// pop removes and returns the earliest pending event by (at, seq).
 	// It must release the popped slot's fn/msg references. Calling pop
 	// on an empty scheduler panics.
@@ -51,10 +51,10 @@ type heapQueue struct {
 	highWater int
 }
 
-// push inserts *ev into the heap.
-func (q *heapQueue) push(ev *event) {
+// push inserts ev into the heap.
+func (q *heapQueue) push(ev event) {
 	//lint:pooled the heap's backing array persists for the shard's lifetime; growth amortizes to steady state
-	q.heap = append(q.heap, *ev)
+	q.heap = append(q.heap, ev)
 	if len(q.heap) > q.highWater {
 		q.highWater = len(q.heap)
 	}

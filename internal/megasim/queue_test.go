@@ -25,8 +25,8 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	push := func(at time.Duration) {
 		ev := event{at: at, seq: seq}
 		seq++
-		h.push(&ev)
-		c.push(&ev)
+		h.push(ev)
+		c.push(ev)
 	}
 	for i := 0; i < ops; i++ {
 		if h.len() != c.len() {
@@ -111,11 +111,11 @@ func TestQueueDifferentialLongRuns(t *testing.T) {
 // behind it (a barrier admission) and must still pop first.
 func TestCalendarRewindBehindCursor(t *testing.T) {
 	q := newCalendarQueue()
-	q.push(&event{at: 10 * time.Second, seq: 0})
+	q.push(event{at: 10 * time.Second, seq: 0})
 	if at, ok := q.peekAt(); !ok || at != 10*time.Second {
 		t.Fatalf("peek = (%v,%v), want 10s", at, ok)
 	}
-	q.push(&event{at: time.Millisecond, seq: 1})
+	q.push(event{at: time.Millisecond, seq: 1})
 	if at, ok := q.peekAt(); !ok || at != time.Millisecond {
 		t.Fatalf("peek after rewind = (%v,%v), want 1ms", at, ok)
 	}
@@ -142,7 +142,7 @@ func TestCalendarHeavyTailOverflow(t *testing.T) {
 			at *= 10
 		}
 		ats[i] = at
-		q.push(&event{at: at, seq: uint64(i)})
+		q.push(event{at: at, seq: uint64(i)})
 	}
 	var prev event
 	for i := 0; i < n; i++ {
@@ -162,9 +162,9 @@ func TestCalendarHeavyTailOverflow(t *testing.T) {
 // scanning the gap slot by slot.
 func TestCalendarEmptyThenReanchor(t *testing.T) {
 	q := newCalendarQueue()
-	q.push(&event{at: time.Millisecond, seq: 0})
+	q.push(event{at: time.Millisecond, seq: 0})
 	q.pop()
-	q.push(&event{at: time.Hour, seq: 1})
+	q.push(event{at: time.Hour, seq: 1})
 	if ev := q.pop(); ev.at != time.Hour {
 		t.Fatalf("pop = %v, want 1h", ev.at)
 	}

@@ -12,26 +12,33 @@ import (
 // closure per node per virtual second, and a crashed node's tick chain
 // must stop without a cancellation handshake (the kind dispatch just sees
 // the dead flag and lets the chain end).
+//
+// Node timers are the same cure for node logic: a TimerHandler's timers
+// (core's gossip ticks and retransmission checks) are flat (node, kind,
+// arg) records instead of a closure plus a cancel closure per arm, and
+// they die with the node exactly as a cancelled evTimer would.
 const (
 	evTimer uint8 = iota
 	evDeliver
 	evMemberTick
+	evNodeTimer
 )
 
 // event is one scheduled occurrence, stored by value in the shard's
-// scheduler: a timer, a message delivery, or a membership tick (the node
-// id rides in to). Compared to simnet's closure-per-message
-// representation this is a single flat record, so the per-message cost is
-// a queue slot, not two heap allocations — a property both queue kinds
-// preserve.
+// scheduler: a timer, a message delivery, a membership tick or a node
+// timer (the node id rides in to). Compared to simnet's
+// closure-per-message representation this is a single flat record, so the
+// per-message cost is a queue slot, not two heap allocations — a property
+// both queue kinds preserve.
 type event struct {
 	at      time.Duration
 	seq     uint64
 	timerID uint64
 	from    NodeID
 	to      NodeID
-	size    int32
+	size    int32 // evDeliver: payload bytes; evNodeTimer: the handler's arg
 	kind    uint8
+	tkind   uint8        // evNodeTimer only: the handler's timer kind
 	fn      func()       // evTimer only
 	msg     wire.Message // evDeliver only
 }
@@ -153,6 +160,17 @@ func (s *shard) runWindow(end time.Duration) {
 			s.fired++
 			s.memberTicks++
 			s.eng.memberTick(s, ev.to)
+		case evNodeTimer:
+			nd := &s.eng.nodes[uint32(ev.to)&slotMask]
+			if int(nd.gen) != int(uint32(ev.to)>>slotBits) || !nd.alive {
+				// The node departed: its timers are void, skipped uncounted
+				// like the cancelled evTimers they replace.
+				continue
+			}
+			s.now = ev.at
+			s.fired++
+			s.timers++
+			nd.timer.OnTimer(ev.tkind, uint32(ev.size))
 		}
 	}
 }
@@ -185,7 +203,8 @@ func (s *shard) nextAt() (time.Duration, bool) {
 
 // after schedules fn at now+d on this shard and returns a cancel func.
 // Cancellation is lazy: the timer id is tombstoned and the entry skipped
-// when popped.
+// when popped. Cancelling twice is harmless (the tombstone is a set
+// entry); like any cancel, it must not be called after the timer fired.
 func (s *shard) after(d time.Duration, fn func()) func() {
 	if d < 0 {
 		d = 0
@@ -193,13 +212,20 @@ func (s *shard) after(d time.Duration, fn func()) func() {
 	id := s.nextTimer
 	s.nextTimer++
 	s.push(event{at: s.now + d, timerID: id, kind: evTimer, fn: fn})
-	done := false
-	return func() {
-		if !done {
-			done = true
-			s.cancelled[id] = struct{}{}
-		}
+	return func() { s.cancelled[id] = struct{}{} }
+}
+
+// afterNode schedules the node's TimerHandler.OnTimer(kind, arg) at now+d
+// as one flat record. It draws a timer id and a sequence number exactly as
+// after does, so a run schedules the same (at, seq) stream whichever of
+// the two a node's logic arms its timers through.
+func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
+	if d < 0 {
+		d = 0
 	}
+	timerID := s.nextTimer
+	s.nextTimer++
+	s.push(event{at: s.now + d, timerID: timerID, to: id, size: int32(arg), kind: evNodeTimer, tkind: kind})
 }
 
 // pushDelivery schedules a message delivery at the given time.
@@ -219,5 +245,5 @@ func (s *shard) pushMemberTick(at time.Duration, id NodeID) {
 func (s *shard) push(ev event) {
 	ev.seq = s.seq
 	s.seq++
-	s.q.push(&ev)
+	s.q.push(ev)
 }

@@ -21,6 +21,7 @@ package member
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gossipstream/internal/wire"
 )
@@ -142,12 +143,17 @@ func NewSparseView(self wire.NodeID, n int, rng *rand.Rand) *SparseView {
 }
 
 // Sample implements Sampler.
-func (v *SparseView) Sample(k int) []wire.NodeID {
+func (v *SparseView) Sample(k int) []wire.NodeID { return v.SampleInto(nil, k) }
+
+// SampleInto is Sample drawing into dst's backing, for callers that keep
+// one sample at a time (a View refreshing its partners every round): same
+// draws, no allocation once dst has room for k ids.
+func (v *SparseView) SampleInto(dst []wire.NodeID, k int) []wire.NodeID {
 	if k > v.n-1 {
 		k = v.n - 1
 	}
 	if k <= 0 {
-		return nil
+		return dst[:0]
 	}
 	if k*2 >= v.n {
 		// Dense request: partial Fisher–Yates over an explicit candidate
@@ -162,9 +168,9 @@ func (v *SparseView) Sample(k int) []wire.NodeID {
 			j := i + v.rng.Intn(len(all)-i)
 			all[i], all[j] = all[j], all[i]
 		}
-		return all[:k]
+		return append(dst[:0], all[:k]...)
 	}
-	out := make([]wire.NodeID, 0, k)
+	out := slices.Grow(dst[:0], k)
 draw:
 	for len(out) < k {
 		id := wire.NodeID(v.rng.Intn(v.n))
@@ -191,7 +197,10 @@ var (
 // View yields the communication partners for each gossip round, applying
 // the refresh-rate knob X and feed-me insertions.
 type View struct {
-	sampler  Sampler
+	sampler Sampler
+	// into is sampler when it can draw into the View's own partner buffer
+	// (SparseView), sparing the allocation of a fresh list per refresh.
+	into     intoSampler
 	fanout   int
 	refresh  int // X; Never = keep forever
 	calls    int
@@ -209,7 +218,23 @@ func NewView(sampler Sampler, fanout, refreshEvery int, rng *rand.Rand) *View {
 	if refreshEvery < 0 {
 		panic(fmt.Sprintf("member: refresh rate %d", refreshEvery))
 	}
-	return &View{sampler: sampler, fanout: fanout, refresh: refreshEvery, rng: rng}
+	v := &View{sampler: sampler, fanout: fanout, refresh: refreshEvery, rng: rng}
+	v.into, _ = sampler.(intoSampler)
+	return v
+}
+
+// intoSampler is a Sampler that can also draw into the caller's buffer.
+type intoSampler interface {
+	SampleInto(dst []wire.NodeID, k int) []wire.NodeID
+}
+
+// draw replaces the partner set with a fresh sample.
+func (v *View) draw() {
+	if v.into != nil {
+		v.partners = v.into.SampleInto(v.partners, v.fanout)
+	} else {
+		v.partners = v.sampler.Sample(v.fanout)
+	}
 }
 
 // Partners returns this round's communication partners, advancing the
@@ -222,7 +247,7 @@ func (v *View) Partners() []wire.NodeID {
 	}
 	v.calls++
 	if needRefresh {
-		v.partners = v.sampler.Sample(v.fanout)
+		v.draw()
 	}
 	return v.partners
 }
@@ -231,7 +256,7 @@ func (v *View) Partners() []wire.NodeID {
 // (drawing it first if no round has run yet).
 func (v *View) Current() []wire.NodeID {
 	if v.partners == nil {
-		v.partners = v.sampler.Sample(v.fanout)
+		v.draw()
 	}
 	return v.partners
 }

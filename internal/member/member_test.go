@@ -2,6 +2,7 @@ package member
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -338,6 +339,40 @@ func TestStaticDynamicsAreNoOps(t *testing.T) {
 		}
 		if _, ok := s.Handle(3, wire.FeedMe{}); ok {
 			t.Fatalf("sampler %d: static view replied to traffic", i)
+		}
+	}
+}
+
+// sampleOnly hides everything of a sampler but Sample, as a wrapper that
+// knows only the Sampler interface does.
+type sampleOnly struct{ s Sampler }
+
+func (w sampleOnly) Sample(k int) []wire.NodeID { return w.s.Sample(k) }
+
+// TestViewReusesPartnerBuffer checks the View's two ways of refreshing its
+// partners against each other: over a SparseView it draws into its own
+// buffer, over a wrapped one it takes the fresh list Sample allocates. Both
+// must yield the same partners round for round, on the sparse and on the
+// dense sampling path, with feed-me insertions in between.
+func TestViewReusesPartnerBuffer(t *testing.T) {
+	for _, n := range []int{2000, 9} { // fanout 7 of 9 takes the dense path
+		direct := NewView(NewSparseView(1, n, rand.New(rand.NewSource(5))), 7, 1, rand.New(rand.NewSource(6)))
+		wrapped := NewView(sampleOnly{NewSparseView(1, n, rand.New(rand.NewSource(5)))}, 7, 1, rand.New(rand.NewSource(6)))
+		if direct.into == nil || wrapped.into != nil {
+			t.Fatal("the View did not pick the refresh path the sampler offers")
+		}
+		var last *wire.NodeID
+		for round := 0; round < 50; round++ {
+			a, b := direct.Partners(), wrapped.Partners()
+			if len(a) != 7 || !slices.Equal(a, b) {
+				t.Fatalf("n=%d round %d: partners %v drawn in place, %v drawn fresh", n, round, a, b)
+			}
+			if last != nil && &a[0] != last {
+				t.Fatalf("n=%d round %d: the partner buffer was not reused", n, round)
+			}
+			last = &a[0]
+			direct.Insert(wire.NodeID(round%n + 2))
+			wrapped.Insert(wire.NodeID(round%n + 2))
 		}
 	}
 }

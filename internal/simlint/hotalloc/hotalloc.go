@@ -21,6 +21,11 @@
 // return statements (error construction on validation paths). Anything
 // else that is intentionally cold carries `//lint:coldpath <why>`.
 //
+// A boxing site that is hot and meant to be carries `//lint:boxed <why>`:
+// the protocol hands every message it sends to Env.Send as a wire.Message,
+// so the boxed copy is the in-flight message record itself, a known cost
+// per message rather than a leak per event.
+//
 // Calls that cannot be resolved statically — interface-method dispatch
 // like handler.HandleMessage, and calls through function values — end the
 // audit at the call site; callee packages declare their own roots.
@@ -216,7 +221,7 @@ func checkBoxing(pass *analysis.Pass, name string, call *ast.CallExpr, stack []a
 	// Explicit conversion I(x).
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 && boxes(pass.TypesInfo.TypeOf(call.Args[0]), tv.Type) {
-			if !pass.Suppressed(call.Pos(), "coldpath") {
+			if !pass.Suppressed(call.Pos(), "coldpath") && !pass.Suppressed(call.Pos(), "boxed") {
 				pass.Reportf(call.Pos(),
 					"conversion to %s boxes a concrete value in hot path (%s): an interface header plus a heap copy per event",
 					types.TypeString(tv.Type, types.RelativeTo(pass.Pkg)), name)
@@ -247,7 +252,7 @@ func checkBoxing(pass *analysis.Pass, name string, call *ast.CallExpr, stack []a
 		default:
 			continue
 		}
-		if boxes(pass.TypesInfo.TypeOf(arg), pt) && !pass.Suppressed(arg.Pos(), "coldpath") {
+		if boxes(pass.TypesInfo.TypeOf(arg), pt) && !pass.Suppressed(arg.Pos(), "coldpath") && !pass.Suppressed(arg.Pos(), "boxed") {
 			pass.Reportf(arg.Pos(),
 				"argument boxes %s into %s in hot path (%s): an interface header plus a heap copy per event",
 				types.TypeString(pass.TypesInfo.TypeOf(arg), types.RelativeTo(pass.Pkg)),

@@ -52,6 +52,9 @@ func (s *shard) step(ev event) {
 
 	s.out.Log(&ev) // pointer-shaped values box without allocating: fine
 
+	//lint:boxed the boxed value is the record the logger keeps
+	s.out.Log(ev.arg) // annotated: fine
+
 	s.emit(any(ev.arg)) // want `conversion to any boxes a concrete value in hot path \(\(\*shard\)\.step\)`
 
 	if ev.at < 0 {

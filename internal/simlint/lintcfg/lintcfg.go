@@ -103,9 +103,17 @@ func Default() *Config {
 				// same send machinery runWindow reaches per event.
 				"(*Engine).SendFrom",
 			},
-			// The SERVE batch split runs once per request served — millions
-			// of times per simulated minute at scale.
-			"wire": {"SplitServeInto"},
+			// The SERVE batch split runs once per request served, and every
+			// SERVE is recycled once — millions of times per simulated minute
+			// at scale.
+			"wire": {"SplitServeInto", "RecycleServe"},
+			// The protocol handlers run once per delivered message and once
+			// per timer. The engines reach them through the Handler and
+			// TimerHandler interfaces (or a closure), which ends the static
+			// walk from the shard loop, so they are roots of their own;
+			// retransmit is named as well as OnTimer so that it stays audited
+			// however the timer entry reaches it.
+			"core": {"(*Peer).HandleMessage", "(*Peer).OnTimer", "(*Peer).retransmit"},
 			// The vector kernels run per byte of every encoded window.
 			"gf256": {"MulSlice", "MulAddSlices", "ScaleSlice"},
 			// The zero-allocation encode/decode entry points.

@@ -63,6 +63,11 @@ func TestRoots(t *testing.T) {
 	if rs := cfg.Roots("gossipstream/internal/wire"); len(rs) == 0 {
 		t.Error("wire has no hot roots configured")
 	}
+	// The engines reach core's handlers only through interfaces and
+	// closures, so without roots of its own the protocol is unaudited.
+	if rs := cfg.Roots("gossipstream/internal/core"); len(rs) == 0 {
+		t.Error("core has no hot roots configured")
+	}
 	// The scheduler implementations must be their own roots: the shard
 	// calls them through an interface, which ends hotalloc's static walk,
 	// so dropping these entries would silently un-audit the queues.

@@ -361,22 +361,12 @@ func putHeader(buf []byte, kind Kind, sender uint32, count uint16) {
 	binary.BigEndian.PutUint16(buf[5:7], count)
 }
 
-// SplitIDs partitions ids into chunks no larger than MaxIDsPerMessage, for
-// senders whose id lists exceed one MTU.
-func SplitIDs(ids []stream.PacketID) [][]stream.PacketID {
-	if len(ids) <= MaxIDsPerMessage {
-		return [][]stream.PacketID{ids}
-	}
-	var out [][]stream.PacketID
-	for len(ids) > 0 {
-		n := len(ids)
-		if n > MaxIDsPerMessage {
-			n = MaxIDsPerMessage
-		}
-		out = append(out, ids[:n])
-		ids = ids[n:]
-	}
-	return out
+// CutIDs splits off the longest prefix of ids that fits one PROPOSE or
+// REQUEST. Senders whose id lists may exceed one MTU loop on it; the
+// chunks alias ids, nothing is allocated.
+func CutIDs(ids []stream.PacketID) (chunk, rest []stream.PacketID) {
+	n := min(len(ids), MaxIDsPerMessage)
+	return ids[:n], ids[n:]
 }
 
 // maxPacketsPerServe bounds the packets one SERVE can carry: the split
@@ -445,7 +435,11 @@ func RecycleServe(s Serve) {
 	if cap(s.Packets) != maxPacketsPerServe {
 		return
 	}
-	arr := (*[maxPacketsPerServe]*stream.Packet)(s.Packets[:maxPacketsPerServe])
-	clear(arr[:]) // drop packet references so pooled capacity does not pin payloads
-	servePool.Put(arr)
+	// Drop the packet references so pooled capacity does not pin payloads.
+	// Only the written prefix can hold any: SplitServeInto fills a backing
+	// from index 0 and every backing enters the pool all nil, so clearing
+	// s.Packets — one slot with the paper's payloads — keeps it so without
+	// touching all 244.
+	clear(s.Packets)
+	servePool.Put((*[maxPacketsPerServe]*stream.Packet)(s.Packets[:maxPacketsPerServe]))
 }

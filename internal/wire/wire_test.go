@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -209,28 +210,30 @@ func TestDecodeUnknownKind(t *testing.T) {
 	}
 }
 
-func TestSplitIDs(t *testing.T) {
+func TestCutIDs(t *testing.T) {
 	ids := make([]stream.PacketID, MaxIDsPerMessage*2+5)
 	for i := range ids {
 		ids[i] = stream.PacketID(i)
 	}
-	chunks := SplitIDs(ids)
-	if len(chunks) != 3 {
-		t.Fatalf("SplitIDs produced %d chunks, want 3", len(chunks))
-	}
-	total := 0
-	for _, ch := range chunks {
-		if len(ch) > MaxIDsPerMessage {
-			t.Fatalf("chunk of %d exceeds max %d", len(ch), MaxIDsPerMessage)
+	var sizes []int
+	next := stream.PacketID(0)
+	for rest := ids; len(rest) > 0; {
+		var chunk []stream.PacketID
+		chunk, rest = CutIDs(rest)
+		for _, id := range chunk {
+			if id != next {
+				t.Fatalf("chunk %d carries id %d, want %d", len(sizes), id, next)
+			}
+			next++
 		}
-		total += len(ch)
+		sizes = append(sizes, len(chunk))
 	}
-	if total != len(ids) {
-		t.Fatalf("chunks total %d ids, want %d", total, len(ids))
+	if want := []int{MaxIDsPerMessage, MaxIDsPerMessage, 5}; !slices.Equal(sizes, want) {
+		t.Fatalf("chunk sizes %v, want %v", sizes, want)
 	}
 	// Small lists pass through as a single chunk without copying.
 	small := []stream.PacketID{1, 2}
-	if got := SplitIDs(small); len(got) != 1 || &got[0][0] != &small[0] {
+	if chunk, rest := CutIDs(small); len(chunk) != 2 || &chunk[0] != &small[0] || len(rest) != 0 {
 		t.Fatal("small list not passed through")
 	}
 }
@@ -312,6 +315,34 @@ func TestSplitServeIntoPooledBackings(t *testing.T) {
 	// Foreign backings (not pool-sized) are ignored, including empty ones.
 	RecycleServe(Serve{})
 	RecycleServe(Serve{Packets: packets[:2:2]})
+}
+
+// TestRecycleServeNeverPinsPackets checks that a backing goes back to the
+// pool holding no packet reference in any of its slots, whatever share of
+// it the message used: RecycleServe clears only the written prefix, which
+// is sound only while every pooled backing is nil beyond it. Batches of
+// shrinking size are cycled so a backing that carried many packets is, when
+// the pool hands it out again, reused by a message that carries few.
+func TestRecycleServeNeverPinsPackets(t *testing.T) {
+	var packets []*stream.Packet
+	for i := 0; i < maxPacketsPerServe; i++ {
+		packets = append(packets, &stream.Packet{ID: stream.PacketID(i)})
+	}
+	var batches []Serve
+	for _, n := range []int{maxPacketsPerServe, 12, 1, 40, 1} {
+		batches = SplitServeInto(batches[:0], packets[:n])
+		if len(batches) != 1 || len(batches[0].Packets) != n {
+			t.Fatalf("%d empty-payload packets split into %d serves", n, len(batches))
+		}
+		backing := batches[0].Packets[:maxPacketsPerServe]
+		if i := slices.IndexFunc(backing[n:], func(p *stream.Packet) bool { return p != nil }); i >= 0 {
+			t.Fatalf("backing handed out for %d packets already holds one in slot %d", n, n+i)
+		}
+		RecycleServe(batches[0])
+		if i := slices.IndexFunc(backing, func(p *stream.Packet) bool { return p != nil }); i >= 0 {
+			t.Fatalf("recycled backing of a %d-packet serve still pins slot %d", n, i)
+		}
+	}
 }
 
 // Property: encode/decode round-trips arbitrary id lists exactly, and the
