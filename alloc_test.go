@@ -1,15 +1,17 @@
 package gossipstream
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 )
 
 // TestSteadyStateAllocBudget holds a whole sharded run to its allocation
-// budget per event: 1.5, against ≈0.9 measured (what remains is per
-// message — one id list per PROPOSE and per REQUEST, and the box of every
-// message sent) and 3.8 before the event path stopped allocating.
+// budget per event: 0.4, against ≈0.1 measured on one shard and two (what
+// remains is growth — of message slab, outboxes and per-peer slabs toward
+// their peaks — and the stream source's packets), 0.8 while every message
+// was boxed and 3.8 before the event path stopped allocating.
 //
 // Building a deployment allocates per node, so the budget is taken over a
 // steady window: the same 500-node deployment runs for 6 and for 12
@@ -19,29 +21,33 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
-	run := func(simFor time.Duration) (mallocs, events uint64) {
-		cfg := ScaledExperiment(500, 1, simFor)
-		// Two collections put both runs on the same footing: the second
-		// empties the victim cache of the SERVE pool.
-		runtime.GC()
-		runtime.GC()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
-		res, err := RunExperiment(cfg)
-		runtime.ReadMemStats(&m1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m1.Mallocs - m0.Mallocs, res.Events
-	}
-	shortMallocs, shortEvents := run(6 * time.Second)
-	longMallocs, longEvents := run(12 * time.Second)
-	if longEvents < shortEvents+100_000 {
-		t.Fatalf("the steady window holds only %d events", longEvents-shortEvents)
-	}
-	perEvent := float64(longMallocs-shortMallocs) / float64(longEvents-shortEvents)
-	t.Logf("%.2f allocations per event over a steady window of %d events", perEvent, longEvents-shortEvents)
-	if perEvent > 1.5 {
-		t.Fatalf("%.2f allocations per event in steady state, budget 1.5", perEvent)
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			run := func(simFor time.Duration) (mallocs, events uint64) {
+				cfg := ScaledExperiment(500, shards, simFor)
+				// Two collections put both runs on the same footing: the
+				// second empties the victim cache of every sync.Pool.
+				runtime.GC()
+				runtime.GC()
+				var m0, m1 runtime.MemStats
+				runtime.ReadMemStats(&m0)
+				res, err := RunExperiment(cfg)
+				runtime.ReadMemStats(&m1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return m1.Mallocs - m0.Mallocs, res.Events
+			}
+			shortMallocs, shortEvents := run(6 * time.Second)
+			longMallocs, longEvents := run(12 * time.Second)
+			if longEvents < shortEvents+100_000 {
+				t.Fatalf("the steady window holds only %d events", longEvents-shortEvents)
+			}
+			perEvent := float64(longMallocs-shortMallocs) / float64(longEvents-shortEvents)
+			t.Logf("%.2f allocations per event over a steady window of %d events", perEvent, longEvents-shortEvents)
+			if perEvent > 0.4 {
+				t.Fatalf("%.2f allocations per event in steady state, budget 0.4", perEvent)
+			}
+		})
 	}
 }

@@ -31,15 +31,21 @@
 //
 // A peer's per-event state is flat: pull state lives by value in a
 // per-peer slab behind a 4-byte index per stream id, retransmission
-// batches in a second slab, and gossip ticks and retransmission checks
-// are (kind, arg) timer records rather than closures (see TimerEnv). What
-// a handler still allocates is per message, not per id or per timer: one
-// exactly sized id list per PROPOSE sent (tick) and per REQUEST sent
-// (shared between the message and its retransmission record), and the
-// boxing of each message into wire.Message at Env.Send — the message
-// travels as that interface value, so the box is the in-flight message
-// record. Over a plain Env a retransmission timer adds the closure
-// Env.After takes. alloc_test.go holds the handlers to these budgets.
+// batches — each with an id backing its slot keeps across reuse — in a
+// second slab, and gossip ticks and retransmission checks are (kind, arg)
+// timer records rather than closures. Over a TimerEnv whose flat route
+// reaches the peer (the sharded engine, the peer being the node's
+// registered handler) messages are flat too: PROPOSE, REQUEST and SERVE
+// leave through SendIDs and SendPackets straight from per-peer scratch and
+// arrive through HandleIDs and HandlePackets, so in steady state a handler
+// and a round allocate nothing at all. Over a plain Env — the classic
+// kernel, the real-time driver, any wrapper that defines only Env's five
+// methods — a message travels as a boxed wire.Message: one exactly sized
+// id list and one box per round's PROPOSE and per REQUEST sent, SERVE
+// batches from wire's pool, and the closure Env.After takes per
+// retransmission timer. Both routes run the same handler bodies, draw the
+// same random numbers and send the same datagrams in the same order.
+// alloc_test.go holds the handlers to these budgets.
 package core
 
 import (
@@ -71,27 +77,45 @@ type Env interface {
 }
 
 // TimerEnv is an optional extension of Env for environments that can carry
-// a peer's timers as flat records instead of closures. A peer checks for
-// it at Start: when its Env implements TimerEnv and FlatTimers reports
-// true, every gossip tick and retransmission check is armed with
-// AfterTimer and comes back through (*Peer).OnTimer, which costs no
-// allocation per arm; otherwise the same OnTimer calls are wrapped in
-// closures and armed with After. Both routes run the one timer state
-// machine and arm in the same order, so which one is taken never changes
-// what the peer does. The sharded engine's *megasim.NodeEnv implements it;
-// the classic kernel, the real-time driver and any wrapper that defines
-// only Env's five methods do not need to.
+// a peer's timers and messages as flat records instead of closures and
+// boxed interfaces. A peer checks for it at Start: when its Env implements
+// TimerEnv and FlatTimers reports true, every gossip tick and
+// retransmission check is armed with AfterTimer and comes back through
+// (*Peer).OnTimer, and every PROPOSE, REQUEST and SERVE leaves through
+// SendIDs or SendPackets — the peer expects them back through HandleIDs
+// and HandlePackets — none of which allocates; otherwise the same OnTimer
+// calls are wrapped in closures and armed with After, and messages are
+// boxed and sent with Send. Both routes run the one timer state machine
+// and the same handler bodies, arm and send in the same order, so which
+// one is taken never changes what the peer does. The sharded engine's
+// *megasim.NodeEnv implements it; the classic kernel, the real-time driver
+// and any wrapper that defines only Env's five methods do not need to.
+//
+// Slices cross the flat route by copy, in both directions: the
+// environment copies what SendIDs and SendPackets are given before they
+// return (the peer sends from scratch it reuses at once), and the slices
+// it hands HandleIDs and HandlePackets are its own, valid for the call
+// only — the peer copies the ids it keeps and retains packet pointers,
+// never the slice.
 type TimerEnv interface {
 	Env
-	// FlatTimers reports whether AfterTimer reaches this peer: the
+	// FlatTimers reports whether the flat route reaches this peer: the
 	// environment's driver must have registered the peer itself as the
-	// receiver of OnTimer calls. Asked once per Start.
+	// receiver of OnTimer, HandleIDs and HandlePackets calls. Asked once
+	// per Start.
 	FlatTimers() bool
 	// AfterTimer schedules OnTimer(kind, arg) on the peer once after d.
 	// There is no cancel: the peer recognizes and ignores timers it no
 	// longer wants. An environment may drop the timers of a node it has
 	// removed.
 	AfterTimer(d time.Duration, kind uint8, arg uint32)
+	// SendIDs transmits a PROPOSE or REQUEST (kind) carrying ids, exactly
+	// as Send would the boxed message.
+	SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.PacketID)
+	// SendPackets transmits one SERVE carrying pkts, which the peer has
+	// cut to the MTU (wire.CutPackets), exactly as Send would the boxed
+	// message.
+	SendPackets(to wire.NodeID, pkts []*stream.Packet)
 }
 
 // Timer kinds, the first argument of OnTimer.
@@ -204,14 +228,16 @@ type requestState struct {
 	nproposers int32
 }
 
-// retBatch is one armed retransmission check: the ids requested together
-// from proposer, in the peer's retransmission slab. ids is the backing the
-// REQUEST itself carries, shared read-only. A slot is live while ids is
-// non-nil; it returns to the free list when its timer fires or is
-// cancelled.
+// retBatch is one retransmission check in the peer's retransmission slab:
+// the ids requested together from proposer. ids is the slot's own backing,
+// kept across reuse — arming copies the ids in. A slot is armed from
+// armRetTimer until its timer fires or is cancelled; a Stop on flat timers,
+// which cannot be cancelled, disarms it and leaves the slot waiting for
+// the timer to return it to the free list.
 type retBatch struct {
 	proposer wire.NodeID
 	ids      []stream.PacketID
+	armed    bool
 	cancel   func() // plain Env only: cancels the After timer
 }
 
@@ -246,7 +272,7 @@ type Peer struct {
 	// peers at once.
 	store []*stream.Packet
 	// toPropose collects the ids delivered since the last round. It is
-	// scratch: each round's PROPOSE gets its own exact copy.
+	// scratch: a round's PROPOSEs are sent from it and it is truncated.
 	toPropose []stream.PacketID
 	// req is dense like store: one slot per stream id, holding the id's
 	// request-slab index plus one, or zero when the packet is delivered or
@@ -274,8 +300,9 @@ type Peer struct {
 	running bool
 	// epoch counts Starts; the tick chain carries it (see timerTick).
 	epoch uint32
-	// flat is the Env as a TimerEnv while the peer runs on flat timers,
-	// nil while it arms them through After; decided at Start.
+	// flat is the Env as a TimerEnv while the peer runs on the flat route
+	// (timers and messages), nil while it arms timers through After and
+	// sends boxed messages through Send; decided at Start.
 	flat TimerEnv
 	// tickFn and cancelTick serve the After route only: the tick's closure,
 	// built once per Start, and the pending tick's cancel.
@@ -361,16 +388,17 @@ func (p *Peer) Stop() {
 	}
 	for i := range p.batches {
 		b := &p.batches[i]
-		if b.ids == nil {
+		if !b.armed {
 			continue
 		}
 		if p.flat == nil {
 			b.cancel()
 			p.freeBatch(uint32(i))
 		} else {
-			// A flat timer cannot be cancelled: drop the ids now, the slot
-			// follows when the timer fires (it must not be reused before).
-			b.ids = nil
+			// A flat timer cannot be cancelled: disarm the batch now, the
+			// slot follows when the timer fires (it must not be reused
+			// before).
+			b.armed = false
 		}
 	}
 }
@@ -400,11 +428,7 @@ func (p *Peer) OnTimer(kind uint8, arg uint32) {
 			p.tick()
 		}
 	case timerRetransmit:
-		b := p.batches[arg]
-		p.freeBatch(arg)
-		if b.ids != nil {
-			p.retransmit(b.proposer, b.ids)
-		}
+		p.retransmit(arg)
 	}
 }
 
@@ -434,20 +458,7 @@ func (p *Peer) tick() {
 
 	if len(p.toPropose) > 0 {
 		if !p.cfg.Leech {
-			// The messages in flight own one exact copy of the round's ids.
-			rest := slices.Clone(p.toPropose)
-			partners := p.view.Partners()
-			for len(rest) > 0 {
-				var chunk []stream.PacketID
-				chunk, rest = wire.CutIDs(rest)
-				// Box the message once: Send takes an interface, and
-				// converting per partner would allocate fanout times per round.
-				var msg wire.Message = wire.Propose{IDs: chunk}
-				for _, partner := range partners {
-					p.env.Send(partner, msg)
-					p.counters.ProposesSent++
-				}
-			}
+			p.sendProposes(p.view.Partners(), p.toPropose)
 		}
 		p.toPropose = p.toPropose[:0] // infect and die (a leech just forgets the ids)
 	}
@@ -486,11 +497,11 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	}
 	switch m := msg.(type) {
 	case wire.Propose:
-		p.handlePropose(from, m)
+		p.handlePropose(from, m.IDs)
 	case wire.Request:
-		p.handleRequest(from, m)
+		p.handleRequest(from, m.IDs)
 	case wire.Serve:
-		p.handleServe(m)
+		p.handleServe(m.Packets)
 	case wire.FeedMe:
 		p.view.Insert(from)
 	default:
@@ -498,19 +509,115 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	}
 }
 
+// HandleIDs is HandleMessage for a PROPOSE or REQUEST (kind) delivered
+// unboxed, the flat route's counterpart of TimerEnv.SendIDs. ids is the
+// environment's and valid for the call only.
+func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID) {
+	if !p.running {
+		return
+	}
+	switch kind {
+	case wire.KindPropose:
+		p.handlePropose(from, ids)
+	case wire.KindRequest:
+		p.handleRequest(from, ids)
+	}
+}
+
+// HandlePackets is HandleMessage for a SERVE delivered unboxed, the flat
+// route's counterpart of TimerEnv.SendPackets. pkts is the environment's
+// and valid for the call only; the packets it points to are kept.
+func (p *Peer) HandlePackets(_ wire.NodeID, pkts []*stream.Packet) {
+	if p.running {
+		p.handleServe(pkts)
+	}
+}
+
+// sendProposes advertises ids to every partner, one PROPOSE per MTU-sized
+// chunk. ids is read during the call only.
+func (p *Peer) sendProposes(partners []wire.NodeID, ids []stream.PacketID) {
+	if p.flat == nil {
+		ids = slices.Clone(ids) // the messages in flight own one exact copy of the round's ids
+	}
+	for len(ids) > 0 {
+		var chunk []stream.PacketID
+		chunk, ids = wire.CutIDs(ids)
+		if p.flat != nil {
+			for _, partner := range partners {
+				p.flat.SendIDs(partner, wire.KindPropose, chunk)
+			}
+		} else {
+			// Box the message once: Send takes an interface, and converting
+			// per partner would allocate fanout times per round.
+			var msg wire.Message = wire.Propose{IDs: chunk}
+			for _, partner := range partners {
+				p.env.Send(partner, msg)
+			}
+		}
+		p.counters.ProposesSent += len(partners)
+	}
+}
+
+// sendRequests sends ids to target as REQUESTs, one per MTU-sized chunk,
+// and returns how many it sent. ids is read during the call only.
+func (p *Peer) sendRequests(target wire.NodeID, ids []stream.PacketID) (sent int) {
+	if p.flat == nil {
+		ids = slices.Clone(ids) // the messages in flight own one exact copy
+	}
+	for len(ids) > 0 {
+		var chunk []stream.PacketID
+		chunk, ids = wire.CutIDs(ids)
+		if p.flat != nil {
+			p.flat.SendIDs(target, wire.KindRequest, chunk)
+		} else {
+			//lint:boxed over a plain Env the boxed REQUEST is the in-flight message record
+			p.env.Send(target, wire.Request{IDs: chunk})
+		}
+		sent++
+	}
+	p.counters.RequestsSent += sent
+	return sent
+}
+
+// sendServes sends pkts to target as SERVEs, one per MTU-sized batch. pkts
+// is read during the call only.
+func (p *Peer) sendServes(target wire.NodeID, pkts []*stream.Packet) {
+	p.counters.PacketsServed += len(pkts)
+	if p.flat != nil {
+		for len(pkts) > 0 {
+			var chunk []*stream.Packet
+			chunk, pkts = wire.CutPackets(pkts)
+			p.flat.SendPackets(target, chunk)
+			p.counters.ServesSent++
+		}
+		return
+	}
+	// The batch backings are pooled; ownership passes to the Env, which
+	// recycles them when it can tell the message is consumed (an engine
+	// that copies the packets out does so at once) or leaves them to the
+	// collector.
+	batches := wire.SplitServeInto(p.serveBatches[:0], pkts)
+	p.counters.ServesSent += len(batches)
+	for _, serve := range batches {
+		//lint:boxed over a plain Env the boxed SERVE is the in-flight message record
+		p.env.Send(target, serve)
+	}
+	clear(batches)
+	p.serveBatches = batches[:0]
+}
+
 // handlePropose implements phase 2: request ids not yet requested, then arm
 // the retransmission timer for them (lines 14–15). One timer chain runs per
 // requested batch — re-arming on every later PROPOSE for the same pending
 // ids would multiply retries K-fold and melt congested uplinks further.
-func (p *Peer) handlePropose(from wire.NodeID, m wire.Propose) {
+func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	if p.source != nil {
 		return // the source already has everything
 	}
-	// The ids to request collect in scratch: most PROPOSEs carry nothing
-	// new and allocate nothing; the rest get one exactly sized copy, shared
-	// by the REQUEST and its retransmission record.
+	// The ids to request collect in scratch; the REQUEST is sent from it and
+	// the retransmission record copies it.
 	fresh := p.idScratch[:0]
-	for _, id := range m.IDs {
+	for _, id := range ids {
 		if int(id) >= p.layoutTotal || p.recv.Has(id) {
 			continue
 		}
@@ -531,10 +638,9 @@ func (p *Peer) handlePropose(from wire.NodeID, m wire.Propose) {
 	if len(fresh) == 0 {
 		return
 	}
-	wanted := slices.Clone(fresh)
-	p.sendRequests(from, wanted)
+	p.sendRequests(from, fresh)
 	if p.cfg.MaxRequests > 1 {
-		p.armRetTimer(from, wanted)
+		p.armRetTimer(from, fresh)
 	}
 }
 
@@ -553,28 +659,13 @@ func (p *Peer) newRequest() uint32 {
 	return uint32(len(p.reqs))
 }
 
-// sendRequests sends ids to target as REQUESTs, one per MTU-sized chunk,
-// and returns how many it sent. The messages alias ids.
-func (p *Peer) sendRequests(target wire.NodeID, ids []stream.PacketID) (sent int) {
-	for len(ids) > 0 {
-		var chunk []stream.PacketID
-		chunk, ids = wire.CutIDs(ids)
-		//lint:boxed the boxed REQUEST is the in-flight message record; a message slab (ROADMAP 1d) would replace it
-		p.env.Send(target, wire.Request{IDs: chunk})
-		sent++
-	}
-	p.counters.RequestsSent += sent
-	return sent
-}
-
 // armRetTimer schedules a retransmission check for ids first requested from
-// proposer (lines 14–15); the batch keeps ids itself, which nothing may
-// write to any more. The delay is jittered over [1.0, 1.5]×RetPeriod:
-// a burst of requesters dropped together at one congested uplink must not
-// retry in lock-step or they re-create the very burst that dropped them.
-// Jitter only extends the delay — RetPeriod is chosen to exceed the
-// worst-case honest delivery time, and firing earlier than that turns
-// queued-but-coming serves into duplicates.
+// proposer (lines 14–15); the batch copies ids. The delay is jittered over
+// [1.0, 1.5]×RetPeriod: a burst of requesters dropped together at one
+// congested uplink must not retry in lock-step or they re-create the very
+// burst that dropped them. Jitter only extends the delay — RetPeriod is
+// chosen to exceed the worst-case honest delivery time, and firing earlier
+// than that turns queued-but-coming serves into duplicates.
 func (p *Peer) armRetTimer(proposer wire.NodeID, ids []stream.PacketID) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
 	var bi uint32
@@ -586,32 +677,42 @@ func (p *Peer) armRetTimer(proposer wire.NodeID, ids []stream.PacketID) {
 		//lint:pooled the slab grows to the peak of concurrently armed batches, then recycles through batchFree
 		p.batches = append(p.batches, retBatch{})
 	}
-	p.batches[bi] = retBatch{proposer: proposer, ids: ids}
+	b := &p.batches[bi]
+	b.proposer, b.armed = proposer, true
+	//lint:pooled the slot keeps its id backing across reuse
+	b.ids = append(b.ids[:0], ids...)
 	if p.flat != nil {
 		p.flat.AfterTimer(delay, timerRetransmit, bi)
 		return
 	}
-	p.batches[bi].cancel = p.env.After(delay, p.timerFunc(timerRetransmit, bi))
+	b.cancel = p.env.After(delay, p.timerFunc(timerRetransmit, bi))
 }
 
-// freeBatch returns a retransmission slot to the free list.
+// freeBatch returns a retransmission slot, with its id backing, to the
+// free list.
 func (p *Peer) freeBatch(bi uint32) {
-	p.batches[bi] = retBatch{}
+	b := &p.batches[bi]
+	b.ids, b.armed, b.cancel = b.ids[:0], false, nil
 	//lint:pooled the free list is bounded by the slab it indexes
 	p.batchFree = append(p.batchFree, bi)
 }
 
-// retransmit re-requests still-missing ids, respecting the K = MaxRequests
-// cap (line 25). The target is the original proposer (RetrySameProposer,
-// replaying the PROPOSE as the pseudocode does) or a random recorded one.
-func (p *Peer) retransmit(proposer wire.NodeID, ids []stream.PacketID) {
-	if !p.running {
+// retransmit runs the retransmission check of batch bi: it returns the
+// slot and re-requests the batch's still-missing ids, respecting the
+// K = MaxRequests cap (line 25). The target is the original proposer
+// (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
+// random recorded one.
+func (p *Peer) retransmit(bi uint32) {
+	b := &p.batches[bi]
+	if !b.armed || !p.running {
+		p.freeBatch(bi)
 		return
 	}
+	proposer := b.proposer
 	// retry collects the ids to request again, targets[i] where retry[i]
 	// goes.
 	retry, targets := p.idScratch[:0], p.retTargets[:0]
-	for _, id := range ids {
+	for _, id := range b.ids {
 		ri := p.req[id]
 		if ri == 0 || p.recv.Has(id) {
 			continue
@@ -631,10 +732,10 @@ func (p *Peer) retransmit(proposer wire.NodeID, ids []stream.PacketID) {
 		targets = append(targets, target)
 	}
 	p.idScratch, p.retTargets = retry[:0], targets[:0]
+	p.freeBatch(bi) // the ids still wanted are in retry; the next batch may take the slot
 	if len(retry) == 0 {
 		return
 	}
-	again := slices.Clone(retry) // the next batch, exactly sized and its own
 	// Targets are served in first-use order, each with its ids in batch
 	// order: send order feeds uplink queues and event sequence numbers, so
 	// it must be a pure function of the batch.
@@ -642,19 +743,19 @@ func (p *Peer) retransmit(proposer wire.NodeID, ids []stream.PacketID) {
 		if slices.Contains(targets[:i], target) {
 			continue // sent together with the target's first id
 		}
-		toTarget := again // the one-target case (always, under RetrySameProposer) shares the batch's backing
-		if k := count(targets[i:], target); k < len(again) {
+		toTarget := retry // the one-target case (always, under RetrySameProposer)
+		if k := count(targets[i:], target); k < len(retry) {
 			toTarget = make([]stream.PacketID, 0, k)
 			for j := i; j < len(targets); j++ {
 				if targets[j] == target {
 					//lint:pooled toTarget was allocated above with room for the target's k ids
-					toTarget = append(toTarget, again[j])
+					toTarget = append(toTarget, retry[j])
 				}
 			}
 		}
 		p.counters.Retransmissions += p.sendRequests(target, toTarget)
 	}
-	p.armRetTimer(proposer, again)
+	p.armRetTimer(proposer, retry)
 }
 
 // count returns how many elements of s equal v.
@@ -671,29 +772,19 @@ func count(s []wire.NodeID, v wire.NodeID) int {
 // handleRequest implements phase 3: serve the payloads we hold. A leech
 // drops the request instead — receivers retransmit toward other
 // proposers, paying for the free-rider with their own uplinks.
-func (p *Peer) handleRequest(from wire.NodeID, m wire.Request) {
+func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	if p.cfg.Leech {
 		return
 	}
 	pkts := p.serveScratch[:0]
-	for _, id := range m.IDs {
+	for _, id := range ids {
 		if pkt := p.lookup(id); pkt != nil {
 			//lint:pooled serveScratch is per-peer scratch, reused by every REQUEST
 			pkts = append(pkts, pkt)
 		}
 	}
 	if len(pkts) > 0 {
-		// The batch backings are pooled; ownership passes to the Env, whose
-		// transport recycles them once the messages are consumed or dropped.
-		batches := wire.SplitServeInto(p.serveBatches[:0], pkts)
-		for _, serve := range batches {
-			//lint:boxed the boxed SERVE is the in-flight message record; a message slab (ROADMAP 1d) would replace it
-			p.env.Send(from, serve)
-			p.counters.ServesSent++
-			p.counters.PacketsServed += len(serve.Packets)
-		}
-		clear(batches)
-		p.serveBatches = batches[:0]
+		p.sendServes(from, pkts)
 	}
 	clear(pkts)
 	p.serveScratch = pkts[:0]
@@ -714,8 +805,8 @@ func (p *Peer) lookup(id stream.PacketID) *stream.Packet {
 
 // handleServe delivers payloads (deliverEvent) and queues fresh ids for the
 // next round's propose.
-func (p *Peer) handleServe(m wire.Serve) {
-	for _, pkt := range m.Packets {
+func (p *Peer) handleServe(pkts []*stream.Packet) {
+	for _, pkt := range pkts {
 		if !p.recv.Deliver(pkt.ID, p.env.Now()) {
 			p.counters.DuplicateServes++
 			continue

@@ -8,8 +8,8 @@ import (
 	"gossipstream/internal/churn"
 	"gossipstream/internal/core"
 	"gossipstream/internal/megasim"
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/member"
+	"gossipstream/internal/metrics"
 	"gossipstream/internal/pss"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
@@ -44,7 +44,21 @@ import (
 //
 // Results are therefore deterministic per (Seed, Shards) but not
 // bit-identical to the single-threaded engine's.
-func runSharded(cfg Config) (*Result, error) {
+func runSharded(cfg Config) (*Result, error) { return runShardedBehind(cfg, nil) }
+
+// nodeSeam stands between every peer of a deployment and the engine: env
+// returns the environment a peer is built on in place of the engine's, and
+// handler what the engine delivers to in place of the peer. The route-twin
+// tests use it to run whole deployments — churn, admission and scoring
+// included — behind wrappers that know only the generic Send and
+// HandleMessage.
+type nodeSeam struct {
+	env     func(*megasim.NodeEnv) core.Env
+	handler func(*core.Peer) megasim.Handler
+}
+
+// runShardedBehind is runSharded with every node behind seam (nil: none).
+func runShardedBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	// Normalize before anything records cfg: Result.Config must describe
 	// the engine that actually ran.
 	if cfg.Shards > cfg.Nodes {
@@ -67,6 +81,7 @@ func runSharded(cfg Config) (*Result, error) {
 	d := deployment{
 		cfg:    cfg,
 		eng:    eng,
+		seam:   seam,
 		pssCfg: pssCfg,
 		end:    end,
 		peers:  make([]*core.Peer, cfg.Nodes),
@@ -231,6 +246,7 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 type deployment struct {
 	cfg    Config
 	eng    *megasim.Engine
+	seam   *nodeSeam // nil outside the route-twin tests
 	pssCfg pss.Config
 	end    time.Duration
 	peers  []*core.Peer
@@ -390,7 +406,11 @@ func (d *deployment) aliveVictims() []wire.NodeID {
 func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, src *stream.Source, rider bool) (*core.Peer, *pss.State, error) {
 	cfg := d.cfg
 	rng := megasim.NewRand(cfg.Seed<<20 + int64(id))
-	env := d.eng.NodeEnv(id, rng)
+	nodeEnv := d.eng.NodeEnv(id, rng)
+	var env core.Env = nodeEnv
+	if d.seam != nil {
+		env = d.seam.env(nodeEnv)
+	}
 	var sampler member.Sampler
 	var st *pss.State
 	if boot != nil {
@@ -415,7 +435,11 @@ func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, src *stream.S
 	if err != nil {
 		return nil, nil, err
 	}
-	if got := d.eng.AddNode(p, nodeCap(cfg, megasim.Slot(id)), cfg.QueueBytes); got != id {
+	var handler megasim.Handler = p
+	if d.seam != nil {
+		handler = d.seam.handler(p)
+	}
+	if got := d.eng.AddNode(handler, nodeCap(cfg, megasim.Slot(id)), cfg.QueueBytes); got != id {
 		return nil, nil, fmt.Errorf("experiment: node id drift: got %d, want %d", got, id)
 	}
 	if st != nil {

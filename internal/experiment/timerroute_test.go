@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -13,52 +14,94 @@ import (
 	"gossipstream/internal/wire"
 )
 
-// The sharded engine offers a peer two ways to arm its timers: flat
-// records (core.TimerEnv, taken when the engine delivers to the peer
-// itself) and closures through Env.After (taken behind any wrapper). The
-// benchmark's traced twin wraps every seam and so runs on the second, while
-// the runs it is compared with take the first; these tests keep the two
-// event for event the same.
+// The sharded engine offers a peer two routes. On the flat one — taken when
+// the engine delivers to the peer itself and the peer's Env is the engine's
+// (core.TimerEnv) — timers are flat records and PROPOSE, REQUEST and SERVE
+// travel unboxed through SendIDs/SendPackets and HandleIDs/HandlePackets.
+// On the generic one — taken behind any wrapper — timers are closures
+// through Env.After and messages are boxed through Env.Send and
+// HandleMessage. The benchmark's traced twin wraps every seam and so runs
+// on the second, while the runs it is compared with take the first; these
+// tests keep the two event for event the same.
+
+// seamCounts is what the wrappers see of the generic route, on any shard.
+type seamCounts struct {
+	afters  atomic.Int64 // Env.After calls
+	sends   atomic.Int64 // Env.Send calls carrying a PROPOSE, REQUEST or SERVE
+	handled atomic.Int64 // Handler.HandleMessage calls carrying one
+}
+
+func protocolMessage(msg wire.Message) bool {
+	k := msg.Kind()
+	return k == wire.KindPropose || k == wire.KindRequest || k == wire.KindServe
+}
 
 // embeddedEnv hides a NodeEnv the way benchmark/twin.go does: embedded,
-// with After intercepted. Embedding promotes NodeEnv's TimerEnv methods, so
-// it is the handler wrapper below — the engine no longer delivers to the
-// peer itself — that keeps the peer off the flat route.
+// with Send and After intercepted. Embedding promotes NodeEnv's TimerEnv
+// methods, so it is the handler wrapper below — the engine no longer
+// delivers to the peer itself — that keeps the peer off the flat route.
 type embeddedEnv struct {
 	*megasim.NodeEnv
-	afters *atomic.Int64
+	n *seamCounts
 }
 
 func (e *embeddedEnv) After(d time.Duration, fn func()) func() {
-	e.afters.Add(1)
+	e.n.afters.Add(1)
 	return e.NodeEnv.After(d, fn)
+}
+
+func (e *embeddedEnv) Send(to wire.NodeID, msg wire.Message) {
+	if protocolMessage(msg) {
+		e.n.sends.Add(1)
+	}
+	e.NodeEnv.Send(to, msg)
 }
 
 // fiveMethodEnv is a core.Env and nothing more.
 type fiveMethodEnv struct {
 	core.Env
-	afters *atomic.Int64
+	n *seamCounts
 }
 
 func (e *fiveMethodEnv) After(d time.Duration, fn func()) func() {
-	e.afters.Add(1)
+	e.n.afters.Add(1)
 	return e.Env.After(d, fn)
 }
 
-// messagesOnly is a megasim.Handler that is not a TimerHandler.
-type messagesOnly struct{ p *core.Peer }
+func (e *fiveMethodEnv) Send(to wire.NodeID, msg wire.Message) {
+	if protocolMessage(msg) {
+		e.n.sends.Add(1)
+	}
+	e.Env.Send(to, msg)
+}
 
-func (h messagesOnly) HandleMessage(from wire.NodeID, msg wire.Message) { h.p.HandleMessage(from, msg) }
+// messagesOnly is a megasim.Handler that is not a TimerHandler.
+type messagesOnly struct {
+	p *core.Peer
+	n *seamCounts
+}
+
+func (h messagesOnly) HandleMessage(from wire.NodeID, msg wire.Message) {
+	if protocolMessage(msg) {
+		h.n.handled.Add(1)
+	}
+	h.p.HandleMessage(from, msg)
+}
 
 // handBuilt is a full-view deployment built on the engine's public seams,
 // call for call what runSharded does.
 type handBuilt struct {
-	eng    *megasim.Engine
-	peers  []*core.Peer
-	afters atomic.Int64 // After calls seen by the Env wrappers, on any shard
+	eng   *megasim.Engine
+	peers []*core.Peer
+	seen  seamCounts
 }
 
-func buildByHand(t *testing.T, cfg Config, wrapEnv func(*megasim.NodeEnv, *atomic.Int64) core.Env, wrapPeer func(*core.Peer) megasim.Handler) *handBuilt {
+type (
+	envWrapper  func(*megasim.NodeEnv, *seamCounts) core.Env
+	peerWrapper func(*core.Peer, *seamCounts) megasim.Handler
+)
+
+func buildByHand(t *testing.T, cfg Config, wrapEnv envWrapper, wrapPeer peerWrapper) *handBuilt {
 	t.Helper()
 	eng, err := megasim.New(megasim.Config{Net: cfg.Net, Shards: cfg.Shards, Seed: cfg.Seed, Queue: cfg.Queue})
 	if err != nil {
@@ -72,7 +115,7 @@ func buildByHand(t *testing.T, cfg Config, wrapEnv func(*megasim.NodeEnv, *atomi
 	for i := range h.peers {
 		id := wire.NodeID(i)
 		rng := megasim.NewRand(cfg.Seed<<20 + int64(id))
-		env := wrapEnv(eng.NodeEnv(id, rng), &h.afters)
+		env := wrapEnv(eng.NodeEnv(id, rng), &h.seen)
 		sampler := member.NewSparseView(id, cfg.Nodes, rng)
 		var p *core.Peer
 		if i == 0 {
@@ -83,7 +126,7 @@ func buildByHand(t *testing.T, cfg Config, wrapEnv func(*megasim.NodeEnv, *atomi
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := eng.AddNode(wrapPeer(p), nodeCap(cfg, i), cfg.QueueBytes); got != id {
+		if got := eng.AddNode(wrapPeer(p, &h.seen), nodeCap(cfg, i), cfg.QueueBytes); got != id {
 			t.Fatalf("node id drift: got %d, want %d", got, id)
 		}
 		h.peers[i] = p
@@ -101,13 +144,11 @@ func (h *handBuilt) run(t *testing.T, cfg Config) {
 	}
 }
 
-func asIs(env *megasim.NodeEnv, _ *atomic.Int64) core.Env     { return env }
-func peerItself(p *core.Peer) megasim.Handler                 { return p }
-func behindWrapper(p *core.Peer) megasim.Handler              { return messagesOnly{p} }
-func embedded(env *megasim.NodeEnv, n *atomic.Int64) core.Env { return &embeddedEnv{env, n} }
-func fiveMethod(env *megasim.NodeEnv, n *atomic.Int64) core.Env {
-	return &fiveMethodEnv{env, n}
-}
+func asIs(env *megasim.NodeEnv, _ *seamCounts) core.Env         { return env }
+func peerItself(p *core.Peer, _ *seamCounts) megasim.Handler    { return p }
+func behindWrapper(p *core.Peer, n *seamCounts) megasim.Handler { return messagesOnly{p, n} }
+func embedded(env *megasim.NodeEnv, n *seamCounts) core.Env     { return &embeddedEnv{env, n} }
+func fiveMethod(env *megasim.NodeEnv, n *seamCounts) core.Env   { return &fiveMethodEnv{env, n} }
 
 // timerRouteConfig is a small two-shard deployment lossy enough that
 // retransmission timers fire and re-request.
@@ -120,8 +161,25 @@ func timerRouteConfig() Config {
 	return cfg
 }
 
-func TestTimerRoutesAreTwins(t *testing.T) {
-	cfg := timerRouteConfig()
+// TestRoutesAreTwins runs one deployment four ways — through the runner
+// and hand-built on the engine's public seams (both on the flat route),
+// and hand-built behind the two wrapper shapes that force the generic
+// route — on one shard and on two, on either scheduler. All four must
+// agree event for event: events fired, network-wide traffic, per-shard
+// loads, every node's counters and receiver.
+func TestRoutesAreTwins(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, queue := range []megasim.QueueKind{megasim.QueueHeap, megasim.QueueCalendar} {
+			t.Run(fmt.Sprintf("%d-shards-%v", shards, queue), func(t *testing.T) {
+				cfg := timerRouteConfig()
+				cfg.Shards, cfg.Queue = shards, queue
+				routesAreTwins(t, cfg)
+			})
+		}
+	}
+}
+
+func routesAreTwins(t *testing.T, cfg Config) {
 	runner, err := Run(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -129,16 +187,19 @@ func TestTimerRoutesAreTwins(t *testing.T) {
 
 	flat := buildByHand(t, cfg, asIs, peerItself)
 	flat.run(t, cfg)
-	if flat.afters.Load() != 0 {
-		t.Fatal("the unwrapped deployment counted After calls")
-	}
-	var retransmissions int
+	var sent core.Counters // summed over the deployment
 	for _, p := range flat.peers {
-		retransmissions += p.Counters().Retransmissions
+		c := p.Counters()
+		sent.ProposesSent += c.ProposesSent
+		sent.RequestsSent += c.RequestsSent
+		sent.ServesSent += c.ServesSent
+		sent.Retransmissions += c.Retransmissions
+		sent.Rounds += c.Rounds
 	}
-	if retransmissions == 0 {
+	if sent.Retransmissions == 0 {
 		t.Fatal("no retransmission fired: the deployment does not exercise the retransmission timers")
 	}
+	protocolSends := int64(sent.ProposesSent + sent.RequestsSent + sent.ServesSent)
 	// The hand-built deployment is the runner's: same events, same traffic.
 	if got, want := flat.eng.Fired(), runner.Events; got != want {
 		t.Fatalf("hand-built deployment fired %d events, the runner %d", got, want)
@@ -146,46 +207,117 @@ func TestTimerRoutesAreTwins(t *testing.T) {
 	if got, want := flat.eng.TotalStats(), runner.TotalTraffic; got != want {
 		t.Fatalf("hand-built deployment's traffic %+v, the runner's %+v", got, want)
 	}
+	if got, want := flat.eng.ShardLoads(), runner.ShardLoads; !reflect.DeepEqual(got, want) {
+		t.Fatalf("hand-built deployment's shard loads %+v, the runner's %+v", got, want)
+	}
+	byID := make(map[wire.NodeID]NodeResult, len(runner.Nodes))
+	for _, n := range runner.Nodes {
+		byID[n.ID] = n
+	}
+	for i := 1; i < len(flat.peers); i++ {
+		if got, want := flat.peers[i].Counters(), byID[wire.NodeID(i)].Counters; got != want {
+			t.Fatalf("node %d: hand-built counters %+v, the runner's %+v", i, got, want)
+		}
+	}
 
 	for _, tc := range []struct {
 		name     string
-		wrapEnv  func(*megasim.NodeEnv, *atomic.Int64) core.Env
-		wrapPeer func(*core.Peer) megasim.Handler
+		wrapEnv  envWrapper
+		wrapPeer peerWrapper
+		// boxedIn: deliveries reach the peer boxed, through the wrapper.
+		boxedIn bool
 	}{
-		// What benchmark/twin.go builds.
-		{"embedded-env-behind-handler", embedded, behindWrapper},
-		// An Env with no sixth method, the engine delivering to the peer.
-		{"five-method-env", fiveMethod, peerItself},
+		// What benchmark/twin.go builds: generic both ways.
+		{"embedded-env-behind-handler", embedded, behindWrapper, true},
+		// An Env with no sixth method, the engine delivering to the peer:
+		// boxed out, typed in.
+		{"five-method-env", fiveMethod, peerItself, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := buildByHand(t, cfg, tc.wrapEnv, tc.wrapPeer)
 			plain.run(t, cfg)
-			// Every tick and every retransmission check went through After.
-			var rounds int
-			for _, p := range plain.peers {
-				rounds += p.Counters().Rounds
+			// Every tick and every retransmission check went through After,
+			// every protocol message through Send.
+			if afters := plain.seen.afters.Load(); afters < int64(sent.Rounds) {
+				t.Fatalf("%d After calls for %d gossip rounds: the wrapped peers did not arm their timers through After", afters, sent.Rounds)
 			}
-			if afters := int(plain.afters.Load()); afters < rounds {
-				t.Fatalf("%d After calls for %d gossip rounds: the wrapped peers did not arm their timers through After", afters, rounds)
+			if sends := plain.seen.sends.Load(); sends != protocolSends {
+				t.Fatalf("%d PROPOSE/REQUEST/SERVEs went through Send, the peers count %d sent: the wrapped peers did not send boxed", sends, protocolSends)
+			}
+			if handled := plain.seen.handled.Load(); (handled > 0) != tc.boxedIn {
+				t.Fatalf("%d protocol messages were delivered boxed through the wrapper, want some: %v", handled, tc.boxedIn)
 			}
 			if got, want := plain.eng.Fired(), flat.eng.Fired(); got != want {
-				t.Fatalf("%d events over After, %d over flat timers", got, want)
+				t.Fatalf("%d events over the generic route, %d over the flat one", got, want)
 			}
 			if got, want := plain.eng.TotalStats(), flat.eng.TotalStats(); got != want {
-				t.Fatalf("traffic over After %+v, over flat timers %+v", got, want)
+				t.Fatalf("traffic over the generic route %+v, over the flat one %+v", got, want)
 			}
 			if got, want := plain.eng.ShardLoads(), flat.eng.ShardLoads(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("shard loads over After %+v, over flat timers %+v", got, want)
+				t.Fatalf("shard loads over the generic route %+v, over the flat one %+v", got, want)
 			}
 			for i := range plain.peers {
 				if got, want := plain.peers[i].Counters(), flat.peers[i].Counters(); got != want {
-					t.Fatalf("node %d: counters over After %+v, over flat timers %+v", i, got, want)
+					t.Fatalf("node %d: counters over the generic route %+v, over the flat one %+v", i, got, want)
 				}
 				if !reflect.DeepEqual(plain.peers[i].Receiver(), flat.peers[i].Receiver()) {
-					t.Fatalf("node %d: receivers differ between the two timer routes", i)
+					t.Fatalf("node %d: receivers differ between the two routes", i)
 				}
 			}
 		})
+	}
+}
+
+// TestRoutesAreTwinsUnderChurn puts the runner itself behind the generic
+// wrappers (nodeSeam) on a Cyclon deployment with Poisson joins and
+// announced departures, where everything else a message can be crosses
+// the slab too: SHUFFLEs and LEAVEs ride a record's boxed field, the
+// farewells enter through SendFrom at barriers, departed nodes' slots are
+// recycled under traffic still addressed to them, and admitted nodes start
+// on whichever route their wrapper leaves them. The whole Result must not
+// tell the two runs apart.
+func TestRoutesAreTwinsUnderChurn(t *testing.T) {
+	cfg := gracefulCfg(5, 3, 3)
+	cfg.Shards = 2
+	cfg.Net.LossRate = 0.05
+	flat, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var seen seamCounts
+	generic, err := runShardedBehind(cfg, &nodeSeam{
+		env:     func(env *megasim.NodeEnv) core.Env { return embedded(env, &seen) },
+		handler: func(p *core.Peer) megasim.Handler { return behindWrapper(p, &seen) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seen.sends.Load() == 0 || seen.handled.Load() == 0 || seen.afters.Load() == 0 {
+		t.Fatalf("the seam saw %d sends, %d deliveries, %d timers: the wrapped run did not take the generic route",
+			seen.sends.Load(), seen.handled.Load(), seen.afters.Load())
+	}
+	var stale uint64
+	for _, l := range flat.ShardLoads {
+		stale += l.StaleDrops
+	}
+	leaves := flat.TotalTraffic.SentMsgs[wire.KindLeave]
+	joined := 0
+	for _, n := range flat.Nodes {
+		if n.JoinedAt > 0 {
+			joined++
+		}
+	}
+	if stale == 0 || leaves == 0 || joined == 0 || flat.TotalTraffic.SentMsgs[wire.KindShuffle] == 0 {
+		t.Fatalf("the run has %d stale-handle drops, %d LEAVEs, %d admissions: it does not exercise what it is for", stale, leaves, joined)
+	}
+	if flat.Events != generic.Events {
+		t.Fatalf("%d events over the flat route, %d over the generic one", flat.Events, generic.Events)
+	}
+	if flat.TotalTraffic != generic.TotalTraffic {
+		t.Fatalf("traffic over the flat route %+v, over the generic one %+v", flat.TotalTraffic, generic.TotalTraffic)
+	}
+	if !reflect.DeepEqual(flat, generic) {
+		t.Fatal("events and traffic agree, yet the two routes' Results differ (shard loads, a node's counters, quality or lifetime, or the final overlay)")
 	}
 }
 
@@ -200,8 +332,8 @@ func TestStopStartKeepsOneTickChain(t *testing.T) {
 	period := cfg.Protocol.GossipPeriod
 	for _, tc := range []struct {
 		name     string
-		wrapEnv  func(*megasim.NodeEnv, *atomic.Int64) core.Env
-		wrapPeer func(*core.Peer) megasim.Handler
+		wrapEnv  envWrapper
+		wrapPeer peerWrapper
 	}{
 		{"flat", asIs, peerItself},
 		{"after", embedded, behindWrapper},

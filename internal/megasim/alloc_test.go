@@ -1,10 +1,12 @@
 package megasim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
 
+	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
@@ -17,11 +19,20 @@ type relay struct {
 
 func (r *relay) HandleMessage(NodeID, wire.Message) { r.env.Send(r.next, wire.FeedMe{}) }
 
-// ticker re-arms one flat timer every time it fires.
-type ticker struct{ env *NodeEnv }
+// ticker is a TimerHandler: it re-arms one flat timer every time it fires
+// and forwards every typed delivery to the next node as it came — one
+// typed send, one record, one typed delivery per event.
+type ticker struct {
+	env  *NodeEnv
+	next NodeID
+}
 
 func (k *ticker) HandleMessage(NodeID, wire.Message) {}
 func (k *ticker) OnTimer(kind uint8, arg uint32)     { k.env.AfterTimer(time.Millisecond, kind, arg) }
+func (k *ticker) HandleIDs(_ NodeID, kind wire.Kind, ids []stream.PacketID) {
+	k.env.SendIDs(k.next, kind, ids)
+}
+func (k *ticker) HandlePackets(_ NodeID, pkts []*stream.Packet) { k.env.SendPackets(k.next, pkts) }
 
 // allocsPerEvent runs the engine to until and returns the heap allocations
 // of the whole Run call per executed event. Queue and outbox growth is in
@@ -41,18 +52,21 @@ func allocsPerEvent(t *testing.T, eng *Engine, until time.Duration) float64 {
 }
 
 // TestEngineAllocBudget is the engine's allocation budget, the guard
-// behind the package doc's "allocates nothing per event": send→deliver
-// and flat node timers cost no allocation, an After chain costs the one
-// cancel function After must return. Before events were pushed by value
-// every scheduled event escaped to the heap (1 and 3 allocations per
-// event here). The slack is for the queue's amortized growth.
+// behind the package doc's "allocates nothing per event": send→deliver —
+// of a boxed zero-size message, and of ids and packets on the typed route,
+// within a shard and across two — and flat node timers cost no allocation,
+// an After chain costs the one cancel function After must return. Before
+// events were pushed by value every scheduled event escaped to the heap (1
+// and 3 allocations per event here); before messages moved into the slab a
+// typed message could not be sent at all and its boxed form cost the box.
+// The slack is for the amortized growth of queue, slab and outboxes.
 func TestEngineAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	const nodes = 500
-	build := func(t *testing.T, handler func(i int) Handler) (*Engine, []*NodeEnv) {
-		eng, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), Seed: 3})
+	buildOn := func(t *testing.T, shards int, handler func(i int) Handler) (*Engine, []*NodeEnv) {
+		eng, err := newEngine(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,6 +76,44 @@ func TestEngineAllocBudget(t *testing.T) {
 			eng.AddNode(handler(i), 10_000_000, 1<<20)
 		}
 		return eng, envs
+	}
+	build := func(t *testing.T, handler func(i int) Handler) (*Engine, []*NodeEnv) {
+		return buildOn(t, 1, handler)
+	}
+
+	// Typed messages circulate a ring: every node starts one REQUEST-sized
+	// id list (inline in the record), one PROPOSE-sized one (spilled) and a
+	// one- and a three-packet SERVE, and forwards what it is delivered. With
+	// two shards every hop of the ring crosses shards, through the outbox
+	// records.
+	layout := stream.Layout{RateBps: 600_000, PayloadBytes: 64, DataPerWindow: 101, ParityPerWindow: 9, Windows: 1}
+	src, err := stream.NewSource(layout, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts := src.PacketsUntil(layout.Duration())
+	ids := make([]stream.PacketID, 40)
+	for i := range ids {
+		ids[i] = stream.PacketID(i)
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("typed-send-deliver/%d-shards", shards), func(t *testing.T) {
+			eng, envs := buildOn(t, shards, func(i int) Handler { return &ticker{next: NodeID((i + 1) % nodes)} })
+			for i, env := range envs {
+				k := eng.nodes[i].handler.(*ticker)
+				k.env = env
+				env.SendIDs(k.next, wire.KindRequest, ids[:3])
+				env.SendIDs(k.next, wire.KindPropose, ids)
+				env.SendPackets(k.next, pkts[i%8:i%8+1])
+				env.SendPackets(k.next, pkts[8:11])
+			}
+			if got := allocsPerEvent(t, eng, 3*time.Second); got > 0.01 {
+				t.Fatalf("typed send→deliver allocates %.3f per event on %d shard(s), want 0", got, shards)
+			}
+			if shards > 1 && eng.ShardLoads()[0].OutboxOut == 0 {
+				t.Fatal("no message crossed shards")
+			}
+		})
 	}
 
 	t.Run("send-deliver", func(t *testing.T) {

@@ -38,20 +38,35 @@
 // # Event representation
 //
 // Unlike internal/simnet, which allocates a closure and a heap node per
-// message, megasim stores events by value in the shard's scheduler (one
-// compact 64-byte record per in-flight message, timer or tick) and reuses
-// outbox capacity across windows. The engine itself allocates nothing per
-// event: a delivery, a membership tick and a node timer (AfterTimer) are
-// each one record that reaches the scheduler by value; only NodeEnv.After
-// pays one allocation, the cancel function it must return.
-// TestEngineAllocBudget holds the engine to that (0 per event for
-// send→deliver, at most 1 for an After chain), and CI fails on any
-// "moved to heap" the compiler reports in shard.go.
+// message, megasim stores events by value in the shard's scheduler: one
+// 32-byte record per in-flight message, timer or tick, holding no pointer,
+// so the pending set is memory the collector never scans. What an event
+// carries lives in per-shard side tables the record names by index:
 //
-// What remains per message is allocated above the engine: node logic
-// boxes every message it sends into the wire.Message interface, and
-// internal/core allocates one id list per PROPOSE and per REQUEST (see
-// its package doc and alloc-budget tests).
+//   - an in-flight message is one record of the shard's message slab (or,
+//     crossing shards, of an outbox until the merge): kind, size, and the
+//     id or packet list copied into storage the record keeps across reuse —
+//     inline for a one-packet SERVE or a few-id REQUEST — or, for SHUFFLE,
+//     LEAVE, FEED-ME and foreign types, the boxed wire.Message as sent.
+//     Every send ends in exactly one delivery or drop, after which the
+//     record is cleared of references and returns to the slab's free list;
+//   - the closure of a NodeEnv.After timer waits in the After table.
+//
+// The typed route — NodeEnv.SendIDs/SendPackets in, TimerHandler's
+// HandleIDs/HandlePackets out — never boxes a PROPOSE, REQUEST or SERVE; the
+// generic Send and HandleMessage stay for everything else and for node
+// logic behind wrappers, unpacking into and boxing out of the same record,
+// so both routes share one send and one deliver and run bit-identically.
+//
+// The engine itself allocates nothing per event: a delivery of either
+// route, a membership tick and a node timer (AfterTimer) each reach the
+// scheduler as one by-value record; only NodeEnv.After pays one
+// allocation, the cancel function it must return, and a generic handler's
+// delivery of a protocol message the box it is handed. TestEngineAllocBudget
+// holds the engine to that (0 per event for send→deliver of ids and
+// packets, within and across shards, at most 1 for an After chain),
+// TestEventRecordIsPointerFree to the record's shape, and CI fails on any
+// "moved to heap" the compiler reports in shard.go or megasim.go.
 //
 // # Membership
 //
@@ -109,6 +124,7 @@ import (
 	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/simnet"
+	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
 )
@@ -151,16 +167,27 @@ func makeID(slot int, gen uint16) NodeID {
 
 // Handler receives messages delivered to a node. It is structurally
 // identical to simnet.Handler so the same node logic drives both engines.
+// PROPOSE, REQUEST and SERVE arrive boxed at delivery, their lists aliasing
+// the engine's message record: the lists are valid for the call only (the
+// packets a SERVE points to are the sender's and may be kept).
 type Handler interface {
 	HandleMessage(from NodeID, msg wire.Message)
 }
 
-// TimerHandler is implemented by handlers that take their timers as flat
-// records: NodeEnv.AfterTimer schedules OnTimer(kind, arg) on the handler
-// the node was added with. kind and arg are the handler's own and opaque
-// to the engine.
+// TimerHandler is implemented by handlers that take the engine's flat
+// route: their timers come back as (kind, arg) records and the protocol's
+// three datagrams arrive unboxed. NodeEnv.AfterTimer schedules
+// OnTimer(kind, arg) on the handler the node was added with; kind and arg
+// are the handler's own and opaque to the engine. A PROPOSE or REQUEST is
+// delivered through HandleIDs and a SERVE through HandlePackets instead of
+// HandleMessage, which still receives every other kind. The slices alias
+// the engine's message record and are valid for the call only: a handler
+// copies the ids it keeps (the packets pointed to are the sender's and may
+// be kept).
 type TimerHandler interface {
 	OnTimer(kind uint8, arg uint32)
+	HandleIDs(from NodeID, kind wire.Kind, ids []stream.PacketID)
+	HandlePackets(from NodeID, pkts []*stream.Packet)
 }
 
 // QueueKind selects the per-shard event-scheduler implementation. Both
@@ -232,9 +259,9 @@ const infTime = time.Duration(1<<63 - 1)
 
 type nodeState struct {
 	handler Handler
-	// timer is handler when it implements TimerHandler, resolved once at
-	// AddNode so firing a node timer costs no type assertion.
-	timer TimerHandler
+	// flat is handler when it implements TimerHandler, resolved once at
+	// AddNode so a node timer or a typed delivery costs no type assertion.
+	flat TimerHandler
 	// sampler, when non-nil, is the node's dynamic membership record
 	// (AttachSampler): the engine ticks it every tickEvery and routes
 	// SHUFFLE deliveries to it instead of the handler. Like stats it is
@@ -405,7 +432,7 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	if upBps != shaping.Unlimited {
 		up = *shaping.NewShaper(upBps, queueBytes)
 	}
-	timer, _ := h.(TimerHandler)
+	flat, _ := h.(TimerHandler)
 	e.added++
 	e.live++
 	if slot, ok := e.takeFree(); ok {
@@ -417,14 +444,14 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 		// traffic still addressed to its stale handles.
 		e.departed.Add(nd.stats)
 		gen := nd.gen + 1
-		*nd = nodeState{handler: h, timer: timer, uplink: up, base: base, prevBase: nd.base, gen: gen, alive: true}
+		*nd = nodeState{handler: h, flat: flat, uplink: up, base: base, prevBase: nd.base, gen: gen, alive: true}
 		e.recycled++
 		return makeID(slot, gen)
 	}
 	if len(e.nodes) > slotMask {
 		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", len(e.nodes), slotMask+1))
 	}
-	e.nodes = append(e.nodes, nodeState{handler: h, timer: timer, uplink: up, base: base, alive: true})
+	e.nodes = append(e.nodes, nodeState{handler: h, flat: flat, uplink: up, base: base, alive: true})
 	return NodeID(len(e.nodes) - 1)
 }
 
@@ -557,7 +584,7 @@ func (e *Engine) memberTick(sh *shard, id NodeID) {
 		return
 	}
 	if em, ok := nd.sampler.Tick(); ok {
-		e.send(sh, id, em.To, em.Msg)
+		e.sendMsg(sh, id, em.To, em.Msg)
 	}
 	sh.pushMemberTick(sh.now+nd.tickEvery, id)
 }
@@ -638,7 +665,7 @@ func (e *Engine) Release(id NodeID) {
 	}
 	nd.released = true
 	nd.handler = nil
-	nd.timer = nil
+	nd.flat = nil
 	nd.sampler = nil
 	nd.uplink = shaping.Shaper{}
 	//lint:pooled quarantine ring capacity is reused in place (drainQuarantine resets or compacts it)
@@ -977,13 +1004,18 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.nodes[uint32(id)&slotMask].gen, Gen(id))
 }
 
-// send transmits msg with the same UDP semantics as simnet.Send: drop-tail
-// congestion at the sender's shaped uplink, Bernoulli loss, crash
-// silences. It executes on the sending node's shard. A send from a stale
-// handle — node logic that outlived its slot's recycling — drops silently
-// exactly like a send from a crashed node (it was never counted sent, so
-// conservation holds), but panics under PanicOnStale.
-func (e *Engine) send(sh *shard, from, to NodeID, msg wire.Message) {
+// send transmits a message with the same UDP semantics as simnet.Send:
+// drop-tail congestion at the sender's shaped uplink, Bernoulli loss, crash
+// silences. It executes on the sending node's shard and is the one body
+// every route into the network shares — the typed NodeEnv.SendIDs and
+// SendPackets, and the generic Send, SendFrom and membership emissions
+// through unpack. A message that survives is copied into a record (the
+// destination shard's slab, or an outbox on the way there); p is not
+// referenced once send returns. A send from a stale handle — node logic
+// that outlived its slot's recycling — drops silently exactly like a send
+// from a crashed node (it was never counted sent, so conservation holds),
+// but panics under PanicOnStale.
+func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 	tslot := uint32(to) & slotMask
 	if int32(to) < 0 || int(tslot) >= len(e.nodes) {
 		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", to, tslot, len(e.nodes)))
@@ -1001,48 +1033,66 @@ func (e *Engine) send(sh *shard, from, to NodeID, msg wire.Message) {
 		if e.cfg.PanicOnStale {
 			panic(e.staleMsg("send", from))
 		}
-		recycleMsg(msg)
 		return
 	}
 	if !src.alive {
-		recycleMsg(msg)
 		return
 	}
 	// Like simnet: the bandwidth limiter throttles application bytes only.
-	size := msg.WireSize() - wire.UDPOverheadBytes
+	size := p.wireSize() - wire.UDPOverheadBytes
 	now := sh.now
 	depart, ok := src.uplink.Enqueue(now, size)
 	if !ok {
 		src.stats.CongestionDrops++
-		recycleMsg(msg)
 		return
 	}
-	k := msg.Kind()
+	k := p.kind
 	src.stats.SentMsgs[k]++
 	src.stats.SentBytes[k] += uint64(size)
 	if e.cfg.Net.LossRate > 0 && sh.rng.Float64() < e.cfg.Net.LossRate {
 		src.stats.RandomDrops++
-		recycleMsg(msg)
 		return
 	}
 	at := depart + e.pairLatency(sh, from, to)
 	d := int(tslot) % len(e.shards)
 	if d == sh.id {
-		sh.pushDelivery(at, from, to, int32(size), msg)
+		sh.pushDelivery(at, from, to, int32(size), p)
+		return
+	}
+	sh.outboxOut++
+	// Take the next outbox record, reusing one left beyond the reset
+	// length — and its spill backings — when there is one.
+	q := sh.outbox[d]
+	if len(q) < cap(q) {
+		q = q[:len(q)+1]
 	} else {
-		sh.outboxOut++
 		//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
-		sh.outbox[d] = append(sh.outbox[d], xmsg{at: at, from: from, to: to, size: int32(size), msg: msg})
+		q = append(q, xmsg{})
+	}
+	sh.outbox[d] = q
+	m := &q[len(q)-1]
+	m.at, m.from, m.to = at, from, to
+	m.rec.set(int32(size), p)
+}
+
+// sendMsg is send for a boxed message. The record holds its own copy of a
+// SERVE's packet list, so a pooled backing goes back at once instead of
+// riding along for the seconds the message may wait in a shaped uplink.
+func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
+	p := unpack(msg)
+	e.send(sh, from, to, p)
+	if p.pkts != nil {
+		wire.RecycleServe(wire.Serve{Packets: p.pkts})
 	}
 }
 
-// deliver hands a message to its destination. It executes on the
-// destination node's shard; the sender's liveness flag is stable between
-// barriers, so the cross-shard read is race-free. SHUFFLE messages are
-// membership traffic: they go to the node's sampler (which may answer —
-// the reply departs through the node's own shaped uplink), never to the
-// protocol handler. A node without a sampler drops them silently, like
-// any unknown datagram.
+// deliver hands the message ev names to its destination; the caller
+// releases the record afterwards. It executes on the destination node's
+// shard; the sender's liveness flag is stable between barriers, so the
+// cross-shard read is race-free. SHUFFLE messages are membership traffic:
+// they go to the node's sampler (which may answer — the reply departs
+// through the node's own shaped uplink), never to the protocol handler. A
+// node without a sampler drops them silently, like any unknown datagram.
 //
 // A delivery addressed to a stale handle — the destination incarnation
 // departed and its slot was recycled while the message was in flight —
@@ -1057,10 +1107,10 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 	src, dst := &e.nodes[uint32(ev.from)&slotMask], &e.nodes[uint32(ev.to)&slotMask]
 	if int(dst.gen) != int(uint32(ev.to)>>slotBits) {
 		e.noteStale(sh, "deliver", ev.to)
-		recycleMsg(ev.msg)
 		return
 	}
-	k := ev.msg.Kind()
+	rec := &sh.msgs[ev.ref]
+	k := rec.kind
 	if int(src.gen) != int(uint32(ev.from)>>slotBits) || !dst.alive ||
 		(!src.alive && k != wire.KindLeave) {
 		// A LEAVE from a dead (but not recycled) source still delivers: a
@@ -1068,27 +1118,31 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 		// in the same barrier, and a datagram in flight is not recalled
 		// when its sender dies. Every other kind dead-drops as before.
 		dst.stats.DeadDrops++
-		recycleMsg(ev.msg)
 		return
 	}
 	dst.stats.RecvMsgs[k]++
-	dst.stats.RecvBytes[k] += uint64(ev.size)
-	if k == wire.KindShuffle || k == wire.KindLeave {
+	dst.stats.RecvBytes[k] += uint64(rec.size)
+	// rec is not used past this point: a handler that sends may grow the
+	// slab under it. The payload's lists stay readable either way.
+	p := rec.payload()
+	switch {
+	case k == wire.KindShuffle || k == wire.KindLeave:
 		// Membership traffic — view exchanges and graceful-departure
 		// announcements — goes to the node's sampler (which may answer; a
 		// LEAVE never does), staying on the same flat event path as
 		// everything else.
 		if dst.sampler != nil {
-			if reply, ok := dst.sampler.Handle(ev.from, ev.msg); ok {
-				e.send(sh, ev.to, reply.To, reply.Msg)
+			if reply, ok := dst.sampler.Handle(ev.from, p.message()); ok {
+				e.sendMsg(sh, ev.to, reply.To, reply.Msg)
 			}
 		}
-		return
+	case dst.flat == nil || p.other != nil:
+		dst.handler.HandleMessage(ev.from, p.message())
+	case k == wire.KindServe:
+		dst.flat.HandlePackets(ev.from, p.pkts)
+	default:
+		dst.flat.HandleIDs(ev.from, k, p.ids)
 	}
-	dst.handler.HandleMessage(ev.from, ev.msg)
-	// The engine is the message's last consumer: handlers retain packet
-	// pointers, never message slices, so pooled backings go back here.
-	recycleMsg(ev.msg)
 }
 
 // SendFrom transmits msg from one node to another with the normal UDP
@@ -1103,16 +1157,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.checkMutable("SendFrom")
 	sh := e.shards[Slot(from)%len(e.shards)]
-	e.send(sh, from, to, msg)
-}
-
-// recycleMsg returns a message's pooled resources once no consumer will
-// see it again: every send ends in exactly one of the drop paths or one
-// delivery, so each SERVE backing is recycled exactly once.
-func recycleMsg(msg wire.Message) {
-	if s, ok := msg.(wire.Serve); ok {
-		wire.RecycleServe(s)
-	}
+	e.sendMsg(sh, from, to, msg)
 }
 
 // pairLatency mirrors simnet's latency model: the mean of the node bases,
@@ -1159,7 +1204,8 @@ func (e *Engine) lookup(op string, id NodeID) *nodeState {
 }
 
 // NodeEnv adapts one node to the engine. It satisfies core.Env and, for
-// nodes whose handler is a TimerHandler, core.TimerEnv.
+// nodes whose handler is a TimerHandler, core.TimerEnv: flat timers, and
+// typed sends that put ids and packets straight into a message record.
 type NodeEnv struct {
 	eng *Engine
 	sh  *shard
@@ -1176,24 +1222,44 @@ func (v *NodeEnv) Now() time.Duration { return v.sh.now }
 // Rand returns the node's private random stream.
 func (v *NodeEnv) Rand() *rand.Rand { return v.rng }
 
-// Send transmits a message with UDP semantics.
-func (v *NodeEnv) Send(to NodeID, msg wire.Message) { v.eng.send(v.sh, v.id, to, msg) }
+// Send transmits a message with UDP semantics. The engine copies what it
+// carries: msg's lists are free for reuse when Send returns, and a SERVE
+// backing from wire.SplitServeInto is recycled on the spot.
+func (v *NodeEnv) Send(to NodeID, msg wire.Message) { v.eng.sendMsg(v.sh, v.id, to, msg) }
+
+// SendIDs transmits a PROPOSE or REQUEST (kind) of ids, as Send would the
+// boxed message, without boxing it: the ids are copied into the in-flight
+// record and the caller keeps the slice.
+func (v *NodeEnv) SendIDs(to NodeID, kind wire.Kind, ids []stream.PacketID) {
+	if kind != wire.KindPropose && kind != wire.KindRequest {
+		panic(fmt.Sprintf("megasim: SendIDs of a %v: only PROPOSE and REQUEST carry ids", kind))
+	}
+	v.eng.send(v.sh, v.id, to, payload{kind: kind, ids: ids})
+}
+
+// SendPackets transmits one SERVE of pkts (the caller has cut them to the
+// MTU, wire.CutPackets) without boxing it: the packet pointers are copied
+// into the in-flight record and the caller keeps the slice.
+func (v *NodeEnv) SendPackets(to NodeID, pkts []*stream.Packet) {
+	v.eng.send(v.sh, v.id, to, payload{kind: wire.KindServe, pkts: pkts})
+}
 
 // After schedules fn once after d on the node's shard; the returned
 // function cancels it.
 func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d, fn) }
 
-// FlatTimers reports whether AfterTimer is usable: the node has been added
-// and its handler is a TimerHandler. Node logic that is not itself the
-// registered handler (it sits behind a wrapper the engine delivers to)
-// gets false and arms its timers through After.
+// FlatTimers reports whether the flat route reaches the node's logic: the
+// node has been added and its handler is a TimerHandler. Node logic that
+// is not itself the registered handler (it sits behind a wrapper the
+// engine delivers to) gets false; it arms its timers through After, sends
+// through Send and receives through HandleMessage.
 func (v *NodeEnv) FlatTimers() bool {
 	slot := Slot(v.id)
 	if slot >= len(v.eng.nodes) {
 		return false
 	}
 	nd := &v.eng.nodes[slot]
-	return int(nd.gen) == Gen(v.id) && nd.timer != nil
+	return int(nd.gen) == Gen(v.id) && nd.flat != nil
 }
 
 // AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once

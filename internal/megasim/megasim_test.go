@@ -79,7 +79,7 @@ func TestQueuePopsInTimeSeqOrder(t *testing.T) {
 			const n = 500
 			for i := 0; i < n; i++ {
 				at := time.Duration(rng.Intn(50)) * time.Millisecond
-				s.push(event{at: at, fn: func() {}})
+				s.push(event{at: at})
 			}
 			var prevAt time.Duration
 			var prevSeq uint64

@@ -82,16 +82,14 @@ type calendarQueue struct {
 }
 
 // calBucket is one calendar slot's residents in (at, seq) order. head
-// indexes the first un-popped event; popped slots are zeroed and the
-// backing is reset once the bucket drains, so capacity is reused across
-// year wraps.
+// indexes the first un-popped event; the backing is reset once the bucket
+// drains, so capacity is reused across year wraps.
 //
 // Sorting is lazy: push appends and sets dirty when the new event lands
 // out of order, and the dequeue path insertion-sorts the un-popped tail
 // the first time it serves the bucket. Each event is therefore ordered
 // once per bucket residency instead of shifted into place on every
-// insert — the dominant cost of the eager variant, since shifting
-// pointer-carrying 64-byte records pays the write barrier per slot.
+// insert, the dominant cost of the eager variant.
 type calBucket struct {
 	evs   []event
 	head  int
@@ -195,7 +193,6 @@ func (q *calendarQueue) drainStage() {
 			q.rebuild()
 		}
 	}
-	clear(evs) // release fn/msg references held by the retired backing
 	q.stageScratch = evs[:0]
 	if q.inYear > 2*calTargetOccupancy*len(q.buckets) && len(q.buckets) < calMaxBuckets ||
 		len(q.overflow) > 4*q.inYear && len(q.overflow) > 4*calTargetOccupancy*len(q.buckets) {
@@ -238,7 +235,6 @@ func (q *calendarQueue) ovPop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release fn/msg references
 	q.overflow = h[:n]
 	if n > 0 {
 		h[0] = last
@@ -336,7 +332,6 @@ func (q *calendarQueue) pop() event {
 	}
 	b := q.locateMin()
 	ev := b.evs[b.head]
-	b.evs[b.head] = event{} // release fn/msg references
 	b.head++
 	if b.head == len(b.evs) {
 		b.evs = b.evs[:0]
@@ -416,7 +411,6 @@ func (q *calendarQueue) rebuild() {
 	q.overflow = q.overflow[:0]
 	//lint:pooled the rebuild scratch backing is reused across rebuilds; growth amortizes
 	evs = append(evs, q.stage...)
-	clear(q.stage)
 	q.stage = q.stage[:0]
 	q.stageMin = infTime
 
@@ -474,7 +468,6 @@ func (q *calendarQueue) rebuild() {
 	for i := range evs {
 		q.insert(&evs[i])
 	}
-	clear(evs) // release msg references held by the collection buffer
 	q.scratch = evs[:0]
 	q.sinceRebuild = 0
 }

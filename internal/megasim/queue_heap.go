@@ -17,11 +17,11 @@ type scheduler interface {
 	// push inserts ev; the caller has already assigned ev.seq. The record
 	// travels by value: a pointer handed through the interface escapes, and
 	// one heap allocation per scheduled event costs far more than copying
-	// 64 bytes of arguments.
+	// 32 bytes of arguments.
 	push(ev event)
 	// pop removes and returns the earliest pending event by (at, seq).
-	// It must release the popped slot's fn/msg references. Calling pop
-	// on an empty scheduler panics.
+	// Records hold no pointer, so a vacated slot is simply left behind.
+	// Calling pop on an empty scheduler panics.
 	pop() event
 	// peekAt returns the timestamp of the earliest pending event.
 	peekAt() (time.Duration, bool)
@@ -42,8 +42,9 @@ func newScheduler(kind QueueKind) scheduler {
 }
 
 // heapQueue is the original scheduler: a 4-ary min-heap over (at, seq) —
-// half the depth of a binary heap and contiguous children, which matters
-// when the heap holds tens of thousands of 64-byte in-flight events. Sift
+// half the depth of a binary heap and contiguous children (four 32-byte
+// records are two cache lines), which matters when the heap holds tens of
+// thousands of in-flight events. Sift
 // operations use hole insertion (shift entries toward the hole, write the
 // moving element once) instead of pairwise swaps.
 type heapQueue struct {
@@ -67,7 +68,6 @@ func (q *heapQueue) pop() event {
 	top := h[0]
 	n := len(h) - 1
 	last := h[n]
-	h[n] = event{} // release fn/msg references
 	q.heap = h[:n]
 	if n > 0 {
 		h[0] = last

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
@@ -26,30 +27,167 @@ const (
 
 // event is one scheduled occurrence, stored by value in the shard's
 // scheduler: a timer, a message delivery, a membership tick or a node
-// timer (the node id rides in to). Compared to simnet's
-// closure-per-message representation this is a single flat record, so the
-// per-message cost is a queue slot, not two heap allocations — a property
-// both queue kinds preserve.
+// timer. The record is 32 bytes and holds no pointer — what an event
+// carries lives in per-shard side tables it names by index (the message
+// slab, the After closure table) — so both queue kinds are noscan memory:
+// the collector never walks the pending set, sifting records pays no write
+// barrier, and a popped slot needs no clearing.
 type event struct {
-	at      time.Duration
-	seq     uint64
-	timerID uint64
-	from    NodeID
-	to      NodeID
-	size    int32 // evDeliver: payload bytes; evNodeTimer: the handler's arg
-	kind    uint8
-	tkind   uint8        // evNodeTimer only: the handler's timer kind
-	fn      func()       // evTimer only
-	msg     wire.Message // evDeliver only
+	at   time.Duration
+	seq  uint64
+	from NodeID // evDeliver: the sender
+	to   NodeID // evDeliver: the destination; evMemberTick, evNodeTimer: the node
+	// ref is the event's one argument: the message's index in the shard's
+	// slab (evDeliver), the closure's slot in the shard's After table
+	// (evTimer), or the handler's own arg (evNodeTimer).
+	ref   uint32
+	kind  uint8
+	tkind uint8 // evNodeTimer only: the handler's timer kind
 }
 
-// xmsg is a cross-shard delivery in transit through an outbox.
+// payload is a message outside a record: what a sender hands to send, and
+// the view of a record that deliver dispatches on. PROPOSE, REQUEST and
+// SERVE travel unboxed as their id or packet list; every other kind — and
+// any foreign Message type — rides in other, boxed as it was sent.
+type payload struct {
+	kind  wire.Kind
+	ids   []stream.PacketID // PROPOSE, REQUEST
+	pkts  []*stream.Packet  // SERVE
+	other wire.Message
+}
+
+// unpack takes a boxed message apart into the payload the typed entry
+// points build directly.
+func unpack(msg wire.Message) payload {
+	switch m := msg.(type) {
+	case wire.Propose:
+		return payload{kind: wire.KindPropose, ids: m.IDs}
+	case wire.Request:
+		return payload{kind: wire.KindRequest, ids: m.IDs}
+	case wire.Serve:
+		return payload{kind: wire.KindServe, pkts: m.Packets}
+	}
+	return payload{kind: msg.Kind(), other: msg}
+}
+
+// message boxes the payload for a consumer that takes a wire.Message. The
+// lists alias the payload's.
+func (p payload) message() wire.Message {
+	switch {
+	case p.other != nil:
+		return p.other
+	case p.kind == wire.KindServe:
+		return wire.Serve{Packets: p.pkts}
+	case p.kind == wire.KindRequest:
+		return wire.Request{IDs: p.ids}
+	default:
+		return wire.Propose{IDs: p.ids}
+	}
+}
+
+// wireSize is the WireSize of the message the payload stands for.
+func (p payload) wireSize() int {
+	switch {
+	case p.other != nil:
+		return p.other.WireSize()
+	case p.kind == wire.KindServe:
+		return wire.Serve{Packets: p.pkts}.WireSize()
+	default:
+		return wire.Request{IDs: p.ids}.WireSize() // PROPOSE and REQUEST are laid out alike
+	}
+}
+
+// inlineIDs is how many ids a record holds without a spill backing: nine
+// in ten REQUESTs of a steady stream ask for at most seven packets (and
+// four in ten PROPOSEs advertise no more), and seven is what fits the
+// record's 112 bytes without growing it.
+const inlineIDs = 7
+
+// msgRec is one in-flight message: the single representation a message has
+// between send and its delivery or drop, in a shard's slab or — crossing
+// shards — in an outbox. It owns its contents: set copies ids and packet
+// pointers in, inline when the list is short and into a spill backing the
+// record keeps across reuse otherwise, so nothing the sender passed is
+// referenced after send returns and a steady run recycles records without
+// allocating.
+type msgRec struct {
+	// What a one-packet SERVE, a short REQUEST and a boxed message touch
+	// comes first and fills 64 bytes; the spill backings follow.
+	other wire.Message
+	pkt1  [1]*stream.Packet
+	size  int32 // application bytes: charged to the uplink at send, counted received at delivery
+	n     int32 // ids or packets carried
+	kind  wire.Kind
+	inl   [inlineIDs]stream.PacketID
+	ids   []stream.PacketID // spill: more than inlineIDs ids
+	pkts  []*stream.Packet  // spill: more than one packet
+}
+
+// set fills the record with a copy of p.
+func (r *msgRec) set(size int32, p payload) {
+	r.kind, r.size, r.other = p.kind, size, p.other
+	r.n = int32(len(p.ids) + len(p.pkts))
+	switch {
+	case len(p.ids) > inlineIDs:
+		//lint:pooled the spill backing stays with the record across reuse
+		r.ids = append(r.ids[:0], p.ids...)
+	case len(p.ids) > 0:
+		copy(r.inl[:], p.ids)
+	case len(p.pkts) == 1:
+		r.pkt1[0] = p.pkts[0]
+	case len(p.pkts) > 1:
+		//lint:pooled the spill backing stays with the record across reuse
+		r.pkts = append(r.pkts[:0], p.pkts...)
+	}
+}
+
+// payload views the record's contents. The lists alias the record (and,
+// when inline, the slab holding it): they are good until the record is
+// released, and a slab that grows meanwhile leaves them reading the old
+// copy, which nothing writes to.
+func (r *msgRec) payload() payload {
+	p := payload{kind: r.kind, other: r.other}
+	switch {
+	case r.other != nil:
+	case r.kind == wire.KindServe && r.n == 1:
+		p.pkts = r.pkt1[:]
+	case r.kind == wire.KindServe:
+		p.pkts = r.pkts
+	case r.n <= inlineIDs:
+		p.ids = r.inl[:r.n]
+	default:
+		p.ids = r.ids
+	}
+	return p
+}
+
+// release drops every reference the record holds — a free record must pin
+// neither a packet nor a message — and keeps the spill capacity. (The ids
+// spill holds no reference and is left as it is: set overwrites it.)
+func (r *msgRec) release() {
+	r.other = nil
+	r.pkt1[0] = nil
+	clear(r.pkts)
+	r.pkts = r.pkts[:0] // cleared once, not at every later release
+}
+
+// xmsg is a cross-shard delivery in transit through an outbox: a
+// pointer-free header and the message in a record of the outbox's own,
+// whose spill backings survive the outbox's reset like the outbox's
+// capacity does.
 type xmsg struct {
 	at   time.Duration
 	from NodeID
 	to   NodeID
-	size int32
-	msg  wire.Message
+	rec  msgRec
+}
+
+// timerSlot holds the closure of one pending After timer. id tells the
+// slot's current tenant from an earlier one, so a cancel function that
+// outlives its timer finds nothing to cancel.
+type timerSlot struct {
+	fn func() // nil once cancelled
+	id uint64
 }
 
 const (
@@ -81,7 +219,7 @@ type shard struct {
 	// Load counters, flat increments on the per-event path (hotalloc
 	// audits this file) and read only at quiescent points (ShardLoads).
 	// The pending-event high-water mark lives in the scheduler (q.peak).
-	timers      uint64 // evTimer events executed
+	timers      uint64 // evTimer and evNodeTimer events executed
 	delivers    uint64 // evDeliver events executed
 	memberTicks uint64 // evMemberTick events executed
 	windowsRun  uint64 // conservative windows run
@@ -89,12 +227,23 @@ type shard struct {
 	outboxIn    uint64 // cross-shard messages merged in
 	staleDrops  uint64 // deliveries addressed to recycled (stale) handles
 
+	// msgs is the message slab: every delivery pending in q names its
+	// message here by index. msgFree stacks the released records, so a
+	// steady run cycles through the same few — and their spill backings —
+	// without allocating.
+	msgs    []msgRec
+	msgFree []uint32
+
+	// afters is the After closure table, afterFree its free slots;
+	// nextTimer mints the ids that tell a slot's tenants apart.
+	afters    []timerSlot
+	afterFree []uint32
 	nextTimer uint64
-	cancelled map[uint64]struct{}
 
 	// outbox[d] buffers deliveries destined for shard d during the current
 	// window; shard d drains (and resets) it during the merge phase, so
-	// ownership alternates across the barrier. Capacity is reused.
+	// ownership alternates across the barrier. Capacity is reused, and with
+	// it the spill backings of the records beyond the reset length.
 	outbox [][]xmsg
 
 	cmds chan shardCmd
@@ -102,13 +251,12 @@ type shard struct {
 
 func newShard(e *Engine, id int, rng *rand.Rand) *shard {
 	return &shard{
-		id:        id,
-		eng:       e,
-		rng:       rng,
-		q:         newScheduler(e.cfg.Queue),
-		cancelled: make(map[uint64]struct{}),
-		outbox:    make([][]xmsg, e.cfg.Shards),
-		cmds:      make(chan shardCmd, 1),
+		id:     id,
+		eng:    e,
+		rng:    rng,
+		q:      newScheduler(e.cfg.Queue),
+		outbox: make([][]xmsg, e.cfg.Shards),
+		cmds:   make(chan shardCmd, 1),
 	}
 }
 
@@ -140,21 +288,28 @@ func (s *shard) runWindow(end time.Duration) {
 		ev := s.q.pop()
 		switch ev.kind {
 		case evTimer:
-			if len(s.cancelled) > 0 {
-				if _, dead := s.cancelled[ev.timerID]; dead {
-					delete(s.cancelled, ev.timerID)
-					continue
-				}
+			fn := s.afters[ev.ref].fn
+			s.afters[ev.ref] = timerSlot{}
+			//lint:pooled the free list is bounded by the table it indexes
+			s.afterFree = append(s.afterFree, ev.ref)
+			if fn == nil {
+				continue // cancelled: skipped uncounted
 			}
 			s.now = ev.at
 			s.fired++
 			s.timers++
-			ev.fn()
+			fn()
 		case evDeliver:
 			s.now = ev.at
 			s.fired++
 			s.delivers++
 			s.eng.deliver(s, &ev)
+			// Delivered or dropped, the message has had the one outcome every
+			// send ends in. The handler may have sent and grown the slab, so
+			// the record is found again by index.
+			s.msgs[ev.ref].release()
+			//lint:pooled the free list is bounded by the slab it indexes
+			s.msgFree = append(s.msgFree, ev.ref)
 		case evMemberTick:
 			s.now = ev.at
 			s.fired++
@@ -170,7 +325,7 @@ func (s *shard) runWindow(end time.Duration) {
 			s.now = ev.at
 			s.fired++
 			s.timers++
-			nd.timer.OnTimer(ev.tkind, uint32(ev.size))
+			nd.flat.OnTimer(ev.tkind, ev.ref)
 		}
 	}
 }
@@ -189,9 +344,9 @@ func (s *shard) mergeInbound() {
 		s.outboxIn += uint64(len(q))
 		for i := range q {
 			m := &q[i]
-			s.pushDelivery(m.at, m.from, m.to, m.size, m.msg)
+			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload())
+			m.rec.release()
 		}
-		clear(q) // drop message references so capacity reuse does not pin them
 		src.outbox[s.id] = q[:0]
 	}
 }
@@ -202,35 +357,58 @@ func (s *shard) nextAt() (time.Duration, bool) {
 }
 
 // after schedules fn at now+d on this shard and returns a cancel func.
-// Cancellation is lazy: the timer id is tombstoned and the entry skipped
-// when popped. Cancelling twice is harmless (the tombstone is a set
-// entry); like any cancel, it must not be called after the timer fired.
+// The closure waits in the After table, named by the event's ref.
+// Cancelling empties the slot and the entry is skipped when popped;
+// cancelling twice, or after the timer fired, finds another tenant's id or
+// none and does nothing.
 func (s *shard) after(d time.Duration, fn func()) func() {
 	if d < 0 {
 		d = 0
 	}
-	id := s.nextTimer
 	s.nextTimer++
-	s.push(event{at: s.now + d, timerID: id, kind: evTimer, fn: fn})
-	return func() { s.cancelled[id] = struct{}{} }
+	id := s.nextTimer
+	var slot uint32
+	if n := len(s.afterFree); n > 0 {
+		slot = s.afterFree[n-1]
+		s.afterFree = s.afterFree[:n-1]
+	} else {
+		slot = uint32(len(s.afters))
+		s.afters = append(s.afters, timerSlot{})
+	}
+	s.afters[slot] = timerSlot{fn: fn, id: id}
+	s.push(event{at: s.now + d, ref: slot, kind: evTimer})
+	return func() {
+		if t := &s.afters[slot]; t.id == id {
+			t.fn = nil
+		}
+	}
 }
 
 // afterNode schedules the node's TimerHandler.OnTimer(kind, arg) at now+d
-// as one flat record. It draws a timer id and a sequence number exactly as
-// after does, so a run schedules the same (at, seq) stream whichever of
-// the two a node's logic arms its timers through.
+// as one flat record. It draws a sequence number exactly as after does, so
+// a run schedules the same (at, seq) stream whichever of the two a node's
+// logic arms its timers through.
 func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 	if d < 0 {
 		d = 0
 	}
-	timerID := s.nextTimer
-	s.nextTimer++
-	s.push(event{at: s.now + d, timerID: timerID, to: id, size: int32(arg), kind: evNodeTimer, tkind: kind})
+	s.push(event{at: s.now + d, to: id, ref: arg, kind: evNodeTimer, tkind: kind})
 }
 
-// pushDelivery schedules a message delivery at the given time.
-func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, msg wire.Message) {
-	s.push(event{at: at, from: from, to: to, size: size, kind: evDeliver, msg: msg})
+// pushDelivery copies the message into a slab record and schedules its
+// delivery at the given time.
+func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
+	var i uint32
+	if n := len(s.msgFree); n > 0 {
+		i = s.msgFree[n-1]
+		s.msgFree = s.msgFree[:n-1]
+	} else {
+		i = uint32(len(s.msgs))
+		//lint:pooled the slab grows to the peak of messages in flight, then recycles through msgFree
+		s.msgs = append(s.msgs, msgRec{})
+	}
+	s.msgs[i].set(size, p)
+	s.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
 }
 
 // pushMemberTick schedules the node's next membership tick.

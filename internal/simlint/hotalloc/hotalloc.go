@@ -22,9 +22,11 @@
 // else that is intentionally cold carries `//lint:coldpath <why>`.
 //
 // A boxing site that is hot and meant to be carries `//lint:boxed <why>`:
-// the protocol hands every message it sends to Env.Send as a wire.Message,
-// so the boxed copy is the in-flight message record itself, a known cost
-// per message rather than a leak per event.
+// over a plain Env the protocol hands every message it sends to Env.Send
+// as a wire.Message, so the boxed copy is the in-flight message record
+// itself, a known cost per message rather than a leak per event. (The
+// sharded engine's typed route carries messages in slab records and needs
+// no such annotation.)
 //
 // Calls that cannot be resolved statically — interface-method dispatch
 // like handler.HandleMessage, and calls through function values — end the

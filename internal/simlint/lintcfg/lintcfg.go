@@ -102,6 +102,11 @@ func Default() *Config {
 				// at 1%/s graceful churn on a million nodes), entering the
 				// same send machinery runWindow reaches per event.
 				"(*Engine).SendFrom",
+				// The typed sends: node logic calls them through the
+				// core.TimerEnv interface, once per PROPOSE, REQUEST and SERVE
+				// — most of a run's events — and they copy into the message
+				// slab or an outbox record.
+				"(*NodeEnv).SendIDs", "(*NodeEnv).SendPackets",
 			},
 			// The SERVE batch split runs once per request served, and every
 			// SERVE is recycled once — millions of times per simulated minute
@@ -110,10 +115,14 @@ func Default() *Config {
 			// The protocol handlers run once per delivered message and once
 			// per timer. The engines reach them through the Handler and
 			// TimerHandler interfaces (or a closure), which ends the static
-			// walk from the shard loop, so they are roots of their own;
-			// retransmit is named as well as OnTimer so that it stays audited
-			// however the timer entry reaches it.
-			"core": {"(*Peer).HandleMessage", "(*Peer).OnTimer", "(*Peer).retransmit"},
+			// walk from the shard loop, so they are roots of their own —
+			// the boxed entry point and the typed ones alike; retransmit is
+			// named as well as OnTimer so that it stays audited however the
+			// timer entry reaches it.
+			"core": {
+				"(*Peer).HandleMessage", "(*Peer).HandleIDs", "(*Peer).HandlePackets",
+				"(*Peer).OnTimer", "(*Peer).retransmit",
+			},
 			// The vector kernels run per byte of every encoded window.
 			"gf256": {"MulSlice", "MulAddSlices", "ScaleSlice"},
 			// The zero-allocation encode/decode entry points.

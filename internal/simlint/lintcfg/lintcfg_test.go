@@ -83,6 +83,20 @@ func TestRoots(t *testing.T) {
 			t.Errorf("megasim hot roots missing queue entry point %s", want)
 		}
 	}
+	// Likewise the typed message route, reached only through the
+	// core.TimerEnv and megasim.TimerHandler interfaces: it carries most of
+	// a run's events, and unlisted it would carry them unaudited.
+	for _, r := range cfg.Roots("gossipstream/internal/core") {
+		roots[r] = true
+	}
+	for _, want := range []string{
+		"(*NodeEnv).SendIDs", "(*NodeEnv).SendPackets",
+		"(*Peer).HandleIDs", "(*Peer).HandlePackets",
+	} {
+		if !roots[want] {
+			t.Errorf("hot roots missing typed message entry point %s", want)
+		}
+	}
 }
 
 func TestClassString(t *testing.T) {

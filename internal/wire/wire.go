@@ -383,40 +383,45 @@ var servePool = sync.Pool{
 	New: func() any { return new([maxPacketsPerServe]*stream.Packet) },
 }
 
+// CutPackets splits off the longest prefix of packets that fits one SERVE
+// within the MTU — at least one packet: a single oversized packet still
+// travels alone (the transport will fragment; with the paper's 1250-byte
+// payloads this never happens). Like CutIDs the chunk aliases packets and
+// nothing is allocated; senders loop on it.
+func CutPackets(packets []*stream.Packet) (chunk, rest []*stream.Packet) {
+	n, size := 0, headerBytes
+	for _, p := range packets {
+		psize := packetHeaderBytes + len(p.Payload)
+		if n > 0 && size+psize > MTUBytes {
+			break
+		}
+		n++
+		size += psize
+	}
+	return packets[:n], packets[n:]
+}
+
 // SplitServeInto partitions packets into SERVE messages appended to dst,
-// each fitting within the MTU. A single oversized packet still yields its
-// own message (the transport will fragment); with the paper's 1250-byte
-// payloads this never happens.
+// one per CutPackets chunk.
 //
-// Each message's Packets backing comes from an internal pool — simulations
-// at 100k+ nodes create millions of SERVEs and the per-batch slices were
-// the largest remaining allocation site. Ownership of the backing travels
+// Each message's Packets backing comes from an internal pool — the
+// per-batch slices were the largest allocation site of the kernels that
+// carry a SERVE as a boxed message (the classic kernel, the real-time
+// driver; the sharded engine copies packets into its own message records
+// and takes CutPackets chunks directly). Ownership of the backing travels
 // with the message: whoever consumes a Serve last calls RecycleServe once
 // the slice (not the packets — those are never pooled) is unreferenced.
 // Callers that cannot track consumption simply never recycle and the
 // backings fall to the garbage collector, which is the pre-pool behavior.
 func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
-	if len(packets) == 0 {
-		return dst
+	for len(packets) > 0 {
+		var chunk []*stream.Packet
+		chunk, packets = CutPackets(packets)
+		arr := servePool.Get().(*[maxPacketsPerServe]*stream.Packet)
+		//lint:pooled dst is the caller's reusable batch scratch
+		dst = append(dst, Serve{Packets: arr[:copy(arr[:], chunk)]})
 	}
-	arr := servePool.Get().(*[maxPacketsPerServe]*stream.Packet)
-	batch := arr[:0]
-	size := headerBytes
-	for _, p := range packets {
-		psize := packetHeaderBytes + len(p.Payload)
-		if len(batch) > 0 && size+psize > MTUBytes {
-			//lint:pooled dst is the caller's reusable batch scratch
-			dst = append(dst, Serve{Packets: batch})
-			arr = servePool.Get().(*[maxPacketsPerServe]*stream.Packet)
-			batch = arr[:0]
-			size = headerBytes
-		}
-		//lint:pooled batch is a pooled fixed-capacity backing; the MTU split bounds len at maxPacketsPerServe
-		batch = append(batch, p)
-		size += psize
-	}
-	//lint:pooled dst is the caller's reusable batch scratch
-	return append(dst, Serve{Packets: batch})
+	return dst
 }
 
 // SplitServe is SplitServeInto without a reusable destination, for callers

@@ -238,6 +238,40 @@ func TestCutIDs(t *testing.T) {
 	}
 }
 
+// TestCutPackets pins the MTU cut at its edges: a chunk fills the datagram
+// exactly, an oversized packet travels alone, nothing is copied, and no
+// allocation happens however long the list.
+func TestCutPackets(t *testing.T) {
+	pkt := func(payload int) *stream.Packet { return &stream.Packet{Payload: make([]byte, payload)} }
+	room := MTUBytes - headerBytes
+	exact := []*stream.Packet{pkt(room/2 - packetHeaderBytes), pkt(room - room/2 - packetHeaderBytes), pkt(1)}
+	chunk, rest := CutPackets(exact)
+	if len(chunk) != 2 || len(rest) != 1 || (Serve{Packets: chunk}).WireSize()-UDPOverheadBytes != MTUBytes {
+		t.Fatalf("two packets filling the MTU exactly were cut %d+%d", len(chunk), len(rest))
+	}
+	if &chunk[0] != &exact[0] || &rest[0] != &exact[2] {
+		t.Fatal("the cut copied instead of aliasing its input")
+	}
+	chunk, rest = CutPackets([]*stream.Packet{pkt(2 * MTUBytes), pkt(1)})
+	if len(chunk) != 1 || len(rest) != 1 {
+		t.Fatalf("an oversized packet was cut %d+%d, want alone", len(chunk), len(rest))
+	}
+	if chunk, rest = CutPackets(nil); len(chunk) != 0 || len(rest) != 0 {
+		t.Fatalf("nothing was cut %d+%d", len(chunk), len(rest))
+	}
+	many := make([]*stream.Packet, 1000)
+	for i := range many {
+		many[i] = pkt(600)
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		for rest := many; len(rest) > 0; {
+			_, rest = CutPackets(rest)
+		}
+	}); allocs != 0 {
+		t.Fatalf("cutting allocates %v times", allocs)
+	}
+}
+
 func TestSplitServe(t *testing.T) {
 	var packets []*stream.Packet
 	for i := 0; i < 5; i++ {
