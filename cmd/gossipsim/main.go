@@ -240,6 +240,7 @@ func run(args []string, out io.Writer) error {
 	if *verbose {
 		fmt.Fprintln(out)
 		fmt.Fprintf(out, "%5s %9s %8s %9s %9s %7s\n", "node", "complete%", "upload", "requests", "retrans", "alive")
+		var requests, retrans, checks, retired, idle int
 		for _, n := range res.Nodes {
 			fmt.Fprintf(out, "%5d %8.1f%% %5.0fkb %9d %9d %7v\n",
 				n.ID,
@@ -248,7 +249,18 @@ func run(args []string, out io.Writer) error {
 				n.Counters.RequestsSent,
 				n.Counters.Retransmissions,
 				n.Survived)
+			requests += n.Counters.RequestsSent
+			retrans += n.Counters.Retransmissions
+			checks += n.Counters.RetChecks
+			retired += n.Counters.RetBatchesRetired
+			idle += n.Counters.RetIdleWakeups
 		}
+		// What became of the retransmission deadlines: a batch is retired by
+		// the SERVE that completes it or checked when it comes due, and a
+		// timer that fires with nothing due was an idle wakeup.
+		fmt.Fprintf(out, "%5s %9s %8s %9d %9d\n", "total", "", "", requests, retrans)
+		fmt.Fprintf(out, "retransmission batches: %d retired by a SERVE, %d checked at their deadline; %d idle timer wakeups\n",
+			retired, checks, idle)
 	}
 
 	if *teleOut != "" {

@@ -135,6 +135,10 @@ func TestVerbosePerNodeTable(t *testing.T) {
 	if !strings.Contains(got, "complete%") {
 		t.Fatalf("verbose run missing per-node table:\n%s", got)
 	}
+	m := regexp.MustCompile(`retransmission batches: (\d+) retired by a SERVE, \d+ checked at their deadline; \d+ idle timer wakeups`).FindStringSubmatch(got)
+	if m == nil || m[1] == "0" {
+		t.Fatalf("verbose run missing the retransmission totals, or no batch was retired:\n%s", got)
+	}
 }
 
 // TestStreamingMatchesBatchReport: the same seed reported with and

@@ -60,13 +60,14 @@ func (s fixedSampler) Sample(int) []wire.NodeID { return s }
 // budgets in steady state, one gossip period at a time: a PROPOSE of twelve
 // fresh ids (what a node learns per round of the paper's stream), the
 // twelve SERVEs that answer the REQUEST, the round that proposes them on,
-// a REQUEST for the twelve from a partner, and the retransmission check
-// that finds nothing missing.
+// a REQUEST for the twelve from a partner, and the retransmission timer
+// that fires to find its batch retired by the SERVEs.
 //
 // Over a TimerEnv — messages in and out through the typed entry points —
 // nothing allocates. Over a plain Env:
 //
-//   - PROPOSE: the REQUEST's id list and its box, and the timer closure.
+//   - PROPOSE: the REQUEST's id list and its box, and the timer closure
+//     (here every PROPOSE arms the timer; in a run most find it armed).
 //   - SERVE: nothing but amortized scratch growth.
 //   - round: the PROPOSE's copy of the ids and its box.
 //   - REQUEST: the box of the one SERVE these small packets fit in (and
@@ -186,7 +187,8 @@ func TestHandlerAllocBudget(t *testing.T) {
 			measured := float64(rounds - warmUp)
 			c := p.Counters()
 			if c.RequestsSent != rounds || c.Rounds != rounds || c.ProposesSent == 0 || c.Retransmissions != 0 ||
-				c.ServesSent != rounds || c.PacketsServed != rounds*idsPerMessage {
+				c.ServesSent != rounds || c.PacketsServed != rounds*idsPerMessage ||
+				c.RetBatchesRetired != rounds || c.RetIdleWakeups != rounds || c.RetChecks != 0 {
 				t.Fatalf("the handlers were not exercised as planned: %+v", c)
 			}
 			if len(p.reqs) != idsPerMessage || len(p.batches) != 1 {

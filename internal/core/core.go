@@ -32,8 +32,13 @@
 // A peer's per-event state is flat: pull state lives by value in a
 // per-peer slab behind a 4-byte index per stream id, retransmission
 // batches — each with an id backing its slot keeps across reuse — in a
-// second slab, and gossip ticks and retransmission checks are (kind, arg)
-// timer records rather than closures. Over a TimerEnv whose flat route
+// second slab, and the gossip tick and the retransmission timer are
+// (kind, arg) timer records rather than closures. Retransmission deadlines
+// never leave the peer: a batch records when it is due, a SERVE that
+// delivers its last outstanding id frees it on the spot, and the engine
+// holds one retransmission timer per peer, armed for the earliest deadline
+// — not one event per REQUEST, nearly all of which would fire to find
+// everything served. Over a TimerEnv whose flat route
 // reaches the peer (the sharded engine, the peer being the node's
 // registered handler) messages are flat too: PROPOSE, REQUEST and SERVE
 // leave through SendIDs and SendPackets straight from per-peer scratch and
@@ -42,8 +47,9 @@
 // kernel, the real-time driver, any wrapper that defines only Env's five
 // methods — a message travels as a boxed wire.Message: one exactly sized
 // id list and one box per round's PROPOSE and per REQUEST sent, SERVE
-// batches from wire's pool, and the closure Env.After takes per
-// retransmission timer. Both routes run the same handler bodies, draw the
+// batches from wire's pool, and the closure Env.After takes each time the
+// retransmission timer is armed. Both routes run the same handler bodies
+// and the one retransmission state machine, draw the
 // same random numbers and send the same datagrams in the same order.
 // alloc_test.go holds the handlers to these budgets.
 package core
@@ -79,8 +85,8 @@ type Env interface {
 // TimerEnv is an optional extension of Env for environments that can carry
 // a peer's timers and messages as flat records instead of closures and
 // boxed interfaces. A peer checks for it at Start: when its Env implements
-// TimerEnv and FlatTimers reports true, every gossip tick and
-// retransmission check is armed with AfterTimer and comes back through
+// TimerEnv and FlatTimers reports true, every gossip tick and the
+// retransmission timer are armed with AfterTimer and come back through
 // (*Peer).OnTimer, and every PROPOSE, REQUEST and SERVE leaves through
 // SendIDs or SendPackets — the peer expects them back through HandleIDs
 // and HandlePackets — none of which allocates; otherwise the same OnTimer
@@ -106,7 +112,9 @@ type TimerEnv interface {
 	FlatTimers() bool
 	// AfterTimer schedules OnTimer(kind, arg) on the peer once after d.
 	// There is no cancel: the peer recognizes and ignores timers it no
-	// longer wants. An environment may drop the timers of a node it has
+	// longer wants — a tick by its Start epoch, a retransmission timer by
+	// its generation, which a timer armed for an earlier deadline
+	// supersedes. An environment may drop the timers of a node it has
 	// removed.
 	AfterTimer(d time.Duration, kind uint8, arg uint32)
 	// SendIDs transmits a PROPOSE or REQUEST (kind) carrying ids, exactly
@@ -123,8 +131,8 @@ const (
 	// timerTick is a gossip round; arg is the Start epoch that armed the
 	// chain, so a chain left over from before a Stop ends when it fires.
 	timerTick uint8 = iota
-	// timerRetransmit is a retransmission check; arg indexes the batch in
-	// the peer's retransmission slab.
+	// timerRetransmit is the peer's retransmission timer; arg is the
+	// generation it was armed under, and only the newest is honoured.
 	timerRetransmit
 )
 
@@ -220,25 +228,41 @@ func (c Config) Validate() error {
 }
 
 // requestState tracks the pull lifecycle of one packet id: a by-value
-// record in the peer's request slab. Record i's proposers are stored
-// inline at Peer.proposers[i*MaxProposers:], the first nproposers of them
-// valid.
+// record in the peer's request slab, held from the first REQUEST until the
+// packet is delivered. Under RetryRandomProposer record i's proposers are
+// stored inline at Peer.proposers[i*MaxProposers:], the first nproposers
+// of them valid; the default policy never reads them and keeps none.
 type requestState struct {
 	requests   int32 // REQUESTs issued so far (K cap)
 	nproposers int32
+	// batch is the slab index plus one of the armed batch that will check
+	// on the id, zero once the id has used its K requests and no timer
+	// will retry it.
+	batch uint32
 }
 
-// retBatch is one retransmission check in the peer's retransmission slab:
-// the ids requested together from proposer. ids is the slot's own backing,
-// kept across reuse — arming copies the ids in. A slot is armed from
-// armRetTimer until its timer fires or is cancelled; a Stop on flat timers,
-// which cannot be cancelled, disarms it and leaves the slot waiting for
-// the timer to return it to the free list.
+// retBatch is one pending retransmission check in the peer's
+// retransmission slab: the ids requested together from proposer, to be
+// looked at again at due. ids is the slot's own backing, kept across reuse
+// — arming copies the ids in. outstanding counts the ids not yet
+// delivered (the ones whose requestState.batch names this slot); the SERVE
+// that brings it to zero frees the slot, so a batch that reaches its
+// deadline always has something to ask about. stamp is the arm order,
+// which breaks ties between batches due at the same instant.
 type retBatch struct {
-	proposer wire.NodeID
-	ids      []stream.PacketID
-	armed    bool
-	cancel   func() // plain Env only: cancels the After timer
+	ids         []stream.PacketID
+	due         time.Duration
+	stamp       uint64
+	proposer    wire.NodeID
+	outstanding int32
+	armed       bool
+}
+
+// retCancel is one retransmission timer in flight on the After route: the
+// generation it was armed under and the cancel function After returned.
+type retCancel struct {
+	gen    uint32
+	cancel func()
 }
 
 // Counters exposes protocol-level statistics of a peer.
@@ -251,6 +275,14 @@ type Counters struct {
 	Retransmissions int
 	FeedMesSent     int
 	DuplicateServes int
+	// RetChecks counts the batches that reached their deadline with an id
+	// still missing and were examined, RetIdleWakeups the retransmission
+	// timers that fired with nothing due (superseded, or every batch they
+	// were armed for already served), RetBatchesRetired the batches a
+	// SERVE completed and freed before their deadline.
+	RetChecks         int
+	RetIdleWakeups    int
+	RetBatchesRetired int
 }
 
 // Peer is one protocol participant. A Peer with a non-nil source publishes
@@ -288,9 +320,21 @@ type Peer struct {
 	proposers []wire.NodeID
 	reqFree   []uint32
 	// batches is the retransmission slab (see retBatch), batchFree its
-	// free list.
+	// free list, retStamp the arm order of the newest batch.
 	batches   []retBatch
 	batchFree []uint32
+	retStamp  uint64
+	// One retransmission timer serves every batch: retGen is the generation
+	// of the newest one armed, retArmed whether it is still in flight and
+	// retDue when it fires. A batch due earlier than retDue arms a new
+	// timer and so supersedes the one in flight, which fires as a no-op.
+	retGen   uint32
+	retArmed bool
+	retDue   time.Duration
+	// retCancels serves the After route only: every retransmission timer
+	// in flight, superseded ones included, so that Stop can cancel them all
+	// (an environment drops a removed node's flat timers by itself).
+	retCancels []retCancel
 	// idScratch collects the ids handlePropose and retransmit are about to
 	// request, retTargets where retransmit sends each.
 	idScratch  []stream.PacketID
@@ -378,28 +422,36 @@ func (p *Peer) Start() {
 	p.armTick(time.Duration(p.env.Rand().Int63n(int64(p.cfg.GossipPeriod))))
 }
 
-// Stop halts gossip rounds and pending retransmission timers. Already
-// in-flight messages still arrive; handlers on a stopped peer are no-ops.
+// Stop halts gossip rounds and drops the pending retransmissions: every
+// armed batch is freed together with the request records of its
+// undelivered ids, so that a PROPOSE after a restart requests them afresh
+// instead of finding them "already requested" with no timer left to retry
+// them. Already in-flight messages still arrive; handlers on a stopped
+// peer are no-ops.
 func (p *Peer) Stop() {
 	p.running = false
 	if p.cancelTick != nil {
 		p.cancelTick()
 		p.cancelTick = nil
 	}
+	// A flat timer cannot be cancelled: it fires to find retArmed false.
+	p.retArmed = false
+	for _, t := range p.retCancels {
+		t.cancel()
+	}
+	clear(p.retCancels)
+	p.retCancels = p.retCancels[:0]
 	for i := range p.batches {
 		b := &p.batches[i]
 		if !b.armed {
 			continue
 		}
-		if p.flat == nil {
-			b.cancel()
-			p.freeBatch(uint32(i))
-		} else {
-			// A flat timer cannot be cancelled: disarm the batch now, the
-			// slot follows when the timer fires (it must not be reused
-			// before).
-			b.armed = false
+		for _, id := range b.ids {
+			if ri := p.req[id]; ri != 0 {
+				p.dropRequest(id, ri)
+			}
 		}
+		p.freeBatch(uint32(i))
 	}
 }
 
@@ -428,7 +480,7 @@ func (p *Peer) OnTimer(kind uint8, arg uint32) {
 			p.tick()
 		}
 	case timerRetransmit:
-		p.retransmit(arg)
+		p.retTimerFired(arg)
 	}
 }
 
@@ -606,10 +658,11 @@ func (p *Peer) sendServes(target wire.NodeID, pkts []*stream.Packet) {
 	p.serveBatches = batches[:0]
 }
 
-// handlePropose implements phase 2: request ids not yet requested, then arm
-// the retransmission timer for them (lines 14–15). One timer chain runs per
-// requested batch — re-arming on every later PROPOSE for the same pending
-// ids would multiply retries K-fold and melt congested uplinks further.
+// handlePropose implements phase 2: request ids not yet requested, then set
+// a retransmission deadline for them (lines 14–15). One chain of checks
+// runs per requested batch — a new deadline on every later PROPOSE for the
+// same pending ids would multiply retries K-fold and melt congested uplinks
+// further.
 func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	if p.source != nil {
 		return // the source already has everything
@@ -629,6 +682,9 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 			//lint:pooled idScratch is per-peer scratch, reused by every PROPOSE
 			fresh = append(fresh, id)
 		}
+		if p.cfg.Retry != RetryRandomProposer {
+			continue // only the random policy ever reads the proposer lists
+		}
 		if st := &p.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
 			p.proposers[int(ri-1)*p.cfg.MaxProposers+int(st.nproposers)] = from
 			st.nproposers++
@@ -640,7 +696,7 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	}
 	p.sendRequests(from, fresh)
 	if p.cfg.MaxRequests > 1 {
-		p.armRetTimer(from, fresh)
+		p.wakeBy(p.armBatch(from, fresh))
 	}
 }
 
@@ -654,19 +710,33 @@ func (p *Peer) newRequest() uint32 {
 	}
 	//lint:pooled the slab and its proposer lists grow to the peak of concurrently pending ids, then recycle through reqFree
 	p.reqs = append(p.reqs, requestState{})
-	//lint:pooled see above
-	p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
+	if p.cfg.Retry == RetryRandomProposer {
+		//lint:pooled see above
+		p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
+	}
 	return uint32(len(p.reqs))
 }
 
-// armRetTimer schedules a retransmission check for ids first requested from
-// proposer (lines 14–15); the batch copies ids. The delay is jittered over
-// [1.0, 1.5]×RetPeriod: a burst of requesters dropped together at one
-// congested uplink must not retry in lock-step or they re-create the very
-// burst that dropped them. Jitter only extends the delay — RetPeriod is
-// chosen to exceed the worst-case honest delivery time, and firing earlier
-// than that turns queued-but-coming serves into duplicates.
-func (p *Peer) armRetTimer(proposer wire.NodeID, ids []stream.PacketID) {
+// dropRequest returns id's request record, slab index plus one ri, to the
+// free list: the packet was delivered, or a Stop gave up on it.
+func (p *Peer) dropRequest(id stream.PacketID, ri uint32) {
+	p.req[id] = 0
+	p.reqs[ri-1] = requestState{}
+	//lint:pooled the free list is bounded by the slab it indexes
+	p.reqFree = append(p.reqFree, ri-1)
+}
+
+// armBatch records a retransmission check for ids, just requested from
+// proposer (lines 14–15), and returns when it is due; the batch copies
+// ids. The delay is jittered over [1.0, 1.5]×RetPeriod: a burst of
+// requesters dropped together at one congested uplink must not retry in
+// lock-step or they re-create the very burst that dropped them. Jitter
+// only extends the delay — RetPeriod is chosen to exceed the worst-case
+// honest delivery time, and firing earlier than that turns
+// queued-but-coming serves into duplicates. The deadline stays in the
+// batch; the caller sees to it that the peer's timer fires by then
+// (wakeBy).
+func (p *Peer) armBatch(proposer wire.NodeID, ids []stream.PacketID) (due time.Duration) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
 	var bi uint32
 	if n := len(p.batchFree); n > 0 {
@@ -677,48 +747,120 @@ func (p *Peer) armRetTimer(proposer wire.NodeID, ids []stream.PacketID) {
 		//lint:pooled the slab grows to the peak of concurrently armed batches, then recycles through batchFree
 		p.batches = append(p.batches, retBatch{})
 	}
+	p.retStamp++
 	b := &p.batches[bi]
 	b.proposer, b.armed = proposer, true
+	b.due, b.stamp = p.env.Now()+delay, p.retStamp
 	//lint:pooled the slot keeps its id backing across reuse
 	b.ids = append(b.ids[:0], ids...)
-	if p.flat != nil {
-		p.flat.AfterTimer(delay, timerRetransmit, bi)
-		return
+	b.outstanding = int32(len(ids))
+	for _, id := range ids {
+		p.reqs[p.req[id]-1].batch = bi + 1
 	}
-	b.cancel = p.env.After(delay, p.timerFunc(timerRetransmit, bi))
+	return b.due
 }
 
 // freeBatch returns a retransmission slot, with its id backing, to the
 // free list.
 func (p *Peer) freeBatch(bi uint32) {
 	b := &p.batches[bi]
-	b.ids, b.armed, b.cancel = b.ids[:0], false, nil
+	b.ids, b.armed = b.ids[:0], false
 	//lint:pooled the free list is bounded by the slab it indexes
 	p.batchFree = append(p.batchFree, bi)
 }
 
-// retransmit runs the retransmission check of batch bi: it returns the
-// slot and re-requests the batch's still-missing ids, respecting the
-// K = MaxRequests cap (line 25). The target is the original proposer
-// (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
-// random recorded one.
-func (p *Peer) retransmit(bi uint32) {
-	b := &p.batches[bi]
-	if !b.armed || !p.running {
-		p.freeBatch(bi)
+// wakeBy makes sure the peer's retransmission timer fires no later than
+// due. A timer in flight that does is left alone; one that fires later
+// cannot be cancelled on the flat route, so on either route it is left to
+// fire as a no-op and a new generation is armed beside it.
+func (p *Peer) wakeBy(due time.Duration) {
+	if p.retArmed && p.retDue <= due {
 		return
 	}
+	p.retGen++
+	p.retArmed, p.retDue = true, due
+	d := due - p.env.Now()
+	if p.flat != nil {
+		p.flat.AfterTimer(d, timerRetransmit, p.retGen)
+		return
+	}
+	cancel := p.env.After(d, p.timerFunc(timerRetransmit, p.retGen))
+	//lint:pooled After route only; the list holds the timers in flight, one plus the superseded ones still to fire
+	p.retCancels = append(p.retCancels, retCancel{p.retGen, cancel})
+}
+
+// earliestBatch returns the armed batch due first, ties in arm order. A
+// peer holds a handful of armed batches at a time, so it scans the slab.
+func (p *Peer) earliestBatch() (bi uint32, ok bool) {
+	for i := range p.batches {
+		b := &p.batches[i]
+		if !b.armed {
+			continue
+		}
+		if first := &p.batches[bi]; !ok || b.due < first.due || b.due == first.due && b.stamp < first.stamp {
+			bi, ok = uint32(i), true
+		}
+	}
+	return bi, ok
+}
+
+// retTimerFired runs when a retransmission timer of generation gen fires:
+// unless it was superseded or a Stop intervened, it checks every batch
+// that is due, in (deadline, arm order) order — the order a timer per
+// batch would have fired them in — and arms the timer once for the
+// earliest batch left. Arming waits for the end because each check that
+// re-requests arms a batch of its own.
+func (p *Peer) retTimerFired(gen uint32) {
+	if p.flat == nil {
+		for i, t := range p.retCancels {
+			if t.gen == gen {
+				p.retCancels = slices.Delete(p.retCancels, i, i+1)
+				break
+			}
+		}
+	}
+	if gen != p.retGen || !p.retArmed {
+		p.counters.RetIdleWakeups++
+		return
+	}
+	p.retArmed = false
+	now, checked := p.env.Now(), false
+	for bi, ok := p.earliestBatch(); ok; bi, ok = p.earliestBatch() {
+		if due := p.batches[bi].due; due > now {
+			p.wakeBy(due)
+			break
+		}
+		checked = true
+		p.retransmit(bi)
+	}
+	if !checked {
+		p.counters.RetIdleWakeups++
+	}
+}
+
+// retransmit runs the retransmission check of batch bi, which is due: it
+// returns the slot and re-requests the batch's still-missing ids,
+// respecting the K = MaxRequests cap (line 25) — an id that has used its K
+// requests leaves the batch here and keeps its request record, with no
+// batch, until delivered. The target is the original proposer
+// (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
+// random recorded one. The ids re-requested form a new batch; seeing that
+// the timer fires for it is the caller's.
+func (p *Peer) retransmit(bi uint32) {
+	p.counters.RetChecks++
+	b := &p.batches[bi]
 	proposer := b.proposer
 	// retry collects the ids to request again, targets[i] where retry[i]
 	// goes.
 	retry, targets := p.idScratch[:0], p.retTargets[:0]
 	for _, id := range b.ids {
 		ri := p.req[id]
-		if ri == 0 || p.recv.Has(id) {
-			continue
+		if ri == 0 {
+			continue // delivered
 		}
 		st := &p.reqs[ri-1]
 		if int(st.requests) >= p.cfg.MaxRequests {
+			st.batch = 0
 			continue
 		}
 		st.requests++
@@ -755,7 +897,7 @@ func (p *Peer) retransmit(bi uint32) {
 		}
 		p.counters.Retransmissions += p.sendRequests(target, toTarget)
 	}
-	p.armRetTimer(proposer, retry)
+	p.armBatch(proposer, retry)
 }
 
 // count returns how many elements of s equal v.
@@ -815,10 +957,17 @@ func (p *Peer) handleServe(pkts []*stream.Packet) {
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, pkt.ID)
 		if ri := p.req[pkt.ID]; ri != 0 { // retransmission state no longer needed
-			p.req[pkt.ID] = 0
-			p.reqs[ri-1] = requestState{}
-			//lint:pooled the free list is bounded by the slab it indexes
-			p.reqFree = append(p.reqFree, ri-1)
+			if bi := p.reqs[ri-1].batch; bi != 0 {
+				// The batch is one id closer to done; the last one retires
+				// it, and no timer will ever look at it.
+				if b := &p.batches[bi-1]; b.outstanding > 1 {
+					b.outstanding--
+				} else {
+					p.freeBatch(bi - 1)
+					p.counters.RetBatchesRetired++
+				}
+			}
+			p.dropRequest(pkt.ID, ri)
 		}
 	}
 }

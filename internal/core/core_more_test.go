@@ -126,6 +126,7 @@ func TestRetryRandomUsesRecordedProposers(t *testing.T) {
 
 func TestMaxProposersBounded(t *testing.T) {
 	cfg := testConfig()
+	cfg.Retry = RetryRandomProposer // the policy that keeps proposer lists
 	cfg.MaxProposers = 2
 	h := newHarness(t, cfg, tinyLayout())
 	for from := wire.NodeID(1); from <= 8; from++ {

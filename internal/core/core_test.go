@@ -499,6 +499,42 @@ func TestStopIsIdempotentAndRestartable(t *testing.T) {
 	}
 }
 
+// TestRestartRequestsAgainWhatWasPending: Stop drops the pending
+// retransmissions, so it must drop their request records with them. It used
+// to keep the records, and after a restart a fresh PROPOSE of such an id
+// found it "already requested" — with no timer left to retry it, the id
+// was never asked for again.
+func TestRestartRequestsAgainWhatWasPending(t *testing.T) {
+	sched := sim.New(10)
+	b := newBus(sched, time.Millisecond)
+	env := &busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(5))}
+	p, err := NewPeer(env, testConfig(), member.NewFullView(1, 8, env.rng), tinyLayout())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	p.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{5}})
+	p.Stop()
+	p.Start()
+	p.HandleMessage(4, wire.Propose{IDs: []stream.PacketID{5}})
+	sched.RunUntil(time.Minute)
+	var to3, to4 int
+	for _, e := range b.log {
+		if _, ok := e.msg.(wire.Request); ok {
+			switch e.to {
+			case 3:
+				to3++
+			case 4:
+				to4++
+			}
+		}
+	}
+	if k := testConfig().MaxRequests; to3 != 1 || to4 != k {
+		t.Fatalf("%d REQUESTs to the first proposer and %d to the one after the restart, want 1 and K = %d", to3, to4, k)
+	}
+	p.Stop()
+}
+
 func TestDuplicateServeCounted(t *testing.T) {
 	sched := sim.New(12)
 	b := newBus(sched, time.Millisecond)

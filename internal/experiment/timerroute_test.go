@@ -236,7 +236,7 @@ func routesAreTwins(t *testing.T, cfg Config) {
 		t.Run(tc.name, func(t *testing.T) {
 			plain := buildByHand(t, cfg, tc.wrapEnv, tc.wrapPeer)
 			plain.run(t, cfg)
-			// Every tick and every retransmission check went through After,
+			// Every tick and every retransmission timer went through After,
 			// every protocol message through Send.
 			if afters := plain.seen.afters.Load(); afters < int64(sent.Rounds) {
 				t.Fatalf("%d After calls for %d gossip rounds: the wrapped peers did not arm their timers through After", afters, sent.Rounds)

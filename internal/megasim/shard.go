@@ -15,7 +15,7 @@ import (
 // the dead flag and lets the chain end).
 //
 // Node timers are the same cure for node logic: a TimerHandler's timers
-// (core's gossip ticks and retransmission checks) are flat (node, kind,
+// (core's gossip tick and retransmission timer) are flat (node, kind,
 // arg) records instead of a closure plus a cancel closure per arm, and
 // they die with the node exactly as a cancelled evTimer would.
 const (
