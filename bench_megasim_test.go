@@ -302,10 +302,9 @@ func BenchmarkMegasimQueueCalendar10k(b *testing.B) {
 	benchMegasimQueue(b, 10_000, QueueCalendar)
 }
 
-// BenchmarkMegasimEventThroughput is the sharded counterpart of
-// BenchmarkSimulatorEventThroughput: events per wall-second at a size the
-// single-threaded kernel also handles, for apples-to-apples engine
-// comparisons.
+// BenchmarkMegasimEventThroughput is BenchmarkSimulatorEventThroughput's
+// metric — events per wall-second — on 2,000 nodes over eight shards,
+// where that one runs the default deployment on one.
 func BenchmarkMegasimEventThroughput(b *testing.B) {
 	cfg := ScaledExperiment(2_000, 8, simulatedScale)
 	cfg.Seed = 1

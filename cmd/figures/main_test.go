@@ -16,7 +16,6 @@ func TestFlagValidation(t *testing.T) {
 	}{
 		{"negative shards", []string{"-shards", "-1"}},
 		{"negative nodes", []string{"-nodes", "-5"}},
-		{"streaming needs shards", []string{"-streaming"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"extra"}},
 	}
@@ -100,13 +99,14 @@ func TestSmokeSustainedChurnFigure1(t *testing.T) {
 
 // TestStreamingTwinFigure1: the fanout sweep produces the identical table
 // with and without -streaming (barrier-folded scoring is pinned
-// bit-identical upstream; this checks the flag plumbs through).
+// bit-identical upstream; this checks the flag plumbs through). It runs
+// at the default shard count: -streaming needs no -shards.
 func TestStreamingTwinFigure1(t *testing.T) {
 	table := func(extra ...string) string {
 		t.Helper()
 		dir := t.TempDir()
 		var out bytes.Buffer
-		args := append([]string{"-only", "1", "-scale", "0.07", "-shards", "2", "-nodes", "48",
+		args := append([]string{"-only", "1", "-scale", "0.07", "-nodes", "48",
 			"-churn", "0.2", "-out", dir}, extra...)
 		if err := run(args, &out); err != nil {
 			t.Fatalf("run(%v): %v\n%s", args, err, out.String())

@@ -30,7 +30,6 @@ func TestFlagValidation(t *testing.T) {
 		{"poisson bad rate", []string{"-churn", "poisson:0.01,fast"}},
 		{"poisson negative rate", []string{"-churn", "poisson:-0.01,0.01"}},
 		{"poisson joins need cyclon", []string{"-shards", "2", "-churn", "poisson:0.01,0.01"}},
-		{"poisson needs sharded engine", []string{"-membership", "cyclon", "-churn", "poisson:0.01,0.01"}},
 		{"unknown membership", []string{"-membership", "gospel"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"extra"}},
@@ -55,6 +54,11 @@ func TestHelpIsNotAnError(t *testing.T) {
 	}
 }
 
+// wallRe matches the header's wall time, which differs run to run.
+var wallRe = regexp.MustCompile(`in [0-9.µnm]+s `)
+
+func stripWall(s string) string { return wallRe.ReplaceAllString(s, "in X ") }
+
 // completeRe captures the offline mean-complete percentage from the report.
 var completeRe = regexp.MustCompile(`mean complete windows offline\s+([0-9.]+)%`)
 
@@ -67,10 +71,15 @@ func smoke(t *testing.T, args ...string) string {
 	return out.String()
 }
 
-func TestSmokeRunClassic(t *testing.T) {
+// TestSmokeRunDefaultShards: without -shards the run is the one-shard
+// run, and the header says so in the singular.
+func TestSmokeRunDefaultShards(t *testing.T) {
 	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3")
-	if !strings.Contains(got, "single-threaded kernel") {
+	if !strings.Contains(got, "sharded engine, 1 shard)") {
 		t.Fatalf("missing engine line in output:\n%s", got)
+	}
+	if one := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3", "-shards", "1"); stripWall(one) != stripWall(got) {
+		t.Fatalf("-shards 1 and the default report differently:\n--- default ---\n%s\n--- -shards 1 ---\n%s", got, one)
 	}
 	m := completeRe.FindStringSubmatch(got)
 	if m == nil {
@@ -148,15 +157,12 @@ func TestVerbosePerNodeTable(t *testing.T) {
 // histogram quantiles, not the exact retained median.
 func TestStreamingMatchesBatchReport(t *testing.T) {
 	args := []string{"-nodes", "60", "-windows", "2", "-seed", "5", "-shards", "2", "-churn", "0.2"}
-	wallRe := regexp.MustCompile(`in [0-9.µnm]+s `)
 	strip := func(s string) string {
 		var keep []string
-		for _, line := range strings.Split(s, "\n") {
-			if strings.Contains(line, "upload max/median/min") {
-				continue
+		for _, line := range strings.Split(stripWall(s), "\n") {
+			if !strings.Contains(line, "upload max/median/min") {
+				keep = append(keep, line)
 			}
-			// The header quotes wall time, which differs run to run.
-			keep = append(keep, wallRe.ReplaceAllString(line, "in X "))
 		}
 		return strings.Join(keep, "\n")
 	}
@@ -167,16 +173,41 @@ func TestStreamingMatchesBatchReport(t *testing.T) {
 	}
 }
 
-func TestStreamingNeedsShards(t *testing.T) {
+func TestStreamingRejectsVerbose(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-streaming"}, &out); err == nil {
-		t.Fatal("-streaming without -shards accepted")
-	}
-	if err := run([]string{"-streaming", "-shards", "2", "-v", "-nodes", "10", "-windows", "1"}, &out); err == nil {
+	if err := run([]string{"-streaming", "-v", "-nodes", "10", "-windows", "1"}, &out); err == nil {
 		t.Fatal("-streaming with -v accepted")
 	}
-	if err := run([]string{"-progress"}, &out); err == nil {
-		t.Fatal("-progress without -shards accepted")
+}
+
+// TestDefaultShardsStreamingTelemetry: -streaming and -telemetry need no
+// -shards; the manifest records the one shard that ran.
+func TestDefaultShardsStreamingTelemetry(t *testing.T) {
+	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3", "-streaming", "-telemetry", "-")
+	var m struct {
+		Config struct {
+			Shards int
+		} `json:"config"`
+		ShardLoads []json.RawMessage `json:"shard_loads"`
+		Snapshots  []json.RawMessage `json:"snapshots"`
+	}
+	parseManifest(t, got, &m)
+	if m.Config.Shards != 1 || len(m.ShardLoads) != 1 || len(m.Snapshots) == 0 {
+		t.Fatalf("manifest records %d shards, %d shard loads, %d snapshots; want 1, 1, some",
+			m.Config.Shards, len(m.ShardLoads), len(m.Snapshots))
+	}
+}
+
+// parseManifest decodes the JSON manifest that -telemetry - appends to a
+// report into m.
+func parseManifest(t *testing.T, report string, m any) {
+	t.Helper()
+	i := strings.Index(report, "{")
+	if i < 0 {
+		t.Fatalf("no JSON manifest in output:\n%s", report)
+	}
+	if err := json.Unmarshal([]byte(report[i:]), m); err != nil {
+		t.Fatalf("manifest does not parse: %v\n%s", err, report[i:])
 	}
 }
 
@@ -184,20 +215,14 @@ func TestStreamingNeedsShards(t *testing.T) {
 // with the config, quality columns, and per-shard load table.
 func TestTelemetryManifest(t *testing.T) {
 	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3", "-shards", "2", "-telemetry", "-")
-	i := strings.Index(got, "{")
-	if i < 0 {
-		t.Fatalf("no JSON manifest in output:\n%s", got)
-	}
 	var m map[string]any
-	if err := json.Unmarshal([]byte(got[i:]), &m); err != nil {
-		t.Fatalf("manifest does not parse: %v\n%s", err, got[i:])
-	}
+	parseManifest(t, got, &m)
 	if m["tool"] != "gossipsim" {
 		t.Fatalf("manifest tool = %v", m["tool"])
 	}
 	for _, key := range []string{"config", "quality", "nodes", "shard_loads", "snapshots", "wall", "traffic", "upload_kbps"} {
 		if _, ok := m[key]; !ok {
-			t.Fatalf("manifest missing %q:\n%s", key, got[i:])
+			t.Fatalf("manifest missing %q:\n%s", key, got)
 		}
 	}
 	wall, _ := m["wall"].(map[string]any)

@@ -1,5 +1,5 @@
 // Megascale: run the paper's baseline scenario far beyond its 230-node
-// testbed on the sharded parallel engine (internal/megasim), then print
+// testbed, one engine shard per core (internal/megasim), then print
 // the same quality metrics the paper reports plus engine statistics.
 //
 //	go run ./examples/megascale                      # 10k nodes, one shard per core
@@ -32,7 +32,7 @@ import (
 func main() {
 	var (
 		nodes     = flag.Int("nodes", 10_000, "system size including the source")
-		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "parallel shards")
+		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "parallel shards (0 = default (1))")
 		secs      = flag.Int("seconds", 30, "simulated seconds (stream + drain)")
 		churn     = flag.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second; or flash:<mult>,<secs>[,<start-secs>] (joins need -membership cyclon)")
 		members   = flag.String("membership", "full", "membership substrate: full (global view) or cyclon (partial views)")
@@ -77,8 +77,13 @@ func main() {
 		cfg.Telemetry = topts
 	}
 
-	fmt.Printf("simulating %d nodes × %ds of 600 kbps stream on %d shards (%s membership)...\n",
-		*nodes, *secs, cfg.Shards, *members)
+	nShards := max(cfg.Shards, 1) // 0 is the engine's default, one shard
+	shardWord := "shards"
+	if nShards == 1 {
+		shardWord = "shard"
+	}
+	fmt.Printf("simulating %d nodes × %ds of 600 kbps stream on %d %s (%s membership)...\n",
+		*nodes, *secs, nShards, shardWord, *members)
 	start := time.Now()
 	res, err := gossipstream.RunExperiment(cfg)
 	progressDone()
@@ -113,38 +118,25 @@ func main() {
 				hi = l.Events
 			}
 		}
-		fmt.Printf("shard load: %d..%d events/shard across %d shards\n", lo, hi, len(loads))
+		fmt.Printf("shard load: %d..%d events/shard across %d %s\n", lo, hi, len(loads), shardWord)
 	}
 
 	// Network-wide conservation: every message is delivered, lands in a
 	// drop counter (congestion, UDP loss, crashed endpoint), or was still
 	// in flight when the simulation deadline hit — nothing vanishes
-	// silently.
-	var sent, recv, congestion, lost, dead uint64
-	account := func(s gossipstream.NetStats) {
-		for k := range s.SentMsgs {
-			sent += s.SentMsgs[k]
-			recv += s.RecvMsgs[k]
-		}
-		congestion += s.CongestionDrops
-		lost += s.RandomDrops
-		dead += s.DeadDrops
+	// silently. The engine-wide aggregate is the ledger: it survives
+	// -streaming's per-node state release and keeps counting what
+	// dead-drops against a node after its result was captured.
+	total := res.TotalTraffic
+	var sent, recv uint64
+	for k := range total.SentMsgs {
+		sent += total.SentMsgs[k]
+		recv += total.RecvMsgs[k]
 	}
-	if len(res.Nodes) > 0 {
-		// Classic-kernel runs: aggregate per-node counters plus the source.
-		for _, n := range res.Nodes {
-			account(n.Stats)
-		}
-		account(res.SourceStats)
-	} else {
-		// Sharded runs carry the engine-wide aggregate, which survives
-		// -streaming's per-node state release.
-		account(res.TotalTraffic)
-	}
-	inFlight := sent - recv - lost - dead
-	fmt.Printf("messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, congestion)
+	inFlight := sent - recv - total.RandomDrops - total.DeadDrops
+	fmt.Printf("messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, total.CongestionDrops)
 	fmt.Printf("          %d lost (UDP), %d to/from crashed nodes, %d in flight at deadline\n",
-		lost, dead, inFlight)
+		total.RandomDrops, total.DeadDrops, inFlight)
 
 	if *teleOut != "" {
 		if err := writeManifest(res.Manifest("megascale"), *teleOut); err != nil {

@@ -8,13 +8,14 @@
 //     push-request-push gossip (Algorithm 1) with infect-and-die proposal,
 //     receiver-driven retransmission, FEC-protected stream windows, and the
 //     two proactiveness knobs X (view refresh rate) and Y (feed-me rate).
-//   - A deterministic testbed simulator (internal/simnet and friends) that
-//     stands in for the paper's 230 PlanetLab nodes: capped, queued uplinks
-//     with drop-tail throttling, heterogeneous wide-area latencies, and
-//     ambient UDP loss. For internet-scale experiments the same network
-//     model runs on a sharded parallel engine (internal/megasim) that
-//     spreads 100k+ nodes across per-core shards — select it with
-//     ExperimentConfig.Shards (or ScaledExperiment).
+//   - A deterministic testbed simulator that stands in for the paper's
+//     230 PlanetLab nodes: capped, queued uplinks with drop-tail
+//     throttling, heterogeneous wide-area latencies, and ambient UDP loss
+//     (the network model, internal/simnet), executed by one discrete-event
+//     engine (internal/megasim). The paper's own runs use one shard,
+//     inline on the calling goroutine; for internet-scale experiments
+//     ExperimentConfig.Shards (or ScaledExperiment) spreads 100k+ nodes
+//     across per-core shards of the same engine.
 //   - A real-time UDP driver (internal/rt) that runs the same engine over
 //     actual sockets.
 //
@@ -72,8 +73,7 @@ type (
 	NodeResult = experiment.NodeResult
 	// NetStats holds a node's traffic and drop counters (NodeResult.Stats):
 	// per-kind sent/received messages and bytes plus the three loss modes
-	// (congestion, random UDP loss, crashed endpoints). Both simulation
-	// engines fill the same counters.
+	// (congestion, random UDP loss, crashed endpoints).
 	NetStats = simnet.Stats
 	// FigureOptions scales and parameterizes figure generation.
 	FigureOptions = experiment.Options
@@ -95,7 +95,7 @@ type (
 	// LiveCluster is a localhost cluster of live nodes.
 	LiveCluster = rt.Cluster
 
-	// TelemetryOptions enables run introspection on sharded deployments
+	// TelemetryOptions enables run introspection
 	// (ExperimentConfig.Telemetry): periodic progress snapshots and
 	// supervisor wall-clock profiling, guaranteed not to perturb the run.
 	TelemetryOptions = experiment.TelemetryOptions
@@ -109,8 +109,8 @@ type (
 	// windows run, heap high-water, and cross-shard outbox volume
 	// (ExperimentResult.ShardLoads).
 	ShardLoad = telemetry.ShardLoad
-	// WallProfile is the supervisor-sampled wall-time split of a sharded
-	// run (ExperimentResult.Wall); zero unless TelemetryOptions.Clock is
+	// WallProfile is the supervisor-sampled wall-time split of a run
+	// (ExperimentResult.Wall); zero unless TelemetryOptions.Clock is
 	// set, and excluded from determinism guarantees.
 	WallProfile = telemetry.WallProfile
 	// HistSummary digests a telemetry histogram: count, extremes, mean
@@ -171,7 +171,7 @@ func ParseMembership(s string) (Membership, error) {
 	}
 }
 
-// Schedulers for the sharded engine's per-shard event queues
+// Schedulers for the engine's per-shard event queues
 // (ExperimentConfig.Queue). Both maintain the same strict event order, so
 // the choice never changes a run's Result — only its wall time.
 const (
@@ -183,7 +183,7 @@ const (
 	QueueCalendar = megasim.QueueCalendar
 )
 
-// QueueKind selects the sharded engine's per-shard scheduler
+// QueueKind selects the engine's per-shard scheduler
 // (ExperimentConfig.Queue).
 type QueueKind = megasim.QueueKind
 
@@ -216,11 +216,12 @@ func DefaultLayout(windows int) StreamLayout { return stream.DefaultLayout(windo
 func DefaultExperiment() ExperimentConfig { return experiment.Defaults() }
 
 // ScaledExperiment returns the baseline deployment scaled to large systems:
-// nodes participants on the sharded parallel engine with the given shard
-// count (normally runtime.GOMAXPROCS(0)), streaming for approximately
-// simFor of virtual time (stream plus drain). Every other knob — protocol,
-// stream rate, caps, network model — stays at the paper's baseline, so
-// results compare directly against the 230-node figures.
+// nodes participants spread over the given number of parallel shards
+// (normally runtime.GOMAXPROCS(0); 0 means the default, one), streaming
+// for approximately simFor of virtual time (stream plus drain). Every
+// other knob — protocol, stream rate, caps, network model — stays at the
+// paper's baseline, so results compare directly against the 230-node
+// figures.
 func ScaledExperiment(nodes, shards int, simFor time.Duration) ExperimentConfig {
 	cfg := experiment.Defaults()
 	cfg.Nodes = nodes
@@ -262,9 +263,8 @@ func Catastrophe(at time.Duration, fraction float64) []ChurnEvent {
 
 // SustainedChurn returns a churn process with Poisson join and leave
 // streams at the given rates (expected events per simulated second).
-// Assign it to ExperimentConfig.ChurnProcess; sustained churn needs the
-// sharded engine (Shards >= 1) and, when joins are enabled,
-// MembershipCyclon — joining nodes bootstrap into partial views at
+// Assign it to ExperimentConfig.ChurnProcess; when joins are enabled it
+// needs MembershipCyclon — joining nodes bootstrap into partial views at
 // runtime, which no static sampler can express.
 func SustainedChurn(joinPerSec, leavePerSec float64) *ChurnProcess {
 	p := churn.SustainedPoisson(joinPerSec, leavePerSec)
@@ -288,8 +288,8 @@ func GracefulChurn(joinPerSec, leavePerSec float64) *ChurnProcess {
 // FlashCrowdChurn returns a churn process admitting joiners extra nodes
 // spread evenly over the span starting at the given time — the flash
 // crowd scenario, exercising runtime admission, Cyclon bootstrap, and
-// uplink contention all at once. Requires the sharded engine and
-// MembershipCyclon, like any joining process.
+// uplink contention all at once. Requires MembershipCyclon, like any
+// joining process.
 func FlashCrowdChurn(at time.Duration, joiners int, over time.Duration) *ChurnProcess {
 	return &churn.Process{Flash: []churn.FlashCrowd{{At: at, Joiners: joiners, Over: over}}}
 }

@@ -39,13 +39,13 @@
 // holds one retransmission timer per peer, armed for the earliest deadline
 // — not one event per REQUEST, nearly all of which would fire to find
 // everything served. Over a TimerEnv whose flat route
-// reaches the peer (the sharded engine, the peer being the node's
+// reaches the peer (the simulation engine, the peer being the node's
 // registered handler) messages are flat too: PROPOSE, REQUEST and SERVE
 // leave through SendIDs and SendPackets straight from per-peer scratch and
 // arrive through HandleIDs and HandlePackets, so in steady state a handler
-// and a round allocate nothing at all. Over a plain Env — the classic
-// kernel, the real-time driver, any wrapper that defines only Env's five
-// methods — a message travels as a boxed wire.Message: one exactly sized
+// and a round allocate nothing at all. Over a plain Env — the real-time
+// driver, any wrapper that defines only Env's five methods — a message
+// travels as a boxed wire.Message: one exactly sized
 // id list and one box per round's PROPOSE and per REQUEST sent, SERVE
 // batches from wire's pool, and the closure Env.After takes each time the
 // retransmission timer is armed. Both routes run the same handler bodies
@@ -93,9 +93,9 @@ type Env interface {
 // calls are wrapped in closures and armed with After, and messages are
 // boxed and sent with Send. Both routes run the one timer state machine
 // and the same handler bodies, arm and send in the same order, so which
-// one is taken never changes what the peer does. The sharded engine's
-// *megasim.NodeEnv implements it; the classic kernel, the real-time driver
-// and any wrapper that defines only Env's five methods do not need to.
+// one is taken never changes what the peer does. The simulation engine's
+// *megasim.NodeEnv implements it; the real-time driver and any wrapper
+// that defines only Env's five methods do not need to.
 //
 // Slices cross the flat route by copy, in both directions: the
 // environment copies what SendIDs and SendPackets are given before they
@@ -457,7 +457,7 @@ func (p *Peer) Stop() {
 
 // timerFunc wraps OnTimer(kind, arg) for an Env that only takes closures.
 func (p *Peer) timerFunc(kind uint8, arg uint32) func() {
-	//lint:coldpath only the After route (classic kernel, rt, wrapped Envs) gets here, to build the closure its Env demands; on the sharded engine timers are flat
+	//lint:coldpath only the After route (rt, wrapped Envs) gets here, to build the closure its Env demands; on the simulation engine timers are flat
 	return func() { p.OnTimer(kind, arg) }
 }
 

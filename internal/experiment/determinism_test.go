@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -46,26 +45,54 @@ func qualityHash(t *testing.T, res *Result) [32]byte {
 	return out
 }
 
-// TestRunDeterministicReplayDeep upgrades the replay check to the whole
-// Result — counters, stats, uploads, event counts — for the classic
-// engine, including a retransmission-heavy churn scenario (the path that
-// once depended on map iteration order).
+// TestRunDeterministicReplayDeep pins what Shards = 0 means: the default
+// is the one-shard run, so the whole Result — recorded config, counters,
+// stats, uploads, event counts — is deep-equal to a Shards = 1 run's, at
+// two seeds, through a retransmission-heavy catastrophe (the path that
+// once depended on map iteration order) and under Cyclon.
 func TestRunDeterministicReplayDeep(t *testing.T) {
-	cfg := smallCfg(11)
-	cfg.Churn = append(cfg.Churn, ChurnAt(cfg.Layout.Duration()/2, 0.3)...)
-	a, err := Run(cfg)
+	for _, seed := range []int64{11, 12} {
+		for _, cyclon := range []bool{false, true} {
+			cfg := smallCfg(seed)
+			cfg.Churn = ChurnAt(cfg.Layout.Duration()/2, 0.3)
+			if cyclon {
+				cfg.Membership = MembershipCyclon
+			}
+			def, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if def.Config.Shards != 1 || len(def.ShardLoads) != 1 {
+				t.Fatalf("seed %d: Shards = 0 recorded %d shards and %d shard loads, want 1 and 1", seed, def.Config.Shards, len(def.ShardLoads))
+			}
+			cfg.Shards = 1
+			one, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(def, one) {
+				t.Fatalf("seed %d, cyclon %v: Shards = 0 and Shards = 1 produced different Results", seed, cyclon)
+			}
+		}
+	}
+}
+
+// TestTelemetryAndQueueAtDefaultShards: neither introspection nor the
+// scheduler choice asks for a shard count.
+func TestTelemetryAndQueueAtDefaultShards(t *testing.T) {
+	cfg := smallCfg(1)
+	cfg.Queue = megasim.QueueCalendar
+	ticks := int64(0)
+	cfg.Telemetry = &TelemetryOptions{
+		SnapshotEvery: time.Second,
+		Clock:         func() int64 { ticks++; return ticks },
+	}
+	res, err := Run(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("Telemetry and Queue at Shards = 0 failed: %v", err)
 	}
-	b, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("classic engine: identical seeds produced different Results")
-	}
-	if qualityHash(t, a) != qualityHash(t, b) {
-		t.Fatal("classic engine: quality metrics not byte-identical")
+	if len(res.Snapshots) == 0 || res.Wall.RunNS <= 0 {
+		t.Fatalf("Shards = 0 run took %d snapshots and sampled %d ns of run wall, want both > 0", len(res.Snapshots), res.Wall.RunNS)
 	}
 }
 
@@ -101,7 +128,7 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 
 // TestRunManyInterleavingIndependence checks that results computed under
 // RunMany's worker-pool parallelism are identical to serial Run calls —
-// goroutine scheduling must not leak into any Result, classic or sharded.
+// goroutine scheduling must not leak into any Result, one shard or several.
 func TestRunManyInterleavingIndependence(t *testing.T) {
 	cfgs := []Config{smallCfg(1), smallCfg(2), smallCfg(1), smallCfg(3)}
 	cfgs[2].Shards = 2 // one sharded run inside the parallel batch
@@ -126,27 +153,16 @@ func TestShardsValidation(t *testing.T) {
 	if _, err := Run(cfg); err == nil {
 		t.Fatal("negative Shards accepted")
 	}
-	// An unsupported membership substrate on the sharded path must fail
-	// with an error naming the engine, not silently fall back to
-	// full-view sampling.
+	// A count above the node count is clamped, and the recorded config
+	// says so.
 	cfg = smallCfg(1)
-	cfg.Shards = 2
-	cfg.Membership = Membership(99)
-	_, err := Run(cfg)
-	if err == nil {
-		t.Fatal("unknown membership accepted on the sharded engine")
+	cfg.Shards = cfg.Nodes + 5
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("error %q does not name the sharded engine", err)
-	}
-	// Cyclon on the sharded engine is supported since the membership port;
-	// its config is still validated.
-	cfg = smallCfg(1)
-	cfg.Shards = 2
-	cfg.Membership = MembershipCyclon
-	cfg.PSS.ViewSize = -3
-	if _, err := Run(cfg); err == nil {
-		t.Fatal("invalid PSS config accepted on the sharded engine")
+	if res.Config.Shards != cfg.Nodes {
+		t.Fatalf("Shards = %d on %d nodes recorded as %d, want %d", cfg.Shards, cfg.Nodes, res.Config.Shards, cfg.Nodes)
 	}
 }
 

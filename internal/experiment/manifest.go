@@ -26,13 +26,13 @@ type Manifest struct {
 	Nodes   ManifestNodes   `json:"nodes"`
 	Quality ManifestQuality `json:"quality"`
 
-	// Traffic aggregates every node's network counters (sharded runs
-	// only; zero on the classic kernel).
+	// Traffic aggregates every node's network counters
+	// (Result.TotalTraffic).
 	Traffic simnet.Stats `json:"traffic"`
 	// UploadKbps digests the distribution of per-node mean upload rates.
 	UploadKbps telemetry.HistSummary `json:"upload_kbps"`
 	// ViewInDegree digests the final overlay's in-degree distribution
-	// (zero Count except on sharded Cyclon runs).
+	// (zero Count except on Cyclon runs).
 	ViewInDegree telemetry.HistSummary `json:"view_indegree"`
 
 	// Wall is the supervisor wall-time split; zero without a telemetry

@@ -17,35 +17,6 @@ import (
 	"gossipstream/internal/xrand"
 )
 
-// runSharded executes one deployment on the sharded engine. It mirrors Run
-// scenario-for-scenario — baseline, churn, catastrophe, heterogeneous caps,
-// full-view or Cyclon membership all behave identically — but swaps the
-// substrate underneath the protocol:
-//
-//   - internal/megasim instead of internal/sim + internal/simnet, so event
-//     execution spreads across cfg.Shards cores;
-//   - under MembershipFull, member.SparseView instead of member.FullView,
-//     because a per-node O(n) membership array is prohibitive at 100k+
-//     nodes;
-//   - under MembershipCyclon, compact pss.State records attached to the
-//     engine (megasim.AttachSampler), which ticks them and routes their
-//     shuffle traffic — there is no timer-driven pss.Node on this path;
-//   - compact per-node RNG state (megasim.NewRand) instead of the 5 KB
-//     default source.
-//
-// Beyond the classic engine's burst-only churn, this path executes a
-// sustained churn process (cfg.ChurnProcess): the deterministic Poisson
-// timeline is expanded before Run and every event becomes an engine
-// barrier — joins admit a node at runtime with a Cyclon view bootstrapped
-// from live descriptors, leaves crash one random live node, bursts reuse
-// the catastrophic path. Lifetimes are recorded so results can score
-// quality over the windows each node was actually present for
-// (Result.LifetimeQualities).
-//
-// Results are therefore deterministic per (Seed, Shards) but not
-// bit-identical to the single-threaded engine's.
-func runSharded(cfg Config) (*Result, error) { return runShardedBehind(cfg, nil) }
-
 // nodeSeam stands between every peer of a deployment and the engine: env
 // returns the environment a peer is built on in place of the engine's, and
 // handler what the engine delivers to in place of the peer. The route-twin
@@ -57,10 +28,33 @@ type nodeSeam struct {
 	handler func(*core.Peer) megasim.Handler
 }
 
-// runShardedBehind is runSharded with every node behind seam (nil: none).
-func runShardedBehind(cfg Config, seam *nodeSeam) (*Result, error) {
+// runBehind executes one validated deployment on the engine, with every
+// node behind seam (nil, as Run passes: none). Every scenario — baseline,
+// burst churn, heterogeneous caps, full-view or Cyclon membership, a
+// sustained churn process — is built the same way:
+//
+//   - internal/megasim executes the events, spread over cfg.Shards shards
+//     (one shard runs inline on the calling goroutine);
+//   - under MembershipFull, member.SparseView samples the static
+//     population without a per-node O(n) membership array;
+//   - under MembershipCyclon, compact pss.State records are attached to the
+//     engine (megasim.AttachSampler), which ticks them and routes their
+//     shuffle traffic;
+//   - per-node RNG state is compact (megasim.NewRand) instead of the 5 KB
+//     default source.
+//
+// Churn runs at engine barriers. A sustained process (cfg.ChurnProcess) is
+// a deterministic Poisson timeline expanded before the run: joins admit a
+// node at runtime with a Cyclon view bootstrapped from live descriptors,
+// leaves crash one random live node, bursts reuse the catastrophic path.
+// Lifetimes are recorded so results can score quality over the windows each
+// node was actually present for (Result.LifetimeQualities).
+func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	// Normalize before anything records cfg: Result.Config must describe
 	// the engine that actually ran.
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
 	if cfg.Shards > cfg.Nodes {
 		cfg.Shards = cfg.Nodes
 	}
@@ -126,16 +120,11 @@ func runShardedBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	}
 
 	// Churn bursts run at engine barriers: every shard is quiescent, so a
-	// burst may crash nodes and stop their peers across all shards. The
-	// engine already ends a crashed node's shuffle schedule and dead-drops
-	// its membership traffic; stopping the record as well just mirrors the
-	// classic path's bookkeeping.
+	// burst may crash nodes and stop their peers across all shards.
 	churnRng := xrand.New(cfg.Seed + 7919)
 	for _, ev := range cfg.Churn {
 		ev := ev
-		eng.AtBarrier(ev.At, func() {
-			crashBurst(eng, d.aliveVictims(), d.stopPeer, d.stopSampler, d.noteCrash(ev.At), ev, churnRng)
-		})
+		eng.AtBarrier(ev.At, func() { d.burst(ev, churnRng) })
 	}
 
 	// The sustained churn process: its deterministic timeline is expanded
@@ -156,7 +145,7 @@ func runShardedBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 				eng.AtBarrier(tev.At, func() { d.gracefulLeave(tev.At, procRng) })
 			case churn.OpBurst:
 				eng.AtBarrier(tev.At, func() {
-					crashBurst(eng, d.aliveVictims(), d.stopPeer, d.stopSampler, d.noteCrash(tev.At), churn.Event{At: tev.At, Fraction: tev.Fraction}, procRng)
+					d.burst(churn.Event{At: tev.At, Fraction: tev.Fraction}, procRng)
 				})
 			default:
 				return nil, fmt.Errorf("experiment: unknown churn op %v", tev.Op)
@@ -238,7 +227,7 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 	return h
 }
 
-// deployment is the mutable state of one sharded run. The per-node slices
+// deployment is the mutable state of one run. The per-node slices
 // are indexed by arena slot and mirror the engine's slot recycling: a
 // departed node's entries are nilled at its crash barrier and a runtime
 // admission (which may reuse the slot under a new handle) overwrites
@@ -268,28 +257,43 @@ type deployment struct {
 	err           error                // first admission failure, surfaced after Run
 }
 
-// noteCrash returns the onCrash callback for a departure at the given
-// barrier time. The victim's scoring state is captured now — final,
-// because a dead node's receiver and sent-byte counters never change
-// again — as a streaming fold or a retained NodeResult, and then the
-// whole node is released: peer, membership record, and the engine arena
-// slot, which re-enters service after its quarantine. Both scoring modes
-// release identically, so a batch twin and a streaming twin recycle the
-// same slots at the same barriers and stay bit-identical runs.
-func (d *deployment) noteCrash(at time.Duration) func(wire.NodeID) {
-	return func(id wire.NodeID) {
-		slot := megasim.Slot(id)
-		d.departedCount++
-		if d.fold != nil {
-			d.fold.fold(d.joined[slot], at, false, d.riders[slot], d.peers[slot], d.eng.NodeStats(id))
-		} else {
-			d.departed = append(d.departed, d.nodeResult(id, slot, at, false))
-		}
-		d.peers[slot] = nil
-		if d.states != nil {
-			d.states[slot] = nil
-		}
-		d.eng.Release(id)
+// crash executes one ungraceful departure at barrier time at, the path
+// bursts and sustained leaves share so crash semantics cannot diverge
+// between churn shapes. The victim is silenced in the network and its
+// protocol state and membership record stopped (the engine already ends a
+// crashed node's shuffle schedule and dead-drops its membership traffic).
+// Its scoring state is captured now — final, because a dead node's
+// receiver and sent-byte counters never change again — as a streaming fold
+// or a retained NodeResult, and then the whole node is released: peer,
+// membership record, and the engine arena slot, which re-enters service
+// after its quarantine. Both scoring modes release identically, so a batch
+// twin and a streaming twin recycle the same slots at the same barriers
+// and stay bit-identical runs.
+func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
+	slot := megasim.Slot(victim)
+	d.eng.Crash(victim)
+	d.peers[slot].Stop()
+	if d.states != nil {
+		d.states[slot].Stop()
+	}
+	d.departedCount++
+	if d.fold != nil {
+		d.fold.fold(d.joined[slot], at, false, d.riders[slot], d.peers[slot], d.eng.NodeStats(victim))
+	} else {
+		d.departed = append(d.departed, d.nodeResult(victim, slot, at, false))
+	}
+	d.peers[slot] = nil
+	if d.states != nil {
+		d.states[slot] = nil
+	}
+	d.eng.Release(victim)
+}
+
+// burst executes one churn event: victims are picked from the non-source
+// nodes alive at burst time and depart ungracefully.
+func (d *deployment) burst(ev churn.Event, rng *rand.Rand) {
+	for _, victim := range churn.Pick(d.aliveVictims(), ev.Fraction, rng) {
+		d.crash(victim, ev.At)
 	}
 }
 
@@ -312,7 +316,7 @@ func (d *deployment) nodeResult(id wire.NodeID, slot int, leftAt time.Duration, 
 	}
 }
 
-// collectBatch assembles the retained-results Result of a sharded run:
+// collectBatch assembles the retained-results Result of a run:
 // departed nodes in crash order (captured at their barriers), then
 // survivors in ascending slot order. Streaming scoring folds in exactly
 // this order, which is what keeps the two modes' float sums — and so
@@ -368,23 +372,10 @@ func (d *deployment) collectStreaming(end time.Duration) *Result {
 	}
 }
 
-// stopPeer stops the protocol state of a crashing node.
-func (d *deployment) stopPeer(id wire.NodeID) {
-	d.peers[megasim.Slot(id)].Stop()
-}
-
-// stopSampler silences a crashed or departed node's membership record; a
-// no-op under static membership.
-func (d *deployment) stopSampler(id wire.NodeID) {
-	if d.states != nil {
-		d.states[megasim.Slot(id)].Stop()
-	}
-}
-
 // aliveVictims returns the non-source nodes currently alive — the victim
-// pool of every churn shape on the sharded path. Slots are scanned in
-// ascending order, so the pool (and any rng.Intn pick from it) is
-// deterministic.
+// pool of every churn shape (bursts and sustained leaves). Slots are
+// scanned in ascending order, so the pool (and any rng.Intn pick from it)
+// is deterministic.
 func (d *deployment) aliveVictims() []wire.NodeID {
 	var eligible []wire.NodeID
 	for slot := 1; slot < len(d.peers); slot++ {
@@ -493,8 +484,7 @@ func (d *deployment) leave(at time.Duration, rng *rand.Rand) {
 	if len(eligible) == 0 {
 		return
 	}
-	victim := eligible[rng.Intn(len(eligible))]
-	crashNode(d.eng, d.stopPeer, d.stopSampler, d.noteCrash(at), victim)
+	d.crash(eligible[rng.Intn(len(eligible))], at)
 }
 
 // gracefulLeave runs inside a graceful-departure barrier: one uniformly
@@ -516,7 +506,7 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 			d.eng.SendFrom(victim, em.To, em.Msg)
 		}
 	}
-	crashNode(d.eng, d.stopPeer, d.stopSampler, d.noteCrash(at), victim)
+	d.crash(victim, at)
 }
 
 // liveBootstrapIDs samples up to k distinct live nodes (excluding self) to

@@ -2,7 +2,6 @@ package experiment
 
 import (
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -160,12 +159,18 @@ func TestStreamingReplayDeterministic(t *testing.T) {
 	}
 }
 
+// TestStreamingMetricsValidation: StreamingMetrics asks nothing of the
+// shard count; at Shards = 0 it validates, runs, and folds.
 func TestStreamingMetricsValidation(t *testing.T) {
 	cfg := smallCfg(1)
 	cfg.StreamingMetrics = true
-	_, err := Run(cfg)
-	if err == nil || !strings.Contains(err.Error(), "sharded engine") {
-		t.Fatalf("classic engine accepted StreamingMetrics (err = %v)", err)
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatalf("StreamingMetrics at Shards = 0 failed: %v", err)
+	}
+	if res.Streaming == nil || len(res.Nodes) != 0 || res.SurvivorCount() != cfg.Nodes-1 {
+		t.Fatalf("StreamingMetrics at Shards = 0 did not fold: Streaming %v, %d retained nodes, %d survivors",
+			res.Streaming != nil, len(res.Nodes), res.SurvivorCount())
 	}
 }
 

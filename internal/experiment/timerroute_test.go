@@ -89,7 +89,7 @@ func (h messagesOnly) HandleMessage(from wire.NodeID, msg wire.Message) {
 }
 
 // handBuilt is a full-view deployment built on the engine's public seams,
-// call for call what runSharded does.
+// call for call what Run does.
 type handBuilt struct {
 	eng   *megasim.Engine
 	peers []*core.Peer
@@ -285,7 +285,7 @@ func TestRoutesAreTwinsUnderChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seen seamCounts
-	generic, err := runShardedBehind(cfg, &nodeSeam{
+	generic, err := runBehind(cfg, &nodeSeam{
 		env:     func(env *megasim.NodeEnv) core.Env { return embedded(env, &seen) },
 		handler: func(p *core.Peer) megasim.Handler { return behindWrapper(p, &seen) },
 	})

@@ -1,9 +1,10 @@
-// Package megasim is a sharded discrete-event simulation engine for
-// internet-scale gossip experiments: it runs the same network model as
-// internal/simnet (capped drop-tail uplinks, heterogeneous lognormal
-// latencies, ambient UDP loss, crash failures) but partitions the nodes
-// across per-core shards so 100k+-node deployments complete in minutes
-// instead of hours.
+// Package megasim is the discrete-event simulation engine, from the
+// paper's 230-node testbed to internet-scale gossip experiments: it runs
+// the network model internal/simnet defines (capped drop-tail uplinks,
+// heterogeneous lognormal latencies, ambient UDP loss, crash failures) and
+// can partition the nodes across per-core shards so 100k+-node deployments
+// complete in minutes instead of hours. One shard runs inline on the
+// calling goroutine.
 //
 // # Architecture
 //
@@ -37,8 +38,8 @@
 //
 // # Event representation
 //
-// Unlike internal/simnet, which allocates a closure and a heap node per
-// message, megasim stores events by value in the shard's scheduler: one
+// Rather than a closure and a heap node per message, megasim stores
+// events by value in the shard's scheduler: one
 // 32-byte record per in-flight message, timer or tick, holding no pointer,
 // so the pending set is memory the collector never scans. What an event
 // carries lives in per-shard side tables the record names by index:
@@ -165,11 +166,10 @@ func makeID(slot int, gen uint16) NodeID {
 	return NodeID(uint32(slot) | uint32(gen)<<slotBits)
 }
 
-// Handler receives messages delivered to a node. It is structurally
-// identical to simnet.Handler so the same node logic drives both engines.
-// PROPOSE, REQUEST and SERVE arrive boxed at delivery, their lists aliasing
-// the engine's message record: the lists are valid for the call only (the
-// packets a SERVE points to are the sender's and may be kept).
+// Handler receives messages delivered to a node. PROPOSE, REQUEST and
+// SERVE arrive boxed at delivery, their lists aliasing the engine's
+// message record: the lists are valid for the call only (the packets a
+// SERVE points to are the sender's and may be kept).
 type Handler interface {
 	HandleMessage(from NodeID, msg wire.Message)
 }
@@ -675,9 +675,8 @@ func (e *Engine) Release(id NodeID) {
 // BaseLatency returns the node's drawn base latency.
 func (e *Engine) BaseLatency(id NodeID) time.Duration { return e.lookup("BaseLatency", id).base }
 
-// NodeStats returns a snapshot of the node's traffic counters. The
-// counters mirror simnet's, with one attribution difference: DeadDrops —
-// messages discarded because an endpoint crashed before delivery — are
+// NodeStats returns a snapshot of the node's traffic counters. DeadDrops
+// — messages discarded because an endpoint crashed before delivery — are
 // counted on the receiving node (delivery is the only point where the
 // destination shard owns the check), not the sender. The counters stay
 // readable after Crash and Release; they fold into TotalStats' departed
@@ -863,7 +862,7 @@ func (e *Engine) Run(until time.Duration) error {
 
 	// horizon is one past the inclusive deadline: windows are half-open,
 	// so events at exactly `until` execute in a final [until, until+1)
-	// window, matching the single-threaded kernel's RunUntil semantics.
+	// window: the deadline is inclusive.
 	horizon := until + 1
 	gi := 0
 	for {
@@ -1004,7 +1003,7 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.nodes[uint32(id)&slotMask].gen, Gen(id))
 }
 
-// send transmits a message with the same UDP semantics as simnet.Send:
+// send transmits a message with the network model's UDP semantics:
 // drop-tail congestion at the sender's shaped uplink, Bernoulli loss, crash
 // silences. It executes on the sending node's shard and is the one body
 // every route into the network shares — the typed NodeEnv.SendIDs and
@@ -1038,7 +1037,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 	if !src.alive {
 		return
 	}
-	// Like simnet: the bandwidth limiter throttles application bytes only.
+	// The bandwidth limiter throttles application bytes only.
 	size := p.wireSize() - wire.UDPOverheadBytes
 	now := sh.now
 	depart, ok := src.uplink.Enqueue(now, size)
@@ -1160,7 +1159,7 @@ func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.sendMsg(sh, from, to, msg)
 }
 
-// pairLatency mirrors simnet's latency model: the mean of the node bases,
+// pairLatency is the model's pair latency: the mean of the node bases,
 // scaled by the ordered pair's fixed spread factor, plus per-message
 // jitter drawn from the executing shard's stream. The sender a is always
 // current (send gen-checks it), but b may be a stale handle — draining

@@ -10,11 +10,13 @@
 //     current partner with the requester.
 //
 // Selection is uniform over the substrate's membership view. The paper
-// assumes global knowledge of the node set and no repair — FullView and
-// SparseView model exactly that: crashed nodes are never removed. Deployed
+// assumes global knowledge of the node set and no repair — SparseView (what
+// simulated deployments run on) and FullView (its O(n)-per-node original,
+// kept as the sampler of internal/core's unit tests) model exactly that:
+// crashed nodes are never removed. Deployed
 // systems instead run a membership gossip layer with partial views; the
 // DynamicSampler interface is the engine-facing contract such substrates
-// (internal/pss) satisfy, letting every simulation engine drive static and
+// (internal/pss) satisfy, letting the simulation engine drive static and
 // live views through one abstraction.
 package member
 
@@ -32,8 +34,9 @@ import (
 const Never = 0
 
 // Sampler provides uniform random node samples. It abstracts the membership
-// substrate: FullView samples from global knowledge (the paper's model),
-// while partial-view protocols (internal/pss) can stand in for it.
+// substrate: SparseView and FullView sample from global knowledge (the
+// paper's model), while partial-view protocols (internal/pss) can stand in
+// for them.
 type Sampler interface {
 	// Sample returns up to k distinct random node ids, never including the
 	// local node.

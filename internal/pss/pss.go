@@ -32,9 +32,11 @@
 // closures, no wall-clock coupling. Engines own scheduling and transport:
 // they call Tick on the shuffle period and route SHUFFLE traffic through
 // Handle, transmitting whatever either returns. This is what lets the
-// sharded engine (internal/megasim) keep per-shard pss state in its
+// simulation engine (internal/megasim) keep per-shard pss state in its
 // node-state arena and hand cross-shard shuffles over at barriers
-// deterministically.
+// deterministically. State is the only driver surface: there is no
+// timer-driven wrapper, and a driver with its own clock (the real-time
+// UDP driver's, say) would host a State the same way.
 //
 // Shuffles are fire-and-forget, which is what makes barrier-time churn
 // harmless: the initiator removes its shuffle target's descriptor before
@@ -43,17 +45,10 @@
 // the request is simply lost, the initiator's view has already shed the
 // descriptor, and remaining copies elsewhere age out through later
 // shuffles. No reply ever wedges.
-//
-// Node wraps a State for timer-driven environments (core.Env): it
-// schedules its own ticks and sends its own messages. The classic
-// single-threaded engine uses Node (any driver satisfying core.Env,
-// such as the real-time UDP driver's, could host one the same way);
-// megasim drives State records directly.
 package pss
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"gossipstream/internal/member"
@@ -409,95 +404,5 @@ func (s *State) insert(e wire.ShuffleEntry) {
 	}
 	if s.view[oldest].Age > e.Age {
 		s.view[oldest] = e
-	}
-}
-
-// Env is the environment a timer-driven Node runs in — a subset of
-// core.Env, so both drivers satisfy it. The random source is only used to
-// de-phase the tick schedule and to seed the record's private stream; the
-// record itself draws from its own 8-byte splitmix64 state.
-type Env interface {
-	ID() wire.NodeID
-	Send(to wire.NodeID, msg wire.Message)
-	After(d time.Duration, fn func()) (cancel func())
-	Rand() *rand.Rand
-}
-
-// Node adapts a State to a timer-driven environment: it owns the tick
-// schedule (periodic, de-phased by a random offset) and transmits the
-// record's emissions through env.Send. Not safe for concurrent use; the
-// driver serializes handler calls, as with the streaming engine.
-type Node struct {
-	env Env
-	cfg Config
-	st  *State
-
-	running    bool
-	cancelTick func()
-}
-
-// New creates a timer-driven node seeded with bootstrap descriptors; see
-// NewState. The record's random stream is seeded from env.Rand.
-func New(env Env, cfg Config, bootstrap []wire.NodeID) (*Node, error) {
-	st, err := NewState(env.ID(), cfg, env.Rand().Int63n(1<<62), bootstrap)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{env: env, cfg: cfg, st: st}, nil
-}
-
-// State exposes the underlying record (metrics, tests).
-func (n *Node) State() *State { return n.st }
-
-// Start begins periodic shuffling, de-phased by a random offset.
-func (n *Node) Start() {
-	if n.running {
-		return
-	}
-	n.running = true
-	offset := time.Duration(n.env.Rand().Int63n(int64(n.cfg.Period)))
-	n.cancelTick = n.env.After(offset, n.tick)
-}
-
-// Stop halts shuffling and makes the node inert: like a crashed peer it
-// neither answers nor merges traffic that is still in flight.
-func (n *Node) Stop() {
-	n.running = false
-	if n.cancelTick != nil {
-		n.cancelTick()
-		n.cancelTick = nil
-	}
-}
-
-// View returns a copy of the current view.
-func (n *Node) View() []wire.ShuffleEntry { return n.st.View() }
-
-// ShufflesSent reports initiated shuffles (metrics).
-func (n *Node) ShufflesSent() int { return n.st.ShufflesSent() }
-
-// Sample implements member.Sampler over the partial view.
-func (n *Node) Sample(k int) []wire.NodeID { return n.st.Sample(k) }
-
-var _ member.Sampler = (*Node)(nil)
-
-// tick runs one shuffle round.
-func (n *Node) tick() {
-	if !n.running {
-		return
-	}
-	n.cancelTick = n.env.After(n.cfg.Period, n.tick)
-	if em, ok := n.st.Tick(); ok {
-		n.env.Send(em.To, em.Msg)
-	}
-}
-
-// HandleMessage processes shuffle traffic. Non-shuffle messages are
-// ignored so the node can sit behind the same dispatcher as the engine.
-func (n *Node) HandleMessage(from wire.NodeID, msg wire.Message) {
-	if !n.running {
-		return
-	}
-	if em, ok := n.st.Handle(from, msg); ok {
-		n.env.Send(em.To, em.Msg)
 	}
 }

@@ -1,59 +1,74 @@
 package pss
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
+	"gossipstream/internal/member"
 	"gossipstream/internal/sim"
 	"gossipstream/internal/wire"
 )
 
-// bus delivers shuffle messages between pss nodes with a fixed delay.
+// bus drives State records the way an engine does: it ticks each one on
+// the shuffle period (de-phased by a random offset) and carries whatever
+// Tick and Handle emit, with a fixed delay.
 type bus struct {
-	sched *sim.Scheduler
-	nodes map[wire.NodeID]*Node
-	sent  int
+	sched  *sim.Scheduler
+	period time.Duration
+	nodes  map[wire.NodeID]*State
+	sent   int
 }
 
-type busEnv struct {
-	id  wire.NodeID
-	bus *bus
-	rng *rand.Rand
-}
-
-func (e *busEnv) ID() wire.NodeID { return e.id }
-func (e *busEnv) Send(to wire.NodeID, msg wire.Message) {
-	e.bus.sent++
-	e.bus.sched.After(5*time.Millisecond, func() {
-		if n, ok := e.bus.nodes[to]; ok {
-			n.HandleMessage(e.id, msg)
+// send carries one emission; the destination's answer, if any, travels
+// back the same way. A record no longer on the bus loses the message.
+func (b *bus) send(from wire.NodeID, em member.Emit) {
+	b.sent++
+	b.sched.After(5*time.Millisecond, func() {
+		st, ok := b.nodes[em.To]
+		if !ok {
+			return
+		}
+		if reply, ok := st.Handle(from, em.Msg); ok {
+			b.send(em.To, reply)
 		}
 	})
 }
-func (e *busEnv) After(d time.Duration, fn func()) func() {
-	ev := e.bus.sched.After(d, fn)
-	return func() { e.bus.sched.Cancel(ev) }
-}
-func (e *busEnv) Rand() *rand.Rand { return e.rng }
 
-// overlay builds n pss nodes bootstrapped in a ring (each knows the next 2).
-func overlay(t *testing.T, n int, cfg Config) (*sim.Scheduler, *bus, []*Node) {
+// start begins st's periodic shuffling.
+func (b *bus) start(st *State) {
+	var tick func()
+	tick = func() {
+		b.sched.After(b.period, tick)
+		if em, ok := st.Tick(); ok {
+			b.send(st.Self(), em)
+		}
+	}
+	b.sched.After(time.Duration(b.sched.Rand().Int63n(int64(b.period))), tick)
+}
+
+// overlay builds n records bootstrapped in a ring (each knows the next 2)
+// on a bus; startAll sets them shuffling.
+func overlay(t *testing.T, n int, cfg Config) (*sim.Scheduler, *bus, []*State) {
 	t.Helper()
 	sched := sim.New(5)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	nodes := make([]*Node, n)
+	b := &bus{sched: sched, period: cfg.Period, nodes: make(map[wire.NodeID]*State)}
+	nodes := make([]*State, n)
 	for i := 0; i < n; i++ {
-		env := &busEnv{id: wire.NodeID(i), bus: b, rng: rand.New(rand.NewSource(int64(i + 1)))}
 		boot := []wire.NodeID{wire.NodeID((i + 1) % n), wire.NodeID((i + 2) % n)}
-		node, err := New(env, cfg, boot)
+		st, err := NewState(wire.NodeID(i), cfg, int64(i+1), boot)
 		if err != nil {
 			t.Fatal(err)
 		}
-		nodes[i] = node
-		b.nodes[wire.NodeID(i)] = node
+		nodes[i] = st
+		b.nodes[wire.NodeID(i)] = st
 	}
 	return sched, b, nodes
+}
+
+func (b *bus) startAll(nodes []*State) {
+	for _, st := range nodes {
+		b.start(st)
+	}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -80,10 +95,7 @@ func TestConfigValidate(t *testing.T) {
 }
 
 func TestBootstrapExcludesSelf(t *testing.T) {
-	sched := sim.New(1)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 3, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{3, 4, 5})
+	n, err := NewState(3, DefaultConfig(), 1, []wire.NodeID{3, 4, 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +111,8 @@ func TestBootstrapExcludesSelf(t *testing.T) {
 
 func TestViewBounded(t *testing.T) {
 	cfg := Config{ViewSize: 4, ShuffleLen: 2, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 30, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	sched, b, nodes := overlay(t, 30, cfg)
+	b.startAll(nodes)
 	sched.RunUntil(30 * time.Second)
 	for i, n := range nodes {
 		if got := len(n.View()); got > cfg.ViewSize {
@@ -113,10 +123,8 @@ func TestViewBounded(t *testing.T) {
 
 func TestViewsDiversifyBeyondBootstrap(t *testing.T) {
 	cfg := Config{ViewSize: 8, ShuffleLen: 4, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 40, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	sched, b, nodes := overlay(t, 40, cfg)
+	b.startAll(nodes)
 	sched.RunUntil(60 * time.Second)
 	// After a minute of shuffling each node must know peers well beyond
 	// its two ring successors.
@@ -136,10 +144,8 @@ func TestViewsDiversifyBeyondBootstrap(t *testing.T) {
 
 func TestNoSelfOrDuplicateDescriptors(t *testing.T) {
 	cfg := Config{ViewSize: 6, ShuffleLen: 3, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 25, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	sched, b, nodes := overlay(t, 25, cfg)
+	b.startAll(nodes)
 	sched.RunUntil(30 * time.Second)
 	for i, n := range nodes {
 		seen := make(map[wire.NodeID]bool)
@@ -157,10 +163,8 @@ func TestNoSelfOrDuplicateDescriptors(t *testing.T) {
 
 func TestInDegreeBalanced(t *testing.T) {
 	cfg := Config{ViewSize: 8, ShuffleLen: 4, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 40, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	sched, b, nodes := overlay(t, 40, cfg)
+	b.startAll(nodes)
 	sched.RunUntil(60 * time.Second)
 	indeg := make(map[wire.NodeID]int)
 	for _, n := range nodes {
@@ -182,10 +186,8 @@ func TestInDegreeBalanced(t *testing.T) {
 
 func TestSampleUniformish(t *testing.T) {
 	cfg := Config{ViewSize: 10, ShuffleLen: 5, Period: 100 * time.Millisecond}
-	sched, _, nodes := overlay(t, 30, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	sched, b, nodes := overlay(t, 30, cfg)
+	b.startAll(nodes)
 	sched.RunUntil(60 * time.Second)
 	// Sampling repeatedly from node 0 over further shuffles should reach
 	// many distinct peers.
@@ -202,10 +204,7 @@ func TestSampleUniformish(t *testing.T) {
 }
 
 func TestSampleBounds(t *testing.T) {
-	sched := sim.New(2)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{1, 2})
+	n, err := NewState(0, DefaultConfig(), 1, []wire.NodeID{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,9 +219,7 @@ func TestSampleBounds(t *testing.T) {
 func TestDeadNodesAgeOut(t *testing.T) {
 	cfg := Config{ViewSize: 6, ShuffleLen: 3, Period: 100 * time.Millisecond}
 	sched, b, nodes := overlay(t, 20, cfg)
-	for _, n := range nodes {
-		n.Start()
-	}
+	b.startAll(nodes)
 	sched.RunUntil(20 * time.Second)
 	// Kill node 7: remove it from the bus and stop it. Its descriptors
 	// must eventually vanish from all views (they age, get picked as
@@ -247,35 +244,34 @@ func TestDeadNodesAgeOut(t *testing.T) {
 }
 
 func TestStoppedNodeSilent(t *testing.T) {
-	cfg := DefaultConfig()
-	sched, b, nodes := overlay(t, 5, cfg)
-	nodes[0].Start()
+	sched, b, nodes := overlay(t, 5, DefaultConfig())
+	b.start(nodes[0])
 	nodes[0].Stop()
-	before := b.sent
 	sched.RunUntil(10 * time.Second)
-	if b.sent != before {
+	if b.sent != 0 {
 		t.Fatal("stopped node kept shuffling")
 	}
-	// Handler is inert when stopped.
-	nodes[0].HandleMessage(1, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 4}}})
-	if b.sent != before {
+	// A stopped record is inert on the receiving side too: the request
+	// arrives and nothing comes back.
+	b.send(1, member.Emit{To: 0, Msg: wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 4}}}})
+	sched.RunUntil(20 * time.Second)
+	if b.sent != 1 {
 		t.Fatal("stopped node replied to a shuffle")
 	}
 }
 
 func TestShuffleRequestGetsReply(t *testing.T) {
-	cfg := DefaultConfig()
-	_, b, nodes := overlay(t, 3, cfg)
-	nodes[1].Start()
-	nodes[1].HandleMessage(0, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 2, Age: 1}}})
-	if b.sent != 1 {
-		t.Fatalf("request produced %d messages, want 1 reply", b.sent)
+	sched, b, nodes := overlay(t, 4, DefaultConfig())
+	b.send(0, member.Emit{To: 1, Msg: wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 0, Age: 1}}}})
+	sched.RunUntil(time.Second)
+	if b.sent != 2 {
+		t.Fatalf("request produced %d messages, want the request and 1 reply", b.sent)
 	}
-	// The received descriptor must be merged immediately (later shuffles
-	// may legitimately rotate it out again, so don't run the scheduler).
+	// The received descriptor must be merged on arrival (node 1 was
+	// bootstrapped with 2 and 3 only).
 	found := false
 	for _, e := range nodes[1].View() {
-		if e.ID == 2 {
+		if e.ID == 0 {
 			found = true
 		}
 	}
@@ -285,32 +281,25 @@ func TestShuffleRequestGetsReply(t *testing.T) {
 }
 
 func TestInsertKeepsYoungerAge(t *testing.T) {
-	sched := sim.New(3)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
-	n, err := New(env, DefaultConfig(), []wire.NodeID{1})
+	n, err := NewState(0, DefaultConfig(), 1, []wire.NodeID{1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.running = true
-	n.HandleMessage(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 9}}})
+	n.Handle(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 9}}})
 	if n.View()[0].Age != 0 {
 		t.Fatal("older duplicate overwrote younger age")
 	}
-	n.st.view[0].Age = 9
-	n.HandleMessage(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 2}}})
+	n.view[0].Age = 9
+	n.Handle(1, wire.Shuffle{Reply: true, Entries: []wire.ShuffleEntry{{ID: 1, Age: 2}}})
 	if n.View()[0].Age != 2 {
 		t.Fatal("younger duplicate did not refresh age")
 	}
 }
 
 func TestNewRejectsBadConfig(t *testing.T) {
-	sched := sim.New(4)
-	b := &bus{sched: sched, nodes: make(map[wire.NodeID]*Node)}
-	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
 	bad := DefaultConfig()
 	bad.ViewSize = 0
-	if _, err := New(env, bad, nil); err == nil {
+	if _, err := NewState(0, bad, 1, nil); err == nil {
 		t.Fatal("invalid config accepted")
 	}
 }

@@ -233,13 +233,17 @@ func (n *Node) sendLoop() {
 			addr := n.dir[out.to]
 			n.mu.Unlock()
 			if addr == nil {
+				recycle(out.msg)
 				continue
 			}
 			data, err := n.codec.Encode(uint32(n.cfg.ID), out.msg)
+			size := out.msg.WireSize()
+			// The datagram holds its own copy of a SERVE's packets.
+			recycle(out.msg)
 			if err != nil {
 				continue
 			}
-			wait := n.bucket.Take(time.Now(), out.msg.WireSize())
+			wait := n.bucket.Take(time.Now(), size)
 			if wait > 0 {
 				select {
 				case <-n.done:
@@ -250,6 +254,14 @@ func (n *Node) sendLoop() {
 			// Best-effort UDP write; losses are the protocol's problem.
 			_, _ = n.conn.WriteToUDP(data, addr)
 		}
+	}
+}
+
+// recycle hands a SERVE's packet-list backing back to wire's pool once the
+// message has been encoded or dropped; the other kinds hold none.
+func recycle(msg wire.Message) {
+	if s, ok := msg.(wire.Serve); ok {
+		wire.RecycleServe(s)
 	}
 }
 
@@ -280,6 +292,7 @@ func (e *rtEnv) Send(to wire.NodeID, msg wire.Message) {
 	case e.node.sendQ <- outgoing{to: to, msg: msg}:
 	default:
 		e.node.dropped++
+		recycle(msg)
 	}
 }
 

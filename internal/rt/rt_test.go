@@ -1,6 +1,8 @@
 package rt
 
 import (
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -189,5 +191,60 @@ func TestDirSamplerExcludesUnknownAndIsUniform(t *testing.T) {
 	}
 	if got := s.Sample(100); len(got) != 10 {
 		t.Fatalf("oversized sample returned %d ids, want all 10", len(got))
+	}
+}
+
+// TestSendPathRecyclesServeBackings: every SERVE the engine splits takes a
+// 1,952-byte packet-list backing from wire's pool; the send path must hand
+// it back once the datagram is encoded, or each SERVE costs that array
+// again. A few hundred one-packet SERVEs through a loopback node, one in
+// flight at a time, must average well under it.
+func TestSendPathRecyclesServeBackings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	sink, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sink.Close()
+	n, err := New(Config{ID: 0, Core: fastCore(), Layout: fastLayout(), UploadCapBps: shaping.Unlimited}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddPeer(1, sink.LocalAddr().(*net.UDPAddr))
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+
+	env := &rtEnv{node: n}
+	pkts := []*stream.Packet{{ID: 1, Payload: make([]byte, 64)}}
+	buf := make([]byte, 2048)
+	var scratch []wirepkg.Serve
+	serve := func(count int) {
+		for i := 0; i < count; i++ {
+			n.mu.Lock()
+			scratch = wirepkg.SplitServeInto(scratch[:0], pkts)
+			env.Send(1, scratch[0])
+			n.mu.Unlock()
+			// The datagram's arrival means the send loop is done with the
+			// message, so at most one backing is ever out of the pool.
+			_ = sink.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := sink.Read(buf); err != nil {
+				t.Fatalf("SERVE %d never reached the sink: %v", i, err)
+			}
+		}
+	}
+	serve(50) // warm the pool and the socket path
+	const serves = 300
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	serve(serves)
+	runtime.ReadMemStats(&after)
+	if perServe := (after.TotalAlloc - before.TotalAlloc) / serves; perServe >= 1024 {
+		t.Fatalf("%d bytes allocated per SERVE sent, want < 1024 (an unrecycled backing alone is 1952)", perServe)
+	} else {
+		t.Logf("%d bytes allocated per SERVE sent", perServe)
 	}
 }

@@ -1,6 +1,7 @@
-// Package simnet is a deterministic stand-in for the paper's 230-node
-// PlanetLab testbed. It simulates a UDP-like network on top of the
-// discrete-event kernel in internal/sim:
+// Package simnet is the network model of the simulated testbed — the
+// deterministic stand-in for the paper's 230 PlanetLab nodes. It holds the
+// model's parameters (Config), its per-node ledger (Stats) and its per-pair
+// latency factor (PairFactor); internal/megasim executes it:
 //
 //   - each node has an upload link shaped to a configurable cap with a
 //     bounded queue (internal/shaping) — the paper's artificial bandwidth
@@ -14,26 +15,19 @@
 //
 // Download links are not modeled: the paper caps upload only, the binding
 // resource for gossip dissemination.
+//
+// The package's tests state the model's properties and check them on the
+// engine (simnet_test.go).
 package simnet
 
 import (
-	"fmt"
-	"math"
 	"time"
 
-	"gossipstream/internal/shaping"
-	"gossipstream/internal/sim"
 	"gossipstream/internal/wire"
 )
 
-// NodeID identifies a node in the network. IDs are dense, starting at 0, in
-// AddNode order.
+// NodeID identifies a node in the network.
 type NodeID = wire.NodeID
-
-// Handler receives messages delivered to a node.
-type Handler interface {
-	HandleMessage(from NodeID, msg wire.Message)
-}
 
 // Config controls network-wide behavior.
 type Config struct {
@@ -118,164 +112,9 @@ func (s *Stats) Add(o Stats) {
 	s.DeadDrops += o.DeadDrops
 }
 
-type endpoint struct {
-	id      NodeID
-	handler Handler
-	uplink  *shaping.Shaper
-	base    time.Duration
-	alive   bool
-	stats   Stats
-}
-
-// Network simulates the testbed. All methods must be called from the
-// simulation goroutine (inside event callbacks or before Run).
-type Network struct {
-	sched    *sim.Scheduler
-	cfg      Config
-	nodes    []*endpoint
-	pairSalt uint64
-}
-
-// New returns an empty network driven by sched.
-func New(sched *sim.Scheduler, cfg Config) *Network {
-	return &Network{sched: sched, cfg: cfg, pairSalt: uint64(sched.Rand().Int63())}
-}
-
-// AddNode registers a node with the given upload cap (bits per second;
-// shaping.Unlimited for no cap) and uplink queue bound in bytes. The
-// handler receives deliveries. AddNode draws the node's base latency from
-// the configured distribution.
-func (n *Network) AddNode(h Handler, upBps, queueBytes int64) NodeID {
-	if h == nil {
-		panic("simnet: nil handler")
-	}
-	id := NodeID(len(n.nodes))
-	base := n.cfg.BaseLatencyMedian
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	if n.cfg.BaseLatencySigma > 0 {
-		factor := math.Exp(n.sched.Rand().NormFloat64() * n.cfg.BaseLatencySigma)
-		base = time.Duration(float64(base) * factor)
-	}
-	var up *shaping.Shaper
-	if upBps == shaping.Unlimited {
-		up = &shaping.Shaper{}
-	} else {
-		up = shaping.NewShaper(upBps, queueBytes)
-	}
-	n.nodes = append(n.nodes, &endpoint{
-		id:      id,
-		handler: h,
-		uplink:  up,
-		base:    base,
-		alive:   true,
-	})
-	return id
-}
-
-// N returns the number of nodes ever added.
-func (n *Network) N() int { return len(n.nodes) }
-
-// Scheduler returns the underlying event scheduler.
-func (n *Network) Scheduler() *sim.Scheduler { return n.sched }
-
-// Alive reports whether the node is up.
-func (n *Network) Alive(id NodeID) bool { return n.ep(id).alive }
-
-// Crash silences a node: it stops sending and receiving. Its entries in
-// other nodes' views are untouched (the paper uses no failure detector).
-func (n *Network) Crash(id NodeID) { n.ep(id).alive = false }
-
-// BaseLatency returns the node's drawn base latency (useful in tests and
-// for correlating "good nodes" with serve load).
-func (n *Network) BaseLatency(id NodeID) time.Duration { return n.ep(id).base }
-
-// NodeStats returns a snapshot of the node's traffic counters.
-func (n *Network) NodeStats(id NodeID) Stats { return n.ep(id).stats }
-
-// TotalStats aggregates every node's traffic counters — the network-wide
-// sent/received/dropped totals.
-func (n *Network) TotalStats() Stats {
-	var t Stats
-	for _, ep := range n.nodes {
-		t.Add(ep.stats)
-	}
-	return t
-}
-
-// UplinkBacklog reports the current queueing delay of a node's uplink.
-func (n *Network) UplinkBacklog(id NodeID) time.Duration {
-	return n.ep(id).uplink.Backlog(n.sched.Now())
-}
-
-// Send transmits msg from one node to another with UDP semantics: it may be
-// silently lost (congestion at the sender's uplink, random loss, dead
-// endpoints) and arrives after shaping plus propagation delay. Sends from
-// crashed nodes are ignored.
-func (n *Network) Send(from, to NodeID, msg wire.Message) {
-	src, dst := n.ep(from), n.ep(to)
-	if !src.alive {
-		return
-	}
-	// The shaper models the paper's user-space bandwidth limiter, which
-	// throttles application bytes; IP/UDP headers do not count against the
-	// cap (they are still part of WireSize for the real transport).
-	size := msg.WireSize() - wire.UDPOverheadBytes
-	now := n.sched.Now()
-	depart, ok := src.uplink.Enqueue(now, size)
-	if !ok {
-		src.stats.CongestionDrops++
-		return
-	}
-	k := msg.Kind()
-	src.stats.SentMsgs[k]++
-	src.stats.SentBytes[k] += uint64(size)
-	// Draw loss and latency now so the event order stays deterministic.
-	if n.cfg.LossRate > 0 && n.sched.Rand().Float64() < n.cfg.LossRate {
-		src.stats.RandomDrops++
-		return
-	}
-	latency := n.pairLatency(src, dst)
-	n.sched.At(depart+latency, func() {
-		if !src.alive || !dst.alive {
-			src.stats.DeadDrops++
-			return
-		}
-		dst.stats.RecvMsgs[k]++
-		dst.stats.RecvBytes[k] += uint64(size)
-		dst.handler.HandleMessage(from, msg)
-	})
-}
-
-// pairLatency computes one-way delay between two endpoints: the mean of the
-// node bases, scaled by the pair's fixed spread factor, plus per-message
-// jitter.
-func (n *Network) pairLatency(a, b *endpoint) time.Duration {
-	base := float64(a.base+b.base) / 2
-	if n.cfg.PairSpread > 0 {
-		base *= n.pairFactor(a.id, b.id)
-	}
-	if n.cfg.JitterFrac > 0 {
-		base *= 1 + n.cfg.JitterFrac*(2*n.sched.Rand().Float64()-1)
-	}
-	if base < 0 {
-		base = 0
-	}
-	return time.Duration(base)
-}
-
-// pairFactor returns the deterministic latency factor of an ordered pair,
-// uniform in [1-PairSpread, 1+PairSpread].
-func (n *Network) pairFactor(a, b NodeID) float64 {
-	return PairFactor(n.pairSalt, a, b, n.cfg.PairSpread)
-}
-
-// PairFactor is the deterministic per-pair latency factor shared by both
-// simulation engines (this package and internal/megasim): a splitmix64
-// finalizer over the salted ordered pair, mapped uniformly onto
-// [1-spread, 1+spread]. Keeping one implementation guarantees the two
-// engines model the same network.
+// PairFactor is the deterministic latency factor of an ordered pair: a
+// splitmix64 finalizer over the salted pair, mapped uniformly onto
+// [1-spread, 1+spread].
 func PairFactor(salt uint64, a, b NodeID, spread float64) float64 {
 	x := salt ^ uint64(uint32(a))<<32 ^ uint64(uint32(b))
 	x += 0x9e3779b97f4a7c15
@@ -284,11 +123,4 @@ func PairFactor(salt uint64, a, b NodeID, spread float64) float64 {
 	x ^= x >> 31
 	u := float64(x>>11) / float64(1<<53) // [0,1)
 	return 1 + spread*(2*u-1)
-}
-
-func (n *Network) ep(id NodeID) *endpoint {
-	if int(id) < 0 || int(id) >= len(n.nodes) {
-		panic(fmt.Sprintf("simnet: unknown node %d", id))
-	}
-	return n.nodes[id]
 }

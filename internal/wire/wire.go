@@ -3,10 +3,10 @@
 // message of the proactiveness study (§3) — together with their exact
 // on-the-wire sizes and a binary codec.
 //
-// Both network substrates consume this package: the discrete-event
-// simulator charges uplinks by WireSize (without materializing bytes), and
-// the real-time UDP transport encodes/decodes the same layouts, so the two
-// agree byte-for-byte on bandwidth consumption.
+// Both drivers consume this package: the simulation engine
+// (internal/megasim) charges uplinks by WireSize (without materializing
+// bytes), and the real-time UDP transport (internal/rt) encodes/decodes the
+// same layouts, so the two agree byte-for-byte on bandwidth consumption.
 package wire
 
 import (
@@ -404,15 +404,17 @@ func CutPackets(packets []*stream.Packet) (chunk, rest []*stream.Packet) {
 // SplitServeInto partitions packets into SERVE messages appended to dst,
 // one per CutPackets chunk.
 //
-// Each message's Packets backing comes from an internal pool — the
-// per-batch slices were the largest allocation site of the kernels that
-// carry a SERVE as a boxed message (the classic kernel, the real-time
-// driver; the sharded engine copies packets into its own message records
-// and takes CutPackets chunks directly). Ownership of the backing travels
-// with the message: whoever consumes a Serve last calls RecycleServe once
-// the slice (not the packets — those are never pooled) is unreferenced.
-// Callers that cannot track consumption simply never recycle and the
-// backings fall to the garbage collector, which is the pre-pool behavior.
+// Each message's Packets backing comes from an internal pool — a zeroed
+// 1,952-byte array per SERVE is the largest allocation of any driver that
+// carries a SERVE as a boxed message (the real-time driver, and the
+// simulation engine behind a generic Env; its typed route copies packets
+// into its own message records and takes CutPackets chunks directly).
+// Ownership of the backing travels with the message: whoever consumes a
+// Serve last calls RecycleServe once the slice (not the packets — those
+// are never pooled) is unreferenced. Both drivers do — the engine when the
+// message is copied into its record, the real-time driver when the
+// datagram is encoded or dropped; a backing that is never recycled falls
+// to the garbage collector, which costs the allocation but nothing else.
 func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 	for len(packets) > 0 {
 		var chunk []*stream.Packet
