@@ -42,7 +42,7 @@ func run(args []string, out io.Writer) error {
 		outDir  = fs.String("out", "figures", "directory for figure text files")
 		only    = fs.String("only", "", "comma-separated figure selection, e.g. 1,2,7 (default all)")
 
-		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state; figure columns are bit-identical. Figure 4 and the churn claim need retained state and ignore it")
+		streaming = fs.Bool("streaming", false, "retain no per-node rows (the memory unlock at scale); every figure column is the same. Figure 4 and the churn claim read the rows and ignore it")
 		teleOut   = fs.String("telemetry", "", "write a JSON campaign manifest (config plus every generated table) to this path (- = stdout)")
 	)
 	if err := fs.Parse(args); err != nil {

@@ -27,8 +27,8 @@
 //	gossipsim -nodes 1000 -shards 8 -windows 9 -membership cyclon -churn flash:10,10
 //	gossipsim -nodes 1000 -shards 8 -windows 9 -membership cyclon -freeriders 0.2
 //
-// Example — a large run with streaming metrics (no per-node state
-// retained), a live progress line, and a JSON run manifest:
+// Example — a large run that retains no per-node rows (-streaming; the
+// scores are unchanged), with a live progress line and a JSON run manifest:
 //
 //	gossipsim -nodes 100000 -shards 8 -windows 14 -streaming -progress -telemetry run.json
 package main
@@ -72,7 +72,7 @@ func run(args []string, out io.Writer) error {
 		seed    = fs.Int64("seed", 1, "simulation seed")
 		verbose = fs.Bool("v", false, "print per-node detail")
 
-		streaming = fs.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node state; figure columns are bit-identical")
+		streaming = fs.Bool("streaming", false, "retain no per-node rows (the memory unlock at scale); every score is the same, only -v and the exact upload ranks need the rows")
 		teleOut   = fs.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
 		progress  = fs.Bool("progress", false, "print a live progress line to stderr")
 		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
@@ -144,7 +144,7 @@ func run(args []string, out io.Writer) error {
 			Clock:         gossipstream.NewWallClock(),
 		}
 		if *progress {
-			topts.OnSnapshot, progressDone = newProgress()
+			topts.OnSnapshot, progressDone = gossipstream.NewProgressLine(os.Stderr)
 		}
 		cfg.Telemetry = topts
 	}
@@ -182,9 +182,6 @@ func run(args []string, out io.Writer) error {
 		cfg.Protocol.Fanout, rate(cfg.Protocol.RefreshEvery), rate(cfg.Protocol.FeedEvery), cfg.UploadCapBps/1000, *members)
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%-28s %8s\n", "metric", "value")
-	// The Survivor*/Present* accessors dispatch to retained per-node
-	// qualities or the streaming accumulators, so the report reads the
-	// same in both modes (and prints identical numbers for a fixed seed).
 	for _, lag := range []struct {
 		name string
 		d    time.Duration
@@ -229,8 +226,8 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-28s %7.0f / %.0f / %.0f kbps\n", "upload max/median/min",
 			dist[0], dist[len(dist)/2], dist[len(dist)-1])
 	} else if sum := res.UploadSummary(); sum.Count > 0 {
-		// Streaming mode: the exact distribution is not retained; report
-		// the histogram digest.
+		// No rows retained (-streaming): report the fold's histogram
+		// digest of the same rates.
 		fmt.Fprintf(out, "%-28s %7d / %d / %d kbps\n", "upload max/median/min",
 			sum.Max, sum.P50, sum.Min)
 	}
@@ -267,11 +264,6 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// newProgress wires a live progress line to stderr.
-func newProgress() (func(gossipstream.RunSnapshot), func()) {
-	return gossipstream.NewProgressLine(os.Stderr)
 }
 
 // startProfiling starts the requested CPU profile and execution trace;

@@ -12,8 +12,8 @@
 //
 //	go run ./examples/megascale -membership cyclon -churn poisson:0.01,0.01
 //
-// At large scale, -streaming folds the quality metrics at engine barriers
-// instead of retaining every node's receiver — same numbers, flat memory:
+// At large scale, -streaming retains no per-node rows — every run scores
+// through the same fold as lifetimes close, so same numbers, flat memory:
 //
 //	go run ./examples/megascale -nodes 1000000 -streaming -progress
 package main
@@ -37,8 +37,8 @@ func main() {
 		churn     = flag.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second; or flash:<mult>,<secs>[,<start-secs>] (joins need -membership cyclon)")
 		members   = flag.String("membership", "full", "membership substrate: full (global view) or cyclon (partial views)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
-		queue     = flag.String("queue", "calendar", "per-shard scheduler: calendar (fast) or heap")
-		streaming = flag.Bool("streaming", false, "fold quality metrics at engine barriers instead of retaining per-node receivers (same numbers, flat memory)")
+		queue     = flag.String("queue", "heap", "per-shard scheduler: heap or calendar (same results, different wall time)")
+		streaming = flag.Bool("streaming", false, "retain no per-node rows (same numbers, flat memory)")
 		progress  = flag.Bool("progress", false, "print a live progress line to stderr")
 		teleOut   = flag.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
 	)
@@ -93,8 +93,6 @@ func main() {
 	}
 	wall := time.Since(start)
 
-	// Every quality line routes through the Scored* dispatch, so the
-	// report is identical with and without -streaming.
 	fmt.Printf("done in %v: %d events (%.0f events/s wall)\n",
 		wall.Round(time.Millisecond), res.Events, float64(res.Events)/wall.Seconds())
 	fmt.Printf("survivors:                                 %d / %d\n", res.SurvivorCount(), res.NodeCount())

@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -67,9 +68,13 @@ type (
 	// (ExperimentConfig.PSS): view size, shuffle length, shuffle period.
 	// The zero value resolves to DefaultPSSConfig.
 	PSSConfig = pss.Config
-	// ExperimentResult is the outcome of a simulated deployment.
+	// ExperimentResult is the outcome of a simulated deployment. Its
+	// scores come from one fold taken as node lifetimes close, at the lags
+	// of LagProbes; Nodes is the per-node detail beside it.
 	ExperimentResult = experiment.Result
-	// NodeResult is one node's outcome within an ExperimentResult.
+	// NodeResult is one node's outcome within an ExperimentResult
+	// (ExperimentResult.Nodes; not retained under
+	// ExperimentConfig.StreamingMetrics).
 	NodeResult = experiment.NodeResult
 	// NetStats holds a node's traffic and drop counters (NodeResult.Stats):
 	// per-kind sent/received messages and bytes plus the three loss modes
@@ -197,6 +202,16 @@ const OfflineLag = metrics.InfiniteLag
 
 // JitterThreshold is the paper's quality bar: at most 1% jittered windows.
 const JitterThreshold = metrics.DefaultJitterThreshold
+
+// LagProbes returns the lags an ExperimentResult's score accessors
+// (Scored*, Survivor*, Present*, ClassMeanCompletePct) answer at: twelve
+// finite lags from 1 s to 150 s — Figure 2's axis, which includes the 10 s
+// and 20 s of the other figures — and OfflineLag. A run keeps one count per
+// probe and node, so the accessors panic on any other lag; score those
+// from the per-node rows (ExperimentResult.SurvivorQualities or
+// LifetimeQualities with PercentViewable / MeanCompleteFraction), which a
+// run retains unless ExperimentConfig.StreamingMetrics is set.
+func LagProbes() []time.Duration { return slices.Clone(telemetry.LagProbes) }
 
 // DefaultProtocol returns the paper's streaming configuration: fanout 7,
 // 200 ms gossip period, X = 1, Y = ∞.

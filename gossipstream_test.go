@@ -41,6 +41,17 @@ func TestFacadeRunExperiment(t *testing.T) {
 	if got := PercentViewable(qs, OfflineLag, JitterThreshold); got < 80 {
 		t.Fatalf("viewable = %.1f%%, want ≥80%% on a healthy small system", got)
 	}
+	// The accessors answer at exactly the exported probe set, and agree
+	// there with the reductions over the rows.
+	probes := LagProbes()
+	if probes[len(probes)-1] != OfflineLag {
+		t.Fatalf("LagProbes ends at %v, want OfflineLag", probes[len(probes)-1])
+	}
+	for _, lag := range probes {
+		if got, want := res.SurvivorMeanCompletePct(lag), MeanCompleteFraction(qs, lag); got != want {
+			t.Fatalf("SurvivorMeanCompletePct(%v) = %v, rows say %v", lag, got, want)
+		}
+	}
 }
 
 func TestFacadeChurnHelpers(t *testing.T) {

@@ -202,33 +202,18 @@ func TestFreeRidersClassSplit(t *testing.T) {
 		res.ClassCount(false), res.ClassMeanCompletePct(false, metrics.InfiniteLag))
 }
 
-// TestFreeRidersStreamingClassParity: the streaming per-class folds must
-// agree bit for bit with the batch path's filtered reductions, under
-// churn so joiners and departures exercise the ordinal counter.
+// TestFreeRidersStreamingClassParity: the per-class folds must agree bit
+// for bit with LifetimeQualities over each class's own rows, under churn
+// so joiners and departures exercise the ordinal counter — and a run
+// without rows must fold the same classes.
 func TestFreeRidersStreamingClassParity(t *testing.T) {
 	cfg := sustainedCfg(29, 2, 2)
 	cfg.FreeRiders = 0.2
-	batch, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.StreamingMetrics = true
-	streaming, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, rider := range []bool{true, false} {
-		if b, s := batch.ClassCount(rider), streaming.ClassCount(rider); b != s {
-			t.Fatalf("rider=%v: class count %d (batch) vs %d (streaming)", rider, b, s)
-		}
-		b := batch.ClassMeanCompletePct(rider, metrics.InfiniteLag)
-		s := streaming.ClassMeanCompletePct(rider, metrics.InfiniteLag)
-		if b != s {
-			t.Fatalf("rider=%v: class score %.17g (batch) vs %.17g (streaming), want bit-identical", rider, b, s)
-		}
-	}
-	if streaming.ClassCount(true) == 0 {
-		t.Fatal("no riders scored under churn")
+	batch, streaming := runTwin(t, cfg)
+	assertTwinScores(t, batch, streaming)
+	if streaming.ClassCount(true) == 0 || streaming.ClassCount(false) == 0 {
+		t.Fatalf("scored %d riders and %d cooperators under churn, want both classes",
+			streaming.ClassCount(true), streaming.ClassCount(false))
 	}
 }
 

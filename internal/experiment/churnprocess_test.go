@@ -214,6 +214,23 @@ func TestLifetimeQualities(t *testing.T) {
 			{Survived: true, JoinedAt: l.Duration() - windowTime/2, LeftAt: end, Quality: metrics.QualityFromLags(complete)},
 		},
 	}
+	// The mask itself, which the scoring fold shares: the eligible windows
+	// of each lifetime as a half-open range, without and with a grace of
+	// one window.
+	for i, want := range [][2][2]int{
+		{{0, 4}, {0, 4}}, // setup survivor: untouched by grace
+		{{1, 4}, {2, 4}}, // late joiner: grace shaves its first window
+		{{0, 2}, {0, 1}}, // early leaver: grace shaves its last window
+		{{4, 4}, {4, 4}}, // joined too late: empty
+	} {
+		n := res.Nodes[i]
+		for g, grace := range []time.Duration{0, windowTime} {
+			lo, hi := lifetimeWindows(l, n.JoinedAt, n.LeftAt, n.Survived, grace)
+			if lo != want[g][0] || hi != want[g][1] {
+				t.Errorf("node %d, grace %v: windows [%d, %d), want [%d, %d)", i, grace, lo, hi, want[g][0], want[g][1])
+			}
+		}
+	}
 	qs := res.LifetimeQualities(0)
 	if len(qs) != 3 {
 		t.Fatalf("got %d qualities, want 3 (late joiner omitted)", len(qs))

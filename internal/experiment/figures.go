@@ -7,6 +7,7 @@ import (
 	"gossipstream/internal/churn"
 	"gossipstream/internal/member"
 	"gossipstream/internal/metrics"
+	"gossipstream/internal/telemetry"
 )
 
 // Figure options shared by the generators. A zero Options uses the paper's
@@ -37,11 +38,8 @@ func (o Options) base() Config {
 
 // The figure generators score through Result.Scored* (streaming.go),
 // which picks the population — lifetime-masked under a sustained churn
-// process, the paper's survivors otherwise — and dispatches to the
-// barrier-folded accumulators or the retained qualities, whichever the
-// run produced. Figures 1/2/3/5/6/7/8 therefore work identically under
-// Config.StreamingMetrics; only Figure 4 and ChurnClaim need per-node
-// retained state and force it off.
+// process, the paper's survivors otherwise. Only Figure 4 and ChurnClaim
+// read the per-node rows and so force Config.StreamingMetrics off.
 
 // figureLags are the stream-lag columns of Figures 1, 3, 5, 6 and 7.
 var figureLags = []struct {
@@ -90,12 +88,9 @@ func Figure1(opts Options, fanouts []int) (*metrics.Table, []*Result, error) {
 	return tb, results, nil
 }
 
-// Figure2Probes is the default lag axis of Figure 2.
-var Figure2Probes = []time.Duration{
-	1 * time.Second, 2 * time.Second, 5 * time.Second, 10 * time.Second,
-	15 * time.Second, 20 * time.Second, 30 * time.Second, 45 * time.Second,
-	60 * time.Second, 90 * time.Second, 120 * time.Second, 150 * time.Second,
-}
+// Figure2Probes is the lag axis of Figure 2: the finite probes of
+// telemetry.LagProbes.
+var Figure2Probes = telemetry.LagProbes[: telemetry.NumProbes-1 : telemetry.NumProbes-1]
 
 // Figure2 reproduces "Cumulative distribution of stream lag with various
 // fanouts": for each probe lag t, the percentage of nodes that can view

@@ -78,9 +78,8 @@ type ManifestLagPoint struct {
 	Pct        float64 `json:"pct"`
 }
 
-// Manifest assembles the run manifest. It works identically for batch
-// and streaming results — every number routes through the Scored*
-// dispatch — so archiving a manifest costs nothing extra in either mode.
+// Manifest assembles the run manifest. Every number in it is read from
+// the run's fold or its engine totals, never from the per-node rows.
 func (r *Result) Manifest(tool string) Manifest {
 	const thr = metrics.DefaultJitterThreshold
 	q := ManifestQuality{
@@ -90,10 +89,7 @@ func (r *Result) Manifest(tool string) Manifest {
 		Viewable10sPct:     r.ScoredViewablePct(10*time.Second, thr),
 		MeanCompletePct:    r.ScoredMeanCompletePct(metrics.InfiniteLag),
 	}
-	for _, probe := range telemetry.LagProbes {
-		if probe == telemetry.InfiniteLag {
-			continue
-		}
+	for _, probe := range Figure2Probes {
 		q.LagCDF = append(q.LagCDF, ManifestLagPoint{
 			LagSeconds: probe.Seconds(),
 			Pct:        r.ScoredLagCDFAt(probe, thr),

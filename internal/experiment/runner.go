@@ -111,13 +111,13 @@ type Config struct {
 	// (at, seq) event order, so the choice never changes a run's Result —
 	// only its wall time.
 	Queue megasim.QueueKind
-	// StreamingMetrics folds quality scoring incrementally at the engine's
-	// barriers instead of retaining every node's Receiver until run end —
-	// the memory unlock for million-node runs: a departing node's whole
-	// protocol state is released at its crash barrier, and run end
-	// materializes no per-node results. Result.Nodes stays empty; score
-	// through Result.Scored*/Survivor* (figure columns are bit-identical
-	// to a batch run of the same seed) and Result.Streaming.
+	// StreamingMetrics retains no per-node rows: Result.Nodes stays empty.
+	// Every run scores through the same fold as lifetimes close
+	// (Result.Streaming, read by Result.Scored*/Survivor*/Present*/Class*),
+	// so the scores are the same object either way; what this drops is the
+	// per-node detail view — each node's window lags, counters and traffic —
+	// which is the memory unlock for million-node runs: nothing of a node
+	// outlives its crash barrier but 60-byte accumulators.
 	StreamingMetrics bool
 	// Telemetry, when non-nil, enables run introspection (periodic
 	// progress snapshots, supervisor wall-clock profiling). It never
@@ -282,18 +282,21 @@ type NodeResult struct {
 	Stats         simnet.Stats
 }
 
-// Result is the outcome of one Run.
+// Result is the outcome of one Run. The score, count and upload-summary
+// accessors (streaming.go) read Streaming, which Run always sets; a Result
+// built by hand from Nodes alone supports the per-node views
+// (SurvivorQualities, LifetimeQualities, UploadDistribution) but not those
+// accessors.
 type Result struct {
 	Config   Config
 	Duration time.Duration // simulated time executed
-	// Nodes holds one entry per non-source node ever present, in
-	// lifetime-close order — departed nodes first, in crash order, then
-	// survivors in arena-slot order — the same order streaming scoring
-	// folds in, so the two modes' float reductions agree bit for bit. It
-	// is not indexed by id (only a churn-free run happens to have node id
-	// at index id-1): match entries by ID, not position. Empty under
-	// Config.StreamingMetrics — Streaming carries the folded scoring
-	// state instead.
+	// Nodes is the per-node detail view: one row per non-source node ever
+	// present, in lifetime-close order — departed nodes first, in crash
+	// order, then survivors in arena-slot order — the order Streaming was
+	// folded in, so the metrics reductions over these rows equal the
+	// fold's scores float for float. It is not indexed by id (only a
+	// churn-free run happens to have node id at index id-1): match entries
+	// by ID, not position. Empty under Config.StreamingMetrics.
 	Nodes []NodeResult
 	// SourceCounters and SourceStats describe node 0, the stream source
 	// (its quality is trivially perfect and therefore not in Nodes).
@@ -301,8 +304,9 @@ type Result struct {
 	SourceStats    simnet.Stats
 	// Events is the number of simulator events executed (cost measure).
 	Events uint64
-	// Streaming holds the barrier-folded scoring state of a
-	// StreamingMetrics run; nil otherwise.
+	// Streaming is the run's scoring state, folded as lifetimes closed.
+	// Non-nil on every Result Run returns, whether or not Nodes was
+	// retained beside it.
 	Streaming *StreamingResult
 	// ShardLoads is the per-shard load table: events by kind, windows,
 	// heap high-water, and cross-shard outbox volume per shard.
@@ -326,15 +330,14 @@ type Result struct {
 	Snapshots []telemetry.Snapshot
 }
 
-// StreamingResult is the barrier-folded substitute for Result.Nodes: the
-// same scoring populations, reduced to flat accumulators as lifetimes
-// close (at each departure barrier, and at run end for survivors)
-// instead of being derived from retained Receivers afterwards. Scores
-// drawn from it are bit-identical to the batch path's.
+// StreamingResult is the scoring state of a run: the scoring
+// populations, reduced to flat accumulators as lifetimes close (at each
+// departure barrier, and at run end for survivors). Every score a Result
+// reports is drawn from it; the sets hold accumulators in lifetime-close
+// order — departures in crash order, then survivors by arena slot.
 type StreamingResult struct {
 	// Survivors scores nodes alive at run end over the full stream — the
-	// population of Figures 1–3 and 5–8. Accumulators are added in node-id
-	// order, matching the batch reduction order float for float.
+	// population of Figures 1–3 and 5–8 — added in arena-slot order.
 	Survivors telemetry.QualitySet
 	// Present scores every node over the windows inside its lifetime
 	// shrunk by Config.BootstrapGrace() — Result.LifetimeQualities'
@@ -383,43 +386,22 @@ func (r *Result) SurvivorQualities() []metrics.Quality {
 // are omitted. With no churn at all, LifetimeQualities(grace) equals
 // SurvivorQualities.
 func (r *Result) LifetimeQualities(grace time.Duration) []metrics.Quality {
-	return r.lifetimeQualitiesWhere(grace, nil)
-}
-
-// lifetimeQualitiesWhere is LifetimeQualities restricted to the nodes a
-// non-nil keep predicate accepts — the batch-mode backend of the
-// per-service-class scores (Result.ClassMeanCompletePct).
-func (r *Result) lifetimeQualitiesWhere(grace time.Duration, keep func(*NodeResult) bool) []metrics.Quality {
-	l := r.Config.Layout
 	out := make([]metrics.Quality, 0, len(r.Nodes))
 	for i := range r.Nodes {
 		n := &r.Nodes[i]
-		if keep != nil && !keep(n) {
+		lo, hi := lifetimeWindows(r.Config.Layout, n.JoinedAt, n.LeftAt, n.Survived, grace)
+		if lo == hi {
 			continue
 		}
-		var lags []time.Duration
-		lastEnd := n.LeftAt
-		if !n.Survived {
-			lastEnd -= grace
-		}
-		for w := 0; w < n.Quality.Windows(); w++ {
-			start := time.Duration(w*l.DataPerWindow) * l.PacketTime()
-			end := l.WindowPublishTime(w)
-			if n.JoinedAt > 0 && start < n.JoinedAt+grace {
-				continue
-			}
-			if end > lastEnd {
-				continue
-			}
+		lags := make([]time.Duration, 0, hi-lo)
+		for w := lo; w < hi; w++ {
 			lag, ok := n.Quality.WindowLag(w)
 			if !ok {
 				lag = metrics.NeverCompleted
 			}
 			lags = append(lags, lag)
 		}
-		if len(lags) > 0 {
-			out = append(out, metrics.QualityFromLags(lags))
-		}
+		out = append(out, metrics.QualityFromLags(lags))
 	}
 	return out
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"time"
 
 	"gossipstream/internal/churn"
@@ -78,6 +79,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		seam:   seam,
 		pssCfg: pssCfg,
 		end:    end,
+		fold:   newStreamFold(cfg, end),
 		peers:  make([]*core.Peer, cfg.Nodes),
 		ids:    make([]wire.NodeID, cfg.Nodes),
 		joined: make([]time.Duration, cfg.Nodes),
@@ -85,9 +87,6 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		// Setup node i has service-class ordinal i-1; runtime admissions
 		// continue the count from there.
 		nextOrdinal: cfg.Nodes - 1,
-	}
-	if cfg.StreamingMetrics {
-		d.fold = newStreamFold(cfg, end)
 	}
 	if cfg.Membership == MembershipCyclon {
 		d.states = make([]*pss.State, cfg.Nodes)
@@ -182,12 +181,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	if d.err != nil {
 		return nil, d.err
 	}
-	var res *Result
-	if d.fold != nil {
-		res = d.collectStreaming(end)
-	} else {
-		res = d.collectBatch(end)
-	}
+	res := d.collect()
 	res.ShardLoads = eng.ShardLoads()
 	res.TotalTraffic = eng.TotalStats()
 	if d.states != nil {
@@ -246,15 +240,13 @@ type deployment struct {
 	// nextOrdinal is the stable service-class ordinal the next runtime
 	// admission consumes (freeRider); slot reuse never rewinds it.
 	nextOrdinal int
-	// departed collects batch-mode NodeResults at crash barriers, in crash
-	// order (the batch fold order streaming scoring mirrors). Nil under
-	// StreamingMetrics, where the fold replaces retained results.
-	departed      []NodeResult
-	departedCount int
-	joinedCount   int
-	fold          *streamFold          // non-nil under Config.StreamingMetrics
-	snaps         []telemetry.Snapshot // progress snapshots (Config.Telemetry)
-	err           error                // first admission failure, surfaced after Run
+	// fold scores every node as its lifetime closes; rows collects the
+	// per-node detail of the same nodes in the same order (Result.Nodes) and
+	// stays nil under StreamingMetrics.
+	fold  *streamFold
+	rows  []NodeResult
+	snaps []telemetry.Snapshot // progress snapshots (Config.Telemetry)
+	err   error                // first admission failure, surfaced after Run
 }
 
 // crash executes one ungraceful departure at barrier time at, the path
@@ -262,13 +254,12 @@ type deployment struct {
 // between churn shapes. The victim is silenced in the network and its
 // protocol state and membership record stopped (the engine already ends a
 // crashed node's shuffle schedule and dead-drops its membership traffic).
-// Its scoring state is captured now — final, because a dead node's
-// receiver and sent-byte counters never change again — as a streaming fold
-// or a retained NodeResult, and then the whole node is released: peer,
-// membership record, and the engine arena slot, which re-enters service
-// after its quarantine. Both scoring modes release identically, so a batch
-// twin and a streaming twin recycle the same slots at the same barriers
-// and stay bit-identical runs.
+// Its lifetime is closed now — final, because a dead node's receiver and
+// sent-byte counters never change again — and then the whole node is
+// released: peer, membership record, and the engine arena slot, which
+// re-enters service after its quarantine. Retaining rows changes nothing
+// here, so a run recycles the same slots at the same barriers with and
+// without StreamingMetrics.
 func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	slot := megasim.Slot(victim)
 	d.eng.Crash(victim)
@@ -276,12 +267,7 @@ func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	if d.states != nil {
 		d.states[slot].Stop()
 	}
-	d.departedCount++
-	if d.fold != nil {
-		d.fold.fold(d.joined[slot], at, false, d.riders[slot], d.peers[slot], d.eng.NodeStats(victim))
-	} else {
-		d.departed = append(d.departed, d.nodeResult(victim, slot, at, false))
-	}
+	d.closeLifetime(victim, slot, at, false)
 	d.peers[slot] = nil
 	if d.states != nil {
 		d.states[slot] = nil
@@ -297,78 +283,51 @@ func (d *deployment) burst(ev churn.Event, rng *rand.Rand) {
 	}
 }
 
-// nodeResult captures one node's batch-mode outcome. Called at the
-// node's crash barrier or at run end for survivors; either way the
-// receiver and counters are final.
-func (d *deployment) nodeResult(id wire.NodeID, slot int, leftAt time.Duration, survived bool) NodeResult {
+// closeLifetime scores one node whose lifetime ends at leftAt — its crash
+// barrier, or run end for survivors; either way its receiver and counters
+// are final — and, unless the run retains no rows, captures its NodeResult.
+func (d *deployment) closeLifetime(id wire.NodeID, slot int, leftAt time.Duration, survived bool) {
+	p := d.peers[slot]
+	recv := p.Receiver()
 	stats := d.eng.NodeStats(id)
-	return NodeResult{
+	d.fold.fold(d.joined[slot], leftAt, survived, d.riders[slot], recv, stats)
+	if d.cfg.StreamingMetrics {
+		return
+	}
+	d.rows = append(d.rows, NodeResult{
 		ID:            id,
 		Survived:      survived,
 		JoinedAt:      d.joined[slot],
 		LeftAt:        leftAt,
 		FreeRider:     d.riders[slot],
-		Quality:       metrics.Evaluate(d.peers[slot].Receiver(), d.cfg.Layout),
+		Quality:       metrics.Evaluate(recv, d.cfg.Layout),
 		UploadKbps:    float64(stats.TotalSentBytes()) * 8 / d.end.Seconds() / 1000,
 		BaseLatencyMS: float64(d.eng.BaseLatency(id)) / float64(time.Millisecond),
-		Counters:      d.peers[slot].Counters(),
+		Counters:      p.Counters(),
 		Stats:         stats,
-	}
+	})
 }
 
-// collectBatch assembles the retained-results Result of a run:
-// departed nodes in crash order (captured at their barriers), then
-// survivors in ascending slot order. Streaming scoring folds in exactly
-// this order, which is what keeps the two modes' float sums — and so
-// their figure columns — bit-identical.
-func (d *deployment) collectBatch(end time.Duration) *Result {
-	res := &Result{
-		Config:         d.cfg,
-		Duration:       end,
-		SourceCounters: d.peers[0].Counters(),
-		SourceStats:    d.eng.NodeStats(0),
-		Events:         d.eng.Fired(),
+// collect closes the survivors' lifetimes in ascending slot order
+// (departed nodes were closed at their crash barriers) and assembles the
+// Result: the fold's state, and the rows when the run retained them.
+func (d *deployment) collect() *Result {
+	if !d.cfg.StreamingMetrics {
+		d.rows = slices.Grow(d.rows, d.eng.Added()-1-len(d.rows))
 	}
-	res.Nodes = make([]NodeResult, 0, d.eng.Added()-1)
-	res.Nodes = append(res.Nodes, d.departed...)
 	for slot := 1; slot < len(d.peers); slot++ {
-		if d.peers[slot] == nil {
-			continue
+		if d.peers[slot] != nil {
+			d.closeLifetime(d.ids[slot], slot, d.end, true)
 		}
-		res.Nodes = append(res.Nodes, d.nodeResult(d.ids[slot], slot, end, true))
-	}
-	return res
-}
-
-// collectStreaming assembles a StreamingMetrics Result: survivors are
-// folded now in ascending slot order (departed nodes were folded at
-// their crash barriers), completing the same fold order collectBatch
-// materializes. Result.Nodes stays empty by design.
-func (d *deployment) collectStreaming(end time.Duration) *Result {
-	f := d.fold
-	for slot := 1; slot < len(d.peers); slot++ {
-		if d.peers[slot] == nil {
-			continue // departed: folded at its crash barrier
-		}
-		f.fold(d.joined[slot], end, true, d.riders[slot], d.peers[slot], d.eng.NodeStats(d.ids[slot]))
-	}
-	s := &StreamingResult{
-		Survivors:   f.survivors,
-		Present:     f.present,
-		Riders:      f.riders,
-		Cooperators: f.cooperators,
-		Nodes:       d.eng.Added() - 1,
-		Joined:      d.joinedCount,
-		Departed:    d.departedCount,
-		Upload:      f.upload,
 	}
 	return &Result{
 		Config:         d.cfg,
-		Duration:       end,
+		Duration:       d.end,
+		Nodes:          d.rows,
 		SourceCounters: d.peers[0].Counters(),
 		SourceStats:    d.eng.NodeStats(0),
 		Events:         d.eng.Fired(),
-		Streaming:      s,
+		Streaming:      &d.fold.res,
 	}
 }
 
@@ -472,7 +431,7 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	d.joined[slot] = at
 	d.riders[slot] = rider
 	d.states[slot] = st
-	d.joinedCount++
+	d.fold.res.Joined++
 	p.Start()
 }
 

@@ -4,35 +4,29 @@ import (
 	"math"
 	"time"
 
-	"gossipstream/internal/core"
-	"gossipstream/internal/metrics"
 	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 )
 
-// streamFold accumulates the streaming scoring state of one sharded run.
-// A node is folded exactly once, at the moment its lifetime closes —
-// its departure barrier, or run end for survivors — when its receiver
-// can no longer change: a crashed node stops sending, and everything
-// addressed to it dead-drops, so the fold at crash time reads the same
-// window lags a batch run would read from the retained receiver at the
-// end. Accumulators go straight into the QualitySets (no per-node state
-// survives the fold, so memory is O(1) per closed lifetime even when
-// arena slots — and therefore node ids — are recycled under churn), in
-// lifetime-close order: departures in crash order, then survivors in
-// slot order. collectBatch materializes Result.Nodes in exactly that
-// order, which is what keeps the two modes' float sums bit-identical.
+// streamFold is the scorer of a run: every run has one, and every score,
+// count and upload digest a Result answers comes out of it. A node is
+// folded exactly once, at the moment its lifetime closes — its departure
+// barrier, or run end for survivors — when its receiver can no longer
+// change: a crashed node stops sending, and everything addressed to it
+// dead-drops. Accumulators go straight into the QualitySets (no per-node
+// state survives the fold, so the scorer's memory is O(1) per closed
+// lifetime even when arena slots — and therefore node ids — are recycled
+// under churn), in lifetime-close order: departures in crash order, then
+// survivors in slot order. The per-node rows a run retains unless
+// Config.StreamingMetrics (Result.Nodes) are appended in the same pass and
+// so in the same order, which is what lets the twin tests hold the fold to
+// the metrics reductions over those rows with exact float equality.
 type streamFold struct {
 	layout     stream.Layout
 	endSeconds float64
 	grace      time.Duration
-
-	survivors   telemetry.QualitySet
-	present     telemetry.QualitySet
-	riders      telemetry.QualitySet
-	cooperators telemetry.QualitySet
-	upload      telemetry.Hist
+	res        StreamingResult
 }
 
 func newStreamFold(cfg Config, end time.Duration) *streamFold {
@@ -43,58 +37,73 @@ func newStreamFold(cfg Config, end time.Duration) *streamFold {
 	}
 }
 
-// fold closes one node's lifetime. The window loops mirror
-// metrics.Evaluate and Result.LifetimeQualities expression for
-// expression, replacing the retained lag slices with flat accumulators.
-func (f *streamFold) fold(joinedAt, leftAt time.Duration, survived, rider bool, p *core.Peer, stats simnet.Stats) {
-	recv := p.Receiver()
+// fold closes one node's lifetime.
+func (f *streamFold) fold(joinedAt, leftAt time.Duration, survived, rider bool, recv *stream.Receiver, stats simnet.Stats) {
+	s := &f.res
+	s.Nodes++
 	if survived {
-		// Full-stream accumulator: only survivors are scored on it
+		// Only survivors are scored over the full stream
 		// (SurvivorQualities), so departed nodes skip the pass.
-		var full telemetry.LagAccum
-		for w := 0; w < f.layout.Windows; w++ {
-			lag, ok := recv.Lag(w)
-			if !ok {
-				lag = telemetry.NeverCompleted
-			}
-			full.Observe(lag)
-		}
-		f.survivors.Add(full)
+		s.Survivors.Add(lagAccum(recv, 0, f.layout.Windows))
+	} else {
+		s.Departed++
 	}
-	// Lifetime-masked accumulator: Result.LifetimeQualities' window
-	// eligibility, verbatim. Folded for every run shape — Present*
-	// queries are valid on burst runs too.
-	lastEnd := leftAt
-	if !survived {
-		lastEnd -= f.grace
+	// The lifetime-masked accumulator, Result.LifetimeQualities' windows.
+	// Folded for every run shape — Present* queries are valid on burst
+	// runs too.
+	lo, hi := lifetimeWindows(f.layout, joinedAt, leftAt, survived, f.grace)
+	m := lagAccum(recv, lo, hi)
+	s.Present.Add(m)
+	// The same accumulator, split by service class. Riders stays empty
+	// when no free-riders were configured.
+	if rider {
+		s.Riders.Add(m)
+	} else {
+		s.Cooperators.Add(m)
 	}
-	var m telemetry.LagAccum
-	for w := 0; w < f.layout.Windows; w++ {
-		start := time.Duration(w*f.layout.DataPerWindow) * f.layout.PacketTime()
-		end := f.layout.WindowPublishTime(w)
-		if joinedAt > 0 && start < joinedAt+f.grace {
-			continue
-		}
-		if end > lastEnd {
-			continue
-		}
+	// NodeResult.UploadKbps' expression, rounded; sent bytes are frozen
+	// from the crash on, so folding early loses nothing.
+	s.Upload.Observe(int64(math.Round(float64(stats.TotalSentBytes()) * 8 / f.endSeconds / 1000)))
+}
+
+// lagAccum folds the lags of windows [lo, hi) of one receiver.
+func lagAccum(recv *stream.Receiver, lo, hi int) telemetry.LagAccum {
+	var a telemetry.LagAccum
+	for w := lo; w < hi; w++ {
 		lag, ok := recv.Lag(w)
 		if !ok {
 			lag = telemetry.NeverCompleted
 		}
-		m.Observe(lag)
+		a.Observe(lag)
 	}
-	f.present.Add(m)
-	// The same lifetime-masked accumulator, split by service class.
-	// Riders stays empty when no free-riders were configured.
-	if rider {
-		f.riders.Add(m)
-	} else {
-		f.cooperators.Add(m)
+	return a
+}
+
+// lifetimeWindows returns the half-open range [lo, hi) of windows a node
+// is scored on when its quality is restricted to its lifetime: those whose
+// publish span lies inside [joinedAt+grace, leftAt-grace], where the join
+// side applies only to nodes admitted at runtime (joinedAt > 0) and the
+// leave side only to nodes that departed (see Result.LifetimeQualities for
+// why). Window start and end are both increasing in w, so the eligible set
+// is contiguous; lo == hi when it is empty — joined too late, or dead too
+// early. The one definition of the mask: the fold and LifetimeQualities
+// both call it.
+func lifetimeWindows(l stream.Layout, joinedAt, leftAt time.Duration, survived bool, grace time.Duration) (lo, hi int) {
+	if joinedAt > 0 {
+		packetTime := l.PacketTime()
+		for lo < l.Windows && time.Duration(lo*l.DataPerWindow)*packetTime < joinedAt+grace {
+			lo++
+		}
 	}
-	// NodeResult.UploadKbps' expression; sent bytes are frozen from the
-	// crash on, so folding early loses nothing.
-	f.upload.Observe(int64(math.Round(float64(stats.TotalSentBytes()) * 8 / f.endSeconds / 1000)))
+	lastEnd := leftAt
+	if !survived {
+		lastEnd -= grace
+	}
+	hi = l.Windows
+	for hi > lo && l.WindowPublishTime(hi-1) > lastEnd {
+		hi--
+	}
+	return lo, hi
 }
 
 // hasChurnProcess mirrors the figure generators' population switch.
@@ -103,149 +112,84 @@ func (r *Result) hasChurnProcess() bool {
 	return p != nil && !p.IsZero()
 }
 
-// scoredSet returns the streaming population the figures score: the
-// lifetime-masked set under a churn process, survivors otherwise.
-func (s *StreamingResult) scoredSet(churned bool) *telemetry.QualitySet {
-	if churned {
-		return &s.Present
+// scored returns the population the figures score: the lifetime-masked
+// set under a churn process, the paper's survivors otherwise.
+func (r *Result) scored() *telemetry.QualitySet {
+	if r.hasChurnProcess() {
+		return &r.Streaming.Present
 	}
-	return &s.Survivors
+	return &r.Streaming.Survivors
 }
 
+// The accessors below read the fold (Result.Streaming) and nothing else,
+// so they answer identically whether or not the run retained per-node
+// rows. Every lag they take must be one of telemetry.LagProbes — an
+// accumulator keeps one count per probe — and any other lag panics naming
+// the way to score it from the rows.
+
 // ScoredViewablePct returns the percentage of scored nodes viewable at
-// lag under maxJitter — the figure generators' y-axis — dispatching to
-// the streaming accumulators or the batch qualities, whichever the run
-// produced. lag must be one of telemetry.LagProbes in streaming mode.
+// lag under maxJitter — the figure generators' y-axis. lag must be one of
+// telemetry.LagProbes.
 func (r *Result) ScoredViewablePct(lag time.Duration, maxJitter float64) float64 {
-	if s := r.Streaming; s != nil {
-		return s.scoredSet(r.hasChurnProcess()).PercentViewable(lag, maxJitter)
-	}
-	return metrics.PercentViewable(r.scoredQualities(), lag, maxJitter)
+	return r.scored().PercentViewable(lag, maxJitter)
 }
 
 // ScoredMeanCompletePct returns the mean complete-window percentage of
-// the scored population at lag.
+// the scored population at lag. lag must be one of telemetry.LagProbes.
 func (r *Result) ScoredMeanCompletePct(lag time.Duration) float64 {
-	if s := r.Streaming; s != nil {
-		return s.scoredSet(r.hasChurnProcess()).MeanCompleteFraction(lag)
-	}
-	return metrics.MeanCompleteFraction(r.scoredQualities(), lag)
+	return r.scored().MeanCompleteFraction(lag)
 }
 
 // ScoredLagCDFAt returns the percentage of scored nodes whose critical
-// lag under maxJitter is at most probe — one Figure 2 point.
+// lag under maxJitter is at most probe — one Figure 2 point. probe must be
+// one of telemetry.LagProbes.
 func (r *Result) ScoredLagCDFAt(probe time.Duration, maxJitter float64) float64 {
-	if s := r.Streaming; s != nil {
-		return s.scoredSet(r.hasChurnProcess()).LagCDFAt(probe, maxJitter)
-	}
-	return metrics.LagCDF(r.scoredQualities(), []time.Duration{probe}, maxJitter)[0]
-}
-
-func (r *Result) scoredQualities() []metrics.Quality {
-	if r.hasChurnProcess() {
-		return r.LifetimeQualities(r.Config.BootstrapGrace())
-	}
-	return r.SurvivorQualities()
+	return r.scored().LagCDFAt(probe, maxJitter)
 }
 
 // SurvivorViewablePct scores only the nodes alive at run end, whatever
 // the churn shape — the population cmd/gossipsim's headline metrics use.
+// lag must be one of telemetry.LagProbes.
 func (r *Result) SurvivorViewablePct(lag time.Duration, maxJitter float64) float64 {
-	if s := r.Streaming; s != nil {
-		return s.Survivors.PercentViewable(lag, maxJitter)
-	}
-	return metrics.PercentViewable(r.SurvivorQualities(), lag, maxJitter)
+	return r.Streaming.Survivors.PercentViewable(lag, maxJitter)
 }
 
 // SurvivorMeanCompletePct returns the survivors' mean complete-window
-// percentage at lag.
+// percentage at lag. lag must be one of telemetry.LagProbes.
 func (r *Result) SurvivorMeanCompletePct(lag time.Duration) float64 {
-	if s := r.Streaming; s != nil {
-		return s.Survivors.MeanCompleteFraction(lag)
-	}
-	return metrics.MeanCompleteFraction(r.SurvivorQualities(), lag)
+	return r.Streaming.Survivors.MeanCompleteFraction(lag)
 }
 
 // PresentMeanCompletePct returns the lifetime-masked population's mean
 // complete-window percentage at lag under the standard bootstrap grace —
-// the sustained-churn quality report.
+// the sustained-churn quality report. lag must be one of
+// telemetry.LagProbes.
 func (r *Result) PresentMeanCompletePct(lag time.Duration) float64 {
-	if s := r.Streaming; s != nil {
-		return s.Present.MeanCompleteFraction(lag)
-	}
-	return metrics.MeanCompleteFraction(r.LifetimeQualities(r.Config.BootstrapGrace()), lag)
+	return r.Streaming.Present.MeanCompleteFraction(lag)
 }
 
 // NodeCount returns the number of non-source nodes ever present.
-func (r *Result) NodeCount() int {
-	if s := r.Streaming; s != nil {
-		return s.Nodes
-	}
-	return len(r.Nodes)
-}
+func (r *Result) NodeCount() int { return r.Streaming.Nodes }
 
 // SurvivorCount returns the number of non-source nodes alive at run end.
-func (r *Result) SurvivorCount() int {
-	if s := r.Streaming; s != nil {
-		return s.Nodes - s.Departed
-	}
-	n := 0
-	for i := range r.Nodes {
-		if r.Nodes[i].Survived {
-			n++
-		}
-	}
-	return n
-}
+func (r *Result) SurvivorCount() int { return r.Streaming.Nodes - r.Streaming.Departed }
 
 // JoinedCount returns how many nodes were admitted at runtime.
-func (r *Result) JoinedCount() int {
-	if s := r.Streaming; s != nil {
-		return s.Joined
-	}
-	n := 0
-	for i := range r.Nodes {
-		if r.Nodes[i].JoinedAt > 0 {
-			n++
-		}
-	}
-	return n
-}
+func (r *Result) JoinedCount() int { return r.Streaming.Joined }
 
 // DepartedCount returns how many nodes crashed or departed.
-func (r *Result) DepartedCount() int {
-	if s := r.Streaming; s != nil {
-		return s.Departed
-	}
-	n := 0
-	for i := range r.Nodes {
-		if !r.Nodes[i].Survived {
-			n++
-		}
-	}
-	return n
-}
+func (r *Result) DepartedCount() int { return r.Streaming.Departed }
 
 // PresentCount returns the size of the lifetime-masked scoring
 // population (nodes with at least one eligible window).
-func (r *Result) PresentCount() int {
-	if s := r.Streaming; s != nil {
-		return s.Present.Len()
-	}
-	return len(r.LifetimeQualities(r.Config.BootstrapGrace()))
-}
+func (r *Result) PresentCount() int { return r.Streaming.Present.Len() }
 
-// classSet returns the streaming accumulator of one service class.
-func (s *StreamingResult) classSet(rider bool) *telemetry.QualitySet {
+// classSet returns the accumulators of one service class.
+func (r *Result) classSet(rider bool) *telemetry.QualitySet {
 	if rider {
-		return &s.Riders
+		return &r.Streaming.Riders
 	}
-	return &s.Cooperators
-}
-
-// classKeep returns the batch-mode predicate of one service class.
-func classKeep(rider bool) func(*NodeResult) bool {
-	return func(n *NodeResult) bool { return n.FreeRider == rider }
+	return &r.Streaming.Cooperators
 }
 
 // ClassMeanCompletePct returns the mean complete-window percentage at lag
@@ -253,33 +197,16 @@ func classKeep(rider bool) func(*NodeResult) bool {
 // lifetime-masked window set under the standard bootstrap grace — the
 // service-asymmetry report: how much quality the riders extract, and what
 // their presence costs the nodes actually serving. Zero when the class is
-// empty.
+// empty. lag must be one of telemetry.LagProbes.
 func (r *Result) ClassMeanCompletePct(rider bool, lag time.Duration) float64 {
-	if s := r.Streaming; s != nil {
-		return s.classSet(rider).MeanCompleteFraction(lag)
-	}
-	return metrics.MeanCompleteFraction(r.lifetimeQualitiesWhere(r.Config.BootstrapGrace(), classKeep(rider)), lag)
+	return r.classSet(rider).MeanCompleteFraction(lag)
 }
 
 // ClassCount returns the number of scored nodes of one service class
 // (nodes with at least one eligible window).
-func (r *Result) ClassCount(rider bool) int {
-	if s := r.Streaming; s != nil {
-		return s.classSet(rider).Len()
-	}
-	return len(r.lifetimeQualitiesWhere(r.Config.BootstrapGrace(), classKeep(rider)))
-}
+func (r *Result) ClassCount(rider bool) int { return r.classSet(rider).Len() }
 
-// UploadSummary digests the per-node mean upload rates (kbps): exact in
-// streaming mode (the histogram is folded from every node), derived from
-// Nodes otherwise.
-func (r *Result) UploadSummary() telemetry.HistSummary {
-	if s := r.Streaming; s != nil {
-		return s.Upload.Summary()
-	}
-	var h telemetry.Hist
-	for i := range r.Nodes {
-		h.Observe(int64(math.Round(r.Nodes[i].UploadKbps)))
-	}
-	return h.Summary()
-}
+// UploadSummary digests the per-node mean upload rates (kbps), each
+// rounded to a whole kbps and folded from every node ever present.
+// Result.UploadDistribution has the exact per-node values.
+func (r *Result) UploadSummary() telemetry.HistSummary { return r.Streaming.Upload.Summary() }

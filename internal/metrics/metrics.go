@@ -15,17 +15,20 @@ import (
 	"time"
 
 	"gossipstream/internal/stream"
+	"gossipstream/internal/telemetry"
 )
 
-// DefaultJitterThreshold is the paper's quality bar: at most 1% of windows
-// may be incomplete.
-const DefaultJitterThreshold = 0.01
-
-// InfiniteLag marks offline viewing (no deadline).
-const InfiniteLag = time.Duration(1<<63 - 1)
-
-// NeverCompleted marks a window that never became viewable.
-const NeverCompleted = time.Duration(-1)
+// The lag vocabulary, defined once in internal/telemetry (the leaf package
+// the scoring fold lives in).
+const (
+	// DefaultJitterThreshold is the paper's quality bar: at most 1% of
+	// windows may be incomplete.
+	DefaultJitterThreshold = telemetry.DefaultJitterThreshold
+	// InfiniteLag marks offline viewing (no deadline).
+	InfiniteLag = telemetry.InfiniteLag
+	// NeverCompleted marks a window that never became viewable.
+	NeverCompleted = telemetry.NeverCompleted
+)
 
 // Quality holds the per-window lags of one node.
 type Quality struct {

@@ -1,13 +1,14 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
 	"time"
 )
 
-// The lag sentinels restate internal/metrics' values so this package
-// stays a leaf (importable from the engine without pulling the protocol
-// stack in). A test in internal/experiment pins them equal.
+// The lag vocabulary of every quality score. Defined here, in the leaf
+// package (importable from the engine without pulling the protocol stack
+// in); internal/metrics aliases them.
 const (
 	// InfiniteLag marks offline viewing (no deadline).
 	InfiniteLag = time.Duration(1<<63 - 1)
@@ -42,10 +43,10 @@ func ProbeIndex(lag time.Duration) (int, bool) {
 	return 0, false
 }
 
-// LagAccum is the streaming substitute for one node's retained
-// metrics.Quality: the number of scored windows and, per probe lag, how
-// many of them completed within that lag. 60 flat bytes replace the
-// receiver (and its window state) a batch run holds until the end.
+// LagAccum is what the scoring fold keeps of one node's metrics.Quality:
+// the number of scored windows and, per probe lag, how many of them
+// completed within that lag — 60 flat bytes, so the receiver (and its
+// window state) can be released the moment the node's lifetime closes.
 //
 // Folding the same window lags through Observe in any order yields the
 // same accumulator, and Merge is associative and commutative, so
@@ -83,17 +84,18 @@ func (a *LagAccum) Merge(o LagAccum) {
 
 // QualitySet reduces a population of per-node accumulators with
 // float-for-float the same expressions internal/metrics applies to
-// retained []Quality, so streaming scores are bit-identical to batch
-// scores. Add nodes in ascending node-id order: MeanCompleteFraction
-// sums floats in slice order, exactly as the batch path sums qualities
-// in node-id order.
+// retained []Quality, so a set's scores equal the metrics reductions over
+// the same nodes' qualities taken in the same order (the twin tests hold
+// it to that). MeanCompleteFraction sums floats in Add order; a run adds
+// nodes in lifetime-close order — departures in crash order, then
+// survivors by arena slot — which is also the order of its retained rows.
 type QualitySet struct {
 	accums []LagAccum
 }
 
 // Add appends one node's accumulator. Nodes with no scored windows are
-// dropped, mirroring the batch path (LifetimeQualities omits nodes with
-// no eligible windows; full-run qualities always have Windows > 0).
+// dropped, as LifetimeQualities omits nodes with no eligible window
+// (full-run accumulators always have Windows > 0).
 func (s *QualitySet) Add(a LagAccum) {
 	if a.Windows > 0 {
 		s.accums = append(s.accums, a)
@@ -104,7 +106,8 @@ func (s *QualitySet) Add(a LagAccum) {
 func (s *QualitySet) Len() int { return len(s.accums) }
 
 // PercentViewable returns the percentage of nodes viewable at lag under
-// maxJitter — metrics.PercentViewable, streaming. lag must be a probe.
+// maxJitter — metrics.PercentViewable over accumulators. lag must be one
+// of LagProbes, as in every reduction of the set.
 func (s *QualitySet) PercentViewable(lag time.Duration, maxJitter float64) float64 {
 	p := mustProbe(lag)
 	if len(s.accums) == 0 {
@@ -123,7 +126,8 @@ func (s *QualitySet) PercentViewable(lag time.Duration, maxJitter float64) float
 }
 
 // MeanCompleteFraction returns the average percentage of complete
-// windows across nodes at lag — metrics.MeanCompleteFraction, streaming.
+// windows across nodes at lag — metrics.MeanCompleteFraction over
+// accumulators.
 func (s *QualitySet) MeanCompleteFraction(lag time.Duration) float64 {
 	p := mustProbe(lag)
 	if len(s.accums) == 0 {
@@ -137,7 +141,8 @@ func (s *QualitySet) MeanCompleteFraction(lag time.Duration) float64 {
 }
 
 // LagCDFAt returns the percentage of nodes whose critical lag under
-// maxJitter is at most probe — one point of metrics.LagCDF, streaming.
+// maxJitter is at most probe — one point of metrics.LagCDF over
+// accumulators.
 func (s *QualitySet) LagCDFAt(probe time.Duration, maxJitter float64) float64 {
 	p := mustProbe(probe)
 	if len(s.accums) == 0 {
@@ -157,10 +162,13 @@ func (s *QualitySet) LagCDFAt(probe time.Duration, maxJitter float64) float64 {
 	return 100 * float64(n) / float64(len(s.accums))
 }
 
+// mustProbe resolves a query lag to its accumulator column. An accumulator
+// keeps one count per probe, so no other lag can be answered from it.
 func mustProbe(lag time.Duration) int {
 	p, ok := ProbeIndex(lag)
 	if !ok {
-		panic("telemetry: lag is not in LagProbes")
+		panic(fmt.Sprintf("telemetry: lag %v is not one of LagProbes (%v and InfiniteLag); score other lags from the per-node rows: Result.SurvivorQualities or LifetimeQualities with the internal/metrics reductions",
+			lag, LagProbes[:NumProbes-1]))
 	}
 	return p
 }

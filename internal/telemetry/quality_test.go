@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,19 +11,9 @@ import (
 	"gossipstream/internal/xrand"
 )
 
-// TestSentinelsMatchMetrics pins the restated constants to their
-// internal/metrics originals — telemetry is a leaf package and cannot
-// import metrics outside tests.
-func TestSentinelsMatchMetrics(t *testing.T) {
-	if telemetry.InfiniteLag != metrics.InfiniteLag {
-		t.Fatal("InfiniteLag diverged from metrics")
-	}
-	if telemetry.NeverCompleted != metrics.NeverCompleted {
-		t.Fatal("NeverCompleted diverged from metrics")
-	}
-	if telemetry.DefaultJitterThreshold != metrics.DefaultJitterThreshold {
-		t.Fatal("DefaultJitterThreshold diverged from metrics")
-	}
+// TestLagProbesShape pins what LagAccum.Observe and NumProbes assume of
+// the probe set: its fixed length, ascending order, and InfiniteLag last.
+func TestLagProbesShape(t *testing.T) {
 	if len(telemetry.LagProbes) != telemetry.NumProbes {
 		t.Fatal("NumProbes != len(LagProbes)")
 	}
@@ -148,4 +139,17 @@ func TestEmptySetScoresZero(t *testing.T) {
 		set.LagCDFAt(telemetry.InfiniteLag, 0.01) != 0 {
 		t.Fatal("empty set must score 0, as metrics does")
 	}
+}
+
+// TestNonProbeLagPanics: a set keeps one count per probe, so a query at
+// any other lag is a caller bug, reported with the lag and the way out.
+func TestNonProbeLagPanics(t *testing.T) {
+	defer func() {
+		msg, _ := recover().(string)
+		if !strings.Contains(msg, "lag 7s") || !strings.Contains(msg, "LifetimeQualities") {
+			t.Fatalf("panic %q does not name the lag and the per-node route", msg)
+		}
+	}()
+	var set telemetry.QualitySet
+	set.MeanCompleteFraction(7 * time.Second)
 }
