@@ -49,32 +49,6 @@ func Catastrophic(at time.Duration, fraction float64) []Event {
 	return []Event{{At: at, Fraction: fraction}}
 }
 
-// Staggered returns count bursts spaced interval apart that together kill
-// totalFraction of the schedule-time population — an extension scenario
-// for gradual churn.
-//
-// Each burst's Fraction applies to the live set at execution time, which
-// the earlier bursts have already shrunk. Equal per-burst fractions would
-// therefore compound below the documented total (50% over 5 bursts would
-// kill only 1−(1−0.1)⁵ ≈ 41%), so the fractions grow as per/(1−i·per):
-// burst i then removes exactly per of the original population, and the
-// count bursts sum to totalFraction of it.
-func Staggered(start time.Duration, interval time.Duration, count int, totalFraction float64) []Event {
-	if count <= 0 {
-		return nil
-	}
-	per := totalFraction / float64(count)
-	events := make([]Event, count)
-	for i := range events {
-		f := per / (1 - float64(i)*per)
-		if f > 1 { // float noise near totalFraction == 1
-			f = 1
-		}
-		events[i] = Event{At: start + time.Duration(i)*interval, Fraction: f}
-	}
-	return events
-}
-
 // Op is the kind of one Timeline event.
 type Op uint8
 

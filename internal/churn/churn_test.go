@@ -39,84 +39,6 @@ func TestCatastrophic(t *testing.T) {
 	}
 }
 
-func TestStaggered(t *testing.T) {
-	events := Staggered(10*time.Second, 5*time.Second, 4, 0.4)
-	if len(events) != 4 {
-		t.Fatalf("got %d events, want 4", len(events))
-	}
-	for i, e := range events {
-		wantAt := 10*time.Second + time.Duration(i)*5*time.Second
-		if e.At != wantAt {
-			t.Fatalf("event %d at %v, want %v", i, e.At, wantAt)
-		}
-		// Compensated fractions: burst i removes per/(1−i·per) of the live
-		// set the earlier bursts already shrank, i.e. exactly per of the
-		// schedule-time population.
-		wantF := 0.1 / (1 - 0.1*float64(i))
-		if math.Abs(e.Fraction-wantF) > 1e-12 {
-			t.Fatalf("event %d fraction %v, want %v", i, e.Fraction, wantF)
-		}
-		if err := e.Validate(); err != nil {
-			t.Fatalf("event %d invalid: %v", i, err)
-		}
-	}
-	if Staggered(0, 0, 0, 0.5) != nil {
-		t.Fatal("zero-count staggered should be nil")
-	}
-	// Full kill stays valid: the last burst wipes the remaining live set.
-	full := Staggered(0, time.Second, 2, 1)
-	if full[0].Fraction != 0.5 || full[1].Fraction != 1 {
-		t.Fatalf("full-kill fractions = %v, %v, want 0.5, 1", full[0].Fraction, full[1].Fraction)
-	}
-}
-
-// TestStaggeredDeliversTotal is the regression for the compounding
-// under-delivery: applying the bursts sequentially to a shrinking live set
-// must kill exactly totalFraction of the schedule-time population (the old
-// equal fractions killed 1−(1−per)^count, ≈41% instead of 50% over 5
-// bursts). Victim counts are pinned per burst.
-func TestStaggeredDeliversTotal(t *testing.T) {
-	tests := []struct {
-		n, count int
-		total    float64
-		perBurst int
-	}{
-		{1000, 5, 0.5, 100},
-		{1000, 4, 0.4, 100},
-		{230, 5, 0.5, 23}, // paper scale
-	}
-	for _, tt := range tests {
-		rng := rand.New(rand.NewSource(9))
-		live := make([]wire.NodeID, tt.n)
-		for i := range live {
-			live[i] = wire.NodeID(i)
-		}
-		killed := 0
-		for i, e := range Staggered(0, time.Second, tt.count, tt.total) {
-			victims := Pick(live, e.Fraction, rng)
-			if len(victims) != tt.perBurst {
-				t.Fatalf("n=%d total=%v burst %d killed %d, want %d",
-					tt.n, tt.total, i, len(victims), tt.perBurst)
-			}
-			killed += len(victims)
-			dead := make(map[wire.NodeID]bool, len(victims))
-			for _, v := range victims {
-				dead[v] = true
-			}
-			next := live[:0]
-			for _, id := range live {
-				if !dead[id] {
-					next = append(next, id)
-				}
-			}
-			live = next
-		}
-		if want := int(tt.total*float64(tt.n) + 0.5); killed != want {
-			t.Fatalf("n=%d total=%v killed %d overall, want %d", tt.n, tt.total, killed, want)
-		}
-	}
-}
-
 func TestPickSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	eligible := make([]wire.NodeID, 229) // 230 nodes minus the source
@@ -311,16 +233,18 @@ func TestTimelinePoissonRates(t *testing.T) {
 // TestTimelineDegenerateBurst: a process with only bursts reproduces the
 // classic schedule exactly.
 func TestTimelineDegenerateBurst(t *testing.T) {
-	p := Process{Bursts: Staggered(10*time.Second, 5*time.Second, 3, 0.3)}
-	tl := p.Timeline(1, time.Minute)
-	if len(tl) != 3 {
-		t.Fatalf("got %d events, want 3", len(tl))
+	bursts := []Event{
+		{At: 10 * time.Second, Fraction: 0.1},
+		{At: 15 * time.Second, Fraction: 0.2},
+		{At: 20 * time.Second, Fraction: 0.3},
+	}
+	tl := Process{Bursts: bursts}.Timeline(1, time.Minute)
+	if len(tl) != len(bursts) {
+		t.Fatalf("got %d events, want %d", len(tl), len(bursts))
 	}
 	for i, ev := range tl {
-		wantAt := 10*time.Second + time.Duration(i)*5*time.Second
-		wantF := 0.1 / (1 - 0.1*float64(i))
-		if ev.Op != OpBurst || ev.At != wantAt || math.Abs(ev.Fraction-wantF) > 1e-9 {
-			t.Fatalf("event %d = %+v, want burst at %v fraction %v", i, ev, wantAt, wantF)
+		if want := (TimelineEvent{At: bursts[i].At, Op: OpBurst, Fraction: bursts[i].Fraction}); ev != want {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
 		}
 	}
 	if got := (Process{}).Timeline(1, time.Minute); len(got) != 0 {

@@ -7,24 +7,23 @@ import (
 	"time"
 
 	"gossipstream/internal/member"
-	"gossipstream/internal/sim"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
 // harness bundles one hand-driven peer with its bus for edge-case tests.
 type harness struct {
-	sched *sim.Scheduler
+	sched *clock
 	bus   *bus
 	peer  *Peer
 }
 
 func newHarness(t *testing.T, cfg Config, layout stream.Layout) *harness {
 	t.Helper()
-	sched := sim.New(21)
+	sched := &clock{}
 	b := newBus(sched, time.Millisecond)
 	env := &busEnv{id: 9, bus: b, rng: rand.New(rand.NewSource(9))}
-	p, err := NewPeer(env, cfg, member.NewFullView(9, 64, env.rng), layout)
+	p, err := NewPeer(env, cfg, member.NewSparseView(9, 64, env.rng), layout)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,14 +206,14 @@ func TestFeedMeChangesReceiverView(t *testing.T) {
 	layout := tinyLayout()
 	cfg := testConfig()
 	cfg.RefreshEvery = member.Never
-	sched := sim.New(30)
+	sched := &clock{}
 	b := newBus(sched, time.Millisecond)
 	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(30))}
 	src, err := stream.NewSource(layout, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSourcePeer(env, cfg, member.NewFullView(0, 64, env.rng), src)
+	p, err := NewSourcePeer(env, cfg, member.NewSparseView(0, 64, env.rng), src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,14 +271,14 @@ func TestSourceServesFromStreamStore(t *testing.T) {
 	// serves them back (lookup falls through to the stream.Source).
 	layout := tinyLayout()
 	cfg := testConfig()
-	sched := sim.New(31)
+	sched := &clock{}
 	b := newBus(sched, time.Millisecond)
 	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(31))}
 	src, err := stream.NewSource(layout, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewSourcePeer(env, cfg, member.NewFullView(0, 8, env.rng), src)
+	p, err := NewSourcePeer(env, cfg, member.NewSparseView(0, 8, env.rng), src)
 	if err != nil {
 		t.Fatal(err)
 	}

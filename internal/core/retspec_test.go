@@ -357,7 +357,7 @@ func runSpec(t *testing.T, flat bool, retry RetryPolicy, k int, ops []specOp) {
 	if flat {
 		penv = &fenv
 	}
-	p, err := NewPeer(penv, cfg, member.NewFullView(9, 64, rand.New(rand.NewSource(1))), layout)
+	p, err := NewPeer(penv, cfg, member.NewSparseView(9, 64, rand.New(rand.NewSource(1))), layout)
 	if err != nil {
 		t.Fatal(err)
 	}

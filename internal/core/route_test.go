@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"gossipstream/internal/member"
-	"gossipstream/internal/sim"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -76,7 +75,7 @@ func TestRoutesSendTheSameDatagrams(t *testing.T) {
 				const n = 12
 				cfg := testConfig()
 				cfg.Retry = retry
-				sched := sim.New(11)
+				sched := &clock{}
 				b := newBus(sched, 5*time.Millisecond)
 				lossRng := rand.New(rand.NewSource(5))
 				b.drop = func(_, _ wire.NodeID, _ wire.Message) bool { return lossRng.Float64() < 0.15 }
@@ -92,7 +91,7 @@ func TestRoutesSendTheSameDatagrams(t *testing.T) {
 					if flat {
 						env = fenv
 					}
-					sampler := member.NewFullView(id, n, fenv.rng)
+					sampler := member.NewSparseView(id, n, fenv.rng)
 					var p *Peer
 					if i == 0 {
 						p, err = NewSourcePeer(env, cfg, sampler, src)
@@ -165,8 +164,8 @@ func TestRoutesSendTheSameDatagrams(t *testing.T) {
 // id-list kind that is neither PROPOSE nor REQUEST.
 func TestTypedHandlersIgnoreWhatHandleMessageIgnores(t *testing.T) {
 	layout := tinyLayout()
-	fenv := &flatBusEnv{busEnv: busEnv{id: 1, bus: newBus(sim.New(1), time.Millisecond), rng: rand.New(rand.NewSource(1))}}
-	p, err := NewPeer(fenv, testConfig(), member.NewFullView(1, 4, fenv.rng), layout)
+	fenv := &flatBusEnv{busEnv: busEnv{id: 1, bus: newBus(&clock{}, time.Millisecond), rng: rand.New(rand.NewSource(1))}}
+	p, err := NewPeer(fenv, testConfig(), member.NewSparseView(1, 4, fenv.rng), layout)
 	if err != nil {
 		t.Fatal(err)
 	}

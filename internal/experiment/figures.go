@@ -41,16 +41,6 @@ func (o Options) base() Config {
 // process, the paper's survivors otherwise. Only Figure 4 and ChurnClaim
 // read the per-node rows and so force Config.StreamingMetrics off.
 
-// figureLags are the stream-lag columns of Figures 1, 3, 5, 6 and 7.
-var figureLags = []struct {
-	name string
-	lag  time.Duration
-}{
-	{"offline", metrics.InfiniteLag},
-	{"20s lag", 20 * time.Second},
-	{"10s lag", 10 * time.Second},
-}
-
 // Figure1Fanouts is the default fanout sweep of Figures 1 and 2.
 var Figure1Fanouts = []int{4, 5, 6, 7, 10, 15, 20, 30, 40, 50, 65, 80}
 

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -413,8 +414,6 @@ func (r *Result) UploadDistribution() []float64 {
 	for _, n := range r.Nodes {
 		out = append(out, n.UploadKbps)
 	}
-	// O(n log n): the previous insertion sort was quadratic, which a
-	// 100k-node result turns into minutes.
 	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
 	return out
 }
@@ -453,26 +452,17 @@ func freeRider(frac float64, ordinal int) bool {
 	return math.Floor(float64(ordinal+1)*frac) > math.Floor(float64(ordinal)*frac)
 }
 
-// bootstrapIDs seeds a Cyclon view with k distinct random peers.
+// bootstrapIDs seeds a Cyclon view with k distinct random peers, in
+// ascending order.
 func bootstrapIDs(self wire.NodeID, n, k int, rng *rand.Rand) []wire.NodeID {
-	ids := make(map[wire.NodeID]bool, k)
-	for len(ids) < k && len(ids) < n-1 {
+	out := make([]wire.NodeID, 0, k)
+	for len(out) < k && len(out) < n-1 {
 		id := wire.NodeID(rng.Intn(n))
-		if id != self {
-			ids[id] = true
+		if id != self && !slices.Contains(out, id) {
+			out = append(out, id)
 		}
 	}
-	out := make([]wire.NodeID, 0, len(ids))
-	//lint:ordered collected ids are insertion-sorted immediately below
-	for id := range ids {
-		out = append(out, id)
-	}
-	// Deterministic order for reproducibility (map iteration is random).
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	slices.Sort(out)
 	return out
 }
 

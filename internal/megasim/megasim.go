@@ -816,8 +816,8 @@ func (e *Engine) minBase() time.Duration {
 	return min
 }
 
-// Run executes the simulation up to and including virtual time until,
-// mirroring sim.Scheduler.RunUntil. It can be called once per engine.
+// Run executes every event due at or before virtual time until. It can be
+// called once per engine.
 func (e *Engine) Run(until time.Duration) error {
 	if e.ran {
 		return fmt.Errorf("megasim: Run called twice")

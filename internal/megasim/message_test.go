@@ -169,7 +169,7 @@ func TestSendRoutesDeliverAlike(t *testing.T) {
 				sender.Send(to, wire.Propose{IDs: ids})
 				sender.Send(to, wire.Request{IDs: ids[:2]})
 				sender.Send(to, wire.Serve{Packets: pkts[:1]})
-				sender.Send(to, wire.SplitServe(pkts)[0])
+				sender.Send(to, wire.SplitServeInto(nil, pkts)[0])
 			}
 			sender.Send(to, wire.FeedMe{})
 		}
@@ -256,7 +256,7 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 			from, to := envs[i/4%nodes], NodeID((i/4+1+i/24)%nodes)
 			from.SendPackets(to, batch[:1])
 			from.SendPackets(to, batch[1:])
-			for _, serve := range wire.SplitServe(batch) {
+			for _, serve := range wire.SplitServeInto(nil, batch) {
 				pooled := serve.Packets[:cap(serve.Packets)]
 				from.Send(to, serve)
 				if slices.IndexFunc(pooled, func(p *stream.Packet) bool { return p != nil }) >= 0 {

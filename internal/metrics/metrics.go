@@ -162,58 +162,6 @@ func LagCDF(qs []Quality, probes []time.Duration, maxJitter float64) []float64 {
 	return out
 }
 
-// Summary holds descriptive statistics of a sample.
-type Summary struct {
-	N                  int
-	Min, Max, Mean     float64
-	P25, P50, P90, P99 float64
-}
-
-// Summarize computes a Summary. It copies and sorts the input.
-func Summarize(values []float64) Summary {
-	if len(values) == 0 {
-		return Summary{}
-	}
-	s := append([]float64(nil), values...)
-	sort.Float64s(s)
-	sum := 0.0
-	for _, v := range s {
-		sum += v
-	}
-	return Summary{
-		N:    len(s),
-		Min:  s[0],
-		Max:  s[len(s)-1],
-		Mean: sum / float64(len(s)),
-		P25:  Percentile(s, 0.25),
-		P50:  Percentile(s, 0.50),
-		P90:  Percentile(s, 0.90),
-		P99:  Percentile(s, 0.99),
-	}
-}
-
-// Percentile returns the p-quantile (0 ≤ p ≤ 1) of an ascending-sorted
-// sample using nearest-rank interpolation.
-func Percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := p * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
 // Table is a printable result table; one per reproduced figure.
 type Table struct {
 	Title   string

@@ -137,38 +137,6 @@ func TestLagCDF(t *testing.T) {
 	}
 }
 
-func TestPercentile(t *testing.T) {
-	s := []float64{1, 2, 3, 4, 5}
-	tests := []struct {
-		p    float64
-		want float64
-	}{
-		{0, 1}, {1, 5}, {0.5, 3}, {0.25, 2}, {0.125, 1.5},
-	}
-	for _, tt := range tests {
-		if got := Percentile(s, tt.p); math.Abs(got-tt.want) > 1e-9 {
-			t.Errorf("Percentile(%v) = %v, want %v", tt.p, got, tt.want)
-		}
-	}
-	if !math.IsNaN(Percentile(nil, 0.5)) {
-		t.Fatal("Percentile of empty sample should be NaN")
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s := Summarize([]float64{4, 1, 3, 2})
-	if s.N != 4 || s.Min != 1 || s.Max != 4 || math.Abs(s.Mean-2.5) > 1e-9 {
-		t.Fatalf("Summarize = %+v", s)
-	}
-	if s.P50 != 2.5 {
-		t.Fatalf("P50 = %v, want 2.5", s.P50)
-	}
-	empty := Summarize(nil)
-	if empty.N != 0 {
-		t.Fatal("Summarize(nil) should be zero")
-	}
-}
-
 // Property: CompleteFraction is nondecreasing in lag and CriticalLag is
 // consistent with ViewableAt.
 func TestQualityMonotoneProperty(t *testing.T) {

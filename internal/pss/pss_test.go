@@ -1,19 +1,55 @@
 package pss
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
 	"gossipstream/internal/member"
-	"gossipstream/internal/sim"
 	"gossipstream/internal/wire"
 )
+
+// clock is the tests' virtual time: callbacks fire in (instant, scheduling
+// order) order, as on the engine.
+type clock struct {
+	now     time.Duration
+	pending []clockEvent // by instant, ties in scheduling order
+}
+
+type clockEvent struct {
+	at time.Duration
+	fn func()
+}
+
+// After schedules fn d from now.
+func (c *clock) After(d time.Duration, fn func()) {
+	e := clockEvent{at: c.now + d, fn: fn}
+	i := sort.Search(len(c.pending), func(i int) bool { return c.pending[i].at > e.at })
+	c.pending = slices.Insert(c.pending, i, e)
+}
+
+// Now returns the current virtual time.
+func (c *clock) Now() time.Duration { return c.now }
+
+// RunUntil fires everything due by deadline, then moves the clock there.
+func (c *clock) RunUntil(deadline time.Duration) {
+	for len(c.pending) > 0 && c.pending[0].at <= deadline {
+		e := c.pending[0]
+		c.pending = c.pending[1:]
+		c.now = e.at
+		e.fn()
+	}
+	c.now = max(c.now, deadline)
+}
 
 // bus drives State records the way an engine does: it ticks each one on
 // the shuffle period (de-phased by a random offset) and carries whatever
 // Tick and Handle emit, with a fixed delay.
 type bus struct {
-	sched  *sim.Scheduler
+	sched  *clock
+	rng    *rand.Rand
 	period time.Duration
 	nodes  map[wire.NodeID]*State
 	sent   int
@@ -43,15 +79,15 @@ func (b *bus) start(st *State) {
 			b.send(st.Self(), em)
 		}
 	}
-	b.sched.After(time.Duration(b.sched.Rand().Int63n(int64(b.period))), tick)
+	b.sched.After(time.Duration(b.rng.Int63n(int64(b.period))), tick)
 }
 
 // overlay builds n records bootstrapped in a ring (each knows the next 2)
 // on a bus; startAll sets them shuffling.
-func overlay(t *testing.T, n int, cfg Config) (*sim.Scheduler, *bus, []*State) {
+func overlay(t *testing.T, n int, cfg Config) (*clock, *bus, []*State) {
 	t.Helper()
-	sched := sim.New(5)
-	b := &bus{sched: sched, period: cfg.Period, nodes: make(map[wire.NodeID]*State)}
+	sched := &clock{}
+	b := &bus{sched: sched, rng: rand.New(rand.NewSource(5)), period: cfg.Period, nodes: make(map[wire.NodeID]*State)}
 	nodes := make([]*State, n)
 	for i := 0; i < n; i++ {
 		boot := []wire.NodeID{wire.NodeID((i + 1) % n), wire.NodeID((i + 2) % n)}

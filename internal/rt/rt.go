@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -324,11 +325,7 @@ func (s *dirSampler) Sample(k int) []wire.NodeID {
 	}
 	// Map iteration order is random but not seeded; sort for determinism
 	// before shuffling with the node's rng.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j] < ids[j-1]; j-- {
-			ids[j], ids[j-1] = ids[j-1], ids[j]
-		}
-	}
+	slices.Sort(ids)
 	rng := s.node.rng
 	if k > len(ids) {
 		k = len(ids)

@@ -3,6 +3,7 @@ package rt
 import (
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -191,6 +192,33 @@ func TestDirSamplerExcludesUnknownAndIsUniform(t *testing.T) {
 	}
 	if got := s.Sample(100); len(got) != 10 {
 		t.Fatalf("oversized sample returned %d ids, want all 10", len(got))
+	}
+}
+
+// TestDirSamplerIgnoresDirectoryOrder: two nodes with equal seeds whose
+// directories were filled in opposite orders draw the same samples — the
+// sampler sorts what it reads out of the directory map before drawing.
+func TestDirSamplerIgnoresDirectoryOrder(t *testing.T) {
+	var samplers [2]*dirSampler
+	for i := range samplers {
+		node, err := New(Config{ID: 0, Core: fastCore(), Layout: fastLayout(), Seed: 9}, "127.0.0.1:0", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer node.Stop()
+		for j := 1; j <= 40; j++ {
+			id := j
+			if i == 1 {
+				id = 41 - j
+			}
+			node.AddPeer(wirepkg.NodeID(id), node.Addr())
+		}
+		samplers[i] = &dirSampler{node: node}
+	}
+	for draw := 0; draw < 50; draw++ {
+		if a, b := samplers[0].Sample(5), samplers[1].Sample(5); !slices.Equal(a, b) {
+			t.Fatalf("draw %d: %v and %v from equal seeds", draw, a, b)
+		}
 	}
 }
 

@@ -33,10 +33,6 @@ type Shaper struct {
 	rateBps    int64         // bits per second; Unlimited means no cap
 	queueLimit int64         // max queued bytes; <=0 with a rate means "1 message always fits"
 	busyUntil  time.Duration // virtual time the uplink finishes its current backlog
-	dropped    uint64
-	droppedB   uint64
-	sent       uint64
-	sentB      uint64
 }
 
 // NewShaper returns a Shaper draining at rateBps bits per second with at
@@ -49,9 +45,6 @@ func NewShaper(rateBps int64, queueBytes int64) *Shaper {
 	return &Shaper{rateBps: rateBps, queueLimit: queueBytes}
 }
 
-// RateBps returns the configured drain rate (Unlimited if uncapped).
-func (s *Shaper) RateBps() int64 { return s.rateBps }
-
 // Enqueue offers a message of size bytes to the uplink at virtual time now.
 // It returns the time the last byte leaves the uplink and ok=true, or
 // ok=false if the bounded queue would overflow and the message is dropped.
@@ -60,8 +53,6 @@ func (s *Shaper) Enqueue(now time.Duration, size int) (depart time.Duration, ok 
 		panic(fmt.Sprintf("shaping: negative message size %d", size))
 	}
 	if s.rateBps == Unlimited {
-		s.sent++
-		s.sentB += uint64(size)
 		return now, true
 	}
 	if s.busyUntil < now {
@@ -70,14 +61,10 @@ func (s *Shaper) Enqueue(now time.Duration, size int) (depart time.Duration, ok 
 	// Backlog currently queued, expressed in bytes still to serialize.
 	backlogBytes := int64(float64(s.busyUntil-now) / float64(time.Second) * float64(s.rateBps) / 8)
 	if backlogBytes > 0 && backlogBytes+int64(size) > s.queueLimit {
-		s.dropped++
-		s.droppedB += uint64(size)
 		return 0, false
 	}
 	serialization := time.Duration(float64(size*8) / float64(s.rateBps) * float64(time.Second))
 	s.busyUntil += serialization
-	s.sent++
-	s.sentB += uint64(size)
 	return s.busyUntil, true
 }
 
@@ -88,11 +75,6 @@ func (s *Shaper) Backlog(now time.Duration) time.Duration {
 		return 0
 	}
 	return s.busyUntil - now
-}
-
-// Stats reports cumulative accepted/dropped message and byte counts.
-func (s *Shaper) Stats() (sent, sentBytes, dropped, droppedBytes uint64) {
-	return s.sent, s.sentB, s.dropped, s.droppedB
 }
 
 // Bucket is a token bucket for pacing real sends. Tokens are bytes; the

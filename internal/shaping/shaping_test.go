@@ -68,10 +68,6 @@ func TestShaperDropTail(t *testing.T) {
 	if accepted != 2 {
 		t.Fatalf("accepted %d messages, want 2", accepted)
 	}
-	sent, _, dropped, droppedBytes := s.Stats()
-	if sent != 2 || dropped != 8 || droppedBytes != 8000 {
-		t.Fatalf("stats = sent %d dropped %d droppedBytes %d, want 2 8 8000", sent, dropped, droppedBytes)
-	}
 }
 
 func TestShaperRecoversAfterDrop(t *testing.T) {

@@ -271,8 +271,9 @@ func (s *Source) materialize(id PacketID) *Packet {
 }
 
 // Receiver assembles windows on a node and records viewability times. It
-// tracks packet identity only (counts and bitsets), not payloads; payload
-// reconstruction for real deployments lives in Reassembler.
+// tracks packet identity only (counts and bitsets), not payloads: a window
+// counts as viewable once DataPerWindow distinct packets arrived, which is
+// when fec.Code could reconstruct it.
 type Receiver struct {
 	layout    Layout
 	windows   []windowState
@@ -371,117 +372,4 @@ func (r *Receiver) Lag(w int) (time.Duration, bool) {
 		lag = 0
 	}
 	return lag, true
-}
-
-// Reassembler collects full packets (with payloads) and reconstructs window
-// payloads via FEC. It is used by the real-time deployment and by
-// end-to-end tests; the simulator uses the lighter Receiver.
-type Reassembler struct {
-	layout  Layout
-	code    *fec.Code
-	packets map[PacketID]*Packet
-	shares  []fec.Share // scratch reused across Reconstruct calls
-}
-
-// NewReassembler returns a Reassembler for the layout.
-func NewReassembler(layout Layout) (*Reassembler, error) {
-	if err := layout.Validate(); err != nil {
-		return nil, err
-	}
-	var code *fec.Code
-	if layout.ParityPerWindow > 0 {
-		c, err := fec.New(layout.DataPerWindow, layout.ParityPerWindow)
-		if err != nil {
-			return nil, err
-		}
-		code = c
-	}
-	return &Reassembler{layout: layout, code: code, packets: make(map[PacketID]*Packet)}, nil
-}
-
-// Add stores a received packet. Duplicates are ignored.
-func (a *Reassembler) Add(p *Packet) {
-	if _, ok := a.packets[p.ID]; !ok {
-		a.packets[p.ID] = p
-	}
-}
-
-// gatherShares refreshes the scratch share list with window w's received
-// packets.
-func (a *Reassembler) gatherShares(w int) []fec.Share {
-	l := a.layout
-	a.shares = a.shares[:0]
-	for i := 0; i < l.WindowTotal(); i++ {
-		if p, ok := a.packets[l.IDFor(w, i)]; ok {
-			a.shares = append(a.shares, fec.Share{Index: i, Data: p.Payload})
-		}
-	}
-	return a.shares
-}
-
-// Reconstruct returns the original payloads of window w in index order,
-// decoding through FEC when data packets are missing. The returned slices
-// alias stored packet payloads where possible; use ReconstructInto to
-// decode into caller-owned buffers.
-func (a *Reassembler) Reconstruct(w int) ([][]byte, error) {
-	l := a.layout
-	got := a.gatherShares(w)
-	if a.code == nil {
-		// No FEC: all data packets must be present.
-		if len(got) < l.DataPerWindow {
-			return nil, fmt.Errorf("stream: window %d has %d/%d packets and no FEC", w, len(got), l.DataPerWindow)
-		}
-		out := make([][]byte, l.DataPerWindow)
-		for _, s := range got {
-			if s.Index < l.DataPerWindow {
-				out[s.Index] = s.Data
-			}
-		}
-		return out, nil
-	}
-	data, err := a.code.Reconstruct(got)
-	if err != nil {
-		return nil, fmt.Errorf("stream: window %d: %w", w, err)
-	}
-	return data, nil
-}
-
-// WindowBuffers returns a reusable output buffer set for ReconstructInto:
-// DataPerWindow slices of PayloadBytes each, carved from one contiguous
-// arena. Allocate once, then cycle through every window.
-func (a *Reassembler) WindowBuffers() [][]byte {
-	return fec.AllocShares(a.layout.DataPerWindow, a.layout.PayloadBytes)
-}
-
-// ReconstructInto recovers window w's original payloads into out, which
-// must hold DataPerWindow slices of the window's payload size (see
-// WindowBuffers). Received payloads are copied and missing ones FEC-decoded
-// in place; with the window's loss pattern already in the decode cache the
-// call performs no heap allocations, so one buffer set can be cycled
-// through an entire stream.
-func (a *Reassembler) ReconstructInto(w int, out [][]byte) error {
-	l := a.layout
-	got := a.gatherShares(w)
-	if a.code == nil {
-		if len(out) != l.DataPerWindow {
-			return fmt.Errorf("stream: window %d: got %d output buffers, want %d", w, len(out), l.DataPerWindow)
-		}
-		if len(got) < l.DataPerWindow {
-			return fmt.Errorf("stream: window %d has %d/%d packets and no FEC", w, len(got), l.DataPerWindow)
-		}
-		for _, s := range got {
-			if s.Index >= l.DataPerWindow {
-				continue
-			}
-			if len(out[s.Index]) != len(s.Data) {
-				return fmt.Errorf("stream: window %d: output buffer %d has length %d, want %d", w, s.Index, len(out[s.Index]), len(s.Data))
-			}
-			copy(out[s.Index], s.Data)
-		}
-		return nil
-	}
-	if err := a.code.ReconstructInto(got, out); err != nil {
-		return fmt.Errorf("stream: window %d: %w", w, err)
-	}
-	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"gossipstream/internal/fec"
 )
 
 // tinyLayout is a small stream used across tests: 5 windows of 4+2 packets.
@@ -187,20 +189,20 @@ func TestSourceParityDecodesToData(t *testing.T) {
 		t.Fatal(err)
 	}
 	l := src.Layout()
-	all := src.PacketsUntil(l.Duration())
-	asm, err := NewReassembler(l)
+	code, err := fec.New(l.DataPerWindow, l.ParityPerWindow)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range all {
+	shares := make([][]fec.Share, l.Windows)
+	for _, p := range src.PacketsUntil(l.Duration()) {
 		// Drop data packets 0 and 2 of every window (= ParityPerWindow losses).
 		if !p.Parity && (p.Index == 0 || p.Index == 2) {
 			continue
 		}
-		asm.Add(p)
+		shares[p.Window] = append(shares[p.Window], fec.Share{Index: int(p.Index), Data: p.Payload})
 	}
 	for w := 0; w < l.Windows; w++ {
-		data, err := asm.Reconstruct(w)
+		data, err := code.Reconstruct(shares[w])
 		if err != nil {
 			t.Fatalf("window %d: %v", w, err)
 		}
@@ -344,48 +346,33 @@ func TestReceiverCountProperty(t *testing.T) {
 	}
 }
 
-// Property: Reconstruct succeeds for any loss pattern with ≤ parity losses
-// and reproduces the source payloads.
-func TestReassemblerProperty(t *testing.T) {
-	src, err := NewSource(tinyLayout(), 9)
+// TestAppendPacketsUntilMatchesPacketsUntil checks the scratch-reusing
+// variant emits the identical publish sequence.
+func TestAppendPacketsUntilMatchesPacketsUntil(t *testing.T) {
+	a, err := NewSource(tinyLayout(), 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := src.Layout()
-	all := src.PacketsUntil(l.Duration())
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		asm, err := NewReassembler(l)
-		if err != nil {
-			return false
-		}
-		// Drop exactly ParityPerWindow random packets per window.
-		drop := make(map[PacketID]bool)
-		for w := 0; w < l.Windows; w++ {
-			for _, i := range rng.Perm(l.WindowTotal())[:l.ParityPerWindow] {
-				drop[l.IDFor(w, i)] = true
-			}
-		}
-		for _, p := range all {
-			if !drop[p.ID] {
-				asm.Add(p)
-			}
-		}
-		for w := 0; w < l.Windows; w++ {
-			data, err := asm.Reconstruct(w)
-			if err != nil {
-				return false
-			}
-			for i := range data {
-				if !bytes.Equal(data[i], src.Packet(l.IDFor(w, i)).Payload) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
+	b, err := NewSource(tinyLayout(), 7)
+	if err != nil {
 		t.Fatal(err)
+	}
+	l := a.Layout()
+	var scratch []*Packet
+	for now := time.Duration(0); now <= l.Duration(); now += l.PacketTime() {
+		want := a.PacketsUntil(now)
+		scratch = b.AppendPacketsUntil(scratch[:0], now)
+		if len(want) != len(scratch) {
+			t.Fatalf("at %v: %d packets vs %d", now, len(scratch), len(want))
+		}
+		for i := range want {
+			if want[i].ID != scratch[i].ID || !bytes.Equal(want[i].Payload, scratch[i].Payload) {
+				t.Fatalf("at %v: packet %d differs", now, i)
+			}
+		}
+	}
+	if !a.Done() || !b.Done() {
+		t.Fatal("sources did not finish")
 	}
 }
 

@@ -267,10 +267,14 @@ func (c *Codec) encodeServe(sender uint32, m Serve) ([]byte, error) {
 }
 
 // Decode parses a datagram produced by Encode, returning the sender id and
-// the message.
+// the message. Encode never writes more than MTUBytes, so a longer datagram
+// is rejected; bytes after the declared contents are ignored.
 func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 	if len(data) < headerBytes {
 		return 0, nil, ErrTruncated
+	}
+	if len(data) > MTUBytes {
+		return 0, nil, fmt.Errorf("wire: %d-byte datagram exceeds MTU %d", len(data), MTUBytes)
 	}
 	kind := Kind(data[0])
 	sender = binary.BigEndian.Uint32(data[1:5])
@@ -290,7 +294,8 @@ func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 		}
 		return sender, Request{IDs: ids}, nil
 	case KindServe:
-		packets := make([]*stream.Packet, 0, count)
+		// The count is the sender's word; the body bounds what it can hold.
+		packets := make([]*stream.Packet, 0, min(count, len(body)/packetHeaderBytes))
 		off := 0
 		for i := 0; i < count; i++ {
 			if len(body) < off+packetHeaderBytes {
@@ -424,12 +429,6 @@ func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 		dst = append(dst, Serve{Packets: arr[:copy(arr[:], chunk)]})
 	}
 	return dst
-}
-
-// SplitServe is SplitServeInto without a reusable destination, for callers
-// that split rarely enough not to care.
-func SplitServe(packets []*stream.Packet) []Serve {
-	return SplitServeInto(nil, packets)
 }
 
 // RecycleServe returns s's Packets backing to the pool. Only messages

@@ -3,7 +3,10 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -183,9 +186,9 @@ func TestDecodeTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, n := range []int{0, 3, len(buf) - 1} {
-		if _, _, err := c.Decode(buf[:n]); !errors.Is(err, ErrTruncated) {
-			t.Fatalf("Decode(%d bytes) error = %v, want ErrTruncated", n, err)
+	for _, data := range [][]byte{buf[:0], buf[:3], buf[:len(buf)-1], forgedServe} {
+		if _, _, err := c.Decode(data); !errors.Is(err, ErrTruncated) {
+			t.Fatalf("Decode(%x) error = %v, want ErrTruncated", data, err)
 		}
 	}
 }
@@ -208,6 +211,91 @@ func TestDecodeUnknownKind(t *testing.T) {
 	if _, _, err := c.Decode(buf); err == nil {
 		t.Fatal("unknown kind accepted")
 	}
+}
+
+func TestDecodeOversized(t *testing.T) {
+	c := NewCodec(testLayout())
+	full, err := c.Encode(1, Serve{Packets: []*stream.Packet{{ID: 1, Payload: make([]byte, MTUBytes-headerBytes-packetHeaderBytes)}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Decode(full); err != nil {
+		t.Fatalf("an MTU-sized datagram failed to decode: %v", err)
+	}
+	if _, _, err := c.Decode(append(full, 0)); err == nil {
+		t.Fatal("a datagram one byte beyond the MTU decoded")
+	}
+}
+
+// forgedServe is a bare SERVE header announcing 65535 packets. Decode used
+// to size the packet list from that count and allocate 512 KB before
+// failing as truncated; as a FuzzCodec seed it is held to decodeAllocBound.
+var forgedServe = []byte{byte(KindServe), 0, 0, 0, 1, 0xff, 0xff}
+
+// decodeAllocBound is what one Decode of an n-byte datagram may allocate.
+// The costliest datagram per byte is a SERVE of empty packets: each 6-byte
+// packet header becomes a 48-byte Packet and an 8-byte list slot, ≈9.4
+// bytes per datagram byte. The constant covers boxing the message.
+func decodeAllocBound(n int) uint64 { return 12*uint64(n) + 256 }
+
+// decodeBytes reports the heap bytes one Decode of data allocates. The
+// heap counters are process-wide, so whatever another goroutine allocates
+// meanwhile adds to a measurement; the least of a few is the one to trust.
+func decodeBytes(c *Codec, data []byte) uint64 {
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for range 3 {
+		runtime.ReadMemStats(&before)
+		c.Decode(data)
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	return least
+}
+
+// FuzzCodec feeds Decode arbitrary datagrams: nothing panics, truncated and
+// oversized ones return an error, no datagram makes Decode allocate beyond
+// decodeAllocBound of its length, and whatever decodes re-encodes to a
+// datagram that decodes to the same sender and message. Not to the same
+// bytes: Decode ignores bytes after the declared contents and reads a
+// SHUFFLE flag other than 1 as a request. Neither is rejected, on purpose —
+// a receiver acts on the decoded message alone, so both are harmless.
+func FuzzCodec(f *testing.F) {
+	l := testLayout()
+	c := NewCodec(l)
+	for _, msg := range []Message{
+		Propose{IDs: []stream.PacketID{0, 1, 42, 1 << 30}},
+		Request{IDs: []stream.PacketID{7}},
+		Serve{Packets: []*stream.Packet{{ID: l.IDFor(3, 105), Payload: bytes.Repeat([]byte{0xAB}, 600)}}},
+		Serve{Packets: []*stream.Packet{{ID: 5, Payload: make([]byte, 100)}, {ID: 6}}},
+		FeedMe{},
+		Leave{},
+		Shuffle{Reply: true, Entries: []ShuffleEntry{{ID: 4, Age: 2}, {ID: 9}}},
+	} {
+		buf, err := c.Encode(17, msg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf)
+	}
+	f.Add(forgedServe)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sender, msg, err := c.Decode(data)
+		if got, bound := decodeBytes(c, data), decodeAllocBound(len(data)); got > bound {
+			t.Fatalf("decoding %d bytes allocated %d, bound %d", len(data), got, bound)
+		}
+		if err != nil {
+			return
+		}
+		buf, err := c.Encode(sender, msg)
+		if err != nil {
+			t.Fatalf("decoded %T does not re-encode: %v", msg, err)
+		}
+		again, msgAgain, err := c.Decode(buf)
+		if err != nil || again != sender || !reflect.DeepEqual(msgAgain, msg) {
+			t.Fatalf("decoded %#v from %d; its encoding decodes to %#v from %d (error %v)", msg, sender, msgAgain, again, err)
+		}
+	})
 }
 
 func TestCutIDs(t *testing.T) {
@@ -277,7 +365,7 @@ func TestSplitServe(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		packets = append(packets, &stream.Packet{ID: stream.PacketID(i), Payload: make([]byte, 600)})
 	}
-	serves := SplitServe(packets)
+	serves := SplitServeInto(nil, packets)
 	total := 0
 	for _, s := range serves {
 		if s.WireSize()-UDPOverheadBytes > MTUBytes {
@@ -294,9 +382,6 @@ func TestSplitServe(t *testing.T) {
 }
 
 func TestSplitServeEmpty(t *testing.T) {
-	if got := SplitServe(nil); got != nil {
-		t.Fatalf("SplitServe(nil) = %v, want nil", got)
-	}
 	if got := SplitServeInto(nil, nil); got != nil {
 		t.Fatalf("SplitServeInto(nil, nil) = %v, want nil", got)
 	}
