@@ -114,8 +114,8 @@ type (
 	// windows run, heap high-water, and cross-shard outbox volume
 	// (ExperimentResult.ShardLoads).
 	ShardLoad = telemetry.ShardLoad
-	// WallProfile is the supervisor-sampled wall-time split of a run
-	// (ExperimentResult.Wall); zero unless TelemetryOptions.Clock is
+	// WallProfile is the wall-time split of a run, with each shard's busy
+	// time (ExperimentResult.Wall); zero unless TelemetryOptions.Clock is
 	// set, and excluded from determinism guarantees.
 	WallProfile = telemetry.WallProfile
 	// HistSummary digests a telemetry histogram: count, extremes, mean

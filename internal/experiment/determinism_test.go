@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -94,13 +95,23 @@ func TestTelemetryAndQueueAtDefaultShards(t *testing.T) {
 	if len(res.Snapshots) == 0 || res.Wall.RunNS <= 0 {
 		t.Fatalf("Shards = 0 run took %d snapshots and sampled %d ns of run wall, want both > 0", len(res.Snapshots), res.Wall.RunNS)
 	}
+	if len(res.Wall.ShardBusyNS) != 1 || res.Wall.ShardBusyNS[0] <= 0 {
+		t.Fatalf("Shards = 0 run sampled shard busy time %v, want one entry > 0", res.Wall.ShardBusyNS)
+	}
+}
+
+// setProcs sets GOMAXPROCS for the rest of the test and restores it after.
+func setProcs(t *testing.T, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
 // TestRunShardedDeterministicReplay is the sharded-engine analogue: a
-// fixed (Seed, Shards) pair must reproduce the identical Result across
-// repeated runs regardless of goroutine interleaving.
+// fixed (Seed, Shards) pair must reproduce the identical Result whatever
+// the goroutine schedule. Replays at GOMAXPROCS 1 (every barrier wait
+// parks) and 4 must be deep-equal to the run at the default.
 func TestRunShardedDeterministicReplay(t *testing.T) {
-	for _, shards := range []int{1, 3} {
+	for _, shards := range []int{1, 2, 3, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			cfg := smallCfg(11)
 			cfg.Shards = shards
@@ -109,18 +120,21 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
 			if a.Events == 0 {
 				t.Fatal("sharded run executed no events")
 			}
-			if !reflect.DeepEqual(a, b) {
-				t.Fatal("sharded engine: identical (seed, shards) produced different Results")
-			}
-			if qualityHash(t, a) != qualityHash(t, b) {
-				t.Fatal("sharded engine: quality metrics not byte-identical")
+			for _, procs := range []int{1, 4} {
+				setProcs(t, procs)
+				b, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("GOMAXPROCS %d: identical (seed, shards) produced different Results", procs)
+				}
+				if qualityHash(t, a) != qualityHash(t, b) {
+					t.Fatalf("GOMAXPROCS %d: quality metrics not byte-identical", procs)
+				}
 			}
 		})
 	}
@@ -129,21 +143,39 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 // TestRunManyInterleavingIndependence checks that results computed under
 // RunMany's worker-pool parallelism are identical to serial Run calls —
 // goroutine scheduling must not leak into any Result, one shard or several.
+// The oversubscribed batch runs four 2-shard configs at GOMAXPROCS 2: twice
+// as many shards in flight as there are Ps, so every barrier wait parks at
+// once.
 func TestRunManyInterleavingIndependence(t *testing.T) {
-	cfgs := []Config{smallCfg(1), smallCfg(2), smallCfg(1), smallCfg(3)}
-	cfgs[2].Shards = 2 // one sharded run inside the parallel batch
-	batch, err := RunMany(cfgs)
-	if err != nil {
-		t.Fatal(err)
+	mixed := []Config{smallCfg(1), smallCfg(2), smallCfg(1), smallCfg(3)}
+	mixed[2].Shards = 2 // one sharded run inside the parallel batch
+	over := []Config{smallCfg(1), smallCfg(2), smallCfg(3), smallCfg(4)}
+	for i := range over {
+		over[i].Shards = 2
 	}
-	for i, cfg := range cfgs {
-		solo, err := Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(batch[i], solo) {
-			t.Fatalf("cfg %d: RunMany result differs from serial Run", i)
-		}
+	for _, c := range []struct {
+		name  string
+		procs int // 0: leave GOMAXPROCS as it is
+		cfgs  []Config
+	}{{"mixed", 0, mixed}, {"oversubscribed", 2, over}} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.procs > 0 {
+				setProcs(t, c.procs)
+			}
+			batch, err := RunMany(c.cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, cfg := range c.cfgs {
+				solo, err := Run(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(batch[i], solo) {
+					t.Fatalf("cfg %d: RunMany result differs from serial Run", i)
+				}
+			}
+		})
 	}
 }
 

@@ -128,16 +128,18 @@ type Config struct {
 	Telemetry *TelemetryOptions `json:"-"`
 }
 
-// TelemetryOptions configures run introspection (Config.Telemetry). All
-// hooks run on the engine's supervisor goroutine.
+// TelemetryOptions configures run introspection (Config.Telemetry). The
+// snapshot hook runs on the engine's supervisor goroutine; the clock is
+// also read by every shard goroutine.
 type TelemetryOptions struct {
 	// SnapshotEvery is the simulated-time spacing of progress snapshots
 	// (Result.Snapshots); 0 takes none.
 	SnapshotEvery time.Duration
 	// Clock, when non-nil, is a wall-clock sampler (teleclock.Clock())
-	// injected into the engine supervisor; it fills Result.Wall with the
-	// run/merge/barrier wall-time split. Sampled only between phases, so
-	// the simulated run is unaffected.
+	// injected into the engine; it fills Result.Wall with the
+	// run/merge/barrier wall-time split and each shard's busy time. It is
+	// sampled only at phase edges, so the simulated run is unaffected, and
+	// from every shard goroutine, so it must be safe for concurrent use.
 	Clock func() int64 `json:"-"`
 	// OnSnapshot, when non-nil, observes each snapshot as it is taken —
 	// the live progress line (teleclock.Progress).

@@ -492,9 +492,11 @@ func (h *holder) Handle(wire.NodeID, wire.Message) (member.Emit, bool) { return 
 // countTick counts its protocol rounds and never emits.
 type countTick struct{ n int }
 
-func (c *countTick) Sample(int) []wire.NodeID                             { return nil }
-func (c *countTick) Tick() (member.Emit, bool)                            { c.n++; return member.Emit{}, false }
-func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) { return member.Emit{}, false }
+func (c *countTick) Sample(int) []wire.NodeID  { return nil }
+func (c *countTick) Tick() (member.Emit, bool) { c.n++; return member.Emit{}, false }
+func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) {
+	return member.Emit{}, false
+}
 
 // FuzzArenaRecycling interleaves AddNode / Crash / Release / sends to
 // arbitrary (possibly stale) handles at successive barriers, then checks
@@ -527,10 +529,10 @@ func FuzzArenaRecycling(f *testing.F) {
 			env0 := e.NodeEnv(0, NewRand(1))
 			e.AddNode(&recorder{env: env0}, shaping.Unlimited, 0)
 			// Model state, mutated by the barrier callbacks in order.
-			handles := []NodeID{0}          // every handle ever minted
-			liveIDs := []NodeID{0}          // currently alive
-			var crashed []NodeID            // crashed, not yet released
-			cur := map[int]NodeID{0: 0}     // slot -> current incarnation
+			handles := []NodeID{0}      // every handle ever minted
+			liveIDs := []NodeID{0}      // currently alive
+			var crashed []NodeID        // crashed, not yet released
+			cur := map[int]NodeID{0: 0} // slot -> current incarnation
 			for i, b := range data {
 				b := b
 				e.AtBarrier(time.Duration(i+1)*10*time.Millisecond, func() {

@@ -17,6 +17,8 @@
 // runs independently (no locks on the hot path); at the window barrier,
 // cross-shard messages are handed over through per-(source, destination)
 // outboxes and folded into the destination scheduler in (time, seq) order.
+// The goroutine calling Run executes shard 0 and hands the other shards'
+// phases to worker goroutines through an atomic epoch (see waiter).
 //
 // # Determinism
 //
@@ -118,8 +120,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/member"
@@ -351,20 +355,26 @@ type Engine struct {
 	// complete across any amount of churn.
 	departed simnet.Stats
 
-	// Telemetry, all supervisor-side: wallNow is an injected wall-clock
-	// sampler (teleclock.Clock) read only between phases on the supervisor
-	// goroutine — never per event — so enabling it cannot perturb the
-	// simulated run; snapFn is a periodic snapshot hook called between
-	// conservative windows with every shard quiescent, deliberately NOT a
-	// barrier: it never truncates a window, so runs with and without
-	// snapshots stay bit-identical.
+	// Telemetry: wallNow is an injected wall-clock sampler (teleclock.Clock)
+	// read at phase edges by the supervisor and by each shard — never per
+	// event — so enabling it cannot perturb the simulated run; snapFn is a
+	// periodic snapshot hook called between conservative windows with every
+	// shard quiescent, deliberately NOT a barrier: it never truncates a
+	// window, so runs with and without snapshots stay bit-identical.
 	wallNow  func() int64
 	wall     telemetry.WallProfile
 	snapFn   func(at time.Duration)
 	snapEach time.Duration
 	snapNext time.Duration
 
-	phaseWg  sync.WaitGroup
+	// The phase barrier: op and opT are written before epoch is bumped, and
+	// epoch e is done at done = e × (shards − 1). procs is GOMAXPROCS at Run.
+	op       uint8
+	opT      time.Duration
+	epoch    atomic.Uint64
+	done     atomic.Uint64
+	sup      waiter
+	procs    int64
 	workerWg sync.WaitGroup
 }
 
@@ -389,6 +399,7 @@ func New(cfg Config) (*Engine, error) {
 	// (base latencies stay identical across membership modes, keeping
 	// full-view and partial-view runs network-comparable).
 	e := &Engine{cfg: cfg, setup: NewRand(cfg.Seed), tickRng: NewRand(cfg.Seed ^ 0x6d656d62)}
+	e.sup.wake = make(chan struct{}, 1)
 	e.pairSalt = e.setup.Uint64()
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
@@ -742,15 +753,16 @@ func (e *Engine) ShardLoads() []telemetry.ShardLoad {
 
 // SetWallClock injects a wall-clock sampler (teleclock.Clock) used to
 // profile where a run spends real time: window execution, cross-shard
-// merge, and barrier callbacks. The engine samples it only from the
-// supervisor goroutine between phases — never per event — so the
-// simulated run is bit-identical with and without a clock. Only legal
-// before Run.
+// merge, barrier callbacks, and each shard's busy time. The engine samples
+// it at phase edges — never per event — from every shard goroutine, so fn
+// must be safe for concurrent use; the simulated run is bit-identical with
+// and without a clock. Only legal before Run.
 func (e *Engine) SetWallClock(fn func() int64) {
 	if e.ran || e.running {
 		panic("megasim: SetWallClock after Run started")
 	}
 	e.wallNow = fn
+	e.wall.ShardBusyNS = make([]int64, len(e.shards))
 }
 
 // WallProfile returns the wall-time split sampled via SetWallClock
@@ -846,18 +858,18 @@ func (e *Engine) Run(until time.Duration) error {
 	sort.SliceStable(e.globals, func(i, j int) bool { return e.globals[i].at < e.globals[j].at })
 
 	parallel := len(e.shards) > 1
+	e.procs = int64(runtime.GOMAXPROCS(0))
+	runningShards.Add(int64(len(e.shards)))
+	e.running = true
+	defer e.stop()
 	if parallel {
-		e.workerWg.Add(len(e.shards))
-		for _, s := range e.shards {
+		e.workerWg.Add(len(e.shards) - 1)
+		for _, s := range e.shards[1:] {
 			go s.work()
 		}
-	}
-	e.running = true
-
-	if parallel {
 		// Fold any deliveries emitted during setup into the shard heaps so
 		// the first next-event scan sees them.
-		e.phase(opMerge, 0)
+		e.phase(&e.wall.MergeNS, opMerge, 0)
 	}
 
 	// horizon is one past the inclusive deadline: windows are half-open,
@@ -905,13 +917,12 @@ func (e *Engine) Run(until time.Duration) error {
 			}
 			e.inBarrier = false
 			// Fold cross-shard sends the callbacks emitted straight into
-			// the destination queues. Every shard sits blocked on its
-			// command channel here, so the supervisor-side fold is ordered:
-			// the phase WaitGroup sequenced all prior shard writes before
-			// this point, and the next phase command sequences these writes
-			// before the workers' reads. Without the fold a barrier-emitted
-			// delivery stays invisible to the next-event scan — lost
-			// outright if no later window happens to run.
+			// the destination queues. Every worker waits for the next epoch
+			// here, so the supervisor-side fold is ordered: the done count
+			// sequenced all prior shard writes before this point, and the
+			// next epoch sequences these writes before the workers' reads.
+			// Without the fold a barrier-emitted delivery stays invisible to
+			// the next-event scan — lost outright if no later window runs.
 			if parallel {
 				for _, s := range e.shards {
 					s.mergeInbound()
@@ -930,27 +941,18 @@ func (e *Engine) Run(until time.Duration) error {
 			wEnd = tg
 		}
 		if parallel {
-			if e.wallNow != nil {
-				t0w := e.wallNow()
-				e.phase(opRun, wEnd)
-				t1w := e.wallNow()
-				e.phase(opMerge, 0)
-				e.wall.RunNS += t1w - t0w
-				e.wall.MergeNS += e.wallNow() - t1w
-			} else {
-				e.phase(opRun, wEnd)
-				e.phase(opMerge, 0)
-			}
+			e.phase(&e.wall.RunNS, opRun, wEnd)
+			e.phase(&e.wall.MergeNS, opMerge, 0)
 		} else if e.wallNow != nil {
 			t0w := e.wallNow()
-			e.shards[0].runWindow(wEnd)
+			e.shards[0].runPhase(opRun, wEnd)
 			e.wall.RunNS += e.wallNow() - t0w
 		} else {
 			e.shards[0].runWindow(wEnd)
 		}
 		e.now = wEnd
 		// Inter-window snapshot: every shard has finished the window and
-		// (in the parallel case) sits blocked on its command channel, so
+		// (in the parallel case) every worker waits for the next epoch, so
 		// the hook may read any engine state race-free. Runs never gain or
 		// lose a window from this — the schedule above is untouched.
 		if e.snapFn != nil && e.now >= e.snapNext {
@@ -961,13 +963,6 @@ func (e *Engine) Run(until time.Duration) error {
 		}
 	}
 
-	e.running = false
-	if parallel {
-		for _, s := range e.shards {
-			close(s.cmds)
-		}
-		e.workerWg.Wait()
-	}
 	for _, s := range e.shards {
 		if s.now < until {
 			s.now = until
@@ -977,14 +972,39 @@ func (e *Engine) Run(until time.Duration) error {
 	return nil
 }
 
-// phase broadcasts one barrier-delimited phase to every shard and waits
-// for all of them to finish it.
-func (e *Engine) phase(op uint8, t time.Duration) {
-	e.phaseWg.Add(len(e.shards))
-	for _, s := range e.shards {
-		s.cmds <- shardCmd{op: op, t: t}
+// phase runs one barrier-delimited phase on every shard — publishes it to
+// the workers, runs shard 0's share, waits for the workers — and adds its
+// wall time to *ns when a clock is injected. opStop is only published.
+func (e *Engine) phase(ns *int64, op uint8, t time.Duration) {
+	var t0 int64
+	if e.wallNow != nil {
+		t0 = e.wallNow()
 	}
-	e.phaseWg.Wait()
+	e.op, e.opT = op, t
+	ep := e.epoch.Add(1)
+	for _, s := range e.shards[1:] {
+		s.park.wakeup()
+	}
+	if op == opStop {
+		return
+	}
+	e.shards[0].runPhase(op, t)
+	e.sup.await(&e.done, ep*uint64(len(e.shards)-1), runningShards.Load() <= e.procs)
+	if e.wallNow != nil {
+		*ns += e.wallNow() - t0
+	}
+}
+
+// stop ends Run on every exit path, a panic in an AtBarrier callback or a
+// shard-0 handler included: workers finish a phase in flight, then exit.
+func (e *Engine) stop() {
+	if n := uint64(len(e.shards)); n > 1 {
+		e.sup.await(&e.done, e.epoch.Load()*(n-1), false)
+		e.phase(nil, opStop, 0)
+		e.workerWg.Wait()
+	}
+	runningShards.Add(-int64(len(e.shards)))
+	e.running, e.inBarrier = false, false
 }
 
 // noteStale records a stale-handle event observed on a shard's hot path:

@@ -2,6 +2,8 @@ package megasim
 
 import (
 	"math/rand"
+	"runtime"
+	"sync/atomic"
 	"time"
 
 	"gossipstream/internal/stream"
@@ -193,11 +195,51 @@ type timerSlot struct {
 const (
 	opRun uint8 = iota
 	opMerge
+	opStop
 )
 
-type shardCmd struct {
-	op uint8
-	t  time.Duration
+// spinPolls is a barrier waiter's polling budget before it parks: with a
+// runtime.Gosched every 64 polls, ≈120 µs on a 2.1 GHz Xeon — more than 99%
+// of a two-shard steady run's waits (p50 0.7 µs, p99 50 µs), yet short
+// enough to give a core back soon. A count: megasim reads no clock.
+const spinPolls = 1 << 16
+
+// runningShards counts the shards of the engines running in the process;
+// past GOMAXPROCS a polling waiter takes the core its peer needs.
+var runningShards atomic.Int64
+
+// waiter is one goroutine's parking spot at the phase barrier. To park it
+// sets sleeping, re-checks its word and blocks on wake; a waker moves the
+// word, then sends only if its CAS of sleeping to false succeeds. So no
+// wake-up is lost or left over, and a late one (its waker was descheduled
+// before the CAS) is caught by the loop's re-check.
+type waiter struct {
+	sleeping atomic.Bool
+	wake     chan struct{}
+}
+
+// await returns once word reaches target, polling first when spin is set.
+func (w *waiter) await(word *atomic.Uint64, target uint64, spin bool) {
+	for i := 0; word.Load() != target; i++ {
+		if spin && i < spinPolls {
+			if i&63 == 63 {
+				runtime.Gosched()
+			}
+			continue
+		}
+		w.sleeping.Store(true)
+		if word.Load() == target && w.sleeping.CompareAndSwap(true, false) {
+			return
+		}
+		<-w.wake
+	}
+}
+
+// wakeup releases the waiter if it is parked or about to park.
+func (w *waiter) wakeup() {
+	if w.sleeping.CompareAndSwap(true, false) {
+		w.wake <- struct{}{}
+	}
 }
 
 // shard owns a partition of the nodes: their scheduler, random stream,
@@ -246,7 +288,8 @@ type shard struct {
 	// it the spill backings of the records beyond the reset length.
 	outbox [][]xmsg
 
-	cmds chan shardCmd
+	// park is where the shard's worker waits for the next epoch.
+	park waiter
 }
 
 func newShard(e *Engine, id int, rng *rand.Rand) *shard {
@@ -256,23 +299,40 @@ func newShard(e *Engine, id int, rng *rand.Rand) *shard {
 		rng:    rng,
 		q:      newScheduler(e.cfg.Queue),
 		outbox: make([][]xmsg, e.cfg.Shards),
-		cmds:   make(chan shardCmd, 1),
+		park:   waiter{wake: make(chan struct{}, 1)},
 	}
 }
 
-// work is the shard goroutine: it executes barrier-delimited phases until
-// the command channel closes.
+// work is the goroutine of shards 1…n−1: it runs each published phase.
 func (s *shard) work() {
-	for cmd := range s.cmds {
-		switch cmd.op {
-		case opRun:
-			s.runWindow(cmd.t)
-		case opMerge:
-			s.mergeInbound()
+	e := s.eng
+	defer e.workerWg.Done()
+	for ep := uint64(1); ; ep++ {
+		s.park.await(&e.epoch, ep, runningShards.Load() <= e.procs)
+		if e.op == opStop {
+			return
 		}
-		s.eng.phaseWg.Done()
+		s.runPhase(e.op, e.opT)
+		if e.done.Add(1) == ep*uint64(len(e.shards)-1) {
+			e.sup.wakeup()
+		}
 	}
-	s.eng.workerWg.Done()
+}
+
+// runPhase executes one phase, timed into ShardBusyNS under a clock.
+func (s *shard) runPhase(op uint8, t time.Duration) {
+	var t0 int64
+	if s.eng.wallNow != nil {
+		t0 = s.eng.wallNow()
+	}
+	if op == opRun {
+		s.runWindow(t)
+	} else {
+		s.mergeInbound()
+	}
+	if s.eng.wallNow != nil {
+		s.eng.wall.ShardBusyNS[s.id] += s.eng.wallNow() - t0
+	}
 }
 
 // runWindow executes every local event with timestamp strictly before end.

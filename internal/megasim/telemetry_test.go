@@ -1,12 +1,15 @@
 package megasim
 
 import (
+	"reflect"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/simnet"
 	"gossipstream/internal/telemetry"
+	"gossipstream/internal/telemetry/teleclock"
 	"gossipstream/internal/wire"
 )
 
@@ -200,15 +203,14 @@ func TestSnapshotsDoNotPerturbTheRun(t *testing.T) {
 
 // TestWallProfileSampledOnlyWithClock: without an injected clock the
 // profile stays zero; with one (a deterministic counter — no real time
-// needed) every phase accumulates.
+// needed, but shared by both shards, so atomic) every phase accumulates.
 func TestWallProfileSampledOnlyWithClock(t *testing.T) {
 	e := loadRun(t, 2, 0, nil, nil)
-	if e.WallProfile() != (telemetry.WallProfile{}) {
-		t.Fatalf("wall profile without clock: %+v", e.WallProfile())
+	if w := e.WallProfile(); !reflect.DeepEqual(w, telemetry.WallProfile{}) {
+		t.Fatalf("wall profile without clock: %+v", w)
 	}
-	var ticks int64
-	clock := func() int64 { ticks++; return ticks }
-	e2 := loadRun(t, 2, 0, nil, clock)
+	var ticks atomic.Int64
+	e2 := loadRun(t, 2, 0, nil, func() int64 { return ticks.Add(1) })
 	w := e2.WallProfile()
 	if w.RunNS <= 0 || w.MergeNS <= 0 || w.BarrierNS <= 0 {
 		t.Fatalf("wall profile with clock: %+v", w)
@@ -216,6 +218,22 @@ func TestWallProfileSampledOnlyWithClock(t *testing.T) {
 	// The fake clock must not perturb the simulation itself.
 	if e.Fired() != e2.Fired() {
 		t.Fatalf("clock changed the event count: %d vs %d", e.Fired(), e2.Fired())
+	}
+}
+
+// TestShardBusyTimeWithinPhaseTime: with a clock, each shard reports the
+// wall time it spent inside phases, which is positive and no more than the
+// supervisor's run + merge time that encloses every phase.
+func TestShardBusyTimeWithinPhaseTime(t *testing.T) {
+	e := loadRun(t, 2, 0, nil, teleclock.Clock())
+	w := e.WallProfile()
+	if len(w.ShardBusyNS) != 2 {
+		t.Fatalf("ShardBusyNS = %v, want 2 entries", w.ShardBusyNS)
+	}
+	for i, busy := range w.ShardBusyNS {
+		if busy <= 0 || busy > w.RunNS+w.MergeNS {
+			t.Fatalf("shard %d busy %d ns, want in (0, %d] (run %d + merge %d)", i, busy, w.RunNS+w.MergeNS, w.RunNS, w.MergeNS)
+		}
 	}
 }
 

@@ -1,10 +1,9 @@
 // Package teleclock is the wall-clock edge of the telemetry suite. It
 // is the only telemetry code allowed to read real time — simlint
 // classifies it WallClockOK while the parent package stays
-// Deterministic — and everything it produces is consumed strictly from
-// the engine's supervisor goroutine: the injected clock samples wall
-// time between conservative windows, never per event, so enabling it
-// cannot perturb a run's simulated behavior.
+// Deterministic. The injected clock samples wall time at the edges of
+// the engine's phases, never per event, so enabling it cannot perturb a
+// run's simulated behavior.
 package teleclock
 
 import (
@@ -15,11 +14,12 @@ import (
 	"gossipstream/internal/telemetry"
 )
 
-// Clock returns a nanosecond wall-clock sampler for
-// megasim.Engine.SetWallClock. The engine calls it only from the
-// supervisor goroutine at window and barrier boundaries.
+// Clock returns a nanosecond sampler of the monotonic clock for
+// megasim.Engine.SetWallClock. The engine calls it at phase and barrier
+// boundaries from every shard goroutine; it is safe for concurrent use.
 func Clock() func() int64 {
-	return func() int64 { return time.Now().UnixNano() }
+	start := time.Now()
+	return func() int64 { return int64(time.Since(start)) }
 }
 
 // Progress returns a snapshot hook that rewrites a single live status

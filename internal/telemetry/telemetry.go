@@ -10,8 +10,8 @@
 // Deterministic — nothing here may touch the wall clock or allocate on
 // the per-event path (the fold entry points are registered HotRoots).
 // Wall-clock sampling lives in the telemetry/teleclock sub-package,
-// which is classified WallClockOK and is only ever called from the
-// engine's supervisor goroutine.
+// which is classified WallClockOK and is called only at the edges of the
+// engine's phases.
 package telemetry
 
 // ShardLoad is one shard's cumulative load counters, read at a quiescent
@@ -31,15 +31,20 @@ type ShardLoad struct {
 	StaleDrops  uint64 `json:"stale_drops"`  // deliveries to recycled (stale) handles
 }
 
-// WallProfile is the supervisor-sampled wall-time split of a run: shard
-// execution, cross-shard merge, and barrier-callback time, in
-// nanoseconds. It is populated only when a wall clock was injected
-// (megasim.Engine.SetWallClock) and is excluded from determinism
-// comparisons — two bit-identical runs will disagree here.
+// WallProfile is the wall-time split of a run, in nanoseconds: shard
+// execution, cross-shard merge, and barrier-callback time as the
+// supervisor sees them, and each shard's own busy time. It is populated
+// only when a wall clock was injected (megasim.Engine.SetWallClock) and is
+// excluded from determinism comparisons — two bit-identical runs will
+// disagree here.
 type WallProfile struct {
 	RunNS     int64 `json:"run_ns"`     // inside conservative windows
 	MergeNS   int64 `json:"merge_ns"`   // cross-shard outbox handoff
 	BarrierNS int64 `json:"barrier_ns"` // AtBarrier callbacks (churn, folds)
+	// ShardBusyNS is, per shard, the time it spent executing windows and
+	// merges, read at the edges of each phase it ran; the rest of
+	// RunNS + MergeNS it spent waiting at the barrier.
+	ShardBusyNS []int64 `json:"shard_busy_ns"`
 }
 
 // Snapshot is one point of a run's progress, taken by the engine
