@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -15,11 +16,12 @@ import (
 // fire by hand.
 type stubEnv struct {
 	rng    *rand.Rand
+	now    time.Duration
 	timers []func()
 }
 
 func (e *stubEnv) ID() wire.NodeID    { return 1 }
-func (e *stubEnv) Now() time.Duration { return 0 }
+func (e *stubEnv) Now() time.Duration { return e.now }
 func (e *stubEnv) Rand() *rand.Rand   { return e.rng }
 func (e *stubEnv) Send(_ wire.NodeID, msg wire.Message) {
 	if s, ok := msg.(wire.Serve); ok {
@@ -56,12 +58,79 @@ type fixedSampler []wire.NodeID
 
 func (s fixedSampler) Sample(int) []wire.NodeID { return s }
 
+// budgetRig drives one peer over a stub environment, on the flat route or
+// the plain one.
+type budgetRig struct {
+	t     *testing.T
+	p     *Peer
+	env   *flatStubEnv
+	typed bool
+}
+
+func newBudgetRig(t *testing.T, typed bool, cfg Config, layout stream.Layout) *budgetRig {
+	env := &flatStubEnv{stubEnv: stubEnv{rng: rand.New(rand.NewSource(1))}}
+	var e Env = &env.stubEnv
+	if typed {
+		e = env
+	}
+	p, err := NewPeer(e, cfg, fixedSampler{2, 3, 4, 5, 6, 7, 8}, layout)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Start()
+	if (p.flat != nil) != typed {
+		t.Fatalf("peer on the flat route: %v, want %v", p.flat != nil, typed)
+	}
+	return &budgetRig{t: t, p: p, env: env, typed: typed}
+}
+
+// take empties the stub's timer lists and returns their one entry.
+func (r *budgetRig) take() func() {
+	if n := len(r.env.timers) + len(r.env.flatTimers); n != 1 {
+		r.t.Fatalf("%d timers armed, want 1", n)
+	}
+	if r.typed {
+		ft := r.env.flatTimers[0]
+		r.env.flatTimers = r.env.flatTimers[:0]
+		return func() { r.p.OnTimer(ft.kind, ft.arg) }
+	}
+	fn := r.env.timers[0]
+	r.env.timers = r.env.timers[:0]
+	return fn
+}
+
+// deliverIDs and deliverPacket deliver a message over the route under test.
+func (r *budgetRig) deliverIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID, boxed wire.Message) {
+	if r.typed {
+		r.p.HandleIDs(from, kind, ids)
+	} else {
+		r.p.HandleMessage(from, boxed)
+	}
+}
+
+func (r *budgetRig) deliverPacket(pkt []*stream.Packet, boxed wire.Message) {
+	if r.typed {
+		r.p.HandlePackets(2, pkt)
+	} else {
+		r.p.HandleMessage(2, boxed)
+	}
+}
+
+func mallocs() uint64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.Mallocs
+}
+
 // TestHandlerAllocBudget holds the protocol handlers to their allocation
 // budgets in steady state, one gossip period at a time: a PROPOSE of twelve
 // fresh ids (what a node learns per round of the paper's stream), the
 // twelve SERVEs that answer the REQUEST, the round that proposes them on,
 // a REQUEST for the twelve from a partner, and the retransmission timer
-// that fires to find its batch retired by the SERVEs.
+// that fires to find its batch retired by the SERVEs. The retransmission
+// leg withholds the SERVEs past the deadline instead, so that the check
+// requests the twelve again — under RetryRandomProposer from the three
+// nodes that proposed them.
 //
 // Over a TimerEnv — messages in and out through the typed entry points —
 // nothing allocates. Over a plain Env:
@@ -72,9 +141,13 @@ func (s fixedSampler) Sample(int) []wire.NodeID { return s }
 //   - round: the PROPOSE's copy of the ids and its box.
 //   - REQUEST: the box of the one SERVE these small packets fit in (and
 //     its pooled backing anew when a collection emptied wire's pool).
+//   - retransmission: the id list and box of each REQUEST (one per target)
+//     and the closure of the timer the new batch arms.
 //
 // Before request state moved to a slab a PROPOSE cost 31 allocations here;
-// before messages went flat the TimerEnv budgets were 2, 0, 2 and 1.
+// before messages went flat the TimerEnv budgets were 2, 0, 2 and 1, and
+// before the retransmission check reused its scratch it allocated an id
+// list per target after the first.
 func TestHandlerAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -87,96 +160,65 @@ func TestHandlerAllocBudget(t *testing.T) {
 	}
 	pkts := src.PacketsUntil(layout.Duration())
 	rounds := len(pkts) / idsPerMessage
+	// The first rounds grow the slabs and scratch to their steady size; the
+	// budgets are for what every later round costs.
+	const warmUp = 8
+	measured := float64(rounds - warmUp)
+	// messages returns round i's ids, and its PROPOSE, REQUEST and SERVEs
+	// boxed.
+	messages := func(i int) (batch []*stream.Packet, ids []stream.PacketID, propose, request wire.Message, serves []wire.Message) {
+		batch = pkts[i*idsPerMessage : (i+1)*idsPerMessage]
+		ids = make([]stream.PacketID, len(batch))
+		serves = make([]wire.Message, len(batch))
+		for j, pkt := range batch {
+			ids[j] = pkt.ID
+			serves[j] = wire.Serve{Packets: batch[j : j+1]}
+		}
+		return batch, ids, wire.Propose{IDs: ids}, wire.Request{IDs: ids}, serves
+	}
+	type budget struct {
+		what        string
+		got, budget float64
+	}
+	check := func(t *testing.T, budgets ...budget) {
+		for _, b := range budgets {
+			t.Logf("%s allocates %.2f, budget %.2g", b.what, b.got, b.budget)
+			if b.got > b.budget {
+				t.Errorf("%s is over its allocation budget", b.what)
+			}
+		}
+	}
 
 	for _, tc := range []struct {
-		name                           string
-		flat                           bool
-		propose, serve, round, request float64
+		name                                       string
+		flat                                       bool
+		propose, serve, round, request, retransmit float64
 	}{
-		{name: "plain-env", propose: 3, serve: 0.1, round: 2, request: 1.1},
-		{name: "timer-env", flat: true, propose: 0, serve: 0, round: 0, request: 0},
+		{name: "plain-env", propose: 3, serve: 0.1, round: 2, request: 1.1, retransmit: 7},
+		{name: "timer-env", flat: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			flat := &flatStubEnv{stubEnv: stubEnv{rng: rand.New(rand.NewSource(1))}}
-			var env Env = &flat.stubEnv
-			if tc.flat {
-				env = flat
-			}
-			stub := &flat.stubEnv
-			p, err := NewPeer(env, DefaultConfig(), fixedSampler{2, 3, 4, 5, 6, 7, 8}, layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p.Start()
-			if (p.flat != nil) != tc.flat {
-				t.Fatalf("peer on the flat route: %v, want %v", p.flat != nil, tc.flat)
-			}
-			// take empties the stub's timer list and returns its one entry.
-			take := func() func() {
-				if len(stub.timers)+len(flat.flatTimers) != 1 {
-					t.Fatalf("%d timers armed, want 1", len(stub.timers)+len(flat.flatTimers))
-				}
-				if tc.flat {
-					ft := flat.flatTimers[0]
-					flat.flatTimers = flat.flatTimers[:0]
-					return func() { p.OnTimer(ft.kind, ft.arg) }
-				}
-				fn := stub.timers[0]
-				stub.timers = stub.timers[:0]
-				return fn
-			}
-			// The three deliveries, over the route under test.
-			deliverIDs := func(kind wire.Kind, ids []stream.PacketID, boxed wire.Message) {
-				if tc.flat {
-					p.HandleIDs(2, kind, ids)
-				} else {
-					p.HandleMessage(2, boxed)
-				}
-			}
-			deliverPacket := func(pkt []*stream.Packet, boxed wire.Message) {
-				if tc.flat {
-					p.HandlePackets(2, pkt)
-				} else {
-					p.HandleMessage(2, boxed)
-				}
-			}
-			tick := take()
-
-			var ms runtime.MemStats
-			mallocs := func() uint64 {
-				runtime.ReadMemStats(&ms)
-				return ms.Mallocs
-			}
-			// The first rounds grow the slabs and scratch to their steady
-			// size; the budgets are for what every later round costs.
-			const warmUp = 8
+			r := newBudgetRig(t, tc.flat, DefaultConfig(), layout)
+			p := r.p
+			tick := r.take()
 			var propose, serve, round, request uint64
 			for i := 0; i < rounds; i++ {
-				batch := pkts[i*idsPerMessage : (i+1)*idsPerMessage]
-				ids := make([]stream.PacketID, len(batch))
-				serves := make([]wire.Message, len(batch))
-				for j, pkt := range batch {
-					ids[j] = pkt.ID
-					serves[j] = wire.Serve{Packets: batch[j : j+1]}
-				}
-				var proposeMsg wire.Message = wire.Propose{IDs: ids}
-				var requestMsg wire.Message = wire.Request{IDs: ids}
-
+				batch, ids, proposeMsg, requestMsg, serves := messages(i)
 				m0 := mallocs()
-				deliverIDs(wire.KindPropose, ids, proposeMsg)
+				r.deliverIDs(2, wire.KindPropose, ids, proposeMsg)
 				m1 := mallocs()
-				check := take()
+				retire := r.take()
 				m2 := mallocs()
 				for j := range batch {
-					deliverPacket(batch[j:j+1], serves[j])
+					r.deliverPacket(batch[j:j+1], serves[j])
 				}
 				m3 := mallocs()
 				tick()
 				m4 := mallocs()
-				deliverIDs(wire.KindRequest, ids, requestMsg)
+				r.deliverIDs(2, wire.KindRequest, ids, requestMsg)
 				m5 := mallocs()
-				tick = take()
-				check()
+				tick = r.take()
+				retire()
 				if i >= warmUp {
 					propose += m1 - m0
 					serve += m3 - m2
@@ -184,7 +226,6 @@ func TestHandlerAllocBudget(t *testing.T) {
 					request += m5 - m4
 				}
 			}
-			measured := float64(rounds - warmUp)
 			c := p.Counters()
 			if c.RequestsSent != rounds || c.Rounds != rounds || c.ProposesSent == 0 || c.Retransmissions != 0 ||
 				c.ServesSent != rounds || c.PacketsServed != rounds*idsPerMessage ||
@@ -195,19 +236,46 @@ func TestHandlerAllocBudget(t *testing.T) {
 				t.Fatalf("slabs grew to %d request records and %d batches, want %d and 1: records are not recycled",
 					len(p.reqs), len(p.batches), idsPerMessage)
 			}
-			for _, b := range []struct {
-				what        string
-				got, budget float64
-			}{
-				{"a 12-id PROPOSE of fresh ids", float64(propose) / measured, tc.propose},
-				{"a SERVE of a new packet", float64(serve) / (measured * idsPerMessage), tc.serve},
-				{"a gossip round", float64(round) / measured, tc.round},
-				{"a 12-id REQUEST for held packets", float64(request) / measured, tc.request},
-			} {
-				t.Logf("%s allocates %.2f, budget %.2g", b.what, b.got, b.budget)
-				if b.got > b.budget {
-					t.Errorf("%s is over its allocation budget", b.what)
-				}
+			check(t,
+				budget{"a 12-id PROPOSE of fresh ids", float64(propose) / measured, tc.propose},
+				budget{"a SERVE of a new packet", float64(serve) / (measured * idsPerMessage), tc.serve},
+				budget{"a gossip round", float64(round) / measured, tc.round},
+				budget{"a 12-id REQUEST for held packets", float64(request) / measured, tc.request})
+
+			for _, retry := range []RetryPolicy{RetrySameProposer, RetryRandomProposer} {
+				t.Run(fmt.Sprintf("retransmit/retry=%d", retry), func(t *testing.T) {
+					cfg := DefaultConfig()
+					cfg.Retry = retry
+					r := newBudgetRig(t, tc.flat, cfg, layout)
+					r.take() // the gossip tick, never fired: this leg runs no rounds
+					var checks uint64
+					for i := 0; i < rounds; i++ {
+						batch, ids, proposeMsg, _, serves := messages(i)
+						for from := wire.NodeID(2); from <= 4; from++ {
+							r.deliverIDs(from, wire.KindPropose, ids, proposeMsg)
+						}
+						fire := r.take()
+						r.env.now += 2 * cfg.RetPeriod // the SERVEs are late: the check re-requests
+						m0 := mallocs()
+						fire()
+						m1 := mallocs()
+						retire := r.take()
+						for j := range batch {
+							r.deliverPacket(batch[j:j+1], serves[j])
+						}
+						retire()
+						if i >= warmUp {
+							checks += m1 - m0
+						}
+					}
+					c := r.p.Counters()
+					spread := retry == RetrySameProposer || c.Retransmissions > 2*rounds
+					if c.RequestsSent != rounds+c.Retransmissions || c.RetChecks != rounds || c.Retransmissions < rounds ||
+						c.RetBatchesRetired != rounds || !spread {
+						t.Fatalf("the retransmission checks were not exercised as planned: %+v", c)
+					}
+					check(t, budget{"a retransmission check re-requesting 12 ids", float64(checks) / measured, tc.retransmit})
+				})
 			}
 		})
 	}

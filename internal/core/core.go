@@ -31,8 +31,9 @@
 //
 // A peer's per-event state is flat: pull state lives by value in a
 // per-peer slab behind a 4-byte index per stream id, retransmission
-// batches — each with an id backing its slot keeps across reuse — in a
-// second slab, and the gossip tick and the retransmission timer are
+// batches in a second slab — a batch's ids are a list linked through their
+// request records, and free records and batches chain through the same
+// links — and the gossip tick and the retransmission timer are
 // (kind, arg) timer records rather than closures. Retransmission deadlines
 // never leave the peer: a batch records when it is due, a SERVE that
 // delivers its last outstanding id frees it on the spot, and the engine
@@ -239,23 +240,27 @@ type requestState struct {
 	// on the id, zero once the id has used its K requests and no timer
 	// will retry it.
 	batch uint32
+	id    stream.PacketID
+	// prev and next link the record into its batch's list (request-slab
+	// indexes plus one, zero at either end) while batch is set. A free
+	// record chains the free list through next.
+	prev, next uint32
 }
 
 // retBatch is one pending retransmission check in the peer's
 // retransmission slab: the ids requested together from proposer, to be
-// looked at again at due. ids is the slot's own backing, kept across reuse
-// — arming copies the ids in. outstanding counts the ids not yet
-// delivered (the ones whose requestState.batch names this slot); the SERVE
-// that brings it to zero frees the slot, so a batch that reaches its
-// deadline always has something to ask about. stamp is the arm order,
-// which breaks ties between batches due at the same instant.
+// looked at again at due. Its undelivered ids form a list, in arm order,
+// through their request records, head the first; the SERVE that empties
+// the list frees the slot, so a batch that reaches its deadline always has
+// something to ask about. A free slot chains the free list through head
+// (batch-slab indexes plus one). stamp is the arm order, which breaks ties
+// between batches due at the same instant.
 type retBatch struct {
-	ids         []stream.PacketID
-	due         time.Duration
-	stamp       uint64
-	proposer    wire.NodeID
-	outstanding int32
-	armed       bool
+	head     uint32
+	due      time.Duration
+	stamp    uint64
+	proposer wire.NodeID
+	armed    bool
 }
 
 // retCancel is one retransmission timer in flight on the After route: the
@@ -313,16 +318,18 @@ type Peer struct {
 	// pointer halves what a long stream costs every node.
 	req []uint32
 	// reqs is the request slab, proposers its inline proposer lists at
-	// stride cfg.MaxProposers, reqFree the indexes ready for reuse. Only
-	// ids requested and not yet delivered hold a record, so the slab stays
-	// a few rounds' worth of ids however long the stream.
+	// stride cfg.MaxProposers, reqFree the first record of its free chain
+	// (index plus one, zero when empty). Only ids requested and not yet
+	// delivered hold a record, so the slab stays a few rounds' worth of ids
+	// however long the stream.
 	reqs      []requestState
 	proposers []wire.NodeID
-	reqFree   []uint32
-	// batches is the retransmission slab (see retBatch), batchFree its
-	// free list, retStamp the arm order of the newest batch.
+	reqFree   uint32
+	// batches is the retransmission slab (see retBatch), batchFree the
+	// first slot of its free chain, retStamp the arm order of the newest
+	// batch.
 	batches   []retBatch
-	batchFree []uint32
+	batchFree uint32
 	retStamp  uint64
 	// One retransmission timer serves every batch: retGen is the generation
 	// of the newest one armed, retArmed whether it is still in flight and
@@ -336,9 +343,11 @@ type Peer struct {
 	// (an environment drops a removed node's flat timers by itself).
 	retCancels []retCancel
 	// idScratch collects the ids handlePropose and retransmit are about to
-	// request, retTargets where retransmit sends each.
-	idScratch  []stream.PacketID
-	retTargets []wire.NodeID
+	// request, retTargets where retransmit sends each, and targetScratch
+	// the ids retransmit sends to one of several targets.
+	idScratch     []stream.PacketID
+	retTargets    []wire.NodeID
+	targetScratch []stream.PacketID
 
 	round   int
 	running bool
@@ -446,10 +455,10 @@ func (p *Peer) Stop() {
 		if !b.armed {
 			continue
 		}
-		for _, id := range b.ids {
-			if ri := p.req[id]; ri != 0 {
-				p.dropRequest(id, ri)
-			}
+		for ri := b.head; ri != 0; {
+			next := p.reqs[ri-1].next
+			p.dropRequest(ri)
+			ri = next
 		}
 		p.freeBatch(uint32(i))
 	}
@@ -676,9 +685,7 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 		}
 		ri := p.req[id]
 		if ri == 0 {
-			ri = p.newRequest()
-			p.req[id] = ri
-			p.reqs[ri-1].requests = 1
+			ri = p.newRequest(id)
 			//lint:pooled idScratch is per-peer scratch, reused by every PROPOSE
 			fresh = append(fresh, id)
 		}
@@ -700,73 +707,76 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	}
 }
 
-// newRequest takes a zeroed record from the request slab and returns its
-// index plus one, the form Peer.req stores.
-func (p *Peer) newRequest() uint32 {
-	if n := len(p.reqFree); n > 0 {
-		i := p.reqFree[n-1]
-		p.reqFree = p.reqFree[:n-1]
-		return i + 1
+// newRequest takes a record from the request slab for id, requested for
+// the first time, and returns its index plus one, which it stores in
+// Peer.req.
+func (p *Peer) newRequest(id stream.PacketID) uint32 {
+	ri := p.reqFree
+	if ri != 0 {
+		p.reqFree = p.reqs[ri-1].next
+	} else {
+		//lint:pooled the slab and its proposer lists grow to the peak of concurrently pending ids, then recycle through reqFree
+		p.reqs = append(p.reqs, requestState{})
+		if p.cfg.Retry == RetryRandomProposer {
+			//lint:pooled see above
+			p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
+		}
+		ri = uint32(len(p.reqs))
 	}
-	//lint:pooled the slab and its proposer lists grow to the peak of concurrently pending ids, then recycle through reqFree
-	p.reqs = append(p.reqs, requestState{})
-	if p.cfg.Retry == RetryRandomProposer {
-		//lint:pooled see above
-		p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
-	}
-	return uint32(len(p.reqs))
+	p.reqs[ri-1] = requestState{requests: 1, id: id}
+	p.req[id] = ri
+	return ri
 }
 
-// dropRequest returns id's request record, slab index plus one ri, to the
-// free list: the packet was delivered, or a Stop gave up on it.
-func (p *Peer) dropRequest(id stream.PacketID, ri uint32) {
-	p.req[id] = 0
-	p.reqs[ri-1] = requestState{}
-	//lint:pooled the free list is bounded by the slab it indexes
-	p.reqFree = append(p.reqFree, ri-1)
+// dropRequest returns request record ri (slab index plus one) to the free
+// chain: the packet was delivered, or a Stop gave up on it.
+func (p *Peer) dropRequest(ri uint32) {
+	p.req[p.reqs[ri-1].id] = 0
+	p.reqs[ri-1] = requestState{next: p.reqFree}
+	p.reqFree = ri
 }
 
 // armBatch records a retransmission check for ids, just requested from
-// proposer (lines 14–15), and returns when it is due; the batch copies
-// ids. The delay is jittered over [1.0, 1.5]×RetPeriod: a burst of
-// requesters dropped together at one congested uplink must not retry in
-// lock-step or they re-create the very burst that dropped them. Jitter
-// only extends the delay — RetPeriod is chosen to exceed the worst-case
+// proposer (lines 14–15), and returns when it is due; the batch links the
+// ids' request records into its list. The delay is jittered over [1.0,
+// 1.5]×RetPeriod: a burst of requesters dropped together at one congested
+// uplink must not retry in lock-step or they re-create the very burst that
+// dropped them. Jitter only extends the delay — RetPeriod is chosen to exceed the worst-case
 // honest delivery time, and firing earlier than that turns
 // queued-but-coming serves into duplicates. The deadline stays in the
 // batch; the caller sees to it that the peer's timer fires by then
 // (wakeBy).
 func (p *Peer) armBatch(proposer wire.NodeID, ids []stream.PacketID) (due time.Duration) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
-	var bi uint32
-	if n := len(p.batchFree); n > 0 {
-		bi = p.batchFree[n-1]
-		p.batchFree = p.batchFree[:n-1]
+	bi := p.batchFree // index plus one
+	if bi != 0 {
+		p.batchFree = p.batches[bi-1].head
 	} else {
-		bi = uint32(len(p.batches))
 		//lint:pooled the slab grows to the peak of concurrently armed batches, then recycles through batchFree
 		p.batches = append(p.batches, retBatch{})
+		bi = uint32(len(p.batches))
 	}
 	p.retStamp++
-	b := &p.batches[bi]
-	b.proposer, b.armed = proposer, true
-	b.due, b.stamp = p.env.Now()+delay, p.retStamp
-	//lint:pooled the slot keeps its id backing across reuse
-	b.ids = append(b.ids[:0], ids...)
-	b.outstanding = int32(len(ids))
-	for _, id := range ids {
-		p.reqs[p.req[id]-1].batch = bi + 1
+	b := &p.batches[bi-1]
+	*b = retBatch{due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
+	// Pushed to the front from the last, the ids end up in arm order.
+	for i := len(ids) - 1; i >= 0; i-- {
+		ri := p.req[ids[i]]
+		st := &p.reqs[ri-1]
+		st.batch, st.prev, st.next = bi, 0, b.head
+		if b.head != 0 {
+			p.reqs[b.head-1].prev = ri
+		}
+		b.head = ri
 	}
 	return b.due
 }
 
-// freeBatch returns a retransmission slot, with its id backing, to the
-// free list.
+// freeBatch returns retransmission slot bi to the free chain.
 func (p *Peer) freeBatch(bi uint32) {
 	b := &p.batches[bi]
-	b.ids, b.armed = b.ids[:0], false
-	//lint:pooled the free list is bounded by the slab it indexes
-	p.batchFree = append(p.batchFree, bi)
+	b.head, b.armed = p.batchFree, false
+	p.batchFree = bi + 1
 }
 
 // wakeBy makes sure the peer's retransmission timer fires no later than
@@ -853,11 +863,7 @@ func (p *Peer) retransmit(bi uint32) {
 	// retry collects the ids to request again, targets[i] where retry[i]
 	// goes.
 	retry, targets := p.idScratch[:0], p.retTargets[:0]
-	for _, id := range b.ids {
-		ri := p.req[id]
-		if ri == 0 {
-			continue // delivered
-		}
+	for ri := b.head; ri != 0; ri = p.reqs[ri-1].next {
 		st := &p.reqs[ri-1]
 		if int(st.requests) >= p.cfg.MaxRequests {
 			st.batch = 0
@@ -869,7 +875,7 @@ func (p *Peer) retransmit(bi uint32) {
 			target = p.proposers[int(ri-1)*p.cfg.MaxProposers+p.env.Rand().Intn(int(st.nproposers))]
 		}
 		//lint:pooled idScratch is per-peer scratch, reused by every retransmission
-		retry = append(retry, id)
+		retry = append(retry, st.id)
 		//lint:pooled retTargets is per-peer scratch, reused by every retransmission
 		targets = append(targets, target)
 	}
@@ -886,11 +892,14 @@ func (p *Peer) retransmit(bi uint32) {
 			continue // sent together with the target's first id
 		}
 		toTarget := retry // the one-target case (always, under RetrySameProposer)
-		if k := count(targets[i:], target); k < len(retry) {
-			toTarget = make([]stream.PacketID, 0, k)
+		if count(targets[i:], target) < len(retry) {
+			if cap(p.targetScratch) < len(retry) {
+				p.targetScratch = make([]stream.PacketID, 0, cap(retry))
+			}
+			toTarget = p.targetScratch[:0]
 			for j := i; j < len(targets); j++ {
 				if targets[j] == target {
-					//lint:pooled toTarget was allocated above with room for the target's k ids
+					//lint:pooled targetScratch is per-peer scratch with room for the whole retry list
 					toTarget = append(toTarget, retry[j])
 				}
 			}
@@ -957,17 +966,24 @@ func (p *Peer) handleServe(pkts []*stream.Packet) {
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, pkt.ID)
 		if ri := p.req[pkt.ID]; ri != 0 { // retransmission state no longer needed
-			if bi := p.reqs[ri-1].batch; bi != 0 {
+			if st := &p.reqs[ri-1]; st.batch != 0 {
 				// The batch is one id closer to done; the last one retires
 				// it, and no timer will ever look at it.
-				if b := &p.batches[bi-1]; b.outstanding > 1 {
-					b.outstanding--
+				b := &p.batches[st.batch-1]
+				if st.prev != 0 {
+					p.reqs[st.prev-1].next = st.next
 				} else {
-					p.freeBatch(bi - 1)
+					b.head = st.next
+				}
+				if st.next != 0 {
+					p.reqs[st.next-1].prev = st.prev
+				}
+				if b.head == 0 {
+					p.freeBatch(st.batch - 1)
 					p.counters.RetBatchesRetired++
 				}
 			}
-			p.dropRequest(pkt.ID, ri)
+			p.dropRequest(ri)
 		}
 	}
 }

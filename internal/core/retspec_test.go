@@ -417,6 +417,8 @@ func runSpec(t *testing.T, flat bool, retry RetryPolicy, k int, ops []specOp) {
 // checkRetStructure verifies the retransmission slabs of p against each
 // other and against the timers pending in its environment.
 func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
+	// listed[ri] marks the request records some batch's list reaches.
+	listed := make([]bool, len(p.reqs)+1)
 	earliest, armed := time.Duration(0), 0
 	for bi := range p.batches {
 		b := &p.batches[bi]
@@ -426,16 +428,24 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 		if armed++; armed == 1 || b.due < earliest {
 			earliest = b.due
 		}
-		undelivered := 0
-		for _, id := range b.ids {
-			if ri := p.req[id]; ri != 0 && p.reqs[ri-1].batch == uint32(bi)+1 {
-				undelivered++
-			} else if !p.recv.Has(id) {
-				return fmt.Errorf("batch %d holds id %d, which is neither delivered nor points back at it", bi, id)
-			}
+		if b.head == 0 {
+			return fmt.Errorf("batch %d is armed with no id undelivered", bi)
 		}
-		if undelivered == 0 || int(b.outstanding) != undelivered {
-			return fmt.Errorf("batch %d: outstanding = %d with %d ids undelivered", bi, b.outstanding, undelivered)
+		prev := uint32(0)
+		for ri := b.head; ri != 0; prev, ri = ri, p.reqs[ri-1].next {
+			if int(ri) > len(p.reqs) || listed[ri] {
+				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi, ri, len(p.reqs))
+			}
+			listed[ri] = true
+			st := &p.reqs[ri-1]
+			switch {
+			case st.prev != prev:
+				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi, ri, prev, st.prev)
+			case st.batch != uint32(bi)+1:
+				return fmt.Errorf("batch %d holds record %d, which names batch %d", bi, ri, int(st.batch)-1)
+			case p.req[st.id] != ri:
+				return fmt.Errorf("batch %d holds record %d for id %d, whose record is %d", bi, ri, st.id, p.req[st.id])
+			}
 		}
 	}
 	requested := 0
@@ -448,15 +458,34 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 		switch {
 		case p.recv.Has(stream.PacketID(id)):
 			return fmt.Errorf("id %d is delivered and still has a request record", id)
+		case st.id != stream.PacketID(id):
+			return fmt.Errorf("id %d's request record is for id %d", id, st.id)
 		case st.batch == 0 && int(st.requests) < p.cfg.MaxRequests:
 			return fmt.Errorf("id %d: %d of %d requests used and no batch will retry it", id, st.requests, p.cfg.MaxRequests)
-		case st.batch != 0 && (!p.batches[st.batch-1].armed || !slices.Contains(p.batches[st.batch-1].ids, stream.PacketID(id))):
+		case st.batch != 0 && !listed[ri]:
 			return fmt.Errorf("id %d names batch %d, which is free or does not hold it", id, st.batch-1)
 		}
 	}
-	if len(p.reqs)-len(p.reqFree) != requested || len(p.batches)-len(p.batchFree) != armed {
-		return fmt.Errorf("free lists out of step: %d/%d request records free, %d/%d batches free with %d armed",
-			len(p.reqFree), len(p.reqs), len(p.batchFree), len(p.batches), armed)
+	freeReqs, freeBatches := 0, 0
+	for ri := p.reqFree; ri != 0; ri = p.reqs[ri-1].next {
+		if freeReqs++; int(ri) > len(p.reqs) || freeReqs > len(p.reqs) {
+			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", len(p.reqs))
+		}
+		if st := p.reqs[ri-1]; st != (requestState{next: st.next}) || p.req[st.id] == ri {
+			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
+		}
+	}
+	for bi := p.batchFree; bi != 0; bi = p.batches[bi-1].head {
+		if freeBatches++; int(bi) > len(p.batches) || freeBatches > len(p.batches) {
+			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", len(p.batches))
+		}
+		if p.batches[bi-1].armed {
+			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
+		}
+	}
+	if len(p.reqs)-freeReqs != requested || len(p.batches)-freeBatches != armed {
+		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
+			freeReqs, len(p.reqs), freeBatches, len(p.batches), armed)
 	}
 	if armed > 0 && (!p.running || !p.retArmed || p.retDue > earliest || p.retDue < env.now) {
 		return fmt.Errorf("%d batches armed, earliest due %v at %v: running %v, timer armed %v for %v",

@@ -46,13 +46,15 @@
 // so the pending set is memory the collector never scans. What an event
 // carries lives in per-shard side tables the record names by index:
 //
-//   - an in-flight message is one record of the shard's message slab (or,
-//     crossing shards, of an outbox until the merge): kind, size, and the
-//     id or packet list copied into storage the record keeps across reuse —
-//     inline for a one-packet SERVE or a few-id REQUEST — or, for SHUFFLE,
-//     LEAVE, FEED-ME and foreign types, the boxed wire.Message as sent.
-//     Every send ends in exactly one delivery or drop, after which the
-//     record is cleared of references and returns to the slab's free list;
+//   - an in-flight message is one 64-byte record of the shard's message
+//     slab (or, crossing shards, of an outbox until the merge): kind, size,
+//     and a copy of the id or packet list — inline for a one-packet SERVE or
+//     a REQUEST of up to seven ids, otherwise in a range of the shard's
+//     spill arenas (an outbox's bump regions on the way across) — or, for
+//     SHUFFLE, LEAVE, FEED-ME and foreign types, the boxed wire.Message as
+//     sent. Every send ends in exactly one delivery or drop, after which
+//     the record and its range are cleared of references and return to
+//     their free lists;
 //   - the closure of a NodeEnv.After timer waits in the After table.
 //
 // The typed route — NodeEnv.SendIDs/SendPackets in, TimerHandler's
@@ -68,8 +70,9 @@
 // delivery of a protocol message the box it is handed. TestEngineAllocBudget
 // holds the engine to that (0 per event for send→deliver of ids and
 // packets, within and across shards, at most 1 for an After chain),
-// TestEventRecordIsPointerFree to the record's shape, and CI fails on any
-// "moved to heap" the compiler reports in shard.go or megasim.go.
+// TestEventRecordIsPointerFree and TestMessageRecordSize to the records'
+// shapes, and CI fails on any "moved to heap" the compiler reports in the
+// package.
 //
 // # Membership
 //
@@ -1079,19 +1082,22 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 		return
 	}
 	sh.outboxOut++
-	// Take the next outbox record, reusing one left beyond the reset
-	// length — and its spill backings — when there is one.
-	q := sh.outbox[d]
-	if len(q) < cap(q) {
-		q = q[:len(q)+1]
-	} else {
-		//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
-		q = append(q, xmsg{})
+	ob := &sh.outbox[d]
+	//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
+	ob.msgs = append(ob.msgs, xmsg{at: at, from: from, to: to})
+	r := &ob.msgs[len(ob.msgs)-1].rec
+	if !r.fill(int32(size), p) {
+		return
 	}
-	sh.outbox[d] = q
-	m := &q[len(q)-1]
-	m.at, m.from, m.to = at, from, to
-	m.rec.set(int32(size), p)
+	if p.kind == wire.KindServe {
+		r.inl[0] = stream.PacketID(len(ob.pkts))
+		//lint:pooled the region's capacity is reused across windows, reset with the outbox
+		ob.pkts = append(ob.pkts, p.pkts...)
+	} else {
+		r.inl[0] = stream.PacketID(len(ob.ids))
+		//lint:pooled the region's capacity is reused across windows, reset with the outbox
+		ob.ids = append(ob.ids, p.ids...)
+	}
 }
 
 // sendMsg is send for a boxed message. The record holds its own copy of a
@@ -1143,7 +1149,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 	dst.stats.RecvBytes[k] += uint64(rec.size)
 	// rec is not used past this point: a handler that sends may grow the
 	// slab under it. The payload's lists stay readable either way.
-	p := rec.payload()
+	p := rec.payload(sh.ids.buf, sh.pkts.buf)
 	switch {
 	case k == wire.KindShuffle || k == wire.KindLeave:
 		// Membership traffic — view exchanges and graceful-departure

@@ -42,34 +42,92 @@ func TestEventRecordIsPointerFree(t *testing.T) {
 	}
 }
 
-// TestMessageRecordRoundTrip fills one record with every shape of message
-// in turn — the inline and spill boundaries of both list kinds, and a boxed
-// message — and reads each back through payload: a reused record must show
-// the message it was last set to and nothing of the ones before.
-func TestMessageRecordRoundTrip(t *testing.T) {
-	ids := make([]stream.PacketID, 3*inlineIDs)
-	pkts := make([]*stream.Packet, 5)
+// TestMessageRecordSize pins the in-flight records to one cache line: a
+// message record is 64 bytes and an outbox entry, its header included, at
+// most 80. A list that does not fit inline spills into the arenas.
+func TestMessageRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(msgRec{}); size != 64 {
+		t.Errorf("msgRec is %d bytes, want 64", size)
+	}
+	if size := unsafe.Sizeof(xmsg{}); size > 80 {
+		t.Errorf("xmsg is %d bytes, want at most 80", size)
+	}
+	if top := 8 << (spillClasses - 1); top < wire.MaxIDsPerMessage || top/2 >= wire.MaxIDsPerMessage {
+		t.Errorf("the largest spill class holds %d elements; the class that holds a full PROPOSE (%d ids) should be the last", top, wire.MaxIDsPerMessage)
+	}
+}
+
+// recordShapes are messages at every edge of the record's layout: the
+// inline limit and the spill classes' edges of id lists up to a full
+// PROPOSE, packet lists up to a full SERVE, and empty and boxed messages.
+func recordShapes() []payload {
+	ids := make([]stream.PacketID, wire.MaxIDsPerMessage+1)
 	for i := range ids {
 		ids[i] = stream.PacketID(100 + i)
 	}
+	pkts := make([]*stream.Packet, 300)
 	for i := range pkts {
 		pkts[i] = &stream.Packet{ID: stream.PacketID(i)}
 	}
-	var rec msgRec
-	for i, in := range []payload{
-		{kind: wire.KindPropose, ids: ids},
-		{kind: wire.KindRequest, ids: ids[:inlineIDs]},
-		{kind: wire.KindServe, pkts: pkts},
-		{kind: wire.KindRequest, ids: ids[:inlineIDs+1]},
-		{kind: wire.KindServe, pkts: pkts[:1]},
-		{kind: wire.KindPropose, ids: ids[:1]},
-		{kind: wire.KindShuffle, other: wire.Shuffle{Reply: true}},
-		{kind: wire.KindServe, pkts: pkts[:2]},
-		{kind: wire.KindPropose},
-		{kind: wire.KindServe},
-	} {
-		rec.set(int32(i), in)
-		out := rec.payload()
+	full, _ := wire.CutPackets(pkts) // empty payloads: as many as one SERVE carries
+	var shapes []payload
+	for _, n := range []int{1, inlineIDs, inlineIDs + 1, 9, 63, 64, 65, wire.MaxIDsPerMessage} {
+		shapes = append(shapes, payload{kind: wire.KindPropose, ids: ids[n%5:][:n]}, payload{kind: wire.KindRequest, ids: ids[:n]})
+	}
+	for _, n := range []int{1, 2, 8, 9, len(full)} {
+		shapes = append(shapes, payload{kind: wire.KindServe, pkts: full[n%3:][:n]})
+	}
+	return append(shapes, payload{kind: wire.KindPropose}, payload{kind: wire.KindServe}, payload{kind: wire.KindFeedMe, other: wire.FeedMe{}})
+}
+
+// checkArenaDrained verifies that a shard with nothing in flight has every
+// slab record and every arena range on a free list, and that nothing free
+// references a packet or a message.
+func checkArenaDrained(t *testing.T, s *shard) {
+	t.Helper()
+	if len(s.msgFree) != len(s.msgs) {
+		t.Fatalf("shard %d: %d of %d slab records are free with nothing in flight", s.id, len(s.msgFree), len(s.msgs))
+	}
+	for i := range s.msgs {
+		if r := &s.msgs[i]; r.other != nil || r.pkt1[0] != nil {
+			t.Fatalf("shard %d: free slab record %d still references a message or a packet", s.id, i)
+		}
+	}
+	free := func(f [spillClasses][]uint32) (n int) {
+		for c, offs := range f {
+			n += len(offs) * 8 << c
+		}
+		return n
+	}
+	if got, want := free(s.ids.free), len(s.ids.buf); got != want {
+		t.Fatalf("shard %d: %d of %d arena ids are in free ranges with nothing in flight", s.id, got, want)
+	}
+	if got, want := free(s.pkts.free), len(s.pkts.buf); got != want {
+		t.Fatalf("shard %d: %d of %d arena packet slots are in free ranges with nothing in flight", s.id, got, want)
+	}
+	if slices.IndexFunc(s.pkts.buf, func(p *stream.Packet) bool { return p != nil }) >= 0 {
+		t.Fatalf("shard %d: a free range of the packet arena still references a packet", s.id)
+	}
+}
+
+// TestMessageRecordRoundTrip stores every shape of recordShapes in a slab
+// record and reads it back, one at a time, so that records and arena
+// ranges are reused: a reused record must show the message it was last set
+// to and nothing of the ones before. Then it sends them all at once
+// between two nodes on one shard and across two, through the spill arenas
+// and the outbox's regions, and they must arrive as sent.
+func TestMessageRecordRoundTrip(t *testing.T) {
+	shapes := recordShapes()
+	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := e.shards[0]
+	for i, in := range shapes {
+		s.pushDelivery(0, 0, 0, int32(i), in)
+		ev := s.q.pop()
+		rec := &s.msgs[ev.ref]
+		out := rec.payload(s.ids.buf, s.pkts.buf)
 		if out.kind != in.kind || !slices.Equal(out.ids, in.ids) || !slices.Equal(out.pkts, in.pkts) ||
 			!reflect.DeepEqual(out.other, in.other) || rec.size != int32(i) {
 			t.Fatalf("step %d: record set to %+v reads back %+v", i, in, out)
@@ -77,10 +135,54 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 		if got, want := out.message().WireSize(), in.wireSize(); got != want {
 			t.Fatalf("step %d: boxed back the message costs %d bytes on the wire, the payload %d", i, got, want)
 		}
-		rec.release()
-		if rec.other != nil || rec.pkt1[0] != nil || slices.IndexFunc(rec.pkts[:cap(rec.pkts)], func(p *stream.Packet) bool { return p != nil }) >= 0 {
-			t.Fatalf("step %d: the released record still references a message or a packet", i)
-		}
+		s.releaseMsg(ev.ref)
+		checkArenaDrained(t, s)
+	}
+	if len(s.msgs) != 1 {
+		t.Fatalf("%d slab records for one message at a time: records are not reused", len(s.msgs))
+	}
+
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender := e.NodeEnv(0, NewRand(1))
+			e.AddNode(&kept{}, shaping.Unlimited, 0)
+			recv := &typedKept{kept{typed: true}}
+			e.AddNode(recv, shaping.Unlimited, 0)
+			var want []string
+			for _, p := range shapes {
+				var pids []stream.PacketID
+				for _, pkt := range p.pkts {
+					pids = append(pids, pkt.ID)
+				}
+				switch {
+				case p.other != nil:
+					sender.Send(1, p.other)
+					want = append(want, fmt.Sprintf("boxed %v from 0 ids [] packets []", p.kind))
+					continue
+				case p.kind == wire.KindServe:
+					sender.SendPackets(1, p.pkts)
+				default:
+					sender.SendIDs(1, p.kind, p.ids)
+				}
+				want = append(want, fmt.Sprintf("typed %v from 0 ids %v packets %v", p.kind, p.ids, pids))
+			}
+			if shards > 1 && len(e.shards[0].outbox[1].ids) == 0 {
+				t.Fatal("no list spilled into the outbox's region")
+			}
+			if err := e.Run(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(recv.got, want) {
+				t.Fatalf("delivered\n%q\nwant\n%q", recv.got, want)
+			}
+			for _, s := range e.shards {
+				checkArenaDrained(t, s)
+			}
+		})
 	}
 }
 
@@ -222,7 +324,8 @@ func (sinkTyped) HandlePackets(NodeID, []*stream.Packet)         {}
 //   - a boxed SERVE's pooled backing went back to wire's pool inside Send,
 //     not at the delivery seconds later;
 //   - no record — slab or outbox, free or beyond the reset length — holds a
-//     packet or a message;
+//     packet or a message, and neither do the packet arena's free ranges
+//     nor the outboxes' packet regions, up to their capacity;
 //   - the packets, which only the messages ever referenced, are collected
 //     while the engine is still reachable.
 func TestMessageRecordsNeverPinPackets(t *testing.T) {
@@ -275,24 +378,21 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 		t.Fatalf("the run did not end messages every way, or did not drain: %+v, %d pending", st, e.Pending())
 	}
 
-	pins := func(where string, r *msgRec) {
-		if r.other != nil || r.pkt1[0] != nil ||
-			slices.IndexFunc(r.pkts[:cap(r.pkts)], func(p *stream.Packet) bool { return p != nil }) >= 0 {
-			t.Fatalf("%s still references a message or a packet after the run drained", where)
-		}
-	}
 	var crossed uint64
 	for _, s := range e.shards {
-		if len(s.msgFree) != len(s.msgs) {
-			t.Fatalf("shard %d: %d of %d slab records are free after the run drained", s.id, len(s.msgFree), len(s.msgs))
+		if len(s.pkts.buf) == 0 {
+			t.Fatalf("shard %d: no SERVE spilled into the packet arena", s.id)
 		}
-		for i := range s.msgs {
-			pins(fmt.Sprintf("shard %d slab record %d", s.id, i), &s.msgs[i])
-		}
-		for d, q := range s.outbox {
-			q = q[:cap(q)]
-			for i := range q {
-				pins(fmt.Sprintf("outbox %d→%d record %d", s.id, d, i), &q[i].rec)
+		checkArenaDrained(t, s)
+		for d, ob := range s.outbox {
+			msgs := ob.msgs[:cap(ob.msgs)]
+			for i := range msgs {
+				if r := &msgs[i].rec; r.other != nil || r.pkt1[0] != nil {
+					t.Fatalf("outbox %d→%d record %d still references a message or a packet after the run drained", s.id, d, i)
+				}
+			}
+			if slices.IndexFunc(ob.pkts[:cap(ob.pkts)], func(p *stream.Packet) bool { return p != nil }) >= 0 {
+				t.Fatalf("outbox %d→%d: the packet region still references a packet after the run drained", s.id, d)
 			}
 		}
 		crossed += s.outboxOut

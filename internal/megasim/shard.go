@@ -99,89 +99,97 @@ func (p payload) wireSize() int {
 	}
 }
 
-// inlineIDs is how many ids a record holds without a spill backing: nine
-// in ten REQUESTs of a steady stream ask for at most seven packets (and
-// four in ten PROPOSEs advertise no more), and seven is what fits the
-// record's 112 bytes without growing it.
+// inlineIDs is how many ids a record holds inline: nine in ten REQUESTs of
+// a steady stream ask for at most seven packets (and four in ten PROPOSEs
+// advertise no more), and seven is what fills the record's 64 bytes, one
+// cache line. A longer list, like a SERVE of several packets, spills into
+// a list kept beside the record (spillArena, or an outbox's region), and
+// inl[0] holds its offset there.
 const inlineIDs = 7
 
 // msgRec is one in-flight message: the single representation a message has
 // between send and its delivery or drop, in a shard's slab or — crossing
-// shards — in an outbox. It owns its contents: set copies ids and packet
-// pointers in, inline when the list is short and into a spill backing the
-// record keeps across reuse otherwise, so nothing the sender passed is
-// referenced after send returns and a steady run recycles records without
-// allocating.
+// shards — in an outbox. It owns its contents: fill copies ids and packet
+// pointers in, inline when the list is short, and its owner copies a longer
+// list into its spill storage, so nothing the sender passed is referenced
+// after send returns and a steady run recycles records without allocating.
 type msgRec struct {
-	// What a one-packet SERVE, a short REQUEST and a boxed message touch
-	// comes first and fills 64 bytes; the spill backings follow.
 	other wire.Message
 	pkt1  [1]*stream.Packet
 	size  int32 // application bytes: charged to the uplink at send, counted received at delivery
 	n     int32 // ids or packets carried
 	kind  wire.Kind
-	inl   [inlineIDs]stream.PacketID
-	ids   []stream.PacketID // spill: more than inlineIDs ids
-	pkts  []*stream.Packet  // spill: more than one packet
+	inl   [inlineIDs]stream.PacketID // the ids, or the spilled list's offset in inl[0]
 }
 
-// set fills the record with a copy of p.
-func (r *msgRec) set(size int32, p payload) {
+// fill sets the record to a copy of p, except for a list that does not fit
+// inline: fill reports that it spills, and the caller stores it and puts
+// its offset in inl[0].
+func (r *msgRec) fill(size int32, p payload) (spills bool) {
 	r.kind, r.size, r.other = p.kind, size, p.other
 	r.n = int32(len(p.ids) + len(p.pkts))
-	switch {
-	case len(p.ids) > inlineIDs:
-		//lint:pooled the spill backing stays with the record across reuse
-		r.ids = append(r.ids[:0], p.ids...)
-	case len(p.ids) > 0:
-		copy(r.inl[:], p.ids)
-	case len(p.pkts) == 1:
-		r.pkt1[0] = p.pkts[0]
-	case len(p.pkts) > 1:
-		//lint:pooled the spill backing stays with the record across reuse
-		r.pkts = append(r.pkts[:0], p.pkts...)
+	if r.spilled() {
+		return true
 	}
+	copy(r.pkt1[:], p.pkts) // at most one of the two lists is non-empty
+	copy(r.inl[:], p.ids)
+	return false
 }
 
-// payload views the record's contents. The lists alias the record (and,
-// when inline, the slab holding it): they are good until the record is
-// released, and a slab that grows meanwhile leaves them reading the old
-// copy, which nothing writes to.
-func (r *msgRec) payload() payload {
+// spilled reports whether the record's list lives outside it.
+func (r *msgRec) spilled() bool {
+	if r.kind == wire.KindServe {
+		return r.n > 1
+	}
+	return r.n > inlineIDs
+}
+
+// payload views the record's contents; a spilled list is read from ids or
+// pkts, the storage it was spilled into. The lists alias the record or that
+// storage: they are good until the record is released, and a slab or arena
+// that grows meanwhile leaves them reading the old copy, which nothing
+// writes to.
+func (r *msgRec) payload(ids []stream.PacketID, pkts []*stream.Packet) payload {
 	p := payload{kind: r.kind, other: r.other}
-	switch {
-	case r.other != nil:
-	case r.kind == wire.KindServe && r.n == 1:
-		p.pkts = r.pkt1[:]
+	off, end := uint32(r.inl[0]), uint32(r.inl[0])+uint32(r.n)
+	switch { // a boxed message carries no list: n is zero
+	case r.kind == wire.KindServe && r.n <= 1:
+		p.pkts = r.pkt1[:r.n]
 	case r.kind == wire.KindServe:
-		p.pkts = r.pkts
+		p.pkts = pkts[off:end:end]
 	case r.n <= inlineIDs:
 		p.ids = r.inl[:r.n]
 	default:
-		p.ids = r.ids
+		p.ids = ids[off:end:end]
 	}
 	return p
 }
 
-// release drops every reference the record holds — a free record must pin
-// neither a packet nor a message — and keeps the spill capacity. (The ids
-// spill holds no reference and is left as it is: set overwrites it.)
+// release drops the references the record holds itself — a free record
+// must pin neither a packet nor a message. Its spilled list is its owner's
+// to release.
 func (r *msgRec) release() {
 	r.other = nil
 	r.pkt1[0] = nil
-	clear(r.pkts)
-	r.pkts = r.pkts[:0] // cleared once, not at every later release
 }
 
 // xmsg is a cross-shard delivery in transit through an outbox: a
-// pointer-free header and the message in a record of the outbox's own,
-// whose spill backings survive the outbox's reset like the outbox's
-// capacity does.
+// pointer-free header and the message in a record whose spilled list lives
+// in the outbox's regions.
 type xmsg struct {
 	at   time.Duration
 	from NodeID
 	to   NodeID
 	rec  msgRec
+}
+
+// outbox buffers one window's deliveries from one shard to another. Lists
+// that spill are appended to the regions, which are reset with msgs once
+// the destination has copied the messages in.
+type outbox struct {
+	msgs []xmsg
+	ids  []stream.PacketID
+	pkts []*stream.Packet
 }
 
 // timerSlot holds the closure of one pending After timer. id tells the
@@ -271,10 +279,12 @@ type shard struct {
 
 	// msgs is the message slab: every delivery pending in q names its
 	// message here by index. msgFree stacks the released records, so a
-	// steady run cycles through the same few — and their spill backings —
-	// without allocating.
+	// steady run cycles through the same few without allocating; ids and
+	// pkts hold the lists too long to fit in them.
 	msgs    []msgRec
 	msgFree []uint32
+	ids     spillArena[stream.PacketID]
+	pkts    spillArena[*stream.Packet]
 
 	// afters is the After closure table, afterFree its free slots;
 	// nextTimer mints the ids that tell a slot's tenants apart.
@@ -284,9 +294,8 @@ type shard struct {
 
 	// outbox[d] buffers deliveries destined for shard d during the current
 	// window; shard d drains (and resets) it during the merge phase, so
-	// ownership alternates across the barrier. Capacity is reused, and with
-	// it the spill backings of the records beyond the reset length.
-	outbox [][]xmsg
+	// ownership alternates across the barrier. Capacity is reused.
+	outbox []outbox
 
 	// park is where the shard's worker waits for the next epoch.
 	park waiter
@@ -298,7 +307,7 @@ func newShard(e *Engine, id int, rng *rand.Rand) *shard {
 		eng:    e,
 		rng:    rng,
 		q:      newScheduler(e.cfg.Queue),
-		outbox: make([][]xmsg, e.cfg.Shards),
+		outbox: make([]outbox, e.cfg.Shards),
 		park:   waiter{wake: make(chan struct{}, 1)},
 	}
 }
@@ -365,11 +374,8 @@ func (s *shard) runWindow(end time.Duration) {
 			s.delivers++
 			s.eng.deliver(s, &ev)
 			// Delivered or dropped, the message has had the one outcome every
-			// send ends in. The handler may have sent and grown the slab, so
-			// the record is found again by index.
-			s.msgs[ev.ref].release()
-			//lint:pooled the free list is bounded by the slab it indexes
-			s.msgFree = append(s.msgFree, ev.ref)
+			// send ends in.
+			s.releaseMsg(ev.ref)
 		case evMemberTick:
 			s.now = ev.at
 			s.fired++
@@ -397,17 +403,18 @@ func (s *shard) runWindow(end time.Duration) {
 // same-instant events — are independent of goroutine interleaving.
 func (s *shard) mergeInbound() {
 	for _, src := range s.eng.shards {
-		q := src.outbox[s.id]
-		if len(q) == 0 {
+		ob := &src.outbox[s.id]
+		if len(ob.msgs) == 0 {
 			continue
 		}
-		s.outboxIn += uint64(len(q))
-		for i := range q {
-			m := &q[i]
-			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload())
+		s.outboxIn += uint64(len(ob.msgs))
+		for i := range ob.msgs {
+			m := &ob.msgs[i]
+			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload(ob.ids, ob.pkts))
 			m.rec.release()
 		}
-		src.outbox[s.id] = q[:0]
+		clear(ob.pkts)
+		ob.msgs, ob.ids, ob.pkts = ob.msgs[:0], ob.ids[:0], ob.pkts[:0]
 	}
 }
 
@@ -467,8 +474,32 @@ func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p pa
 		//lint:pooled the slab grows to the peak of messages in flight, then recycles through msgFree
 		s.msgs = append(s.msgs, msgRec{})
 	}
-	s.msgs[i].set(size, p)
+	r := &s.msgs[i]
+	if r.fill(size, p) {
+		if r.kind == wire.KindServe {
+			r.inl[0] = stream.PacketID(s.pkts.put(p.pkts))
+		} else {
+			r.inl[0] = stream.PacketID(s.ids.put(p.ids))
+		}
+	}
 	s.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
+}
+
+// releaseMsg returns slab record i, delivered or dropped, and its spilled
+// list to their free lists. The handler may have sent and grown the slab,
+// so the record is found again by index.
+func (s *shard) releaseMsg(i uint32) {
+	r := &s.msgs[i]
+	if r.spilled() {
+		if r.kind == wire.KindServe {
+			s.pkts.release(uint32(r.inl[0]), r.n)
+		} else {
+			s.ids.release(uint32(r.inl[0]), r.n)
+		}
+	}
+	r.release()
+	//lint:pooled the free list is bounded by the slab it indexes
+	s.msgFree = append(s.msgFree, i)
 }
 
 // pushMemberTick schedules the node's next membership tick.

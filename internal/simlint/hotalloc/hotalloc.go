@@ -140,7 +140,8 @@ func reach(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, roots []str
 			if fn == nil {
 				return true
 			}
-			if callee, ok := decls[fn]; ok && !seen[callee] {
+			// declIndex holds a generic callee under its declared object.
+			if callee, ok := decls[fn.Origin()]; ok && !seen[callee] {
 				seen[callee] = true
 				work = append(work, callee)
 			}
@@ -151,10 +152,19 @@ func reach(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, roots []str
 }
 
 // staticCallee resolves the *types.Func a call statically invokes: a
-// package function, or a method called on a concrete receiver. Interface
-// dispatch and function-value calls return nil.
+// package function, explicitly instantiated or not, or a method called on
+// a concrete receiver. A generic callee resolves to its instantiation,
+// whose Origin is the declared object. Interface dispatch and
+// function-value calls return nil.
 func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
-	switch fun := ast.Unparen(call.Fun).(type) {
+	fun := ast.Unparen(call.Fun)
+	switch ix := fun.(type) {
+	case *ast.IndexExpr: // f[T](x)
+		fun = ast.Unparen(ix.X)
+	case *ast.IndexListExpr: // f[K, V](x)
+		fun = ast.Unparen(ix.X)
+	}
+	switch fun := fun.(type) {
 	case *ast.Ident:
 		fn, _ := pass.TypesInfo.Uses[fun].(*types.Func)
 		return fn

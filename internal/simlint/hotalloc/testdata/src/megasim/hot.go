@@ -19,6 +19,7 @@ type shard struct {
 	heap    []event
 	scratch []int
 	out     logger
+	spill   arena[int]
 }
 
 // runWindow is the configured hot root; step and emit are reachable
@@ -56,6 +57,12 @@ func (s *shard) step(ev event) {
 	s.out.Log(ev.arg) // annotated: fine
 
 	s.emit(any(ev.arg)) // want `conversion to any boxes a concrete value in hot path \(\(\*shard\)\.step\)`
+
+	// Generic callees are audited like any other: a method of an
+	// instantiated type, and functions instantiated explicitly.
+	s.spill.put(ev.arg)
+	s.scratch = grow[int](s.scratch, ev.arg)
+	s.scratch = move[[]int, int](s.scratch, ev.arg)
 
 	if ev.at < 0 {
 		// Cold paths stay exempt: panic arguments never run per event.
@@ -147,3 +154,22 @@ func (c stats) observe(fn func()) {
 type ring[T any] struct{ buf []T }
 
 func (r ring[T]) head() T { return r.buf[0] }
+
+// arena is generic like the engine's spill arenas; step reaches put
+// through arena[int].
+type arena[T any] struct{ buf []T }
+
+func (a *arena[T]) put(v T) {
+	a.buf = append(a.buf, v) // want `append in hot path \(\(\*arena\)\.put\)`
+
+	//lint:pooled the arena recycles what it carves
+	a.buf = append(a.buf, v) // annotated: fine
+}
+
+func grow[T any](s []T, v T) []T {
+	return append(s, v) // want `append in hot path \(grow\)`
+}
+
+func move[S ~[]E, E any](s S, v E) S {
+	return append(s, v) // want `append in hot path \(move\)`
+}

@@ -287,11 +287,15 @@ type windowState struct {
 }
 
 // NewReceiver returns a Receiver for the layout.
+// Every window's bitset is carved out of one backing, so a receiver costs
+// the same few allocations however long the stream; each bitset's
+// capacity ends at its own words, so no window can grow into the next.
 func NewReceiver(layout Layout) *Receiver {
 	words := (layout.WindowTotal() + 63) / 64
 	ws := make([]windowState, layout.Windows)
+	bits := make([]uint64, words*len(ws))
 	for i := range ws {
-		ws[i].seen = make([]uint64, words)
+		ws[i].seen = bits[i*words : (i+1)*words : (i+1)*words]
 	}
 	return &Receiver{layout: layout, windows: ws}
 }
@@ -300,13 +304,11 @@ func NewReceiver(layout Layout) *Receiver {
 // poll metrics while another goroutine keeps delivering. The caller owning
 // synchronization of Deliver decides when the snapshot is taken.
 func (r *Receiver) Snapshot() *Receiver {
-	cp := &Receiver{layout: r.layout, delivered: r.delivered, windows: make([]windowState, len(r.windows))}
+	cp := NewReceiver(r.layout)
+	cp.delivered = r.delivered
 	for i, ws := range r.windows {
-		cp.windows[i] = windowState{
-			seen:      append([]uint64(nil), ws.seen...),
-			count:     ws.count,
-			completed: ws.completed,
-		}
+		copy(cp.windows[i].seen, ws.seen)
+		cp.windows[i].count, cp.windows[i].completed = ws.count, ws.completed
 	}
 	return cp
 }

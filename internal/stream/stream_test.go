@@ -3,6 +3,7 @@ package stream
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -282,6 +283,42 @@ func TestReceiverDuplicatesIgnored(t *testing.T) {
 	}
 	if !r.Has(id) || r.Has(l.IDFor(1, 3)) {
 		t.Fatal("Has() wrong")
+	}
+}
+
+// TestReceiverOneBitsetBacking pins the receiver's memory shape: its
+// windows' bitsets share one backing, so building a receiver (or a
+// snapshot) allocates as much for 60 windows as for 2, and no window's
+// bits reach into its neighbour's — with windows of exactly one word and of
+// two, the last id of window w leaves w+1 untouched.
+func TestReceiverOneBitsetBacking(t *testing.T) {
+	l := tinyLayout()
+	allocs := func(windows int) (build, snap float64) {
+		l.Windows = windows
+		r := NewReceiver(l)
+		return testing.AllocsPerRun(20, func() { NewReceiver(l) }), testing.AllocsPerRun(20, func() { r.Snapshot() })
+	}
+	b2, s2 := allocs(2)
+	if b60, s60 := allocs(60); b60 != b2 || s60 != s2 {
+		t.Fatalf("NewReceiver allocates %v for 2 windows and %v for 60, Snapshot %v and %v: want the same", b2, b60, s2, s60)
+	}
+	for _, total := range []int{64, 110} {
+		l := Layout{RateBps: 600_000, PayloadBytes: 64, DataPerWindow: total - 4, ParityPerWindow: 4, Windows: 4}
+		r := NewReceiver(l)
+		for w := 0; w < l.Windows; w++ {
+			r.Deliver(l.IDFor(w, total-1), time.Second)
+			if w+1 < l.Windows && (r.Count(w+1) != 0 || slices.ContainsFunc(r.windows[w+1].seen, func(x uint64) bool { return x != 0 })) {
+				t.Fatalf("%d-packet windows: the last id of window %d set a bit of window %d", total, w, w+1)
+			}
+			if cap(r.windows[w].seen) != len(r.windows[w].seen) {
+				t.Fatalf("window %d's bitset can grow into its neighbour's", w)
+			}
+		}
+		cp := r.Snapshot()
+		cp.Deliver(l.IDFor(0, 0), time.Second)
+		if r.Has(l.IDFor(0, 0)) || !cp.Has(l.IDFor(3, total-1)) || cp.Count(3) != 1 {
+			t.Fatalf("%d-packet windows: the snapshot shares bits with the receiver, or lost some", total)
+		}
 	}
 }
 
