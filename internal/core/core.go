@@ -894,6 +894,7 @@ func (p *Peer) retransmit(bi uint32) {
 		toTarget := retry // the one-target case (always, under RetrySameProposer)
 		if count(targets[i:], target) < len(retry) {
 			if cap(p.targetScratch) < len(retry) {
+				//lint:pooled the per-peer scratch grows to the longest retry list, then is reused
 				p.targetScratch = make([]stream.PacketID, 0, cap(retry))
 			}
 			toTarget = p.targetScratch[:0]

@@ -87,6 +87,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		// Setup node i has service-class ordinal i-1; runtime admissions
 		// continue the count from there.
 		nextOrdinal: cfg.Nodes - 1,
+		pool:        make([]wire.NodeID, 0, cfg.Nodes),
 	}
 	if cfg.Membership == MembershipCyclon {
 		d.states = make([]*pss.State, cfg.Nodes)
@@ -240,6 +241,10 @@ type deployment struct {
 	// nextOrdinal is the stable service-class ordinal the next runtime
 	// admission consumes (freeRider); slot reuse never rewinds it.
 	nextOrdinal int
+	// pool is the scratch aliveVictims and liveBootstrapIDs fill; no result
+	// outlives its barrier callback (churn.Pick and pss.NewState copy).
+	// Never nil, so an empty bootstrap list still selects a Cyclon record.
+	pool []wire.NodeID
 	// fold scores every node as its lifetime closes; rows collects the
 	// per-node detail of the same nodes in the same order (Result.Nodes) and
 	// stays nil under StreamingMetrics.
@@ -336,12 +341,13 @@ func (d *deployment) collect() *Result {
 // scanned in ascending order, so the pool (and any rng.Intn pick from it)
 // is deterministic.
 func (d *deployment) aliveVictims() []wire.NodeID {
-	var eligible []wire.NodeID
+	eligible := d.pool[:0]
 	for slot := 1; slot < len(d.peers); slot++ {
 		if d.peers[slot] != nil && d.eng.Alive(d.ids[slot]) {
 			eligible = append(eligible, d.ids[slot])
 		}
 	}
+	d.pool = eligible
 	return eligible
 }
 
@@ -473,7 +479,7 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 // can assume every id in [0, n) exists. Scanning the slots keeps the draw
 // count deterministic regardless of how much of the population is dead.
 func (d *deployment) liveBootstrapIDs(self wire.NodeID, k int, rng *rand.Rand) []wire.NodeID {
-	alive := make([]wire.NodeID, 0, len(d.peers))
+	alive := d.pool[:0]
 	for slot := 0; slot < len(d.peers); slot++ {
 		if d.peers[slot] == nil {
 			continue
@@ -482,6 +488,7 @@ func (d *deployment) liveBootstrapIDs(self wire.NodeID, k int, rng *rand.Rand) [
 			alive = append(alive, id)
 		}
 	}
+	d.pool = alive
 	if k > len(alive) {
 		k = len(alive)
 	}

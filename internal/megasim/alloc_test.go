@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipstream/internal/pss"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -54,8 +55,9 @@ func allocsPerEvent(t *testing.T, eng *Engine, until time.Duration) float64 {
 // TestEngineAllocBudget is the engine's allocation budget, the guard
 // behind the package doc's "allocates nothing per event": send→deliver —
 // of a boxed zero-size message, and of ids and packets on the typed route,
-// within a shard and across two — and flat node timers cost no allocation,
-// an After chain costs the one cancel function After must return. Before
+// within a shard and across two — a Cyclon round of pss records and flat
+// node timers cost no allocation, an After chain costs the one cancel
+// function After must return. Before
 // events were pushed by value every scheduled event escaped to the heap (1
 // and 3 allocations per event here); before messages moved into the slab a
 // typed message could not be sent at all and its boxed form cost the box.
@@ -112,6 +114,24 @@ func TestEngineAllocBudget(t *testing.T) {
 			}
 			if shards > 1 && eng.ShardLoads()[0].OutboxOut == 0 {
 				t.Fatal("no message crossed shards")
+			}
+		})
+	}
+
+	// Every node runs a Cyclon record on a 10 ms period: a tick, a request
+	// and a reply per node per period, all of it SHUFFLE traffic that the
+	// records build in their scratch and the engine carries unboxed. With
+	// two shards about half of them cross, through the outbox records.
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("cyclon-shuffle/%d-shards", shards), func(t *testing.T) {
+			cfg := pss.DefaultConfig()
+			cfg.Period = 10 * time.Millisecond
+			eng, states := membershipOverlay(t, nodes, shards, 3, cfg, flatNet(10*time.Millisecond))
+			if got := allocsPerEvent(t, eng, 3*time.Second); got > 0.01 {
+				t.Fatalf("a Cyclon round allocates %.3f per event on %d shard(s), want 0", got, shards)
+			}
+			if states[0].ShufflesAnswered() == 0 || (shards > 1 && eng.ShardLoads()[0].OutboxOut == 0) {
+				t.Fatal("no shuffle was answered, or none crossed shards")
 			}
 		})
 	}

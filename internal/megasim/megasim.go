@@ -48,13 +48,15 @@
 //
 //   - an in-flight message is one 64-byte record of the shard's message
 //     slab (or, crossing shards, of an outbox until the merge): kind, size,
-//     and a copy of the id or packet list — inline for a one-packet SERVE or
-//     a REQUEST of up to seven ids, otherwise in a range of the shard's
-//     spill arenas (an outbox's bump regions on the way across) — or, for
-//     SHUFFLE, LEAVE, FEED-ME and foreign types, the boxed wire.Message as
-//     sent. Every send ends in exactly one delivery or drop, after which
-//     the record and its range are cleared of references and return to
-//     their free lists;
+//     and a copy of the id or packet list — a SHUFFLE's entries as (id,
+//     age) word pairs in the id list — inline for a one-packet SERVE, a
+//     REQUEST of up to seven ids or a SHUFFLE of up to three entries,
+//     otherwise in a range of the shard's spill arenas (an outbox's bump
+//     regions on the way across) — or, for LEAVE, FEED-ME (zero-size, so
+//     boxing them allocates nothing) and foreign types, the boxed
+//     wire.Message as sent. Every send ends in exactly one delivery or
+//     drop, after which the record and its range are cleared of references
+//     and return to their free lists;
 //   - the closure of a NodeEnv.After timer waits in the After table.
 //
 // The typed route — NodeEnv.SendIDs/SendPackets in, TimerHandler's
@@ -81,8 +83,10 @@
 // internal/pss) off a node's slot in the node-state arena. The engine
 // owns the substrate's schedule — one compact evMemberTick event per node
 // per period, no timer closures — and routes SHUFFLE deliveries to the
-// record, transmitting its emissions through the same shaped, lossy send
-// path as protocol traffic. Cross-shard shuffles are handed over at
+// record, rebuilt in a per-shard scratch message, transmitting its
+// emissions through the same shaped, lossy send path as protocol traffic;
+// a Cyclon round allocates nothing (TestEngineAllocBudget's cyclon-shuffle
+// legs). Cross-shard shuffles are handed over at
 // barriers exactly like streaming messages, so runs with membership
 // enabled keep the bit-identical fixed-(seed, shards) guarantee.
 //
@@ -1023,6 +1027,7 @@ func (e *Engine) noteStale(sh *shard, op string, id NodeID) {
 
 // staleMsg formats the uniform stale-handle panic/diagnostic message.
 func (e *Engine) staleMsg(op string, id NodeID) string {
+	//lint:coldpath only a stale-handle panic's message is formatted here
 	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.nodes[uint32(id)&slotMask].gen, Gen(id))
 }
 
@@ -1104,7 +1109,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 // SERVE's packet list, so a pooled backing goes back at once instead of
 // riding along for the seconds the message may wait in a shaped uplink.
 func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
-	p := unpack(msg)
+	p := sh.unpack(msg)
 	e.send(sh, from, to, p)
 	if p.pkts != nil {
 		wire.RecycleServe(wire.Serve{Packets: p.pkts})
@@ -1155,9 +1160,14 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 		// Membership traffic — view exchanges and graceful-departure
 		// announcements — goes to the node's sampler (which may answer; a
 		// LEAVE never does), staying on the same flat event path as
-		// everything else.
+		// everything else. A SHUFFLE is rebuilt in the shard's scratch
+		// message, valid for the call only; a LEAVE arrives as it was boxed.
 		if dst.sampler != nil {
-			if reply, ok := dst.sampler.Handle(ev.from, p.message()); ok {
+			msg := p.other
+			if msg == nil {
+				msg = sh.shuffle(p)
+			}
+			if reply, ok := dst.sampler.Handle(ev.from, msg); ok {
 				e.sendMsg(sh, ev.to, reply.To, reply.Msg)
 			}
 		}

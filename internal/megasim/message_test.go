@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/simnet"
 	"gossipstream/internal/stream"
@@ -500,6 +501,86 @@ func TestTypedMessagesSurviveRecordReuse(t *testing.T) {
 			}
 			if want := started * int(until/lat); hops != want {
 				t.Fatalf("%d hops, want %d: messages were lost or duplicated", hops, want)
+			}
+		})
+	}
+}
+
+// shuffleKept is a membership record that keeps a copy of every SHUFFLE it
+// is handed and never answers.
+type shuffleKept struct{ got []wire.Shuffle }
+
+func (k *shuffleKept) Sample(int) []wire.NodeID  { return nil }
+func (k *shuffleKept) Tick() (member.Emit, bool) { return member.Emit{}, false }
+func (k *shuffleKept) Handle(_ NodeID, msg wire.Message) (member.Emit, bool) {
+	m := msg.(*wire.Shuffle) // the engine hands a rebuilt SHUFFLE over by pointer
+	k.got = append(k.got, wire.Shuffle{Reply: m.Reply, Entries: slices.Clone(m.Entries)})
+	return member.Emit{}, false
+}
+
+// TestShuffleRecordRoundTrip sends SHUFFLEs, by value and by pointer, of
+// every length around the record's layout edges — three entries (six
+// words) inline, four (eight) spilled, up to wire.MaxShuffleEntries, the
+// largest that fits a datagram — requests and replies, with ages 0 and
+// 65535 and ids carrying generation bits, on one shard and across two. They
+// must arrive as sent, charged at their WireSize, and leave every record
+// and range free.
+func TestShuffleRecordRoundTrip(t *testing.T) {
+	var sent []wire.Shuffle
+	for _, n := range []int{0, 1, 3, 4, 8, 20, wire.MaxShuffleEntries} {
+		for _, reply := range []bool{false, true} {
+			m := wire.Shuffle{Reply: reply, Entries: make([]wire.ShuffleEntry, n)}
+			for i := range m.Entries {
+				m.Entries[i] = wire.ShuffleEntry{
+					ID:  makeID((i*7919+n)&slotMask, uint16((i*131+n)%(maxGen+1))),
+					Age: []uint16{0, 65535, uint16(i)}[i%3],
+				}
+			}
+			if n > 0 {
+				m.Entries[n-1].ID = makeID(slotMask, maxGen) // every id bit set
+			}
+			sent = append(sent, m)
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sender := e.NodeEnv(0, NewRand(1))
+			e.AddNode(&kept{}, shaping.Unlimited, 0)
+			e.AddNode(&kept{}, shaping.Unlimited, 0)
+			recv := &shuffleKept{}
+			e.AttachSampler(1, recv, time.Hour)
+			bytes := 0
+			for i := range sent {
+				if i%2 == 0 {
+					sender.Send(1, sent[i])
+				} else {
+					sender.Send(1, &sent[i])
+				}
+				bytes += sent[i].WireSize() - wire.UDPOverheadBytes
+			}
+			if shards > 1 && len(e.shards[0].outbox[1].ids) == 0 {
+				t.Fatal("no SHUFFLE spilled into the outbox's region")
+			}
+			if err := e.Run(time.Second); err != nil {
+				t.Fatal(err)
+			}
+			if len(recv.got) != len(sent) {
+				t.Fatalf("%d of %d SHUFFLEs delivered", len(recv.got), len(sent))
+			}
+			for i, got := range recv.got {
+				if got.Reply != sent[i].Reply || !slices.Equal(got.Entries, sent[i].Entries) {
+					t.Fatalf("SHUFFLE %d arrived as %+v, sent as %+v", i, got, sent[i])
+				}
+			}
+			if got := e.NodeStats(0).SentBytes[wire.KindShuffle]; got != uint64(bytes) {
+				t.Fatalf("the SHUFFLEs were charged %d bytes, their WireSize says %d", got, bytes)
+			}
+			for _, s := range e.shards {
+				checkArenaDrained(t, s)
 			}
 		})
 	}

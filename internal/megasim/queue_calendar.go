@@ -451,6 +451,7 @@ func (q *calendarQueue) rebuild() {
 		nb <<= 1
 	}
 	if nb != len(q.buckets) {
+		//lint:pooled a resize runs only when the bucket count doubles or halves, amortized over the events that moved it
 		q.buckets = make([]calBucket, nb)
 		q.mask = nb - 1
 	}

@@ -49,18 +49,22 @@ type event struct {
 
 // payload is a message outside a record: what a sender hands to send, and
 // the view of a record that deliver dispatches on. PROPOSE, REQUEST and
-// SERVE travel unboxed as their id or packet list; every other kind — and
-// any foreign Message type — rides in other, boxed as it was sent.
+// SERVE travel unboxed as their id or packet list, and SHUFFLE as its
+// entries laid out in the id list as (id, age) word pairs; LEAVE and
+// FEED-ME — zero-size, so their box costs nothing — and any foreign
+// Message type ride in other, boxed as they were sent.
 type payload struct {
 	kind  wire.Kind
-	ids   []stream.PacketID // PROPOSE, REQUEST
+	reply bool              // SHUFFLE: a reply
+	ids   []stream.PacketID // PROPOSE, REQUEST; SHUFFLE's word pairs
 	pkts  []*stream.Packet  // SERVE
 	other wire.Message
 }
 
 // unpack takes a boxed message apart into the payload the typed entry
-// points build directly.
-func unpack(msg wire.Message) payload {
+// points build directly. A SHUFFLE is laid out in the shard's words
+// scratch, good until the next unpack on the shard.
+func (s *shard) unpack(msg wire.Message) payload {
 	switch m := msg.(type) {
 	case wire.Propose:
 		return payload{kind: wire.KindPropose, ids: m.IDs}
@@ -68,12 +72,40 @@ func unpack(msg wire.Message) payload {
 		return payload{kind: wire.KindRequest, ids: m.IDs}
 	case wire.Serve:
 		return payload{kind: wire.KindServe, pkts: m.Packets}
+	case *wire.Shuffle:
+		return s.packShuffle(*m)
+	case wire.Shuffle:
+		return s.packShuffle(m)
 	}
 	return payload{kind: msg.Kind(), other: msg}
 }
 
+// packShuffle lays a SHUFFLE's entries out as (id, age) word pairs.
+func (s *shard) packShuffle(m wire.Shuffle) payload {
+	w := s.words[:0]
+	for _, e := range m.Entries {
+		//lint:pooled the scratch grows to the longest SHUFFLE the shard sends, then is reused
+		w = append(w, stream.PacketID(e.ID), stream.PacketID(e.Age))
+	}
+	s.words = w
+	return payload{kind: wire.KindShuffle, reply: m.Reply, ids: w}
+}
+
+// shuffle rebuilds the SHUFFLE a payload carries in the shard's scratch
+// message, which the next delivery of a SHUFFLE on the shard overwrites.
+func (s *shard) shuffle(p payload) *wire.Shuffle {
+	e := s.shuf.Entries[:0]
+	for i := 0; i+1 < len(p.ids); i += 2 {
+		//lint:pooled the scratch grows to the longest SHUFFLE the shard delivers, then is reused
+		e = append(e, wire.ShuffleEntry{ID: wire.NodeID(p.ids[i]), Age: uint16(p.ids[i+1])})
+	}
+	s.shuf = wire.Shuffle{Reply: p.reply, Entries: e}
+	return &s.shuf
+}
+
 // message boxes the payload for a consumer that takes a wire.Message. The
-// lists alias the payload's.
+// lists alias the payload's. A SHUFFLE has no boxed form here: deliver
+// rebuilds it through shard.shuffle.
 func (p payload) message() wire.Message {
 	switch {
 	case p.other != nil:
@@ -94,6 +126,8 @@ func (p payload) wireSize() int {
 		return p.other.WireSize()
 	case p.kind == wire.KindServe:
 		return wire.Serve{Packets: p.pkts}.WireSize()
+	case p.kind == wire.KindShuffle:
+		return wire.Shuffle{}.WireSize() + wire.ShuffleEntryBytes*len(p.ids)/2
 	default:
 		return wire.Request{IDs: p.ids}.WireSize() // PROPOSE and REQUEST are laid out alike
 	}
@@ -109,16 +143,18 @@ const inlineIDs = 7
 
 // msgRec is one in-flight message: the single representation a message has
 // between send and its delivery or drop, in a shard's slab or — crossing
-// shards — in an outbox. It owns its contents: fill copies ids and packet
-// pointers in, inline when the list is short, and its owner copies a longer
-// list into its spill storage, so nothing the sender passed is referenced
-// after send returns and a steady run recycles records without allocating.
+// shards — in an outbox. It owns its contents: fill copies ids, a SHUFFLE's
+// word pairs and packet pointers in, inline when the list is short (a
+// SHUFFLE of up to three entries), and its owner copies a longer list into
+// its spill storage, so nothing the sender passed is referenced after send
+// returns and a steady run recycles records without allocating.
 type msgRec struct {
 	other wire.Message
 	pkt1  [1]*stream.Packet
 	size  int32 // application bytes: charged to the uplink at send, counted received at delivery
-	n     int32 // ids or packets carried
+	n     int32 // ids, words or packets carried
 	kind  wire.Kind
+	reply bool                       // SHUFFLE: a reply (it takes a padding byte)
 	inl   [inlineIDs]stream.PacketID // the ids, or the spilled list's offset in inl[0]
 }
 
@@ -126,7 +162,7 @@ type msgRec struct {
 // inline: fill reports that it spills, and the caller stores it and puts
 // its offset in inl[0].
 func (r *msgRec) fill(size int32, p payload) (spills bool) {
-	r.kind, r.size, r.other = p.kind, size, p.other
+	r.kind, r.reply, r.size, r.other = p.kind, p.reply, size, p.other
 	r.n = int32(len(p.ids) + len(p.pkts))
 	if r.spilled() {
 		return true
@@ -150,7 +186,7 @@ func (r *msgRec) spilled() bool {
 // that grows meanwhile leaves them reading the old copy, which nothing
 // writes to.
 func (r *msgRec) payload(ids []stream.PacketID, pkts []*stream.Packet) payload {
-	p := payload{kind: r.kind, other: r.other}
+	p := payload{kind: r.kind, reply: r.reply, other: r.other}
 	off, end := uint32(r.inl[0]), uint32(r.inl[0])+uint32(r.n)
 	switch { // a boxed message carries no list: n is zero
 	case r.kind == wire.KindServe && r.n <= 1:
@@ -285,6 +321,11 @@ type shard struct {
 	msgFree []uint32
 	ids     spillArena[stream.PacketID]
 	pkts    spillArena[*stream.Packet]
+
+	// The SHUFFLE scratch: unpack lays one out in words, deliver rebuilds
+	// one in shuf.
+	words []stream.PacketID
+	shuf  wire.Shuffle
 
 	// afters is the After closure table, afterFree its free slots;
 	// nextTimer mints the ids that tell a slot's tenants apart.

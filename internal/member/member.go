@@ -44,6 +44,10 @@ type Sampler interface {
 // Samplers return emissions instead of sending so their records stay
 // engine-agnostic: no captured environment, no timers, no closures — the
 // driving engine owns scheduling and transport.
+//
+// Msg may point into the sampler's scratch (internal/pss reuses one
+// *wire.Shuffle): like View.Partners, an emission is valid until the
+// sampler's next call.
 type Emit struct {
 	To  wire.NodeID
 	Msg wire.Message

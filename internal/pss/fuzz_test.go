@@ -213,7 +213,7 @@ func FuzzStateMerge(f *testing.F) {
 				// self-descriptor (by design, exactly once) but must obey
 				// the other invariants.
 				if em, ok := st.Tick(); ok {
-					sh := em.Msg.(wire.Shuffle)
+					sh := shuffleOf(t, em.Msg)
 					if sh.Reply {
 						t.Fatal("tick emitted a reply-flagged shuffle")
 					}
@@ -242,7 +242,7 @@ func FuzzStateMerge(f *testing.F) {
 					data = data[3:]
 				}
 				if em, ok := st.Handle(from, wire.Shuffle{Reply: op%4 == 1, Entries: entries}); ok {
-					sh := em.Msg.(wire.Shuffle)
+					sh := shuffleOf(t, em.Msg)
 					if !sh.Reply {
 						t.Fatal("handle emitted a non-reply")
 					}

@@ -38,6 +38,11 @@
 // timer-driven wrapper, and a driver with its own clock (the real-time
 // UDP driver's, say) would host a State the same way.
 //
+// Tick and Handle build their SHUFFLE in the record's own scratch and emit
+// a pointer to it, so a shuffle round allocates nothing; an emission is
+// valid until the record's next call (member.Emit's contract), and the
+// driver transmits or copies it first, as megasim does at send.
+//
 // Shuffles are fire-and-forget, which is what makes barrier-time churn
 // harmless: the initiator removes its shuffle target's descriptor before
 // sending, so nothing is pending while the request is in flight. If the
@@ -49,6 +54,7 @@ package pss
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"gossipstream/internal/member"
@@ -79,6 +85,10 @@ func (c Config) Validate() error {
 		return fmt.Errorf("pss: ViewSize = %d, want > 0", c.ViewSize)
 	case c.ShuffleLen <= 0 || c.ShuffleLen > c.ViewSize:
 		return fmt.Errorf("pss: ShuffleLen = %d, want in [1, ViewSize=%d]", c.ShuffleLen, c.ViewSize)
+	case c.ShuffleLen > wire.MaxShuffleEntries:
+		// A request carries ShuffleLen entries, its self-descriptor among
+		// them, and a reply as many: each must fit one datagram.
+		return fmt.Errorf("pss: ShuffleLen = %d, want at most %d: a SHUFFLE of more entries exceeds the MTU", c.ShuffleLen, wire.MaxShuffleEntries)
 	case c.Period <= 0:
 		return fmt.Errorf("pss: Period = %v, want > 0", c.Period)
 	}
@@ -120,6 +130,10 @@ type State struct {
 	// tombstone never matches.
 	tombs   []wire.NodeID
 	stopped bool
+	// out is the emission scratch; sent holds the ids a reply samples
+	// while its request merges.
+	out  wire.Shuffle
+	sent []wire.NodeID
 
 	shufflesSent     int
 	shufflesAnswered int
@@ -175,22 +189,18 @@ func (s *State) ShufflesAnswered() int { return s.shufflesAnswered }
 
 // Sample implements member.Sampler over the partial view: up to k distinct
 // ids drawn uniformly from the view.
-func (s *State) Sample(k int) []wire.NodeID {
-	if k > len(s.view) {
-		k = len(s.view)
-	}
-	if k <= 0 {
+func (s *State) Sample(k int) []wire.NodeID { return s.SampleInto(nil, k) }
+
+// SampleInto is Sample drawing into dst's backing, for a caller that keeps
+// one sample at a time (a member.View refreshing its partners every round):
+// the same draws, and no allocation once dst has room for k ids. An empty
+// sample is nil, as Sample's always was, so a View draws again next round.
+func (s *State) SampleInto(dst []wire.NodeID, k int) []wire.NodeID {
+	k = s.front(k)
+	if k == 0 {
 		return nil
 	}
-	for i := 0; i < k; i++ {
-		j := i + s.rng.Intn(len(s.view)-i)
-		s.view[i], s.view[j] = s.view[j], s.view[i]
-	}
-	out := make([]wire.NodeID, k)
-	for i := 0; i < k; i++ {
-		out[i] = s.view[i].ID
-	}
-	return out
+	return ids(dst, s.view[:k])
 }
 
 // Tick implements member.DynamicSampler: one shuffle round. It ages the
@@ -216,14 +226,13 @@ func (s *State) Tick() (member.Emit, bool) {
 	s.view[oldest] = s.view[len(s.view)-1]
 	s.view = s.view[:len(s.view)-1]
 
-	sample := s.sampleEntries(s.shuffleLen - 1)
-	s.pending = s.pending[:0]
-	for _, e := range sample {
-		s.pending = append(s.pending, e.ID)
-	}
-	sample = append(sample, wire.ShuffleEntry{ID: s.self, Age: 0})
+	s.out.Reply = false
+	s.out.Entries = s.sampleEntries(s.out.Entries, s.shuffleLen-1)
+	s.pending = ids(s.pending, s.out.Entries)
+	//lint:pooled sampleEntries gave the scratch room for ShuffleLen entries
+	s.out.Entries = append(s.out.Entries, wire.ShuffleEntry{ID: s.self, Age: 0})
 	s.shufflesSent++
-	return member.Emit{To: target, Msg: wire.Shuffle{Entries: sample}}, true
+	return member.Emit{To: target, Msg: &s.out}, true
 }
 
 // Handle implements member.DynamicSampler: it merges shuffle traffic,
@@ -241,31 +250,37 @@ func (s *State) Tick() (member.Emit, bool) {
 // A LEAVE removes the sender from the view immediately — no waiting for
 // the descriptor to age out — and tombstones the id so stale copies
 // arriving in later shuffles cannot resurrect it.
+//
+// A SHUFFLE may come by value or by pointer, but not as this record's own
+// emission, which the reply is built over.
 func (s *State) Handle(from wire.NodeID, msg wire.Message) (member.Emit, bool) {
 	if s.stopped {
 		return member.Emit{}, false
 	}
 	switch m := msg.(type) {
+	case *wire.Shuffle:
+		return s.handleShuffle(from, *m)
 	case wire.Shuffle:
-		if m.Reply {
-			s.merge(m.Entries, s.pending)
-			s.pending = s.pending[:0]
-			return member.Emit{}, false
-		}
-		sample := s.sampleEntries(s.shuffleLen)
-		sent := make([]wire.NodeID, len(sample))
-		for i, e := range sample {
-			sent[i] = e.ID
-		}
-		s.shufflesAnswered++
-		s.merge(m.Entries, sent)
-		return member.Emit{To: from, Msg: wire.Shuffle{Reply: true, Entries: sample}}, true
+		return s.handleShuffle(from, m)
 	case wire.Leave:
 		s.noteLeave(from)
-		return member.Emit{}, false
-	default:
+	}
+	return member.Emit{}, false
+}
+
+// handleShuffle merges one SHUFFLE and answers a request.
+func (s *State) handleShuffle(from wire.NodeID, m wire.Shuffle) (member.Emit, bool) {
+	if m.Reply {
+		s.merge(m.Entries, s.pending)
+		s.pending = s.pending[:0]
 		return member.Emit{}, false
 	}
+	s.out.Reply = true
+	s.out.Entries = s.sampleEntries(s.out.Entries, s.shuffleLen)
+	s.sent = ids(s.sent, s.out.Entries)
+	s.shufflesAnswered++
+	s.merge(m.Entries, s.sent)
+	return member.Emit{To: from, Msg: &s.out}, true
 }
 
 // Goodbye announces a graceful departure: one LEAVE per current view
@@ -302,6 +317,7 @@ func (s *State) noteLeave(id wire.NodeID) {
 		copy(s.tombs, s.tombs[1:])
 		s.tombs = s.tombs[:len(s.tombs)-1]
 	}
+	//lint:pooled the FIFO is bounded at tombCap × ViewSize, where its backing stops growing
 	s.tombs = append(s.tombs, id)
 }
 
@@ -317,21 +333,34 @@ func (s *State) tombstoned(id wire.NodeID) bool {
 
 var _ member.DynamicSampler = (*State)(nil)
 
-// sampleEntries returns up to k copies of random view entries.
-func (s *State) sampleEntries(k int) []wire.ShuffleEntry {
-	if k > len(s.view) {
-		k = len(s.view)
-	}
-	if k <= 0 {
-		return nil
-	}
+// front moves min(k, len(view)) uniformly drawn view entries to the front
+// of the view (a partial Fisher–Yates) and returns how many: the draws
+// behind every sample the record takes.
+func (s *State) front(k int) int {
+	k = max(min(k, len(s.view)), 0)
 	for i := 0; i < k; i++ {
 		j := i + s.rng.Intn(len(s.view)-i)
 		s.view[i], s.view[j] = s.view[j], s.view[i]
 	}
-	out := make([]wire.ShuffleEntry, k)
-	copy(out, s.view[:k])
-	return out
+	return k
+}
+
+// sampleEntries copies up to k random view entries into dst's backing,
+// which it first gives room for a whole SHUFFLE.
+func (s *State) sampleEntries(dst []wire.ShuffleEntry, k int) []wire.ShuffleEntry {
+	k = s.front(k)
+	//lint:pooled dst is the record's emission scratch, grown once to ShuffleLen entries
+	return append(slices.Grow(dst[:0], s.shuffleLen), s.view[:k]...)
+}
+
+// ids copies the entries' ids into dst's backing.
+func ids(dst []wire.NodeID, entries []wire.ShuffleEntry) []wire.NodeID {
+	dst = slices.Grow(dst[:0], len(entries))
+	for _, e := range entries {
+		//lint:pooled slices.Grow gave dst room for every entry
+		dst = append(dst, e.ID)
+	}
+	return dst
 }
 
 // merge folds incoming shuffle entries into the view with Cyclon's swap
@@ -359,6 +388,7 @@ next:
 			}
 		}
 		if len(s.view) < s.viewSize {
+			//lint:pooled the view was made with capacity ViewSize
 			s.view = append(s.view, e)
 			continue
 		}

@@ -48,6 +48,7 @@ func (c *clock) RunUntil(deadline time.Duration) {
 // the shuffle period (de-phased by a random offset) and carries whatever
 // Tick and Handle emit, with a fixed delay.
 type bus struct {
+	t      testing.TB
 	sched  *clock
 	rng    *rand.Rand
 	period time.Duration
@@ -57,14 +58,18 @@ type bus struct {
 
 // send carries one emission; the destination's answer, if any, travels
 // back the same way. A record no longer on the bus loses the message.
+// Like an engine, the bus copies the SHUFFLE at send: the emission is the
+// sender's scratch, and the sender's next call overwrites it.
 func (b *bus) send(from wire.NodeID, em member.Emit) {
 	b.sent++
+	sh := shuffleOf(b.t, em.Msg)
+	msg := wire.Shuffle{Reply: sh.Reply, Entries: slices.Clone(sh.Entries)}
 	b.sched.After(5*time.Millisecond, func() {
 		st, ok := b.nodes[em.To]
 		if !ok {
 			return
 		}
-		if reply, ok := st.Handle(from, em.Msg); ok {
+		if reply, ok := st.Handle(from, msg); ok {
 			b.send(em.To, reply)
 		}
 	})
@@ -87,7 +92,7 @@ func (b *bus) start(st *State) {
 func overlay(t *testing.T, n int, cfg Config) (*clock, *bus, []*State) {
 	t.Helper()
 	sched := &clock{}
-	b := &bus{sched: sched, rng: rand.New(rand.NewSource(5)), period: cfg.Period, nodes: make(map[wire.NodeID]*State)}
+	b := &bus{t: t, sched: sched, rng: rand.New(rand.NewSource(5)), period: cfg.Period, nodes: make(map[wire.NodeID]*State)}
 	nodes := make([]*State, n)
 	for i := 0; i < n; i++ {
 		boot := []wire.NodeID{wire.NodeID((i + 1) % n), wire.NodeID((i + 2) % n)}
@@ -118,6 +123,10 @@ func TestConfigValidate(t *testing.T) {
 		{"zero shuffle", func(c *Config) { c.ShuffleLen = 0 }, false},
 		{"shuffle exceeds view", func(c *Config) { c.ShuffleLen = c.ViewSize + 1 }, false},
 		{"zero period", func(c *Config) { c.Period = 0 }, false},
+		// A SHUFFLE carries at most ShuffleLen entries (the request's
+		// self-descriptor among them) and must fit one datagram.
+		{"shuffle fills a datagram", func(c *Config) { c.ViewSize, c.ShuffleLen = 300, wire.MaxShuffleEntries }, true},
+		{"shuffle exceeds a datagram", func(c *Config) { c.ViewSize, c.ShuffleLen = 300, wire.MaxShuffleEntries+1 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"gossipstream/internal/member"
+	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
@@ -21,6 +22,20 @@ func newState(t *testing.T, self wire.NodeID, seed int64, boot ...wire.NodeID) *
 	return st
 }
 
+// shuffleOf returns the SHUFFLE an emission carries, by value or by
+// pointer (State emits a pointer into its scratch).
+func shuffleOf(t testing.TB, msg wire.Message) wire.Shuffle {
+	t.Helper()
+	switch m := msg.(type) {
+	case *wire.Shuffle:
+		return *m
+	case wire.Shuffle:
+		return m
+	}
+	t.Fatalf("emitted %#v, want a SHUFFLE", msg)
+	return wire.Shuffle{}
+}
+
 func TestStateImplementsDynamicSampler(t *testing.T) {
 	var _ member.DynamicSampler = newState(t, 0, 1, 1, 2)
 }
@@ -31,8 +46,7 @@ func TestStateTickFireAndForget(t *testing.T) {
 	if !ok {
 		t.Fatal("tick on a populated view emitted nothing")
 	}
-	sh, isShuffle := em.Msg.(wire.Shuffle)
-	if !isShuffle || sh.Reply {
+	if sh := shuffleOf(t, em.Msg); sh.Reply {
 		t.Fatalf("tick emitted %#v, want a shuffle request", em.Msg)
 	}
 	// The target's descriptor is removed before the request departs: no
@@ -44,7 +58,7 @@ func TestStateTickFireAndForget(t *testing.T) {
 	}
 	// The request carries a fresh self-descriptor.
 	self := false
-	for _, e := range sh.Entries {
+	for _, e := range shuffleOf(t, em.Msg).Entries {
 		if e.ID == 0 && e.Age == 0 {
 			self = true
 		}
@@ -73,7 +87,7 @@ func TestStateHandleRequestReplies(t *testing.T) {
 	if em.To != 9 {
 		t.Fatalf("reply addressed to %d, want 9", em.To)
 	}
-	if sh := em.Msg.(wire.Shuffle); !sh.Reply {
+	if sh := shuffleOf(t, em.Msg); !sh.Reply {
 		t.Fatal("reply not marked Reply")
 	}
 	// The requester's descriptor was merged.
@@ -164,5 +178,96 @@ func TestStateViewBoundedUnderMergePressure(t *testing.T) {
 		if got := len(st.View()); got > cfg.ViewSize {
 			t.Fatalf("merge %d: view has %d entries, bound is %d", i, got, cfg.ViewSize)
 		}
+	}
+}
+
+// TestStateEmissionIsScratch pins the emission contract: Tick and Handle
+// build their SHUFFLE in the record's one scratch message, so an emission
+// is valid until the record's next call, which overwrites it.
+func TestStateEmissionIsScratch(t *testing.T) {
+	st := newState(t, 0, 1, 1, 2, 3, 4, 5)
+	req, ok := st.Tick()
+	if !ok {
+		t.Fatal("tick on a populated view emitted nothing")
+	}
+	if shuffleOf(t, req.Msg).Reply {
+		t.Fatal("tick emitted a reply")
+	}
+	rep, ok := st.Handle(9, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 9}}})
+	if !ok {
+		t.Fatal("shuffle request got no reply")
+	}
+	if req.Msg != rep.Msg {
+		t.Fatalf("the request (%p) and the reply (%p) are not the same scratch message", req.Msg, rep.Msg)
+	}
+	if got := shuffleOf(t, req.Msg); !got.Reply || !reflect.DeepEqual(got, shuffleOf(t, rep.Msg)) {
+		t.Fatalf("after Handle the earlier emission reads %+v, want the reply", got)
+	}
+}
+
+// TestShuffleAtDatagramLimit runs a record whose SHUFFLEs hold
+// wire.MaxShuffleEntries entries, the most Validate accepts: its request and
+// its reply both encode into one datagram.
+func TestShuffleAtDatagramLimit(t *testing.T) {
+	cfg := Config{ViewSize: 300, ShuffleLen: wire.MaxShuffleEntries, Period: DefaultConfig().Period}
+	boot := make([]wire.NodeID, cfg.ViewSize)
+	for i := range boot {
+		boot[i] = wire.NodeID(i + 1)
+	}
+	st, err := NewState(0, cfg, 1, boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	codec := wire.NewCodec(stream.Layout{})
+	req, _ := st.Tick()
+	rep, _ := st.Handle(1000, wire.Shuffle{Entries: []wire.ShuffleEntry{{ID: 1000}}})
+	for _, em := range []member.Emit{req, rep} {
+		sh := shuffleOf(t, em.Msg)
+		if len(sh.Entries) != wire.MaxShuffleEntries {
+			t.Fatalf("emitted %d entries, want %d", len(sh.Entries), wire.MaxShuffleEntries)
+		}
+		if _, err := codec.Encode(0, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestShuffleAllocBudget holds one complete Cyclon shuffle — Tick at the
+// initiator, Handle of the request, Handle of the reply — to zero
+// allocations once every record has emitted: each builds its SHUFFLE in
+// its own scratch (six allocations per shuffle while every emission was a
+// fresh, boxed value).
+func TestShuffleAllocBudget(t *testing.T) {
+	const n = 64
+	cfg := DefaultConfig()
+	states := make([]*State, n)
+	for i := range states {
+		boot := make([]wire.NodeID, cfg.ShuffleLen)
+		for j := range boot {
+			boot[j] = wire.NodeID((i + 1 + j) % n)
+		}
+		states[i] = newState(t, wire.NodeID(i), int64(i), boot...)
+	}
+	next, shuffles := 0, 0
+	shuffle := func() {
+		a := wire.NodeID(next % n)
+		next++
+		req, ok := states[a].Tick()
+		if !ok {
+			return
+		}
+		if reply, ok := states[req.To].Handle(a, req.Msg); ok {
+			states[a].Handle(req.To, reply.Msg)
+			shuffles++
+		}
+	}
+	for range 4 * n { // every record's scratch grows to its size
+		shuffle()
+	}
+	if got := testing.AllocsPerRun(10*n, shuffle); got != 0 {
+		t.Fatalf("a shuffle allocates %.2f times, want 0", got)
+	}
+	if shuffles == 0 {
+		t.Fatal("no shuffle completed")
 	}
 }

@@ -6,20 +6,24 @@
 //
 // The shared config names each package's hot roots (megasim's shard
 // dispatch loop, the gf256/fec kernels). Everything statically reachable
-// from a root within the package is audited for three allocation shapes:
+// from a root within the package is audited for four allocation shapes:
 //
 //   - function literals: a closure capture is a heap allocation per event;
 //   - interface boxing: converting a non-pointer-shaped concrete value to
-//     an interface type allocates the boxed copy (pointer-shaped values —
-//     pointers, maps, channels, funcs — box without allocating and pass);
+//     an interface type — as a call argument, by conversion, or as an
+//     interface-typed element of a composite literal — allocates the boxed
+//     copy (pointer-shaped values — pointers, maps, channels, funcs — box
+//     without allocating and pass);
 //   - append: growth may allocate a fresh backing array per event unless
 //     the destination's capacity is pooled or arena-managed, which the
-//     code asserts with `//lint:pooled <justification>`.
+//     code asserts with `//lint:pooled <justification>`;
+//   - make: a fresh backing per call, asserted the same way where it only
+//     runs while a pooled backing grows.
 //
 // Cold paths inside hot functions are exempt: arguments to panic (the
-// engine panics on programmer error, never per event) and boxing inside
-// return statements (error construction on validation paths). Anything
-// else that is intentionally cold carries `//lint:coldpath <why>`.
+// engine panics on programmer error, never per event) and boxing that
+// builds an error a return statement hands back (validation exits).
+// Anything else that is intentionally cold carries `//lint:coldpath <why>`.
 //
 // A boxing site that is hot and meant to be carries `//lint:boxed <why>`:
 // over a plain Env the protocol hands every message it sends to Env.Send
@@ -46,7 +50,7 @@ import (
 func New(cfg *lintcfg.Config) *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "hotalloc",
-		Doc: "flags closures, interface boxing, and unpooled append in functions reachable " +
+		Doc: "flags closures, interface boxing, and unpooled append and make in functions reachable " +
 			"from the configured per-event hot roots (megasim dispatch, gf256/fec kernels)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
@@ -199,27 +203,60 @@ func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
 				name)
 			return false // the literal's own body is not on the per-event path
 		case *ast.CallExpr:
-			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" {
+			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && (id.Name == "append" || id.Name == "make") {
 				if _, isBuiltin := pass.TypesInfo.Uses[id].(*types.Builtin); isBuiltin {
 					if inPanicArg(stack) || pass.Suppressed(n.Pos(), "pooled") || pass.Suppressed(n.Pos(), "coldpath") {
 						return true
 					}
 					pass.Reportf(n.Pos(),
-						"append in hot path (%s): growth allocates a fresh backing array per event; reuse pooled or arena capacity and assert it with //lint:pooled <why>",
-						name)
+						"%s in hot path (%s): a fresh backing array per event; reuse pooled or arena capacity and assert it with //lint:pooled <why>",
+						id.Name, name)
 					return true
 				}
 			}
 			checkBoxing(pass, name, n, stack)
+		case *ast.CompositeLit:
+			checkLiteral(pass, name, n, stack)
 		}
 		return true
 	})
 }
 
+// checkLiteral flags the elements of a composite literal that box a
+// non-pointer-shaped concrete value into an interface-typed field or
+// element — member.Emit{Msg: wire.Shuffle{…}} boxes the SHUFFLE.
+func checkLiteral(pass *analysis.Pass, name string, lit *ast.CompositeLit, stack []ast.Node) {
+	if inPanicArg(stack) || inErrorReturn(pass, stack, lit) {
+		return
+	}
+	for i, el := range lit.Elts {
+		var to types.Type
+		switch u := pass.TypesInfo.TypeOf(lit).Underlying().(type) {
+		case *types.Struct:
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el, to = kv.Value, pass.TypesInfo.TypeOf(kv.Key) // a field key has its field's type
+			} else if i < u.NumFields() {
+				to = u.Field(i).Type()
+			}
+		case interface{ Elem() types.Type }: // slice, array or map
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				el = kv.Value
+			}
+			to = u.Elem()
+		}
+		if boxes(pass.TypesInfo.TypeOf(el), to) && !pass.Suppressed(el.Pos(), "coldpath") && !pass.Suppressed(el.Pos(), "boxed") {
+			pass.Reportf(el.Pos(),
+				"literal boxes %s into %s in hot path (%s): an interface header plus a heap copy per event",
+				types.TypeString(pass.TypesInfo.TypeOf(el), types.RelativeTo(pass.Pkg)),
+				types.TypeString(to, types.RelativeTo(pass.Pkg)), name)
+		}
+	}
+}
+
 // checkBoxing flags implicit and explicit conversions of non-pointer-shaped
 // concrete values to interface types in call arguments and conversions.
 func checkBoxing(pass *analysis.Pass, name string, call *ast.CallExpr, stack []ast.Node) {
-	if inPanicArg(stack) || inReturn(stack) {
+	if inPanicArg(stack) || inErrorReturn(pass, stack, call) {
 		return
 	}
 	// Builtin calls: panic's own argument is a cold path by definition,
@@ -313,12 +350,22 @@ func inPanicArg(stack []ast.Node) bool {
 	return false
 }
 
-// inReturn reports whether the node sits inside a return statement; error
-// construction on validation exits is treated as cold.
-func inReturn(stack []ast.Node) bool {
-	for _, n := range stack {
-		if _, ok := n.(*ast.ReturnStmt); ok {
-			return true
+// errorType is the predeclared error interface.
+var errorType = types.Universe.Lookup("error").Type()
+
+// inErrorReturn reports whether n builds, or helps build, an error that a
+// return statement hands back — return fmt.Errorf(…): error construction
+// on validation exits is cold. Anything else a return carries, such as an
+// emission, is audited like any other value.
+func inErrorReturn(pass *analysis.Pass, stack []ast.Node, n ast.Expr) bool {
+	for i, s := range stack {
+		if _, ok := s.(*ast.ReturnStmt); !ok {
+			continue
+		}
+		for _, m := range append(stack[i+1:len(stack):len(stack)], n) {
+			if e, ok := m.(ast.Expr); ok && types.Identical(pass.TypesInfo.TypeOf(e), errorType) {
+				return true
+			}
 		}
 	}
 	return false

@@ -25,6 +25,14 @@ func TestHotAllocWire(t *testing.T) {
 	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "wire")
 }
 
+// TestHotAllocPss pins the emission shapes of the Cyclon record's roots:
+// boxing a value into an interface-typed literal field is flagged whether
+// or not a return carries it, a pointer is free, error construction in a
+// return is exempt, and make passes only with //lint:pooled.
+func TestHotAllocPss(t *testing.T) {
+	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "pss")
+}
+
 // TestCustomRoots exercises the config plumbing: the same fixture with no
 // hot roots configured must produce no findings at all.
 func TestCustomRoots(t *testing.T) {

@@ -123,6 +123,10 @@ func Default() *Config {
 				"(*Peer).HandleMessage", "(*Peer).HandleIDs", "(*Peer).HandlePackets",
 				"(*Peer).OnTimer", "(*Peer).retransmit",
 			},
+			// A Cyclon round per node per period and a partner draw per
+			// gossip round, reached only through the member interfaces.
+			"pss":    {"(*State).Tick", "(*State).Handle", "(*State).SampleInto"},
+			"member": {"(*View).Partners"},
 			// The vector kernels run per byte of every encoded window.
 			"gf256": {"MulSlice", "MulAddSlices", "ScaleSlice"},
 			// The zero-allocation encode/decode entry points.

@@ -97,6 +97,23 @@ func TestRoots(t *testing.T) {
 			t.Errorf("hot roots missing typed message entry point %s", want)
 		}
 	}
+	// The membership layer, reached only through member.DynamicSampler and
+	// member.Sampler: a Cyclon round and a partner draw run per node per
+	// period and per gossip round.
+	for pkg, want := range map[string][]string{
+		"gossipstream/internal/pss":    {"(*State).Tick", "(*State).Handle", "(*State).SampleInto"},
+		"gossipstream/internal/member": {"(*View).Partners"},
+	} {
+		got := map[string]bool{}
+		for _, r := range cfg.Roots(pkg) {
+			got[r] = true
+		}
+		for _, w := range want {
+			if !got[w] {
+				t.Errorf("%s hot roots missing %s", pkg, w)
+			}
+		}
+	}
 }
 
 func TestClassString(t *testing.T) {

@@ -153,8 +153,12 @@ type ShuffleEntry struct {
 	Age uint16
 }
 
-// shuffleEntryBytes is the encoded size of one ShuffleEntry.
-const shuffleEntryBytes = 6
+// ShuffleEntryBytes is the encoded size of one ShuffleEntry.
+const ShuffleEntryBytes = 6
+
+// MaxShuffleEntries is the largest SHUFFLE that fits in MTUBytes: 244
+// entries. Encode rejects a longer one.
+const MaxShuffleEntries = (MTUBytes - headerBytes - 1) / ShuffleEntryBytes
 
 // Shuffle is a Cyclon view exchange: a request carries a sample of the
 // sender's view (including a fresh self-descriptor); the reply carries a
@@ -169,7 +173,7 @@ func (Shuffle) Kind() Kind { return KindShuffle }
 
 // WireSize implements Message.
 func (s Shuffle) WireSize() int {
-	return UDPOverheadBytes + headerBytes + 1 + shuffleEntryBytes*len(s.Entries)
+	return UDPOverheadBytes + headerBytes + 1 + ShuffleEntryBytes*len(s.Entries)
 }
 
 // Leave announces the sender's graceful departure to a view partner. The
@@ -324,13 +328,13 @@ func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 	case KindLeave:
 		return sender, Leave{}, nil
 	case KindShuffle:
-		if len(body) < 1+count*shuffleEntryBytes {
+		if len(body) < 1+count*ShuffleEntryBytes {
 			return 0, nil, ErrTruncated
 		}
 		msg := Shuffle{Reply: body[0] == 1}
 		msg.Entries = make([]ShuffleEntry, count)
 		for i := 0; i < count; i++ {
-			off := 1 + i*shuffleEntryBytes
+			off := 1 + i*ShuffleEntryBytes
 			msg.Entries[i] = ShuffleEntry{
 				ID:  NodeID(binary.BigEndian.Uint32(body[off:])),
 				Age: binary.BigEndian.Uint16(body[off+4:]),
@@ -343,7 +347,7 @@ func (c *Codec) Decode(data []byte) (sender uint32, msg Message, err error) {
 }
 
 func encodeShuffle(sender uint32, m Shuffle) ([]byte, error) {
-	size := headerBytes + 1 + shuffleEntryBytes*len(m.Entries)
+	size := headerBytes + 1 + ShuffleEntryBytes*len(m.Entries)
 	if size > MTUBytes {
 		return nil, fmt.Errorf("wire: SHUFFLE of %d bytes exceeds MTU %d", size, MTUBytes)
 	}
@@ -353,7 +357,7 @@ func encodeShuffle(sender uint32, m Shuffle) ([]byte, error) {
 		buf[headerBytes] = 1
 	}
 	for i, e := range m.Entries {
-		off := headerBytes + 1 + i*shuffleEntryBytes
+		off := headerBytes + 1 + i*ShuffleEntryBytes
 		binary.BigEndian.PutUint32(buf[off:], uint32(e.ID))
 		binary.BigEndian.PutUint16(buf[off+4:], e.Age)
 	}
