@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"gossipstream/internal/member"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -278,5 +279,57 @@ func TestHandlerAllocBudget(t *testing.T) {
 				})
 			}
 		})
+	}
+}
+
+// TestPeerFootprintAllocBudget holds what a peer over the source's packet
+// table costs to build to about three bits per stream id: the known bit,
+// the receiver's delivery bit and its per-window count. It builds peers of
+// a 2-window and a 1,000-window stream (≈30 minutes of the paper's) and
+// checks the bytes each extra id adds, the total at 1,000 windows, and
+// that the allocation count does not grow with the stream. Before peers
+// shared the source's table, an id cost 100 bits: a packet pointer, a
+// 4-byte request index and ≈0.5 B of window state, 1.39 MB per peer at
+// 1,000 windows.
+func TestPeerFootprintAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	build := func(windows int) (bytes, allocs float64, ids int) {
+		layout := stream.DefaultLayout(windows)
+		src, err := stream.NewSource(layout, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		env := &stubEnv{rng: rand.New(rand.NewSource(1))}
+		var sampler member.Sampler = fixedSampler{2, 3}
+		newPeer := func() {
+			if _, err := NewPeerOf(env, DefaultConfig(), sampler, src); err != nil {
+				t.Fatal(err)
+			}
+		}
+		allocs = testing.AllocsPerRun(10, newPeer)
+		const runs = 10
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			newPeer()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs, allocs, layout.TotalPackets()
+	}
+	shortBytes, shortAllocs, shortIDs := build(2)
+	longBytes, longAllocs, longIDs := build(1000)
+	perID := (longBytes - shortBytes) / float64(longIDs-shortIDs)
+	t.Logf("a peer costs %.0f B in %.0f allocations at 2 windows, %.0f B in %.0f at 1,000: %.3f B (%.2f bits) per extra id",
+		shortBytes, shortAllocs, longBytes, longAllocs, perID, 8*perID)
+	if perID > 0.5 {
+		t.Errorf("%.3f B per stream id, budget 0.5", perID)
+	}
+	if longBytes > 64<<10 {
+		t.Errorf("%.0f B per peer at 1,000 windows, budget 64 KiB", longBytes)
+	}
+	if longAllocs != shortAllocs || longAllocs > 6 {
+		t.Errorf("%.0f allocations at 2 windows, %.0f at 1,000: want the same, at most 6", shortAllocs, longAllocs)
 	}
 }

@@ -29,9 +29,16 @@
 //
 // # Allocation
 //
-// A peer's per-event state is flat: pull state lives by value in a
-// per-peer slab behind a 4-byte index per stream id, retransmission
-// batches in a second slab — a batch's ids are a list linked through their
+// What a peer keeps per stream id is about three bits: one "known" bit
+// (delivered or requested) and the receiver's delivery bit with its
+// per-window count. Packets are not copied per peer: a peer serves from a
+// packet table indexed by id — in simulation the source's own
+// (NewPeerOf), read only at ids the peer has been delivered; a peer built
+// by NewPeer fills a private one from the SERVEs it receives. Pull state
+// exists only while an id is being retried: a by-value record in a
+// per-peer slab, found by id through a small open-addressing index whose
+// population is the ids in flight, not the stream. Retransmission batches
+// live in a second slab — a batch's ids are a list linked through their
 // request records, and free records and batches chain through the same
 // links — and the gossip tick and the retransmission timer are
 // (kind, arg) timer records rather than closures. Retransmission deadlines
@@ -57,6 +64,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
@@ -228,23 +236,115 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// requestState tracks the pull lifecycle of one packet id: a by-value
-// record in the peer's request slab, held from the first REQUEST until the
-// packet is delivered. Under RetryRandomProposer record i's proposers are
-// stored inline at Peer.proposers[i*MaxProposers:], the first nproposers
-// of them valid; the default policy never reads them and keeps none.
+// requestState tracks the retransmission lifecycle of one packet id: a
+// by-value record in the peer's request slab, held from the first REQUEST
+// until the packet is delivered or its K-th request is spent, and always in
+// an armed batch meanwhile. With MaxRequests = 1 no id gets one. Under
+// RetryRandomProposer record i's proposers are stored inline at
+// Peer.proposers[i*MaxProposers:], the first nproposers of them valid; the
+// default policy never reads them and keeps none.
 type requestState struct {
 	requests   int32 // REQUESTs issued so far (K cap)
 	nproposers int32
 	// batch is the slab index plus one of the armed batch that will check
-	// on the id, zero once the id has used its K requests and no timer
-	// will retry it.
+	// on the id.
 	batch uint32
 	id    stream.PacketID
 	// prev and next link the record into its batch's list (request-slab
-	// indexes plus one, zero at either end) while batch is set. A free
-	// record chains the free list through next.
+	// indexes plus one, zero at either end). Before a batch takes them,
+	// the records a PROPOSE or a retransmission check made chain through
+	// next in request order; a free record chains the free list through
+	// next.
 	prev, next uint32
+}
+
+// reqIndex maps the id of every live request record to the record. It is
+// an open-addressing table with linear probing over a power-of-two number
+// of slots, each holding (id+1)<<32 | ri (ri the record's slab index plus
+// one) or zero when empty, so a probe compares keys without loading a
+// record; every id but the largest PacketID has a key, and a peer only
+// indexes ids inside its stream. It doubles before it passes half full,
+// and a deletion shifts the rest of its probe run back rather than leaving
+// a tombstone, so a lookup stops at the first empty slot.
+type reqIndex struct {
+	slots []uint64
+	n     int   // occupied slots
+	shift uint8 // 64 - log2(len(slots)): home keeps the hash's top bits
+}
+
+// newReqIndex returns an empty index over slots, whose length must be a
+// power of two of at least 2; the slots must be zero.
+func newReqIndex(slots []uint64) reqIndex {
+	return reqIndex{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
+}
+
+// home returns id's first probe: Fibonacci hashing, so that the runs of
+// consecutive ids a peer requests spread over the table.
+func (x *reqIndex) home(id stream.PacketID) int {
+	return int((uint64(id) * 0x9E3779B97F4A7C15) >> x.shift)
+}
+
+// get returns the record of id, or zero when id has none.
+func (x *reqIndex) get(id stream.PacketID) uint32 {
+	key, mask := uint64(id)+1, len(x.slots)-1
+	for i := x.home(id); ; i = (i + 1) & mask {
+		s := x.slots[i]
+		if s>>32 == key {
+			return uint32(s)
+		}
+		if s == 0 {
+			return 0
+		}
+	}
+}
+
+// put records ri as the record of id, which has none.
+func (x *reqIndex) put(id stream.PacketID, ri uint32) {
+	if 2*(x.n+1) > len(x.slots) {
+		old := x.slots
+		//lint:pooled the index doubles to the peak of ids in flight, then keeps its slots
+		x.slots = make([]uint64, 2*len(old))
+		x.shift--
+		for _, s := range old {
+			if s != 0 {
+				x.insert(s)
+			}
+		}
+	}
+	x.insert((uint64(id)+1)<<32 | uint64(ri))
+	x.n++
+}
+
+// insert stores slot value s at the first empty slot of its probe run.
+func (x *reqIndex) insert(s uint64) {
+	mask := len(x.slots) - 1
+	i := x.home(stream.PacketID(s>>32 - 1))
+	for x.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	x.slots[i] = s
+}
+
+// del removes id's record, if it has one. Each later slot of the probe
+// run whose home does not lie cyclically in (hole, slot] moves back into
+// the hole, which then moves to where it was.
+func (x *reqIndex) del(id stream.PacketID) {
+	key, mask := uint64(id)+1, len(x.slots)-1
+	hole := x.home(id)
+	for x.slots[hole]>>32 != key {
+		if x.slots[hole] == 0 {
+			return
+		}
+		hole = (hole + 1) & mask
+	}
+	for j := (hole + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
+		if h := x.home(stream.PacketID(x.slots[j]>>32 - 1)); (j-h)&mask >= (j-hole)&mask {
+			x.slots[hole] = x.slots[j]
+			hole = j
+		}
+	}
+	x.slots[hole] = 0
+	x.n--
 }
 
 // retBatch is one pending retransmission check in the peer's
@@ -299,29 +399,33 @@ type Peer struct {
 	cfg     Config
 	sampler member.Sampler
 	view    *member.View
-	recv    *stream.Receiver
+	// recv is held by value: Receiver returns its address, which nothing
+	// keeps past the peer's lifetime.
+	recv stream.Receiver
 
 	source *stream.Source // nil for ordinary peers
 
-	// store is dense over the stream's id space (ids are validated against
-	// layoutTotal before insertion): direct indexing beats a map on both
-	// memory and lookup cost, which matters when simulations hold 100k+
-	// peers at once.
-	store []*stream.Packet
+	// table is the packet table the peer serves from, dense over the
+	// stream's ids: the source's (Source.Table) for the source and for
+	// peers built by NewPeerOf, and then read only at ids recv holds, or a
+	// private one (ownTable) that handleServe fills at each first delivery.
+	table    []*stream.Packet
+	ownTable bool
 	// toPropose collects the ids delivered since the last round. It is
 	// scratch: a round's PROPOSEs are sent from it and it is truncated.
 	toPropose []stream.PacketID
-	// req is dense like store: one slot per stream id, holding the id's
-	// request-slab index plus one, or zero when the packet is delivered or
-	// was never requested. Profiling 100k-node runs showed the former
-	// map's hashing among the top costs; a 4-byte index instead of a
-	// pointer halves what a long stream costs every node.
-	req []uint32
+	// known holds one bit per stream id, set once the id is delivered or
+	// requested: handlePropose requests exactly the ids whose bit is clear.
+	// Stop clears the bits of the ids it gives up on.
+	known []uint64
+	// index finds an id's request record; only ids being retried have one.
+	// Its first slots share known's allocation.
+	index reqIndex
 	// reqs is the request slab, proposers its inline proposer lists at
 	// stride cfg.MaxProposers, reqFree the first record of its free chain
-	// (index plus one, zero when empty). Only ids requested and not yet
-	// delivered hold a record, so the slab stays a few rounds' worth of ids
-	// however long the stream.
+	// (index plus one, zero when empty). Only ids requested, undelivered
+	// and with requests left hold a record, so the slab stays a few
+	// rounds' worth of ids however long the stream.
 	reqs      []requestState
 	proposers []wire.NodeID
 	reqFree   uint32
@@ -372,9 +476,25 @@ type Peer struct {
 	serveBatches []wire.Serve
 }
 
-// NewPeer returns an ordinary (non-source) peer over the given sampler.
+// NewPeer returns an ordinary (non-source) peer over the given sampler. It
+// keeps the packets it is delivered in a table of its own, a pointer per
+// stream id: the peer for a driver whose packets do not come from a
+// stream.Source in the same process, like the real-time one.
 func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) (*Peer, error) {
-	return newPeer(env, cfg, sampler, layout, nil)
+	return newPeer(env, cfg, sampler, layout, nil, nil)
+}
+
+// NewPeerOf returns an ordinary peer of src's stream that serves from
+// src's packet table instead of a table of its own. Every packet it is
+// delivered must be src's own (a simulation hands the source's pointers
+// around); the peer reads entry id only once it has been delivered id, so
+// it may run on another goroutine than the source as long as each delivery
+// is ordered after the send that carried the packet.
+func NewPeerOf(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
+	if src == nil {
+		return nil, fmt.Errorf("core: nil stream source")
+	}
+	return newPeer(env, cfg, sampler, src.Layout(), nil, src.Table())
 }
 
 // NewSourcePeer returns the stream source: it publishes src's packets as
@@ -383,10 +503,17 @@ func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Sour
 	if src == nil {
 		return nil, fmt.Errorf("core: nil stream source")
 	}
-	return newPeer(env, cfg, sampler, src.Layout(), src)
+	return newPeer(env, cfg, sampler, src.Layout(), src, src.Table())
 }
 
-func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source) (*Peer, error) {
+// initialIndexSlots is the request index's first size, which covers the
+// ids a peer has in flight at the paper's rates until it doubles once or
+// twice.
+const initialIndexSlots = 64
+
+// newPeer builds a peer publishing src (nil for an ordinary peer) and
+// serving from table (nil for a private one).
+func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source, table []*stream.Packet) (*Peer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -400,16 +527,25 @@ func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, 
 	if src != nil {
 		fanout = cfg.SourceFanout
 	}
+	total := layout.TotalPackets()
+	ownTable := table == nil
+	if ownTable {
+		table = make([]*stream.Packet, total)
+	}
+	words := (total + 63) / 64
+	bitsAndSlots := make([]uint64, words+initialIndexSlots)
 	p := &Peer{
 		env:         env,
 		cfg:         cfg,
 		sampler:     sampler,
 		view:        member.NewView(sampler, fanout, cfg.RefreshEvery, env.Rand()),
-		recv:        stream.NewReceiver(layout),
+		recv:        stream.MakeReceiver(layout),
 		source:      src,
-		store:       make([]*stream.Packet, layout.TotalPackets()),
-		req:         make([]uint32, layout.TotalPackets()),
-		layoutTotal: layout.TotalPackets(),
+		table:       table,
+		ownTable:    ownTable,
+		known:       bitsAndSlots[:words:words],
+		index:       newReqIndex(bitsAndSlots[words:]),
+		layoutTotal: total,
 	}
 	return p, nil
 }
@@ -433,10 +569,10 @@ func (p *Peer) Start() {
 
 // Stop halts gossip rounds and drops the pending retransmissions: every
 // armed batch is freed together with the request records of its
-// undelivered ids, so that a PROPOSE after a restart requests them afresh
-// instead of finding them "already requested" with no timer left to retry
-// them. Already in-flight messages still arrive; handlers on a stopped
-// peer are no-ops.
+// undelivered ids, whose known bits it clears, so that a PROPOSE after a
+// restart requests them afresh instead of finding them "already requested"
+// with no timer left to retry them. Already in-flight messages still
+// arrive; handlers on a stopped peer are no-ops.
 func (p *Peer) Stop() {
 	p.running = false
 	if p.cancelTick != nil {
@@ -456,7 +592,9 @@ func (p *Peer) Stop() {
 			continue
 		}
 		for ri := b.head; ri != 0; {
-			next := p.reqs[ri-1].next
+			st := &p.reqs[ri-1]
+			next := st.next
+			p.known[st.id/64] &^= 1 << (st.id % 64)
 			p.dropRequest(ri)
 			ri = next
 		}
@@ -494,7 +632,7 @@ func (p *Peer) OnTimer(kind uint8, arg uint32) {
 }
 
 // Receiver exposes per-window delivery state for metrics.
-func (p *Peer) Receiver() *stream.Receiver { return p.recv }
+func (p *Peer) Receiver() *stream.Receiver { return &p.recv }
 
 // Counters returns a snapshot of protocol statistics.
 func (p *Peer) Counters() Counters { return p.counters }
@@ -533,7 +671,7 @@ func (p *Peer) publishNew() {
 	fresh := p.source.AppendPacketsUntil(p.pubScratch[:0], p.env.Now())
 	for _, pkt := range fresh {
 		p.recv.Deliver(pkt.ID, p.env.Now())
-		p.store[pkt.ID] = pkt
+		p.known[pkt.ID/64] |= 1 << (pkt.ID % 64)
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, pkt.ID)
 	}
@@ -676,21 +814,39 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	if p.source != nil {
 		return // the source already has everything
 	}
-	// The ids to request collect in scratch; the REQUEST is sent from it and
-	// the retransmission record copies it.
+	// The ids to request collect in scratch, and their records — when a
+	// retransmission will need them — in a chain, which armBatch takes.
 	fresh := p.idScratch[:0]
+	var head, tail uint32
 	for _, id := range ids {
-		if int(id) >= p.layoutTotal || p.recv.Has(id) {
+		if int(id) >= p.layoutTotal {
 			continue
 		}
-		ri := p.req[id]
-		if ri == 0 {
-			ri = p.newRequest(id)
+		ri := uint32(0)
+		if word, bit := &p.known[id/64], uint64(1)<<(id%64); *word&bit == 0 {
+			*word |= bit
 			//lint:pooled idScratch is per-peer scratch, reused by every PROPOSE
 			fresh = append(fresh, id)
+			if p.cfg.MaxRequests == 1 {
+				continue // never retried: nothing to record
+			}
+			ri = p.newRequest(id)
+			if tail == 0 {
+				head = ri
+			} else {
+				p.reqs[tail-1].next = ri
+			}
+			tail = ri
 		}
 		if p.cfg.Retry != RetryRandomProposer {
 			continue // only the random policy ever reads the proposer lists
+		}
+		if ri == 0 {
+			// Delivered, or requested with no retry left, when it has no
+			// record.
+			if ri = p.index.get(id); ri == 0 {
+				continue
+			}
 		}
 		if st := &p.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
 			p.proposers[int(ri-1)*p.cfg.MaxProposers+int(st.nproposers)] = from
@@ -702,14 +858,13 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 		return
 	}
 	p.sendRequests(from, fresh)
-	if p.cfg.MaxRequests > 1 {
-		p.wakeBy(p.armBatch(from, fresh))
+	if head != 0 {
+		p.wakeBy(p.armBatch(from, head))
 	}
 }
 
 // newRequest takes a record from the request slab for id, requested for
-// the first time, and returns its index plus one, which it stores in
-// Peer.req.
+// the first time, enters it in the index, and returns its index plus one.
 func (p *Peer) newRequest(id stream.PacketID) uint32 {
 	ri := p.reqFree
 	if ri != 0 {
@@ -724,21 +879,23 @@ func (p *Peer) newRequest(id stream.PacketID) uint32 {
 		ri = uint32(len(p.reqs))
 	}
 	p.reqs[ri-1] = requestState{requests: 1, id: id}
-	p.req[id] = ri
+	p.index.put(id, ri)
 	return ri
 }
 
-// dropRequest returns request record ri (slab index plus one) to the free
-// chain: the packet was delivered, or a Stop gave up on it.
+// dropRequest takes request record ri (slab index plus one) out of the
+// index and returns it to the free chain: the packet was delivered, its
+// K-th request is spent, or a Stop gave up on it.
 func (p *Peer) dropRequest(ri uint32) {
-	p.req[p.reqs[ri-1].id] = 0
+	p.index.del(p.reqs[ri-1].id)
 	p.reqs[ri-1] = requestState{next: p.reqFree}
 	p.reqFree = ri
 }
 
-// armBatch records a retransmission check for ids, just requested from
-// proposer (lines 14–15), and returns when it is due; the batch links the
-// ids' request records into its list. The delay is jittered over [1.0,
+// armBatch records a retransmission check for the ids just requested from
+// proposer (lines 14–15), whose records chain through next from head in
+// request order, and returns when it is due; the chain becomes the batch's
+// list. The delay is jittered over [1.0,
 // 1.5]×RetPeriod: a burst of requesters dropped together at one congested
 // uplink must not retry in lock-step or they re-create the very burst that
 // dropped them. Jitter only extends the delay — RetPeriod is chosen to exceed the worst-case
@@ -746,7 +903,7 @@ func (p *Peer) dropRequest(ri uint32) {
 // queued-but-coming serves into duplicates. The deadline stays in the
 // batch; the caller sees to it that the peer's timer fires by then
 // (wakeBy).
-func (p *Peer) armBatch(proposer wire.NodeID, ids []stream.PacketID) (due time.Duration) {
+func (p *Peer) armBatch(proposer wire.NodeID, head uint32) (due time.Duration) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
 	bi := p.batchFree // index plus one
 	if bi != 0 {
@@ -758,16 +915,10 @@ func (p *Peer) armBatch(proposer wire.NodeID, ids []stream.PacketID) (due time.D
 	}
 	p.retStamp++
 	b := &p.batches[bi-1]
-	*b = retBatch{due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
-	// Pushed to the front from the last, the ids end up in arm order.
-	for i := len(ids) - 1; i >= 0; i-- {
-		ri := p.req[ids[i]]
+	*b = retBatch{head: head, due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
+	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, p.reqs[ri-1].next {
 		st := &p.reqs[ri-1]
-		st.batch, st.prev, st.next = bi, 0, b.head
-		if b.head != 0 {
-			p.reqs[b.head-1].prev = ri
-		}
-		b.head = ri
+		st.batch, st.prev = bi, prev
 	}
 	return b.due
 }
@@ -851,8 +1002,8 @@ func (p *Peer) retTimerFired(gen uint32) {
 // retransmit runs the retransmission check of batch bi, which is due: it
 // returns the slot and re-requests the batch's still-missing ids,
 // respecting the K = MaxRequests cap (line 25) — an id that has used its K
-// requests leaves the batch here and keeps its request record, with no
-// batch, until delivered. The target is the original proposer
+// requests gives its record up here, and its known bit keeps it from being
+// requested again. The target is the original proposer
 // (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
 // random recorded one. The ids re-requested form a new batch; seeing that
 // the timer fires for it is the caller's.
@@ -861,14 +1012,22 @@ func (p *Peer) retransmit(bi uint32) {
 	b := &p.batches[bi]
 	proposer := b.proposer
 	// retry collects the ids to request again, targets[i] where retry[i]
-	// goes.
+	// goes; their records stay chained, head to tail, for the next batch.
 	retry, targets := p.idScratch[:0], p.retTargets[:0]
-	for ri := b.head; ri != 0; ri = p.reqs[ri-1].next {
+	var head, tail uint32
+	for ri, next := b.head, uint32(0); ri != 0; ri = next {
 		st := &p.reqs[ri-1]
+		next = st.next
 		if int(st.requests) >= p.cfg.MaxRequests {
-			st.batch = 0
+			p.dropRequest(ri)
 			continue
 		}
+		if tail == 0 {
+			head = ri
+		} else {
+			p.reqs[tail-1].next = ri
+		}
+		st.next, tail = 0, ri
 		st.requests++
 		target := proposer
 		if p.cfg.Retry == RetryRandomProposer && st.nproposers > 0 {
@@ -907,7 +1066,7 @@ func (p *Peer) retransmit(bi uint32) {
 		}
 		p.counters.Retransmissions += p.sendRequests(target, toTarget)
 	}
-	p.armBatch(proposer, retry)
+	p.armBatch(proposer, head)
 }
 
 // count returns how many elements of s equal v.
@@ -942,47 +1101,50 @@ func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	p.serveScratch = pkts[:0]
 }
 
-// lookup fetches a packet from the local store (getEvent in Algorithm 1).
+// lookup fetches a packet from the table (getEvent in Algorithm 1): one
+// the peer has been delivered, and so holds, or nil.
 func (p *Peer) lookup(id stream.PacketID) *stream.Packet {
-	if int(id) < len(p.store) {
-		if pkt := p.store[id]; pkt != nil {
-			return pkt
-		}
-	}
-	if p.source != nil {
-		return p.source.Packet(id)
+	if p.recv.Has(id) {
+		return p.table[id]
 	}
 	return nil
 }
 
 // handleServe delivers payloads (deliverEvent) and queues fresh ids for the
-// next round's propose.
+// next round's propose. A packet outside the stream is dropped uncounted:
+// it is neither new nor a duplicate.
 func (p *Peer) handleServe(pkts []*stream.Packet) {
 	for _, pkt := range pkts {
-		if !p.recv.Deliver(pkt.ID, p.env.Now()) {
+		id := pkt.ID
+		if int(id) >= p.layoutTotal {
+			continue
+		}
+		if !p.recv.Deliver(id, p.env.Now()) {
 			p.counters.DuplicateServes++
 			continue
 		}
-		p.store[pkt.ID] = pkt
+		p.known[id/64] |= 1 << (id % 64)
+		if p.ownTable {
+			p.table[id] = pkt
+		}
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
-		p.toPropose = append(p.toPropose, pkt.ID)
-		if ri := p.req[pkt.ID]; ri != 0 { // retransmission state no longer needed
-			if st := &p.reqs[ri-1]; st.batch != 0 {
-				// The batch is one id closer to done; the last one retires
-				// it, and no timer will ever look at it.
-				b := &p.batches[st.batch-1]
-				if st.prev != 0 {
-					p.reqs[st.prev-1].next = st.next
-				} else {
-					b.head = st.next
-				}
-				if st.next != 0 {
-					p.reqs[st.next-1].prev = st.prev
-				}
-				if b.head == 0 {
-					p.freeBatch(st.batch - 1)
-					p.counters.RetBatchesRetired++
-				}
+		p.toPropose = append(p.toPropose, id)
+		if ri := p.index.get(id); ri != 0 { // retransmission state no longer needed
+			// The batch is one id closer to done; the last one retires it,
+			// and no timer will ever look at it.
+			st := &p.reqs[ri-1]
+			b := &p.batches[st.batch-1]
+			if st.prev != 0 {
+				p.reqs[st.prev-1].next = st.next
+			} else {
+				b.head = st.next
+			}
+			if st.next != 0 {
+				p.reqs[st.next-1].prev = st.prev
+			}
+			if b.head == 0 {
+				p.freeBatch(st.batch - 1)
+				p.counters.RetBatchesRetired++
 			}
 			p.dropRequest(ri)
 		}

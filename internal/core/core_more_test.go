@@ -131,7 +131,7 @@ func TestMaxProposersBounded(t *testing.T) {
 	for from := wire.NodeID(1); from <= 8; from++ {
 		h.peer.HandleMessage(from, wire.Propose{IDs: []stream.PacketID{0}})
 	}
-	ri := h.peer.req[0]
+	ri := h.peer.index.get(0)
 	if ri == 0 {
 		t.Fatal("no request state recorded")
 	}

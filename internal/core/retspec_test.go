@@ -236,7 +236,10 @@ func (m *perBatchPeer) serve(ids []stream.PacketID) {
 		return
 	}
 	for _, id := range ids {
-		if int(id) >= m.total || m.delivered[id] {
+		if int(id) >= m.total {
+			continue // outside the stream: neither new nor a duplicate
+		}
+		if m.delivered[id] {
 			m.counters.DuplicateServes++
 			continue
 		}
@@ -415,11 +418,13 @@ func runSpec(t *testing.T, flat bool, retry RetryPolicy, k int, ops []specOp) {
 }
 
 // checkRetStructure verifies the retransmission slabs of p against each
-// other and against the timers pending in its environment.
+// other, against the request index and the known bits, and against the
+// timers pending in its environment.
 func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
+	isKnown := func(id stream.PacketID) bool { return p.known[id/64]&(1<<(id%64)) != 0 }
 	// listed[ri] marks the request records some batch's list reaches.
 	listed := make([]bool, len(p.reqs)+1)
-	earliest, armed := time.Duration(0), 0
+	earliest, armed, records := time.Duration(0), 0, 0
 	for bi := range p.batches {
 		b := &p.batches[bi]
 		if !b.armed {
@@ -437,33 +442,45 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi, ri, len(p.reqs))
 			}
 			listed[ri] = true
+			records++
 			st := &p.reqs[ri-1]
 			switch {
 			case st.prev != prev:
 				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi, ri, prev, st.prev)
 			case st.batch != uint32(bi)+1:
 				return fmt.Errorf("batch %d holds record %d, which names batch %d", bi, ri, int(st.batch)-1)
-			case p.req[st.id] != ri:
-				return fmt.Errorf("batch %d holds record %d for id %d, whose record is %d", bi, ri, st.id, p.req[st.id])
+			case p.index.get(st.id) != ri:
+				return fmt.Errorf("batch %d holds record %d for id %d, whose record in the index is %d", bi, ri, st.id, p.index.get(st.id))
+			case !isKnown(st.id):
+				return fmt.Errorf("batch %d holds record %d for id %d, whose known bit is clear", bi, ri, st.id)
+			case p.recv.Has(st.id):
+				return fmt.Errorf("id %d is delivered and still has a request record", st.id)
+			case st.requests < 1 || int(st.requests) > p.cfg.MaxRequests:
+				return fmt.Errorf("id %d has used %d of %d requests", st.id, st.requests, p.cfg.MaxRequests)
 			}
 		}
 	}
-	requested := 0
-	for id, ri := range p.req {
-		if ri == 0 {
+	if p.cfg.MaxRequests == 1 && len(p.reqs) > 0 {
+		return fmt.Errorf("K = 1 and %d request records made", len(p.reqs))
+	}
+	// The index holds exactly the listed records, each under its own id.
+	occupied := 0
+	for _, slot := range p.index.slots {
+		if slot == 0 {
 			continue
 		}
-		requested++
-		st := p.reqs[ri-1]
-		switch {
-		case p.recv.Has(stream.PacketID(id)):
-			return fmt.Errorf("id %d is delivered and still has a request record", id)
-		case st.id != stream.PacketID(id):
-			return fmt.Errorf("id %d's request record is for id %d", id, st.id)
-		case st.batch == 0 && int(st.requests) < p.cfg.MaxRequests:
-			return fmt.Errorf("id %d: %d of %d requests used and no batch will retry it", id, st.requests, p.cfg.MaxRequests)
-		case st.batch != 0 && !listed[ri]:
-			return fmt.Errorf("id %d names batch %d, which is free or does not hold it", id, st.batch-1)
+		occupied++
+		id, ri := stream.PacketID(slot>>32-1), uint32(slot)
+		if ri == 0 || int(ri) > len(p.reqs) || !listed[ri] || p.reqs[ri-1].id != id {
+			return fmt.Errorf("the index maps id %d to record %d, which no armed batch holds for it", id, ri)
+		}
+	}
+	if occupied != records || p.index.n != records {
+		return fmt.Errorf("the index holds %d ids (counts %d), the armed batches %d records", occupied, p.index.n, records)
+	}
+	for id := 0; id < p.layoutTotal; id++ {
+		if p.recv.Has(stream.PacketID(id)) && !isKnown(stream.PacketID(id)) {
+			return fmt.Errorf("id %d is delivered and its known bit is clear", id)
 		}
 	}
 	freeReqs, freeBatches := 0, 0
@@ -471,7 +488,7 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 		if freeReqs++; int(ri) > len(p.reqs) || freeReqs > len(p.reqs) {
 			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", len(p.reqs))
 		}
-		if st := p.reqs[ri-1]; st != (requestState{next: st.next}) || p.req[st.id] == ri {
+		if st := p.reqs[ri-1]; st != (requestState{next: st.next}) || listed[ri] {
 			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
 		}
 	}
@@ -483,7 +500,7 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
 		}
 	}
-	if len(p.reqs)-freeReqs != requested || len(p.batches)-freeBatches != armed {
+	if len(p.reqs)-freeReqs != records || len(p.batches)-freeBatches != armed {
 		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
 			freeReqs, len(p.reqs), freeBatches, len(p.batches), armed)
 	}

@@ -61,102 +61,136 @@ func (e *flatBusEnv) deliver(to wire.NodeID, logged wire.Message, hand func(*Pee
 	})
 }
 
-// TestRoutesSendTheSameDatagrams runs one lossy cluster — small payloads,
-// so REQUESTs are answered by multi-packet SERVEs, and enough loss that
+// lossyLayout has small payloads, so REQUESTs are answered by multi-packet
+// SERVEs.
+var lossyLayout = stream.Layout{RateBps: 400_000, PayloadBytes: 100, DataPerWindow: 20, ParityPerWindow: 4, Windows: 6}
+
+// runLossyCluster runs a source and eleven peers over a bus that drops 15%
+// of datagrams, on the flat route or the generic one, the peers serving
+// from the source's packet table (shared, NewPeerOf) or from their own
+// (NewPeer). It returns every datagram sent, rendered with its instant,
+// sender, destination and contents, and the peers' counters.
+func runLossyCluster(t *testing.T, retry RetryPolicy, flat, shared bool) ([]string, []Counters) {
+	const n = 12
+	cfg := testConfig()
+	cfg.Retry = retry
+	sched := &clock{}
+	b := newBus(sched, 5*time.Millisecond)
+	lossRng := rand.New(rand.NewSource(5))
+	b.drop = func(_, _ wire.NodeID, _ wire.Message) bool { return lossRng.Float64() < 0.15 }
+	src, err := stream.NewSource(lossyLayout, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var peers []*Peer
+	for i := 0; i < n; i++ {
+		id := wire.NodeID(i)
+		fenv := &flatBusEnv{busEnv: busEnv{id: id, bus: b, rng: rand.New(rand.NewSource(int64(100 + i)))}}
+		var env Env = &fenv.busEnv
+		if flat {
+			env = fenv
+		}
+		sampler := member.NewSparseView(id, n, fenv.rng)
+		var p *Peer
+		switch {
+		case i == 0:
+			p, err = NewSourcePeer(env, cfg, sampler, src)
+		case shared:
+			p, err = NewPeerOf(env, cfg, sampler, src)
+		default:
+			p, err = NewPeer(env, cfg, sampler, lossyLayout)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenv.peer = p
+		b.peers[id] = p
+		peers = append(peers, p)
+	}
+	for _, p := range peers {
+		p.Start()
+		if (p.flat != nil) != flat {
+			t.Fatalf("peer on the flat route: %v, want %v", p.flat != nil, flat)
+		}
+	}
+	sched.RunUntil(lossyLayout.Duration() + 2*time.Second)
+	var log []string
+	for _, e := range b.log {
+		line := fmt.Sprintf("%v %d→%d %v", e.at, e.from, e.to, e.msg.Kind())
+		switch m := e.msg.(type) {
+		case wire.Propose:
+			line += fmt.Sprint(m.IDs)
+		case wire.Request:
+			line += fmt.Sprint(m.IDs)
+		case wire.Serve:
+			for _, pkt := range m.Packets {
+				line += fmt.Sprint(" ", pkt.ID)
+			}
+		}
+		log = append(log, line)
+	}
+	var counters []Counters
+	for _, p := range peers {
+		counters = append(counters, p.Counters())
+	}
+	return log, counters
+}
+
+// sameTraffic fails t unless two runs of runLossyCluster, named a and b,
+// sent the same datagrams and counted the same, and the run exercised
+// retransmissions and multi-packet SERVEs.
+func sameTraffic(t *testing.T, a, b string, logA, logB []string, countersA, countersB []Counters) {
+	t.Helper()
+	var retransmissions, multi int
+	for _, c := range countersB {
+		retransmissions += c.Retransmissions
+		if c.PacketsServed > c.ServesSent {
+			multi++
+		}
+	}
+	if retransmissions == 0 || multi == 0 {
+		t.Fatalf("%d retransmissions, %d peers sent a multi-packet SERVE: the cluster does not exercise the peers", retransmissions, multi)
+	}
+	if !slices.Equal(countersB, countersA) {
+		t.Fatalf("counters %s %+v, %s %+v", b, countersB, a, countersA)
+	}
+	for i := range logA {
+		if i >= len(logB) || logB[i] != logA[i] {
+			t.Fatalf("datagram %d of %d: %s sent %q, %s %q", i, len(logA), a, logA[i], b, logB[min(i, len(logB)-1)])
+		}
+	}
+	if len(logB) != len(logA) {
+		t.Fatalf("%d datagrams %s, %d %s", len(logB), b, len(logA), a)
+	}
+}
+
+// TestRoutesSendTheSameDatagrams runs one lossy cluster — enough loss that
 // retransmissions fire, under both retry policies — over the generic route
 // and over the flat one, and compares the complete traffic logs: every
 // datagram, its contents, sender, destination and instant. The routes may
 // differ in how a message is carried, never in what is sent or when.
 func TestRoutesSendTheSameDatagrams(t *testing.T) {
-	layout := stream.Layout{RateBps: 400_000, PayloadBytes: 100, DataPerWindow: 20, ParityPerWindow: 4, Windows: 6}
 	for name, retry := range map[string]RetryPolicy{"same-proposer": RetrySameProposer, "random-proposer": RetryRandomProposer} {
 		t.Run(name, func(t *testing.T) {
-			run := func(flat bool) ([]string, []Counters) {
-				const n = 12
-				cfg := testConfig()
-				cfg.Retry = retry
-				sched := &clock{}
-				b := newBus(sched, 5*time.Millisecond)
-				lossRng := rand.New(rand.NewSource(5))
-				b.drop = func(_, _ wire.NodeID, _ wire.Message) bool { return lossRng.Float64() < 0.15 }
-				src, err := stream.NewSource(layout, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var peers []*Peer
-				for i := 0; i < n; i++ {
-					id := wire.NodeID(i)
-					fenv := &flatBusEnv{busEnv: busEnv{id: id, bus: b, rng: rand.New(rand.NewSource(int64(100 + i)))}}
-					var env Env = &fenv.busEnv
-					if flat {
-						env = fenv
-					}
-					sampler := member.NewSparseView(id, n, fenv.rng)
-					var p *Peer
-					if i == 0 {
-						p, err = NewSourcePeer(env, cfg, sampler, src)
-					} else {
-						p, err = NewPeer(env, cfg, sampler, layout)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					fenv.peer = p
-					b.peers[id] = p
-					peers = append(peers, p)
-				}
-				for _, p := range peers {
-					p.Start()
-					if (p.flat != nil) != flat {
-						t.Fatalf("peer on the flat route: %v, want %v", p.flat != nil, flat)
-					}
-				}
-				sched.RunUntil(layout.Duration() + 2*time.Second)
-				var log []string
-				for _, e := range b.log {
-					line := fmt.Sprintf("%v %d→%d %v", e.at, e.from, e.to, e.msg.Kind())
-					switch m := e.msg.(type) {
-					case wire.Propose:
-						line += fmt.Sprint(m.IDs)
-					case wire.Request:
-						line += fmt.Sprint(m.IDs)
-					case wire.Serve:
-						for _, pkt := range m.Packets {
-							line += fmt.Sprint(" ", pkt.ID)
-						}
-					}
-					log = append(log, line)
-				}
-				var counters []Counters
-				for _, p := range peers {
-					counters = append(counters, p.Counters())
-				}
-				return log, counters
-			}
-			generic, genericCounters := run(false)
-			flat, flatCounters := run(true)
-			var retransmissions, multi int
-			for _, c := range flatCounters {
-				retransmissions += c.Retransmissions
-				if c.PacketsServed > c.ServesSent {
-					multi++
-				}
-			}
-			if retransmissions == 0 || multi == 0 {
-				t.Fatalf("%d retransmissions, %d peers sent a multi-packet SERVE: the cluster does not exercise the routes", retransmissions, multi)
-			}
-			if !slices.Equal(flatCounters, genericCounters) {
-				t.Fatalf("counters over the flat route %+v, over the generic one %+v", flatCounters, genericCounters)
-			}
-			for i := range generic {
-				if i >= len(flat) || flat[i] != generic[i] {
-					t.Fatalf("datagram %d of %d: generic route sent %q, flat route %q", i, len(generic), generic[i], flat[min(i, len(flat)-1)])
-				}
-			}
-			if len(flat) != len(generic) {
-				t.Fatalf("%d datagrams over the flat route, %d over the generic one", len(flat), len(generic))
-			}
+			generic, genericCounters := runLossyCluster(t, retry, false, false)
+			flat, flatCounters := runLossyCluster(t, retry, true, false)
+			sameTraffic(t, "over the generic route", "over the flat route", generic, flat, genericCounters, flatCounters)
 		})
+	}
+}
+
+// TestSharedTablesSendTheSameDatagrams runs the lossy cluster with private
+// packet tables and with the source's one shared table, on both routes:
+// where a peer finds the packets it serves must not change what it sends.
+func TestSharedTablesSendTheSameDatagrams(t *testing.T) {
+	for name, retry := range map[string]RetryPolicy{"same-proposer": RetrySameProposer, "random-proposer": RetryRandomProposer} {
+		for _, flat := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/flat=%v", name, flat), func(t *testing.T) {
+				private, privateCounters := runLossyCluster(t, retry, flat, false)
+				shared, sharedCounters := runLossyCluster(t, retry, flat, true)
+				sameTraffic(t, "from private tables", "from the shared table", private, shared, privateCounters, sharedCounters)
+			})
+		}
 	}
 }
 

@@ -77,6 +77,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		cfg:    cfg,
 		eng:    eng,
 		seam:   seam,
+		src:    src,
 		pssCfg: pssCfg,
 		end:    end,
 		fold:   newStreamFold(cfg, end),
@@ -98,12 +99,8 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		if d.states != nil {
 			boot = bootstrapIDs(id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
 		}
-		var src0 *stream.Source
-		if i == 0 {
-			src0 = src
-		}
 		rider := i > 0 && freeRider(cfg.FreeRiders, i-1)
-		p, st, err := d.buildNode(id, boot, src0, rider)
+		p, st, err := d.buildNode(id, boot, i == 0, rider)
 		if err != nil {
 			return nil, err
 		}
@@ -228,9 +225,12 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 // admission (which may reuse the slot under a new handle) overwrites
 // them, so deployment memory is O(live nodes) alongside the engine's.
 type deployment struct {
-	cfg    Config
-	eng    *megasim.Engine
-	seam   *nodeSeam // nil outside the route-twin tests
+	cfg  Config
+	eng  *megasim.Engine
+	seam *nodeSeam // nil outside the route-twin tests
+	// src is the stream: node 0 publishes it, and every other peer serves
+	// from its packet table.
+	src    *stream.Source
 	pssCfg pss.Config
 	end    time.Duration
 	peers  []*core.Peer
@@ -356,10 +356,11 @@ func (d *deployment) aliveVictims() []wire.NodeID {
 // runtime admission so the two paths cannot drift. The protocol stream is
 // seeded Seed<<20 + id; a non-nil boot selects a Cyclon record (seeded
 // with a distinct salt to decorrelate it from the protocol stream, and
-// attached to the engine), nil boot a static SparseView; a non-nil src
-// makes the node the stream source; rider puts the node in the leeching
-// service class (Config.FreeRiders).
-func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, src *stream.Source, rider bool) (*core.Peer, *pss.State, error) {
+// attached to the engine), nil boot a static SparseView; source makes the
+// node the stream source, and every other node serves from the source's
+// packet table; rider puts the node in the leeching service class
+// (Config.FreeRiders).
+func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider bool) (*core.Peer, *pss.State, error) {
 	cfg := d.cfg
 	rng := megasim.NewRand(cfg.Seed<<20 + int64(id))
 	nodeEnv := d.eng.NodeEnv(id, rng)
@@ -381,12 +382,12 @@ func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, src *stream.S
 	}
 	var p *core.Peer
 	var err error
-	if src != nil {
-		p, err = core.NewSourcePeer(env, cfg.Protocol, sampler, src)
+	if source {
+		p, err = core.NewSourcePeer(env, cfg.Protocol, sampler, d.src)
 	} else {
 		proto := cfg.Protocol
 		proto.Leech = rider
-		p, err = core.NewPeer(env, proto, sampler, cfg.Layout)
+		p, err = core.NewPeerOf(env, proto, sampler, d.src)
 	}
 	if err != nil {
 		return nil, nil, err
@@ -419,7 +420,7 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	boot := d.liveBootstrapIDs(id, d.pssCfg.ShuffleLen, rng)
 	rider := freeRider(d.cfg.FreeRiders, d.nextOrdinal)
 	d.nextOrdinal++
-	p, st, err := d.buildNode(id, boot, nil, rider)
+	p, st, err := d.buildNode(id, boot, false, rider)
 	if err != nil {
 		d.err = fmt.Errorf("experiment: admitting node %d: %w", id, err)
 		return

@@ -9,25 +9,27 @@
 //     mapping, publish schedule);
 //   - Source: produces the actual packets, parity included, in publish
 //     order;
-//   - Receiver: per-node window assembly that records when each window
-//     became viewable (≥ DataPerWindow distinct packets).
+//   - Receiver: per-node delivery state — a bit per id and a count per
+//     window — that records when each window became viewable
+//     (≥ DataPerWindow distinct packets).
 package stream
 
 import (
 	"fmt"
 	"math/rand"
-
-	"gossipstream/internal/xrand"
+	"slices"
 	"time"
 
 	"gossipstream/internal/fec"
+	"gossipstream/internal/xrand"
 )
 
 // PacketID identifies a packet globally: id = window*WindowTotal + index.
 type PacketID uint32
 
 // Packet is one stream packet. Packets are immutable after creation and in
-// simulation are shared by pointer across all nodes.
+// simulation are shared by pointer across all nodes: the source's packet
+// table (Source.Table) is the one copy every simulated peer serves from.
 type Packet struct {
 	ID      PacketID
 	Window  uint32
@@ -138,12 +140,14 @@ func (l Layout) WindowPublishTime(w int) time.Duration {
 // Source produces the packets of a stream in publish order. It is not safe
 // for concurrent use.
 type Source struct {
-	layout  Layout
-	code    *fec.Code
-	rng     *rand.Rand
-	next    int // next packet ordinal in publish order
-	order   []PacketID
-	packets map[PacketID]*Packet
+	layout Layout
+	code   *fec.Code
+	rng    *rand.Rand
+	next   int // next packet ordinal in publish order
+	order  []PacketID
+	// packets is dense over the stream's ids: entry id is written once,
+	// when materialize creates packet id, and nil until then.
+	packets []*Packet
 	window  [][]byte // payloads of the window under construction
 }
 
@@ -166,7 +170,7 @@ func NewSource(layout Layout, seed int64) (*Source, error) {
 		layout:  layout,
 		code:    code,
 		rng:     xrand.New(seed),
-		packets: make(map[PacketID]*Packet, layout.TotalPackets()),
+		packets: make([]*Packet, layout.TotalPackets()),
 	}
 	s.buildOrder()
 	return s, nil
@@ -213,9 +217,25 @@ func (s *Source) AppendPacketsUntil(dst []*Packet, now time.Duration) []*Packet 
 func (s *Source) Done() bool { return s.next >= len(s.order) }
 
 // Packet returns a previously published packet by id (nil if not yet
-// published). Sources retain all published packets so they can serve
-// retransmission requests.
-func (s *Source) Packet(id PacketID) *Packet { return s.packets[id] }
+// published or outside the stream). Sources retain all published packets so
+// they can serve retransmission requests.
+func (s *Source) Packet(id PacketID) *Packet {
+	if int(id) < len(s.packets) {
+		return s.packets[id]
+	}
+	return nil
+}
+
+// Table returns the source's packet table, indexed by id: entry id is the
+// packet Packet(id) returns, nil until it is published (a window's parity
+// entries appear together with its last data packet). The table is the
+// source's own, not a copy; every entry is written once, before
+// AppendPacketsUntil returns the packet, and never changes after. A reader
+// on another goroutine may read entry id once it has been handed packet id
+// by a path that orders it after that return (a message carrying it, say),
+// and must not read entries it has not been handed: the source may be
+// writing them.
+func (s *Source) Table() []*Packet { return s.packets }
 
 // materialize creates the packet for id, generating payload bytes and, at
 // window boundaries, the FEC parity packets. Every window's payloads — data
@@ -271,66 +291,72 @@ func (s *Source) materialize(id PacketID) *Packet {
 }
 
 // Receiver assembles windows on a node and records viewability times. It
-// tracks packet identity only (counts and bitsets), not payloads: a window
-// counts as viewable once DataPerWindow distinct packets arrived, which is
-// when fec.Code could reconstruct it.
+// tracks packet identity only (one bit per id and a count per window), not
+// payloads: a window counts as viewable once DataPerWindow distinct packets
+// arrived, which is when fec.Code could reconstruct it.
+//
+// A Receiver is a value with two backings — the bitset over the stream's
+// ids and the per-window counts — so an owner may embed it; it must not be
+// copied once in use, or the copies share bits but not counts (Snapshot
+// makes an independent one).
 type Receiver struct {
 	layout    Layout
+	total     int      // layout.TotalPackets(): ids at or beyond it are outside the stream
+	seen      []uint64 // bit id set once packet id is delivered
 	windows   []windowState
 	delivered int
 }
 
 type windowState struct {
-	seen      []uint64 // bitset over window indexes
-	count     int
 	completed time.Duration // time count reached DataPerWindow; 0 = never
+	count     int32
 }
 
 // NewReceiver returns a Receiver for the layout.
-// Every window's bitset is carved out of one backing, so a receiver costs
-// the same few allocations however long the stream; each bitset's
-// capacity ends at its own words, so no window can grow into the next.
 func NewReceiver(layout Layout) *Receiver {
-	words := (layout.WindowTotal() + 63) / 64
-	ws := make([]windowState, layout.Windows)
-	bits := make([]uint64, words*len(ws))
-	for i := range ws {
-		ws[i].seen = bits[i*words : (i+1)*words : (i+1)*words]
+	r := MakeReceiver(layout)
+	return &r
+}
+
+// MakeReceiver returns a Receiver for the layout by value, for owners that
+// embed one. It allocates the two backings and nothing else, however long
+// the stream.
+func MakeReceiver(layout Layout) Receiver {
+	total := layout.TotalPackets()
+	return Receiver{
+		layout:  layout,
+		total:   total,
+		seen:    make([]uint64, (total+63)/64),
+		windows: make([]windowState, layout.Windows),
 	}
-	return &Receiver{layout: layout, windows: ws}
 }
 
 // Snapshot returns a deep copy of the receiver's state, for readers that
 // poll metrics while another goroutine keeps delivering. The caller owning
 // synchronization of Deliver decides when the snapshot is taken.
 func (r *Receiver) Snapshot() *Receiver {
-	cp := NewReceiver(r.layout)
-	cp.delivered = r.delivered
-	for i, ws := range r.windows {
-		copy(cp.windows[i].seen, ws.seen)
-		cp.windows[i].count, cp.windows[i].completed = ws.count, ws.completed
-	}
-	return cp
+	cp := *r
+	cp.seen = slices.Clone(r.seen)
+	cp.windows = slices.Clone(r.windows)
+	return &cp
 }
 
 // Deliver records receipt of packet id at virtual time now. It returns true
 // if the packet is new (first delivery), false for duplicates or ids outside
 // the stream.
 func (r *Receiver) Deliver(id PacketID, now time.Duration) bool {
-	w := r.layout.WindowOf(id)
-	if w < 0 || w >= len(r.windows) {
+	if int(id) >= r.total {
 		return false
 	}
-	idx := r.layout.IndexOf(id)
-	ws := &r.windows[w]
-	word, bit := idx/64, uint(idx%64)
-	if ws.seen[word]&(1<<bit) != 0 {
+	word, bit := &r.seen[id/64], uint64(1)<<(id%64)
+	if *word&bit != 0 {
 		return false
 	}
-	ws.seen[word] |= 1 << bit
+	*word |= bit
+	ws := &r.windows[r.layout.WindowOf(id)]
 	ws.count++
 	r.delivered++
-	if ws.count == r.layout.DataPerWindow {
+	if int(ws.count) == r.layout.DataPerWindow {
 		ws.completed = now
 	}
 	return true
@@ -338,16 +364,11 @@ func (r *Receiver) Deliver(id PacketID, now time.Duration) bool {
 
 // Has reports whether packet id has been delivered.
 func (r *Receiver) Has(id PacketID) bool {
-	w := r.layout.WindowOf(id)
-	if w < 0 || w >= len(r.windows) {
-		return false
-	}
-	idx := r.layout.IndexOf(id)
-	return r.windows[w].seen[idx/64]&(1<<uint(idx%64)) != 0
+	return int(id) < r.total && r.seen[id/64]&(1<<(id%64)) != 0
 }
 
 // Count returns the number of distinct packets received for window w.
-func (r *Receiver) Count(w int) int { return r.windows[w].count }
+func (r *Receiver) Count(w int) int { return int(r.windows[w].count) }
 
 // Delivered returns the total number of distinct packets received.
 func (r *Receiver) Delivered() int { return r.delivered }
@@ -356,7 +377,7 @@ func (r *Receiver) Delivered() int { return r.delivered }
 // DataPerWindow-th distinct packet) and whether it ever did.
 func (r *Receiver) CompletionTime(w int) (time.Duration, bool) {
 	ws := &r.windows[w]
-	if ws.count < r.layout.DataPerWindow {
+	if int(ws.count) < r.layout.DataPerWindow {
 		return 0, false
 	}
 	return ws.completed, true
