@@ -198,9 +198,8 @@ func BenchmarkAblationRetryRandomUnderChurn(b *testing.B) {
 // Ablation: membership substrate. The paper assumes free global
 // membership; Cyclon partial views pay for sampling with shuffle traffic
 // on the same capped uplinks. The Sharded pair runs the same comparison
-// over four shards against the first pair's one (the names are what
-// cmd/benchjson matches on), so cross-shard shuffle hand-off is priced for
-// both substrates.
+// over four shards against the first pair's one, so cross-shard shuffle
+// hand-off is priced for both substrates.
 func BenchmarkAblationMembershipFull(b *testing.B) {
 	benchAblation(b, func(cfg *ExperimentConfig) { cfg.Membership = MembershipFull })
 }

@@ -1,6 +1,7 @@
 package gossipstream
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -197,4 +198,11 @@ func TestFacadeSustainedChurnExperiment(t *testing.T) {
 	if got := MeanCompleteFraction(lq, OfflineLag); got <= 0 {
 		t.Fatalf("present-node completeness = %.1f%%, want > 0", got)
 	}
+}
+
+// ExampleScaledExperiment documents the scale-run entry point.
+func ExampleScaledExperiment() {
+	cfg := ScaledExperiment(100_000, 8, 30*time.Second)
+	fmt.Println(cfg.Nodes, cfg.Shards, cfg.Layout.Duration()+cfg.Drain == 30*time.Second)
+	// Output: 100000 8 true
 }

@@ -13,9 +13,8 @@ import (
 )
 
 // Adversarial membership scenarios: graceful departures, flash crowds,
-// and free-riders. The 10k acceptance numbers live in BENCH_sim.json
-// (cmd/benchjson); these tests pin semantics and replay determinism at
-// unit scale.
+// and free-riders. README's adversarial section records the 10k-node
+// numbers; these tests pin semantics and replay determinism at unit scale.
 
 // gracefulCfg is sustainedCfg with announced departures.
 func gracefulCfg(seed int64, joinPerSec, leavePerSec float64) Config {

@@ -37,9 +37,6 @@ type Config struct {
 	Layout stream.Layout
 	// UploadCapBps paces outgoing datagrams (shaping.Unlimited disables).
 	UploadCapBps int64
-	// QueueLen bounds the outgoing send queue in messages; beyond it sends
-	// drop, emulating a full socket buffer. Default 512.
-	QueueLen int
 	// Seed drives the node's randomness; 0 derives one from the ID.
 	Seed int64
 }
@@ -69,6 +66,10 @@ type Node struct {
 	dropped uint64 // sends dropped at the full queue
 }
 
+// sendQueueLen bounds a node's outgoing send queue in messages; beyond it
+// sends drop, emulating a full socket buffer.
+const sendQueueLen = 4096
+
 type outgoing struct {
 	to  wire.NodeID
 	msg wire.Message
@@ -77,9 +78,6 @@ type outgoing struct {
 // New creates a node bound to bindAddr (e.g. "127.0.0.1:0"). If src is
 // non-nil the node acts as the stream source.
 func New(cfg Config, bindAddr string, src *stream.Source) (*Node, error) {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 4096
-	}
 	if cfg.Seed == 0 {
 		cfg.Seed = int64(cfg.ID) + 1
 	}
@@ -102,7 +100,7 @@ func New(cfg Config, bindAddr string, src *stream.Source) (*Node, error) {
 		codec:  wire.NewCodec(cfg.Layout),
 		dir:    make(map[wire.NodeID]*net.UDPAddr),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		sendQ:  make(chan outgoing, cfg.QueueLen),
+		sendQ:  make(chan outgoing, sendQueueLen),
 		done:   make(chan struct{}),
 		bucket: shaping.NewBucket(cfg.UploadCapBps, 64*1024, time.Now()),
 	}
