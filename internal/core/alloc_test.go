@@ -51,7 +51,9 @@ func (e *flatStubEnv) AfterTimer(_ time.Duration, kind uint8, arg uint32) {
 	e.flatTimers = append(e.flatTimers, flatTimer{kind, arg})
 }
 func (e *flatStubEnv) SendIDs(wire.NodeID, wire.Kind, []stream.PacketID) {}
-func (e *flatStubEnv) SendPackets(wire.NodeID, []*stream.Packet)         {}
+func (e *flatStubEnv) SendServe(wire.NodeID, []stream.PacketID, int)     {}
+
+var _ TimerEnv = (*flatStubEnv)(nil)
 
 // fixedSampler always returns the same partners, so that what a round
 // allocates is core's own.
@@ -100,20 +102,13 @@ func (r *budgetRig) take() func() {
 	return fn
 }
 
-// deliverIDs and deliverPacket deliver a message over the route under test.
+// deliverIDs delivers a message over the route under test: its ids, or
+// boxed.
 func (r *budgetRig) deliverIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID, boxed wire.Message) {
 	if r.typed {
 		r.p.HandleIDs(from, kind, ids)
 	} else {
 		r.p.HandleMessage(from, boxed)
-	}
-}
-
-func (r *budgetRig) deliverPacket(pkt []*stream.Packet, boxed wire.Message) {
-	if r.typed {
-		r.p.HandlePackets(2, pkt)
-	} else {
-		r.p.HandleMessage(2, boxed)
 	}
 }
 
@@ -211,7 +206,7 @@ func TestHandlerAllocBudget(t *testing.T) {
 				retire := r.take()
 				m2 := mallocs()
 				for j := range batch {
-					r.deliverPacket(batch[j:j+1], serves[j])
+					r.deliverIDs(2, wire.KindServe, ids[j:j+1], serves[j])
 				}
 				m3 := mallocs()
 				tick()
@@ -262,7 +257,7 @@ func TestHandlerAllocBudget(t *testing.T) {
 						m1 := mallocs()
 						retire := r.take()
 						for j := range batch {
-							r.deliverPacket(batch[j:j+1], serves[j])
+							r.deliverIDs(2, wire.KindServe, ids[j:j+1], serves[j])
 						}
 						retire()
 						if i >= warmUp {
@@ -282,29 +277,25 @@ func TestHandlerAllocBudget(t *testing.T) {
 	}
 }
 
-// TestPeerFootprintAllocBudget holds what a peer over the source's packet
-// table costs to build to about three bits per stream id: the known bit,
-// the receiver's delivery bit and its per-window count. It builds peers of
-// a 2-window and a 1,000-window stream (≈30 minutes of the paper's) and
-// checks the bytes each extra id adds, the total at 1,000 windows, and
-// that the allocation count does not grow with the stream. Before peers
-// shared the source's table, an id cost 100 bits: a packet pointer, a
-// 4-byte request index and ≈0.5 B of window state, 1.39 MB per peer at
-// 1,000 windows.
+// TestPeerFootprintAllocBudget holds what a peer costs to build — all a
+// peer on the flat route ever holds per id, as it keeps no packets — to
+// about three bits per stream id: the known bit, the receiver's delivery
+// bit and its per-window count. It builds peers of a 2-window and a
+// 1,000-window stream (≈30 minutes of the paper's) and checks the bytes
+// each extra id adds, the total at 1,000 windows, and that the allocation
+// count does not grow with the stream. Before simulated peers stopped
+// keeping packets, an id cost 100 bits: a packet pointer, a 4-byte request
+// index and ≈0.5 B of window state, 1.39 MB per peer at 1,000 windows.
 func TestPeerFootprintAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
 	}
 	build := func(windows int) (bytes, allocs float64, ids int) {
 		layout := stream.DefaultLayout(windows)
-		src, err := stream.NewSource(layout, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
 		env := &stubEnv{rng: rand.New(rand.NewSource(1))}
 		var sampler member.Sampler = fixedSampler{2, 3}
 		newPeer := func() {
-			if _, err := NewPeerOf(env, DefaultConfig(), sampler, src); err != nil {
+			if _, err := NewPeer(env, DefaultConfig(), sampler, layout); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -31,10 +31,13 @@
 //
 // What a peer keeps per stream id is about three bits: one "known" bit
 // (delivered or requested) and the receiver's delivery bit with its
-// per-window count. Packets are not copied per peer: a peer serves from a
-// packet table indexed by id — in simulation the source's own
-// (NewPeerOf), read only at ids the peer has been delivered; a peer built
-// by NewPeer fills a private one from the SERVEs it receives. Pull state
+// per-window count. Over the flat route that is all: a SERVE there is the
+// ids of its packets, so a peer serves an id exactly when it has been
+// delivered it, and neither it nor the source ever holds a packet. Only a
+// peer on the generic route, whose SERVEs carry bytes, keeps the packets
+// it is delivered — in a table of its own, a pointer per stream id,
+// allocated when it starts on that route — and the source there serves
+// from stream.Source, which builds them. Pull state
 // exists only while an id is being retried: a by-value record in a
 // per-peer slab, found by id through a small open-addressing index whose
 // population is the ids in flight, not the stream. Retransmission batches
@@ -49,17 +52,17 @@
 // everything served. Over a TimerEnv whose flat route
 // reaches the peer (the simulation engine, the peer being the node's
 // registered handler) messages are flat too: PROPOSE, REQUEST and SERVE
-// leave through SendIDs and SendPackets straight from per-peer scratch and
-// arrive through HandleIDs and HandlePackets, so in steady state a handler
-// and a round allocate nothing at all. Over a plain Env — the real-time
-// driver, any wrapper that defines only Env's five methods — a message
-// travels as a boxed wire.Message: one exactly sized
-// id list and one box per round's PROPOSE and per REQUEST sent, SERVE
-// batches from wire's pool, and the closure Env.After takes each time the
-// retransmission timer is armed. Both routes run the same handler bodies
-// and the one retransmission state machine, draw the
-// same random numbers and send the same datagrams in the same order.
-// alloc_test.go holds the handlers to these budgets.
+// leave through SendIDs and SendServe straight from per-peer scratch and
+// arrive through HandleIDs, so in steady state a handler and a round
+// allocate nothing at all. Over a plain Env — the real-time driver, any
+// wrapper that defines only Env's five methods — a message travels as a
+// boxed wire.Message: one exactly sized id list and one box per round's
+// PROPOSE and per REQUEST sent, SERVE batches from wire's pool, and the
+// closure Env.After takes each time the retransmission timer is armed.
+// Both routes run the same handler bodies and the one retransmission state
+// machine, draw the same random numbers and send the same datagrams, of
+// the same sizes, in the same order. alloc_test.go holds the handlers to
+// these budgets.
 package core
 
 import (
@@ -97,27 +100,26 @@ type Env interface {
 // TimerEnv and FlatTimers reports true, every gossip tick and the
 // retransmission timer are armed with AfterTimer and come back through
 // (*Peer).OnTimer, and every PROPOSE, REQUEST and SERVE leaves through
-// SendIDs or SendPackets — the peer expects them back through HandleIDs
-// and HandlePackets — none of which allocates; otherwise the same OnTimer
-// calls are wrapped in closures and armed with After, and messages are
-// boxed and sent with Send. Both routes run the one timer state machine
-// and the same handler bodies, arm and send in the same order, so which
-// one is taken never changes what the peer does. The simulation engine's
-// *megasim.NodeEnv implements it; the real-time driver and any wrapper
-// that defines only Env's five methods do not need to.
+// SendIDs or SendServe — the peer expects them back through HandleIDs —
+// none of which allocates; otherwise the same OnTimer calls are wrapped in
+// closures and armed with After, and messages are boxed and sent with
+// Send. Both routes run the one timer state machine and the same handler
+// bodies, arm and send in the same order, so which one is taken never
+// changes what the peer does. A flat SERVE is the ids of its packets, for
+// an environment that moves no payload bytes: the simulation engine's
+// *megasim.NodeEnv implements TimerEnv; the real-time driver and any
+// wrapper that defines only Env's five methods do not need to.
 //
-// Slices cross the flat route by copy, in both directions: the
-// environment copies what SendIDs and SendPackets are given before they
-// return (the peer sends from scratch it reuses at once), and the slices
-// it hands HandleIDs and HandlePackets are its own, valid for the call
-// only — the peer copies the ids it keeps and retains packet pointers,
-// never the slice.
+// Ids cross the flat route by copy, in both directions: the environment
+// copies what SendIDs and SendServe are given before they return (the
+// peer sends from scratch it reuses at once), and the ids it hands
+// HandleIDs are its own, valid for the call only — the peer copies the
+// ids it keeps, never the slice.
 type TimerEnv interface {
 	Env
 	// FlatTimers reports whether the flat route reaches this peer: the
 	// environment's driver must have registered the peer itself as the
-	// receiver of OnTimer, HandleIDs and HandlePackets calls. Asked once
-	// per Start.
+	// receiver of OnTimer and HandleIDs calls. Asked once per Start.
 	FlatTimers() bool
 	// AfterTimer schedules OnTimer(kind, arg) on the peer once after d.
 	// There is no cancel: the peer recognizes and ignores timers it no
@@ -129,10 +131,12 @@ type TimerEnv interface {
 	// SendIDs transmits a PROPOSE or REQUEST (kind) carrying ids, exactly
 	// as Send would the boxed message.
 	SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.PacketID)
-	// SendPackets transmits one SERVE carrying pkts, which the peer has
-	// cut to the MTU (wire.CutPackets), exactly as Send would the boxed
-	// message.
-	SendPackets(to wire.NodeID, pkts []*stream.Packet)
+	// SendServe transmits one SERVE of the packets ids names, each
+	// carrying payloadBytes, which the peer has cut to the MTU
+	// (wire.CutServeIDs): the same datagram, of wire.ServeSize(len(ids),
+	// payloadBytes) bytes, Send would carry for the boxed SERVE of those
+	// packets.
+	SendServe(to wire.NodeID, ids []stream.PacketID, payloadBytes int)
 }
 
 // Timer kinds, the first argument of OnTimer.
@@ -405,12 +409,12 @@ type Peer struct {
 
 	source *stream.Source // nil for ordinary peers
 
-	// table is the packet table the peer serves from, dense over the
-	// stream's ids: the source's (Source.Table) for the source and for
-	// peers built by NewPeerOf, and then read only at ids recv holds, or a
-	// private one (ownTable) that handleServe fills at each first delivery.
-	table    []*stream.Packet
-	ownTable bool
+	// table holds, dense over the stream's ids, the packets an ordinary
+	// peer on the generic route has been delivered: Start allocates it
+	// there, HandleMessage fills it at each first delivery of a boxed
+	// SERVE, and a flat peer has none.
+	table        []*stream.Packet
+	payloadBytes int // the layout's: what each id of a flat SERVE is charged
 	// toPropose collects the ids delivered since the last round. It is
 	// scratch: a round's PROPOSEs are sent from it and it is truncated.
 	toPropose []stream.PacketID
@@ -447,7 +451,8 @@ type Peer struct {
 	// (an environment drops a removed node's flat timers by itself).
 	retCancels []retCancel
 	// idScratch collects the ids handlePropose and retransmit are about to
-	// request, retTargets where retransmit sends each, and targetScratch
+	// request, handleRequest to serve on the flat route and a boxed SERVE
+	// carries, retTargets where retransmit sends each, and targetScratch
 	// the ids retransmit sends to one of several targets.
 	idScratch     []stream.PacketID
 	retTargets    []wire.NodeID
@@ -468,42 +473,25 @@ type Peer struct {
 	counters    Counters
 	layoutTotal int
 
-	// pubScratch, serveScratch, and serveBatches are reused across rounds
-	// so the per-tick publish and serve paths do not allocate; they are
-	// cleared after use to avoid pinning packets.
-	pubScratch   []*stream.Packet
+	// serveScratch and serveBatches are reused across REQUESTs on the
+	// generic route so serving does not allocate; they are cleared after
+	// use to avoid pinning packets.
 	serveScratch []*stream.Packet
 	serveBatches []wire.Serve
 }
 
-// NewPeer returns an ordinary (non-source) peer over the given sampler. It
-// keeps the packets it is delivered in a table of its own, a pointer per
-// stream id: the peer for a driver whose packets do not come from a
-// stream.Source in the same process, like the real-time one.
+// NewPeer returns an ordinary (non-source) peer over the given sampler.
 func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) (*Peer, error) {
-	return newPeer(env, cfg, sampler, layout, nil, nil)
+	return newPeer(env, cfg, sampler, layout, nil)
 }
 
-// NewPeerOf returns an ordinary peer of src's stream that serves from
-// src's packet table instead of a table of its own. Every packet it is
-// delivered must be src's own (a simulation hands the source's pointers
-// around); the peer reads entry id only once it has been delivered id, so
-// it may run on another goroutine than the source as long as each delivery
-// is ordered after the send that carried the packet.
-func NewPeerOf(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
-	if src == nil {
-		return nil, fmt.Errorf("core: nil stream source")
-	}
-	return newPeer(env, cfg, sampler, src.Layout(), nil, src.Table())
-}
-
-// NewSourcePeer returns the stream source: it publishes src's packets as
-// they are produced and gossips their ids with SourceFanout.
+// NewSourcePeer returns the stream source: it publishes src's ids on the
+// stream's schedule and gossips them with SourceFanout.
 func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
 	if src == nil {
 		return nil, fmt.Errorf("core: nil stream source")
 	}
-	return newPeer(env, cfg, sampler, src.Layout(), src, src.Table())
+	return newPeer(env, cfg, sampler, src.Layout(), src)
 }
 
 // initialIndexSlots is the request index's first size, which covers the
@@ -511,9 +499,8 @@ func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Sour
 // twice.
 const initialIndexSlots = 64
 
-// newPeer builds a peer publishing src (nil for an ordinary peer) and
-// serving from table (nil for a private one).
-func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source, table []*stream.Packet) (*Peer, error) {
+// newPeer builds a peer publishing src (nil for an ordinary peer).
+func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source) (*Peer, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -528,24 +515,19 @@ func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, 
 		fanout = cfg.SourceFanout
 	}
 	total := layout.TotalPackets()
-	ownTable := table == nil
-	if ownTable {
-		table = make([]*stream.Packet, total)
-	}
 	words := (total + 63) / 64
 	bitsAndSlots := make([]uint64, words+initialIndexSlots)
 	p := &Peer{
-		env:         env,
-		cfg:         cfg,
-		sampler:     sampler,
-		view:        member.NewView(sampler, fanout, cfg.RefreshEvery, env.Rand()),
-		recv:        stream.MakeReceiver(layout),
-		source:      src,
-		table:       table,
-		ownTable:    ownTable,
-		known:       bitsAndSlots[:words:words],
-		index:       newReqIndex(bitsAndSlots[words:]),
-		layoutTotal: total,
+		env:          env,
+		cfg:          cfg,
+		sampler:      sampler,
+		view:         member.NewView(sampler, fanout, cfg.RefreshEvery, env.Rand()),
+		recv:         stream.MakeReceiver(layout),
+		source:       src,
+		payloadBytes: layout.PayloadBytes,
+		known:        bitsAndSlots[:words:words],
+		index:        newReqIndex(bitsAndSlots[words:]),
+		layoutTotal:  total,
 	}
 	return p, nil
 }
@@ -563,6 +545,9 @@ func (p *Peer) Start() {
 		p.flat = te
 	} else {
 		p.tickFn = p.timerFunc(timerTick, p.epoch)
+		if p.source == nil && p.table == nil {
+			p.table = make([]*stream.Packet, p.layoutTotal)
+		}
 	}
 	p.armTick(time.Duration(p.env.Rand().Int63n(int64(p.cfg.GossipPeriod))))
 }
@@ -665,18 +650,16 @@ func (p *Peer) tick() {
 	p.armTick(p.cfg.GossipPeriod)
 }
 
-// publishNew delivers freshly produced stream packets locally (publish(e) in
-// Algorithm 1) and queues their ids for this round's gossip.
+// publishNew delivers freshly published stream ids locally (publish(e) in
+// Algorithm 1) and queues them for this round's gossip.
 func (p *Peer) publishNew() {
-	fresh := p.source.AppendPacketsUntil(p.pubScratch[:0], p.env.Now())
-	for _, pkt := range fresh {
-		p.recv.Deliver(pkt.ID, p.env.Now())
-		p.known[pkt.ID/64] |= 1 << (pkt.ID % 64)
+	first, end := p.source.PublishUntil(p.env.Now())
+	for id := first; id < end; id++ {
+		p.recv.Deliver(id, p.env.Now())
+		p.known[id/64] |= 1 << (id % 64)
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
-		p.toPropose = append(p.toPropose, pkt.ID)
+		p.toPropose = append(p.toPropose, id)
 	}
-	clear(fresh)
-	p.pubScratch = fresh[:0]
 }
 
 // sendFeedMe implements knob Y: ask Fanout fresh random nodes (independent
@@ -700,7 +683,18 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	case wire.Request:
 		p.handleRequest(from, m.IDs)
 	case wire.Serve:
-		p.handleServe(m.Packets)
+		// The packets' ids are what the protocol runs on; a peer on the
+		// generic route keeps the packets to serve them on.
+		ids := p.idScratch[:0]
+		for _, pkt := range m.Packets {
+			if p.table != nil && int(pkt.ID) < p.layoutTotal && !p.recv.Has(pkt.ID) {
+				p.table[pkt.ID] = pkt
+			}
+			//lint:pooled idScratch is per-peer scratch, reused by every SERVE
+			ids = append(ids, pkt.ID)
+		}
+		p.handleServe(ids)
+		p.idScratch = ids[:0]
 	case wire.FeedMe:
 		p.view.Insert(from)
 	default:
@@ -708,9 +702,9 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	}
 }
 
-// HandleIDs is HandleMessage for a PROPOSE or REQUEST (kind) delivered
-// unboxed, the flat route's counterpart of TimerEnv.SendIDs. ids is the
-// environment's and valid for the call only.
+// HandleIDs is HandleMessage for a PROPOSE, REQUEST or SERVE (kind)
+// delivered unboxed, the flat route's counterpart of TimerEnv.SendIDs and
+// SendServe. ids is the environment's and valid for the call only.
 func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID) {
 	if !p.running {
 		return
@@ -720,15 +714,8 @@ func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID
 		p.handlePropose(from, ids)
 	case wire.KindRequest:
 		p.handleRequest(from, ids)
-	}
-}
-
-// HandlePackets is HandleMessage for a SERVE delivered unboxed, the flat
-// route's counterpart of TimerEnv.SendPackets. pkts is the environment's
-// and valid for the call only; the packets it points to are kept.
-func (p *Peer) HandlePackets(_ wire.NodeID, pkts []*stream.Packet) {
-	if p.running {
-		p.handleServe(pkts)
+	case wire.KindServe:
+		p.handleServe(ids)
 	}
 }
 
@@ -778,23 +765,25 @@ func (p *Peer) sendRequests(target wire.NodeID, ids []stream.PacketID) (sent int
 	return sent
 }
 
-// sendServes sends pkts to target as SERVEs, one per MTU-sized batch. pkts
-// is read during the call only.
+// sendServeIDs sends the packets ids names to target as flat SERVEs, one
+// per MTU-sized batch. ids is read during the call only.
+func (p *Peer) sendServeIDs(target wire.NodeID, ids []stream.PacketID) {
+	p.counters.PacketsServed += len(ids)
+	for len(ids) > 0 {
+		var chunk []stream.PacketID
+		chunk, ids = wire.CutServeIDs(ids, p.payloadBytes)
+		p.flat.SendServe(target, chunk, p.payloadBytes)
+		p.counters.ServesSent++
+	}
+}
+
+// sendServes sends pkts to target as boxed SERVEs, one per MTU-sized
+// batch. pkts is read during the call only.
 func (p *Peer) sendServes(target wire.NodeID, pkts []*stream.Packet) {
 	p.counters.PacketsServed += len(pkts)
-	if p.flat != nil {
-		for len(pkts) > 0 {
-			var chunk []*stream.Packet
-			chunk, pkts = wire.CutPackets(pkts)
-			p.flat.SendPackets(target, chunk)
-			p.counters.ServesSent++
-		}
-		return
-	}
 	// The batch backings are pooled; ownership passes to the Env, which
-	// recycles them when it can tell the message is consumed (an engine
-	// that copies the packets out does so at once) or leaves them to the
-	// collector.
+	// recycles them when it can tell the message is consumed or leaves them
+	// to the collector.
 	batches := wire.SplitServeInto(p.serveBatches[:0], pkts)
 	p.counters.ServesSent += len(batches)
 	for _, serve := range batches {
@@ -1080,11 +1069,26 @@ func count(s []wire.NodeID, v wire.NodeID) int {
 	return n
 }
 
-// handleRequest implements phase 3: serve the payloads we hold. A leech
-// drops the request instead — receivers retransmit toward other
+// handleRequest implements phase 3: serve the payloads we hold — on the
+// flat route the ids we have been delivered (getEvent in Algorithm 1). A
+// leech drops the request instead — receivers retransmit toward other
 // proposers, paying for the free-rider with their own uplinks.
 func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	if p.cfg.Leech {
+		return
+	}
+	if p.flat != nil {
+		held := p.idScratch[:0]
+		for _, id := range ids {
+			if p.recv.Has(id) {
+				//lint:pooled idScratch is per-peer scratch, reused by every REQUEST
+				held = append(held, id)
+			}
+		}
+		if len(held) > 0 {
+			p.sendServeIDs(from, held)
+		}
+		p.idScratch = held[:0]
 		return
 	}
 	pkts := p.serveScratch[:0]
@@ -1101,21 +1105,24 @@ func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	p.serveScratch = pkts[:0]
 }
 
-// lookup fetches a packet from the table (getEvent in Algorithm 1): one
-// the peer has been delivered, and so holds, or nil.
+// lookup fetches a packet on the generic route (getEvent in Algorithm 1):
+// one the peer has been delivered, and so holds, or nil.
 func (p *Peer) lookup(id stream.PacketID) *stream.Packet {
-	if p.recv.Has(id) {
+	switch {
+	case !p.recv.Has(id):
+		return nil
+	case p.source != nil:
+		return p.source.Packet(id)
+	default:
 		return p.table[id]
 	}
-	return nil
 }
 
-// handleServe delivers payloads (deliverEvent) and queues fresh ids for the
-// next round's propose. A packet outside the stream is dropped uncounted:
-// it is neither new nor a duplicate.
-func (p *Peer) handleServe(pkts []*stream.Packet) {
-	for _, pkt := range pkts {
-		id := pkt.ID
+// handleServe delivers the packets ids names (deliverEvent) and queues
+// fresh ids for the next round's propose. An id outside the stream is
+// dropped uncounted: it is neither new nor a duplicate.
+func (p *Peer) handleServe(ids []stream.PacketID) {
+	for _, id := range ids {
 		if int(id) >= p.layoutTotal {
 			continue
 		}
@@ -1124,9 +1131,6 @@ func (p *Peer) handleServe(pkts []*stream.Packet) {
 			continue
 		}
 		p.known[id/64] |= 1 << (id % 64)
-		if p.ownTable {
-			p.table[id] = pkt
-		}
 		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
 		p.toPropose = append(p.toPropose, id)
 		if ri := p.index.get(id); ri != 0 { // retransmission state no longer needed

@@ -110,7 +110,9 @@ func (e flatSpecEnv) SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.Packet
 		e.sendRequest(to, ids)
 	}
 }
-func (e flatSpecEnv) SendPackets(wire.NodeID, []*stream.Packet) {}
+func (e flatSpecEnv) SendServe(wire.NodeID, []stream.PacketID, int) {}
+
+var _ TimerEnv = flatSpecEnv{}
 
 // perBatchPeer is the pull side of the protocol with a retransmission
 // timer per REQUEST: maps for state, one closure per batch.

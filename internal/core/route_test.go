@@ -13,9 +13,10 @@ import (
 )
 
 // flatBusEnv is busEnv as a TimerEnv: timers come back through OnTimer,
-// typed sends are logged as the message they stand for and delivered
-// through the typed entry points, in a slice that is cleared once the
-// handler returns — a peer that kept it would read zeroes.
+// typed sends are logged as the message they stand for — a SERVE of ids as
+// the SERVE of packets of their payload width — and delivered through
+// HandleIDs, in a slice that is cleared once the handler returns — a peer
+// that kept it would read zeroes.
 type flatBusEnv struct {
 	busEnv
 	peer *Peer
@@ -39,13 +40,19 @@ func (e *flatBusEnv) SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.Packet
 	})
 }
 
-func (e *flatBusEnv) SendPackets(to wire.NodeID, pkts []*stream.Packet) {
-	own := slices.Clone(pkts)
-	e.deliver(to, wire.Serve{Packets: slices.Clone(pkts)}, func(p *Peer) {
-		p.HandlePackets(e.id, own)
+func (e *flatBusEnv) SendServe(to wire.NodeID, ids []stream.PacketID, payloadBytes int) {
+	own := slices.Clone(ids)
+	pkts := make([]*stream.Packet, len(ids))
+	for i, id := range ids {
+		pkts[i] = &stream.Packet{ID: id, Payload: make([]byte, payloadBytes)}
+	}
+	e.deliver(to, wire.Serve{Packets: pkts}, func(p *Peer) {
+		p.HandleIDs(e.id, wire.KindServe, own)
 		clear(own)
 	})
 }
+
+var _ TimerEnv = (*flatBusEnv)(nil)
 
 // deliver is bus.send with the delivery left to the caller.
 func (e *flatBusEnv) deliver(to wire.NodeID, logged wire.Message, hand func(*Peer)) {
@@ -66,11 +73,10 @@ func (e *flatBusEnv) deliver(to wire.NodeID, logged wire.Message, hand func(*Pee
 var lossyLayout = stream.Layout{RateBps: 400_000, PayloadBytes: 100, DataPerWindow: 20, ParityPerWindow: 4, Windows: 6}
 
 // runLossyCluster runs a source and eleven peers over a bus that drops 15%
-// of datagrams, on the flat route or the generic one, the peers serving
-// from the source's packet table (shared, NewPeerOf) or from their own
-// (NewPeer). It returns every datagram sent, rendered with its instant,
-// sender, destination and contents, and the peers' counters.
-func runLossyCluster(t *testing.T, retry RetryPolicy, flat, shared bool) ([]string, []Counters) {
+// of datagrams, on the flat route or the generic one. It returns every
+// datagram sent, rendered with its instant, sender, destination, size and
+// contents, and the peers' counters.
+func runLossyCluster(t *testing.T, retry RetryPolicy, flat bool) ([]string, []Counters) {
 	const n = 12
 	cfg := testConfig()
 	cfg.Retry = retry
@@ -92,12 +98,9 @@ func runLossyCluster(t *testing.T, retry RetryPolicy, flat, shared bool) ([]stri
 		}
 		sampler := member.NewSparseView(id, n, fenv.rng)
 		var p *Peer
-		switch {
-		case i == 0:
+		if i == 0 {
 			p, err = NewSourcePeer(env, cfg, sampler, src)
-		case shared:
-			p, err = NewPeerOf(env, cfg, sampler, src)
-		default:
+		} else {
 			p, err = NewPeer(env, cfg, sampler, lossyLayout)
 		}
 		if err != nil {
@@ -109,14 +112,14 @@ func runLossyCluster(t *testing.T, retry RetryPolicy, flat, shared bool) ([]stri
 	}
 	for _, p := range peers {
 		p.Start()
-		if (p.flat != nil) != flat {
-			t.Fatalf("peer on the flat route: %v, want %v", p.flat != nil, flat)
+		if (p.flat != nil) != flat || (p.table != nil) != (!flat && !p.IsSource()) {
+			t.Fatalf("peer on the flat route: %v, want %v; it holds a packet table: %v", p.flat != nil, flat, p.table != nil)
 		}
 	}
 	sched.RunUntil(lossyLayout.Duration() + 2*time.Second)
 	var log []string
 	for _, e := range b.log {
-		line := fmt.Sprintf("%v %d→%d %v", e.at, e.from, e.to, e.msg.Kind())
+		line := fmt.Sprintf("%v %d→%d %v %dB", e.at, e.from, e.to, e.msg.Kind(), e.msg.WireSize())
 		switch m := e.msg.(type) {
 		case wire.Propose:
 			line += fmt.Sprint(m.IDs)
@@ -172,30 +175,15 @@ func sameTraffic(t *testing.T, a, b string, logA, logB []string, countersA, coun
 func TestRoutesSendTheSameDatagrams(t *testing.T) {
 	for name, retry := range map[string]RetryPolicy{"same-proposer": RetrySameProposer, "random-proposer": RetryRandomProposer} {
 		t.Run(name, func(t *testing.T) {
-			generic, genericCounters := runLossyCluster(t, retry, false, false)
-			flat, flatCounters := runLossyCluster(t, retry, true, false)
+			generic, genericCounters := runLossyCluster(t, retry, false)
+			flat, flatCounters := runLossyCluster(t, retry, true)
 			sameTraffic(t, "over the generic route", "over the flat route", generic, flat, genericCounters, flatCounters)
 		})
 	}
 }
 
-// TestSharedTablesSendTheSameDatagrams runs the lossy cluster with private
-// packet tables and with the source's one shared table, on both routes:
-// where a peer finds the packets it serves must not change what it sends.
-func TestSharedTablesSendTheSameDatagrams(t *testing.T) {
-	for name, retry := range map[string]RetryPolicy{"same-proposer": RetrySameProposer, "random-proposer": RetryRandomProposer} {
-		for _, flat := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/flat=%v", name, flat), func(t *testing.T) {
-				private, privateCounters := runLossyCluster(t, retry, flat, false)
-				shared, sharedCounters := runLossyCluster(t, retry, flat, true)
-				sameTraffic(t, "from private tables", "from the shared table", private, shared, privateCounters, sharedCounters)
-			})
-		}
-	}
-}
-
 // TestTypedHandlersIgnoreWhatHandleMessageIgnores: a stopped peer and an
-// id-list kind that is neither PROPOSE nor REQUEST.
+// id-list kind that is neither PROPOSE, REQUEST nor SERVE.
 func TestTypedHandlersIgnoreWhatHandleMessageIgnores(t *testing.T) {
 	layout := tinyLayout()
 	fenv := &flatBusEnv{busEnv: busEnv{id: 1, bus: newBus(&clock{}, time.Millisecond), rng: rand.New(rand.NewSource(1))}}
@@ -204,19 +192,18 @@ func TestTypedHandlersIgnoreWhatHandleMessageIgnores(t *testing.T) {
 		t.Fatal(err)
 	}
 	fenv.peer = p
-	pkt := &stream.Packet{ID: 0, Payload: make([]byte, layout.PayloadBytes)}
 	p.HandleIDs(2, wire.KindPropose, []stream.PacketID{0, 1})
-	p.HandlePackets(2, []*stream.Packet{pkt})
+	p.HandleIDs(2, wire.KindServe, []stream.PacketID{0})
 	if len(fenv.bus.log) != 0 || p.Receiver().Has(0) {
 		t.Fatal("a peer that was never started handled typed deliveries")
 	}
 	p.Start()
-	p.HandleIDs(2, wire.KindServe, []stream.PacketID{0, 1})
-	if len(fenv.bus.log) != 0 {
-		t.Fatalf("an id list of kind SERVE made the peer send %v", fenv.bus.log[0].msg)
+	p.HandleIDs(2, wire.KindFeedMe, []stream.PacketID{0, 1})
+	if len(fenv.bus.log) != 0 || p.Receiver().Delivered() != 0 {
+		t.Fatalf("an id list of kind FEED-ME made the peer act: sent %d, delivered %d", len(fenv.bus.log), p.Receiver().Delivered())
 	}
 	p.HandleIDs(2, wire.KindPropose, []stream.PacketID{0, 1})
-	p.HandlePackets(2, []*stream.Packet{pkt})
+	p.HandleIDs(2, wire.KindServe, []stream.PacketID{0})
 	if len(fenv.bus.log) != 1 || fenv.bus.log[0].msg.Kind() != wire.KindRequest || !p.Receiver().Has(0) {
 		t.Fatalf("a started peer did not request what was proposed or keep what was served: %+v", fenv.bus.log)
 	}

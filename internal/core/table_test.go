@@ -21,68 +21,89 @@ func servesOf(b *bus) []*stream.Packet {
 	return pkts
 }
 
-// TestNewPeerOfServesOnlyWhatItWasDelivered pins the sharing contract: a
-// peer over the source's packet table does not serve an id the source has
-// published but the peer has not been delivered, and once it has, it
-// serves the source's own packet, whatever pointer delivered it.
-func TestNewPeerOfServesOnlyWhatItWasDelivered(t *testing.T) {
+// TestPeerServesOnlyWhatItWasDelivered pins getEvent on both routes: a
+// peer does not serve an id the source has published but the peer has not
+// been delivered, and once it has, it serves it — on the generic route the
+// very packet it was delivered, on the flat one the id, charged as the
+// packet of the layout's payload width. The source serves on the generic
+// route the packets it builds on demand.
+func TestPeerServesOnlyWhatItWasDelivered(t *testing.T) {
 	layout := tinyLayout()
 	src, err := stream.NewSource(layout, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	published := src.PacketsUntil(layout.Duration())
-	if len(published) != layout.TotalPackets() {
-		t.Fatalf("the source published %d packets, want %d", len(published), layout.TotalPackets())
+	src.PublishUntil(layout.Duration())
+	for _, flat := range []bool{false, true} {
+		b := newBus(&clock{}, 0)
+		fenv := &flatBusEnv{busEnv: busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(1))}}
+		var env Env = &fenv.busEnv
+		if flat {
+			env = fenv
+		}
+		p, err := NewPeer(env, testConfig(), member.NewSparseView(1, 4, fenv.rng), layout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenv.peer = p
+		p.Start()
+		request := func() {
+			if flat {
+				p.HandleIDs(2, wire.KindRequest, []stream.PacketID{0, 1})
+			} else {
+				p.HandleMessage(2, wire.Request{IDs: []stream.PacketID{0, 1}})
+			}
+		}
+		request()
+		if got := servesOf(b); len(got) != 0 {
+			t.Fatalf("flat=%v: the peer served %d packets it was never delivered", flat, len(got))
+		}
+		twin := *src.Packet(1) // same id and payload, another pointer
+		if flat {
+			p.HandleIDs(2, wire.KindServe, []stream.PacketID{1})
+		} else {
+			p.HandleMessage(2, wire.Serve{Packets: []*stream.Packet{&twin}})
+		}
+		request()
+		got := servesOf(b)
+		if len(got) != 1 || got[0].ID != 1 || len(got[0].Payload) != layout.PayloadBytes || !flat && got[0] != &twin {
+			t.Fatalf("flat=%v: after delivery of id 1 the peer served %v, want exactly id 1 (the packet %p on the generic route)", flat, got, &twin)
+		}
 	}
+
 	b := newBus(&clock{}, 0)
-	env := &busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(1))}
-	p, err := NewPeerOf(env, testConfig(), member.NewSparseView(1, 4, env.rng), src)
+	env := &busEnv{id: 0, bus: b, rng: rand.New(rand.NewSource(1))}
+	source, err := NewSourcePeer(env, testConfig(), member.NewSparseView(0, 4, env.rng), src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.Start()
-	p.HandleMessage(2, wire.Request{IDs: []stream.PacketID{0, 1}})
-	if got := servesOf(b); len(got) != 0 {
-		t.Fatalf("the peer served %d packets it was never delivered", len(got))
-	}
-	twin := *src.Packet(1) // same id and payload, another pointer
-	p.HandleMessage(2, wire.Serve{Packets: []*stream.Packet{&twin}})
-	p.HandleMessage(2, wire.Request{IDs: []stream.PacketID{0, 1}})
-	got := servesOf(b)
-	if len(got) != 1 || got[0] != src.Packet(1) {
-		t.Fatalf("after delivery of id 1 the peer served %v, want exactly the source's packet %p", got, src.Packet(1))
-	}
-	if _, err := NewPeerOf(env, testConfig(), member.NewSparseView(1, 4, env.rng), nil); err == nil {
-		t.Fatal("NewPeerOf accepted a nil source")
+	source.Start()
+	source.recv.Deliver(1, 0) // as publishNew would have
+	source.HandleMessage(2, wire.Request{IDs: []stream.PacketID{0, 1}})
+	if got := servesOf(b); len(got) != 1 || got[0] != src.Packet(1) {
+		t.Fatalf("the source served %v, want exactly its packet %p", got, src.Packet(1))
 	}
 }
 
 // TestOutOfStreamIDsAreIgnored: SERVE, REQUEST and PROPOSE messages naming
 // ids beyond the stream — which the wire codec does not range-check — change
-// no counter and no delivery, send nothing and do not panic, on peers with
-// private and with shared tables, boxed and unboxed.
+// no counter and no delivery, send nothing and do not panic, on both
+// routes, boxed and unboxed.
 func TestOutOfStreamIDsAreIgnored(t *testing.T) {
 	layout := tinyLayout()
 	total := stream.PacketID(layout.TotalPackets())
-	src, err := stream.NewSource(layout, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src.PacketsUntil(layout.Duration())
-	for _, shared := range []bool{false, true} {
+	for _, flat := range []bool{false, true} {
 		b := newBus(&clock{}, 0)
-		env := &busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(1))}
-		sampler := member.NewSparseView(1, 4, env.rng)
-		var p *Peer
-		if shared {
-			p, err = NewPeerOf(env, testConfig(), sampler, src)
-		} else {
-			p, err = NewPeer(env, testConfig(), sampler, layout)
+		fenv := &flatBusEnv{busEnv: busEnv{id: 1, bus: b, rng: rand.New(rand.NewSource(1))}}
+		var env Env = &fenv.busEnv
+		if flat {
+			env = fenv
 		}
+		p, err := NewPeer(env, testConfig(), member.NewSparseView(1, 4, fenv.rng), layout)
 		if err != nil {
 			t.Fatal(err)
 		}
+		fenv.peer = p
 		p.Start()
 		for _, id := range []stream.PacketID{total, total + 5, 1 << 31} {
 			ids := []stream.PacketID{id}
@@ -90,13 +111,13 @@ func TestOutOfStreamIDsAreIgnored(t *testing.T) {
 			p.HandleMessage(2, wire.Serve{Packets: pkts})
 			p.HandleMessage(2, wire.Request{IDs: ids})
 			p.HandleMessage(2, wire.Propose{IDs: ids})
-			p.HandlePackets(2, pkts)
+			p.HandleIDs(2, wire.KindServe, ids)
 			p.HandleIDs(2, wire.KindRequest, ids)
 			p.HandleIDs(2, wire.KindPropose, ids)
 		}
 		if c := p.Counters(); c != (Counters{}) || p.Receiver().Delivered() != 0 || len(b.log) != 0 {
-			t.Fatalf("shared=%v: out-of-stream ids moved counters %+v, delivered %d, sent %d messages",
-				shared, c, p.Receiver().Delivered(), len(b.log))
+			t.Fatalf("flat=%v: out-of-stream ids moved counters %+v, delivered %d, sent %d messages",
+				flat, c, p.Receiver().Delivered(), len(b.log))
 		}
 	}
 }

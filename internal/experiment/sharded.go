@@ -228,8 +228,7 @@ type deployment struct {
 	cfg  Config
 	eng  *megasim.Engine
 	seam *nodeSeam // nil outside the route-twin tests
-	// src is the stream: node 0 publishes it, and every other peer serves
-	// from its packet table.
+	// src is the stream, which node 0 publishes.
 	src    *stream.Source
 	pssCfg pss.Config
 	end    time.Duration
@@ -357,9 +356,8 @@ func (d *deployment) aliveVictims() []wire.NodeID {
 // seeded Seed<<20 + id; a non-nil boot selects a Cyclon record (seeded
 // with a distinct salt to decorrelate it from the protocol stream, and
 // attached to the engine), nil boot a static SparseView; source makes the
-// node the stream source, and every other node serves from the source's
-// packet table; rider puts the node in the leeching service class
-// (Config.FreeRiders).
+// node the stream source; rider puts the node in the leeching service
+// class (Config.FreeRiders).
 func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider bool) (*core.Peer, *pss.State, error) {
 	cfg := d.cfg
 	rng := megasim.NewRand(cfg.Seed<<20 + int64(id))
@@ -387,7 +385,7 @@ func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider
 	} else {
 		proto := cfg.Protocol
 		proto.Leech = rider
-		p, err = core.NewPeerOf(env, proto, sampler, d.src)
+		p, err = core.NewPeer(env, proto, sampler, cfg.Layout)
 	}
 	if err != nil {
 		return nil, nil, err

@@ -17,7 +17,8 @@ import (
 // The sharded engine offers a peer two routes. On the flat one — taken when
 // the engine delivers to the peer itself and the peer's Env is the engine's
 // (core.TimerEnv) — timers are flat records and PROPOSE, REQUEST and SERVE
-// travel unboxed through SendIDs/SendPackets and HandleIDs/HandlePackets.
+// travel unboxed through SendIDs/SendServe and HandleIDs — a SERVE as the
+// ids of its packets.
 // On the generic one — taken behind any wrapper — timers are closures
 // through Env.After and messages are boxed through Env.Send and
 // HandleMessage. The benchmark's traced twin wraps every seam and so runs

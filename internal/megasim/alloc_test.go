@@ -28,12 +28,18 @@ type ticker struct {
 	next NodeID
 }
 
+// tickerPayload is the payload width of the SERVEs tickers forward.
+const tickerPayload = 64
+
 func (k *ticker) HandleMessage(NodeID, wire.Message) {}
 func (k *ticker) OnTimer(kind uint8, arg uint32)     { k.env.AfterTimer(time.Millisecond, kind, arg) }
 func (k *ticker) HandleIDs(_ NodeID, kind wire.Kind, ids []stream.PacketID) {
-	k.env.SendIDs(k.next, kind, ids)
+	if kind == wire.KindServe {
+		k.env.SendServe(k.next, ids, tickerPayload)
+	} else {
+		k.env.SendIDs(k.next, kind, ids)
+	}
 }
-func (k *ticker) HandlePackets(_ NodeID, pkts []*stream.Packet) { k.env.SendPackets(k.next, pkts) }
 
 // allocsPerEvent runs the engine to until and returns the heap allocations
 // of the whole Run call per executed event. Queue and outbox growth is in
@@ -54,8 +60,8 @@ func allocsPerEvent(t *testing.T, eng *Engine, until time.Duration) float64 {
 
 // TestEngineAllocBudget is the engine's allocation budget, the guard
 // behind the package doc's "allocates nothing per event": send→deliver —
-// of a boxed zero-size message, and of ids and packets on the typed route,
-// within a shard and across two — a Cyclon round of pss records and flat
+// of a boxed zero-size message, and of ids and SERVEs of ids on the typed
+// route, within a shard and across two — a Cyclon round of pss records and flat
 // node timers cost no allocation, an After chain costs the one cancel
 // function After must return. Before
 // events were pushed by value every scheduled event escaped to the heap (1
@@ -85,15 +91,9 @@ func TestEngineAllocBudget(t *testing.T) {
 
 	// Typed messages circulate a ring: every node starts one REQUEST-sized
 	// id list (inline in the record), one PROPOSE-sized one (spilled) and a
-	// one- and a three-packet SERVE, and forwards what it is delivered. With
-	// two shards every hop of the ring crosses shards, through the outbox
-	// records.
-	layout := stream.Layout{RateBps: 600_000, PayloadBytes: 64, DataPerWindow: 101, ParityPerWindow: 9, Windows: 1}
-	src, err := stream.NewSource(layout, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkts := src.PacketsUntil(layout.Duration())
+	// one- and a twelve-packet SERVE of ids (inline and spilled), and
+	// forwards what it is delivered. With two shards every hop of the ring
+	// crosses shards, through the outbox records.
 	ids := make([]stream.PacketID, 40)
 	for i := range ids {
 		ids[i] = stream.PacketID(i)
@@ -106,8 +106,8 @@ func TestEngineAllocBudget(t *testing.T) {
 				k.env = env
 				env.SendIDs(k.next, wire.KindRequest, ids[:3])
 				env.SendIDs(k.next, wire.KindPropose, ids)
-				env.SendPackets(k.next, pkts[i%8:i%8+1])
-				env.SendPackets(k.next, pkts[8:11])
+				env.SendServe(k.next, ids[i%8:i%8+1], tickerPayload)
+				env.SendServe(k.next, ids[8:20], tickerPayload)
 			}
 			if got := allocsPerEvent(t, eng, 3*time.Second); got > 0.01 {
 				t.Fatalf("typed send→deliver allocates %.3f per event on %d shard(s), want 0", got, shards)

@@ -48,30 +48,34 @@
 //
 //   - an in-flight message is one 64-byte record of the shard's message
 //     slab (or, crossing shards, of an outbox until the merge): kind, size,
-//     and a copy of the id or packet list — a SHUFFLE's entries as (id,
-//     age) word pairs in the id list — inline for a one-packet SERVE, a
-//     REQUEST of up to seven ids or a SHUFFLE of up to three entries,
-//     otherwise in a range of the shard's spill arenas (an outbox's bump
-//     regions on the way across) — or, for LEAVE, FEED-ME (zero-size, so
-//     boxing them allocates nothing) and foreign types, the boxed
-//     wire.Message as sent. Every send ends in exactly one delivery or
-//     drop, after which the record and its range are cleared of references
-//     and return to their free lists;
+//     and a copy of the id list — a SERVE's as the ids of its packets, a
+//     SHUFFLE's entries as (id, age) word pairs — inline for up to nine ids
+//     (a SERVE of the paper's packets is one) or a SHUFFLE of up to four
+//     entries, otherwise in a range of the shard's spill arena (an
+//     outbox's bump region on the way across) — or, for a boxed SERVE,
+//     LEAVE, FEED-ME (the last two zero-size, so boxing them allocates
+//     nothing) and foreign types, the boxed wire.Message as sent. Every
+//     send ends in exactly one delivery or drop, after which the record
+//     lets go of its message — a boxed SERVE's pooled backing back to
+//     wire's pool — and it and its range return to their free lists;
 //   - the closure of a NodeEnv.After timer waits in the After table.
 //
-// The typed route — NodeEnv.SendIDs/SendPackets in, TimerHandler's
-// HandleIDs/HandlePackets out — never boxes a PROPOSE, REQUEST or SERVE; the
-// generic Send and HandleMessage stay for everything else and for node
-// logic behind wrappers, unpacking into and boxing out of the same record,
-// so both routes share one send and one deliver and run bit-identically.
+// The typed route — NodeEnv.SendIDs/SendServe in, TimerHandler's
+// HandleIDs out — never boxes a PROPOSE, REQUEST or SERVE, and a SERVE on
+// it is the ids of its packets, charged wire.ServeSize for their payload
+// width: no simulated packet has bytes. The generic Send and HandleMessage
+// stay for everything else and for node logic behind wrappers, unpacking
+// PROPOSE and REQUEST into and boxing them out of the same record, so both
+// routes share one send and one deliver and, charging a SERVE the same
+// bytes either way, run bit-identically.
 //
 // The engine itself allocates nothing per event: a delivery of either
 // route, a membership tick and a node timer (AfterTimer) each reach the
 // scheduler as one by-value record; only NodeEnv.After pays one
 // allocation, the cancel function it must return, and a generic handler's
 // delivery of a protocol message the box it is handed. TestEngineAllocBudget
-// holds the engine to that (0 per event for send→deliver of ids and
-// packets, within and across shards, at most 1 for an After chain),
+// holds the engine to that (0 per event for send→deliver of ids and of
+// SERVEs of ids, within and across shards, at most 1 for an After chain),
 // TestEventRecordIsPointerFree and TestMessageRecordSize to the records'
 // shapes, and CI fails on any "moved to heap" the compiler reports in the
 // package.
@@ -177,10 +181,13 @@ func makeID(slot int, gen uint16) NodeID {
 	return NodeID(uint32(slot) | uint32(gen)<<slotBits)
 }
 
-// Handler receives messages delivered to a node. PROPOSE, REQUEST and
-// SERVE arrive boxed at delivery, their lists aliasing the engine's
-// message record: the lists are valid for the call only (the packets a
-// SERVE points to are the sender's and may be kept).
+// Handler receives messages delivered to a node. PROPOSE and REQUEST
+// arrive boxed at delivery, their lists aliasing the engine's message
+// record: the lists are valid for the call only. A boxed SERVE arrives as
+// it was sent; its Packets backing is the engine's until the call returns
+// (the packets it points to are the sender's and may be kept). A SERVE
+// sent as ids (NodeEnv.SendServe) has no boxed form: only a TimerHandler
+// may be sent one.
 type Handler interface {
 	HandleMessage(from NodeID, msg wire.Message)
 }
@@ -189,16 +196,14 @@ type Handler interface {
 // route: their timers come back as (kind, arg) records and the protocol's
 // three datagrams arrive unboxed. NodeEnv.AfterTimer schedules
 // OnTimer(kind, arg) on the handler the node was added with; kind and arg
-// are the handler's own and opaque to the engine. A PROPOSE or REQUEST is
-// delivered through HandleIDs and a SERVE through HandlePackets instead of
-// HandleMessage, which still receives every other kind. The slices alias
-// the engine's message record and are valid for the call only: a handler
-// copies the ids it keeps (the packets pointed to are the sender's and may
-// be kept).
+// are the handler's own and opaque to the engine. A PROPOSE, REQUEST or
+// typed SERVE is delivered through HandleIDs instead of HandleMessage,
+// which still receives every other kind, a boxed SERVE included. The ids
+// alias the engine's message record and are valid for the call only: a
+// handler copies the ids it keeps.
 type TimerHandler interface {
 	OnTimer(kind uint8, arg uint32)
 	HandleIDs(from NodeID, kind wire.Kind, ids []stream.PacketID)
-	HandlePackets(from NodeID, pkts []*stream.Packet)
 }
 
 // QueueKind selects the per-shard event-scheduler implementation. Both
@@ -1035,14 +1040,15 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 // drop-tail congestion at the sender's shaped uplink, Bernoulli loss, crash
 // silences. It executes on the sending node's shard and is the one body
 // every route into the network shares — the typed NodeEnv.SendIDs and
-// SendPackets, and the generic Send, SendFrom and membership emissions
+// SendServe, and the generic Send, SendFrom and membership emissions
 // through unpack. A message that survives is copied into a record (the
-// destination shard's slab, or an outbox on the way there); p is not
-// referenced once send returns. A send from a stale handle — node logic
-// that outlived its slot's recycling — drops silently exactly like a send
-// from a crashed node (it was never counted sent, so conservation holds),
-// but panics under PanicOnStale.
-func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
+// destination shard's slab, or an outbox on the way there), and send
+// reports that it was kept; p's list is not referenced once send returns,
+// its boxed message only by the record. A send from a stale handle — node
+// logic that outlived its slot's recycling — drops silently exactly like a
+// send from a crashed node (it was never counted sent, so conservation
+// holds), but panics under PanicOnStale.
+func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	tslot := uint32(to) & slotMask
 	if int32(to) < 0 || int(tslot) >= len(e.nodes) {
 		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", to, tslot, len(e.nodes)))
@@ -1060,10 +1066,10 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 		if e.cfg.PanicOnStale {
 			panic(e.staleMsg("send", from))
 		}
-		return
+		return false
 	}
 	if !src.alive {
-		return
+		return false
 	}
 	// The bandwidth limiter throttles application bytes only.
 	size := p.wireSize() - wire.UDPOverheadBytes
@@ -1071,48 +1077,42 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) {
 	depart, ok := src.uplink.Enqueue(now, size)
 	if !ok {
 		src.stats.CongestionDrops++
-		return
+		return false
 	}
 	k := p.kind
 	src.stats.SentMsgs[k]++
 	src.stats.SentBytes[k] += uint64(size)
 	if e.cfg.Net.LossRate > 0 && sh.rng.Float64() < e.cfg.Net.LossRate {
 		src.stats.RandomDrops++
-		return
+		return false
 	}
 	at := depart + e.pairLatency(sh, from, to)
 	d := int(tslot) % len(e.shards)
 	if d == sh.id {
 		sh.pushDelivery(at, from, to, int32(size), p)
-		return
+		return true
 	}
 	sh.outboxOut++
 	ob := &sh.outbox[d]
 	//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
 	ob.msgs = append(ob.msgs, xmsg{at: at, from: from, to: to})
 	r := &ob.msgs[len(ob.msgs)-1].rec
-	if !r.fill(int32(size), p) {
-		return
-	}
-	if p.kind == wire.KindServe {
-		r.inl[0] = stream.PacketID(len(ob.pkts))
-		//lint:pooled the region's capacity is reused across windows, reset with the outbox
-		ob.pkts = append(ob.pkts, p.pkts...)
-	} else {
+	if r.fill(int32(size), p) {
 		r.inl[0] = stream.PacketID(len(ob.ids))
 		//lint:pooled the region's capacity is reused across windows, reset with the outbox
 		ob.ids = append(ob.ids, p.ids...)
 	}
+	return true
 }
 
-// sendMsg is send for a boxed message. The record holds its own copy of a
-// SERVE's packet list, so a pooled backing goes back at once instead of
-// riding along for the seconds the message may wait in a shaped uplink.
+// sendMsg is send for a boxed message. A boxed SERVE rides in its record;
+// one the network drops at once gives its pooled backing back here, the
+// others when their record is released.
 func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
-	p := sh.unpack(msg)
-	e.send(sh, from, to, p)
-	if p.pkts != nil {
-		wire.RecycleServe(wire.Serve{Packets: p.pkts})
+	if !e.send(sh, from, to, sh.unpack(msg)) {
+		if serve, ok := msg.(wire.Serve); ok {
+			wire.RecycleServe(serve)
+		}
 	}
 }
 
@@ -1153,8 +1153,8 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 	dst.stats.RecvMsgs[k]++
 	dst.stats.RecvBytes[k] += uint64(rec.size)
 	// rec is not used past this point: a handler that sends may grow the
-	// slab under it. The payload's lists stay readable either way.
-	p := rec.payload(sh.ids.buf, sh.pkts.buf)
+	// slab under it. The payload's list stays readable either way.
+	p := rec.payload(sh.ids.buf)
 	switch {
 	case k == wire.KindShuffle || k == wire.KindLeave:
 		// Membership traffic — view exchanges and graceful-departure
@@ -1173,8 +1173,6 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 		}
 	case dst.flat == nil || p.other != nil:
 		dst.handler.HandleMessage(ev.from, p.message())
-	case k == wire.KindServe:
-		dst.flat.HandlePackets(ev.from, p.pkts)
 	default:
 		dst.flat.HandleIDs(ev.from, k, p.ids)
 	}
@@ -1240,7 +1238,7 @@ func (e *Engine) lookup(op string, id NodeID) *nodeState {
 
 // NodeEnv adapts one node to the engine. It satisfies core.Env and, for
 // nodes whose handler is a TimerHandler, core.TimerEnv: flat timers, and
-// typed sends that put ids and packets straight into a message record.
+// typed sends that put ids straight into a message record.
 type NodeEnv struct {
 	eng *Engine
 	sh  *shard
@@ -1257,9 +1255,11 @@ func (v *NodeEnv) Now() time.Duration { return v.sh.now }
 // Rand returns the node's private random stream.
 func (v *NodeEnv) Rand() *rand.Rand { return v.rng }
 
-// Send transmits a message with UDP semantics. The engine copies what it
-// carries: msg's lists are free for reuse when Send returns, and a SERVE
-// backing from wire.SplitServeInto is recycled on the spot.
+// Send transmits a message with UDP semantics. The engine copies the
+// lists of a PROPOSE or REQUEST, which are free for reuse when Send
+// returns; any other message travels as it was boxed, and a SERVE backing
+// from wire.SplitServeInto goes back to wire's pool once the message is
+// delivered or dropped.
 func (v *NodeEnv) Send(to NodeID, msg wire.Message) { v.eng.sendMsg(v.sh, v.id, to, msg) }
 
 // SendIDs transmits a PROPOSE or REQUEST (kind) of ids, as Send would the
@@ -1272,11 +1272,15 @@ func (v *NodeEnv) SendIDs(to NodeID, kind wire.Kind, ids []stream.PacketID) {
 	v.eng.send(v.sh, v.id, to, payload{kind: kind, ids: ids})
 }
 
-// SendPackets transmits one SERVE of pkts (the caller has cut them to the
-// MTU, wire.CutPackets) without boxing it: the packet pointers are copied
-// into the in-flight record and the caller keeps the slice.
-func (v *NodeEnv) SendPackets(to NodeID, pkts []*stream.Packet) {
-	v.eng.send(v.sh, v.id, to, payload{kind: wire.KindServe, pkts: pkts})
+// SendServe transmits one SERVE of the packets ids names, each carrying
+// payloadBytes (the caller has cut them to the MTU, wire.CutServeIDs),
+// without boxing it and without the packets: it costs
+// wire.ServeSize(len(ids), payloadBytes), as the SERVE of those packets
+// would, the ids are copied into the in-flight record and the caller
+// keeps the slice. The receiver gets the ids through HandleIDs; its
+// handler must be a TimerHandler.
+func (v *NodeEnv) SendServe(to NodeID, ids []stream.PacketID, payloadBytes int) {
+	v.eng.send(v.sh, v.id, to, payload{kind: wire.KindServe, width: int32(payloadBytes), ids: ids})
 }
 
 // After schedules fn once after d on the node's shard; the returned

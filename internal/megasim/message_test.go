@@ -59,39 +59,39 @@ func TestMessageRecordSize(t *testing.T) {
 }
 
 // recordShapes are messages at every edge of the record's layout: the
-// inline limit and the spill classes' edges of id lists up to a full
-// PROPOSE, packet lists up to a full SERVE, and empty and boxed messages.
+// inline limit — seven ids, where it was, and nine — and the spill classes'
+// edges of id lists up to a full PROPOSE, SERVEs of ids up to the most
+// packets one datagram carries, and empty and boxed messages.
 func recordShapes() []payload {
 	ids := make([]stream.PacketID, wire.MaxIDsPerMessage+1)
 	for i := range ids {
 		ids[i] = stream.PacketID(100 + i)
 	}
-	pkts := make([]*stream.Packet, 300)
-	for i := range pkts {
-		pkts[i] = &stream.Packet{ID: stream.PacketID(i)}
-	}
-	full, _ := wire.CutPackets(pkts) // empty payloads: as many as one SERVE carries
+	full, _ := wire.CutServeIDs(ids, 0) // empty payloads: as many as one SERVE carries
 	var shapes []payload
-	for _, n := range []int{1, inlineIDs, inlineIDs + 1, 9, 63, 64, 65, wire.MaxIDsPerMessage} {
+	for _, n := range []int{1, 7, 8, inlineIDs, inlineIDs + 1, 16, 17, 63, 64, 65, wire.MaxIDsPerMessage} {
 		shapes = append(shapes, payload{kind: wire.KindPropose, ids: ids[n%5:][:n]}, payload{kind: wire.KindRequest, ids: ids[:n]})
 	}
-	for _, n := range []int{1, 2, 8, 9, len(full)} {
-		shapes = append(shapes, payload{kind: wire.KindServe, pkts: full[n%3:][:n]})
+	for _, n := range []int{1, 2, 8, inlineIDs, inlineIDs + 1, len(full)} {
+		shapes = append(shapes, payload{kind: wire.KindServe, width: 1316, ids: full[n%3:][:n]})
 	}
-	return append(shapes, payload{kind: wire.KindPropose}, payload{kind: wire.KindServe}, payload{kind: wire.KindFeedMe, other: wire.FeedMe{}})
+	pkt := &stream.Packet{ID: 7, Payload: make([]byte, 100)}
+	return append(shapes, payload{kind: wire.KindPropose}, payload{kind: wire.KindServe},
+		payload{kind: wire.KindFeedMe, other: wire.FeedMe{}},
+		payload{kind: wire.KindServe, other: wire.Serve{Packets: []*stream.Packet{pkt, pkt}}})
 }
 
 // checkArenaDrained verifies that a shard with nothing in flight has every
-// slab record and every arena range on a free list, and that nothing free
-// references a packet or a message.
+// slab record and every arena range on a free list, and that no free
+// record references a message.
 func checkArenaDrained(t *testing.T, s *shard) {
 	t.Helper()
 	if len(s.msgFree) != len(s.msgs) {
 		t.Fatalf("shard %d: %d of %d slab records are free with nothing in flight", s.id, len(s.msgFree), len(s.msgs))
 	}
 	for i := range s.msgs {
-		if r := &s.msgs[i]; r.other != nil || r.pkt1[0] != nil {
-			t.Fatalf("shard %d: free slab record %d still references a message or a packet", s.id, i)
+		if s.msgs[i].other != nil {
+			t.Fatalf("shard %d: free slab record %d still references a message", s.id, i)
 		}
 	}
 	free := func(f [spillClasses][]uint32) (n int) {
@@ -102,12 +102,6 @@ func checkArenaDrained(t *testing.T, s *shard) {
 	}
 	if got, want := free(s.ids.free), len(s.ids.buf); got != want {
 		t.Fatalf("shard %d: %d of %d arena ids are in free ranges with nothing in flight", s.id, got, want)
-	}
-	if got, want := free(s.pkts.free), len(s.pkts.buf); got != want {
-		t.Fatalf("shard %d: %d of %d arena packet slots are in free ranges with nothing in flight", s.id, got, want)
-	}
-	if slices.IndexFunc(s.pkts.buf, func(p *stream.Packet) bool { return p != nil }) >= 0 {
-		t.Fatalf("shard %d: a free range of the packet arena still references a packet", s.id)
 	}
 }
 
@@ -128,12 +122,16 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 		s.pushDelivery(0, 0, 0, int32(i), in)
 		ev := s.q.pop()
 		rec := &s.msgs[ev.ref]
-		out := rec.payload(s.ids.buf, s.pkts.buf)
-		if out.kind != in.kind || !slices.Equal(out.ids, in.ids) || !slices.Equal(out.pkts, in.pkts) ||
-			!reflect.DeepEqual(out.other, in.other) || rec.size != int32(i) {
+		out := rec.payload(s.ids.buf)
+		if out.kind != in.kind || !slices.Equal(out.ids, in.ids) || !reflect.DeepEqual(out.other, in.other) || rec.size != int32(i) {
 			t.Fatalf("step %d: record set to %+v reads back %+v", i, in, out)
 		}
-		if got, want := out.message().WireSize(), in.wireSize(); got != want {
+		if in.kind == wire.KindServe && in.other == nil {
+			// A SERVE of ids has no boxed form; its size is ServeSize's.
+			if got, want := in.wireSize(), wire.ServeSize(len(in.ids), int(in.width)); got != want {
+				t.Fatalf("step %d: a SERVE of %d ids costs %d bytes on the wire, want %d", i, len(in.ids), got, want)
+			}
+		} else if got, want := out.message().WireSize(), in.wireSize(); got != want {
 			t.Fatalf("step %d: boxed back the message costs %d bytes on the wire, the payload %d", i, got, want)
 		}
 		s.releaseMsg(ev.ref)
@@ -155,21 +153,23 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 			e.AddNode(recv, shaping.Unlimited, 0)
 			var want []string
 			for _, p := range shapes {
-				var pids []stream.PacketID
-				for _, pkt := range p.pkts {
-					pids = append(pids, pkt.ID)
-				}
 				switch {
 				case p.other != nil:
 					sender.Send(1, p.other)
-					want = append(want, fmt.Sprintf("boxed %v from 0 ids [] packets []", p.kind))
+					var pids []stream.PacketID
+					if serve, ok := p.other.(wire.Serve); ok {
+						for _, pkt := range serve.Packets {
+							pids = append(pids, pkt.ID)
+						}
+					}
+					want = append(want, fmt.Sprintf("boxed %v from 0 ids [] packets %v", p.kind, pids))
 					continue
 				case p.kind == wire.KindServe:
-					sender.SendPackets(1, p.pkts)
+					sender.SendServe(1, p.ids, int(p.width))
 				default:
 					sender.SendIDs(1, p.kind, p.ids)
 				}
-				want = append(want, fmt.Sprintf("typed %v from 0 ids %v packets %v", p.kind, p.ids, pids))
+				want = append(want, fmt.Sprintf("typed %v from 0 ids %v packets []", p.kind, p.ids))
 			}
 			if shards > 1 && len(e.shards[0].outbox[1].ids) == 0 {
 				t.Fatal("no list spilled into the outbox's region")
@@ -223,24 +223,24 @@ func (k *typedKept) OnTimer(uint8, uint32) {}
 func (k *typedKept) HandleIDs(from NodeID, kind wire.Kind, ids []stream.PacketID) {
 	k.note("typed", from, kind, ids, nil)
 }
-func (k *typedKept) HandlePackets(from NodeID, pkts []*stream.Packet) {
-	k.note("typed", from, wire.KindServe, nil, pkts)
-}
 
 // TestSendRoutesDeliverAlike sends the same messages typed and boxed, to a
 // typed and to a boxed handler, on the sender's shard and across: whatever
 // the pairing, the receiver sees the same contents in the same order at the
-// same cost on the wire, and only the receiver's kind decides how they are
-// handed over.
+// same cost on the wire. The receiver's kind decides how a PROPOSE or
+// REQUEST is handed over; a SERVE arrives as it was sent — the ids of its
+// packets, which only a typed handler is sent, or the boxed packets.
 func TestSendRoutesDeliverAlike(t *testing.T) {
+	const width = 10
 	ids := make([]stream.PacketID, 2*inlineIDs)
 	pkts := make([]*stream.Packet, 3)
 	for i := range ids {
 		ids[i] = stream.PacketID(7 * i)
 	}
 	for i := range pkts {
-		pkts[i] = &stream.Packet{ID: stream.PacketID(i), Payload: make([]byte, 10*(i+1))}
+		pkts[i] = &stream.Packet{ID: stream.PacketID(i), Payload: make([]byte, width)}
 	}
+	pktIDs := []stream.PacketID{0, 1, 2}
 	run := func(t *testing.T, typedSend bool) (*Engine, []*kept) {
 		e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 		if err != nil {
@@ -266,8 +266,13 @@ func TestSendRoutesDeliverAlike(t *testing.T) {
 			if typedSend {
 				sender.SendIDs(to, wire.KindPropose, ids)
 				sender.SendIDs(to, wire.KindRequest, ids[:2])
-				sender.SendPackets(to, pkts[:1])
-				sender.SendPackets(to, pkts)
+				if to <= 2 {
+					sender.SendServe(to, pktIDs[:1], width)
+					sender.SendServe(to, pktIDs, width)
+				} else {
+					sender.Send(to, wire.Serve{Packets: pkts[:1]})
+					sender.Send(to, wire.SplitServeInto(nil, pkts)[0])
+				}
 			} else {
 				sender.Send(to, wire.Propose{IDs: ids})
 				sender.Send(to, wire.Request{IDs: ids[:2]})
@@ -286,23 +291,92 @@ func TestSendRoutesDeliverAlike(t *testing.T) {
 	if got, want := typedEng.TotalStats(), boxedEng.TotalStats(); got != want {
 		t.Fatalf("traffic of typed sends %+v, of boxed sends %+v", got, want)
 	}
-	for i := range typedRecv {
-		if !slices.Equal(typedRecv[i].got, boxedRecv[i].got) {
-			t.Fatalf("node %d was delivered %q after typed sends, %q after boxed sends", i+1, typedRecv[i].got, boxedRecv[i].got)
+	for i, recv := range [][]*kept{typedRecv, boxedRecv} {
+		for j, k := range recv {
+			route, serve := "boxed", "boxed SERVE from 0 ids [] packets %v"
+			if k.typed {
+				route = "typed"
+				if i == 0 {
+					serve = "typed SERVE from 0 ids %v packets []"
+				}
+			}
+			want := []string{
+				fmt.Sprintf("%s PROPOSE from 0 ids %v packets []", route, ids),
+				fmt.Sprintf("%s REQUEST from 0 ids %v packets []", route, ids[:2]),
+				fmt.Sprintf(serve, pktIDs[:1]),
+				fmt.Sprintf(serve, pktIDs),
+				"boxed FEED-ME from 0 ids [] packets []",
+			}
+			if !slices.Equal(k.got, want) {
+				t.Fatalf("typed sends %v: node %d was delivered %q, want %q", i == 0, j+1, k.got, want)
+			}
 		}
-		route := "boxed"
-		if typedRecv[i].typed {
-			route = "typed"
-		}
-		want := []string{
-			fmt.Sprintf("%s PROPOSE from 0 ids %v packets []", route, ids),
-			fmt.Sprintf("%s REQUEST from 0 ids %v packets []", route, ids[:2]),
-			fmt.Sprintf("%s SERVE from 0 ids [] packets [0]", route),
-			fmt.Sprintf("%s SERVE from 0 ids [] packets [0 1 2]", route),
-			"boxed FEED-ME from 0 ids [] packets []",
-		}
-		if !slices.Equal(typedRecv[i].got, want) {
-			t.Fatalf("node %d was delivered %q, want %q", i+1, typedRecv[i].got, want)
+	}
+}
+
+// TestServeOfIDsCostsItsPackets: for the paper's 1316-byte payloads, one
+// to a datagram, and for 100-byte ones, which pack several, a SERVE of n
+// ids — n from one to the most one datagram carries — is charged at the
+// uplink and counted sent and received exactly as the boxed SERVE of the
+// same packets, on the sender's shard and across, and is delivered as the
+// same ids.
+func TestServeOfIDsCostsItsPackets(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		for _, width := range []int{1316, 100} {
+			t.Run(fmt.Sprintf("%d-shards/%dB", shards, width), func(t *testing.T) {
+				all := make([]stream.PacketID, wire.MaxIDsPerMessage)
+				pkts := make([]*stream.Packet, len(all))
+				for i := range all {
+					all[i] = stream.PacketID(i)
+					pkts[i] = &stream.Packet{ID: all[i], Payload: make([]byte, width)}
+				}
+				most, _ := wire.CutServeIDs(all, width)
+				if width == 100 && len(most) < 10 {
+					t.Fatalf("%d packets of %d B fill a datagram: the run does not spill a SERVE", len(most), width)
+				}
+				run := func(typed bool) (sent, recv simnet.Stats, got []string) {
+					e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+					if err != nil {
+						t.Fatal(err)
+					}
+					sender := e.NodeEnv(0, NewRand(1))
+					e.AddNode(&kept{}, shaping.Unlimited, 0)
+					h := &typedKept{kept{typed: true}}
+					e.AddNode(h, shaping.Unlimited, 0)
+					for n := 1; n <= len(most); n++ {
+						if typed {
+							sender.SendServe(1, all[:n], width)
+						} else {
+							sender.Send(1, wire.Serve{Packets: pkts[:n]})
+						}
+					}
+					if err := e.Run(time.Second); err != nil {
+						t.Fatal(err)
+					}
+					for _, s := range e.shards {
+						checkArenaDrained(t, s)
+					}
+					return e.NodeStats(0), e.NodeStats(1), h.got
+				}
+				typedSent, typedRecv, typedGot := run(true)
+				boxedSent, boxedRecv, boxedGot := run(false)
+				if typedSent != boxedSent || typedRecv != boxedRecv {
+					t.Fatalf("SERVEs of ids: sender %+v, receiver %+v; boxed SERVEs: sender %+v, receiver %+v", typedSent, typedRecv, boxedSent, boxedRecv)
+				}
+				bytes := 0
+				for n := 1; n <= len(most); n++ {
+					bytes += wire.ServeSize(n, width) - wire.UDPOverheadBytes
+					if want := fmt.Sprintf("typed SERVE from 0 ids %v packets []", all[:n]); typedGot[n-1] != want {
+						t.Fatalf("a SERVE of %d ids was delivered as %q", n, typedGot[n-1])
+					}
+					if want := fmt.Sprintf("boxed SERVE from 0 ids [] packets %v", all[:n]); boxedGot[n-1] != want {
+						t.Fatalf("a boxed SERVE of %d packets was delivered as %q", n, boxedGot[n-1])
+					}
+				}
+				if typedSent.SentBytes[wire.KindServe] != uint64(bytes) || typedRecv.RecvMsgs[wire.KindServe] != uint64(len(most)) {
+					t.Fatalf("%d SERVEs charged %d bytes and %d received, want %d bytes", len(most), typedSent.SentBytes[wire.KindServe], typedRecv.RecvMsgs[wire.KindServe], bytes)
+				}
+			})
 		}
 	}
 }
@@ -313,20 +387,18 @@ type sinkTyped struct{}
 func (sinkTyped) HandleMessage(NodeID, wire.Message)             {}
 func (sinkTyped) OnTimer(uint8, uint32)                          {}
 func (sinkTyped) HandleIDs(NodeID, wire.Kind, []stream.PacketID) {}
-func (sinkTyped) HandlePackets(NodeID, []*stream.Packet)         {}
 
 // TestMessageRecordsNeverPinPackets is the engine-side sibling of wire's
-// TestRecycleServeNeverPinsPackets. SERVEs of one and of several packets
-// are sent typed and boxed, within a shard and across, over a lossy net,
-// into a shallow uplink queue and to a crashed node, so that every way a
-// message can end — delivery, dead drop, random loss, congestion — is
-// taken. Then, over the drained engine:
+// TestRecycleServeNeverPinsPackets. Boxed SERVEs of one and of several
+// packets, and SERVEs of their ids to typed handlers, are sent within a
+// shard and across, over a lossy net, into a shallow uplink queue and to a
+// crashed node, so that every way a message can end — delivery, dead drop,
+// random loss, congestion — is taken. Then, over the drained engine:
 //
-//   - a boxed SERVE's pooled backing went back to wire's pool inside Send,
-//     not at the delivery seconds later;
+//   - every boxed SERVE's pooled backing went back to wire's pool, cleared,
+//     when its message ended;
 //   - no record — slab or outbox, free or beyond the reset length — holds a
-//     packet or a message, and neither do the packet arena's free ranges
-//     nor the outboxes' packet regions, up to their capacity;
+//     message;
 //   - the packets, which only the messages ever referenced, are collected
 //     while the engine is still reachable.
 func TestMessageRecordsNeverPinPackets(t *testing.T) {
@@ -350,22 +422,25 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 
 	const packets = 400
 	var collected atomic.Int32
+	var pooled [][]*stream.Packet
 	send := func() {
 		for i := 0; i < packets; i += 4 {
 			batch := make([]*stream.Packet, 4)
+			ids := make([]stream.PacketID, 4)
 			for j := range batch {
 				batch[j] = &stream.Packet{ID: stream.PacketID(i + j), Payload: make([]byte, 100)}
+				ids[j] = batch[j].ID
 				runtime.SetFinalizer(batch[j], func(*stream.Packet) { collected.Add(1) })
 			}
 			from, to := envs[i/4%nodes], NodeID((i/4+1+i/24)%nodes)
-			from.SendPackets(to, batch[:1])
-			from.SendPackets(to, batch[1:])
+			if to%3 != 0 { // a typed handler
+				from.SendServe(to, ids[:1], 100)
+				from.SendServe(to, ids[1:], 100)
+			}
+			from.Send(to, wire.Serve{Packets: batch[:1]})
 			for _, serve := range wire.SplitServeInto(nil, batch) {
-				pooled := serve.Packets[:cap(serve.Packets)]
+				pooled = append(pooled, serve.Packets[:cap(serve.Packets)])
 				from.Send(to, serve)
-				if slices.IndexFunc(pooled, func(p *stream.Packet) bool { return p != nil }) >= 0 {
-					t.Fatal("a boxed SERVE's pooled backing still holds packets after Send: it rides with the message instead of returning to the pool")
-				}
 			}
 		}
 	}
@@ -379,21 +454,20 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 		t.Fatalf("the run did not end messages every way, or did not drain: %+v, %d pending", st, e.Pending())
 	}
 
+	for _, backing := range pooled {
+		if slices.IndexFunc(backing, func(p *stream.Packet) bool { return p != nil }) >= 0 {
+			t.Fatal("a boxed SERVE's pooled backing still holds packets after its message ended: it never went back to the pool")
+		}
+	}
 	var crossed uint64
 	for _, s := range e.shards {
-		if len(s.pkts.buf) == 0 {
-			t.Fatalf("shard %d: no SERVE spilled into the packet arena", s.id)
-		}
 		checkArenaDrained(t, s)
 		for d, ob := range s.outbox {
 			msgs := ob.msgs[:cap(ob.msgs)]
 			for i := range msgs {
-				if r := &msgs[i].rec; r.other != nil || r.pkt1[0] != nil {
-					t.Fatalf("outbox %d→%d record %d still references a message or a packet after the run drained", s.id, d, i)
+				if msgs[i].rec.other != nil {
+					t.Fatalf("outbox %d→%d record %d still references a message after the run drained", s.id, d, i)
 				}
-			}
-			if slices.IndexFunc(ob.pkts[:cap(ob.pkts)], func(p *stream.Packet) bool { return p != nil }) >= 0 {
-				t.Fatalf("outbox %d→%d: the packet region still references a packet after the run drained", s.id, d)
 			}
 		}
 		crossed += s.outboxOut
@@ -404,6 +478,7 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 
 	// Finalizers run on their own goroutine after a collection finds the
 	// object unreachable; give them a moment.
+	pooled = nil
 	for i := 0; i < 100 && collected.Load() < 2*packets; i++ {
 		runtime.GC()
 		time.Sleep(10 * time.Millisecond)
@@ -416,7 +491,7 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 
 // ringNode forwards every typed delivery to the next node as it came,
 // after checking that the list still is what its first element says it
-// should be: ids and packet ids are sent in runs of consecutive values.
+// should be: ids are sent in runs of consecutive values.
 type ringNode struct {
 	t    *testing.T
 	env  *NodeEnv
@@ -435,22 +510,15 @@ func (r *ringNode) HandleIDs(_ NodeID, kind wire.Kind, ids []stream.PacketID) {
 		}
 	}
 	r.hops++
-	r.env.SendIDs(r.next, kind, ids)
-}
-
-func (r *ringNode) HandlePackets(_ NodeID, pkts []*stream.Packet) {
-	for i, p := range pkts {
-		if p == nil || p.ID != pkts[0].ID+stream.PacketID(i) {
-			r.t.Errorf("node %d: a SERVE of %d packets arrived corrupted at %d", r.env.ID(), len(pkts), i)
-			return
-		}
+	if kind == wire.KindServe {
+		r.env.SendServe(r.next, ids, 0)
+	} else {
+		r.env.SendIDs(r.next, kind, ids)
 	}
-	r.hops++
-	r.env.SendPackets(r.next, pkts)
 }
 
-// TestTypedMessagesSurviveRecordReuse circulates id and packet lists of
-// every length around the inline/spill boundaries through a ring that
+// TestTypedMessagesSurviveRecordReuse circulates id lists of every length
+// around the inline/spill boundaries through a ring that
 // crosses shards on every hop, for a hundred windows: each hop copies the
 // list out of a slab record into an outbox record (written by the sending
 // shard's goroutine, drained and cleared by the receiving one's) and into
@@ -475,21 +543,18 @@ func TestTypedMessagesSurviveRecordReuse(t *testing.T) {
 				e.AddNode(ring[i], shaping.Unlimited, 0)
 			}
 			ids := make([]stream.PacketID, 4*inlineIDs)
-			pkts := make([]*stream.Packet, 6)
 			for i := range ids {
 				ids[i] = stream.PacketID(1000 + i)
 			}
-			for i := range pkts {
-				pkts[i] = &stream.Packet{ID: stream.PacketID(i)}
-			}
 			started := 0
 			for i, r := range ring {
-				// Lengths sweep 1..3×inlineIDs ids and 1..5 packets; each
-				// list starts at its own offset into the runs above.
+				// Lengths sweep 1..3×inlineIDs ids for PROPOSEs, 1..inlineIDs
+				// for REQUESTs and 1..inlineIDs+2 for SERVEs; each list starts
+				// at its own offset into the run above.
 				n := 1 + i%(3*inlineIDs)
 				r.env.SendIDs(r.next, wire.KindPropose, ids[i%inlineIDs:][:n])
 				r.env.SendIDs(r.next, wire.KindRequest, ids[:1+i%inlineIDs])
-				r.env.SendPackets(r.next, pkts[i%2:][:1+i%5])
+				r.env.SendServe(r.next, ids[i%2:][:1+i%(inlineIDs+2)], 0)
 				started += 3
 			}
 			if err := e.Run(until); err != nil {
@@ -519,15 +584,15 @@ func (k *shuffleKept) Handle(_ NodeID, msg wire.Message) (member.Emit, bool) {
 }
 
 // TestShuffleRecordRoundTrip sends SHUFFLEs, by value and by pointer, of
-// every length around the record's layout edges — three entries (six
-// words) inline, four (eight) spilled, up to wire.MaxShuffleEntries, the
+// every length around the record's layout edges — four entries (eight
+// words) inline, five (ten) spilled, up to wire.MaxShuffleEntries, the
 // largest that fits a datagram — requests and replies, with ages 0 and
 // 65535 and ids carrying generation bits, on one shard and across two. They
 // must arrive as sent, charged at their WireSize, and leave every record
 // and range free.
 func TestShuffleRecordRoundTrip(t *testing.T) {
 	var sent []wire.Shuffle
-	for _, n := range []int{0, 1, 3, 4, 8, 20, wire.MaxShuffleEntries} {
+	for _, n := range []int{0, 1, 3, 4, 5, 8, 20, wire.MaxShuffleEntries} {
 		for _, reply := range []bool{false, true} {
 			m := wire.Shuffle{Reply: reply, Entries: make([]wire.ShuffleEntry, n)}
 			for i := range m.Entries {

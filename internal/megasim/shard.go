@@ -48,16 +48,17 @@ type event struct {
 }
 
 // payload is a message outside a record: what a sender hands to send, and
-// the view of a record that deliver dispatches on. PROPOSE, REQUEST and
-// SERVE travel unboxed as their id or packet list, and SHUFFLE as its
-// entries laid out in the id list as (id, age) word pairs; LEAVE and
-// FEED-ME — zero-size, so their box costs nothing — and any foreign
-// Message type ride in other, boxed as they were sent.
+// the view of a record that deliver dispatches on. PROPOSE, REQUEST and a
+// typed SERVE travel unboxed as their id list — a SERVE as the ids of the
+// packets it stands for — and SHUFFLE as its entries laid out in the id
+// list as (id, age) word pairs; a boxed SERVE, LEAVE and FEED-ME — the
+// last two zero-size, so their box costs nothing — and any foreign Message
+// type ride in other, boxed as they were sent.
 type payload struct {
 	kind  wire.Kind
 	reply bool              // SHUFFLE: a reply
-	ids   []stream.PacketID // PROPOSE, REQUEST; SHUFFLE's word pairs
-	pkts  []*stream.Packet  // SERVE
+	width int32             // typed SERVE: payload bytes per packet, which its size is charged by
+	ids   []stream.PacketID // PROPOSE, REQUEST, typed SERVE; SHUFFLE's word pairs
 	other wire.Message
 }
 
@@ -70,8 +71,6 @@ func (s *shard) unpack(msg wire.Message) payload {
 		return payload{kind: wire.KindPropose, ids: m.IDs}
 	case wire.Request:
 		return payload{kind: wire.KindRequest, ids: m.IDs}
-	case wire.Serve:
-		return payload{kind: wire.KindServe, pkts: m.Packets}
 	case *wire.Shuffle:
 		return s.packShuffle(*m)
 	case wire.Shuffle:
@@ -105,18 +104,18 @@ func (s *shard) shuffle(p payload) *wire.Shuffle {
 
 // message boxes the payload for a consumer that takes a wire.Message. The
 // lists alias the payload's. A SHUFFLE has no boxed form here: deliver
-// rebuilds it through shard.shuffle.
+// rebuilds it through shard.shuffle; nor has a typed SERVE, whose packets
+// exist nowhere: only a TimerHandler is handed one.
 func (p payload) message() wire.Message {
 	switch {
 	case p.other != nil:
 		return p.other
-	case p.kind == wire.KindServe:
-		return wire.Serve{Packets: p.pkts}
 	case p.kind == wire.KindRequest:
 		return wire.Request{IDs: p.ids}
-	default:
+	case p.kind == wire.KindPropose:
 		return wire.Propose{IDs: p.ids}
 	}
+	panic("megasim: a SERVE of ids was sent to a node whose handler is not a TimerHandler")
 }
 
 // wireSize is the WireSize of the message the payload stands for.
@@ -125,7 +124,7 @@ func (p payload) wireSize() int {
 	case p.other != nil:
 		return p.other.WireSize()
 	case p.kind == wire.KindServe:
-		return wire.Serve{Packets: p.pkts}.WireSize()
+		return wire.ServeSize(len(p.ids), int(p.width))
 	case p.kind == wire.KindShuffle:
 		return wire.Shuffle{}.WireSize() + wire.ShuffleEntryBytes*len(p.ids)/2
 	default:
@@ -135,24 +134,25 @@ func (p payload) wireSize() int {
 
 // inlineIDs is how many ids a record holds inline: nine in ten REQUESTs of
 // a steady stream ask for at most seven packets (and four in ten PROPOSEs
-// advertise no more), and seven is what fills the record's 64 bytes, one
-// cache line. A longer list, like a SERVE of several packets, spills into
-// a list kept beside the record (spillArena, or an outbox's region), and
-// inl[0] holds its offset there.
-const inlineIDs = 7
+// advertise no more), a SERVE of the paper's packets is one id, and nine
+// ids fill the record's 64 bytes, one cache line. A longer list spills
+// into a list kept beside the record (spillArena, or an outbox's region),
+// and inl[0] holds its offset there.
+const inlineIDs = 9
 
 // msgRec is one in-flight message: the single representation a message has
 // between send and its delivery or drop, in a shard's slab or — crossing
-// shards — in an outbox. It owns its contents: fill copies ids, a SHUFFLE's
-// word pairs and packet pointers in, inline when the list is short (a
-// SHUFFLE of up to three entries), and its owner copies a longer list into
-// its spill storage, so nothing the sender passed is referenced after send
-// returns and a steady run recycles records without allocating.
+// shards — in an outbox. It owns its contents: fill copies ids and a
+// SHUFFLE's word pairs in, inline when the list is short (a SHUFFLE of up
+// to four entries), and its owner copies a longer list into its spill
+// storage, so nothing the sender passed is referenced after send returns
+// and a steady run recycles records without allocating. A boxed message
+// rides in other; a boxed SERVE's pooled backing goes back to wire's pool
+// when the slab record is released.
 type msgRec struct {
 	other wire.Message
-	pkt1  [1]*stream.Packet
 	size  int32 // application bytes: charged to the uplink at send, counted received at delivery
-	n     int32 // ids, words or packets carried
+	n     int32 // ids or words carried
 	kind  wire.Kind
 	reply bool                       // SHUFFLE: a reply (it takes a padding byte)
 	inl   [inlineIDs]stream.PacketID // the ids, or the spilled list's offset in inl[0]
@@ -163,55 +163,35 @@ type msgRec struct {
 // its offset in inl[0].
 func (r *msgRec) fill(size int32, p payload) (spills bool) {
 	r.kind, r.reply, r.size, r.other = p.kind, p.reply, size, p.other
-	r.n = int32(len(p.ids) + len(p.pkts))
+	r.n = int32(len(p.ids))
 	if r.spilled() {
 		return true
 	}
-	copy(r.pkt1[:], p.pkts) // at most one of the two lists is non-empty
 	copy(r.inl[:], p.ids)
 	return false
 }
 
 // spilled reports whether the record's list lives outside it.
-func (r *msgRec) spilled() bool {
-	if r.kind == wire.KindServe {
-		return r.n > 1
-	}
-	return r.n > inlineIDs
-}
+func (r *msgRec) spilled() bool { return r.n > inlineIDs }
 
-// payload views the record's contents; a spilled list is read from ids or
-// pkts, the storage it was spilled into. The lists alias the record or that
-// storage: they are good until the record is released, and a slab or arena
-// that grows meanwhile leaves them reading the old copy, which nothing
+// payload views the record's contents; a spilled list is read from ids,
+// the storage it was spilled into. The list aliases the record or that
+// storage: it is good until the record is released, and a slab or arena
+// that grows meanwhile leaves it reading the old copy, which nothing
 // writes to.
-func (r *msgRec) payload(ids []stream.PacketID, pkts []*stream.Packet) payload {
+func (r *msgRec) payload(ids []stream.PacketID) payload {
 	p := payload{kind: r.kind, reply: r.reply, other: r.other}
-	off, end := uint32(r.inl[0]), uint32(r.inl[0])+uint32(r.n)
-	switch { // a boxed message carries no list: n is zero
-	case r.kind == wire.KindServe && r.n <= 1:
-		p.pkts = r.pkt1[:r.n]
-	case r.kind == wire.KindServe:
-		p.pkts = pkts[off:end:end]
-	case r.n <= inlineIDs:
-		p.ids = r.inl[:r.n]
-	default:
+	if off, end := uint32(r.inl[0]), uint32(r.inl[0])+uint32(r.n); r.spilled() {
 		p.ids = ids[off:end:end]
+	} else {
+		p.ids = r.inl[:r.n] // a boxed message carries no list: n is zero
 	}
 	return p
 }
 
-// release drops the references the record holds itself — a free record
-// must pin neither a packet nor a message. Its spilled list is its owner's
-// to release.
-func (r *msgRec) release() {
-	r.other = nil
-	r.pkt1[0] = nil
-}
-
 // xmsg is a cross-shard delivery in transit through an outbox: a
 // pointer-free header and the message in a record whose spilled list lives
-// in the outbox's regions.
+// in the outbox's region.
 type xmsg struct {
 	at   time.Duration
 	from NodeID
@@ -220,12 +200,11 @@ type xmsg struct {
 }
 
 // outbox buffers one window's deliveries from one shard to another. Lists
-// that spill are appended to the regions, which are reset with msgs once
-// the destination has copied the messages in.
+// that spill are appended to ids, which is reset with msgs once the
+// destination has copied the messages in.
 type outbox struct {
 	msgs []xmsg
 	ids  []stream.PacketID
-	pkts []*stream.Packet
 }
 
 // timerSlot holds the closure of one pending After timer. id tells the
@@ -315,12 +294,11 @@ type shard struct {
 
 	// msgs is the message slab: every delivery pending in q names its
 	// message here by index. msgFree stacks the released records, so a
-	// steady run cycles through the same few without allocating; ids and
-	// pkts hold the lists too long to fit in them.
+	// steady run cycles through the same few without allocating; ids holds
+	// the lists too long to fit in them.
 	msgs    []msgRec
 	msgFree []uint32
-	ids     spillArena[stream.PacketID]
-	pkts    spillArena[*stream.Packet]
+	ids     spillArena
 
 	// The SHUFFLE scratch: unpack lays one out in words, deliver rebuilds
 	// one in shuf.
@@ -451,11 +429,10 @@ func (s *shard) mergeInbound() {
 		s.outboxIn += uint64(len(ob.msgs))
 		for i := range ob.msgs {
 			m := &ob.msgs[i]
-			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload(ob.ids, ob.pkts))
-			m.rec.release()
+			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload(ob.ids))
+			m.rec.other = nil // the slab record holds the message now
 		}
-		clear(ob.pkts)
-		ob.msgs, ob.ids, ob.pkts = ob.msgs[:0], ob.ids[:0], ob.pkts[:0]
+		ob.msgs, ob.ids = ob.msgs[:0], ob.ids[:0]
 	}
 }
 
@@ -517,28 +494,24 @@ func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p pa
 	}
 	r := &s.msgs[i]
 	if r.fill(size, p) {
-		if r.kind == wire.KindServe {
-			r.inl[0] = stream.PacketID(s.pkts.put(p.pkts))
-		} else {
-			r.inl[0] = stream.PacketID(s.ids.put(p.ids))
-		}
+		r.inl[0] = stream.PacketID(s.ids.put(p.ids))
 	}
 	s.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
 }
 
 // releaseMsg returns slab record i, delivered or dropped, and its spilled
-// list to their free lists. The handler may have sent and grown the slab,
-// so the record is found again by index.
+// list to their free lists, and a boxed SERVE's backing to wire's pool; a
+// free record references no message. The handler may have sent and grown
+// the slab, so the record is found again by index.
 func (s *shard) releaseMsg(i uint32) {
 	r := &s.msgs[i]
 	if r.spilled() {
-		if r.kind == wire.KindServe {
-			s.pkts.release(uint32(r.inl[0]), r.n)
-		} else {
-			s.ids.release(uint32(r.inl[0]), r.n)
-		}
+		s.ids.release(uint32(r.inl[0]), r.n)
 	}
-	r.release()
+	if serve, ok := r.other.(wire.Serve); ok {
+		wire.RecycleServe(serve)
+	}
+	r.other = nil
 	//lint:pooled the free list is bounded by the slab it indexes
 	s.msgFree = append(s.msgFree, i)
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"gossipstream/internal/core"
+	"gossipstream/internal/fec"
 	"gossipstream/internal/metrics"
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/stream"
@@ -274,5 +275,87 @@ func TestSendPathRecyclesServeBackings(t *testing.T) {
 		t.Fatalf("%d bytes allocated per SERVE sent, want < 1024 (an unrecycled backing alone is 1952)", perServe)
 	} else {
 		t.Logf("%d bytes allocated per SERVE sent", perServe)
+	}
+}
+
+// TestServesCarryRecoverableBytes: the real-time driver is the one that
+// puts payload bytes on a wire, so its SERVEs must carry the stream's real
+// packets, FEC parity included. A bare UDP socket requests window 0 from a
+// source node — every packet of it but ParityPerWindow data packets —
+// decodes the SERVEs that come back and reconstructs the window with fec:
+// the data must be the stream's, byte for byte.
+func TestServesCarryRecoverableBytes(t *testing.T) {
+	layout := fastLayout()
+	src, err := stream.NewSource(layout, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := stream.NewSource(layout, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ref.PacketsUntil(layout.WindowPublishTime(0))
+	sock, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sock.Close()
+	n, err := New(Config{ID: 0, Core: fastCore(), Layout: layout, UploadCapBps: shaping.Unlimited}, "127.0.0.1:0", src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.AddPeer(1, sock.LocalAddr().(*net.UDPAddr))
+	if err := n.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	for deadline := time.Now().Add(10 * time.Second); n.Receiver().Count(0) < layout.WindowTotal(); time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the source did not publish window 0")
+		}
+	}
+
+	codec := wirepkg.NewCodec(layout)
+	var ids []stream.PacketID
+	for i := layout.ParityPerWindow; i < layout.WindowTotal(); i++ {
+		ids = append(ids, layout.IDFor(0, i))
+	}
+	req, err := codec.Encode(1, wirepkg.Request{IDs: ids})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sock.WriteToUDP(req, n.Addr()); err != nil {
+		t.Fatal(err)
+	}
+	var shares []fec.Share
+	buf := make([]byte, 2048)
+	for len(shares) < len(ids) {
+		_ = sock.SetReadDeadline(time.Now().Add(5 * time.Second))
+		size, err := sock.Read(buf)
+		if err != nil {
+			t.Fatalf("%d of %d requested packets served: %v", len(shares), len(ids), err)
+		}
+		_, msg, err := codec.Decode(buf[:size])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if serve, ok := msg.(wirepkg.Serve); ok {
+			for _, p := range serve.Packets {
+				shares = append(shares, fec.Share{Index: int(p.Index), Data: p.Payload})
+			}
+		}
+	}
+	code, err := fec.New(layout.DataPerWindow, layout.ParityPerWindow)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := code.Reconstruct(shares)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range data {
+		if !slices.Equal(d, want[i].Payload) {
+			t.Fatalf("data packet %d of window 0, reconstructed from the SERVEs, differs from the stream's", i)
+		}
 	}
 }

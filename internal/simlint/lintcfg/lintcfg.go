@@ -106,7 +106,7 @@ func Default() *Config {
 				// core.TimerEnv interface, once per PROPOSE, REQUEST and SERVE
 				// — most of a run's events — and they copy into the message
 				// slab or an outbox record.
-				"(*NodeEnv).SendIDs", "(*NodeEnv).SendPackets",
+				"(*NodeEnv).SendIDs", "(*NodeEnv).SendServe",
 			},
 			// The SERVE batch split runs once per request served, and every
 			// SERVE is recycled once — millions of times per simulated minute
@@ -120,7 +120,7 @@ func Default() *Config {
 			// named as well as OnTimer so that it stays audited however the
 			// timer entry reaches it.
 			"core": {
-				"(*Peer).HandleMessage", "(*Peer).HandleIDs", "(*Peer).HandlePackets",
+				"(*Peer).HandleMessage", "(*Peer).HandleIDs",
 				"(*Peer).OnTimer", "(*Peer).retransmit",
 			},
 			// A Cyclon round per node per period and a partner draw per

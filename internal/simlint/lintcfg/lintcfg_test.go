@@ -90,8 +90,7 @@ func TestRoots(t *testing.T) {
 		roots[r] = true
 	}
 	for _, want := range []string{
-		"(*NodeEnv).SendIDs", "(*NodeEnv).SendPackets",
-		"(*Peer).HandleIDs", "(*Peer).HandlePackets",
+		"(*NodeEnv).SendIDs", "(*NodeEnv).SendServe", "(*Peer).HandleIDs",
 	} {
 		if !roots[want] {
 			t.Errorf("hot roots missing typed message entry point %s", want)

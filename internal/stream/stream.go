@@ -7,15 +7,21 @@
 //
 //   - Layout: the immutable geometry of a stream (rates, window shape, id
 //     mapping, publish schedule);
-//   - Source: produces the actual packets, parity included, in publish
-//     order;
+//   - Source: publishes the stream's ids in publish order and, for a
+//     driver that sends bytes, builds the packets, parity included;
 //   - Receiver: per-node delivery state — a bit per id and a count per
 //     window — that records when each window became viewable
 //     (≥ DataPerWindow distinct packets).
+//
+// A simulation moves ids only: a packet's size is the layout's
+// PayloadBytes and nothing simulated reads a payload byte, so no simulated
+// run builds a Packet. Payloads and FEC serve the real-time driver, which
+// puts them on a socket.
 package stream
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"time"
@@ -27,9 +33,9 @@ import (
 // PacketID identifies a packet globally: id = window*WindowTotal + index.
 type PacketID uint32
 
-// Packet is one stream packet. Packets are immutable after creation and in
-// simulation are shared by pointer across all nodes: the source's packet
-// table (Source.Table) is the one copy every simulated peer serves from.
+// Packet is one stream packet, payload included. Packets exist only for a
+// driver that sends bytes (Source.Packet); they are immutable after
+// creation and shared by pointer.
 type Packet struct {
 	ID      PacketID
 	Window  uint32
@@ -81,6 +87,8 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("stream: window of %d shares exceeds GF(256) limit", l.DataPerWindow+l.ParityPerWindow)
 	case l.Windows <= 0:
 		return fmt.Errorf("stream: Windows = %d, want > 0", l.Windows)
+	case l.Windows > math.MaxUint32/l.WindowTotal():
+		return fmt.Errorf("stream: %d windows of %d packets overflow a PacketID", l.Windows, l.WindowTotal())
 	}
 	return nil
 }
@@ -137,157 +145,121 @@ func (l Layout) WindowPublishTime(w int) time.Duration {
 	return l.PublishTime(l.IDFor(w, l.WindowTotal()-1))
 }
 
-// Source produces the packets of a stream in publish order. It is not safe
-// for concurrent use.
+// Source publishes a stream. Ids are published in id order, which is
+// publish order — a window's data packets in index order, then its parity
+// with its last data packet — by moving one cursor: publishing costs
+// nothing per id, and ids are all a simulation reads. The packets
+// themselves, random payloads and their Reed–Solomon parity, exist only
+// for a driver that sends bytes: the first Packet or PacketsUntil call
+// builds them, window by window in order, so a window's bytes do not
+// depend on when it is first asked for. It is not safe for concurrent use.
 type Source struct {
 	layout Layout
-	code   *fec.Code
-	rng    *rand.Rand
-	next   int // next packet ordinal in publish order
-	order  []PacketID
-	// packets is dense over the stream's ids: entry id is written once,
-	// when materialize creates packet id, and nil until then.
-	packets []*Packet
-	window  [][]byte // payloads of the window under construction
+	seed   int64
+	next   int // ids below next are published
+
+	// Built on the first packet asked for: the code, the payload stream and
+	// windows[w], the packets of window w, for every window up to the
+	// newest asked for.
+	code    *fec.Code
+	rng     *rand.Rand
+	windows [][]Packet
 }
 
-// NewSource returns a Source for the layout; payload bytes are drawn from
-// the seeded generator so runs are reproducible and FEC decoding can be
-// verified end to end.
+// NewSource returns a Source for the layout. Payload bytes, once asked
+// for, are drawn from a generator seeded with seed, so runs are
+// reproducible and FEC decoding can be verified end to end.
 func NewSource(layout Layout, seed int64) (*Source, error) {
 	if err := layout.Validate(); err != nil {
 		return nil, err
 	}
-	var code *fec.Code
-	if layout.ParityPerWindow > 0 {
-		c, err := fec.New(layout.DataPerWindow, layout.ParityPerWindow)
-		if err != nil {
-			return nil, fmt.Errorf("stream: %w", err)
-		}
-		code = c
-	}
-	s := &Source{
-		layout:  layout,
-		code:    code,
-		rng:     xrand.New(seed),
-		packets: make([]*Packet, layout.TotalPackets()),
-	}
-	s.buildOrder()
-	return s, nil
-}
-
-// buildOrder precomputes the publish order: data packets of each window in
-// index order, then that window's parity packets.
-func (s *Source) buildOrder() {
-	l := s.layout
-	s.order = make([]PacketID, 0, l.TotalPackets())
-	for w := 0; w < l.Windows; w++ {
-		for i := 0; i < l.WindowTotal(); i++ {
-			s.order = append(s.order, l.IDFor(w, i))
-		}
-	}
+	return &Source{layout: layout, seed: seed}, nil
 }
 
 // Layout returns the stream layout.
 func (s *Source) Layout() Layout { return s.layout }
 
-// PacketsUntil returns, in publish order, all packets published after the
-// previous call and no later than now. The returned pointers are shared and
-// must be treated as immutable.
-func (s *Source) PacketsUntil(now time.Duration) []*Packet {
-	return s.AppendPacketsUntil(nil, now)
-}
-
-// AppendPacketsUntil is PacketsUntil appending into a caller-provided slice
-// so per-tick drivers can reuse one scratch buffer instead of allocating
-// every gossip round.
-func (s *Source) AppendPacketsUntil(dst []*Packet, now time.Duration) []*Packet {
-	for s.next < len(s.order) {
-		id := s.order[s.next]
-		if s.layout.PublishTime(id) > now {
-			break
-		}
-		dst = append(dst, s.materialize(id))
+// PublishUntil publishes every id whose publish time is no later than now
+// and returns them: the ids from first up to, not including, end.
+func (s *Source) PublishUntil(now time.Duration) (first, end PacketID) {
+	first = PacketID(s.next)
+	for s.next < s.layout.TotalPackets() && s.layout.PublishTime(PacketID(s.next)) <= now {
 		s.next++
 	}
-	return dst
+	return first, PacketID(s.next)
 }
 
-// Done reports whether every packet of the stream has been emitted.
-func (s *Source) Done() bool { return s.next >= len(s.order) }
+// PacketsUntil publishes like PublishUntil and returns the packets of the
+// ids it published, in publish order. The returned pointers are shared and
+// must be treated as immutable.
+func (s *Source) PacketsUntil(now time.Duration) []*Packet {
+	var pkts []*Packet
+	first, end := s.PublishUntil(now)
+	for id := first; id < end; id++ {
+		pkts = append(pkts, s.Packet(id))
+	}
+	return pkts
+}
 
-// Packet returns a previously published packet by id (nil if not yet
-// published or outside the stream). Sources retain all published packets so
-// they can serve retransmission requests.
+// Done reports whether every packet of the stream has been published.
+func (s *Source) Done() bool { return s.next >= s.layout.TotalPackets() }
+
+// Packet returns a published packet by id (nil if not yet published or
+// outside the stream), building the windows up to its own first. Sources
+// retain every packet built so they can serve retransmission requests.
 func (s *Source) Packet(id PacketID) *Packet {
-	if int(id) < len(s.packets) {
-		return s.packets[id]
+	if int(id) >= s.next {
+		return nil
 	}
-	return nil
+	w := s.layout.WindowOf(id)
+	for len(s.windows) <= w {
+		s.buildWindow()
+	}
+	return &s.windows[w][s.layout.IndexOf(id)]
 }
 
-// Table returns the source's packet table, indexed by id: entry id is the
-// packet Packet(id) returns, nil until it is published (a window's parity
-// entries appear together with its last data packet). The table is the
-// source's own, not a copy; every entry is written once, before
-// AppendPacketsUntil returns the packet, and never changes after. A reader
-// on another goroutine may read entry id once it has been handed packet id
-// by a path that orders it after that return (a message carrying it, say),
-// and must not read entries it has not been handed: the source may be
-// writing them.
-func (s *Source) Table() []*Packet { return s.packets }
-
-// materialize creates the packet for id, generating payload bytes and, at
-// window boundaries, the FEC parity packets. Every window's payloads — data
-// and parity — live in two contiguous arenas, so producing a 110-packet
-// window costs two allocations instead of one per packet, and parity is
-// computed with the zero-allocation EncodeInto.
-func (s *Source) materialize(id PacketID) *Packet {
+// buildWindow builds the packets of the next window: its data payloads,
+// drawn in index order, and their parity. A window's payloads live in one
+// arena and its packets in one slice, and parity is computed with the
+// zero-allocation EncodeInto.
+func (s *Source) buildWindow() {
 	l := s.layout
-	w, idx := l.WindowOf(id), l.IndexOf(id)
-	if idx == 0 {
-		s.window = fec.AllocShares(l.DataPerWindow, l.PayloadBytes)
-	}
-	p := &Packet{
-		ID:     id,
-		Window: uint32(w),
-		Index:  uint16(idx),
-		Parity: idx >= l.DataPerWindow,
-	}
-	if !p.Parity {
-		payload := s.window[idx]
-		s.rng.Read(payload)
-		p.Payload = payload
-		if idx == l.DataPerWindow-1 && s.code != nil {
-			parity := fec.AllocShares(l.ParityPerWindow, l.PayloadBytes)
-			if err := s.code.EncodeInto(s.window, parity); err != nil {
-				// Window shapes are validated at construction; an encode
-				// failure here is a programmer error.
-				panic(fmt.Sprintf("stream: window %d encode: %v", w, err))
+	if s.windows == nil {
+		s.rng = xrand.New(s.seed)
+		s.windows = make([][]Packet, 0, l.Windows)
+		if l.ParityPerWindow > 0 {
+			c, err := fec.New(l.DataPerWindow, l.ParityPerWindow)
+			if err != nil {
+				// Validate checked the window shape at construction.
+				panic(fmt.Sprintf("stream: %v", err))
 			}
-			for pi, pp := range parity {
-				pid := l.IDFor(w, l.DataPerWindow+pi)
-				s.packets[pid] = &Packet{
-					ID:      pid,
-					Window:  uint32(w),
-					Index:   uint16(l.DataPerWindow + pi),
-					Parity:  true,
-					Payload: pp,
-				}
-			}
+			s.code = c
 		}
-	} else {
-		// Parity packets were materialized alongside the window's last
-		// data packet; just look them up.
-		if pre := s.packets[id]; pre != nil {
-			return pre
-		}
-		// Parity disabled (ParityPerWindow == 0) never reaches here;
-		// guard anyway.
-		p.Payload = make([]byte, l.PayloadBytes)
 	}
-	s.packets[id] = p
-	return p
+	w := len(s.windows)
+	payloads := fec.AllocShares(l.WindowTotal(), l.PayloadBytes)
+	data := payloads[:l.DataPerWindow]
+	for _, d := range data {
+		s.rng.Read(d)
+	}
+	if s.code != nil {
+		if err := s.code.EncodeInto(data, payloads[l.DataPerWindow:]); err != nil {
+			// Window shapes are validated at construction; an encode
+			// failure here is a programmer error.
+			panic(fmt.Sprintf("stream: window %d encode: %v", w, err))
+		}
+	}
+	pkts := make([]Packet, l.WindowTotal())
+	for i := range pkts {
+		pkts[i] = Packet{
+			ID:      l.IDFor(w, i),
+			Window:  uint32(w),
+			Index:   uint16(i),
+			Parity:  i >= l.DataPerWindow,
+			Payload: payloads[i],
+		}
+	}
+	s.windows = append(s.windows, pkts)
 }
 
 // Receiver assembles windows on a node and records viewability times. It

@@ -2,7 +2,11 @@ package stream
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -35,6 +39,11 @@ func TestLayoutValidate(t *testing.T) {
 		{"zero parity ok", func(l *Layout) { l.ParityPerWindow = 0 }, true},
 		{"window too large", func(l *Layout) { l.DataPerWindow = 250; l.ParityPerWindow = 6 }, false},
 		{"zero windows", func(l *Layout) { l.Windows = 0 }, false},
+		// Ids are 32 bits: the last id of the largest valid stream is
+		// MaxUint32 - 26, one more window overflows.
+		{"largest id space", func(l *Layout) { *l = DefaultLayout(math.MaxUint32 / 110) }, true},
+		{"id overflow", func(l *Layout) { *l = DefaultLayout(math.MaxUint32/110 + 1) }, false},
+		{"id overflow by far", func(l *Layout) { *l = DefaultLayout(1 << 40) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -392,33 +401,98 @@ func TestReceiverCountProperty(t *testing.T) {
 	}
 }
 
-// TestAppendPacketsUntilMatchesPacketsUntil checks the scratch-reusing
-// variant emits the identical publish sequence.
-func TestAppendPacketsUntilMatchesPacketsUntil(t *testing.T) {
-	a, err := NewSource(tinyLayout(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewSource(tinyLayout(), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l := a.Layout()
-	var scratch []*Packet
-	for now := time.Duration(0); now <= l.Duration(); now += l.PacketTime() {
-		want := a.PacketsUntil(now)
-		scratch = b.AppendPacketsUntil(scratch[:0], now)
-		if len(want) != len(scratch) {
-			t.Fatalf("at %v: %d packets vs %d", now, len(scratch), len(want))
+// TestPublishUntilMatchesPacketsUntil checks that the id cursor publishes
+// exactly the ids PacketsUntil returns packets for, and that packets asked
+// for only after the whole stream was published carry the bytes they
+// always had: windows are built in order, whenever they are first asked
+// for. The digests are of every payload in publish order, as the source
+// that built each packet at its publish time produced them.
+func TestPublishUntilMatchesPacketsUntil(t *testing.T) {
+	for _, tc := range []struct {
+		layout Layout
+		digest string
+	}{{tinyLayout(), "e32347f1131993b9"}, {DefaultLayout(3), "509d0f7671901efc"}} {
+		a, err := NewSource(tc.layout, 7)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range want {
-			if want[i].ID != scratch[i].ID || !bytes.Equal(want[i].Payload, scratch[i].Payload) {
-				t.Fatalf("at %v: packet %d differs", now, i)
+		b, err := NewSource(tc.layout, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := a.Layout()
+		eager := sha256.New()
+		for now := time.Duration(0); !a.Done(); now = min(now+l.PacketTime()/3, l.Duration()) {
+			want := a.PacketsUntil(now)
+			first, end := b.PublishUntil(now)
+			if int(end-first) != len(want) {
+				t.Fatalf("at %v: the cursor published %d ids, PacketsUntil %d packets", now, end-first, len(want))
+			}
+			for i, p := range want {
+				if p.ID != first+PacketID(i) {
+					t.Fatalf("at %v: packet %d is id %d, the cursor published %d", now, i, p.ID, first+PacketID(i))
+				}
+				eager.Write(p.Payload)
 			}
 		}
+		if !b.Done() {
+			t.Fatal("the cursor did not finish with PacketsUntil")
+		}
+		lazy := sha256.New()
+		for id := 0; id < l.TotalPackets(); id++ {
+			p := b.Packet(PacketID(id))
+			if p.ID != PacketID(id) || !bytes.Equal(p.Payload, a.Packet(PacketID(id)).Payload) {
+				t.Fatalf("packet %d built after the stream was published differs from the one built as it went", id)
+			}
+			lazy.Write(p.Payload)
+		}
+		if got := fmt.Sprintf("%x", eager.Sum(nil)[:8]); got != tc.digest {
+			t.Fatalf("%d windows: payload digest %s, want %s", l.Windows, got, tc.digest)
+		}
+		if !bytes.Equal(eager.Sum(nil), lazy.Sum(nil)) {
+			t.Fatal("payload digests of the eager and the lazy source differ")
+		}
 	}
-	if !a.Done() || !b.Done() {
-		t.Fatal("sources did not finish")
+}
+
+// TestSimulatedSourceAllocBudget holds a simulated source — one that only
+// publishes ids — to what it needs: publishing every id of a 1,000-window
+// stream (≈30 minutes of the paper's) through the cursor costs a constant
+// number of allocations and a handful of bytes, and builds no payload.
+// Before, the source drew and FEC-encoded every window as it went and
+// kept all of them, ≈165 MB at this length.
+func TestSimulatedSourceAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	l := DefaultLayout(1000)
+	var src *Source
+	var published int
+	run := func() {
+		var err error
+		if src, err = NewSource(l, 1); err != nil {
+			t.Fatal(err)
+		}
+		published = 0
+		for now := time.Duration(0); !src.Done(); now += 200 * time.Millisecond {
+			first, end := src.PublishUntil(now)
+			published += int(end - first)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	allocs, bytes := after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	t.Logf("publishing %d ids of %d windows: %d allocations, %d B", published, l.Windows, allocs, bytes)
+	if published != l.TotalPackets() {
+		t.Fatalf("published %d ids, want %d", published, l.TotalPackets())
+	}
+	if allocs > 2 || bytes > uint64(l.Windows) {
+		t.Fatalf("%d allocations and %d B for a %d-window stream: want at most 2, and at most a byte per window", allocs, bytes, l.Windows)
+	}
+	if src.windows != nil || src.rng != nil || src.code != nil {
+		t.Fatal("publishing ids built packets, a payload stream or an FEC code")
 	}
 }
 

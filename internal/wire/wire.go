@@ -129,11 +129,25 @@ func (Serve) Kind() Kind { return KindServe }
 
 // WireSize implements Message.
 func (s Serve) WireSize() int {
-	n := UDPOverheadBytes + headerBytes
+	n := ServeSize(len(s.Packets), 0)
 	for _, p := range s.Packets {
-		n += packetHeaderBytes + len(p.Payload)
+		n += len(p.Payload)
 	}
 	return n
+}
+
+// ServeSize returns the WireSize of a SERVE of n packets carrying
+// payloadBytes each — the one formula a SERVE is charged and cut by,
+// whether it travels as packets or, in simulation, as their ids.
+func ServeSize(n, payloadBytes int) int {
+	return UDPOverheadBytes + headerBytes + n*(packetHeaderBytes+payloadBytes)
+}
+
+// serveFits reports whether a SERVE of n packets carrying payload bytes
+// between them fits one datagram. One packet always travels: a single
+// oversized packet goes alone and the transport fragments it.
+func serveFits(n, payload int) bool {
+	return n <= 1 || ServeSize(n, 0)+payload <= UDPOverheadBytes+MTUBytes
 }
 
 // FeedMe asks the receiver to insert the sender into its partner view
@@ -394,20 +408,30 @@ var servePool = sync.Pool{
 
 // CutPackets splits off the longest prefix of packets that fits one SERVE
 // within the MTU — at least one packet: a single oversized packet still
-// travels alone (the transport will fragment; with the paper's 1250-byte
+// travels alone (the transport will fragment; with the paper's 1316-byte
 // payloads this never happens). Like CutIDs the chunk aliases packets and
 // nothing is allocated; senders loop on it.
 func CutPackets(packets []*stream.Packet) (chunk, rest []*stream.Packet) {
-	n, size := 0, headerBytes
+	n, payload := 0, 0
 	for _, p := range packets {
-		psize := packetHeaderBytes + len(p.Payload)
-		if n > 0 && size+psize > MTUBytes {
+		if !serveFits(n+1, payload+len(p.Payload)) {
 			break
 		}
 		n++
-		size += psize
+		payload += len(p.Payload)
 	}
 	return packets[:n], packets[n:]
+}
+
+// CutServeIDs is CutPackets for the ids of packets carrying payloadBytes
+// each: the chunk is as long as the SERVE CutPackets would cut from those
+// packets. A simulation serves ids and charges ServeSize for them.
+func CutServeIDs(ids []stream.PacketID, payloadBytes int) (chunk, rest []stream.PacketID) {
+	n := 0
+	for n < len(ids) && serveFits(n+1, (n+1)*payloadBytes) {
+		n++
+	}
+	return ids[:n], ids[n:]
 }
 
 // SplitServeInto partitions packets into SERVE messages appended to dst,
@@ -416,14 +440,14 @@ func CutPackets(packets []*stream.Packet) (chunk, rest []*stream.Packet) {
 // Each message's Packets backing comes from an internal pool — a zeroed
 // 1,952-byte array per SERVE is the largest allocation of any driver that
 // carries a SERVE as a boxed message (the real-time driver, and the
-// simulation engine behind a generic Env; its typed route copies packets
-// into its own message records and takes CutPackets chunks directly).
-// Ownership of the backing travels with the message: whoever consumes a
-// Serve last calls RecycleServe once the slice (not the packets — those
-// are never pooled) is unreferenced. Both drivers do — the engine when the
-// message is copied into its record, the real-time driver when the
-// datagram is encoded or dropped; a backing that is never recycled falls
-// to the garbage collector, which costs the allocation but nothing else.
+// simulation engine behind a generic Env; its typed route serves ids, cut
+// by CutServeIDs). Ownership of the backing travels with the message:
+// whoever consumes a Serve last calls RecycleServe once the slice (not the
+// packets — those are never pooled) is unreferenced. Both drivers do — the
+// engine when the message's record is released after its delivery or
+// drop, the real-time driver when the datagram is encoded or dropped; a
+// backing that is never recycled falls to the garbage collector, which
+// costs the allocation but nothing else.
 func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 	for len(packets) > 0 {
 		var chunk []*stream.Packet

@@ -360,6 +360,36 @@ func TestCutPackets(t *testing.T) {
 	}
 }
 
+// TestServeIDsCutAndChargedAsPackets holds the id form of a SERVE to the
+// packet form: for payload widths from empty to past the MTU — the paper's
+// 1316 among them — and lists up to several datagrams long, CutServeIDs
+// cuts the chunks CutPackets cuts from the same packets, and ServeSize
+// charges each what its Serve's WireSize does.
+func TestServeIDsCutAndChargedAsPackets(t *testing.T) {
+	for _, width := range []int{0, 1, 100, 357, 358, 700, 1316, MTUBytes, 2 * MTUBytes} {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 17, 300} {
+			pkts := make([]*stream.Packet, n)
+			ids := make([]stream.PacketID, n)
+			for i := range pkts {
+				pkts[i] = &stream.Packet{ID: stream.PacketID(i), Payload: make([]byte, width)}
+				ids[i] = stream.PacketID(i)
+			}
+			for len(pkts) > 0 || len(ids) > 0 {
+				var pc []*stream.Packet
+				var ic []stream.PacketID
+				pc, pkts = CutPackets(pkts)
+				ic, ids = CutServeIDs(ids, width)
+				if len(pc) != len(ic) || len(pc) == 0 {
+					t.Fatalf("width %d, %d packets: CutPackets cut %d, CutServeIDs %d", width, n, len(pc), len(ic))
+				}
+				if got, want := ServeSize(len(ic), width), (Serve{Packets: pc}).WireSize(); got != want {
+					t.Fatalf("width %d: ServeSize(%d) = %d, WireSize %d", width, len(ic), got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestSplitServe(t *testing.T) {
 	var packets []*stream.Packet
 	for i := 0; i < 5; i++ {
