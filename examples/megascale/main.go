@@ -43,6 +43,14 @@ func main() {
 		teleOut   = flag.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
 	)
 	flag.Parse()
+	switch {
+	case flag.NArg() > 0:
+		fmt.Fprintf(os.Stderr, "megascale: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(1)
+	case *secs < 1:
+		fmt.Fprintf(os.Stderr, "megascale: -seconds %d: want >= 1\n", *secs)
+		os.Exit(1)
+	}
 
 	cfg := gossipstream.ScaledExperiment(*nodes, *shards, time.Duration(*secs)*time.Second)
 	cfg.Seed = *seed

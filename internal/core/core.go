@@ -31,38 +31,31 @@
 //
 // What a peer keeps per stream id is about three bits: one "known" bit
 // (delivered or requested) and the receiver's delivery bit with its
-// per-window count. Over the flat route that is all: a SERVE there is the
-// ids of its packets, so a peer serves an id exactly when it has been
-// delivered it, and neither it nor the source ever holds a packet. Only a
-// peer on the generic route, whose SERVEs carry bytes, keeps the packets
-// it is delivered — in a table of its own, a pointer per stream id,
-// allocated when it starts on that route — and the source there serves
-// from stream.Source, which builds them. Pull state
-// exists only while an id is being retried: a by-value record in a
-// per-peer slab, found by id through a small open-addressing index whose
-// population is the ids in flight, not the stream. Retransmission batches
-// live in a second slab — a batch's ids are a list linked through their
-// request records, and free records and batches chain through the same
-// links — and the gossip tick and the retransmission timer are
-// (kind, arg) timer records rather than closures. Retransmission deadlines
-// never leave the peer: a batch records when it is due, a SERVE that
+// per-window count. The peer runs on ids alone — a SERVE is the ids of its
+// packets, and a peer serves an id exactly when it has been delivered it —
+// so it holds no packet; only the adapter that carries it over a plain Env
+// keeps the packets of the boxed SERVEs an ordinary peer is delivered, a
+// pointer per stream id. Pull state exists only while an id is being
+// retried: a by-value record in a per-peer slab, found by id through a
+// small open-addressing index whose population is the ids in flight, not
+// the stream. Retransmission batches live in a second slab — a batch's
+// ids are a list linked through their request records, and free records
+// and batches chain through the same links — and the gossip tick and the
+// retransmission timer are (kind, arg) timer records rather than
+// closures. Retransmission deadlines never leave the peer: a batch records when it is due, a SERVE that
 // delivers its last outstanding id frees it on the spot, and the engine
 // holds one retransmission timer per peer, armed for the earliest deadline
 // — not one event per REQUEST, nearly all of which would fire to find
-// everything served. Over a TimerEnv whose flat route
-// reaches the peer (the simulation engine, the peer being the node's
-// registered handler) messages are flat too: PROPOSE, REQUEST and SERVE
-// leave through SendIDs and SendServe straight from per-peer scratch and
-// arrive through HandleIDs, so in steady state a handler and a round
-// allocate nothing at all. Over a plain Env — the real-time driver, any
-// wrapper that defines only Env's five methods — a message travels as a
-// boxed wire.Message: one exactly sized id list and one box per round's
-// PROPOSE and per REQUEST sent, SERVE batches from wire's pool, and the
+// everything served. Messages are flat too: PROPOSE, REQUEST and SERVE
+// leave through TimerEnv's SendIDs and SendServe from per-peer scratch and
+// arrive through HandleIDs, so on the simulation engine a handler and a
+// round allocate nothing at all in steady state. Over a plain Env — the
+// real-time driver, any wrapper of Env's five methods — the adapter boxes
+// what the same code sends: one exactly sized id list and one box per
+// PROPOSE chunk and per REQUEST, SERVE batches from wire's pool, and the
 // closure Env.After takes each time the retransmission timer is armed.
-// Both routes run the same handler bodies and the one retransmission state
-// machine, draw the same random numbers and send the same datagrams, of
-// the same sizes, in the same order. alloc_test.go holds the handlers to
-// these budgets.
+// Either way the peer sends the same datagrams in the same order.
+// alloc_test.go holds the handlers to these budgets.
 package core
 
 import (
@@ -79,8 +72,10 @@ import (
 
 // Env is the environment a peer runs in. Implementations must invoke the
 // peer's handlers sequentially (never concurrently). These five methods are
-// all a peer needs; an Env that can also carry timers as flat records
-// offers TimerEnv on top.
+// all a peer needs: over them, its timers are closures armed with After and
+// its messages boxed, sent with Send and delivered through HandleMessage.
+// An Env that can carry timers and messages as flat records offers
+// TimerEnv on top.
 type Env interface {
 	// ID returns the local node id.
 	ID() wire.NodeID
@@ -89,26 +84,24 @@ type Env interface {
 	// Send transmits a message with UDP semantics (may be lost, no order).
 	Send(to wire.NodeID, msg wire.Message)
 	// After schedules fn once after d; the returned function cancels it.
+	// A peer never cancels: it ignores the timers it no longer wants.
 	After(d time.Duration, fn func()) (cancel func())
 	// Rand returns the node's deterministic random source.
 	Rand() *rand.Rand
 }
 
-// TimerEnv is an optional extension of Env for environments that can carry
-// a peer's timers and messages as flat records instead of closures and
-// boxed interfaces. A peer checks for it at Start: when its Env implements
-// TimerEnv and FlatTimers reports true, every gossip tick and the
+// TimerEnv is the route every peer runs on: timers and messages as flat
+// records instead of closures and boxed interfaces. Gossip ticks and the
 // retransmission timer are armed with AfterTimer and come back through
-// (*Peer).OnTimer, and every PROPOSE, REQUEST and SERVE leaves through
-// SendIDs or SendServe — the peer expects them back through HandleIDs —
-// none of which allocates; otherwise the same OnTimer calls are wrapped in
-// closures and armed with After, and messages are boxed and sent with
-// Send. Both routes run the one timer state machine and the same handler
-// bodies, arm and send in the same order, so which one is taken never
-// changes what the peer does. A flat SERVE is the ids of its packets, for
-// an environment that moves no payload bytes: the simulation engine's
-// *megasim.NodeEnv implements TimerEnv; the real-time driver and any
-// wrapper that defines only Env's five methods do not need to.
+// (*Peer).OnTimer; PROPOSE, REQUEST and SERVE leave through SendIDs and
+// SendServe, none of which allocates. When its Env is a TimerEnv whose
+// FlatTimers reports true (the simulation engine's *megasim.NodeEnv), a
+// peer runs on it directly and gets its messages through HandleIDs. Over
+// any other Env (the real-time driver, a wrapper of Env's five methods) it
+// runs on an adapter that arms closures with After, sends boxed messages
+// with Send and keeps the packets of the boxed SERVEs HandleMessage
+// delivers; the peer's code is the same either way. A flat SERVE is the
+// ids of its packets, for an environment that moves no payload bytes.
 //
 // Ids cross the flat route by copy, in both directions: the environment
 // copies what SendIDs and SendServe are given before they return (the
@@ -367,13 +360,6 @@ type retBatch struct {
 	armed    bool
 }
 
-// retCancel is one retransmission timer in flight on the After route: the
-// generation it was armed under and the cancel function After returned.
-type retCancel struct {
-	gen    uint32
-	cancel func()
-}
-
 // Counters exposes protocol-level statistics of a peer.
 type Counters struct {
 	Rounds          int
@@ -409,12 +395,7 @@ type Peer struct {
 
 	source *stream.Source // nil for ordinary peers
 
-	// table holds, dense over the stream's ids, the packets an ordinary
-	// peer on the generic route has been delivered: Start allocates it
-	// there, HandleMessage fills it at each first delivery of a boxed
-	// SERVE, and a flat peer has none.
-	table        []*stream.Packet
-	payloadBytes int // the layout's: what each id of a flat SERVE is charged
+	payloadBytes int // the layout's: what each id of a SERVE is charged
 	// toPropose collects the ids delivered since the last round. It is
 	// scratch: a round's PROPOSEs are sent from it and it is truncated.
 	toPropose []stream.PacketID
@@ -446,14 +427,10 @@ type Peer struct {
 	retGen   uint32
 	retArmed bool
 	retDue   time.Duration
-	// retCancels serves the After route only: every retransmission timer
-	// in flight, superseded ones included, so that Stop can cancel them all
-	// (an environment drops a removed node's flat timers by itself).
-	retCancels []retCancel
 	// idScratch collects the ids handlePropose and retransmit are about to
-	// request, handleRequest to serve on the flat route and a boxed SERVE
-	// carries, retTargets where retransmit sends each, and targetScratch
-	// the ids retransmit sends to one of several targets.
+	// request, handleRequest to serve and a boxed SERVE carries, retTargets
+	// where retransmit sends each, and targetScratch the ids retransmit
+	// sends to one of several targets.
 	idScratch     []stream.PacketID
 	retTargets    []wire.NodeID
 	targetScratch []stream.PacketID
@@ -462,22 +439,12 @@ type Peer struct {
 	running bool
 	// epoch counts Starts; the tick chain carries it (see timerTick).
 	epoch uint32
-	// flat is the Env as a TimerEnv while the peer runs on the flat route
-	// (timers and messages), nil while it arms timers through After and
-	// sends boxed messages through Send; decided at Start.
-	flat TimerEnv
-	// tickFn and cancelTick serve the After route only: the tick's closure,
-	// built once per Start, and the pending tick's cancel.
-	tickFn      func()
-	cancelTick  func()
+	// flat is where the peer's timers and messages go, decided at each
+	// Start: the Env itself when it is a TimerEnv whose flat route reaches
+	// the peer, otherwise a *boxedEnv over it, built once and kept.
+	flat        TimerEnv
 	counters    Counters
 	layoutTotal int
-
-	// serveScratch and serveBatches are reused across REQUESTs on the
-	// generic route so serving does not allocate; they are cleared after
-	// use to avoid pinning packets.
-	serveScratch []*stream.Packet
-	serveBatches []wire.Serve
 }
 
 // NewPeer returns an ordinary (non-source) peer over the given sampler.
@@ -540,14 +507,10 @@ func (p *Peer) Start() {
 	}
 	p.running = true
 	p.epoch++
-	p.flat = nil
 	if te, ok := p.env.(TimerEnv); ok && te.FlatTimers() {
 		p.flat = te
-	} else {
-		p.tickFn = p.timerFunc(timerTick, p.epoch)
-		if p.source == nil && p.table == nil {
-			p.table = make([]*stream.Packet, p.layoutTotal)
-		}
+	} else if _, ok := p.flat.(*boxedEnv); !ok {
+		p.flat = newBoxedEnv(p)
 	}
 	p.armTick(time.Duration(p.env.Rand().Int63n(int64(p.cfg.GossipPeriod))))
 }
@@ -557,20 +520,12 @@ func (p *Peer) Start() {
 // undelivered ids, whose known bits it clears, so that a PROPOSE after a
 // restart requests them afresh instead of finding them "already requested"
 // with no timer left to retry them. Already in-flight messages still
-// arrive; handlers on a stopped peer are no-ops.
+// arrive; handlers on a stopped peer are no-ops. Stop cancels no timer: the
+// pending tick fires to find an old epoch, a retransmission timer to find
+// retArmed false.
 func (p *Peer) Stop() {
 	p.running = false
-	if p.cancelTick != nil {
-		p.cancelTick()
-		p.cancelTick = nil
-	}
-	// A flat timer cannot be cancelled: it fires to find retArmed false.
 	p.retArmed = false
-	for _, t := range p.retCancels {
-		t.cancel()
-	}
-	clear(p.retCancels)
-	p.retCancels = p.retCancels[:0]
 	for i := range p.batches {
 		b := &p.batches[i]
 		if !b.armed {
@@ -587,24 +542,14 @@ func (p *Peer) Stop() {
 	}
 }
 
-// timerFunc wraps OnTimer(kind, arg) for an Env that only takes closures.
-func (p *Peer) timerFunc(kind uint8, arg uint32) func() {
-	//lint:coldpath only the After route (rt, wrapped Envs) gets here, to build the closure its Env demands; on the simulation engine timers are flat
-	return func() { p.OnTimer(kind, arg) }
-}
-
 // armTick schedules the next gossip round.
 func (p *Peer) armTick(d time.Duration) {
-	if p.flat != nil {
-		p.flat.AfterTimer(d, timerTick, p.epoch)
-		return
-	}
-	p.cancelTick = p.env.After(d, p.tickFn)
+	p.flat.AfterTimer(d, timerTick, p.epoch)
 }
 
 // OnTimer is the peer's one timer entry point: the environment calls it
-// when a timer armed through TimerEnv.AfterTimer (or its closure over
-// After) fires.
+// when a timer armed through TimerEnv.AfterTimer (or the adapter's closure
+// over After) fires.
 func (p *Peer) OnTimer(kind uint8, arg uint32) {
 	switch kind {
 	case timerTick:
@@ -683,13 +628,12 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	case wire.Request:
 		p.handleRequest(from, m.IDs)
 	case wire.Serve:
-		// The packets' ids are what the protocol runs on; a peer on the
-		// generic route keeps the packets to serve them on.
+		// The packets' ids are what the protocol runs on; the adapter over
+		// a plain Env keeps the packets to serve them on.
+		b, _ := p.flat.(*boxedEnv)
+		b.keep(m.Packets)
 		ids := p.idScratch[:0]
 		for _, pkt := range m.Packets {
-			if p.table != nil && int(pkt.ID) < p.layoutTotal && !p.recv.Has(pkt.ID) {
-				p.table[pkt.ID] = pkt
-			}
 			//lint:pooled idScratch is per-peer scratch, reused by every SERVE
 			ids = append(ids, pkt.ID)
 		}
@@ -703,8 +647,8 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 }
 
 // HandleIDs is HandleMessage for a PROPOSE, REQUEST or SERVE (kind)
-// delivered unboxed, the flat route's counterpart of TimerEnv.SendIDs and
-// SendServe. ids is the environment's and valid for the call only.
+// delivered unboxed, the counterpart of TimerEnv.SendIDs and SendServe.
+// ids is the environment's and valid for the call only.
 func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID) {
 	if !p.running {
 		return
@@ -722,23 +666,11 @@ func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID
 // sendProposes advertises ids to every partner, one PROPOSE per MTU-sized
 // chunk. ids is read during the call only.
 func (p *Peer) sendProposes(partners []wire.NodeID, ids []stream.PacketID) {
-	if p.flat == nil {
-		ids = slices.Clone(ids) // the messages in flight own one exact copy of the round's ids
-	}
 	for len(ids) > 0 {
 		var chunk []stream.PacketID
 		chunk, ids = wire.CutIDs(ids)
-		if p.flat != nil {
-			for _, partner := range partners {
-				p.flat.SendIDs(partner, wire.KindPropose, chunk)
-			}
-		} else {
-			// Box the message once: Send takes an interface, and converting
-			// per partner would allocate fanout times per round.
-			var msg wire.Message = wire.Propose{IDs: chunk}
-			for _, partner := range partners {
-				p.env.Send(partner, msg)
-			}
+		for _, partner := range partners {
+			p.flat.SendIDs(partner, wire.KindPropose, chunk)
 		}
 		p.counters.ProposesSent += len(partners)
 	}
@@ -747,27 +679,19 @@ func (p *Peer) sendProposes(partners []wire.NodeID, ids []stream.PacketID) {
 // sendRequests sends ids to target as REQUESTs, one per MTU-sized chunk,
 // and returns how many it sent. ids is read during the call only.
 func (p *Peer) sendRequests(target wire.NodeID, ids []stream.PacketID) (sent int) {
-	if p.flat == nil {
-		ids = slices.Clone(ids) // the messages in flight own one exact copy
-	}
 	for len(ids) > 0 {
 		var chunk []stream.PacketID
 		chunk, ids = wire.CutIDs(ids)
-		if p.flat != nil {
-			p.flat.SendIDs(target, wire.KindRequest, chunk)
-		} else {
-			//lint:boxed over a plain Env the boxed REQUEST is the in-flight message record
-			p.env.Send(target, wire.Request{IDs: chunk})
-		}
+		p.flat.SendIDs(target, wire.KindRequest, chunk)
 		sent++
 	}
 	p.counters.RequestsSent += sent
 	return sent
 }
 
-// sendServeIDs sends the packets ids names to target as flat SERVEs, one
-// per MTU-sized batch. ids is read during the call only.
-func (p *Peer) sendServeIDs(target wire.NodeID, ids []stream.PacketID) {
+// sendServes sends the packets ids names to target as SERVEs, one per
+// MTU-sized batch. ids is read during the call only.
+func (p *Peer) sendServes(target wire.NodeID, ids []stream.PacketID) {
 	p.counters.PacketsServed += len(ids)
 	for len(ids) > 0 {
 		var chunk []stream.PacketID
@@ -775,23 +699,6 @@ func (p *Peer) sendServeIDs(target wire.NodeID, ids []stream.PacketID) {
 		p.flat.SendServe(target, chunk, p.payloadBytes)
 		p.counters.ServesSent++
 	}
-}
-
-// sendServes sends pkts to target as boxed SERVEs, one per MTU-sized
-// batch. pkts is read during the call only.
-func (p *Peer) sendServes(target wire.NodeID, pkts []*stream.Packet) {
-	p.counters.PacketsServed += len(pkts)
-	// The batch backings are pooled; ownership passes to the Env, which
-	// recycles them when it can tell the message is consumed or leaves them
-	// to the collector.
-	batches := wire.SplitServeInto(p.serveBatches[:0], pkts)
-	p.counters.ServesSent += len(batches)
-	for _, serve := range batches {
-		//lint:boxed over a plain Env the boxed SERVE is the in-flight message record
-		p.env.Send(target, serve)
-	}
-	clear(batches)
-	p.serveBatches = batches[:0]
 }
 
 // handlePropose implements phase 2: request ids not yet requested, then set
@@ -920,23 +827,16 @@ func (p *Peer) freeBatch(bi uint32) {
 }
 
 // wakeBy makes sure the peer's retransmission timer fires no later than
-// due. A timer in flight that does is left alone; one that fires later
-// cannot be cancelled on the flat route, so on either route it is left to
-// fire as a no-op and a new generation is armed beside it.
+// due. A timer in flight that does is left alone; one that fires later is
+// not cancelled but left to fire as a no-op, and a new generation is armed
+// beside it.
 func (p *Peer) wakeBy(due time.Duration) {
 	if p.retArmed && p.retDue <= due {
 		return
 	}
 	p.retGen++
 	p.retArmed, p.retDue = true, due
-	d := due - p.env.Now()
-	if p.flat != nil {
-		p.flat.AfterTimer(d, timerRetransmit, p.retGen)
-		return
-	}
-	cancel := p.env.After(d, p.timerFunc(timerRetransmit, p.retGen))
-	//lint:pooled After route only; the list holds the timers in flight, one plus the superseded ones still to fire
-	p.retCancels = append(p.retCancels, retCancel{p.retGen, cancel})
+	p.flat.AfterTimer(due-p.env.Now(), timerRetransmit, p.retGen)
 }
 
 // earliestBatch returns the armed batch due first, ties in arm order. A
@@ -961,14 +861,6 @@ func (p *Peer) earliestBatch() (bi uint32, ok bool) {
 // earliest batch left. Arming waits for the end because each check that
 // re-requests arms a batch of its own.
 func (p *Peer) retTimerFired(gen uint32) {
-	if p.flat == nil {
-		for i, t := range p.retCancels {
-			if t.gen == gen {
-				p.retCancels = slices.Delete(p.retCancels, i, i+1)
-				break
-			}
-		}
-	}
 	if gen != p.retGen || !p.retArmed {
 		p.counters.RetIdleWakeups++
 		return
@@ -1069,53 +961,25 @@ func count(s []wire.NodeID, v wire.NodeID) int {
 	return n
 }
 
-// handleRequest implements phase 3: serve the payloads we hold — on the
-// flat route the ids we have been delivered (getEvent in Algorithm 1). A
-// leech drops the request instead — receivers retransmit toward other
-// proposers, paying for the free-rider with their own uplinks.
+// handleRequest implements phase 3: serve the ids we have been delivered
+// (getEvent in Algorithm 1). A leech drops the request instead — receivers
+// retransmit toward other proposers, paying for the free-rider with their
+// own uplinks.
 func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	if p.cfg.Leech {
 		return
 	}
-	if p.flat != nil {
-		held := p.idScratch[:0]
-		for _, id := range ids {
-			if p.recv.Has(id) {
-				//lint:pooled idScratch is per-peer scratch, reused by every REQUEST
-				held = append(held, id)
-			}
-		}
-		if len(held) > 0 {
-			p.sendServeIDs(from, held)
-		}
-		p.idScratch = held[:0]
-		return
-	}
-	pkts := p.serveScratch[:0]
+	held := p.idScratch[:0]
 	for _, id := range ids {
-		if pkt := p.lookup(id); pkt != nil {
-			//lint:pooled serveScratch is per-peer scratch, reused by every REQUEST
-			pkts = append(pkts, pkt)
+		if p.recv.Has(id) {
+			//lint:pooled idScratch is per-peer scratch, reused by every REQUEST
+			held = append(held, id)
 		}
 	}
-	if len(pkts) > 0 {
-		p.sendServes(from, pkts)
+	if len(held) > 0 {
+		p.sendServes(from, held)
 	}
-	clear(pkts)
-	p.serveScratch = pkts[:0]
-}
-
-// lookup fetches a packet on the generic route (getEvent in Algorithm 1):
-// one the peer has been delivered, and so holds, or nil.
-func (p *Peer) lookup(id stream.PacketID) *stream.Packet {
-	switch {
-	case !p.recv.Has(id):
-		return nil
-	case p.source != nil:
-		return p.source.Packet(id)
-	default:
-		return p.table[id]
-	}
+	p.idScratch = held[:0]
 }
 
 // handleServe delivers the packets ids names (deliverEvent) and queues

@@ -112,8 +112,10 @@ func runLossyCluster(t *testing.T, retry RetryPolicy, flat bool) ([]string, []Co
 	}
 	for _, p := range peers {
 		p.Start()
-		if (p.flat != nil) != flat || (p.table != nil) != (!flat && !p.IsSource()) {
-			t.Fatalf("peer on the flat route: %v, want %v; it holds a packet table: %v", p.flat != nil, flat, p.table != nil)
+		b, boxed := p.flat.(*boxedEnv)
+		if boxed == flat || boxed && (b.table != nil) == p.IsSource() {
+			t.Fatalf("peer on its Env's own flat route: %v, want %v; a source: %v, holding a packet table: %v",
+				!boxed, flat, p.IsSource(), boxed && b.table != nil)
 		}
 	}
 	sched.RunUntil(lossyLayout.Duration() + 2*time.Second)

@@ -288,11 +288,14 @@ func TestPanicOnStale(t *testing.T) {
 			t.Fatal(err)
 		}
 		e.AddNode(sink{}, shaping.Unlimited, 0)
+		env0 := e.NodeEnv(0, NewRand(1))
 		env1 := e.NodeEnv(1, NewRand(2))
 		e.AddNode(&recorder{env: env1}, shaping.Unlimited, 0)
 		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
 		e.AtBarrier(30*time.Millisecond, func() { e.AddNode(sink{}, shaping.Unlimited, 0) })
-		env1.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
+		// The departed node's own timers die with it; a live node's timer
+		// uses the stale handle.
+		env0.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
 		mustPanicContains(t, "Run with stale send", "megasim: send: stale handle", func() {
 			_ = e.Run(60 * time.Millisecond)
 		})

@@ -602,8 +602,8 @@ func (e *Engine) AttachSampler(id NodeID, d member.DynamicSampler, period time.D
 // event worth counting — ticks are scheduled a full period ahead, far
 // past the quarantine window.
 func (e *Engine) memberTick(sh *shard, id NodeID) {
-	nd := &e.nodes[uint32(id)&slotMask]
-	if int(nd.gen) != int(uint32(id)>>slotBits) || !nd.alive || nd.sampler == nil {
+	nd := e.liveNode(id)
+	if nd == nil || nd.sampler == nil {
 		return
 	}
 	if em, ok := nd.sampler.Tick(); ok {
@@ -1220,6 +1220,15 @@ func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
 	return time.Duration(base)
 }
 
+// liveNode returns the node id names while that incarnation is alive, nil
+// once it has crashed or departed: whether its timers and ticks still run.
+func (e *Engine) liveNode(id NodeID) *nodeState {
+	if s := Slot(id); s < len(e.nodes) && int(e.nodes[s].gen) == Gen(id) && e.nodes[s].alive {
+		return &e.nodes[s]
+	}
+	return nil
+}
+
 // lookup resolves a node handle for an accessor, panicking with a named,
 // actionable message when the handle cannot resolve: slot outside the
 // arena (the id was never minted) or generation mismatch (the incarnation
@@ -1284,8 +1293,10 @@ func (v *NodeEnv) SendServe(to NodeID, ids []stream.PacketID, payloadBytes int) 
 }
 
 // After schedules fn once after d on the node's shard; the returned
-// function cancels it.
-func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d, fn) }
+// function cancels it. The timer dies with its node: once the node has
+// crashed or been released, fn is dropped unexecuted and uncounted, as a
+// cancelled timer is.
+func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d, v.id, fn) }
 
 // FlatTimers reports whether the flat route reaches the node's logic: the
 // node has been added and its handler is a TimerHandler. Node logic that
@@ -1302,12 +1313,10 @@ func (v *NodeEnv) FlatTimers() bool {
 }
 
 // AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once
-// after d, as one by-value event: no closure, no cancel function. A timer
-// cannot be cancelled — the handler ignores the ones it no longer wants —
-// but it never outlives its node: timers of a crashed or departed node
-// are dropped unexecuted and uncounted, as cancelled After timers are.
-// Timer ids and sequence numbers are drawn as After draws them, so a run
-// is the same event for event over either call.
+// after d, as one by-value event: no closure, no cancel function — the
+// handler ignores the timers it no longer wants. Like an After timer, it
+// dies with its node. Timer ids and sequence numbers are drawn as After
+// draws them, so a run is the same event for event over either call.
 func (v *NodeEnv) AfterTimer(d time.Duration, kind uint8, arg uint32) {
 	v.sh.afterNode(d, v.id, kind, arg)
 }

@@ -368,6 +368,42 @@ func TestTimerCancel(t *testing.T) {
 	}
 }
 
+// TestAfterTimersDieWithTheirNode: a NodeEnv.After timer armed by a node
+// that then crashes, or crashes and is released, neither runs nor counts —
+// in Fired or in any shard's load — the way an AfterTimer timer of a
+// departed node is dropped. A live node's timer still runs.
+func TestAfterTimersDieWithTheirNode(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fired []NodeID
+		for id := NodeID(0); id < 3; id++ {
+			env := e.NodeEnv(id, NewRand(int64(id)))
+			e.AddNode(&recorder{env: env}, shaping.Unlimited, 0)
+			env.After(30*time.Millisecond, func() { fired = append(fired, id) })
+		}
+		e.AtBarrier(10*time.Millisecond, func() {
+			e.Crash(1)
+			e.Crash(2)
+			e.Release(2)
+		})
+		if err := e.Run(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		var events, timers uint64
+		for _, l := range e.ShardLoads() {
+			events += l.Events
+			timers += l.Timers
+		}
+		if !reflect.DeepEqual(fired, []NodeID{0}) || e.Fired() != 1 || events != 1 || timers != 1 {
+			t.Fatalf("%d shards: timers of nodes %v ran, %d events fired (%d in shard loads, %d timers): want only node 0's, counted once",
+				shards, fired, e.Fired(), events, timers)
+		}
+	}
+}
+
 func TestBarrierRunsBeforeSameInstantEvents(t *testing.T) {
 	e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 	if err != nil {

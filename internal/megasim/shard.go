@@ -18,8 +18,9 @@ import (
 //
 // Node timers are the same cure for node logic: a TimerHandler's timers
 // (core's gossip tick and retransmission timer) are flat (node, kind,
-// arg) records instead of a closure plus a cancel closure per arm, and
-// they die with the node exactly as a cancelled evTimer would.
+// arg) records instead of a closure plus a cancel closure per arm. Both
+// kinds of timer die with their node: a departed node's are skipped
+// uncounted, as a cancelled evTimer is.
 const (
 	evTimer uint8 = iota
 	evDeliver
@@ -38,7 +39,7 @@ type event struct {
 	at   time.Duration
 	seq  uint64
 	from NodeID // evDeliver: the sender
-	to   NodeID // evDeliver: the destination; evMemberTick, evNodeTimer: the node
+	to   NodeID // evDeliver: the destination; the other kinds: the node
 	// ref is the event's one argument: the message's index in the shard's
 	// slab (evDeliver), the closure's slot in the shard's After table
 	// (evTimer), or the handler's own arg (evNodeTimer).
@@ -380,8 +381,8 @@ func (s *shard) runWindow(end time.Duration) {
 			s.afters[ev.ref] = timerSlot{}
 			//lint:pooled the free list is bounded by the table it indexes
 			s.afterFree = append(s.afterFree, ev.ref)
-			if fn == nil {
-				continue // cancelled: skipped uncounted
+			if fn == nil || s.eng.liveNode(ev.to) == nil {
+				continue // cancelled, or its node departed: skipped uncounted
 			}
 			s.now = ev.at
 			s.fired++
@@ -401,11 +402,9 @@ func (s *shard) runWindow(end time.Duration) {
 			s.memberTicks++
 			s.eng.memberTick(s, ev.to)
 		case evNodeTimer:
-			nd := &s.eng.nodes[uint32(ev.to)&slotMask]
-			if int(nd.gen) != int(uint32(ev.to)>>slotBits) || !nd.alive {
-				// The node departed: its timers are void, skipped uncounted
-				// like the cancelled evTimers they replace.
-				continue
+			nd := s.eng.liveNode(ev.to)
+			if nd == nil {
+				continue // the node departed: skipped uncounted
 			}
 			s.now = ev.at
 			s.fired++
@@ -441,12 +440,12 @@ func (s *shard) nextAt() (time.Duration, bool) {
 	return s.q.peekAt()
 }
 
-// after schedules fn at now+d on this shard and returns a cancel func.
-// The closure waits in the After table, named by the event's ref.
-// Cancelling empties the slot and the entry is skipped when popped;
-// cancelling twice, or after the timer fired, finds another tenant's id or
-// none and does nothing.
-func (s *shard) after(d time.Duration, fn func()) func() {
+// after schedules fn at now+d on this shard for node and returns a
+// cancel func. The closure waits in the After table, named by the event's
+// ref. Cancelling empties the slot and the entry is skipped when popped, as
+// it is once the node has departed; cancelling twice, or after the timer
+// fired, finds another tenant's id or none and does nothing.
+func (s *shard) after(d time.Duration, node NodeID, fn func()) func() {
 	if d < 0 {
 		d = 0
 	}
@@ -461,7 +460,7 @@ func (s *shard) after(d time.Duration, fn func()) func() {
 		s.afters = append(s.afters, timerSlot{})
 	}
 	s.afters[slot] = timerSlot{fn: fn, id: id}
-	s.push(event{at: s.now + d, ref: slot, kind: evTimer})
+	s.push(event{at: s.now + d, to: node, ref: slot, kind: evTimer})
 	return func() {
 		if t := &s.afters[slot]; t.id == id {
 			t.fn = nil

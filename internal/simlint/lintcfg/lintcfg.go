@@ -118,10 +118,13 @@ func Default() *Config {
 			// walk from the shard loop, so they are roots of their own —
 			// the boxed entry point and the typed ones alike; retransmit is
 			// named as well as OnTimer so that it stays audited however the
-			// timer entry reaches it.
+			// timer entry reaches it. The peer sends and arms through the
+			// TimerEnv interface, so the adapter that boxes them over a
+			// plain Env is named too.
 			"core": {
 				"(*Peer).HandleMessage", "(*Peer).HandleIDs",
 				"(*Peer).OnTimer", "(*Peer).retransmit",
+				"(*boxedEnv).AfterTimer", "(*boxedEnv).SendIDs", "(*boxedEnv).SendServe",
 			},
 			// A Cyclon round per node per period and a partner draw per
 			// gossip round, reached only through the member interfaces.
