@@ -18,6 +18,13 @@ func TestFlagValidation(t *testing.T) {
 		{"negative nodes", []string{"-nodes", "-5"}},
 		{"unknown flag", []string{"-bogus"}},
 		{"stray argument", []string{"extra"}},
+		{"unknown figure", []string{"-only", "9"}},
+		{"unknown figure among known", []string{"-only", "1,claim,x"}},
+		{"figure zero", []string{"-only", "0"}},
+		{"scale above one", []string{"-scale", "1.5"}},
+		{"negative scale", []string{"-scale", "-2"}},
+		{"zero scale", []string{"-scale", "0"}},
+		{"NaN scale", []string{"-scale", "NaN"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -34,7 +34,6 @@
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -57,27 +56,21 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
 	fs.SetOutput(out)
+	var rf gossipstream.RunFlags
+	rf.Register(fs, 0)
+	rf.RegisterTelemetry(fs)
 	var (
-		nodes   = fs.Int("nodes", 230, "system size including the source")
-		shards  = fs.Int("shards", 0, "parallel simulation shards (0 = default (1); one shard runs inline)")
-		queue   = fs.String("queue", "heap", "engine scheduler: heap or calendar (same results, different wall time)")
-		members = fs.String("membership", "full", "membership substrate: full (paper's global view) or cyclon (partial views)")
-		fanout  = fs.Int("fanout", 7, "gossip fanout f")
-		refresh = fs.Int("refresh", 1, "view refresh rate X (0 = never, the paper's ∞)")
-		feed    = fs.Int("feed", 0, "feed-me rate Y (0 = disabled, the paper's ∞)")
-		capKbps = fs.Int64("cap", 700, "upload cap per node in kbps (0 = unlimited)")
-		windows = fs.Int("windows", 120, "stream length in 110-packet windows")
-		churnAt = fs.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second (sustained; graceful leavers announce their exit); or flash:<mult>,<secs>[,<start-secs>] (a crowd joining at once; joins need -membership cyclon)")
-		riders  = fs.Float64("freeriders", 0, "fraction of nodes that free-ride: receive the stream but never propose or serve")
-		seed    = fs.Int64("seed", 1, "simulation seed")
-		verbose = fs.Bool("v", false, "print per-node detail")
-
-		streaming = fs.Bool("streaming", false, "retain no per-node rows (the memory unlock at scale); every score is the same, only -v and the exact upload ranks need the rows")
-		teleOut   = fs.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
-		progress  = fs.Bool("progress", false, "print a live progress line to stderr")
-		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile to this path")
-		memProf   = fs.String("memprofile", "", "write a heap profile (taken after the run) to this path")
-		traceOut  = fs.String("trace", "", "write a runtime execution trace to this path")
+		nodes    = fs.Int("nodes", 230, "system size including the source")
+		fanout   = fs.Int("fanout", 7, "gossip fanout f")
+		refresh  = fs.Int("refresh", 1, "view refresh rate X (0 = never, the paper's ∞)")
+		feed     = fs.Int("feed", 0, "feed-me rate Y (0 = disabled, the paper's ∞)")
+		capKbps  = fs.Int64("cap", 700, "upload cap per node in kbps (0 = unlimited)")
+		windows  = fs.Int("windows", 120, "stream length in 110-packet windows")
+		riders   = fs.Float64("freeriders", 0, "fraction of nodes that free-ride: receive the stream but never propose or serve")
+		verbose  = fs.Bool("v", false, "print per-node detail (not kept under -streaming)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile to this path")
+		memProf  = fs.String("memprofile", "", "write a heap profile (taken after the run) to this path")
+		traceOut = fs.String("trace", "", "write a runtime execution trace to this path")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -85,14 +78,11 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
-	if fs.NArg() > 0 {
-		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
-	}
 	switch {
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case *nodes < 2:
 		return fmt.Errorf("-nodes %d: need at least a source and one peer", *nodes)
-	case *shards < 0:
-		return fmt.Errorf("-shards %d: want >= 0", *shards)
 	case *fanout < 1:
 		return fmt.Errorf("-fanout %d: want >= 1", *fanout)
 	case *refresh < 0:
@@ -108,60 +98,29 @@ func run(args []string, out io.Writer) error {
 	}
 
 	cfg := gossipstream.DefaultExperiment()
-	m, err := gossipstream.ParseMembership(*members)
-	if err != nil {
-		return fmt.Errorf("-%w", err)
-	}
-	cfg.Membership = m
-	q, err := gossipstream.ParseQueue(*queue)
-	if err != nil {
-		return fmt.Errorf("-%w", err)
-	}
-	cfg.Queue = q
 	cfg.Nodes = *nodes
-	cfg.Shards = *shards
-	cfg.Seed = *seed
 	cfg.Protocol.Fanout = *fanout
 	cfg.Protocol.RefreshEvery = *refresh
 	cfg.Protocol.FeedEvery = *feed
 	cfg.UploadCapBps = *capKbps * 1000
 	cfg.Layout.Windows = *windows
-	if err := gossipstream.ApplyChurnFlag(&cfg, *churnAt); err != nil {
-		return fmt.Errorf("-%w", err)
-	}
 	cfg.FreeRiders = *riders
-	cfg.StreamingMetrics = *streaming
-	if *verbose && *streaming {
-		return errors.New("-v needs per-node results, which -streaming does not retain")
+	if err := rf.Apply(&cfg); err != nil {
+		return err
 	}
-	progressDone := func() {}
-	if *progress || *teleOut != "" {
-		// Introspection hooks: a wall-clock sampler always (the manifest's
-		// wall split), snapshots every simulated second, and the live line
-		// when asked. None of it perturbs the simulated run.
-		topts := &gossipstream.TelemetryOptions{
-			SnapshotEvery: time.Second,
-			Clock:         gossipstream.NewWallClock(),
-		}
-		if *progress {
-			topts.OnSnapshot, progressDone = gossipstream.NewProgressLine(os.Stderr)
-		}
-		cfg.Telemetry = topts
+	if *verbose && rf.Streaming {
+		return errors.New("-v needs per-node results, which -streaming does not retain")
 	}
 
 	stopProf, err := startProfiling(*cpuProf, *traceOut)
 	if err != nil {
 		return err
 	}
-
-	start := time.Now()
-	res, err := gossipstream.RunExperiment(cfg)
+	res, wall, err := rf.Run(cfg)
 	stopProf()
-	progressDone()
 	if err != nil {
 		return err
 	}
-	wall := time.Since(start)
 	if *memProf != "" {
 		if err := writeHeapProfile(*memProf); err != nil {
 			return err
@@ -179,7 +138,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "stream: %d kbps, %d windows of %d+%d packets\n",
 		cfg.Layout.RateBps/1000, cfg.Layout.Windows, cfg.Layout.DataPerWindow, cfg.Layout.ParityPerWindow)
 	fmt.Fprintf(out, "protocol: fanout %d, X=%s, Y=%s, cap %d kbps, membership %s\n",
-		cfg.Protocol.Fanout, rate(cfg.Protocol.RefreshEvery), rate(cfg.Protocol.FeedEvery), cfg.UploadCapBps/1000, *members)
+		cfg.Protocol.Fanout, rate(cfg.Protocol.RefreshEvery), rate(cfg.Protocol.FeedEvery), cfg.UploadCapBps/1000, cfg.Membership)
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%-28s %8s\n", "metric", "value")
 	for _, lag := range []struct {
@@ -258,10 +217,8 @@ func run(args []string, out io.Writer) error {
 			retired, checks, idle)
 	}
 
-	if *teleOut != "" {
-		if err := writeManifest(res.Manifest("gossipsim"), *teleOut, out); err != nil {
-			return err
-		}
+	if rf.Telemetry != "" {
+		return gossipstream.WriteManifest(rf.Telemetry, res.Manifest("gossipsim"), out)
 	}
 	return nil
 }
@@ -310,23 +267,6 @@ func writeHeapProfile(path string) error {
 	defer f.Close()
 	if err := pprof.Lookup("heap").WriteTo(f, 0); err != nil {
 		return fmt.Errorf("-memprofile: %w", err)
-	}
-	return nil
-}
-
-// writeManifest emits the JSON run manifest to path, or to out for "-".
-func writeManifest(m gossipstream.RunManifest, path string, out io.Writer) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("-telemetry: %w", err)
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err := out.Write(data)
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("-telemetry: %w", err)
 	}
 	return nil
 }

@@ -19,9 +19,10 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"time"
@@ -30,101 +31,71 @@ import (
 )
 
 func main() {
-	var (
-		nodes     = flag.Int("nodes", 10_000, "system size including the source")
-		shards    = flag.Int("shards", runtime.GOMAXPROCS(0), "parallel shards (0 = default (1))")
-		secs      = flag.Int("seconds", 30, "simulated seconds (stream + drain)")
-		churn     = flag.String("churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second; or flash:<mult>,<secs>[,<start-secs>] (joins need -membership cyclon)")
-		members   = flag.String("membership", "full", "membership substrate: full (global view) or cyclon (partial views)")
-		seed      = flag.Int64("seed", 1, "simulation seed")
-		queue     = flag.String("queue", "heap", "per-shard scheduler: heap or calendar (same results, different wall time)")
-		streaming = flag.Bool("streaming", false, "retain no per-node rows (same numbers, flat memory)")
-		progress  = flag.Bool("progress", false, "print a live progress line to stderr")
-		teleOut   = flag.String("telemetry", "", "write a JSON run manifest to this path (- = stdout)")
-	)
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "megascale:", err)
+		os.Exit(1)
+	}
+}
+
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("megascale", flag.ContinueOnError)
+	fs.SetOutput(out)
+	var rf gossipstream.RunFlags
+	rf.Register(fs, runtime.GOMAXPROCS(0))
+	rf.RegisterTelemetry(fs)
+	nodes := fs.Int("nodes", 10_000, "system size including the source")
+	secs := fs.Int("seconds", 30, "simulated seconds (stream + drain)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil // -h/-help: usage already printed, not a failure
+		}
+		return err
+	}
 	switch {
-	case flag.NArg() > 0:
-		fmt.Fprintf(os.Stderr, "megascale: unexpected argument %q\n", flag.Arg(0))
-		os.Exit(1)
+	case fs.NArg() > 0:
+		return fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	case *secs < 1:
-		fmt.Fprintf(os.Stderr, "megascale: -seconds %d: want >= 1\n", *secs)
-		os.Exit(1)
+		return fmt.Errorf("-seconds %d: want >= 1", *secs)
 	}
 
-	cfg := gossipstream.ScaledExperiment(*nodes, *shards, time.Duration(*secs)*time.Second)
-	cfg.Seed = *seed
-	m, err := gossipstream.ParseMembership(*members)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "megascale: -%v\n", err)
-		os.Exit(1)
-	}
-	cfg.Membership = m
-	q, err := gossipstream.ParseQueue(*queue)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "megascale: -%v\n", err)
-		os.Exit(1)
-	}
-	cfg.Queue = q
-	if err := gossipstream.ApplyChurnFlag(&cfg, *churn); err != nil {
-		fmt.Fprintf(os.Stderr, "megascale: -%v\n", err)
-		os.Exit(1)
-	}
-	cfg.StreamingMetrics = *streaming
-	progressDone := func() {}
-	if *progress || *teleOut != "" {
-		topts := &gossipstream.TelemetryOptions{
-			SnapshotEvery: time.Second,
-			Clock:         gossipstream.NewWallClock(),
-		}
-		if *progress {
-			line, done := gossipstream.NewProgressLine(os.Stderr)
-			topts.OnSnapshot = line
-			progressDone = done
-		}
-		cfg.Telemetry = topts
+	cfg := gossipstream.ScaledExperiment(*nodes, rf.Shards, time.Duration(*secs)*time.Second)
+	if err := rf.Apply(&cfg); err != nil {
+		return err
 	}
 
-	nShards := max(cfg.Shards, 1) // 0 is the engine's default, one shard
+	// What the engine will run: 0 is its default of one shard, and it
+	// never runs more shards than nodes.
+	nShards := min(max(cfg.Shards, 1), cfg.Nodes)
 	shardWord := "shards"
 	if nShards == 1 {
 		shardWord = "shard"
 	}
-	fmt.Printf("simulating %d nodes × %ds of 600 kbps stream on %d %s (%s membership)...\n",
-		*nodes, *secs, nShards, shardWord, *members)
-	start := time.Now()
-	res, err := gossipstream.RunExperiment(cfg)
-	progressDone()
+	fmt.Fprintf(out, "simulating %d nodes × %ds of 600 kbps stream on %d %s (%s membership)...\n",
+		*nodes, *secs, nShards, shardWord, cfg.Membership)
+	res, wall, err := rf.Run(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "megascale:", err)
-		os.Exit(1)
+		return err
 	}
-	wall := time.Since(start)
 
-	fmt.Printf("done in %v: %d events (%.0f events/s wall)\n",
+	fmt.Fprintf(out, "done in %v: %d events (%.0f events/s wall)\n",
 		wall.Round(time.Millisecond), res.Events, float64(res.Events)/wall.Seconds())
-	fmt.Printf("survivors:                                 %d / %d\n", res.SurvivorCount(), res.NodeCount())
-	fmt.Printf("nodes viewing with <1%% jitter at 10 s lag: %5.1f%%\n",
+	fmt.Fprintf(out, "survivors:                                 %d / %d\n", res.SurvivorCount(), res.NodeCount())
+	fmt.Fprintf(out, "nodes viewing with <1%% jitter at 10 s lag: %5.1f%%\n",
 		res.SurvivorViewablePct(10*time.Second, gossipstream.JitterThreshold))
-	fmt.Printf("nodes viewing with <1%% jitter offline:     %5.1f%%\n",
+	fmt.Fprintf(out, "nodes viewing with <1%% jitter offline:     %5.1f%%\n",
 		res.SurvivorViewablePct(gossipstream.OfflineLag, gossipstream.JitterThreshold))
-	fmt.Printf("mean complete windows:                     %5.1f%%\n",
+	fmt.Fprintf(out, "mean complete windows:                     %5.1f%%\n",
 		res.SurvivorMeanCompletePct(gossipstream.OfflineLag))
 	if cfg.ChurnProcess != nil && !cfg.ChurnProcess.IsZero() {
-		fmt.Printf("complete windows among present nodes:      %5.1f%% (%d nodes, joiners after bootstrap grace)\n",
+		fmt.Fprintf(out, "complete windows among present nodes:      %5.1f%% (%d nodes, joiners after bootstrap grace)\n",
 			res.PresentMeanCompletePct(gossipstream.OfflineLag), res.PresentCount())
 	}
 	if loads := res.ShardLoads; len(loads) > 0 {
 		lo, hi := loads[0].Events, loads[0].Events
 		for _, l := range loads[1:] {
-			if l.Events < lo {
-				lo = l.Events
-			}
-			if l.Events > hi {
-				hi = l.Events
-			}
+			lo, hi = min(lo, l.Events), max(hi, l.Events)
 		}
-		fmt.Printf("shard load: %d..%d events/shard across %d %s\n", lo, hi, len(loads), shardWord)
+		fmt.Fprintf(out, "shard load: %d..%d events/shard across %d %s\n", lo, hi, len(loads), shardWord)
 	}
 
 	// Network-wide conservation: every message is delivered, lands in a
@@ -140,28 +111,12 @@ func main() {
 		recv += total.RecvMsgs[k]
 	}
 	inFlight := sent - recv - total.RandomDrops - total.DeadDrops
-	fmt.Printf("messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, total.CongestionDrops)
-	fmt.Printf("          %d lost (UDP), %d to/from crashed nodes, %d in flight at deadline\n",
+	fmt.Fprintf(out, "messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, total.CongestionDrops)
+	fmt.Fprintf(out, "          %d lost (UDP), %d to/from crashed nodes, %d in flight at deadline\n",
 		total.RandomDrops, total.DeadDrops, inFlight)
 
-	if *teleOut != "" {
-		if err := writeManifest(res.Manifest("megascale"), *teleOut); err != nil {
-			fmt.Fprintln(os.Stderr, "megascale:", err)
-			os.Exit(1)
-		}
+	if rf.Telemetry != "" {
+		return gossipstream.WriteManifest(rf.Telemetry, res.Manifest("megascale"), out)
 	}
-}
-
-// writeManifest marshals the run manifest to path, "-" meaning stdout.
-func writeManifest(m gossipstream.RunManifest, path string) error {
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
+	return nil
 }

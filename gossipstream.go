@@ -21,13 +21,14 @@
 //
 // This root package is the public face: it re-exports the configuration
 // and result types, the experiment runner, and one generator per figure of
-// the paper's evaluation. See README.md for build and run instructions and
-// the examples/ directory for runnable programs.
+// the paper's evaluation. RunFlags is the command-line front end the tools
+// share: one flag set for the run options, one telemetry wiring, and one
+// manifest writer. See README.md for build and run instructions and the
+// examples/ directory for runnable programs.
 package gossipstream
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"slices"
 	"strconv"
@@ -128,13 +129,6 @@ type (
 // only ever fills WallProfile — simulated state never observes it.
 func NewWallClock() func() int64 { return teleclock.Clock() }
 
-// NewProgressLine returns an OnSnapshot hook rendering a live progress
-// line to w (virtual time, live nodes, events, wall clock) plus a done
-// func to call after the run, which terminates the line.
-func NewProgressLine(w io.Writer) (func(RunSnapshot), func()) {
-	return teleclock.Progress(w), func() { teleclock.Done(w) }
-}
-
 // Never disables a proactiveness knob: RefreshEvery = Never is the paper's
 // X = ∞ (static partners); FeedEvery = Never disables feed-me requests.
 const Never = member.Never
@@ -162,20 +156,6 @@ const (
 // deployment (ExperimentConfig.Membership).
 type Membership = experiment.Membership
 
-// ParseMembership maps the CLI spelling of a membership substrate
-// ("full", "cyclon") to its constant; tools share it so the accepted
-// spellings and error wording cannot drift.
-func ParseMembership(s string) (Membership, error) {
-	switch s {
-	case "full":
-		return MembershipFull, nil
-	case "cyclon":
-		return MembershipCyclon, nil
-	default:
-		return 0, fmt.Errorf("membership %q: want full or cyclon", s)
-	}
-}
-
 // Schedulers for the engine's per-shard event queues
 // (ExperimentConfig.Queue). Both maintain the same strict event order, so
 // the choice never changes a run's Result — only its wall time.
@@ -191,11 +171,6 @@ const (
 // QueueKind selects the engine's per-shard scheduler
 // (ExperimentConfig.Queue).
 type QueueKind = megasim.QueueKind
-
-// ParseQueue maps the CLI spelling of a scheduler ("heap", "calendar") to
-// its constant; tools share it so the accepted spellings and error
-// wording cannot drift.
-func ParseQueue(s string) (QueueKind, error) { return megasim.ParseQueue(s) }
 
 // OfflineLag selects offline viewing (no deadline) in quality queries.
 const OfflineLag = metrics.InfiniteLag
@@ -309,8 +284,8 @@ func FlashCrowdChurn(at time.Duration, joiners int, over time.Duration) *ChurnPr
 	return &churn.Process{Flash: []churn.FlashCrowd{{At: at, Joiners: joiners, Over: over}}}
 }
 
-// ApplyChurnFlag interprets the -churn CLI spelling shared by
-// cmd/gossipsim, cmd/figures and examples/megascale, mutating cfg:
+// ApplyChurnFlag interprets the -churn CLI spelling of RunFlags, mutating
+// cfg:
 //
 //   - "" or "0": no churn;
 //   - a fraction in (0, 1]: one catastrophic burst failing that share of

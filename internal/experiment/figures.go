@@ -41,6 +41,36 @@ func (o Options) base() Config {
 // process, the paper's survivors otherwise. Only Figure 4 and ChurnClaim
 // read the per-node rows and so force Config.StreamingMetrics off.
 
+// sweep runs n variants of the options' base configuration in parallel,
+// set adjusting the i-th, and returns their results in order.
+func sweep(opts Options, n int, set func(i int, cfg *Config)) ([]*Result, error) {
+	cfgs := make([]Config, n)
+	for i := range cfgs {
+		cfgs[i] = opts.base()
+		set(i, &cfgs[i])
+	}
+	return RunMany(cfgs)
+}
+
+// qualityTable is the table of Figures 1, 5 and 6: per swept value
+// (label(i) for results[i]), the percentage of nodes within the jitter
+// bar offline and at 20 s and 10 s lag, and the mean complete-window
+// percentage.
+func qualityTable(title, axis string, results []*Result, label func(i int) string) *metrics.Table {
+	tb := metrics.NewTable(title, axis, "offline", "20s lag", "10s lag", "mean complete %")
+	for i, res := range results {
+		tb.AddRow(label(i),
+			pct(res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
+			pct(res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
+			pct(res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)),
+			pct(res.ScoredMeanCompletePct(metrics.InfiniteLag)))
+	}
+	return tb
+}
+
+// pct formats a percentage table cell.
+func pct(v float64) string { return fmt.Sprintf("%.1f", v) }
+
 // Figure1Fanouts is the default fanout sweep of Figures 1 and 2.
 var Figure1Fanouts = []int{4, 5, 6, 7, 10, 15, 20, 30, 40, 50, 65, 80}
 
@@ -53,28 +83,12 @@ func Figure1(opts Options, fanouts []int) (*metrics.Table, []*Result, error) {
 	if len(fanouts) == 0 {
 		fanouts = Figure1Fanouts
 	}
-	cfgs := make([]Config, len(fanouts))
-	for i, f := range fanouts {
-		cfg := opts.base()
-		cfg.Protocol.Fanout = f
-		cfgs[i] = cfg
-	}
-	results, err := RunMany(cfgs)
+	results, err := sweep(opts, len(fanouts), func(i int, cfg *Config) { cfg.Protocol.Fanout = fanouts[i] })
 	if err != nil {
 		return nil, nil, fmt.Errorf("figure 1: %w", err)
 	}
-	tb := metrics.NewTable(
-		"Figure 1: % nodes with <1% jitter vs fanout (700 kbps cap)",
-		"fanout", "offline", "20s lag", "10s lag", "mean complete %")
-	for i, res := range results {
-		tb.AddRow(
-			fmt.Sprintf("%d", fanouts[i]),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredMeanCompletePct(metrics.InfiniteLag)),
-		)
-	}
+	tb := qualityTable("Figure 1: % nodes with <1% jitter vs fanout (700 kbps cap)", "fanout",
+		results, func(i int) string { return fmt.Sprintf("%d", fanouts[i]) })
 	return tb, results, nil
 }
 
@@ -110,7 +124,7 @@ func Figure2(opts Options, fanouts []int, results []*Result) (*metrics.Table, er
 	for _, probe := range Figure2Probes {
 		row := []string{fmt.Sprintf("%.0fs", probe.Seconds())}
 		for i := range fanouts {
-			row = append(row, fmt.Sprintf("%.1f", results[i].ScoredLagCDFAt(probe, metrics.DefaultJitterThreshold)))
+			row = append(row, pct(results[i].ScoredLagCDFAt(probe, metrics.DefaultJitterThreshold)))
 		}
 		tb.AddRow(row...)
 	}
@@ -130,16 +144,10 @@ func Figure3(opts Options, fanouts []int, capsBps []int64) (*metrics.Table, erro
 	if len(capsBps) == 0 {
 		capsBps = []int64{1_000_000, 2_000_000}
 	}
-	var cfgs []Config
-	for _, capBps := range capsBps {
-		for _, f := range fanouts {
-			cfg := opts.base()
-			cfg.UploadCapBps = capBps
-			cfg.Protocol.Fanout = f
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	results, err := RunMany(cfgs)
+	results, err := sweep(opts, len(capsBps)*len(fanouts), func(i int, cfg *Config) {
+		cfg.UploadCapBps = capsBps[i/len(fanouts)]
+		cfg.Protocol.Fanout = fanouts[i%len(fanouts)]
+	})
 	if err != nil {
 		return nil, fmt.Errorf("figure 3: %w", err)
 	}
@@ -157,8 +165,8 @@ func Figure3(opts Options, fanouts []int, capsBps []int64) (*metrics.Table, erro
 		for c := range capsBps {
 			res := results[c*len(fanouts)+i]
 			row = append(row,
-				fmt.Sprintf("%.1f", res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
-				fmt.Sprintf("%.1f", res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)))
+				pct(res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
+				pct(res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)))
 		}
 		tb.AddRow(row...)
 	}
@@ -187,17 +195,13 @@ func Figure4(opts Options, combos []Figure4Combo) (*metrics.Table, error) {
 	if len(combos) == 0 {
 		combos = Figure4Combos
 	}
-	cfgs := make([]Config, len(combos))
-	for i, combo := range combos {
-		cfg := opts.base()
-		cfg.Protocol.Fanout = combo.Fanout
-		cfg.UploadCapBps = combo.CapBps
+	results, err := sweep(opts, len(combos), func(i int, cfg *Config) {
+		cfg.Protocol.Fanout = combos[i].Fanout
+		cfg.UploadCapBps = combos[i].CapBps
 		// Rank percentiles of the exact sorted distribution need every
 		// node's rate retained; the streaming histogram buckets them.
 		cfg.StreamingMetrics = false
-		cfgs[i] = cfg
-	}
-	results, err := RunMany(cfgs)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("figure 4: %w", err)
 	}
@@ -232,29 +236,12 @@ func Figure5(opts Options, rates []int) (*metrics.Table, error) {
 	if len(rates) == 0 {
 		rates = Figure5Rates
 	}
-	cfgs := make([]Config, len(rates))
-	for i, x := range rates {
-		cfg := opts.base()
-		cfg.Protocol.RefreshEvery = x
-		cfgs[i] = cfg
-	}
-	results, err := RunMany(cfgs)
+	results, err := sweep(opts, len(rates), func(i int, cfg *Config) { cfg.Protocol.RefreshEvery = rates[i] })
 	if err != nil {
 		return nil, fmt.Errorf("figure 5: %w", err)
 	}
-	tb := metrics.NewTable(
-		"Figure 5: % nodes with ≤1% jitter vs view refresh rate X (f=7, 700 kbps)",
-		"X", "offline", "20s lag", "10s lag", "mean complete %")
-	for i, res := range results {
-		tb.AddRow(
-			rateLabel(rates[i]),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredMeanCompletePct(metrics.InfiniteLag)),
-		)
-	}
-	return tb, nil
+	return qualityTable("Figure 5: % nodes with ≤1% jitter vs view refresh rate X (f=7, 700 kbps)", "X",
+		results, func(i int) string { return rateLabel(rates[i]) }), nil
 }
 
 // Figure6Rates is the paper's feed-me rate axis.
@@ -267,30 +254,15 @@ func Figure6(opts Options, rates []int) (*metrics.Table, error) {
 	if len(rates) == 0 {
 		rates = Figure6Rates
 	}
-	cfgs := make([]Config, len(rates))
-	for i, y := range rates {
-		cfg := opts.base()
+	results, err := sweep(opts, len(rates), func(i int, cfg *Config) {
 		cfg.Protocol.RefreshEvery = member.Never
-		cfg.Protocol.FeedEvery = y
-		cfgs[i] = cfg
-	}
-	results, err := RunMany(cfgs)
+		cfg.Protocol.FeedEvery = rates[i]
+	})
 	if err != nil {
 		return nil, fmt.Errorf("figure 6: %w", err)
 	}
-	tb := metrics.NewTable(
-		"Figure 6: % nodes with ≤1% jitter vs feed-me rate Y (X=∞, f=7, 700 kbps)",
-		"Y", "offline", "20s lag", "10s lag", "mean complete %")
-	for i, res := range results {
-		tb.AddRow(
-			rateLabel(rates[i]),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredViewablePct(10*time.Second, metrics.DefaultJitterThreshold)),
-			fmt.Sprintf("%.1f", res.ScoredMeanCompletePct(metrics.InfiniteLag)),
-		)
-	}
-	return tb, nil
+	return qualityTable("Figure 6: % nodes with ≤1% jitter vs feed-me rate Y (X=∞, f=7, 700 kbps)", "Y",
+		results, func(i int) string { return rateLabel(rates[i]) }), nil
 }
 
 // Figure7Churns is the default churn axis of Figures 7 and 8.
@@ -307,22 +279,16 @@ func churnSweep(opts Options, churns []float64, refreshes []int) ([]float64, []i
 	if len(refreshes) == 0 {
 		refreshes = Figure7Refreshes
 	}
-	var cfgs []Config
-	for _, x := range refreshes {
-		for _, frac := range churns {
-			cfg := opts.base()
-			cfg.Protocol.RefreshEvery = x
-			// The sweep owns the burst axis: clear any base bursts so the
-			// frac = 0 row is genuinely burst-free. A base ChurnProcess —
-			// the sustained-churn mode — stays in force across the grid.
-			cfg.Churn = nil
-			if frac > 0 {
-				cfg.Churn = churn.Catastrophic(cfg.Layout.Duration()/2, frac)
-			}
-			cfgs = append(cfgs, cfg)
+	results, err := sweep(opts, len(refreshes)*len(churns), func(i int, cfg *Config) {
+		cfg.Protocol.RefreshEvery = refreshes[i/len(churns)]
+		// The sweep owns the burst axis: clear any base bursts so the
+		// frac = 0 row is genuinely burst-free. A base ChurnProcess — the
+		// sustained-churn mode — stays in force across the grid.
+		cfg.Churn = nil
+		if frac := churns[i%len(churns)]; frac > 0 {
+			cfg.Churn = churn.Catastrophic(cfg.Layout.Duration()/2, frac)
 		}
-	}
-	results, err := RunMany(cfgs)
+	})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -349,8 +315,8 @@ func Figure7(opts Options, churns []float64, refreshes []int) (*metrics.Table, [
 		for xi := range refreshes {
 			res := results[xi*len(churns)+ci]
 			row = append(row,
-				fmt.Sprintf("%.1f", res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
-				fmt.Sprintf("%.1f", res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)))
+				pct(res.ScoredViewablePct(20*time.Second, metrics.DefaultJitterThreshold)),
+				pct(res.ScoredViewablePct(metrics.InfiniteLag, metrics.DefaultJitterThreshold)))
 		}
 		tb.AddRow(row...)
 	}
@@ -388,7 +354,7 @@ func Figure8(opts Options, churns []float64, refreshes []int, results []*Result)
 		row := []string{fmt.Sprintf("%.0f", frac*100)}
 		for xi := range refreshes {
 			res := results[xi*len(churns)+ci]
-			row = append(row, fmt.Sprintf("%.1f", res.ScoredMeanCompletePct(20*time.Second)))
+			row = append(row, pct(res.ScoredMeanCompletePct(20*time.Second)))
 		}
 		tb.AddRow(row...)
 	}

@@ -44,6 +44,18 @@ const (
 	MembershipCyclon
 )
 
+// String returns the substrate's command-line spelling: "full" (also for
+// the zero value, which resolves to it) or "cyclon".
+func (m Membership) String() string {
+	switch m {
+	case 0, MembershipFull:
+		return "full"
+	case MembershipCyclon:
+		return "cyclon"
+	}
+	return fmt.Sprintf("Membership(%d)", int(m))
+}
+
 // Config describes one experiment run. Zero-valued fields are filled by
 // Defaults' values where documented.
 type Config struct {
