@@ -119,7 +119,7 @@ type Config struct {
 	// Results are deterministic for a fixed (Seed, Shards) pair but not
 	// bit-identical across shard counts.
 	Shards int
-	// Queue selects the engine's per-shard scheduler: the 4-ary heap (the
+	// Queue selects the engine's per-shard scheduler: the radix heap (the
 	// zero value) or the calendar queue. Both maintain the same strict
 	// (at, seq) event order, so the choice never changes a run's Result —
 	// only its wall time.

@@ -15,7 +15,8 @@ import (
 //
 // The loops use the concrete queue types, not the scheduler interface,
 // so the numbers isolate the data structures themselves (the shard loop
-// pays the same interface-dispatch cost for either kind).
+// pays the same interface-dispatch cost for either kind). "Heap" is the
+// QueueHeap kind, the radix heap.
 
 const (
 	benchQueueOccupancy = 100_000
@@ -37,7 +38,7 @@ func benchQueueSetup(q scheduler) []time.Duration {
 }
 
 func BenchmarkMegasimQueueOpsHeap(b *testing.B) {
-	q := &heapQueue{}
+	q := newRadixQueue()
 	jitter := benchQueueSetup(q)
 	seq := uint64(benchQueueOccupancy)
 	b.ResetTimer()

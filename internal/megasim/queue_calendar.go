@@ -12,7 +12,7 @@ import (
 // s mod nbuckets (nbuckets is a power of two, so the mod is a mask). Each
 // bucket keeps its events sorted by (at, seq), so the bucket head is the
 // bucket minimum and same-instant ties pop in sequence order — the exact
-// total order the 4-ary heap maintains, which is what keeps fixed-(seed,
+// total order the radix heap maintains, which is what keeps fixed-(seed,
 // shards) replays bit-identical across queue kinds. Dequeue walks the
 // cursor slot by slot through the current "year" (one full rotation of
 // the bucket array); every pending event of the cursor's slot lives in
@@ -34,10 +34,10 @@ import (
 // rest in a 4-ary min-heap ordered by (at, seq). The cursor's advance
 // folds them in incrementally — pop the rung minimum into its bucket the
 // moment its slot comes up (fold) — so a large far-future stock costs
-// one heap trip per event, never a mass reinsertion. The rung reuses the
-// heap scheduler's sift routines; it is the same structure at a size
-// where O(log n) on a contiguous array is perfectly fine, because only
-// the thin tail of pushes ever lands there.
+// one heap trip per event, never a mass reinsertion. The rung's sift
+// routines (evSiftUp, evSiftDown) are an O(log n) heap on a contiguous
+// array, which is perfectly fine here, because only the thin tail of
+// pushes ever lands there.
 //
 // Self-tuning: rebuild() histograms the pending leads into log2 bins,
 // sets the year to the smallest power of two covering all but the
@@ -241,6 +241,58 @@ func (q *calendarQueue) ovPop() event {
 		evSiftDown(q.overflow, 0)
 	}
 	return top
+}
+
+func evLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// evSiftUp and evSiftDown restore the rung's 4-ary min-heap invariant
+// over h after an append at i / a root replacement. Four children are
+// half the depth of a binary heap, and four 32-byte records are two cache
+// lines. Both use hole insertion: entries shift toward the hole and the
+// moving element is written once, instead of pairwise swaps.
+func evSiftUp(h []event, i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !evLess(&ev, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+func evSiftDown(h []event, i int) {
+	n := len(h)
+	ev := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if evLess(&h[j], &h[m]) {
+				m = j
+			}
+		}
+		if !evLess(&h[m], &ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = ev
 }
 
 // locateMin advances the cursor to the slot of the earliest pending

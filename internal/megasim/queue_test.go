@@ -2,38 +2,103 @@ package megasim
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 )
 
+// refHeap is the scheduler the radix queue replaced, kept as the
+// differential's reference: a 4-ary min-heap over (at, seq) on the
+// calendar rung's sift routines.
+type refHeap struct {
+	h         []event
+	highWater int
+}
+
+func (q *refHeap) push(ev event) {
+	q.h = append(q.h, ev)
+	q.highWater = max(q.highWater, len(q.h))
+	evSiftUp(q.h, len(q.h)-1)
+}
+
+func (q *refHeap) pop() event {
+	top, n := q.h[0], len(q.h)-1
+	q.h[0] = q.h[n]
+	q.h = q.h[:n]
+	if n > 0 {
+		evSiftDown(q.h, 0)
+	}
+	return top
+}
+
+func (q *refHeap) peekAt() (time.Duration, bool) {
+	if len(q.h) == 0 {
+		return 0, false
+	}
+	return q.h[0].at, true
+}
+
+func (q *refHeap) len() int  { return len(q.h) }
+func (q *refHeap) peak() int { return q.highWater }
+
 // driveQueues feeds an identical randomly generated schedule to a fresh
-// heap and a fresh calendar queue and fails if their observable behavior
-// — peek timestamps and the exact (at, seq) pop sequence — ever diverges.
+// radix queue, a fresh calendar queue and the reference heap, and fails if
+// their observable behavior — lengths, peek timestamps and the exact
+// (at, seq) pop sequence — ever diverges.
 //
 // The generator covers the shapes the engine produces: stable ~periodic
 // gaps (the gossip common case), heavy-tailed gaps (occasional 1000x
 // spreads, which exercise the overflow rung and skew rebuilds),
 // same-timestamp bursts (barrier fan-out, where only seq breaks ties),
-// and mid-run inserts behind the peeked minimum (barrier admissions after
-// a peek advanced the calendar cursor — the rewind path). Pushes never
-// precede the last popped timestamp, matching the engine's invariant.
+// and mid-run inserts behind or exactly at the peeked minimum (barrier
+// admissions after a peek advanced the calendar cursor — the rewind path;
+// the radix queue's bucket minimum). It adds the radix queue's own edges:
+// timestamps on both sides of a power-of-two boundary, at = 0, leads
+// of 2^40 ns and more, and a same-instant burst split across the
+// redistribution that makes its instant the radix queue's last, half of
+// them with falling sequence numbers. Pushes never precede the last
+// popped timestamp, matching the engine's invariant.
 func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
-	h, c := newScheduler(QueueHeap), newScheduler(QueueCalendar)
+	qs := [3]scheduler{newScheduler(QueueHeap), newScheduler(QueueCalendar), &refHeap{}}
+	names := [3]string{"radix", "calendar", "reference heap"}
 	var seq uint64
 	var lastPop time.Duration
+	pushSeq := func(at time.Duration, s uint64) {
+		for _, q := range qs {
+			q.push(event{at: at, seq: s})
+		}
+	}
 	push := func(at time.Duration) {
-		ev := event{at: at, seq: seq}
+		pushSeq(at, seq)
 		seq++
-		h.push(ev)
-		c.push(ev)
+	}
+	peek := func(op int) (time.Duration, bool) {
+		at, ok := qs[2].peekAt()
+		for k, q := range qs[:2] {
+			if qa, qok := q.peekAt(); qok != ok || qa != at {
+				t.Fatalf("op %d: peek diverged: %s (%v,%v), reference (%v,%v)", op, names[k], qa, qok, at, ok)
+			}
+		}
+		return at, ok
+	}
+	pop := func(op int) {
+		want := qs[2].pop()
+		for k, q := range qs[:2] {
+			if ev := q.pop(); ev.at != want.at || ev.seq != want.seq {
+				t.Fatalf("op %d: pop diverged: %s (%v,%d), reference (%v,%d)", op, names[k], ev.at, ev.seq, want.at, want.seq)
+			}
+		}
+		lastPop = want.at
 	}
 	for i := 0; i < ops; i++ {
-		if h.len() != c.len() {
-			t.Fatalf("op %d: len diverged: heap %d calendar %d", i, h.len(), c.len())
+		for k, q := range qs[:2] {
+			if q.len() != qs[2].len() {
+				t.Fatalf("op %d: len diverged: %s %d, reference %d", i, names[k], q.len(), qs[2].len())
+			}
 		}
 		switch r := rng.Intn(100); {
-		case r < 45 || h.len() == 0:
+		case r < 40 || qs[2].len() == 0:
 			// Push at the last popped time plus a gap: usually periodic,
 			// sometimes zero (same-instant burst), sometimes heavy-tailed.
 			gap := time.Duration(rng.Intn(220)) * time.Millisecond
@@ -51,43 +116,81 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 					push(lastPop + gap)
 				}
 			}
-		case r < 75:
-			ha, hok := h.peekAt()
-			ca, cok := c.peekAt()
-			if hok != cok || ha != ca {
-				t.Fatalf("op %d: peek diverged: heap (%v,%v) calendar (%v,%v)", i, ha, hok, ca, cok)
+		case r < 48:
+			switch rng.Intn(3) {
+			case 0:
+				// Just below, at or just above the next multiple of a power
+				// of two past lastPop (before the first pop, the power
+				// itself): timestamps whose bucket one carry decides.
+				p := time.Duration(1) << rng.Intn(41)
+				at := lastPop&^(p-1) + p + time.Duration(rng.Intn(3)-1)
+				push(max(at, lastPop))
+			case 1:
+				// A lead of 2^40 ns or more (≈18 minutes and up).
+				push(lastPop + 1<<40 + time.Duration(rng.Int63n(1<<42)))
+			default:
+				// At lastPop itself, which is at = 0 until the first pop.
+				push(lastPop)
 			}
-			// Mid-window insert behind the peeked minimum: the calendar
-			// cursor has advanced to ha's slot; landing in [lastPop, ha]
-			// forces a rewind.
-			if hok && ha > lastPop && rng.Intn(3) == 0 {
-				push(lastPop + time.Duration(rng.Int63n(int64(ha-lastPop)+1)))
+		case r < 52:
+			// A same-instant burst split across a redistribution: events
+			// at the peeked minimum, a pop that makes it the radix queue's
+			// last, then more at the same instant — pushed into bucket 0 as
+			// it drains, and once it has drained. Every other burst takes
+			// its sequence numbers in falling order: the engine's rise
+			// with every push, but the contract does not ask for it.
+			at, _ := peek(i)
+			n, falling := uint64(1+rng.Intn(40)), rng.Intn(2) == 0
+			for k := uint64(0); k < n; k++ {
+				if falling {
+					pushSeq(at, seq+n-1-k)
+				} else {
+					pushSeq(at, seq+k)
+				}
+			}
+			seq += n
+			pop(i)
+			for b := rng.Intn(5); b > 0; b-- {
+				push(at)
+			}
+			for b := rng.Intn(60); b > 0 && qs[2].len() > 0; b-- {
+				if next, _ := peek(i); next != at {
+					break
+				}
+				pop(i)
+			}
+			push(at)
+		case r < 75:
+			at, ok := peek(i)
+			// Mid-window insert behind or at the peeked minimum: the
+			// calendar cursor has advanced to at's slot, so landing in
+			// [lastPop, at) forces a rewind.
+			if ok && at > lastPop && rng.Intn(3) == 0 {
+				push(lastPop + time.Duration(rng.Int63n(int64(at-lastPop)+1)))
+			} else if ok && rng.Intn(4) == 0 {
+				push(at)
 			}
 		default:
-			he, ce := h.pop(), c.pop()
-			if he.at != ce.at || he.seq != ce.seq {
-				t.Fatalf("op %d: pop diverged: heap (%v,%d) calendar (%v,%d)", i, he.at, he.seq, ce.at, ce.seq)
-			}
-			lastPop = he.at
+			pop(i)
 		}
 	}
 	// Drain: the full residual order must match too.
-	for h.len() > 0 {
-		he, ce := h.pop(), c.pop()
-		if he.at != ce.at || he.seq != ce.seq {
-			t.Fatalf("drain: pop diverged: heap (%v,%d) calendar (%v,%d)", he.at, he.seq, ce.at, ce.seq)
+	for qs[2].len() > 0 {
+		pop(ops)
+	}
+	for k, q := range qs {
+		if q.len() != 0 {
+			t.Fatalf("drain: %s still holds %d events", names[k], q.len())
+		}
+		if q.peak() != qs[2].peak() {
+			t.Fatalf("peak diverged: %s %d, reference %d", names[k], q.peak(), qs[2].peak())
 		}
 	}
-	if c.len() != 0 {
-		t.Fatalf("drain: calendar still holds %d events", c.len())
-	}
-	if h.peak() != c.peak() {
-		t.Fatalf("peak diverged: heap %d calendar %d", h.peak(), c.peak())
-	}
+	checkRadixChunks(t, qs[0].(*radixQueue))
 }
 
-// FuzzQueueDifferential holds the two schedulers to identical observable
-// behavior under arbitrary schedules.
+// FuzzQueueDifferential holds the two schedulers and the reference heap
+// to identical observable behavior under arbitrary schedules.
 func FuzzQueueDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint16(4000))
@@ -99,11 +202,103 @@ func FuzzQueueDifferential(f *testing.F) {
 
 // TestQueueDifferentialLongRuns is the always-on slice of the fuzz space:
 // long mixed schedules that cross every calendar reorganization (growth
-// and shrink rebuilds, overflow folds, rewinds, empty-year jumps).
+// and shrink rebuilds, overflow folds, rewinds, empty-year jumps) and
+// every radix bucket.
 func TestQueueDifferentialLongRuns(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		driveQueues(t, rand.New(rand.NewSource(seed)), 60000)
 	}
+}
+
+// checkRadixChunks fails if q has handed out more chunks than its pending
+// peak fills plus one partial chunk for each bucket and for the chunk a
+// redistribution is reading, or more pages than those chunks need.
+func checkRadixChunks(t *testing.T, q *radixQueue) {
+	t.Helper()
+	if bound := (q.peak()+radixChunkLen-1)/radixChunkLen + 66; int(q.chunks) > bound {
+		t.Fatalf("%d chunks handed out, want at most %d at a peak of %d events", q.chunks, bound, q.peak())
+	}
+	if pages := (int(q.chunks) + radixPageChunks - 1) / radixPageChunks; len(q.pages) != pages {
+		t.Fatalf("%d pages for %d chunks, want %d", len(q.pages), q.chunks, pages)
+	}
+}
+
+// TestRadixQueueAllocBudget holds the default scheduler to its memory and
+// contract promises: a warm hold model at 100k pending allocates nothing,
+// the chunks in use never outgrow the pending peak by more than one
+// partial chunk per bucket, a 100k-event same-instant burst pops in seq order in
+// O(k log k) — even with falling sequence numbers, through a
+// redistribution and through pushes at the last pop — and a push before
+// the last pop or a pop on an empty queue panics by name.
+func TestRadixQueueAllocBudget(t *testing.T) {
+	t.Run("hold", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counts are meaningless under the race detector")
+		}
+		q := newRadixQueue()
+		jitter := benchQueueSetup(q)
+		seq := uint64(benchQueueOccupancy)
+		// AllocsPerRun calls the function once to warm up before the
+		// measured call: a million hold pops and pushes each.
+		allocs := testing.AllocsPerRun(1, func() {
+			for i := 0; i < 1_000_000; i++ {
+				ev := q.pop()
+				ev.at += benchQueuePeriod + jitter[i&1023]
+				ev.seq = seq
+				seq++
+				q.push(ev)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("a million warm hold operations allocated %v times, want 0", allocs)
+		}
+		checkRadixChunks(t, q)
+	})
+	t.Run("same-instant burst", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("the time budget assumes an uninstrumented build")
+		}
+		const n = 100_000
+		q := newRadixQueue()
+		start := time.Now()
+		// Seqs 0..n-1 in falling order into a bucket; the first pop
+		// redistributes them into bucket 0.
+		for k := n - 1; k >= 0; k-- {
+			q.push(event{at: time.Second, seq: uint64(k)})
+		}
+		if ev := q.pop(); ev.seq != 0 {
+			t.Fatalf("first pop has seq %d, want 0", ev.seq)
+		}
+		// Seqs n..2n-1, falling, at the last pop itself.
+		for k := 2*n - 1; k >= n; k-- {
+			q.push(event{at: time.Second, seq: uint64(k)})
+		}
+		for want := uint64(1); want < 2*n; want++ {
+			if ev := q.pop(); ev.at != time.Second || ev.seq != want {
+				t.Fatalf("pop (%v,%d), want (1s,%d)", ev.at, ev.seq, want)
+			}
+		}
+		if d := time.Since(start); d > time.Second {
+			t.Errorf("a %d-event same-instant burst took %v, want under 1s", 2*n, d)
+		}
+		checkRadixChunks(t, q)
+	})
+	t.Run("contract breaks panic", func(t *testing.T) {
+		mustPanic := func(want string, f func()) {
+			t.Helper()
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, want) {
+					t.Errorf("panic %q, want one naming %q", msg, want)
+				}
+			}()
+			f()
+		}
+		q := newRadixQueue()
+		mustPanic("pop from empty radix queue", func() { q.pop() })
+		q.push(event{at: time.Second})
+		q.pop()
+		mustPanic("precedes the last pop", func() { q.push(event{at: time.Second - 1, seq: 1}) })
+	})
 }
 
 // TestCalendarRewindBehindCursor pins the rewind path directly: a peek

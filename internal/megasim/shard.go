@@ -33,7 +33,7 @@ const (
 // timer. The record is 32 bytes and holds no pointer — what an event
 // carries lives in per-shard side tables it names by index (the message
 // slab, the After closure table) — so both queue kinds are noscan memory:
-// the collector never walks the pending set, sifting records pays no write
+// the collector never walks the pending set, moving records pays no write
 // barrier, and a popped slot needs no clearing.
 type event struct {
 	at   time.Duration
@@ -275,7 +275,7 @@ type shard struct {
 	rng *rand.Rand
 	now time.Duration
 
-	// q is the event scheduler — heap or calendar per Config.Queue. Both
+	// q is the event scheduler — radix heap or calendar per Config.Queue. Both
 	// maintain the same strict (at, seq) order, so the queue kind never
 	// changes a run's results, only its wall time.
 	q     scheduler

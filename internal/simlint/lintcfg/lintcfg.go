@@ -82,13 +82,13 @@ func Default() *Config {
 		WallClockOK: []string{"rt", "cmd", "examples", "teleclock"},
 		HotRoots: map[string][]string{
 			// The shard loop executes every simulated event; mergeInbound
-			// re-heaps every cross-shard delivery each window. The queue
+			// queues every cross-shard delivery each window. The queue
 			// implementations are listed as their own roots: the shard
 			// reaches them through the scheduler interface, and interface
 			// dispatch ends hotalloc's static walk.
 			"megasim": {
 				"(*shard).runWindow", "(*shard).mergeInbound",
-				"(*heapQueue).push", "(*heapQueue).pop",
+				"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
 				"(*calendarQueue).push", "(*calendarQueue).pop", "(*calendarQueue).peekAt",
 				// The arena-recycling paths: Release runs per departure
 				// (10k/s at 1%/s churn on a million nodes) and the

@@ -76,7 +76,7 @@ func TestRoots(t *testing.T) {
 		roots[r] = true
 	}
 	for _, want := range []string{
-		"(*heapQueue).push", "(*heapQueue).pop",
+		"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
 		"(*calendarQueue).push", "(*calendarQueue).pop", "(*calendarQueue).peekAt",
 	} {
 		if !roots[want] {
