@@ -9,6 +9,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"gossipstream"
 )
 
 func TestFlagValidation(t *testing.T) {
@@ -181,20 +184,21 @@ func TestStreamingRejectsVerbose(t *testing.T) {
 }
 
 // TestDefaultShardsStreamingTelemetry: -streaming and -telemetry need no
-// -shards; the manifest records the one shard that ran.
+// -shards; the manifest records the one shard that ran and, as a sharded
+// run would, a snapshot for every simulated second.
 func TestDefaultShardsStreamingTelemetry(t *testing.T) {
 	got := smoke(t, "-nodes", "40", "-windows", "2", "-seed", "3", "-streaming", "-telemetry", "-")
 	var m struct {
-		Config struct {
-			Shards int
-		} `json:"config"`
-		ShardLoads []json.RawMessage `json:"shard_loads"`
-		Snapshots  []json.RawMessage `json:"snapshots"`
+		Config     gossipstream.ExperimentConfig `json:"config"`
+		ShardLoads []json.RawMessage             `json:"shard_loads"`
+		Snapshots  []json.RawMessage             `json:"snapshots"`
 	}
 	parseManifest(t, got, &m)
-	if m.Config.Shards != 1 || len(m.ShardLoads) != 1 || len(m.Snapshots) == 0 {
-		t.Fatalf("manifest records %d shards, %d shard loads, %d snapshots; want 1, 1, some",
-			m.Config.Shards, len(m.ShardLoads), len(m.Snapshots))
+	simulated := m.Config.Layout.Duration() + m.Config.Drain
+	want := int(simulated / time.Second)
+	if m.Config.Shards != 1 || len(m.ShardLoads) != 1 || len(m.Snapshots) < want {
+		t.Fatalf("manifest records %d shards, %d shard loads, %d snapshots over %v; want 1, 1, at least %d",
+			m.Config.Shards, len(m.ShardLoads), len(m.Snapshots), simulated, want)
 	}
 }
 

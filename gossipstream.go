@@ -38,7 +38,6 @@ import (
 	"gossipstream/internal/churn"
 	"gossipstream/internal/core"
 	"gossipstream/internal/experiment"
-	"gossipstream/internal/megasim"
 	"gossipstream/internal/member"
 	"gossipstream/internal/metrics"
 	"gossipstream/internal/pss"
@@ -155,23 +154,6 @@ const (
 // Membership selects the partner-sampling substrate of a simulated
 // deployment (ExperimentConfig.Membership).
 type Membership = experiment.Membership
-
-// Schedulers for the engine's per-shard event queues
-// (ExperimentConfig.Queue). Both maintain the same strict event order, so
-// the choice never changes a run's Result — only its wall time.
-const (
-	// QueueHeap is the monotone radix heap, the zero value: the faster
-	// and smaller scheduler end to end at 2k, 10k and 100k nodes.
-	QueueHeap = megasim.QueueHeap
-	// QueueCalendar is the calendar queue with a ladder-style overflow
-	// rung: O(1) amortized, and the fastest on a synthetic hold model, but
-	// slower than the radix heap end to end for about twice the memory.
-	QueueCalendar = megasim.QueueCalendar
-)
-
-// QueueKind selects the engine's per-shard scheduler
-// (ExperimentConfig.Queue).
-type QueueKind = megasim.QueueKind
 
 // OfflineLag selects offline viewing (no deadline) in quality queries.
 const OfflineLag = metrics.InfiniteLag

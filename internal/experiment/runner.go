@@ -21,7 +21,6 @@ import (
 
 	"gossipstream/internal/churn"
 	"gossipstream/internal/core"
-	"gossipstream/internal/megasim"
 	"gossipstream/internal/metrics"
 	"gossipstream/internal/pss"
 	"gossipstream/internal/shaping"
@@ -119,11 +118,9 @@ type Config struct {
 	// Results are deterministic for a fixed (Seed, Shards) pair but not
 	// bit-identical across shard counts.
 	Shards int
-	// Queue selects the engine's per-shard scheduler: the radix heap (the
-	// zero value) or the calendar queue. Both maintain the same strict
-	// (at, seq) event order, so the choice never changes a run's Result —
-	// only its wall time.
-	Queue megasim.QueueKind
+	// Queue is reserved and must be zero; it is removed with ROADMAP item
+	// 7. The engine has one event queue, the radix heap.
+	Queue uint8
 	// StreamingMetrics retains no per-node rows: Result.Nodes stays empty.
 	// Every run scores through the same fold as lifetimes close
 	// (Result.Streaming, read by Result.Scored*/Survivor*/Present*/Class*),
@@ -207,8 +204,8 @@ func (c Config) Validate() error {
 	if c.Shards < 0 {
 		return fmt.Errorf("experiment: Shards = %d, want >= 0", c.Shards)
 	}
-	if c.Queue > megasim.QueueCalendar {
-		return fmt.Errorf("experiment: unknown queue kind %d", c.Queue)
+	if c.Queue != 0 {
+		return fmt.Errorf("experiment: Queue = %d, want 0 (the calendar queue was removed; the radix heap is the only event queue)", c.Queue)
 	}
 	if c.Telemetry != nil && c.Telemetry.SnapshotEvery < 0 {
 		return fmt.Errorf("experiment: Telemetry.SnapshotEvery = %v, want >= 0", c.Telemetry.SnapshotEvery)

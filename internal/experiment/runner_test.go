@@ -35,6 +35,7 @@ func TestConfigValidate(t *testing.T) {
 		{"no queue uncapped ok", func(c *Config) { c.QueueBytes = 0; c.UploadCapBps = shaping.Unlimited }, true},
 		{"negative drain", func(c *Config) { c.Drain = -time.Second }, false},
 		{"bad churn", func(c *Config) { c.Churn = []churn.Event{{At: 0, Fraction: 2}} }, false},
+		{"reserved queue", func(c *Config) { c.Queue = 1 }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

@@ -59,7 +59,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	if cfg.Shards > cfg.Nodes {
 		cfg.Shards = cfg.Nodes
 	}
-	eng, err := megasim.New(megasim.Config{Net: cfg.Net, Shards: cfg.Shards, Seed: cfg.Seed, Queue: cfg.Queue})
+	eng, err := megasim.New(megasim.Config{Net: cfg.Net, Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

@@ -104,7 +104,7 @@ type (
 
 func buildByHand(t *testing.T, cfg Config, wrapEnv envWrapper, wrapPeer peerWrapper) *handBuilt {
 	t.Helper()
-	eng, err := megasim.New(megasim.Config{Net: cfg.Net, Shards: cfg.Shards, Seed: cfg.Seed, Queue: cfg.Queue})
+	eng, err := megasim.New(megasim.Config{Net: cfg.Net, Shards: cfg.Shards, Seed: cfg.Seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,18 +165,16 @@ func timerRouteConfig() Config {
 // TestRoutesAreTwins runs one deployment four ways — through the runner
 // and hand-built on the engine's public seams (both on the flat route),
 // and hand-built behind the two wrapper shapes that force the generic
-// route — on one shard and on two, on either scheduler. All four must
-// agree event for event: events fired, network-wide traffic, per-shard
-// loads, every node's counters and receiver.
+// route — on one shard and on two. All four must agree event for event:
+// events fired, network-wide traffic, per-shard loads, every node's
+// counters and receiver.
 func TestRoutesAreTwins(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		for _, queue := range []megasim.QueueKind{megasim.QueueHeap, megasim.QueueCalendar} {
-			t.Run(fmt.Sprintf("%d-shards-%v", shards, queue), func(t *testing.T) {
-				cfg := timerRouteConfig()
-				cfg.Shards, cfg.Queue = shards, queue
-				routesAreTwins(t, cfg)
-			})
-		}
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			cfg := timerRouteConfig()
+			cfg.Shards = shards
+			routesAreTwins(t, cfg)
+		})
 	}
 }
 

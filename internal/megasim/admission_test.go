@@ -41,7 +41,7 @@ func (r *responder) HandleMessage(from NodeID, msg wire.Message) {
 func TestAdmitNodeAtBarrier(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+			e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -145,7 +145,7 @@ func TestAdmitNodeRespectsLookahead(t *testing.T) {
 		JitterFrac:        0.3,
 		PairSpread:        0.3,
 	}
-	e, err := newEngine(Config{Shards: 2, Seed: 9, Net: net})
+	e, err := New(Config{Shards: 2, Seed: 9, Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestAdmitNodeRespectsLookahead(t *testing.T) {
 // TestAdmitPanicsOutsideBarrier: topology stays frozen outside setup and
 // barrier callbacks.
 func TestAdmitPanicsOutsideBarrier(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

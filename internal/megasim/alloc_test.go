@@ -74,7 +74,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	}
 	const nodes = 500
 	buildOn := func(t *testing.T, shards int, handler func(i int) Handler) (*Engine, []*NodeEnv) {
-		eng, err := newEngine(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), Seed: 3})
+		eng, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -50,7 +50,7 @@ func mustPanicContains(t *testing.T, name, want string, fn func()) {
 // next AddNode reuses the slot at the next generation and the old handle
 // turns detectably stale.
 func TestArenaSlotRecyclingLifecycle(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 // incarnation's recorder.
 func staleDeliveryEngine(t *testing.T, shards int, panicOnStale bool) (*Engine, *recorder) {
 	t.Helper()
-	e, err := newEngine(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), PanicOnStale: panicOnStale})
+	e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), PanicOnStale: panicOnStale})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 	// counted sent, so conservation needs no balancing entry — and the new
 	// occupant's counters stay untouched.
 	t.Run("send-from-stale-timer", func(t *testing.T) {
-		e, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +179,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 	// dead-drop on the released slot; deliveries after reuse are stale
 	// drops; the new occupant sees none of it.
 	t.Run("sampler-held-descriptor", func(t *testing.T) {
-		e, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 	// new occupant's sampler: a missing generation check would double the
 	// new sampler's rate.
 	t.Run("member-tick-chain", func(t *testing.T) {
-		e, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -283,7 +283,7 @@ func TestPanicOnStale(t *testing.T) {
 		})
 	})
 	t.Run("send", func(t *testing.T) {
-		e, err := newEngine(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -305,7 +305,7 @@ func TestPanicOnStale(t *testing.T) {
 // TestReleasePanicShapes pins the named, actionable panics on every way to
 // misuse Release and the handle-resolving accessors.
 func TestReleasePanicShapes(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestReleasePanicShapes(t *testing.T) {
 // occur by construction.
 func churnRun(t *testing.T) *Engine {
 	t.Helper()
-	e, err := newEngine(Config{
+	e, err := New(Config{
 		Shards: 3,
 		Seed:   9,
 		Net: simnet.Config{
@@ -442,7 +442,7 @@ func TestArenaChurnReplayDeterminism(t *testing.T) {
 // steady join/leave churn the arena stops growing — memory is O(live
 // nodes), not O(nodes ever).
 func TestArenaMemoryStaysFlat(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(5 * time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

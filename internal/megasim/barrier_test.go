@@ -40,7 +40,7 @@ func withDeadline(t *testing.T, fn func()) {
 func sparseRun(t *testing.T, shards int, hops uint64) uint64 {
 	t.Helper()
 	const lat = time.Millisecond
-	e, err := newEngine(Config{Shards: shards, Net: flatNet(lat)})
+	e, err := New(Config{Shards: shards, Net: flatNet(lat)})
 	if err != nil {
 		t.Error(err)
 		return 0
@@ -117,7 +117,7 @@ func settledGoroutines(want int) int {
 // installs the panic, and returns what Run panicked with.
 func panickingRun(t *testing.T, arm func(e *Engine, envs []*NodeEnv)) (e *Engine, got any) {
 	t.Helper()
-	e, err := newEngine(Config{Shards: 2, Seed: 3, Net: flatNet(2 * time.Millisecond)})
+	e, err := New(Config{Shards: 2, Seed: 3, Net: flatNet(2 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

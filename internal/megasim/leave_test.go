@@ -16,7 +16,7 @@ import (
 // shuffle period is far beyond the run, so the LEAVEs are the only
 // membership traffic and every counter below is exact.
 func TestGracefulLeaveDeliversDespiteCrash(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Seed: 9, Net: flatNet(5 * time.Millisecond)})
+	e, err := New(Config{Shards: 2, Seed: 9, Net: flatNet(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestGracefulLeaveDeliversDespiteCrash(t *testing.T) {
 // deliveries into crashed nodes — a LEAVE addressed to a dead destination
 // dead-drops like everything else.
 func TestLeaveToDeadDestinationDrops(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Seed: 3, Net: flatNet(5 * time.Millisecond)})
+	e, err := New(Config{Shards: 1, Seed: 3, Net: flatNet(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -206,47 +206,6 @@ type TimerHandler interface {
 	HandleIDs(from NodeID, kind wire.Kind, ids []stream.PacketID)
 }
 
-// QueueKind selects the per-shard event-scheduler implementation. Both
-// kinds maintain the same strict (at, seq) total order, so for a fixed
-// (seed, shards) pair the simulated run is bit-identical across kinds —
-// the choice only changes wall time.
-type QueueKind uint8
-
-const (
-	// QueueHeap is the 4-ary min-heap: O(log n) per operation,
-	// insensitive to the shape of the schedule. The default.
-	QueueHeap QueueKind = iota
-	// QueueCalendar is the calendar queue with a ladder-style overflow
-	// rung: O(1) amortized enqueue/dequeue when event spacing is stable —
-	// which gossip traffic, concentrated around the shuffle/tick period,
-	// is. Self-tunes its bucket width and resizes on skew.
-	QueueCalendar
-)
-
-// String names the queue kind as the -queue flag spells it.
-func (k QueueKind) String() string {
-	switch k {
-	case QueueHeap:
-		return "heap"
-	case QueueCalendar:
-		return "calendar"
-	default:
-		return fmt.Sprintf("QueueKind(%d)", uint8(k))
-	}
-}
-
-// ParseQueue parses a -queue flag value ("heap" or "calendar").
-func ParseQueue(s string) (QueueKind, error) {
-	switch s {
-	case "heap":
-		return QueueHeap, nil
-	case "calendar":
-		return QueueCalendar, nil
-	default:
-		return 0, fmt.Errorf("megasim: unknown queue kind %q (want heap or calendar)", s)
-	}
-}
-
 // Config controls the engine. The network model is simnet's.
 type Config struct {
 	// Net carries the latency, jitter, and loss model. The engine requires
@@ -258,9 +217,6 @@ type Config struct {
 	// Seed drives the engine's internal random streams (latency draws,
 	// per-message jitter and loss). Node logic carries its own streams.
 	Seed int64
-	// Queue selects the per-shard scheduler (QueueHeap default). Results
-	// are bit-identical across kinds; only wall time differs.
-	Queue QueueKind
 	// PanicOnStale turns stale-handle events — a delivery addressed to a
 	// departed incarnation whose slot was recycled, or a send from one —
 	// into panics instead of drops (deliveries counted in StaleDrops,
@@ -372,7 +328,9 @@ type Engine struct {
 	// event — so enabling it cannot perturb the simulated run; snapFn is a
 	// periodic snapshot hook called between conservative windows with every
 	// shard quiescent, deliberately NOT a barrier: it never truncates a
-	// window, so runs with and without snapshots stay bit-identical.
+	// parallel window, and a one-shard run cut at snapshot instants pops
+	// the same (at, seq) sequence, so runs with and without snapshots stay
+	// bit-identical.
 	wallNow  func() int64
 	wall     telemetry.WallProfile
 	snapFn   func(at time.Duration)
@@ -403,8 +361,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("megasim: JitterFrac = %v, want [0,1)", cfg.Net.JitterFrac)
 	case cfg.Net.BaseLatencySigma < 0:
 		return nil, fmt.Errorf("megasim: BaseLatencySigma = %v, want >= 0", cfg.Net.BaseLatencySigma)
-	case cfg.Queue > QueueCalendar:
-		return nil, fmt.Errorf("megasim: unknown queue kind %d", cfg.Queue)
 	}
 	// tickRng de-phases membership tick schedules on a stream separate
 	// from setup so attaching samplers never perturbs topology draws
@@ -784,8 +740,10 @@ func (e *Engine) WallProfile() telemetry.WallProfile { return e.wall }
 // SetSnapshot registers fn to run on the supervisor goroutine at the
 // first inter-window point at or past each multiple of every, with all
 // shards quiescent (accessors like Live, Fired, ShardLoads are safe).
-// Unlike AtBarrier it never truncates a conservative window, so a run
-// with snapshots enabled is bit-identical to the same run without.
+// Unlike AtBarrier it never truncates a parallel window. A one-shard run,
+// which would otherwise be one window to the horizon, is cut at each
+// snapshot instant; its pops keep their (at, seq) order, so a run with
+// snapshots enabled is bit-identical to the same run without.
 // Only legal before Run.
 func (e *Engine) SetSnapshot(every time.Duration, fn func(at time.Duration)) {
 	if e.ran || e.running {
@@ -948,6 +906,11 @@ func (e *Engine) Run(until time.Duration) error {
 		wEnd := horizon
 		if parallel && t0 <= horizon-e.lookahead {
 			wEnd = t0 + e.lookahead
+		} else if !parallel && e.snapFn != nil && e.snapNext < wEnd {
+			// One shard runs to the horizon in one window; cut it where the
+			// next snapshot is due. Pops keep their (at, seq) order however
+			// the horizon is cut, so the run is the same.
+			wEnd = e.snapNext
 		}
 		if tg < wEnd {
 			wEnd = tg

@@ -1,7 +1,6 @@
 package megasim
 
 import (
-	"flag"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -17,24 +16,6 @@ import (
 // the median apart, nothing is lost.
 func flatNet(median time.Duration) simnet.Config {
 	return simnet.Config{BaseLatencyMedian: median}
-}
-
-// queueFlag re-runs the engine-level tests against a specific scheduler:
-// CI's race job adds `-queue calendar` so the determinism and barrier
-// tests cover both queue kinds. Tests that pin an explicit Config.Queue
-// call New directly and are unaffected.
-var queueFlag = flag.String("queue", "", "scheduler for engine tests: heap or calendar")
-
-// newEngine is New with the -queue override applied.
-func newEngine(cfg Config) (*Engine, error) {
-	if *queueFlag != "" {
-		kind, err := ParseQueue(*queueFlag)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Queue = kind
-	}
-	return New(cfg)
 }
 
 type recorder struct {
@@ -68,33 +49,32 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestQueuePopsInTimeSeqOrder(t *testing.T) {
-	for _, kind := range []QueueKind{QueueHeap, QueueCalendar} {
-		t.Run(kind.String(), func(t *testing.T) {
-			e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond), Queue: kind})
-			if err != nil {
-				t.Fatal(err)
+	// The subtest is named for the queue under test, the radix heap.
+	t.Run("heap", func(t *testing.T) {
+		e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := e.shards[0]
+		rng := rand.New(rand.NewSource(7))
+		const n = 500
+		for i := 0; i < n; i++ {
+			at := time.Duration(rng.Intn(50)) * time.Millisecond
+			s.push(event{at: at})
+		}
+		var prevAt time.Duration
+		var prevSeq uint64
+		for i := 0; i < n; i++ {
+			ev := s.q.pop()
+			if ev.at < prevAt {
+				t.Fatalf("pop %d: time went backwards: %v after %v", i, ev.at, prevAt)
 			}
-			s := e.shards[0]
-			rng := rand.New(rand.NewSource(7))
-			const n = 500
-			for i := 0; i < n; i++ {
-				at := time.Duration(rng.Intn(50)) * time.Millisecond
-				s.push(event{at: at})
+			if ev.at == prevAt && i > 0 && ev.seq < prevSeq {
+				t.Fatalf("pop %d: seq went backwards at %v: %d after %d", i, ev.at, ev.seq, prevSeq)
 			}
-			var prevAt time.Duration
-			var prevSeq uint64
-			for i := 0; i < n; i++ {
-				ev := s.q.pop()
-				if ev.at < prevAt {
-					t.Fatalf("pop %d: time went backwards: %v after %v", i, ev.at, prevAt)
-				}
-				if ev.at == prevAt && i > 0 && ev.seq < prevSeq {
-					t.Fatalf("pop %d: seq went backwards at %v: %d after %d", i, ev.at, ev.seq, prevSeq)
-				}
-				prevAt, prevSeq = ev.at, ev.seq
-			}
-		})
-	}
+			prevAt, prevSeq = ev.at, ev.seq
+		}
+	})
 }
 
 // TestCrossShardDeliveryTiming pins the delivery path end to end: with a
@@ -102,7 +82,7 @@ func TestQueuePopsInTimeSeqOrder(t *testing.T) {
 // latency after the send, regardless of the conservative window size.
 func TestCrossShardDeliveryTiming(t *testing.T) {
 	const lat = 10 * time.Millisecond
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(lat)})
+	e, err := New(Config{Shards: 2, Net: flatNet(lat)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +158,7 @@ func chatterRun(t *testing.T, seed int64, shards int) ([]simnet.Stats, uint64) {
 			PairSpread:        0.3,
 		},
 	}
-	e, err := newEngine(cfg)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +212,7 @@ func TestSeedChangesOutcome(t *testing.T) {
 func TestDropCountersMirrorSimnet(t *testing.T) {
 	// Congestion: a 8 kbps uplink with a 20-byte queue; FEED-ME costs 7
 	// bytes on the shaped link, so a burst overflows quickly.
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(5 * time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(5 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +248,7 @@ func TestDropCountersMirrorSimnet(t *testing.T) {
 
 func TestDeadDropCountedAtReceiver(t *testing.T) {
 	const lat = 10 * time.Millisecond
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(lat)})
+	e, err := New(Config{Shards: 2, Net: flatNet(lat)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +276,7 @@ func TestDeadDropCountedAtReceiver(t *testing.T) {
 }
 
 func TestCrashedSenderSilent(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -321,7 +301,7 @@ func TestCrashedSenderSilent(t *testing.T) {
 func TestRandomLoss(t *testing.T) {
 	cfg := Config{Shards: 2, Seed: 9, Net: flatNet(time.Millisecond)}
 	cfg.Net.LossRate = 0.5
-	e, err := newEngine(cfg)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +329,7 @@ func TestRandomLoss(t *testing.T) {
 }
 
 func TestTimerCancel(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -374,7 +354,7 @@ func TestTimerCancel(t *testing.T) {
 // departed node is dropped. A live node's timer still runs.
 func TestAfterTimersDieWithTheirNode(t *testing.T) {
 	for _, shards := range []int{1, 2} {
-		e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+		e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -405,7 +385,7 @@ func TestAfterTimersDieWithTheirNode(t *testing.T) {
 }
 
 func TestBarrierRunsBeforeSameInstantEvents(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +406,7 @@ func TestBarrierRunsBeforeSameInstantEvents(t *testing.T) {
 }
 
 func TestRunTwiceFails(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -439,7 +419,7 @@ func TestRunTwiceFails(t *testing.T) {
 }
 
 func TestEventsAtDeadlineExecute(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -467,7 +447,7 @@ func TestEventsAtDeadlineExecute(t *testing.T) {
 // TestServePayloadCrossesShards moves a real payload-carrying message
 // between shards, the path the gossip protocol stresses hardest.
 func TestServePayloadCrossesShards(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(2 * time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(2 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func (sink) HandleMessage(NodeID, wire.Message) {}
 // pss.State attached, bootstrapped with k random peers.
 func membershipOverlay(t *testing.T, n, shards int, seed int64, cfg pss.Config, net simnet.Config) (*Engine, []*pss.State) {
 	t.Helper()
-	e, err := newEngine(Config{Shards: shards, Seed: seed, Net: net})
+	e, err := New(Config{Shards: shards, Seed: seed, Net: net})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestMembershipCrashedNodesAgeOut(t *testing.T) {
 // sampler is discarded like any unknown datagram — mixed populations must
 // not crash or leak messages to the protocol handler.
 func TestMembershipShuffleToSamplerlessNodeDropped(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func TestAttachSamplerPanics(t *testing.T) {
 		fn()
 	}
 	newEngine := func() (*Engine, *pss.State) {
-		e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+		e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}

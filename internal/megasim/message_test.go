@@ -113,7 +113,7 @@ func checkArenaDrained(t *testing.T, s *shard) {
 // and the outbox's regions, and they must arrive as sent.
 func TestMessageRecordRoundTrip(t *testing.T) {
 	shapes := recordShapes()
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
-			e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+			e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestSendRoutesDeliverAlike(t *testing.T) {
 	}
 	pktIDs := []stream.PacketID{0, 1, 2}
 	run := func(t *testing.T, typedSend bool) (*Engine, []*kept) {
-		e, err := newEngine(Config{Shards: 2, Net: flatNet(time.Millisecond)})
+		e, err := New(Config{Shards: 2, Net: flatNet(time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -335,7 +335,7 @@ func TestServeOfIDsCostsItsPackets(t *testing.T) {
 					t.Fatalf("%d packets of %d B fill a datagram: the run does not spill a SERVE", len(most), width)
 				}
 				run := func(typed bool) (sent, recv simnet.Stats, got []string) {
-					e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+					e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -402,7 +402,7 @@ func (sinkTyped) HandleIDs(NodeID, wire.Kind, []stream.PacketID) {}
 //   - the packets, which only the messages ever referenced, are collected
 //     while the engine is still reachable.
 func TestMessageRecordsNeverPinPackets(t *testing.T) {
-	e, err := newEngine(Config{Shards: 2, Net: simnet.Config{BaseLatencyMedian: 5 * time.Millisecond, LossRate: 0.2}, Seed: 5})
+	e, err := New(Config{Shards: 2, Net: simnet.Config{BaseLatencyMedian: 5 * time.Millisecond, LossRate: 0.2}, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestTypedMessagesSurviveRecordReuse(t *testing.T) {
 				lat   = 10 * time.Millisecond
 				until = time.Second
 			)
-			e, err := newEngine(Config{Shards: shards, Net: flatNet(lat)})
+			e, err := New(Config{Shards: shards, Net: flatNet(lat)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -609,7 +609,7 @@ func TestShuffleRecordRoundTrip(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
-			e, err := newEngine(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+			e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 			if err != nil {
 				t.Fatal(err)
 			}

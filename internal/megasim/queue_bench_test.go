@@ -11,12 +11,8 @@ import (
 // (clustered around the shuffle/tick period with jitter), hold-model
 // style — every pop schedules a successor one period ahead, the way
 // ticks, timers, and in-flight deliveries actually regenerate. Reported
-// events/s counts each push and each pop as one event operation.
-//
-// The loops use the concrete queue types, not the scheduler interface,
-// so the numbers isolate the data structures themselves (the shard loop
-// pays the same interface-dispatch cost for either kind). "Heap" is the
-// QueueHeap kind, the radix heap.
+// events/s counts each push and each pop as one event operation. "Heap"
+// is the radix heap, the shard's only queue.
 
 const (
 	benchQueueOccupancy = 100_000
@@ -25,7 +21,7 @@ const (
 
 // benchQueueJitter pre-draws successor jitters so RNG cost stays out of
 // the measured loop, and prefills q to steady-state occupancy.
-func benchQueueSetup(q scheduler) []time.Duration {
+func benchQueueSetup(q *radixQueue) []time.Duration {
 	rng := rand.New(rand.NewSource(42))
 	jitter := make([]time.Duration, 1024)
 	for i := range jitter {
@@ -39,22 +35,6 @@ func benchQueueSetup(q scheduler) []time.Duration {
 
 func BenchmarkMegasimQueueOpsHeap(b *testing.B) {
 	q := newRadixQueue()
-	jitter := benchQueueSetup(q)
-	seq := uint64(benchQueueOccupancy)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ev := q.pop()
-		ev.at += benchQueuePeriod + jitter[i&1023]
-		ev.seq = seq
-		seq++
-		q.push(ev)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(2*b.N)/b.Elapsed().Seconds(), "events/s")
-}
-
-func BenchmarkMegasimQueueOpsCalendar(b *testing.B) {
-	q := newCalendarQueue()
 	jitter := benchQueueSetup(q)
 	seq := uint64(benchQueueOccupancy)
 	b.ResetTimer()

@@ -8,11 +8,19 @@ import (
 	"time"
 )
 
-// radixQueue is the default scheduler: a monotone radix heap (Ahuja,
-// Mehlhorn, Orlin & Tarjan, JACM 1990). It relies on the one property a
-// simulation clock gives for free: no event is ever scheduled before the
-// event being executed, so every push lands at or after last, the
-// timestamp of the latest pop.
+// radixQueue is each shard's event queue: a monotone radix heap (Ahuja,
+// Mehlhorn, Orlin & Tarjan, JACM 1990). It pops in the strict (at, seq)
+// total order, so for a fixed (seed, shards) pair the pop sequence, and
+// with it the whole simulated run, is fixed. It relies on the one
+// property a simulation clock gives for free: no event is ever scheduled
+// before the event being executed, so every push lands at or after last,
+// the timestamp of the latest pop. A push that breaks this panics; a
+// peekAt moves no such bound, so work staged at a barrier may still land
+// below a peeked minimum.
+//
+// A queue is owned by one shard goroutine; like all shard state it is
+// touched by the supervisor only at quiescent points (peekAt in the
+// next-event scan between windows, len and peak from accessors).
 //
 // Events are kept in buckets by how far their timestamp is from last in
 // bits: bucket i ≥ 1 holds the events whose at first differs from last in
@@ -112,8 +120,9 @@ func newRadixQueue() *radixQueue {
 	return q
 }
 
-// push inserts ev. A push before the last pop breaks the clock's
-// monotonicity, which every bucket index relies on, and panics.
+// push inserts ev; the caller has already assigned ev.seq. A push before
+// the last pop breaks the clock's monotonicity, which every bucket index
+// relies on, and panics.
 func (q *radixQueue) push(ev event) {
 	if ev.at < q.last {
 		panic(fmt.Sprintf("megasim: radix queue push at %v precedes the last pop at %v", ev.at, q.last))
@@ -183,6 +192,8 @@ func (q *radixQueue) extend(i int) {
 }
 
 // pop removes and returns the earliest pending event by (at, seq).
+// Records hold no pointer, so a vacated slot is simply left behind. A pop
+// on an empty queue panics.
 func (q *radixQueue) pop() event {
 	if q.zhead == len(q.zero) {
 		if q.mask == 0 {
@@ -263,5 +274,8 @@ func (q *radixQueue) peekAt() (time.Duration, bool) {
 	return q.buckets[bits.TrailingZeros64(q.mask)].min, true
 }
 
-func (q *radixQueue) len() int  { return q.n }
+// len reports how many events are pending.
+func (q *radixQueue) len() int { return q.n }
+
+// peak reports the pending-event high-water mark (ShardLoads' HeapPeak).
 func (q *radixQueue) peak() int { return q.highWater }

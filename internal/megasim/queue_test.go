@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// refHeap is the scheduler the radix queue replaced, kept as the
-// differential's reference: a 4-ary min-heap over (at, seq) on the
-// calendar rung's sift routines.
+// refHeap is the 4-ary min-heap the radix queue replaced, kept as the
+// differential's reference: O(log n) sifts over (at, seq), with no
+// assumption about the schedule's shape.
 type refHeap struct {
 	h         []event
 	highWater int
@@ -41,64 +41,105 @@ func (q *refHeap) peekAt() (time.Duration, bool) {
 func (q *refHeap) len() int  { return len(q.h) }
 func (q *refHeap) peak() int { return q.highWater }
 
+func evLess(a, b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// evSiftUp and evSiftDown restore the 4-ary min-heap invariant over h
+// after an append at i / a root replacement. Both use hole insertion:
+// entries shift toward the hole and the moving element is written once.
+func evSiftUp(h []event, i int) {
+	ev := h[i]
+	for i > 0 {
+		p := (i - 1) / 4
+		if !evLess(&ev, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = ev
+}
+
+func evSiftDown(h []event, i int) {
+	n := len(h)
+	ev := h[i]
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + 4
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if evLess(&h[j], &h[m]) {
+				m = j
+			}
+		}
+		if !evLess(&h[m], &ev) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = ev
+}
+
 // driveQueues feeds an identical randomly generated schedule to a fresh
-// radix queue, a fresh calendar queue and the reference heap, and fails if
-// their observable behavior — lengths, peek timestamps and the exact
-// (at, seq) pop sequence — ever diverges.
+// radix queue and the reference heap, and fails if their observable
+// behavior — lengths, peek timestamps, the exact (at, seq) pop sequence
+// and the pending peak — ever diverges.
 //
 // The generator covers the shapes the engine produces: stable ~periodic
 // gaps (the gossip common case), heavy-tailed gaps (occasional 1000x
-// spreads, which exercise the overflow rung and skew rebuilds),
-// same-timestamp bursts (barrier fan-out, where only seq breaks ties),
-// and mid-run inserts behind or exactly at the peeked minimum (barrier
-// admissions after a peek advanced the calendar cursor — the rewind path;
-// the radix queue's bucket minimum). It adds the radix queue's own edges:
-// timestamps on both sides of a power-of-two boundary, at = 0, leads
-// of 2^40 ns and more, and a same-instant burst split across the
+// spreads), same-timestamp bursts (barrier fan-out, where only seq breaks
+// ties), mid-run inserts behind or exactly at the peeked minimum (barrier
+// admissions after a peek, which the bucket minimum must absorb), and a
+// drain to empty followed by a push far ahead. It adds the radix queue's
+// own edges: timestamps on both sides of a power-of-two boundary, at = 0,
+// leads of 2^40 ns and more, and a same-instant burst split across the
 // redistribution that makes its instant the radix queue's last, half of
 // them with falling sequence numbers. Pushes never precede the last
 // popped timestamp, matching the engine's invariant.
 func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
-	qs := [3]scheduler{newScheduler(QueueHeap), newScheduler(QueueCalendar), &refHeap{}}
-	names := [3]string{"radix", "calendar", "reference heap"}
+	q, ref := newRadixQueue(), &refHeap{}
 	var seq uint64
 	var lastPop time.Duration
 	pushSeq := func(at time.Duration, s uint64) {
-		for _, q := range qs {
-			q.push(event{at: at, seq: s})
-		}
+		q.push(event{at: at, seq: s})
+		ref.push(event{at: at, seq: s})
 	}
 	push := func(at time.Duration) {
 		pushSeq(at, seq)
 		seq++
 	}
 	peek := func(op int) (time.Duration, bool) {
-		at, ok := qs[2].peekAt()
-		for k, q := range qs[:2] {
-			if qa, qok := q.peekAt(); qok != ok || qa != at {
-				t.Fatalf("op %d: peek diverged: %s (%v,%v), reference (%v,%v)", op, names[k], qa, qok, at, ok)
-			}
+		at, ok := ref.peekAt()
+		if qa, qok := q.peekAt(); qok != ok || qa != at {
+			t.Fatalf("op %d: peek diverged: radix (%v,%v), reference (%v,%v)", op, qa, qok, at, ok)
 		}
 		return at, ok
 	}
 	pop := func(op int) {
-		want := qs[2].pop()
-		for k, q := range qs[:2] {
-			if ev := q.pop(); ev.at != want.at || ev.seq != want.seq {
-				t.Fatalf("op %d: pop diverged: %s (%v,%d), reference (%v,%d)", op, names[k], ev.at, ev.seq, want.at, want.seq)
-			}
+		want := ref.pop()
+		if ev := q.pop(); ev.at != want.at || ev.seq != want.seq {
+			t.Fatalf("op %d: pop diverged: radix (%v,%d), reference (%v,%d)", op, ev.at, ev.seq, want.at, want.seq)
 		}
 		lastPop = want.at
 	}
 	for i := 0; i < ops; i++ {
-		for k, q := range qs[:2] {
-			if q.len() != qs[2].len() {
-				t.Fatalf("op %d: len diverged: %s %d, reference %d", i, names[k], q.len(), qs[2].len())
-			}
+		if q.len() != ref.len() {
+			t.Fatalf("op %d: len diverged: radix %d, reference %d", i, q.len(), ref.len())
 		}
 		switch r := rng.Intn(100); {
-		case r < 40 || qs[2].len() == 0:
+		case r < 40 || ref.len() == 0:
 			// Push at the last popped time plus a gap: usually periodic,
 			// sometimes zero (same-instant burst), sometimes heavy-tailed.
 			gap := time.Duration(rng.Intn(220)) * time.Millisecond
@@ -132,6 +173,14 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 				// At lastPop itself, which is at = 0 until the first pop.
 				push(lastPop)
 			}
+		case r == 48 && rng.Intn(20) == 0:
+			// Drain to empty, then push an hour or more ahead: the first
+			// push after the drain lands in a high bucket of an empty
+			// queue, and the next pop must reach it in one step.
+			for ref.len() > 0 {
+				pop(i)
+			}
+			push(lastPop + time.Hour + time.Duration(rng.Int63n(int64(time.Hour))))
 		case r < 52:
 			// A same-instant burst split across a redistribution: events
 			// at the peeked minimum, a pop that makes it the radix queue's
@@ -153,7 +202,7 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 			for b := rng.Intn(5); b > 0; b-- {
 				push(at)
 			}
-			for b := rng.Intn(60); b > 0 && qs[2].len() > 0; b-- {
+			for b := rng.Intn(60); b > 0 && ref.len() > 0; b-- {
 				if next, _ := peek(i); next != at {
 					break
 				}
@@ -162,9 +211,8 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 			push(at)
 		case r < 75:
 			at, ok := peek(i)
-			// Mid-window insert behind or at the peeked minimum: the
-			// calendar cursor has advanced to at's slot, so landing in
-			// [lastPop, at) forces a rewind.
+			// Mid-window insert behind or at the peeked minimum: landing in
+			// [lastPop, at) must lower the minimum a peek already read.
 			if ok && at > lastPop && rng.Intn(3) == 0 {
 				push(lastPop + time.Duration(rng.Int63n(int64(at-lastPop)+1)))
 			} else if ok && rng.Intn(4) == 0 {
@@ -175,22 +223,20 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 		}
 	}
 	// Drain: the full residual order must match too.
-	for qs[2].len() > 0 {
+	for ref.len() > 0 {
 		pop(ops)
 	}
-	for k, q := range qs {
-		if q.len() != 0 {
-			t.Fatalf("drain: %s still holds %d events", names[k], q.len())
-		}
-		if q.peak() != qs[2].peak() {
-			t.Fatalf("peak diverged: %s %d, reference %d", names[k], q.peak(), qs[2].peak())
-		}
+	if q.len() != 0 {
+		t.Fatalf("drain: radix still holds %d events", q.len())
 	}
-	checkRadixChunks(t, qs[0].(*radixQueue))
+	if q.peak() != ref.peak() {
+		t.Fatalf("peak diverged: radix %d, reference %d", q.peak(), ref.peak())
+	}
+	checkRadixChunks(t, q)
 }
 
-// FuzzQueueDifferential holds the two schedulers and the reference heap
-// to identical observable behavior under arbitrary schedules.
+// FuzzQueueDifferential holds the radix queue to the reference heap's
+// observable behavior under arbitrary schedules.
 func FuzzQueueDifferential(f *testing.F) {
 	for seed := int64(1); seed <= 8; seed++ {
 		f.Add(seed, uint16(4000))
@@ -201,9 +247,8 @@ func FuzzQueueDifferential(f *testing.F) {
 }
 
 // TestQueueDifferentialLongRuns is the always-on slice of the fuzz space:
-// long mixed schedules that cross every calendar reorganization (growth
-// and shrink rebuilds, overflow folds, rewinds, empty-year jumps) and
-// every radix bucket.
+// long mixed schedules that cross every radix bucket, many
+// redistributions and several drains.
 func TestQueueDifferentialLongRuns(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		driveQueues(t, rand.New(rand.NewSource(seed)), 60000)
@@ -223,7 +268,7 @@ func checkRadixChunks(t *testing.T, q *radixQueue) {
 	}
 }
 
-// TestRadixQueueAllocBudget holds the default scheduler to its memory and
+// TestRadixQueueAllocBudget holds the shard's queue to its memory and
 // contract promises: a warm hold model at 100k pending allocates nothing,
 // the chunks in use never outgrow the pending peak by more than one
 // partial chunk per bucket, a 100k-event same-instant burst pops in seq order in
@@ -299,71 +344,4 @@ func TestRadixQueueAllocBudget(t *testing.T) {
 		q.pop()
 		mustPanic("precedes the last pop", func() { q.push(event{at: time.Second - 1, seq: 1}) })
 	})
-}
-
-// TestCalendarRewindBehindCursor pins the rewind path directly: a peek
-// walks the cursor far forward across empty slots, then an insert lands
-// behind it (a barrier admission) and must still pop first.
-func TestCalendarRewindBehindCursor(t *testing.T) {
-	q := newCalendarQueue()
-	q.push(event{at: 10 * time.Second, seq: 0})
-	if at, ok := q.peekAt(); !ok || at != 10*time.Second {
-		t.Fatalf("peek = (%v,%v), want 10s", at, ok)
-	}
-	q.push(event{at: time.Millisecond, seq: 1})
-	if at, ok := q.peekAt(); !ok || at != time.Millisecond {
-		t.Fatalf("peek after rewind = (%v,%v), want 1ms", at, ok)
-	}
-	if ev := q.pop(); ev.at != time.Millisecond || ev.seq != 1 {
-		t.Fatalf("pop = (%v,%d), want (1ms,1)", ev.at, ev.seq)
-	}
-	if ev := q.pop(); ev.at != 10*time.Second || ev.seq != 0 {
-		t.Fatalf("pop = (%v,%d), want (10s,0)", ev.at, ev.seq)
-	}
-}
-
-// TestCalendarHeavyTailOverflow drives a schedule whose horizon dwarfs
-// any sane bucket year — most events land on the overflow rung — and
-// checks the fold/rebuild machinery returns them in exact order.
-func TestCalendarHeavyTailOverflow(t *testing.T) {
-	q := newCalendarQueue()
-	rng := rand.New(rand.NewSource(99))
-	const n = 5000
-	ats := make([]time.Duration, n)
-	for i := range ats {
-		// Exponential-ish tail: 1ms to ~1000s.
-		at := time.Duration(1+rng.Int63n(1000)) * time.Millisecond
-		for rng.Intn(3) == 0 {
-			at *= 10
-		}
-		ats[i] = at
-		q.push(event{at: at, seq: uint64(i)})
-	}
-	var prev event
-	for i := 0; i < n; i++ {
-		ev := q.pop()
-		if i > 0 && !evLess(&prev, &ev) {
-			t.Fatalf("pop %d: (%v,%d) not after (%v,%d)", i, ev.at, ev.seq, prev.at, prev.seq)
-		}
-		prev = ev
-	}
-	if q.len() != 0 {
-		t.Fatalf("len after drain = %d", q.len())
-	}
-}
-
-// TestCalendarEmptyThenReanchor drains the queue completely, then pushes
-// at a far-future instant: the year must re-anchor there instead of
-// scanning the gap slot by slot.
-func TestCalendarEmptyThenReanchor(t *testing.T) {
-	q := newCalendarQueue()
-	q.push(event{at: time.Millisecond, seq: 0})
-	q.pop()
-	q.push(event{at: time.Hour, seq: 1})
-	if ev := q.pop(); ev.at != time.Hour {
-		t.Fatalf("pop = %v, want 1h", ev.at)
-	}
-	if q.peak() != 1 {
-		t.Fatalf("peak = %d, want 1", q.peak())
-	}
 }

@@ -29,10 +29,10 @@ const (
 )
 
 // event is one scheduled occurrence, stored by value in the shard's
-// scheduler: a timer, a message delivery, a membership tick or a node
-// timer. The record is 32 bytes and holds no pointer — what an event
-// carries lives in per-shard side tables it names by index (the message
-// slab, the After closure table) — so both queue kinds are noscan memory:
+// queue: a timer, a message delivery, a membership tick or a node timer.
+// The record is 32 bytes and holds no pointer — what an event carries
+// lives in per-shard side tables it names by index (the message slab, the
+// After closure table) — so the queue's chunks are noscan memory:
 // the collector never walks the pending set, moving records pays no write
 // barrier, and a popped slot needs no clearing.
 type event struct {
@@ -275,16 +275,14 @@ type shard struct {
 	rng *rand.Rand
 	now time.Duration
 
-	// q is the event scheduler — radix heap or calendar per Config.Queue. Both
-	// maintain the same strict (at, seq) order, so the queue kind never
-	// changes a run's results, only its wall time.
-	q     scheduler
+	// q is the event queue, popped in strict (at, seq) order.
+	q     *radixQueue
 	seq   uint64
 	fired uint64
 
 	// Load counters, flat increments on the per-event path (hotalloc
 	// audits this file) and read only at quiescent points (ShardLoads).
-	// The pending-event high-water mark lives in the scheduler (q.peak).
+	// The pending-event high-water mark lives in the queue (q.peak).
 	timers      uint64 // evTimer and evNodeTimer events executed
 	delivers    uint64 // evDeliver events executed
 	memberTicks uint64 // evMemberTick events executed
@@ -326,7 +324,7 @@ func newShard(e *Engine, id int, rng *rand.Rand) *shard {
 		id:     id,
 		eng:    e,
 		rng:    rng,
-		q:      newScheduler(e.cfg.Queue),
+		q:      newRadixQueue(),
 		outbox: make([]outbox, e.cfg.Shards),
 		park:   waiter{wake: make(chan struct{}, 1)},
 	}
@@ -414,8 +412,7 @@ func (s *shard) runWindow(end time.Duration) {
 	}
 }
 
-// mergeInbound folds deliveries addressed to this shard into its
-// scheduler.
+// mergeInbound folds deliveries addressed to this shard into its queue.
 // Sources are visited in shard order and each outbox preserves send
 // order, so the sequence numbers assigned here — the tie-break for
 // same-instant events — are independent of goroutine interleaving.
@@ -520,9 +517,8 @@ func (s *shard) pushMemberTick(at time.Duration, id NodeID) {
 	s.push(event{at: at, to: id, kind: evMemberTick})
 }
 
-// push inserts ev into the shard's scheduler, assigning its sequence
-// number. Sequence assignment stays here — outside the scheduler — so
-// both queue kinds see identical (at, seq) streams and the merge-order
+// push inserts ev into the shard's queue, assigning its sequence number.
+// Sequence assignment stays here — outside the queue — so the merge-order
 // determinism argument is independent of the queue implementation.
 func (s *shard) push(ev event) {
 	ev.seq = s.seq

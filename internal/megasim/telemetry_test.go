@@ -28,7 +28,7 @@ func loadRun(t *testing.T, shards int, snapEvery time.Duration, snaps *[]time.Du
 			PairSpread:        0.3,
 		},
 	}
-	e, err := newEngine(cfg)
+	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestSingleShardHasNoOutboxTraffic(t *testing.T) {
 }
 
 func TestLiveTracksCrashes(t *testing.T) {
-	e, err := newEngine(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestLiveTracksCrashes(t *testing.T) {
 
 func TestReleaseFreesOnlyDeadNodes(t *testing.T) {
 	const lat = 10 * time.Millisecond
-	e, err := newEngine(Config{Shards: 2, Net: flatNet(lat)})
+	e, err := New(Config{Shards: 2, Net: flatNet(lat)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,28 +176,33 @@ func TestReleaseFreesOnlyDeadNodes(t *testing.T) {
 }
 
 // TestSnapshotsDoNotPerturbTheRun is the zero-observer-effect guarantee:
-// a run with snapshots enabled is bit-identical to the same run without.
+// a run with snapshots enabled is bit-identical to the same run without,
+// and takes one snapshot per period — on four shards, whose windows are
+// the lookahead, and on one, whose single window snapshots cut.
 func TestSnapshotsDoNotPerturbTheRun(t *testing.T) {
-	base := loadRun(t, 4, 0, nil, nil)
-	var snaps []time.Duration
-	obs := loadRun(t, 4, 20*time.Millisecond, &snaps, nil)
-	if base.Fired() != obs.Fired() {
-		t.Fatalf("snapshots changed the event count: %d vs %d", base.Fired(), obs.Fired())
-	}
-	for i := 0; i < base.N(); i++ {
-		if base.NodeStats(NodeID(i)) != obs.NodeStats(NodeID(i)) {
-			t.Fatalf("snapshots changed node %d's counters", i)
+	const every, until = 20 * time.Millisecond, 300 * time.Millisecond
+	for _, shards := range []int{4, 1} {
+		base := loadRun(t, shards, 0, nil, nil)
+		var snaps []time.Duration
+		obs := loadRun(t, shards, every, &snaps, nil)
+		if base.Fired() != obs.Fired() {
+			t.Fatalf("%d shards: snapshots changed the event count: %d vs %d", shards, base.Fired(), obs.Fired())
 		}
-	}
-	if len(snaps) == 0 {
-		t.Fatal("no snapshots taken")
-	}
-	prev := time.Duration(-1)
-	for _, at := range snaps {
-		if at <= prev {
-			t.Fatalf("snapshot times not increasing: %v after %v", at, prev)
+		for i := 0; i < base.N(); i++ {
+			if base.NodeStats(NodeID(i)) != obs.NodeStats(NodeID(i)) {
+				t.Fatalf("%d shards: snapshots changed node %d's counters", shards, i)
+			}
 		}
-		prev = at
+		if len(snaps) < int(until/every) {
+			t.Fatalf("%d shards: %d snapshots over %v, want at least one per %v", shards, len(snaps), until, every)
+		}
+		prev := time.Duration(-1)
+		for _, at := range snaps {
+			if at <= prev {
+				t.Fatalf("%d shards: snapshot times not increasing: %v after %v", shards, at, prev)
+			}
+			prev = at
+		}
 	}
 }
 

@@ -94,10 +94,9 @@ func (s *shard) setup(n int) {
 	}
 }
 
-// sched mirrors the engine's scheduler interface: the shard reaches the
-// queue implementations only through it, and interface dispatch ends the
-// static walk — which is exactly why the implementations are configured
-// as their own roots below.
+// sched puts an interface in front of the queue: interface dispatch ends
+// the static walk, so a queue reached only through it is audited only
+// because its methods are configured as roots of their own (below).
 type sched interface {
 	push(ev *event)
 	pop() event
@@ -111,22 +110,22 @@ func (s *shard) dispatch(q sched, ev *event) {
 	_ = q.pop()
 }
 
-// calendarQueue is the fixture twin of the real calendar scheduler: its
-// push and pop are configured hot roots, so the bucket appends are
-// audited directly rather than through the shard.
-type calendarQueue struct {
+// radixQueue is the fixture twin of the real event queue: its push and
+// pop are configured hot roots, so the bucket appends are audited
+// directly rather than through the shard.
+type radixQueue struct {
 	bucket   []event
 	overflow []event
 }
 
-func (q *calendarQueue) push(ev *event) {
-	q.bucket = append(q.bucket, *ev) // want `append in hot path \(\(\*calendarQueue\)\.push\)`
+func (q *radixQueue) push(ev *event) {
+	q.bucket = append(q.bucket, *ev) // want `append in hot path \(\(\*radixQueue\)\.push\)`
 
-	//lint:pooled bucket backings persist across year wraps; growth amortizes
+	//lint:pooled bucket backings persist for the queue's lifetime; growth amortizes
 	q.bucket = append(q.bucket, *ev) // annotated: fine
 }
 
-func (q *calendarQueue) pop() event {
+func (q *radixQueue) pop() event {
 	ev := q.bucket[0]
 	q.bucket = q.bucket[1:]
 	if len(q.bucket) == 0 {
@@ -135,8 +134,8 @@ func (q *calendarQueue) pop() event {
 	return ev
 }
 
-func (q *calendarQueue) rebuild() {
-	q.overflow = append(q.overflow, q.bucket...) // want `append in hot path \(\(\*calendarQueue\)\.rebuild\)`
+func (q *radixQueue) rebuild() {
+	q.overflow = append(q.overflow, q.bucket...) // want `append in hot path \(\(\*radixQueue\)\.rebuild\)`
 }
 
 // stats has a value receiver: its reach-index name is "stats.observe",

@@ -82,14 +82,14 @@ func Default() *Config {
 		WallClockOK: []string{"rt", "cmd", "examples", "teleclock"},
 		HotRoots: map[string][]string{
 			// The shard loop executes every simulated event; mergeInbound
-			// queues every cross-shard delivery each window. The queue
-			// implementations are listed as their own roots: the shard
-			// reaches them through the scheduler interface, and interface
-			// dispatch ends hotalloc's static walk.
+			// queues every cross-shard delivery each window. The queue's
+			// methods are listed as their own roots: peekAt is also reached
+			// from the supervisor's next-event scan between windows, outside
+			// runWindow's walk, and listing all three keeps the queue audited
+			// whoever calls it.
 			"megasim": {
 				"(*shard).runWindow", "(*shard).mergeInbound",
 				"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
-				"(*calendarQueue).push", "(*calendarQueue).pop", "(*calendarQueue).peekAt",
 				// The arena-recycling paths: Release runs per departure
 				// (10k/s at 1%/s churn on a million nodes) and the
 				// quarantine/free-list drains run per admission. The

@@ -23,12 +23,16 @@ type ShardLoad struct {
 	Timers      uint64 `json:"timers"`       // evTimer events
 	Delivers    uint64 `json:"delivers"`     // evDeliver events
 	MemberTicks uint64 `json:"member_ticks"` // evMemberTick events
-	Windows     uint64 `json:"windows"`      // conservative windows run
-	HeapPeak    int    `json:"heap_peak"`    // event-heap high-water mark
-	Pending     int    `json:"pending"`      // events still queued
-	OutboxOut   uint64 `json:"outbox_out"`   // cross-shard messages sent
-	OutboxIn    uint64 `json:"outbox_in"`    // cross-shard messages merged in
-	StaleDrops  uint64 `json:"stale_drops"`  // deliveries to recycled (stale) handles
+	// Windows counts the windows the shard ran. A sharded run's windows
+	// are conservative, the lookahead long; a one-shard run runs to the
+	// horizon in one window, cut only at barriers and, with snapshots on,
+	// at each snapshot instant, so there it counts those cuts.
+	Windows    uint64 `json:"windows"`
+	HeapPeak   int    `json:"heap_peak"`   // event-heap high-water mark
+	Pending    int    `json:"pending"`     // events still queued
+	OutboxOut  uint64 `json:"outbox_out"`  // cross-shard messages sent
+	OutboxIn   uint64 `json:"outbox_in"`   // cross-shard messages merged in
+	StaleDrops uint64 `json:"stale_drops"` // deliveries to recycled (stale) handles
 }
 
 // WallProfile is the wall-time split of a run, in nanoseconds: shard

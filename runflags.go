@@ -8,7 +8,6 @@ import (
 	"os"
 	"time"
 
-	"gossipstream/internal/megasim"
 	"gossipstream/internal/telemetry/teleclock"
 )
 
@@ -19,7 +18,6 @@ import (
 type RunFlags struct {
 	Seed       int64
 	Shards     int
-	Queue      string
 	Membership string
 	Churn      string
 	Streaming  bool
@@ -30,12 +28,11 @@ type RunFlags struct {
 	Progress  bool
 }
 
-// Register declares -seed, -shards, -queue, -membership, -churn and
-// -streaming on fs; shards is the tool's -shards default.
+// Register declares -seed, -shards, -membership, -churn and -streaming
+// on fs; shards is the tool's -shards default.
 func (f *RunFlags) Register(fs *flag.FlagSet, shards int) {
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed")
 	fs.IntVar(&f.Shards, "shards", shards, "parallel simulation shards (0 = default (1); one shard runs inline)")
-	fs.StringVar(&f.Queue, "queue", "heap", "engine scheduler: heap or calendar (same results, different wall time)")
 	fs.StringVar(&f.Membership, "membership", "full", "membership substrate: full (the paper's global view) or cyclon (partial views)")
 	fs.StringVar(&f.Churn, "churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second (sustained; graceful leavers announce their exit); or flash:<mult>,<secs>[,<start-secs>] (a crowd joining at once; joins need -membership cyclon)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "retain no per-node rows (the memory unlock at scale); every score is the same, only per-node detail needs the rows")
@@ -62,11 +59,6 @@ func (f *RunFlags) Apply(cfg *ExperimentConfig) error {
 	default:
 		return fmt.Errorf("-membership %q: want full or cyclon", f.Membership)
 	}
-	q, err := megasim.ParseQueue(f.Queue)
-	if err != nil {
-		return fmt.Errorf("-queue %q: want heap or calendar", f.Queue)
-	}
-	cfg.Queue = q
 	if err := ApplyChurnFlag(cfg, f.Churn); err != nil {
 		return fmt.Errorf("-%w", err)
 	}

@@ -27,13 +27,12 @@ func parseRunFlags(t *testing.T, shards int, args ...string) *RunFlags {
 
 func TestRunFlagsApply(t *testing.T) {
 	cfg := smallExperiment()
-	rf := parseRunFlags(t, 3, "-seed", "9", "-membership", "cyclon", "-queue", "calendar",
+	rf := parseRunFlags(t, 3, "-seed", "9", "-membership", "cyclon",
 		"-churn", "poisson:0.01,0.02", "-streaming", "-telemetry", "-")
 	if err := rf.Apply(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Seed != 9 || cfg.Shards != 3 || cfg.Membership != MembershipCyclon ||
-		cfg.Queue != QueueCalendar || !cfg.StreamingMetrics {
+	if cfg.Seed != 9 || cfg.Shards != 3 || cfg.Membership != MembershipCyclon || !cfg.StreamingMetrics {
 		t.Fatalf("flags not applied: %+v", cfg)
 	}
 	// Rates are fractions of the 36-node population.
@@ -58,7 +57,6 @@ func TestRunFlagsApplyRejects(t *testing.T) {
 	for _, args := range [][]string{
 		{"-shards", "-1"},
 		{"-membership", "gospel"},
-		{"-queue", "fifo"},
 		{"-churn", "sometimes"},
 		{"-churn", "poisson:0.01"},
 	} {
@@ -114,7 +112,6 @@ func FuzzConfigJSONRoundTrip(f *testing.F) {
 		cfg.Layout.Windows = int(windows)
 		cfg.FreeRiders = riders
 		cfg.Shards = int(shards % 8)
-		cfg.Queue = QueueKind(shards % 2)
 		cfg.StreamingMetrics = shards%3 == 0
 		cfg.Drain = time.Duration(drain)
 		if cyclon {
