@@ -2,6 +2,7 @@ package megasim
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/simnet"
+	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
 
@@ -432,8 +434,8 @@ func TestArenaChurnReplayDeterminism(t *testing.T) {
 		if a.nodes[i].stats != b.nodes[i].stats {
 			t.Fatalf("slot %d counters differ across replays", i)
 		}
-		if a.nodes[i].gen != b.nodes[i].gen {
-			t.Fatalf("slot %d at generation %d vs %d", i, a.nodes[i].gen, b.nodes[i].gen)
+		if a.live[i] != b.live[i] {
+			t.Fatalf("slot %d liveness word %#x vs %#x (generation %d vs %d)", i, a.live[i], b.live[i], a.live[i]>>liveGenShift, b.live[i]>>liveGenShift)
 		}
 	}
 }
@@ -611,4 +613,228 @@ func FuzzArenaRecycling(f *testing.F) {
 			t.Fatalf("replay diverged:\n%+v\n%+v", a, b)
 		}
 	})
+}
+
+// sendOneID sends a one-id message of the kind on the typed route: it
+// rides in its event.
+func sendOneID(v *NodeEnv, to NodeID, kind wire.Kind) {
+	ids := []stream.PacketID{42}
+	if kind == wire.KindServe {
+		v.SendServe(to, ids, 100)
+	} else {
+		v.SendIDs(to, kind, ids)
+	}
+}
+
+// TestOneIDMessageDrops takes one-id PROPOSEs, REQUESTs and SERVEs, which
+// ride in their events and never in a slab record, through every way the
+// liveness word ends a delivery, on one shard and across two: to a stale
+// destination (StaleDrops, or a panic under PanicOnStale), from a stale
+// source, and to a crashed destination (DeadDrops on the destination). In
+// each case the message is counted sent once and dropped once, so sent =
+// received + drops exactly, and no one else sees it.
+func TestOneIDMessageDrops(t *testing.T) {
+	// run plays the case's schedule and returns the engine after the run.
+	run := func(t *testing.T, shards int, panicOnStale bool, set func(e *Engine, env0, env1 *NodeEnv, kind wire.Kind), kind wire.Kind) *Engine {
+		t.Helper()
+		e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), PanicOnStale: panicOnStale})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env0, env1 := e.NodeEnv(0, NewRand(1)), e.NodeEnv(1, NewRand(2))
+		e.AddNode(sinkTyped{}, shaping.Unlimited, 0)
+		// 1 kbps: a one-id message takes from ≈90 ms (PROPOSE) to ≈1 s
+		// (SERVE of 100 B) to leave node 1's uplink.
+		e.AddNode(sinkTyped{}, 1000, 1<<20)
+		set(e, env0, env1, kind)
+		if err := e.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range e.shards {
+			if len(s.msgs) != 0 {
+				t.Fatalf("shard %d drew %d slab records for one-id messages", s.id, len(s.msgs))
+			}
+		}
+		return e
+	}
+	// recycle crashes and releases node 1 at 20 ms and puts a new node in
+	// its slot at 30 ms, once the quarantine has run out.
+	recycle := func(e *Engine) {
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(30*time.Millisecond, func() {
+			if id := e.AddNode(sinkTyped{}, shaping.Unlimited, 0); id != makeID(1, 1) {
+				t.Fatalf("reuse minted %d, want slot 1 at generation 1", id)
+			}
+		})
+	}
+	cases := []struct {
+		name string
+		set  func(e *Engine, env0, env1 *NodeEnv, kind wire.Kind)
+		// stale and dead are the drops expected in StaleDrops and in the
+		// DeadDrops of node 0 and of slot 1.
+		stale, dead0, dead1 uint64
+	}{
+		{"stale-destination", func(e *Engine, env0, _ *NodeEnv, kind wire.Kind) {
+			// In flight at 25 ms to slot 1's first incarnation, arriving at
+			// 35 ms, after the slot is reused.
+			recycle(e)
+			e.AtBarrier(25*time.Millisecond, func() { sendOneID(env0, 1, kind) })
+		}, 1, 0, 0},
+		{"stale-source", func(e *Engine, _, env1 *NodeEnv, kind wire.Kind) {
+			// Sent at 15 ms, it leaves the slow uplink after the slot is
+			// reused and reaches a live node 0 from a stale handle.
+			recycle(e)
+			e.AtBarrier(15*time.Millisecond, func() { sendOneID(env1, 0, kind) })
+		}, 0, 1, 0},
+		{"crashed-destination", func(e *Engine, env0, _ *NodeEnv, kind wire.Kind) {
+			e.AtBarrier(0, func() { sendOneID(env0, 1, kind) })
+			e.AtBarrier(5*time.Millisecond, func() { e.Crash(1) })
+		}, 0, 0, 1},
+	}
+	for _, shards := range []int{1, 2} {
+		for _, c := range cases {
+			for _, kind := range []wire.Kind{wire.KindPropose, wire.KindRequest, wire.KindServe} {
+				t.Run(fmt.Sprintf("%d-shards/%s/%v", shards, c.name, kind), func(t *testing.T) {
+					e := run(t, shards, false, c.set, kind)
+					total := e.TotalStats()
+					slot1 := makeID(1, uint16(e.live[1]>>liveGenShift))
+					if e.StaleDrops() != c.stale || e.NodeStats(0).DeadDrops != c.dead0 || e.NodeStats(slot1).DeadDrops != c.dead1 {
+						t.Fatalf("stale drops %d, dead drops at node 0 %d and at slot 1 %d; want %d, %d, %d",
+							e.StaleDrops(), e.NodeStats(0).DeadDrops, e.NodeStats(slot1).DeadDrops, c.stale, c.dead0, c.dead1)
+					}
+					if total.SentMsgs[kind] != 1 || total.RecvMsgs[kind] != 0 || total.DeadDrops != 1 {
+						t.Fatalf("%v: %d sent, %d received, %d dead drops; want 1, 0, 1", kind, total.SentMsgs[kind], total.RecvMsgs[kind], total.DeadDrops)
+					}
+					assertConserved(t, total)
+					if c.stale == 0 {
+						// Only a stale destination is worth a panic: the same
+						// run under PanicOnStale ends as it did.
+						if got := run(t, shards, true, c.set, kind).TotalStats(); got != total {
+							t.Fatalf("under PanicOnStale the run ended %+v, without %+v", got, total)
+						}
+						return
+					}
+					if shards == 1 {
+						// Slot 1 is shard 1's across two, whose worker
+						// goroutine a panic would take down with the test.
+						mustPanicContains(t, "Run with a stale one-id delivery", "megasim: deliver: stale handle", func() {
+							run(t, shards, true, c.set, kind)
+						})
+					}
+				})
+			}
+		}
+	}
+}
+
+// TestLivenessWordMatchesArena plays random AddNode / Crash / Release
+// sequences — recycling slots FIFO, at setup where the quarantine expires
+// at once — against a plain model of the arena, long enough that slots
+// reach maxGen and retire. After every step each slot's liveness word is
+// the model's gen<<2 | released<<1 | alive, and Alive, lookup, liveNode,
+// Live and PeekNextID agree with the model for the slot's current handle,
+// its previous one and a handle past the arena.
+func TestLivenessWordMatchesArena(t *testing.T) {
+	type slot struct {
+		gen             int
+		alive, released bool
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e, err := New(Config{Shards: 2, Net: flatNet(time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model []slot
+		var free []int // the model's recyclable slots, oldest first
+		handle := func(s int) NodeID { return makeID(s, uint16(model[s].gen)) }
+		check := func(step int, touched int) {
+			t.Helper()
+			live := 0
+			for s, m := range model {
+				want := uint32(m.gen)<<liveGenShift | map[bool]uint32{true: liveReleased}[m.released] | map[bool]uint32{true: liveAlive}[m.alive]
+				if e.live[s] != want {
+					t.Fatalf("seed %d step %d: slot %d liveness word %#x, model %#x (%+v)", seed, step, s, e.live[s], want, m)
+				}
+				id := handle(s)
+				if e.Alive(id) != m.alive || e.lookup("check", id) != &e.nodes[s] || (e.liveNode(id) != nil) != m.alive {
+					t.Fatalf("seed %d step %d: slot %d handle %d: Alive %v, liveNode %v; model %+v", seed, step, s, id, e.Alive(id), e.liveNode(id) != nil, m)
+				}
+				if m.alive {
+					live++
+				}
+			}
+			if e.Live() != live {
+				t.Fatalf("seed %d step %d: Live = %d, model %d", seed, step, e.Live(), live)
+			}
+			next := NodeID(len(model))
+			if len(free) > 0 {
+				next = makeID(free[0], uint16(model[free[0]].gen+1))
+			}
+			if got := e.PeekNextID(); got != next {
+				t.Fatalf("seed %d step %d: PeekNextID = %d, model %d", seed, step, got, next)
+			}
+			if past := NodeID(len(model)); e.liveNode(past) != nil {
+				t.Fatalf("seed %d step %d: liveNode resolves %d, past the arena", seed, step, past)
+			}
+			if touched >= 0 && model[touched].gen > 0 {
+				old := makeID(touched, uint16(model[touched].gen-1))
+				if e.liveNode(old) != nil {
+					t.Fatalf("seed %d step %d: liveNode resolves the stale handle %d", seed, step, old)
+				}
+				mustPanicContains(t, "lookup of a stale handle", "stale handle", func() { e.lookup("check", old) })
+			}
+		}
+		retired := 0
+		for step := 0; step < 40000; step++ {
+			var alive, crashed []int
+			inUse := 0
+			for s, m := range model {
+				switch {
+				case m.alive:
+					alive = append(alive, s)
+				case !m.released:
+					crashed = append(crashed, s)
+				}
+				if !m.released {
+					inUse++
+				}
+			}
+			touched := -1
+			switch r := rng.Intn(3); {
+			case r == 0 && inUse < 3 || len(alive)+len(crashed) == 0:
+				id := e.AddNode(sink{}, shaping.Unlimited, 0)
+				if len(free) > 0 {
+					touched, free = free[0], free[1:]
+					model[touched] = slot{gen: model[touched].gen + 1, alive: true}
+				} else {
+					touched = len(model)
+					model = append(model, slot{alive: true})
+				}
+				if id != handle(touched) {
+					t.Fatalf("seed %d step %d: AddNode minted %d, model %d", seed, step, id, handle(touched))
+				}
+			case r == 1 && len(alive) > 0:
+				touched = alive[rng.Intn(len(alive))]
+				e.Crash(handle(touched))
+				model[touched].alive = false
+			case len(crashed) > 0:
+				touched = crashed[rng.Intn(len(crashed))]
+				if rng.Intn(4) == 0 {
+					e.Crash(handle(touched)) // a second Crash changes nothing
+				}
+				e.Release(handle(touched))
+				model[touched].released = true
+				if model[touched].gen < maxGen {
+					free = append(free, touched)
+				} else {
+					retired++
+				}
+			}
+			check(step, touched)
+		}
+		if retired == 0 {
+			t.Fatalf("seed %d: no slot reached generation %d and retired", seed, maxGen)
+		}
+	}
 }

@@ -44,13 +44,20 @@
 // events by value in the shard's scheduler: one
 // 32-byte record per in-flight message, timer or tick, holding no pointer,
 // so the pending set is memory the collector never scans. What an event
-// carries lives in per-shard side tables the record names by index:
+// carries lives in the record itself or in per-shard side tables the
+// record names by index:
 //
-//   - an in-flight message is one 64-byte record of the shard's message
-//     slab (or, crossing shards, of an outbox until the merge): kind, size,
+//   - a message of one id — every SERVE of the paper's packets, a one-id
+//     REQUEST or PROPOSE: 59% of a 2,000-node steady run's deliveries — of
+//     at most 65,535 application bytes rides in its event (evDeliverID):
+//     the id, the wire kind and the size take fields the record has
+//     anyway, and neither its send nor its delivery touches a slab record;
+//   - any other in-flight message is one 64-byte record of the shard's
+//     message slab (or, crossing shards, of an outbox until the merge; a
+//     one-id message moves into its event at the merge): kind, size,
 //     and a copy of the id list — a SERVE's as the ids of its packets, a
 //     SHUFFLE's entries as (id, age) word pairs — inline for up to nine ids
-//     (a SERVE of the paper's packets is one) or a SHUFFLE of up to four
+//     (nine in ten REQUESTs of a steady stream) or a SHUFFLE of up to four
 //     entries, otherwise in a range of the shard's spill arena (an
 //     outbox's bump region on the way across) — or, for a boxed SERVE,
 //     LEAVE, FEED-ME (the last two zero-size, so boxing them allocates
@@ -76,9 +83,9 @@
 // delivery of a protocol message the box it is handed. TestEngineAllocBudget
 // holds the engine to that (0 per event for send→deliver of ids and of
 // SERVEs of ids, within and across shards, at most 1 for an After chain),
-// TestEventRecordIsPointerFree and TestMessageRecordSize to the records'
-// shapes, and CI fails on any "moved to heap" the compiler reports in the
-// package.
+// TestEventRecordIsPointerFree, TestEventRecordSize and
+// TestMessageRecordSize to the records' shapes, and CI fails on any "moved
+// to heap" the compiler reports in the package.
 //
 // # Membership
 //
@@ -250,17 +257,34 @@ type nodeState struct {
 	// two or more generations old reads the most recently departed base —
 	// an approximation for traffic that is dead on arrival anyway.)
 	prevBase time.Duration
-	// gen is the slot's current generation; a handle resolves here only
-	// when its Gen matches. Incremented when the slot is recycled, so
-	// every handle a quarantined slot ever minted stays resolvable (and
-	// dead-drops normally) until reuse actually happens.
-	gen      uint16
-	alive    bool
-	released bool
 	// stats is written only by the node's own shard (sends from the node,
 	// deliveries to the node), never concurrently.
 	stats simnet.Stats
 }
+
+// A slot's liveness word, Engine.live[slot], holds its generation above two
+// flags: gen<<liveGenShift | released<<1 | alive. A handle resolves to the
+// slot's current incarnation only when its Gen matches the word's. The
+// generation is incremented when the slot is recycled, so every handle a
+// quarantined slot ever minted stays resolvable (and dead-drops normally)
+// until reuse actually happens. The words sit in one dense slice apart from
+// the nodes' records, so the checks on the event path — a delivery's
+// endpoints, a send's source, a timer's node — read four bytes a slot
+// rather than a record of hundreds, and a delivery never touches its
+// sender's.
+const (
+	liveAlive    = 1 << 0 // the incarnation runs: added and not crashed
+	liveReleased = 1 << 1 // Release queued the slot for reuse
+	liveGenShift = 2
+)
+
+// sameGen reports whether a handle names the incarnation whose liveness
+// word is w.
+func sameGen(w uint32, id NodeID) bool { return w>>liveGenShift == uint32(id)>>slotBits }
+
+// aliveWord is the liveness word of the incarnation id names while it is
+// alive: alive excludes released, so one comparison checks both.
+func aliveWord(id NodeID) uint32 { return uint32(id)>>slotBits<<liveGenShift | liveAlive }
 
 // quarEntry parks a released slot until reuse is provably safe: one full
 // lookahead window after the Release barrier, by when every delivery the
@@ -280,9 +304,11 @@ type globalEvent struct {
 // single-threaded (New, AddNode, AtBarrier, Start-ing node logic), then
 // call Run once. Accessors are safe again after Run returns.
 type Engine struct {
-	cfg       Config
-	shards    []*shard
-	nodes     []nodeState
+	cfg    Config
+	shards []*shard
+	nodes  []nodeState
+	// live[slot] is the slot's liveness word (liveAlive above).
+	live      []uint32
 	setup     *rand.Rand
 	tickRng   *rand.Rand
 	pairSalt  uint64
@@ -300,9 +326,9 @@ type Engine struct {
 	// (AddNode/AttachSampler from a callback) safe.
 	inBarrier bool
 	ran       bool
-	// live counts alive nodes incrementally (AddNode/Crash), so progress
+	// alive counts alive nodes incrementally (AddNode/Crash), so progress
 	// snapshots need no O(n) scan.
-	live int
+	alive int
 	// added counts AddNode calls (incarnations ever), recycled the subset
 	// that reused a freed slot; N() — the arena size — is added minus
 	// recycled.
@@ -413,7 +439,7 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	}
 	flat, _ := h.(TimerHandler)
 	e.added++
-	e.live++
+	e.alive++
 	if slot, ok := e.takeFree(); ok {
 		nd := &e.nodes[slot]
 		// The retired incarnation's counters fold into the departed
@@ -422,16 +448,19 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 		// and its base latency moves to the prevBase side table for
 		// traffic still addressed to its stale handles.
 		e.departed.Add(nd.stats)
-		gen := nd.gen + 1
-		*nd = nodeState{handler: h, flat: flat, uplink: up, base: base, prevBase: nd.base, gen: gen, alive: true}
+		*nd = nodeState{handler: h, flat: flat, uplink: up, base: base, prevBase: nd.base}
+		id := makeID(slot, uint16(e.live[slot]>>liveGenShift+1))
+		e.live[slot] = aliveWord(id)
 		e.recycled++
-		return makeID(slot, gen)
+		return id
 	}
 	if len(e.nodes) > slotMask {
 		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", len(e.nodes), slotMask+1))
 	}
-	e.nodes = append(e.nodes, nodeState{handler: h, flat: flat, uplink: up, base: base, alive: true})
-	return NodeID(len(e.nodes) - 1)
+	e.nodes = append(e.nodes, nodeState{handler: h, flat: flat, uplink: up, base: base})
+	id := NodeID(len(e.nodes) - 1)
+	e.live = append(e.live, aliveWord(id))
+	return id
 }
 
 // PeekNextID returns the handle the next AddNode will assign — the oldest
@@ -443,7 +472,7 @@ func (e *Engine) PeekNextID() NodeID {
 	e.drainQuarantine()
 	if e.freeHead < len(e.free) {
 		slot := e.free[e.freeHead]
-		return makeID(int(slot), e.nodes[slot].gen+1)
+		return makeID(int(slot), uint16(e.live[slot]>>liveGenShift+1))
 	}
 	return NodeID(len(e.nodes))
 }
@@ -470,7 +499,7 @@ func (e *Engine) drainQuarantine() {
 			break
 		}
 		e.quarHead++
-		if e.nodes[q.slot].gen < maxGen {
+		if e.live[q.slot]>>liveGenShift < maxGen {
 			//lint:pooled free-list capacity is reused in place (takeFree resets or compacts it)
 			e.free = append(e.free, q.slot)
 		}
@@ -604,20 +633,23 @@ func (e *Engine) Now() time.Duration { return e.now }
 func (e *Engine) Lookahead() time.Duration { return e.lookahead }
 
 // Alive reports whether the node is up.
-func (e *Engine) Alive(id NodeID) bool { return e.lookup("Alive", id).alive }
+func (e *Engine) Alive(id NodeID) bool {
+	e.lookup("Alive", id)
+	return e.live[Slot(id)]&liveAlive != 0
+}
 
 // Crash silences a node: it stops sending and receiving. Only legal during
 // setup or inside an AtBarrier callback (shards are quiescent there).
 func (e *Engine) Crash(id NodeID) {
-	nd := e.lookup("Crash", id)
-	if nd.alive {
-		nd.alive = false
-		e.live--
+	e.lookup("Crash", id)
+	if w := &e.live[Slot(id)]; *w&liveAlive != 0 {
+		*w &^= liveAlive
+		e.alive--
 	}
 }
 
 // Live returns the number of alive nodes.
-func (e *Engine) Live() int { return e.live }
+func (e *Engine) Live() int { return e.alive }
 
 // Release frees a crashed node's heavy state — handler, sampler, uplink
 // queue — and queues its arena slot for recycling, making engine memory
@@ -636,13 +668,14 @@ func (e *Engine) Live() int { return e.live }
 func (e *Engine) Release(id NodeID) {
 	e.checkMutable("Release")
 	nd := e.lookup("Release", id)
-	if nd.alive {
+	w := &e.live[Slot(id)]
+	if *w&liveAlive != 0 {
 		panic(fmt.Sprintf("megasim: Release of live node %d", id))
 	}
-	if nd.released {
+	if *w&liveReleased != 0 {
 		panic(fmt.Sprintf("megasim: Release of already released node %d", id))
 	}
-	nd.released = true
+	*w |= liveReleased
 	nd.handler = nil
 	nd.flat = nil
 	nd.sampler = nil
@@ -996,7 +1029,7 @@ func (e *Engine) noteStale(sh *shard, op string, id NodeID) {
 // staleMsg formats the uniform stale-handle panic/diagnostic message.
 func (e *Engine) staleMsg(op string, id NodeID) string {
 	//lint:coldpath only a stale-handle panic's message is formatted here
-	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.nodes[uint32(id)&slotMask].gen, Gen(id))
+	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.live[uint32(id)&slotMask]>>liveGenShift, Gen(id))
 }
 
 // send transmits a message with the network model's UDP semantics:
@@ -1020,8 +1053,8 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	if int32(from) < 0 || int(fslot) >= len(e.nodes) {
 		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", from, fslot, len(e.nodes)))
 	}
-	src := &e.nodes[fslot]
-	if int(src.gen) != int(uint32(from)>>slotBits) {
+	fw := e.live[fslot]
+	if !sameGen(fw, from) {
 		// Silent, like a crashed sender: the message is never counted sent,
 		// so TotalStats' conservation identity (sent == received + random +
 		// dead drops) stays exact. StaleDrops counts only *deliveries* to
@@ -1031,9 +1064,10 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		}
 		return false
 	}
-	if !src.alive {
+	if fw&liveAlive == 0 {
 		return false
 	}
+	src := &e.nodes[fslot]
 	// The bandwidth limiter throttles application bytes only.
 	size := p.wireSize() - wire.UDPOverheadBytes
 	now := sh.now
@@ -1080,12 +1114,15 @@ func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
 }
 
 // deliver hands the message ev names to its destination; the caller
-// releases the record afterwards. It executes on the destination node's
-// shard; the sender's liveness flag is stable between barriers, so the
-// cross-shard read is race-free. SHUFFLE messages are membership traffic:
-// they go to the node's sampler (which may answer — the reply departs
-// through the node's own shaped uplink), never to the protocol handler. A
-// node without a sampler drops them silently, like any unknown datagram.
+// releases a record afterwards. A message that rides in its event
+// (evDeliverID) carries its one id, kind and size there, and is handed over
+// in the shard's one-id scratch list; any other is read from its slab
+// record. It executes on the destination node's shard; the sender's
+// liveness word is stable between barriers, so the cross-shard read is
+// race-free. SHUFFLE messages are membership traffic: they go to the node's
+// sampler (which may answer — the reply departs through the node's own
+// shaped uplink), never to the protocol handler. A node without a sampler
+// drops them silently, like any unknown datagram.
 //
 // A delivery addressed to a stale handle — the destination incarnation
 // departed and its slot was recycled while the message was in flight —
@@ -1097,15 +1134,27 @@ func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
 // dead-but-not-recycled source delivers — delivering the farewell after
 // the sender is gone is the entire point of a graceful departure.
 func (e *Engine) deliver(sh *shard, ev *event) {
-	src, dst := &e.nodes[uint32(ev.from)&slotMask], &e.nodes[uint32(ev.to)&slotMask]
-	if int(dst.gen) != int(uint32(ev.to)>>slotBits) {
+	tslot := uint32(ev.to) & slotMask
+	tw := e.live[tslot]
+	if !sameGen(tw, ev.to) {
 		e.noteStale(sh, "deliver", ev.to)
 		return
 	}
-	rec := &sh.msgs[ev.ref]
-	k := rec.kind
-	if int(src.gen) != int(uint32(ev.from)>>slotBits) || !dst.alive ||
-		(!src.alive && k != wire.KindLeave) {
+	// p's list aliases the event's scratch or the record: a handler that
+	// sends may grow the slab, but the list stays readable either way.
+	var p payload
+	var size int32
+	if ev.kind == evDeliverID {
+		sh.one[0] = stream.PacketID(ev.ref)
+		p, size = payload{kind: wire.Kind(ev.tkind), ids: sh.one[:]}, int32(ev.size)
+	} else {
+		rec := &sh.msgs[ev.ref]
+		p, size = rec.payload(sh.ids.buf), rec.size
+	}
+	k := p.kind
+	dst := &e.nodes[tslot]
+	if fw := e.live[uint32(ev.from)&slotMask]; !sameGen(fw, ev.from) || tw&liveAlive == 0 ||
+		(fw&liveAlive == 0 && k != wire.KindLeave) {
 		// A LEAVE from a dead (but not recycled) source still delivers: a
 		// graceful departure hands its farewells to the network and crashes
 		// in the same barrier, and a datagram in flight is not recalled
@@ -1114,10 +1163,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 		return
 	}
 	dst.stats.RecvMsgs[k]++
-	dst.stats.RecvBytes[k] += uint64(rec.size)
-	// rec is not used past this point: a handler that sends may grow the
-	// slab under it. The payload's list stays readable either way.
-	p := rec.payload(sh.ids.buf)
+	dst.stats.RecvBytes[k] += uint64(size)
 	switch {
 	case k == wire.KindShuffle || k == wire.KindLeave:
 		// Membership traffic — view exchanges and graceful-departure
@@ -1165,9 +1211,10 @@ func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 // stays inside the lookahead bound either way. PairFactor hashes the
 // full handles, so a stale pair's spread factor is deterministic too.
 func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
-	sb := &e.nodes[uint32(b)&slotMask]
+	bslot := uint32(b) & slotMask
+	sb := &e.nodes[bslot]
 	bb := sb.base
-	if int(sb.gen) != int(uint32(b)>>slotBits) {
+	if !sameGen(e.live[bslot], b) {
 		bb = sb.prevBase
 	}
 	base := float64(e.nodes[uint32(a)&slotMask].base+bb) / 2
@@ -1186,7 +1233,7 @@ func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
 // liveNode returns the node id names while that incarnation is alive, nil
 // once it has crashed or departed: whether its timers and ticks still run.
 func (e *Engine) liveNode(id NodeID) *nodeState {
-	if s := Slot(id); s < len(e.nodes) && int(e.nodes[s].gen) == Gen(id) && e.nodes[s].alive {
+	if s := Slot(id); s < len(e.live) && e.live[s] == aliveWord(id) {
 		return &e.nodes[s]
 	}
 	return nil
@@ -1201,11 +1248,10 @@ func (e *Engine) lookup(op string, id NodeID) *nodeState {
 	if int32(id) < 0 || slot >= len(e.nodes) {
 		panic(fmt.Sprintf("megasim: %s: unknown node %d (slot %d outside the %d-slot arena)", op, id, slot, len(e.nodes)))
 	}
-	nd := &e.nodes[slot]
-	if int(nd.gen) != Gen(id) {
+	if !sameGen(e.live[slot], id) {
 		panic(e.staleMsg(op, id))
 	}
-	return nd
+	return &e.nodes[slot]
 }
 
 // NodeEnv adapts one node to the engine. It satisfies core.Env and, for
@@ -1268,11 +1314,10 @@ func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d
 // through Send and receives through HandleMessage.
 func (v *NodeEnv) FlatTimers() bool {
 	slot := Slot(v.id)
-	if slot >= len(v.eng.nodes) {
+	if slot >= len(v.eng.live) {
 		return false
 	}
-	nd := &v.eng.nodes[slot]
-	return int(nd.gen) == Gen(v.id) && nd.flat != nil
+	return sameGen(v.eng.live[slot], v.id) && v.eng.nodes[slot].flat != nil
 }
 
 // AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once

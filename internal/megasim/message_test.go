@@ -2,6 +2,7 @@ package megasim
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -43,6 +44,18 @@ func TestEventRecordIsPointerFree(t *testing.T) {
 	}
 }
 
+// TestEventRecordSize pins the event at exactly 32 bytes: two records to
+// a cache line and 32 to a queue chunk, with the size of the one-id
+// message an evDeliverID carries in the record's last two bytes.
+func TestEventRecordSize(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 32 {
+		t.Errorf("event is %d bytes, want 32", size)
+	}
+	if off := unsafe.Offsetof(event{}.size); off != 30 {
+		t.Errorf("event.size is at byte %d, want 30: the last two bytes", off)
+	}
+}
+
 // TestMessageRecordSize pins the in-flight records to one cache line: a
 // message record is 64 bytes and an outbox entry, its header included, at
 // most 80. A list that does not fit inline spills into the arenas.
@@ -58,10 +71,15 @@ func TestMessageRecordSize(t *testing.T) {
 	}
 }
 
-// recordShapes are messages at every edge of the record's layout: the
-// inline limit — seven ids, where it was, and nine — and the spill classes'
-// edges of id lists up to a full PROPOSE, SERVEs of ids up to the most
-// packets one datagram carries, and empty and boxed messages.
+// hugeWidth is a packet payload that makes even a one-id SERVE too large
+// for the size an event can carry.
+const hugeWidth = 70_000
+
+// recordShapes are messages at every edge of the record's layout: one id,
+// which rides in its event, and the inline limit — seven ids, where it
+// was, and nine — and the spill classes' edges of id lists up to a full
+// PROPOSE, SERVEs of ids up to the most packets one datagram carries, a
+// one-id SERVE too large for its event, and empty and boxed messages.
 func recordShapes() []payload {
 	ids := make([]stream.PacketID, wire.MaxIDsPerMessage+1)
 	for i := range ids {
@@ -76,7 +94,8 @@ func recordShapes() []payload {
 		shapes = append(shapes, payload{kind: wire.KindServe, width: 1316, ids: full[n%3:][:n]})
 	}
 	pkt := &stream.Packet{ID: 7, Payload: make([]byte, 100)}
-	return append(shapes, payload{kind: wire.KindPropose}, payload{kind: wire.KindServe},
+	return append(shapes, payload{kind: wire.KindServe, width: hugeWidth, ids: ids[3:4]},
+		payload{kind: wire.KindPropose}, payload{kind: wire.KindServe},
 		payload{kind: wire.KindFeedMe, other: wire.FeedMe{}},
 		payload{kind: wire.KindServe, other: wire.Serve{Packets: []*stream.Packet{pkt, pkt}}})
 }
@@ -105,86 +124,258 @@ func checkArenaDrained(t *testing.T, s *shard) {
 	}
 }
 
-// TestMessageRecordRoundTrip stores every shape of recordShapes in a slab
-// record and reads it back, one at a time, so that records and arena
-// ranges are reused: a reused record must show the message it was last set
-// to and nothing of the ones before. Then it sends them all at once
-// between two nodes on one shard and across two, through the spill arenas
-// and the outbox's regions, and they must arrive as sent.
-func TestMessageRecordRoundTrip(t *testing.T) {
-	shapes := recordShapes()
-	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
+// sendShape sends p from v to to: a boxed message as it was boxed, a SERVE
+// of ids through SendServe, any other list through SendIDs.
+func sendShape(v *NodeEnv, to NodeID, p payload) {
+	switch {
+	case p.other != nil:
+		v.Send(to, p.other)
+	case p.kind == wire.KindServe:
+		v.SendServe(to, p.ids, int(p.width))
+	default:
+		v.SendIDs(to, p.kind, p.ids)
+	}
+}
+
+// deliveredAs is what a typedKept notes when p, sent by node 0 through
+// sendShape, is delivered to it: a PROPOSE or REQUEST comes through
+// HandleIDs, boxed or not, and so does a SERVE of ids; a boxed SERVE
+// arrives as its packets, anything else boxed as its kind.
+func deliveredAs(p payload) string {
+	switch m := p.other.(type) {
+	case nil:
+	case wire.Propose:
+		return fmt.Sprintf("typed %v from 0 ids %v packets []", p.kind, m.IDs)
+	case wire.Request:
+		return fmt.Sprintf("typed %v from 0 ids %v packets []", p.kind, m.IDs)
+	case wire.Serve:
+		var pids []stream.PacketID
+		for _, pkt := range m.Packets {
+			pids = append(pids, pkt.ID)
+		}
+		return fmt.Sprintf("boxed %v from 0 ids [] packets %v", p.kind, pids)
+	default:
+		return fmt.Sprintf("boxed %v from 0 ids [] packets []", p.kind)
+	}
+	return fmt.Sprintf("typed %v from 0 ids %v packets []", p.kind, p.ids)
+}
+
+// roundTrip sends the shapes from node 0 to node 1, a typedKept — on one
+// shard, or from shard 0 to shard 1 — one at a barrier of its own, 10 ms
+// apart over a 1 ms network, so the slab records and arena ranges of one
+// are reused by the next. At each barrier the previous shape must have
+// arrived as it was sent, counted sent and received once at its size, with
+// every record and range free again. It returns how many slab records each
+// shape held on the destination shard while it was in flight.
+func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
+	t.Helper()
+	e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := e.shards[0]
-	for i, in := range shapes {
-		s.pushDelivery(0, 0, 0, int32(i), in)
-		ev := s.q.pop()
-		rec := &s.msgs[ev.ref]
-		out := rec.payload(s.ids.buf)
-		if out.kind != in.kind || !slices.Equal(out.ids, in.ids) || !reflect.DeepEqual(out.other, in.other) || rec.size != int32(i) {
-			t.Fatalf("step %d: record set to %+v reads back %+v", i, in, out)
+	sender := e.NodeEnv(0, NewRand(1))
+	e.AddNode(&kept{}, shaping.Unlimited, 0)
+	recv := &typedKept{kept{typed: true}}
+	e.AddNode(recv, shaping.Unlimited, 0)
+	dst := e.shards[1%shards]
+	var sent, got simnet.Stats
+	arrived := func(i int) {
+		t.Helper()
+		p, k := shapes[i], shapes[i].kind
+		if len(recv.got) != i+1 || recv.got[i] != deliveredAs(p) {
+			t.Fatalf("shape %d (%+v): delivered %q, want %q last", i, p, recv.got, deliveredAs(p))
 		}
-		if in.kind == wire.KindServe && in.other == nil {
-			// A SERVE of ids has no boxed form; its size is ServeSize's.
-			if got, want := in.wireSize(), wire.ServeSize(len(in.ids), int(in.width)); got != want {
-				t.Fatalf("step %d: a SERVE of %d ids costs %d bytes on the wire, want %d", i, len(in.ids), got, want)
-			}
-		} else if got, want := out.message().WireSize(), in.wireSize(); got != want {
-			t.Fatalf("step %d: boxed back the message costs %d bytes on the wire, the payload %d", i, got, want)
+		size := uint64(p.wireSize() - wire.UDPOverheadBytes)
+		s, r := e.NodeStats(0), e.NodeStats(1)
+		if s.SentMsgs[k]-sent.SentMsgs[k] != 1 || s.SentBytes[k]-sent.SentBytes[k] != size ||
+			r.RecvMsgs[k]-got.RecvMsgs[k] != 1 || r.RecvBytes[k]-got.RecvBytes[k] != size {
+			t.Fatalf("shape %d (%+v): sent %d at %d bytes, received %d at %d bytes; want each once at %d",
+				i, p, s.SentMsgs[k]-sent.SentMsgs[k], s.SentBytes[k]-sent.SentBytes[k],
+				r.RecvMsgs[k]-got.RecvMsgs[k], r.RecvBytes[k]-got.RecvBytes[k], size)
 		}
-		s.releaseMsg(ev.ref)
-		checkArenaDrained(t, s)
+		for _, s := range e.shards {
+			checkArenaDrained(t, s)
+		}
 	}
-	if len(s.msgs) != 1 {
-		t.Fatalf("%d slab records for one message at a time: records are not reused", len(s.msgs))
-	}
-
-	for _, shards := range []int{1, 2} {
-		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
-			e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
-			if err != nil {
-				t.Fatal(err)
+	for i, p := range shapes {
+		e.AtBarrier(time.Duration(i)*10*time.Millisecond, func() {
+			if i > 0 {
+				arrived(i - 1)
 			}
-			sender := e.NodeEnv(0, NewRand(1))
-			e.AddNode(&kept{}, shaping.Unlimited, 0)
-			recv := &typedKept{kept{typed: true}}
-			e.AddNode(recv, shaping.Unlimited, 0)
-			var want []string
-			for _, p := range shapes {
-				switch {
-				case p.other != nil:
-					sender.Send(1, p.other)
-					var pids []stream.PacketID
-					if serve, ok := p.other.(wire.Serve); ok {
-						for _, pkt := range serve.Packets {
-							pids = append(pids, pkt.ID)
-						}
-					}
-					want = append(want, fmt.Sprintf("boxed %v from 0 ids [] packets %v", p.kind, pids))
-					continue
-				case p.kind == wire.KindServe:
-					sender.SendServe(1, p.ids, int(p.width))
-				default:
-					sender.SendIDs(1, p.kind, p.ids)
-				}
-				want = append(want, fmt.Sprintf("typed %v from 0 ids %v packets []", p.kind, p.ids))
+			sent, got = e.NodeStats(0), e.NodeStats(1)
+			sendShape(sender, 1, p)
+			if shards > 1 {
+				// What Run does once the callback returns; done here so the
+				// destination's slab shows the message.
+				dst.mergeInbound()
 			}
-			if shards > 1 && len(e.shards[0].outbox[1].ids) == 0 {
-				t.Fatal("no list spilled into the outbox's region")
-			}
-			if err := e.Run(time.Second); err != nil {
-				t.Fatal(err)
-			}
-			if !slices.Equal(recv.got, want) {
-				t.Fatalf("delivered\n%q\nwant\n%q", recv.got, want)
-			}
-			for _, s := range e.shards {
-				checkArenaDrained(t, s)
-			}
+			records = append(records, len(dst.msgs)-len(dst.msgFree))
 		})
 	}
+	if err := e.Run(time.Duration(len(shapes)) * 10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	arrived(len(shapes) - 1)
+	for _, s := range e.shards {
+		if len(s.msgs) > 1 {
+			t.Fatalf("shard %d: %d slab records for one message at a time: records are not reused", s.id, len(s.msgs))
+		}
+	}
+	return records
+}
+
+// allAtOnce sends every shape from node 0 to node 1, a typedKept, in one
+// go — on one shard, or from shard 0 to shard 1 — so that the lists of
+// every spill class are live together, in the spill arena and, across
+// shards, first in the outbox's region. Each shape holds the slab records
+// roundTrip counted for it, all at once; they must arrive in order as
+// sent and leave every slab record and arena range free.
+func allAtOnce(t *testing.T, shards int, shapes []payload, records []int) {
+	t.Helper()
+	e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sender := e.NodeEnv(0, NewRand(1))
+	e.AddNode(&kept{}, shaping.Unlimited, 0)
+	recv := &typedKept{kept{typed: true}}
+	e.AddNode(recv, shaping.Unlimited, 0)
+	var want []string
+	for _, p := range shapes {
+		sendShape(sender, 1, p)
+		want = append(want, deliveredAs(p))
+	}
+	dst := e.shards[1%shards]
+	if shards > 1 {
+		if len(e.shards[0].outbox[1].ids) == 0 {
+			t.Fatal("no list spilled into the outbox's region")
+		}
+		dst.mergeInbound() // what Run does at its first barrier
+	}
+	held := 0
+	for _, n := range records {
+		held += n
+	}
+	if got := len(dst.msgs) - len(dst.msgFree); got != held {
+		t.Fatalf("%d slab records in flight with every shape sent, want %d", got, held)
+	}
+	if err := e.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(recv.got, want) {
+		t.Fatalf("delivered\n%q\nwant\n%q", recv.got, want)
+	}
+	for _, s := range e.shards {
+		checkArenaDrained(t, s)
+	}
+}
+
+// slabRecords is how many slab records a message held in flight: none
+// when it rides in its event, else one.
+func slabRecords(inEvent bool) int {
+	if inEvent {
+		return 0
+	}
+	return 1
+}
+
+// TestMessageRecordRoundTrip delivers every shape of recordShapes, one at
+// a time, on one shard and across two (through the outbox's records and
+// regions), to a recording handler: each must arrive with its kind and ids,
+// charged to RecvBytes at its size, and leave every slab record and arena
+// range free. A one-id PROPOSE, REQUEST or SERVE rides in its event and
+// takes no slab record; every other shape takes one, the one-id SERVE too
+// large for its event included. Then it sends them all at once
+// (allAtOnce), so that lists of every spill class are live together. Boxed
+// back, a message costs what its payload says on the wire.
+func TestMessageRecordRoundTrip(t *testing.T) {
+	shapes := recordShapes()
+	for i, p := range shapes {
+		if p.kind == wire.KindServe && p.other == nil {
+			// A SERVE of ids has no boxed form; its size is ServeSize's.
+			if got, want := p.wireSize(), wire.ServeSize(len(p.ids), int(p.width)); got != want {
+				t.Fatalf("shape %d: a SERVE of %d ids costs %d bytes on the wire, want %d", i, len(p.ids), got, want)
+			}
+		} else if got, want := p.message().WireSize(), p.wireSize(); got != want {
+			t.Fatalf("shape %d: boxed back the message costs %d bytes on the wire, the payload %d", i, got, want)
+		}
+	}
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("%d-shards", shards), func(t *testing.T) {
+			records := roundTrip(t, shards, shapes)
+			var inEvent []wire.Kind
+			for i, p := range shapes {
+				carried := p.other == nil && len(p.ids) == 1 && p.width != hugeWidth
+				if records[i] != slabRecords(carried) {
+					t.Fatalf("shape %d (%v of %d ids, width %d): %d slab records in flight, want %d", i, p.kind, len(p.ids), p.width, records[i], slabRecords(carried))
+				}
+				if carried {
+					inEvent = append(inEvent, p.kind)
+				}
+			}
+			if want := []wire.Kind{wire.KindPropose, wire.KindRequest, wire.KindServe}; !slices.Equal(inEvent, want) {
+				t.Fatalf("the shapes carried in their event were %v, want %v", inEvent, want)
+			}
+			allAtOnce(t, shards, shapes, records)
+		})
+	}
+}
+
+// FuzzMessageRoundTrip sends one message of an arbitrary kind (PROPOSE,
+// REQUEST, SERVE or FEED-ME), id count and payload width, boxed or typed,
+// on one shard or across two: it must arrive as sent, be counted sent and
+// received once at its size, and leave the slab and arenas drained. It
+// rides in its event exactly when it is one id, not a boxed SERVE, and at
+// most 65,535 application bytes.
+func FuzzMessageRoundTrip(f *testing.F) {
+	f.Add(uint8(0), uint16(1), uint32(0), false, false)
+	f.Add(uint8(1), uint16(inlineIDs+1), uint32(0), true, true)
+	f.Add(uint8(2), uint16(1), uint32(1316), false, true)
+	f.Add(uint8(2), uint16(1), uint32(hugeWidth), false, false)
+	f.Add(uint8(2), uint16(3), uint32(100), true, true)
+	f.Add(uint8(3), uint16(0), uint32(0), true, false)
+	f.Fuzz(func(t *testing.T, kind uint8, n uint16, width uint32, boxed, cross bool) {
+		ids := make([]stream.PacketID, int(n)%(wire.MaxIDsPerMessage+1))
+		for i := range ids {
+			ids[i] = stream.PacketID(uint32(n)*7919 + uint32(i)*104729)
+		}
+		w := int(width % (1 << 17))
+		var p payload
+		switch kind % 4 {
+		case 0:
+			p = payload{kind: wire.KindPropose, ids: ids}
+			if boxed {
+				p.other = wire.Propose{IDs: ids}
+			}
+		case 1:
+			p = payload{kind: wire.KindRequest, ids: ids}
+			if boxed {
+				p.other = wire.Request{IDs: ids}
+			}
+		case 2:
+			p = payload{kind: wire.KindServe, width: int32(w), ids: ids}
+			if boxed {
+				bytes := make([]byte, w) // shared: only its length counts
+				pkts := make([]*stream.Packet, len(ids))
+				for i, id := range ids {
+					pkts[i] = &stream.Packet{ID: id, Payload: bytes}
+				}
+				p = payload{kind: wire.KindServe, other: wire.Serve{Packets: pkts}}
+			}
+		default:
+			p = payload{kind: wire.KindFeedMe, other: wire.FeedMe{}}
+		}
+		shards := 1
+		if cross {
+			shards = 2
+		}
+		records := roundTrip(t, shards, []payload{p})
+		_, boxedServe := p.other.(wire.Serve)
+		carried := len(ids) == 1 && kind%4 != 3 && !boxedServe && p.wireSize()-wire.UDPOverheadBytes <= math.MaxUint16
+		if records[0] != slabRecords(carried) {
+			t.Fatalf("%v of %d ids (boxed %v, width %d): %d slab records in flight, want %d", p.kind, len(ids), boxed, w, records[0], slabRecords(carried))
+		}
+	})
 }
 
 // kept records, in order, everything a node is delivered — over the typed

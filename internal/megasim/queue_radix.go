@@ -22,23 +22,28 @@ import (
 // touched by the supervisor only at quiescent points (peekAt in the
 // next-event scan between windows, len and peak from accessors).
 //
-// Events are kept in buckets by how far their timestamp is from last in
-// bits: bucket i ≥ 1 holds the events whose at first differs from last in
-// bit i-1, bits.Len64(at ^ last), and bucket 0 holds the events at last
-// itself. For timestamps at or after last the bucket index never falls as
-// at rises, so every event of bucket i precedes every event of bucket
-// i+1, and the lowest non-empty bucket holds the minimum. A 64-bit
-// occupancy mask finds that bucket with one TrailingZeros64.
+// Events are kept in buckets by 4-bit digit, the K-ary form of the radix
+// heap with K = 16. Bucket 0 holds the events at last itself. Any other
+// event's at first differs from last in the 4-bit digit at position
+// p = (bits.Len64(at ^ last) - 1) / 4, where at's digit d is the larger,
+// and it goes to bucket p<<4 | d: 16 positions of 16 digit values, 256
+// buckets (those with d = 0 stay unused). For timestamps at or after last
+// the bucket index never falls as at rises — a later at differs from last
+// at the same position or a higher one, and at the same position its digit
+// is no smaller — so every event of a bucket precedes every event of the
+// buckets above it, and the lowest non-empty bucket holds the minimum. A
+// 256-bit occupancy mask finds that bucket with a TrailingZeros64 on the
+// first non-zero of its four words.
 //
 // Bucket 0 is served in seq order. When it runs dry, pop makes the lowest
 // non-empty bucket's minimum the new last and redistributes that bucket:
-// relative to the new last each of its events shares every bit from i-1
-// up, so each moves to a strictly lower bucket, and those at the new last
-// land in bucket 0. An event therefore moves at most once per bit of its
-// lead over its life (8.7 times on average in a 2,000-node steady run),
-// each move a sequential copy, with no comparison against any other
-// event — where a heap sifts through log n random cache lines on every
-// pop.
+// its events share every digit from position p up with the new last, so
+// each moves to a bucket of a strictly lower position, and those at the
+// new last land in bucket 0. An event therefore moves at most once per
+// digit of its lead over its life (4.7 times on average in a 2,000-node
+// steady run, against 8.7 with a bucket per bit), each move a sequential
+// copy, with no comparison against any other event — where a heap sifts
+// through log n random cache lines on every pop.
 //
 // Events at one instant always share a bucket, and every move keeps their
 // order, so when seq rises with every push — as the engine assigns it —
@@ -52,7 +57,7 @@ import (
 // lowest bucket's minimum in O(1) and pop makes it the new last without a
 // scan.
 //
-// Buckets 1..63 are chains of fixed 32-event chunks drawn from one free
+// Buckets 1..255 are chains of fixed 32-event chunks drawn from one free
 // list; a redistribution frees each source chunk once it has been read,
 // so no more chunks are in use than the pending events fill plus one
 // partial chunk per bucket (a slice per bucket would keep each bucket's
@@ -70,8 +75,8 @@ type radixQueue struct {
 	zhead    int
 	unsorted bool // bucket 0 took an event out of seq order since pop last sorted it
 
-	mask    uint64 // bit i set: bucket i holds events (bit 0 unused)
-	buckets [64]radixBucket
+	mask    [radixBuckets / 64]uint64 // bit i%64 of word i/64 set: bucket i holds events (bit 0 unused)
+	buckets [radixBuckets]radixBucket
 
 	pages  []*radixPage
 	next   []int32 // next[c]: the chunk after c in its bucket or on the free list
@@ -80,6 +85,18 @@ type radixQueue struct {
 
 	n         int // pending events
 	highWater int
+}
+
+// radixBuckets is the bucket count: 16 digit positions of a 64-bit time
+// by 16 digit values.
+const radixBuckets = 256
+
+// radixBucketOf returns the bucket an event at at goes to while last is
+// last, at > last: the position of the highest 4-bit digit in which they
+// differ, and at's digit there.
+func radixBucketOf(at, last time.Duration) uint8 {
+	p := uint(bits.Len64(uint64(at^last))-1) >> 2
+	return uint8(p<<4 | uint(at)>>(p<<2)&15)
 }
 
 // radixChunkLen is the chunk size in events: 32 records of 32 bytes, a
@@ -131,8 +148,8 @@ func (q *radixQueue) push(ev event) {
 	if q.n > q.highWater {
 		q.highWater = q.n
 	}
-	if x := uint64(ev.at ^ q.last); x != 0 {
-		q.add(bits.Len64(x), &ev)
+	if ev.at != q.last {
+		q.add(int(radixBucketOf(ev.at, q.last)), &ev)
 		return
 	}
 	q.pushZero(ev)
@@ -184,7 +201,7 @@ func (q *radixQueue) extend(i int) {
 	b := &q.buckets[i]
 	if b.head < 0 {
 		b.head = c
-		q.mask |= 1 << uint(i)
+		q.mask[i>>6] |= 1 << uint(i&63)
 	} else {
 		q.next[b.tail] = c
 	}
@@ -196,10 +213,10 @@ func (q *radixQueue) extend(i int) {
 // on an empty queue panics.
 func (q *radixQueue) pop() event {
 	if q.zhead == len(q.zero) {
-		if q.mask == 0 {
+		if q.n == 0 {
 			panic("megasim: pop from empty radix queue")
 		}
-		q.redistribute(bits.TrailingZeros64(q.mask))
+		q.redistribute(q.lowest())
 	}
 	if q.unsorted {
 		// pdqsort: no allocation, and O(k log k) however large the
@@ -213,14 +230,24 @@ func (q *radixQueue) pop() event {
 	return ev
 }
 
+// lowest returns the lowest non-empty bucket above 0; some bucket must
+// hold events.
+func (q *radixQueue) lowest() int {
+	w := 0
+	for q.mask[w] == 0 {
+		w++
+	}
+	return w<<6 | bits.TrailingZeros64(q.mask[w])
+}
+
 // redistribute makes bucket i's minimum the new last and moves the
 // bucket's events down: those at the new last into bucket 0, the rest
-// into buckets below i. Bucket 0 and every bucket below i are empty on
-// entry.
+// into buckets of lower digit positions than i's. Bucket 0 and every
+// bucket below i are empty on entry.
 func (q *radixQueue) redistribute(i int) {
 	b := q.buckets[i]
 	q.buckets[i] = emptyRadixBucket
-	q.mask &^= 1 << uint(i)
+	q.mask[i>>6] &^= 1 << uint(i&63)
 	last := b.min
 	q.last = last
 	zero := q.zero[:0]
@@ -232,11 +259,12 @@ func (q *radixQueue) redistribute(i int) {
 		src := q.chunk(c)
 		for j := int32(0); j < n; j++ {
 			ev := &src[j]
-			if x := uint64(ev.at ^ last); x != 0 {
+			if ev.at != last {
 				// add, inlined.
-				d := &q.buckets[bits.Len64(x)]
+				k := radixBucketOf(ev.at, last)
+				d := &q.buckets[k]
 				if d.fill == radixChunkLen {
-					q.extend(bits.Len64(x))
+					q.extend(int(k))
 				}
 				d.tailChunk[d.fill&(radixChunkLen-1)] = *ev
 				d.fill++
@@ -268,10 +296,10 @@ func (q *radixQueue) peekAt() (time.Duration, bool) {
 	if q.zhead < len(q.zero) {
 		return q.last, true
 	}
-	if q.mask == 0 {
+	if q.n == 0 {
 		return 0, false
 	}
-	return q.buckets[bits.TrailingZeros64(q.mask)].min, true
+	return q.buckets[q.lowest()].min, true
 }
 
 // len reports how many events are pending.

@@ -2,6 +2,7 @@ package megasim
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -102,10 +103,11 @@ func evSiftDown(h []event, i int) {
 // ties), mid-run inserts behind or exactly at the peeked minimum (barrier
 // admissions after a peek, which the bucket minimum must absorb), and a
 // drain to empty followed by a push far ahead. It adds the radix queue's
-// own edges: timestamps on both sides of a power-of-two boundary, at = 0,
-// leads of 2^40 ns and more, and a same-instant burst split across the
-// redistribution that makes its instant the radix queue's last, half of
-// them with falling sequence numbers. Pushes never precede the last
+// own edges: timestamps on both sides of a power-of-two boundary and of a
+// multiple of a power of 16 (a digit boundary), leads whose top 4-bit
+// digit is 15, at = 0, leads of 2^40 ns and more, and a same-instant burst
+// split across the redistribution that makes its instant the radix queue's
+// last, half of them with falling sequence numbers. Pushes never precede the last
 // popped timestamp, matching the engine's invariant.
 func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
@@ -158,7 +160,7 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 				}
 			}
 		case r < 48:
-			switch rng.Intn(3) {
+			switch rng.Intn(5) {
 			case 0:
 				// Just below, at or just above the next multiple of a power
 				// of two past lastPop (before the first pop, the power
@@ -169,6 +171,18 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 			case 1:
 				// A lead of 2^40 ns or more (≈18 minutes and up).
 				push(lastPop + 1<<40 + time.Duration(rng.Int63n(1<<42)))
+			case 2:
+				// Just below, at or just above one of the next multiples
+				// of 16^k past lastPop, k ≤ 11: timestamps whose digit
+				// position one carry decides.
+				p := time.Duration(1) << (4 * rng.Intn(12))
+				at := (lastPop/p+1+time.Duration(rng.Intn(3)))*p + time.Duration(rng.Intn(3)-1)
+				push(max(at, lastPop))
+			case 3:
+				// A lead whose top 4-bit digit is 15, the last bucket of
+				// its position when lastPop's digit there is 0.
+				k := 4 * rng.Intn(11)
+				push(lastPop + 15<<k + time.Duration(rng.Int63n(1<<k)))
 			default:
 				// At lastPop itself, which is at = 0 until the first pop.
 				push(lastPop)
@@ -256,15 +270,67 @@ func TestQueueDifferentialLongRuns(t *testing.T) {
 }
 
 // checkRadixChunks fails if q has handed out more chunks than its pending
-// peak fills plus one partial chunk for each bucket and for the chunk a
-// redistribution is reading, or more pages than those chunks need.
+// peak fills plus one partial chunk for each bucket, and two more (the
+// chunk a redistribution is reading, and rounding), or more pages than
+// those chunks need.
 func checkRadixChunks(t *testing.T, q *radixQueue) {
 	t.Helper()
-	if bound := (q.peak()+radixChunkLen-1)/radixChunkLen + 66; int(q.chunks) > bound {
+	if bound := (q.peak()+radixChunkLen-1)/radixChunkLen + len(q.buckets) + 2; int(q.chunks) > bound {
 		t.Fatalf("%d chunks handed out, want at most %d at a peak of %d events", q.chunks, bound, q.peak())
 	}
 	if pages := (int(q.chunks) + radixPageChunks - 1) / radixPageChunks; len(q.pages) != pages {
 		t.Fatalf("%d pages for %d chunks, want %d", len(q.pages), q.chunks, pages)
+	}
+}
+
+// TestRadixBucketOrder checks the order pop and peekAt rely on: for
+// timestamps at or after last, the bucket index never falls as at rises
+// (at = last itself being bucket 0), so the lowest non-empty bucket holds
+// the minimum; and two events of one bucket share every digit from its
+// position up, so redistributing the bucket about either sends the other
+// to a strictly lower position. It walks random lasts and timestamps, and
+// timestamps at and ±1 around multiples of every power of 16.
+func TestRadixBucketOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	bucket := func(at, last time.Duration) int {
+		if at == last {
+			return 0
+		}
+		return int(radixBucketOf(at, last))
+	}
+	for round := 0; round < 2000; round++ {
+		last := time.Duration(rng.Int63n(1 << (1 + rng.Intn(62))))
+		ats := []time.Duration{last}
+		for i := 0; i < 20; i++ {
+			lead := time.Duration(rng.Int63n(1 << (1 + rng.Intn(60))))
+			ats = append(ats, last+lead)
+		}
+		for k := 0; k < 15; k++ {
+			p := time.Duration(1) << (4 * k)
+			for m := last/p + 1; m <= last/p+16 && m <= (1<<62)/p; m++ {
+				for d := time.Duration(-1); d <= 1; d++ {
+					if at := m*p + d; at >= last {
+						ats = append(ats, at)
+					}
+				}
+			}
+		}
+		slices.Sort(ats)
+		for i := 1; i < len(ats); i++ {
+			a, b := ats[i-1], ats[i]
+			ba, bb := bucket(a, last), bucket(b, last)
+			if ba > bb {
+				t.Fatalf("last %#x: at %#x goes to bucket %d, the later %#x to %d", last, a, ba, b, bb)
+			}
+			if ba == bb && a != b && a != last {
+				if p, q := ba>>4, int(radixBucketOf(b, a))>>4; q >= p {
+					t.Fatalf("last %#x: %#x and %#x share bucket %d (position %d), yet redistributing about the first puts the second at position %d", last, a, b, ba, p, q)
+				}
+			}
+			if bb != 0 && bb&15 == 0 {
+				t.Fatalf("last %#x: at %#x goes to bucket %d, of digit 0, which a later timestamp never has", last, b, bb)
+			}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package megasim
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
@@ -21,9 +22,16 @@ import (
 // arg) records instead of a closure plus a cancel closure per arm. Both
 // kinds of timer die with their node: a departed node's are skipped
 // uncounted, as a cancelled evTimer is.
+//
+// A message is delivered by one of two kinds, chosen once when its delivery
+// is pushed: evDeliverID when it fits the event itself — one id, no boxed
+// message, at most 65,535 application bytes, which takes every SERVE of the
+// paper's packets and most of a stream's deliveries — and evDeliver, which
+// names a slab record, for the rest.
 const (
 	evTimer uint8 = iota
 	evDeliver
+	evDeliverID
 	evMemberTick
 	evNodeTimer
 )
@@ -31,21 +39,26 @@ const (
 // event is one scheduled occurrence, stored by value in the shard's
 // queue: a timer, a message delivery, a membership tick or a node timer.
 // The record is 32 bytes and holds no pointer — what an event carries
-// lives in per-shard side tables it names by index (the message slab, the
-// After closure table) — so the queue's chunks are noscan memory:
-// the collector never walks the pending set, moving records pays no write
-// barrier, and a popped slot needs no clearing.
+// beyond its own fields lives in per-shard side tables it names by index
+// (the message slab, the After closure table) — so the queue's chunks are
+// noscan memory: the collector never walks the pending set, moving records
+// pays no write barrier, and a popped slot needs no clearing. size takes
+// the record's last two bytes, which would otherwise be padding.
 type event struct {
 	at   time.Duration
 	seq  uint64
-	from NodeID // evDeliver: the sender
-	to   NodeID // evDeliver: the destination; the other kinds: the node
-	// ref is the event's one argument: the message's index in the shard's
-	// slab (evDeliver), the closure's slot in the shard's After table
-	// (evTimer), or the handler's own arg (evNodeTimer).
-	ref   uint32
-	kind  uint8
-	tkind uint8 // evNodeTimer only: the handler's timer kind
+	from NodeID // deliveries: the sender
+	to   NodeID // deliveries: the destination; the other kinds: the node
+	// ref is the event's one argument: the message's one id (evDeliverID),
+	// its index in the shard's slab (evDeliver), the closure's slot in the
+	// shard's After table (evTimer), or the handler's own arg
+	// (evNodeTimer).
+	ref  uint32
+	kind uint8
+	// tkind is the handler's timer kind (evNodeTimer) or the message's
+	// wire.Kind (evDeliverID).
+	tkind uint8
+	size  uint16 // evDeliverID: the message's application bytes
 }
 
 // payload is a message outside a record: what a sender hands to send, and
@@ -135,15 +148,17 @@ func (p payload) wireSize() int {
 
 // inlineIDs is how many ids a record holds inline: nine in ten REQUESTs of
 // a steady stream ask for at most seven packets (and four in ten PROPOSEs
-// advertise no more), a SERVE of the paper's packets is one id, and nine
-// ids fill the record's 64 bytes, one cache line. A longer list spills
+// advertise no more), and nine ids fill the record's 64 bytes, one cache
+// line. (A message of one id, such as a SERVE of the paper's packets, takes
+// no record at all: it rides in its event.) A longer list spills
 // into a list kept beside the record (spillArena, or an outbox's region),
 // and inl[0] holds its offset there.
 const inlineIDs = 9
 
-// msgRec is one in-flight message: the single representation a message has
-// between send and its delivery or drop, in a shard's slab or — crossing
-// shards — in an outbox. It owns its contents: fill copies ids and a
+// msgRec is one in-flight message: the single representation a message
+// that does not ride in its event has between send and its delivery or
+// drop, in a shard's slab, and that of every message crossing shards, in
+// an outbox until the merge. It owns its contents: fill copies ids and a
 // SHUFFLE's word pairs in, inline when the list is short (a SHUFFLE of up
 // to four entries), and its owner copies a longer list into its spill
 // storage, so nothing the sender passed is referenced after send returns
@@ -284,20 +299,24 @@ type shard struct {
 	// audits this file) and read only at quiescent points (ShardLoads).
 	// The pending-event high-water mark lives in the queue (q.peak).
 	timers      uint64 // evTimer and evNodeTimer events executed
-	delivers    uint64 // evDeliver events executed
+	delivers    uint64 // evDeliver and evDeliverID events executed
 	memberTicks uint64 // evMemberTick events executed
 	windowsRun  uint64 // conservative windows run
 	outboxOut   uint64 // cross-shard messages handed to other shards
 	outboxIn    uint64 // cross-shard messages merged in
 	staleDrops  uint64 // deliveries addressed to recycled (stale) handles
 
-	// msgs is the message slab: every delivery pending in q names its
+	// msgs is the message slab: every evDeliver pending in q names its
 	// message here by index. msgFree stacks the released records, so a
 	// steady run cycles through the same few without allocating; ids holds
 	// the lists too long to fit in them.
 	msgs    []msgRec
 	msgFree []uint32
 	ids     spillArena
+
+	// one is the list an evDeliverID's id is handed over in, valid for
+	// the delivery's call only.
+	one [1]stream.PacketID
 
 	// The SHUFFLE scratch: unpack lays one out in words, deliver rebuilds
 	// one in shuf.
@@ -386,14 +405,16 @@ func (s *shard) runWindow(end time.Duration) {
 			s.fired++
 			s.timers++
 			fn()
-		case evDeliver:
+		case evDeliver, evDeliverID:
 			s.now = ev.at
 			s.fired++
 			s.delivers++
 			s.eng.deliver(s, &ev)
 			// Delivered or dropped, the message has had the one outcome every
 			// send ends in.
-			s.releaseMsg(ev.ref)
+			if ev.kind == evDeliver {
+				s.releaseMsg(ev.ref)
+			}
 		case evMemberTick:
 			s.now = ev.at
 			s.fired++
@@ -476,9 +497,17 @@ func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 	s.push(event{at: s.now + d, to: id, ref: arg, kind: evNodeTimer, tkind: kind})
 }
 
-// pushDelivery copies the message into a slab record and schedules its
-// delivery at the given time.
+// pushDelivery schedules the message's delivery at the given time: in the
+// event itself when it fits there (evDeliverID), else copied into a slab
+// record. Every delivery a shard queues comes through here, from its own
+// sends and from other shards' at the merge, so a message takes the same
+// form whichever shard sent it.
 func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
+	if p.other == nil && len(p.ids) == 1 && uint32(size) <= math.MaxUint16 {
+		// A SHUFFLE is never one id: its words come in (id, age) pairs.
+		s.push(event{at: at, from: from, to: to, ref: uint32(p.ids[0]), kind: evDeliverID, tkind: uint8(p.kind), size: uint16(size)})
+		return
+	}
 	var i uint32
 	if n := len(s.msgFree); n > 0 {
 		i = s.msgFree[n-1]
