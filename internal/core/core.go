@@ -36,20 +36,29 @@
 // so it holds no packet; only the adapter that carries it over a plain Env
 // keeps the packets of the boxed SERVEs an ordinary peer is delivered, a
 // pointer per stream id. Pull state exists only while an id is being
-// retried: a by-value record in a per-peer slab, found by id through a
+// retried: a by-value record in a request slab, found by id through a
 // small open-addressing index whose population is the ids in flight, not
 // the stream. Retransmission batches live in a second slab — a batch's
-// ids are a list linked through their request records, and free records
-// and batches chain through the same links — and the gossip tick and the
-// retransmission timer are (kind, arg) timer records rather than
-// closures. Retransmission deadlines never leave the peer: a batch records when it is due, a SERVE that
+// ids are a list linked through their request records, a peer's armed
+// batches a list of their own, and free records and batches chain through
+// the same links — and the gossip tick and the retransmission timer are
+// (kind, arg) timer records rather than closures. Retransmission deadlines
+// never leave the peer: a batch records when it is due, a SERVE that
 // delivers its last outstanding id frees it on the spot, and the engine
 // holds one retransmission timer per peer, armed for the earliest deadline
 // — not one event per REQUEST, nearly all of which would fire to find
 // everything served. Messages are flat too: PROPOSE, REQUEST and SERVE
-// leave through TimerEnv's SendIDs and SendServe from per-peer scratch and
-// arrive through HandleIDs, so on the simulation engine a handler and a
-// round allocate nothing at all in steady state. Over a plain Env — the
+// leave through TimerEnv's SendIDs and SendServe from scratch and arrive
+// through HandleIDs, so on the simulation engine a handler and a round
+// allocate nothing at all in steady state.
+//
+// The slabs, the scratch and the blocks behind every variable-size part
+// of a peer — known bits, request index, propose queue, receiver, partner
+// list — belong to a Table (table.go), which the simulation shares among
+// the peers of an engine shard: a run allocates as the shard's slabs and
+// chunks reach their peaks, not per node, and a node admitted into a
+// departed node's slot resets that peer in place (Reset) and allocates
+// nothing at all. Over a plain Env — the
 // real-time driver, any wrapper of Env's five methods — the adapter boxes
 // what the same code sends: one exactly sized id list and one box per
 // PROPOSE chunk and per REQUEST, SERVE batches from wire's pool, and the
@@ -234,12 +243,12 @@ func (c Config) Validate() error {
 }
 
 // requestState tracks the retransmission lifecycle of one packet id: a
-// by-value record in the peer's request slab, held from the first REQUEST
+// by-value record in the table's request slab, held from the first REQUEST
 // until the packet is delivered or its K-th request is spent, and always in
 // an armed batch meanwhile. With MaxRequests = 1 no id gets one. Under
 // RetryRandomProposer record i's proposers are stored inline at
-// Peer.proposers[i*MaxProposers:], the first nproposers of them valid; the
-// default policy never reads them and keeps none.
+// Table.proposers[i*stride:], the first nproposers of them valid; the
+// default policy never reads them.
 type requestState struct {
 	requests   int32 // REQUESTs issued so far (K cap)
 	nproposers int32
@@ -267,6 +276,9 @@ type reqIndex struct {
 	slots []uint64
 	n     int   // occupied slots
 	shift uint8 // 64 - log2(len(slots)): home keeps the hash's top bits
+	// pool lends the slots a doubling moves to and takes back the old
+	// ones; nil makes and drops them.
+	pool *blockPool[uint64]
 }
 
 // newReqIndex returns an empty index over slots, whose length must be a
@@ -299,14 +311,14 @@ func (x *reqIndex) get(id stream.PacketID) uint32 {
 func (x *reqIndex) put(id stream.PacketID, ri uint32) {
 	if 2*(x.n+1) > len(x.slots) {
 		old := x.slots
-		//lint:pooled the index doubles to the peak of ids in flight, then keeps its slots
-		x.slots = make([]uint64, 2*len(old))
+		x.slots = x.pool.get(2 * len(old))
 		x.shift--
 		for _, s := range old {
 			if s != 0 {
 				x.insert(s)
 			}
 		}
+		x.pool.put(old)
 	}
 	x.insert((uint64(id)+1)<<32 | uint64(ri))
 	x.n++
@@ -344,20 +356,23 @@ func (x *reqIndex) del(id stream.PacketID) {
 	x.n--
 }
 
-// retBatch is one pending retransmission check in the peer's
-// retransmission slab: the ids requested together from proposer, to be
-// looked at again at due. Its undelivered ids form a list, in arm order,
-// through their request records, head the first; the SERVE that empties
-// the list frees the slot, so a batch that reaches its deadline always has
-// something to ask about. A free slot chains the free list through head
-// (batch-slab indexes plus one). stamp is the arm order, which breaks ties
-// between batches due at the same instant.
+// retBatch is one pending retransmission check in the table's
+// retransmission slab: the ids a peer requested together from proposer, to
+// be looked at again at due. Its undelivered ids form a list, in arm
+// order, through their request records, head the first; the SERVE that
+// empties the list frees the slot, so a batch that reaches its deadline
+// always has something to ask about. The peer's armed batches form a list
+// of their own through prev and next (batch-slab indexes plus one, zero at
+// either end), which its earliest-deadline scan and Stop walk. A free slot
+// chains the free list through head. stamp is the peer's arm order, which
+// breaks ties between its batches due at the same instant.
 type retBatch struct {
-	head     uint32
-	due      time.Duration
-	stamp    uint64
-	proposer wire.NodeID
-	armed    bool
+	head       uint32
+	prev, next uint32
+	due        time.Duration
+	stamp      uint64
+	proposer   wire.NodeID
+	armed      bool
 }
 
 // Counters exposes protocol-level statistics of a peer.
@@ -385,10 +400,13 @@ type Counters struct {
 //
 // Peer methods are not safe for concurrent use; drivers serialize calls.
 type Peer struct {
+	// tab holds the peer's request records, batches and scratch, and lends
+	// it the blocks behind known, index, toPropose, recv and view.
+	tab     *Table
 	env     Env
 	cfg     Config
 	sampler member.Sampler
-	view    *member.View
+	view    member.View
 	// recv is held by value: Receiver returns its address, which nothing
 	// keeps past the peer's lifetime.
 	recv stream.Receiver
@@ -404,21 +422,13 @@ type Peer struct {
 	// Stop clears the bits of the ids it gives up on.
 	known []uint64
 	// index finds an id's request record; only ids being retried have one.
-	// Its first slots share known's allocation.
+	// Only ids requested, undelivered and with requests left hold a
+	// record, so a peer holds a few rounds' worth of them however long the
+	// stream.
 	index reqIndex
-	// reqs is the request slab, proposers its inline proposer lists at
-	// stride cfg.MaxProposers, reqFree the first record of its free chain
-	// (index plus one, zero when empty). Only ids requested, undelivered
-	// and with requests left hold a record, so the slab stays a few
-	// rounds' worth of ids however long the stream.
-	reqs      []requestState
-	proposers []wire.NodeID
-	reqFree   uint32
-	// batches is the retransmission slab (see retBatch), batchFree the
-	// first slot of its free chain, retStamp the arm order of the newest
-	// batch.
-	batches   []retBatch
-	batchFree uint32
+	// batchHead is the first of the peer's armed batches (slab index plus
+	// one, zero when none), retStamp the arm order of its newest batch.
+	batchHead uint32
 	retStamp  uint64
 	// One retransmission timer serves every batch: retGen is the generation
 	// of the newest one armed, retArmed whether it is still in flight and
@@ -427,13 +437,6 @@ type Peer struct {
 	retGen   uint32
 	retArmed bool
 	retDue   time.Duration
-	// idScratch collects the ids handlePropose and retransmit are about to
-	// request, handleRequest to serve and a boxed SERVE carries, retTargets
-	// where retransmit sends each, and targetScratch the ids retransmit
-	// sends to one of several targets.
-	idScratch     []stream.PacketID
-	retTargets    []wire.NodeID
-	targetScratch []stream.PacketID
 
 	round   int
 	running bool
@@ -447,18 +450,31 @@ type Peer struct {
 	layoutTotal int
 }
 
-// NewPeer returns an ordinary (non-source) peer over the given sampler.
-func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) (*Peer, error) {
-	return newPeer(env, cfg, sampler, layout, nil)
+// privatePeer is a peer together with the table it alone uses.
+type privatePeer struct {
+	Peer
+	tab Table
 }
 
-// NewSourcePeer returns the stream source: it publishes src's ids on the
-// stream's schedule and gossips them with SourceFanout.
-func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
-	if src == nil {
-		return nil, fmt.Errorf("core: nil stream source")
+// NewPeer returns an ordinary (non-source) peer over the given sampler, on
+// a private table.
+func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) (*Peer, error) {
+	pp := new(privatePeer)
+	if err := pp.Reset(&pp.tab, env, cfg, sampler, layout); err != nil {
+		return nil, err
 	}
-	return newPeer(env, cfg, sampler, src.Layout(), src)
+	return &pp.Peer, nil
+}
+
+// NewSourcePeer returns the stream source, on a private table: it
+// publishes src's ids on the stream's schedule and gossips them with
+// SourceFanout.
+func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
+	pp := new(privatePeer)
+	if err := pp.ResetSource(&pp.tab, env, cfg, sampler, src); err != nil {
+		return nil, err
+	}
+	return &pp.Peer, nil
 }
 
 // initialIndexSlots is the request index's first size, which covers the
@@ -466,16 +482,47 @@ func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Sour
 // twice.
 const initialIndexSlots = 64
 
-// newPeer builds a peer publishing src (nil for an ordinary peer).
-func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source) (*Peer, error) {
+// Reset makes p, in place, the ordinary peer NewPeer(env, cfg, sampler,
+// layout) would return, on tab. p may be the zero Peer, or a peer that ran
+// before — on tab, whose blocks it keeps when their sizes fit the layout,
+// so that a peer reset for a node taking over a departed node's slot
+// allocates nothing; or on another table, which gets its blocks back. What
+// the previous occupant still had pending is dropped as Stop drops it.
+// From the Reset on, p sends, draws and counts exactly what a new peer
+// would. On an error p must be Reset again before use.
+func (p *Peer) Reset(tab *Table, env Env, cfg Config, sampler member.Sampler, layout stream.Layout) error {
+	return p.reset(tab, env, cfg, sampler, layout, nil)
+}
+
+// ResetSource is Reset for the stream source NewSourcePeer(env, cfg,
+// sampler, src) would return.
+func (p *Peer) ResetSource(tab *Table, env Env, cfg Config, sampler member.Sampler, src *stream.Source) error {
+	if src == nil {
+		return fmt.Errorf("core: nil stream source")
+	}
+	return p.reset(tab, env, cfg, sampler, src.Layout(), src)
+}
+
+// reset rebuilds p on tab as a peer publishing src (nil for an ordinary
+// peer).
+func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, layout stream.Layout, src *stream.Source) error {
+	if p.tab != nil {
+		p.Stop()
+		if p.tab != tab {
+			p.release()
+		}
+	}
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if src != nil && cfg.Leech {
-		return nil, fmt.Errorf("core: the stream source cannot leech: nobody else holds the content")
+		return fmt.Errorf("core: the stream source cannot leech: nobody else holds the content")
 	}
 	if err := layout.Validate(); err != nil {
-		return nil, err
+		return err
+	}
+	if cfg.Retry == RetryRandomProposer && !tab.setStride(cfg.MaxProposers) {
+		return fmt.Errorf("core: MaxProposers = %d on a table whose peers keep %d", cfg.MaxProposers, tab.stride)
 	}
 	fanout := cfg.Fanout
 	if src != nil {
@@ -483,20 +530,61 @@ func newPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout, 
 	}
 	total := layout.TotalPackets()
 	words := (total + 63) / 64
-	bitsAndSlots := make([]uint64, words+initialIndexSlots)
-	p := &Peer{
+	known, index := p.known, p.index.slots
+	if len(known) == words {
+		clear(known)
+	} else {
+		tab.words.put(known)
+		known = tab.words.get(words)
+	}
+	if index == nil { // else Stop has emptied it
+		index = tab.words.get(initialIndexSlots)
+	}
+	seen, windows := p.recv.Backings()
+	if len(seen) == stream.SeenWords(layout) && len(windows) == layout.Windows {
+		clear(seen)
+		clear(windows)
+	} else {
+		tab.words.put(seen)
+		tab.windows.put(windows)
+		seen, windows = tab.words.get(stream.SeenWords(layout)), tab.windows.get(layout.Windows)
+	}
+	partners := p.view.Buffer()
+	if cap(partners) < fanout {
+		tab.nodes.put(partners)
+		partners = tab.nodes.get(fanout)
+	}
+	*p = Peer{
+		tab:          tab,
 		env:          env,
 		cfg:          cfg,
 		sampler:      sampler,
-		view:         member.NewView(sampler, fanout, cfg.RefreshEvery, env.Rand()),
-		recv:         stream.MakeReceiver(layout),
+		view:         member.MakeView(sampler, fanout, cfg.RefreshEvery, env.Rand(), partners),
+		recv:         stream.MakeReceiverOver(layout, seen, windows),
 		source:       src,
 		payloadBytes: layout.PayloadBytes,
-		known:        bitsAndSlots[:words:words],
-		index:        newReqIndex(bitsAndSlots[words:]),
+		toPropose:    p.toPropose[:0],
+		known:        known,
+		index:        newReqIndex(index),
 		layoutTotal:  total,
 	}
-	return p, nil
+	p.index.pool = &tab.words
+	return nil
+}
+
+// release stops p and gives its blocks back to its table, leaving p the
+// zero Peer.
+func (p *Peer) release() {
+	p.Stop()
+	t := p.tab
+	seen, windows := p.recv.Backings()
+	t.words.put(p.known)
+	t.words.put(p.index.slots)
+	t.words.put(seen)
+	t.windows.put(windows)
+	t.ids.put(p.toPropose)
+	t.nodes.put(p.view.Buffer())
+	*p = Peer{}
 }
 
 // Start begins gossiping. The first round fires after a random fraction of
@@ -526,19 +614,17 @@ func (p *Peer) Start() {
 func (p *Peer) Stop() {
 	p.running = false
 	p.retArmed = false
-	for i := range p.batches {
-		b := &p.batches[i]
-		if !b.armed {
-			continue
-		}
-		for ri := b.head; ri != 0; {
-			st := &p.reqs[ri-1]
+	t := p.tab
+	for p.batchHead != 0 {
+		bi := p.batchHead
+		for ri := t.batches[bi-1].head; ri != 0; {
+			st := &t.reqs[ri-1]
 			next := st.next
 			p.known[st.id/64] &^= 1 << (st.id % 64)
 			p.dropRequest(ri)
 			ri = next
 		}
-		p.freeBatch(uint32(i))
+		p.freeBatch(bi)
 	}
 }
 
@@ -566,6 +652,16 @@ func (p *Peer) Receiver() *stream.Receiver { return &p.recv }
 
 // Counters returns a snapshot of protocol statistics.
 func (p *Peer) Counters() Counters { return p.counters }
+
+// InFlight reports the peer's share of its table: the ids it awaits with
+// a retransmission pending, each holding a request record, and the
+// batches armed to check on them.
+func (p *Peer) InFlight() (ids, batches int) {
+	for bi := p.batchHead; bi != 0; bi = p.tab.batches[bi-1].next {
+		batches++
+	}
+	return p.index.n, batches
+}
 
 // IsSource reports whether this peer publishes the stream.
 func (p *Peer) IsSource() bool { return p.source != nil }
@@ -602,8 +698,7 @@ func (p *Peer) publishNew() {
 	for id := first; id < end; id++ {
 		p.recv.Deliver(id, p.env.Now())
 		p.known[id/64] |= 1 << (id % 64)
-		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
-		p.toPropose = append(p.toPropose, id)
+		p.queuePropose(id)
 	}
 }
 
@@ -632,13 +727,13 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 		// a plain Env keeps the packets to serve them on.
 		b, _ := p.flat.(*boxedEnv)
 		b.keep(m.Packets)
-		ids := p.idScratch[:0]
+		ids := p.tab.idScratch[:0]
 		for _, pkt := range m.Packets {
-			//lint:pooled idScratch is per-peer scratch, reused by every SERVE
+			//lint:pooled idScratch is the table's scratch, reused by every SERVE
 			ids = append(ids, pkt.ID)
 		}
 		p.handleServe(ids)
-		p.idScratch = ids[:0]
+		p.tab.idScratch = ids[:0]
 	case wire.FeedMe:
 		p.view.Insert(from)
 	default:
@@ -712,7 +807,8 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	}
 	// The ids to request collect in scratch, and their records — when a
 	// retransmission will need them — in a chain, which armBatch takes.
-	fresh := p.idScratch[:0]
+	t := p.tab
+	fresh := t.idScratch[:0]
 	var head, tail uint32
 	for _, id := range ids {
 		if int(id) >= p.layoutTotal {
@@ -721,7 +817,7 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 		ri := uint32(0)
 		if word, bit := &p.known[id/64], uint64(1)<<(id%64); *word&bit == 0 {
 			*word |= bit
-			//lint:pooled idScratch is per-peer scratch, reused by every PROPOSE
+			//lint:pooled idScratch is the table's scratch, reused by every PROPOSE
 			fresh = append(fresh, id)
 			if p.cfg.MaxRequests == 1 {
 				continue // never retried: nothing to record
@@ -730,7 +826,7 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 			if tail == 0 {
 				head = ri
 			} else {
-				p.reqs[tail-1].next = ri
+				t.reqs[tail-1].next = ri
 			}
 			tail = ri
 		}
@@ -744,12 +840,12 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 				continue
 			}
 		}
-		if st := &p.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
-			p.proposers[int(ri-1)*p.cfg.MaxProposers+int(st.nproposers)] = from
+		if st := &t.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
+			t.proposers[int(ri-1)*t.stride+int(st.nproposers)] = from
 			st.nproposers++
 		}
 	}
-	p.idScratch = fresh[:0]
+	t.idScratch = fresh[:0]
 	if len(fresh) == 0 {
 		return
 	}
@@ -759,34 +855,34 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	}
 }
 
-// newRequest takes a record from the request slab for id, requested for
-// the first time, enters it in the index, and returns its index plus one.
+// newRequest takes a record from the table's request slab for id,
+// requested for the first time, enters it in the index, and returns its
+// index plus one.
 func (p *Peer) newRequest(id stream.PacketID) uint32 {
-	ri := p.reqFree
-	if ri != 0 {
-		p.reqFree = p.reqs[ri-1].next
-	} else {
-		//lint:pooled the slab and its proposer lists grow to the peak of concurrently pending ids, then recycle through reqFree
-		p.reqs = append(p.reqs, requestState{})
-		if p.cfg.Retry == RetryRandomProposer {
-			//lint:pooled see above
-			p.proposers = append(p.proposers, make([]wire.NodeID, p.cfg.MaxProposers)...)
-		}
-		ri = uint32(len(p.reqs))
-	}
-	p.reqs[ri-1] = requestState{requests: 1, id: id}
+	ri := p.tab.newRequest(id)
 	p.index.put(id, ri)
 	return ri
 }
 
 // dropRequest takes request record ri (slab index plus one) out of the
-// index and returns it to the free chain: the packet was delivered, its
-// K-th request is spent, or a Stop gave up on it.
+// index and returns it to the table: the packet was delivered, its K-th
+// request is spent, or a Stop gave up on it.
 func (p *Peer) dropRequest(ri uint32) {
-	p.index.del(p.reqs[ri-1].id)
-	p.reqs[ri-1] = requestState{next: p.reqFree}
-	p.reqFree = ri
+	p.index.del(p.tab.reqs[ri-1].id)
+	p.tab.freeRequest(ri)
 }
+
+// queuePropose queues id, delivered, for the next round's PROPOSEs. The
+// queue's block grows to a round's worth of ids and is kept.
+func (p *Peer) queuePropose(id stream.PacketID) {
+	p.toPropose = p.tab.ids.grow(p.toPropose, minProposeBlock)
+	//lint:pooled grow gave the block room for id
+	p.toPropose = append(p.toPropose, id)
+}
+
+// minProposeBlock is the propose queue's first block, a round's worth of
+// ids at the paper's rates.
+const minProposeBlock = 32
 
 // armBatch records a retransmission check for the ids just requested from
 // proposer (lines 14–15), whose records chain through next from head in
@@ -801,29 +897,36 @@ func (p *Peer) dropRequest(ri uint32) {
 // (wakeBy).
 func (p *Peer) armBatch(proposer wire.NodeID, head uint32) (due time.Duration) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
-	bi := p.batchFree // index plus one
-	if bi != 0 {
-		p.batchFree = p.batches[bi-1].head
-	} else {
-		//lint:pooled the slab grows to the peak of concurrently armed batches, then recycles through batchFree
-		p.batches = append(p.batches, retBatch{})
-		bi = uint32(len(p.batches))
-	}
+	t := p.tab
+	bi := t.newBatch() // index plus one
 	p.retStamp++
-	b := &p.batches[bi-1]
-	*b = retBatch{head: head, due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
-	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, p.reqs[ri-1].next {
-		st := &p.reqs[ri-1]
+	b := &t.batches[bi-1]
+	*b = retBatch{head: head, next: p.batchHead, due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
+	if p.batchHead != 0 {
+		t.batches[p.batchHead-1].prev = bi
+	}
+	p.batchHead = bi
+	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, t.reqs[ri-1].next {
+		st := &t.reqs[ri-1]
 		st.batch, st.prev = bi, prev
 	}
 	return b.due
 }
 
-// freeBatch returns retransmission slot bi to the free chain.
+// freeBatch takes batch bi (slab index plus one) off the peer's list and
+// returns it to the table.
 func (p *Peer) freeBatch(bi uint32) {
-	b := &p.batches[bi]
-	b.head, b.armed = p.batchFree, false
-	p.batchFree = bi + 1
+	t := p.tab
+	b := &t.batches[bi-1]
+	if b.prev != 0 {
+		t.batches[b.prev-1].next = b.next
+	} else {
+		p.batchHead = b.next
+	}
+	if b.next != 0 {
+		t.batches[b.next-1].prev = b.prev
+	}
+	t.freeBatch(bi)
 }
 
 // wakeBy makes sure the peer's retransmission timer fires no later than
@@ -839,19 +942,22 @@ func (p *Peer) wakeBy(due time.Duration) {
 	p.flat.AfterTimer(due-p.env.Now(), timerRetransmit, p.retGen)
 }
 
-// earliestBatch returns the armed batch due first, ties in arm order. A
-// peer holds a handful of armed batches at a time, so it scans the slab.
-func (p *Peer) earliestBatch() (bi uint32, ok bool) {
-	for i := range p.batches {
-		b := &p.batches[i]
-		if !b.armed {
+// earliestBatch returns the armed batch due first (slab index plus one,
+// zero when none), ties in arm order. A peer holds a handful of armed
+// batches at a time, so it walks its list.
+func (p *Peer) earliestBatch() (first uint32) {
+	t := p.tab
+	for bi := p.batchHead; bi != 0; bi = t.batches[bi-1].next {
+		if first == 0 {
+			first = bi
 			continue
 		}
-		if first := &p.batches[bi]; !ok || b.due < first.due || b.due == first.due && b.stamp < first.stamp {
-			bi, ok = uint32(i), true
+		b, f := &t.batches[bi-1], &t.batches[first-1]
+		if b.due < f.due || b.due == f.due && b.stamp < f.stamp {
+			first = bi
 		}
 	}
-	return bi, ok
+	return first
 }
 
 // retTimerFired runs when a retransmission timer of generation gen fires:
@@ -867,8 +973,8 @@ func (p *Peer) retTimerFired(gen uint32) {
 	}
 	p.retArmed = false
 	now, checked := p.env.Now(), false
-	for bi, ok := p.earliestBatch(); ok; bi, ok = p.earliestBatch() {
-		if due := p.batches[bi].due; due > now {
+	for bi := p.earliestBatch(); bi != 0; bi = p.earliestBatch() {
+		if due := p.tab.batches[bi-1].due; due > now {
 			p.wakeBy(due)
 			break
 		}
@@ -880,7 +986,8 @@ func (p *Peer) retTimerFired(gen uint32) {
 	}
 }
 
-// retransmit runs the retransmission check of batch bi, which is due: it
+// retransmit runs the retransmission check of batch bi (slab index plus
+// one), which is due: it
 // returns the slot and re-requests the batch's still-missing ids,
 // respecting the K = MaxRequests cap (line 25) — an id that has used its K
 // requests gives its record up here, and its known bit keeps it from being
@@ -890,14 +997,15 @@ func (p *Peer) retTimerFired(gen uint32) {
 // the timer fires for it is the caller's.
 func (p *Peer) retransmit(bi uint32) {
 	p.counters.RetChecks++
-	b := &p.batches[bi]
+	t := p.tab
+	b := &t.batches[bi-1]
 	proposer := b.proposer
 	// retry collects the ids to request again, targets[i] where retry[i]
 	// goes; their records stay chained, head to tail, for the next batch.
-	retry, targets := p.idScratch[:0], p.retTargets[:0]
+	retry, targets := t.idScratch[:0], t.retTargets[:0]
 	var head, tail uint32
 	for ri, next := b.head, uint32(0); ri != 0; ri = next {
-		st := &p.reqs[ri-1]
+		st := &t.reqs[ri-1]
 		next = st.next
 		if int(st.requests) >= p.cfg.MaxRequests {
 			p.dropRequest(ri)
@@ -906,20 +1014,20 @@ func (p *Peer) retransmit(bi uint32) {
 		if tail == 0 {
 			head = ri
 		} else {
-			p.reqs[tail-1].next = ri
+			t.reqs[tail-1].next = ri
 		}
 		st.next, tail = 0, ri
 		st.requests++
 		target := proposer
 		if p.cfg.Retry == RetryRandomProposer && st.nproposers > 0 {
-			target = p.proposers[int(ri-1)*p.cfg.MaxProposers+p.env.Rand().Intn(int(st.nproposers))]
+			target = t.proposers[int(ri-1)*t.stride+p.env.Rand().Intn(int(st.nproposers))]
 		}
-		//lint:pooled idScratch is per-peer scratch, reused by every retransmission
+		//lint:pooled idScratch is the table's scratch, reused by every retransmission
 		retry = append(retry, st.id)
-		//lint:pooled retTargets is per-peer scratch, reused by every retransmission
+		//lint:pooled retTargets is the table's scratch, reused by every retransmission
 		targets = append(targets, target)
 	}
-	p.idScratch, p.retTargets = retry[:0], targets[:0]
+	t.idScratch, t.retTargets = retry[:0], targets[:0]
 	p.freeBatch(bi) // the ids still wanted are in retry; the next batch may take the slot
 	if len(retry) == 0 {
 		return
@@ -933,14 +1041,14 @@ func (p *Peer) retransmit(bi uint32) {
 		}
 		toTarget := retry // the one-target case (always, under RetrySameProposer)
 		if count(targets[i:], target) < len(retry) {
-			if cap(p.targetScratch) < len(retry) {
-				//lint:pooled the per-peer scratch grows to the longest retry list, then is reused
-				p.targetScratch = make([]stream.PacketID, 0, cap(retry))
+			if cap(t.targetScratch) < len(retry) {
+				//lint:pooled the table's scratch grows to the longest retry list, then is reused
+				t.targetScratch = make([]stream.PacketID, 0, cap(retry))
 			}
-			toTarget = p.targetScratch[:0]
+			toTarget = t.targetScratch[:0]
 			for j := i; j < len(targets); j++ {
 				if targets[j] == target {
-					//lint:pooled targetScratch is per-peer scratch with room for the whole retry list
+					//lint:pooled targetScratch is the table's scratch with room for the whole retry list
 					toTarget = append(toTarget, retry[j])
 				}
 			}
@@ -969,17 +1077,17 @@ func (p *Peer) handleRequest(from wire.NodeID, ids []stream.PacketID) {
 	if p.cfg.Leech {
 		return
 	}
-	held := p.idScratch[:0]
+	held := p.tab.idScratch[:0]
 	for _, id := range ids {
 		if p.recv.Has(id) {
-			//lint:pooled idScratch is per-peer scratch, reused by every REQUEST
+			//lint:pooled idScratch is the table's scratch, reused by every REQUEST
 			held = append(held, id)
 		}
 	}
 	if len(held) > 0 {
 		p.sendServes(from, held)
 	}
-	p.idScratch = held[:0]
+	p.tab.idScratch = held[:0]
 }
 
 // handleServe delivers the packets ids names (deliverEvent) and queues
@@ -995,23 +1103,23 @@ func (p *Peer) handleServe(ids []stream.PacketID) {
 			continue
 		}
 		p.known[id/64] |= 1 << (id % 64)
-		//lint:pooled toPropose is per-peer scratch, truncated every round; growth amortizes to a round's worth of ids
-		p.toPropose = append(p.toPropose, id)
+		p.queuePropose(id)
 		if ri := p.index.get(id); ri != 0 { // retransmission state no longer needed
 			// The batch is one id closer to done; the last one retires it,
 			// and no timer will ever look at it.
-			st := &p.reqs[ri-1]
-			b := &p.batches[st.batch-1]
+			t := p.tab
+			st := &t.reqs[ri-1]
+			b := &t.batches[st.batch-1]
 			if st.prev != 0 {
-				p.reqs[st.prev-1].next = st.next
+				t.reqs[st.prev-1].next = st.next
 			} else {
 				b.head = st.next
 			}
 			if st.next != 0 {
-				p.reqs[st.next-1].prev = st.prev
+				t.reqs[st.next-1].prev = st.prev
 			}
 			if b.head == 0 {
-				p.freeBatch(st.batch - 1)
+				p.freeBatch(st.batch)
 				p.counters.RetBatchesRetired++
 			}
 			p.dropRequest(ri)

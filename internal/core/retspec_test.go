@@ -256,12 +256,14 @@ func (m *perBatchPeer) serve(ids []stream.PacketID) {
 
 // specOp is one step of a script: a PROPOSE ('P') of ids from a node, a
 // SERVE ('S') of ids, a clock advance ('A') by dt, a Stop ('X') or a
-// Start ('G').
+// Start ('G'). When peers share a table, peer picks the one the step is
+// played to (modulo their number); an advance moves every peer's clock.
 type specOp struct {
 	kind byte
 	from wire.NodeID
 	ids  []stream.PacketID
 	dt   time.Duration
+	peer uint8
 }
 
 // specIDs is the id space scripts draw from: the 18 ids of tinyLayout and
@@ -288,12 +290,13 @@ func decodeSpec(data []byte) (flat bool, retry RetryPolicy, k int, ops []specOp)
 		return out
 	}
 	h := next()
-	flat, retry, k = h&1 != 0, RetrySameProposer, []int{1, 2, 4}[h>>2%3]
+	flat, retry, k = h&1 != 0, RetrySameProposer, []int{1, 2, 4}[(h>>2&0x1f)%3] // bit 7 is FuzzSharedTable's
 	if h&2 != 0 {
 		retry = RetryRandomProposer
 	}
 	for len(data) > 0 && len(ops) < 256 {
-		switch next() % 8 {
+		op := next()
+		switch op % 8 {
 		case 0, 1, 2:
 			ops = append(ops, specOp{kind: 'P', from: 3 + wire.NodeID(next()%3), ids: ids()})
 		case 3, 4:
@@ -303,6 +306,7 @@ func decodeSpec(data []byte) (flat bool, retry RetryPolicy, k int, ops []specOp)
 		case 7:
 			ops = append(ops, specOp{kind: "GX"[next()%2]})
 		}
+		ops[len(ops)-1].peer = op >> 3
 	}
 	return flat, retry, k, ops
 }
@@ -325,20 +329,21 @@ func encodeSpec(flat bool, retry RetryPolicy, k int, ops []specOp) []byte {
 		}
 	}
 	for _, op := range ops {
+		peer := op.peer << 3
 		switch op.kind {
 		case 'P':
-			out = append(out, 0, byte(op.from-3))
+			out = append(out, peer|0, byte(op.from-3))
 			ids(op.ids)
 		case 'S':
-			out = append(out, 3)
+			out = append(out, peer|3)
 			ids(op.ids)
 		case 'A':
 			ms := op.dt / time.Millisecond
-			out = append(out, 5, byte(ms>>8), byte(ms))
+			out = append(out, peer|5, byte(ms>>8), byte(ms))
 		case 'G':
-			out = append(out, 7, 0)
+			out = append(out, peer|7, 0)
 		case 'X':
-			out = append(out, 7, 1)
+			out = append(out, peer|7, 1)
 		}
 	}
 	return out
@@ -419,42 +424,58 @@ func runSpec(t *testing.T, flat bool, retry RetryPolicy, k int, ops []specOp) {
 	}
 }
 
-// checkRetStructure verifies the retransmission slabs of p against each
-// other, against the request index and the known bits, and against the
-// timers pending in its environment.
+// checkRetStructure verifies the retransmission state of p, alone on its
+// table: its own (checkPeerRet) and the table's (checkTable).
 func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
+	if err := checkPeerRet(p, env, flat); err != nil {
+		return err
+	}
+	return checkTable(p.tab, p)
+}
+
+// checkPeerRet verifies p's armed batches and their request records
+// against each other, against the request index and the known bits, and
+// against the timers pending in its environment.
+func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
+	t := p.tab
 	isKnown := func(id stream.PacketID) bool { return p.known[id/64]&(1<<(id%64)) != 0 }
 	// listed[ri] marks the request records some batch's list reaches.
-	listed := make([]bool, len(p.reqs)+1)
+	listed := make([]bool, len(t.reqs)+1)
 	earliest, armed, records := time.Duration(0), 0, 0
-	for bi := range p.batches {
-		b := &p.batches[bi]
-		if !b.armed {
-			continue
+	for prevB, bi := uint32(0), p.batchHead; bi != 0; prevB, bi = bi, t.batches[bi-1].next {
+		if int(bi) > len(t.batches) || armed >= len(t.batches) {
+			return fmt.Errorf("the peer's batch list loops or leaves the %d-batch slab", len(t.batches))
+		}
+		b := &t.batches[bi-1]
+		switch {
+		case !b.armed:
+			return fmt.Errorf("batch %d is on the peer's list and not armed", bi-1)
+		case b.prev != prevB:
+			return fmt.Errorf("batch %d follows batch %d on the peer's list but links back to %d", bi-1, int(prevB)-1, int(b.prev)-1)
 		}
 		if armed++; armed == 1 || b.due < earliest {
 			earliest = b.due
 		}
 		if b.head == 0 {
-			return fmt.Errorf("batch %d is armed with no id undelivered", bi)
+			return fmt.Errorf("batch %d is armed with no id undelivered", bi-1)
 		}
 		prev := uint32(0)
-		for ri := b.head; ri != 0; prev, ri = ri, p.reqs[ri-1].next {
-			if int(ri) > len(p.reqs) || listed[ri] {
-				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi, ri, len(p.reqs))
+		for ri := b.head; ri != 0; prev, ri = ri, t.reqs[ri-1].next {
+			if int(ri) > len(t.reqs) || listed[ri] {
+				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi-1, ri, len(t.reqs))
 			}
 			listed[ri] = true
 			records++
-			st := &p.reqs[ri-1]
+			st := &t.reqs[ri-1]
 			switch {
 			case st.prev != prev:
-				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi, ri, prev, st.prev)
-			case st.batch != uint32(bi)+1:
-				return fmt.Errorf("batch %d holds record %d, which names batch %d", bi, ri, int(st.batch)-1)
+				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi-1, ri, prev, st.prev)
+			case st.batch != bi:
+				return fmt.Errorf("batch %d holds record %d, which names batch %d", bi-1, ri, int(st.batch)-1)
 			case p.index.get(st.id) != ri:
-				return fmt.Errorf("batch %d holds record %d for id %d, whose record in the index is %d", bi, ri, st.id, p.index.get(st.id))
+				return fmt.Errorf("batch %d holds record %d for id %d, whose record in the index is %d", bi-1, ri, st.id, p.index.get(st.id))
 			case !isKnown(st.id):
-				return fmt.Errorf("batch %d holds record %d for id %d, whose known bit is clear", bi, ri, st.id)
+				return fmt.Errorf("batch %d holds record %d for id %d, whose known bit is clear", bi-1, ri, st.id)
 			case p.recv.Has(st.id):
 				return fmt.Errorf("id %d is delivered and still has a request record", st.id)
 			case st.requests < 1 || int(st.requests) > p.cfg.MaxRequests:
@@ -462,8 +483,8 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 			}
 		}
 	}
-	if p.cfg.MaxRequests == 1 && len(p.reqs) > 0 {
-		return fmt.Errorf("K = 1 and %d request records made", len(p.reqs))
+	if p.cfg.MaxRequests == 1 && records > 0 {
+		return fmt.Errorf("K = 1 and %d request records held", records)
 	}
 	// The index holds exactly the listed records, each under its own id.
 	occupied := 0
@@ -473,7 +494,7 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 		}
 		occupied++
 		id, ri := stream.PacketID(slot>>32-1), uint32(slot)
-		if ri == 0 || int(ri) > len(p.reqs) || !listed[ri] || p.reqs[ri-1].id != id {
+		if ri == 0 || int(ri) > len(t.reqs) || !listed[ri] || t.reqs[ri-1].id != id {
 			return fmt.Errorf("the index maps id %d to record %d, which no armed batch holds for it", id, ri)
 		}
 	}
@@ -484,27 +505,6 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 		if p.recv.Has(stream.PacketID(id)) && !isKnown(stream.PacketID(id)) {
 			return fmt.Errorf("id %d is delivered and its known bit is clear", id)
 		}
-	}
-	freeReqs, freeBatches := 0, 0
-	for ri := p.reqFree; ri != 0; ri = p.reqs[ri-1].next {
-		if freeReqs++; int(ri) > len(p.reqs) || freeReqs > len(p.reqs) {
-			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", len(p.reqs))
-		}
-		if st := p.reqs[ri-1]; st != (requestState{next: st.next}) || listed[ri] {
-			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
-		}
-	}
-	for bi := p.batchFree; bi != 0; bi = p.batches[bi-1].head {
-		if freeBatches++; int(bi) > len(p.batches) || freeBatches > len(p.batches) {
-			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", len(p.batches))
-		}
-		if p.batches[bi-1].armed {
-			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
-		}
-	}
-	if len(p.reqs)-freeReqs != records || len(p.batches)-freeBatches != armed {
-		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
-			freeReqs, len(p.reqs), freeBatches, len(p.batches), armed)
 	}
 	if armed > 0 && (!p.running || !p.retArmed || p.retDue > earliest || p.retDue < env.now) {
 		return fmt.Errorf("%d batches armed, earliest due %v at %v: running %v, timer armed %v for %v",
@@ -532,6 +532,54 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 	}
 	if flat && (live != 1 || due != 1) || due == 0 {
 		return fmt.Errorf("%d timers of generation %d in flight, %d due at %v: the peer counts on one", live, p.retGen, due, p.retDue)
+	}
+	return nil
+}
+
+// checkTable verifies t's free chains and counts against the records and
+// batches peers — every peer on t — hold: each record and batch is held
+// by exactly one peer or free, and a table whose peers never retry (K =
+// 1) has made no record.
+func checkTable(t *Table, peers ...*Peer) error {
+	records, armed, retrying := 0, 0, false
+	for _, p := range peers {
+		if p.tab != t {
+			return fmt.Errorf("a peer checked against a table it is not on")
+		}
+		retrying = retrying || p.cfg.MaxRequests > 1
+		for bi := p.batchHead; bi != 0; bi = t.batches[bi-1].next {
+			armed++
+			for ri := t.batches[bi-1].head; ri != 0; ri = t.reqs[ri-1].next {
+				records++
+			}
+		}
+	}
+	if !retrying && len(t.reqs) > 0 {
+		return fmt.Errorf("K = 1 and %d request records made", len(t.reqs))
+	}
+	freeReqs, freeBatches := 0, 0
+	for ri := t.reqFree; ri != 0; ri = t.reqs[ri-1].next {
+		if freeReqs++; int(ri) > len(t.reqs) || freeReqs > len(t.reqs) {
+			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", len(t.reqs))
+		}
+		if st := t.reqs[ri-1]; st != (requestState{next: st.next}) {
+			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
+		}
+	}
+	for bi := t.batchFree; bi != 0; bi = t.batches[bi-1].head {
+		if freeBatches++; int(bi) > len(t.batches) || freeBatches > len(t.batches) {
+			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", len(t.batches))
+		}
+		if t.batches[bi-1].armed {
+			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
+		}
+	}
+	if len(t.reqs)-freeReqs != records || len(t.batches)-freeBatches != armed {
+		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
+			freeReqs, len(t.reqs), freeBatches, len(t.batches), armed)
+	}
+	if inReqs, inBatches, _ := t.InUse(); inReqs != records || inBatches != armed {
+		return fmt.Errorf("the table counts %d records and %d batches lent, its peers hold %d and %d", inReqs, inBatches, records, armed)
 	}
 	return nil
 }
@@ -617,5 +665,202 @@ func FuzzRetransmitAgainstPerBatchTimers(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		flat, retry, k, ops := decodeSpec(data)
 		runSpec(t, flat, retry, k, ops)
+	})
+}
+
+// specPeer is one peer of a shared-table script: the peer, its scripted
+// environment and, on the flat route, the environment's flat face.
+type specPeer struct {
+	p   *Peer
+	env *specEnv
+}
+
+// newSpecPeer builds a peer for the scripts on tab (nil: a private one,
+// through NewPeer) with its own scripted environment, its random stream
+// seeded seed, and starts it.
+func newSpecPeer(t *testing.T, tab *Table, flat bool, cfg Config, seed int64) specPeer {
+	t.Helper()
+	env := &specEnv{rng: rand.New(rand.NewSource(seed))}
+	fenv := &flatSpecEnv{specEnv: env}
+	var penv Env = env
+	if flat {
+		penv = fenv
+	}
+	sampler := member.NewSparseView(9, 64, rand.New(rand.NewSource(1)))
+	var p *Peer
+	if tab == nil {
+		var err error
+		if p, err = NewPeer(penv, cfg, sampler, tinyLayout()); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		p = new(Peer)
+		if err := p.Reset(tab, penv, cfg, sampler, tinyLayout()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fenv.peer = p
+	p.Start()
+	return specPeer{p: p, env: env}
+}
+
+// runShared plays ops to npeers peers interleaved on one Table, each step
+// to the peer it names, and likewise to the same peers on private tables
+// and to a per-batch-timer reference per peer. Sharing must be invisible:
+// each peer sends, draws and counts what its private twin and its
+// reference do, its own state stays consistent (checkPeerRet), and every
+// record and batch of the table is held by exactly one peer or free
+// (checkTable). Once every peer has stopped the table has lent out no
+// record and no batch, and once every peer has left it, no block.
+func runShared(t *testing.T, npeers int, flat bool, retry RetryPolicy, k int, ops []specOp) {
+	t.Helper()
+	cfg := testConfig()
+	cfg.Retry, cfg.MaxRequests = retry, k
+	cfg.Leech = true // the pull side alone, as in runSpec
+	tab := NewTable()
+	shared, private := make([]specPeer, npeers), make([]specPeer, npeers)
+	models := make([]*perBatchPeer, npeers)
+	for i := range shared {
+		seed := int64(7 + i)
+		shared[i] = newSpecPeer(t, tab, flat, cfg, seed)
+		private[i] = newSpecPeer(t, nil, flat, cfg, seed)
+		models[i] = &perBatchPeer{
+			env: &specEnv{rng: rand.New(rand.NewSource(seed))}, cfg: cfg, total: tinyLayout().TotalPackets(),
+			delivered: map[stream.PacketID]bool{}, requests: map[stream.PacketID]int{},
+			proposers: map[stream.PacketID][]wire.NodeID{}, batches: map[*specBatch]func(){},
+		}
+		models[i].start()
+	}
+	sharedPeers := func() []*Peer {
+		ps := make([]*Peer, npeers)
+		for i := range shared {
+			ps[i] = shared[i].p
+		}
+		return ps
+	}
+	for step, op := range ops {
+		i := int(op.peer) % npeers
+		for _, sp := range []specPeer{shared[i], private[i]} {
+			switch op.kind {
+			case 'P':
+				sp.p.HandleMessage(op.from, wire.Propose{IDs: op.ids})
+			case 'S':
+				pkts := make([]*stream.Packet, len(op.ids))
+				for j, id := range op.ids {
+					pkts[j] = &stream.Packet{ID: id, Payload: make([]byte, tinyLayout().PayloadBytes)}
+				}
+				sp.p.HandleMessage(3, wire.Serve{Packets: pkts})
+			case 'X':
+				sp.p.Stop()
+			case 'G':
+				sp.p.Start()
+			}
+		}
+		switch op.kind {
+		case 'P':
+			models[i].propose(op.from, op.ids)
+		case 'S':
+			models[i].serve(op.ids)
+		case 'X':
+			models[i].stop()
+		case 'G':
+			models[i].start()
+		case 'A':
+			for j := range npeers {
+				shared[j].env.advance(op.dt)
+				private[j].env.advance(op.dt)
+				models[j].env.advance(op.dt)
+			}
+		}
+		where := fmt.Sprintf("step %d (%c to peer %d of %d: %d %v %v)", step, op.kind, i, npeers, op.from, op.ids, op.dt)
+		for j := range npeers {
+			s, pv, m := shared[j], private[j], models[j]
+			if !slices.Equal(s.env.sent, m.env.sent) || !slices.Equal(pv.env.sent, m.env.sent) {
+				t.Fatalf("%s: peer %d sent %q on the shared table and %q on its own, a timer per batch sends %q",
+					where, j, s.env.sent, pv.env.sent, m.env.sent)
+			}
+			got, own := s.p.Counters(), pv.p.Counters()
+			if got != own {
+				t.Fatalf("%s: peer %d counts %+v on the shared table, %+v on its own", where, j, got, own)
+			}
+			got.Rounds, got.RetIdleWakeups = 0, 0
+			if got != m.counters {
+				t.Fatalf("%s: peer %d counts %+v, a timer per batch %+v", where, j, got, m.counters)
+			}
+			if a, b, c := s.env.rng.Int63(), pv.env.rng.Int63(), m.env.rng.Int63(); a != c || b != c {
+				t.Fatalf("%s: peer %d has drawn different random numbers on the shared table, on its own and in the reference", where, j)
+			}
+			if err := checkPeerRet(s.p, s.env, flat); err != nil {
+				t.Fatalf("%s: peer %d on the shared table: %v", where, j, err)
+			}
+			if err := checkRetStructure(pv.p, pv.env, flat); err != nil {
+				t.Fatalf("%s: peer %d on its own table: %v", where, j, err)
+			}
+		}
+		if err := checkTable(tab, sharedPeers()...); err != nil {
+			t.Fatalf("%s: shared table: %v", where, err)
+		}
+	}
+	for _, s := range shared {
+		s.p.Stop()
+	}
+	if records, batches, _ := tab.InUse(); records != 0 || batches != 0 {
+		t.Fatalf("every peer stopped, and the table still lends %d records and %d batches", records, batches)
+	}
+	if err := checkTable(tab, sharedPeers()...); err != nil {
+		t.Fatalf("after Stop: %v", err)
+	}
+	for _, s := range shared {
+		s.p.release()
+	}
+	if records, batches, blocks := tab.InUse(); records != 0 || batches != 0 || blocks != 0 {
+		t.Fatalf("every peer left the table, and it still lends %d records, %d batches and %d blocks", records, batches, blocks)
+	}
+}
+
+// sharedSetting is eachSpecSetting's settings with two and three peers.
+func eachSharedSetting(fn func(npeers int, flat bool, retry RetryPolicy, k int)) {
+	for _, npeers := range []int{2, 3} {
+		eachSpecSetting(func(flat bool, retry RetryPolicy, k int) { fn(npeers, flat, retry, k) })
+	}
+}
+
+// spread deals a scenario's steps out to the peers sharing a table in
+// turn, so that their records and batches interleave in the slabs.
+func spread(ops []specOp) []specOp {
+	out := slices.Clone(ops)
+	for i := range out {
+		out[i].peer = uint8(i)
+	}
+	return out
+}
+
+func TestSharedTableAgainstPerBatchTimers(t *testing.T) {
+	for name, ops := range specScenarios() {
+		eachSharedSetting(func(npeers int, flat bool, retry RetryPolicy, k int) {
+			t.Run(fmt.Sprintf("%s/peers=%d/flat=%v/retry=%d/K=%d", name, npeers, flat, retry, k), func(t *testing.T) {
+				runShared(t, npeers, flat, retry, k, spread(ops))
+			})
+		})
+	}
+}
+
+// FuzzSharedTable runs scripts on two or three peers sharing one Table:
+// the header's top bit picks how many, each step's opcode byte which.
+func FuzzSharedTable(f *testing.F) {
+	for _, ops := range specScenarios() {
+		eachSharedSetting(func(npeers int, flat bool, retry RetryPolicy, k int) {
+			data := encodeSpec(flat, retry, k, spread(ops))
+			data[0] |= byte(npeers-2) << 7
+			f.Add(data)
+		})
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		flat, retry, k, ops := decodeSpec(data)
+		npeers := 2
+		if len(data) > 0 && data[0]&0x80 != 0 {
+			npeers = 3
+		}
+		runShared(t, npeers, flat, retry, k, ops)
 	})
 }

@@ -7,6 +7,13 @@
 // the stream and n-1 peers gossiping it (internal/core), optional churn
 // (internal/churn), and metric collection (internal/metrics). Figures are
 // parameter sweeps over Runs executed in parallel.
+//
+// A deployment holds every node by value: its peer, random stream and
+// sampler in fixed-size chunks per engine shard, the peer's variable-size
+// protocol state in its shard's core.Table, its environment in the
+// engine's table. A run allocates per shard as these fill, not per node,
+// and a node admitted into a departed node's slot rebuilds the slot's
+// state in place, allocating nothing (TestJoinAllocBudget).
 package experiment
 
 import (
@@ -463,10 +470,10 @@ func freeRider(frac float64, ordinal int) bool {
 	return math.Floor(float64(ordinal+1)*frac) > math.Floor(float64(ordinal)*frac)
 }
 
-// bootstrapIDs seeds a Cyclon view with k distinct random peers, in
-// ascending order.
-func bootstrapIDs(self wire.NodeID, n, k int, rng *rand.Rand) []wire.NodeID {
-	out := make([]wire.NodeID, 0, k)
+// bootstrapIDs draws, into dst's backing, the k distinct random peers
+// that seed a Cyclon view, in ascending order.
+func bootstrapIDs(dst []wire.NodeID, self wire.NodeID, n, k int, rng *rand.Rand) []wire.NodeID {
+	out := dst[:0]
 	for len(out) < k && len(out) < n-1 {
 		id := wire.NodeID(rng.Intn(n))
 		if id != self && !slices.Contains(out, id) {

@@ -41,8 +41,14 @@ type nodeSeam struct {
 //   - under MembershipCyclon, compact pss.State records are attached to the
 //     engine (megasim.AttachSampler), which ticks them and routes their
 //     shuffle traffic;
-//   - per-node RNG state is compact (megasim.NewRand) instead of the 5 KB
-//     default source.
+//   - per-node RNG state is compact (an xrand source, megasim.NewRand's)
+//     instead of the 5 KB default source;
+//   - every node's state is held by value: its peer, RNG and sampler in
+//     its shard's chunks (shardNodes), the peer's variable-size state in
+//     its shard's core.Table, its environment in the engine's table. A
+//     run allocates per shard as those reach their peaks, not per node,
+//     and a node admitted into a departed node's slot rebuilds that
+//     slot's state in place.
 //
 // Churn runs at engine barriers. A sustained process (cfg.ChurnProcess) is
 // a deterministic Poisson timeline expanded before the run: joins admit a
@@ -51,6 +57,19 @@ type nodeSeam struct {
 // Lifetimes are recorded so results can score quality over the windows each
 // node was actually present for (Result.LifetimeQualities).
 func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
+	d, err := newDeployment(cfg, seam)
+	if err != nil {
+		return nil, err
+	}
+	if err := d.schedule(); err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// newDeployment builds the engine and the setup population, with every
+// peer started, and nothing scheduled at barriers yet.
+func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 	// Normalize before anything records cfg: Result.Config must describe
 	// the engine that actually ran.
 	if cfg.Shards == 0 {
@@ -73,15 +92,17 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	bootRng := xrand.New(cfg.Seed + 4049)
 
 	end := cfg.Layout.Duration() + cfg.Drain
-	d := deployment{
+	d := &deployment{
 		cfg:    cfg,
 		eng:    eng,
 		seam:   seam,
 		src:    src,
 		pssCfg: pssCfg,
+		cyclon: cfg.Membership == MembershipCyclon,
 		end:    end,
 		fold:   newStreamFold(cfg, end),
-		peers:  make([]*core.Peer, cfg.Nodes),
+		shards: make([]shardNodes, cfg.Shards),
+		nodes:  make([]*node, cfg.Nodes),
 		ids:    make([]wire.NodeID, cfg.Nodes),
 		joined: make([]time.Duration, cfg.Nodes),
 		riders: make([]bool, cfg.Nodes),
@@ -90,32 +111,34 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 		nextOrdinal: cfg.Nodes - 1,
 		pool:        make([]wire.NodeID, 0, cfg.Nodes),
 	}
-	if cfg.Membership == MembershipCyclon {
-		d.states = make([]*pss.State, cfg.Nodes)
+	for i := range d.shards {
+		d.shards[i].tab = core.NewTable()
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		id := wire.NodeID(i)
 		var boot []wire.NodeID
-		if d.states != nil {
-			boot = bootstrapIDs(id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
+		if d.cyclon {
+			boot = bootstrapIDs(d.pool, id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
 		}
 		rider := i > 0 && freeRider(cfg.FreeRiders, i-1)
-		p, st, err := d.buildNode(id, boot, i == 0, rider)
+		n, err := d.buildNode(id, boot, i == 0, rider)
 		if err != nil {
 			return nil, err
 		}
-		d.peers[i] = p
+		d.nodes[i] = n
 		d.ids[i] = id
 		d.riders[i] = rider
-		if d.states != nil {
-			d.states[i] = st
-		}
 	}
 
-	for _, p := range d.peers {
-		p.Start()
+	for _, n := range d.nodes {
+		n.peer.Start()
 	}
+	return d, nil
+}
 
+// schedule registers the run's churn and telemetry at engine barriers.
+func (d *deployment) schedule() error {
+	cfg, eng := d.cfg, d.eng
 	// Churn bursts run at engine barriers: every shard is quiescent, so a
 	// burst may crash nodes and stop their peers across all shards.
 	churnRng := xrand.New(cfg.Seed + 7919)
@@ -145,7 +168,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 					d.burst(churn.Event{At: tev.At, Fraction: tev.Fraction}, procRng)
 				})
 			default:
-				return nil, fmt.Errorf("experiment: unknown churn op %v", tev.Op)
+				return fmt.Errorf("experiment: unknown churn op %v", tev.Op)
 			}
 		}
 	}
@@ -172,8 +195,13 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 			})
 		}
 	}
+	return nil
+}
 
-	if err := eng.Run(end); err != nil {
+// run executes the deployment to its end and assembles the Result.
+func (d *deployment) run() (*Result, error) {
+	eng := d.eng
+	if err := eng.Run(d.end); err != nil {
 		return nil, err
 	}
 	if d.err != nil {
@@ -182,7 +210,7 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 	res := d.collect()
 	res.ShardLoads = eng.ShardLoads()
 	res.TotalTraffic = eng.TotalStats()
-	if d.states != nil {
+	if d.cyclon {
 		res.ViewInDegree = d.inDegreeHist()
 	}
 	res.Wall = eng.WallProfile()
@@ -197,21 +225,21 @@ func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
 // descriptor — same slot, older generation — never counts toward the
 // slot's current occupant.
 func (d *deployment) inDegreeHist() telemetry.Hist {
-	indeg := make([]int64, len(d.states))
-	for _, st := range d.states {
-		if st == nil || st.Stopped() {
+	indeg := make([]int64, len(d.nodes))
+	for _, n := range d.nodes {
+		if n == nil || n.state.Stopped() {
 			continue
 		}
-		for _, e := range st.View() {
+		for _, e := range n.state.View() {
 			slot := megasim.Slot(e.ID)
-			if slot < len(indeg) && d.states[slot] != nil && d.ids[slot] == e.ID {
+			if slot < len(indeg) && d.nodes[slot] != nil && d.ids[slot] == e.ID {
 				indeg[slot]++
 			}
 		}
 	}
 	var h telemetry.Hist
-	for slot, st := range d.states {
-		if st == nil || st.Stopped() {
+	for slot, n := range d.nodes {
+		if n == nil || n.state.Stopped() {
 			continue
 		}
 		h.Observe(indeg[slot])
@@ -219,11 +247,56 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 	return h
 }
 
+// node is one node's state, held by value in its shard's chunks: its
+// peer, its protocol random stream (an xrand source behind a rand.Rand,
+// megasim.NewRand's stream) and its sampler — the static view under
+// MembershipFull, the Cyclon record under MembershipCyclon. The record
+// belongs to an arena slot: a node admitted into a departed node's slot
+// rebuilds it in place (buildNode).
+type node struct {
+	peer core.Peer
+	src  xrand.SplitMix64
+	rng  rand.Rand
+	view member.SparseView
+	// state is the node's Cyclon record, held by value in its shard's
+	// state chunks, which a full-view run does not have; nil there.
+	state *pss.State
+}
+
+// nodeChunk is the number of records per chunk: about 26 KB of nodes, or
+// 6 KB of Cyclon records.
+const nodeChunk = 32
+
+// shardNodes is one engine shard's share of the deployment: the table its
+// peers keep their variable-size state in, and its node records and
+// Cyclon records in chunks that never move, indexed by the node's index on
+// the shard (megasim.Engine.ShardOf).
+type shardNodes struct {
+	tab    *core.Table
+	nodes  []*[nodeChunk]node
+	states []*[nodeChunk]pss.State
+}
+
+// at returns the node record at index i.
+func (s *shardNodes) at(i int) *node { return chunkAt(&s.nodes, i) }
+
+// stateAt returns the Cyclon record at index i.
+func (s *shardNodes) stateAt(i int) *pss.State { return chunkAt(&s.states, i) }
+
+// chunkAt returns element i of the chunks, adding chunks up to it.
+func chunkAt[T any](chunks *[]*[nodeChunk]T, i int) *T {
+	for len(*chunks) <= i/nodeChunk {
+		*chunks = append(*chunks, new([nodeChunk]T))
+	}
+	return &(*chunks)[i/nodeChunk][i%nodeChunk]
+}
+
 // deployment is the mutable state of one run. The per-node slices
 // are indexed by arena slot and mirror the engine's slot recycling: a
-// departed node's entries are nilled at its crash barrier and a runtime
-// admission (which may reuse the slot under a new handle) overwrites
-// them, so deployment memory is O(live nodes) alongside the engine's.
+// departed node's entry in nodes is nilled at its crash barrier and a
+// runtime admission (which may reuse the slot under a new handle)
+// overwrites them, so deployment memory is O(live nodes) alongside the
+// engine's.
 type deployment struct {
 	cfg  Config
 	eng  *megasim.Engine
@@ -231,18 +304,22 @@ type deployment struct {
 	// src is the stream, which node 0 publishes.
 	src    *stream.Source
 	pssCfg pss.Config
+	cyclon bool // MembershipCyclon: nodes sample through their state
 	end    time.Duration
-	peers  []*core.Peer
-	states []*pss.State    // nil under MembershipFull
+	// shards holds every node's state, by engine shard; nodes points at
+	// each slot's record while its occupant is live, nil once it crashed.
+	shards []shardNodes
+	nodes  []*node
 	ids    []wire.NodeID   // full handle of each slot's live occupant
 	joined []time.Duration // admission barrier time; 0 for setup nodes
 	riders []bool          // service class of each slot's occupant (Config.FreeRiders)
 	// nextOrdinal is the stable service-class ordinal the next runtime
 	// admission consumes (freeRider); slot reuse never rewinds it.
 	nextOrdinal int
-	// pool is the scratch aliveVictims and liveBootstrapIDs fill; no result
-	// outlives its barrier callback (churn.Pick and pss.NewState copy).
-	// Never nil, so an empty bootstrap list still selects a Cyclon record.
+	// pool is the scratch bootstrapIDs, aliveVictims and liveBootstrapIDs
+	// fill; no result outlives the node it is drawn for or its barrier
+	// callback (churn.Pick and pss.State.Reset copy). Never nil, so an
+	// empty bootstrap list still selects a Cyclon record.
 	pool []wire.NodeID
 	// fold scores every node as its lifetime closes; rows collects the
 	// per-node detail of the same nodes in the same order (Result.Nodes) and
@@ -261,21 +338,20 @@ type deployment struct {
 // Its lifetime is closed now — final, because a dead node's receiver and
 // sent-byte counters never change again — and then the whole node is
 // released: peer, membership record, and the engine arena slot, which
-// re-enters service after its quarantine. Retaining rows changes nothing
-// here, so a run recycles the same slots at the same barriers with and
-// without StreamingMetrics.
+// re-enters service after its quarantine; its record stays in place for
+// the slot's next occupant. Retaining rows changes nothing here, so a run
+// recycles the same slots at the same barriers with and without
+// StreamingMetrics.
 func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	slot := megasim.Slot(victim)
+	n := d.nodes[slot]
 	d.eng.Crash(victim)
-	d.peers[slot].Stop()
-	if d.states != nil {
-		d.states[slot].Stop()
+	n.peer.Stop()
+	if d.cyclon {
+		n.state.Stop()
 	}
 	d.closeLifetime(victim, slot, at, false)
-	d.peers[slot] = nil
-	if d.states != nil {
-		d.states[slot] = nil
-	}
+	d.nodes[slot] = nil
 	d.eng.Release(victim)
 }
 
@@ -291,7 +367,7 @@ func (d *deployment) burst(ev churn.Event, rng *rand.Rand) {
 // barrier, or run end for survivors; either way its receiver and counters
 // are final — and, unless the run retains no rows, captures its NodeResult.
 func (d *deployment) closeLifetime(id wire.NodeID, slot int, leftAt time.Duration, survived bool) {
-	p := d.peers[slot]
+	p := &d.nodes[slot].peer
 	recv := p.Receiver()
 	stats := d.eng.NodeStats(id)
 	d.fold.fold(d.joined[slot], leftAt, survived, d.riders[slot], recv, stats)
@@ -319,8 +395,8 @@ func (d *deployment) collect() *Result {
 	if !d.cfg.StreamingMetrics {
 		d.rows = slices.Grow(d.rows, d.eng.Added()-1-len(d.rows))
 	}
-	for slot := 1; slot < len(d.peers); slot++ {
-		if d.peers[slot] != nil {
+	for slot := 1; slot < len(d.nodes); slot++ {
+		if d.nodes[slot] != nil {
 			d.closeLifetime(d.ids[slot], slot, d.end, true)
 		}
 	}
@@ -328,7 +404,7 @@ func (d *deployment) collect() *Result {
 		Config:         d.cfg,
 		Duration:       d.end,
 		Nodes:          d.rows,
-		SourceCounters: d.peers[0].Counters(),
+		SourceCounters: d.nodes[0].peer.Counters(),
 		SourceStats:    d.eng.NodeStats(0),
 		Events:         d.eng.Fired(),
 		Streaming:      &d.fold.res,
@@ -341,8 +417,8 @@ func (d *deployment) collect() *Result {
 // is deterministic.
 func (d *deployment) aliveVictims() []wire.NodeID {
 	eligible := d.pool[:0]
-	for slot := 1; slot < len(d.peers); slot++ {
-		if d.peers[slot] != nil && d.eng.Alive(d.ids[slot]) {
+	for slot := 1; slot < len(d.nodes); slot++ {
+		if d.nodes[slot] != nil && d.eng.Alive(d.ids[slot]) {
 			eligible = append(eligible, d.ids[slot])
 		}
 	}
@@ -352,55 +428,60 @@ func (d *deployment) aliveVictims() []wire.NodeID {
 
 // buildNode constructs and registers one node on the engine — the single
 // definition of a node's seeding and wiring, shared by the setup loop and
-// runtime admission so the two paths cannot drift. The protocol stream is
-// seeded Seed<<20 + id; a non-nil boot selects a Cyclon record (seeded
-// with a distinct salt to decorrelate it from the protocol stream, and
-// attached to the engine), nil boot a static SparseView; source makes the
-// node the stream source; rider puts the node in the leeching service
-// class (Config.FreeRiders).
-func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider bool) (*core.Peer, *pss.State, error) {
+// runtime admission so the two paths cannot drift. The node's record is
+// its slot's, rebuilt in place: a recycled slot's previous occupant, long
+// stopped and folded, is reset (its peer keeps its table's blocks, its
+// Cyclon record its capacity), so admitting a node allocates nothing. The
+// protocol stream is seeded Seed<<20 + id, as megasim.NewRand seeds it; a
+// non-nil boot selects a Cyclon record (seeded with a distinct salt to
+// decorrelate it from the protocol stream, and attached to the engine),
+// nil boot a static SparseView; source makes the node the stream source;
+// rider puts the node in the leeching service class (Config.FreeRiders).
+func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider bool) (*node, error) {
 	cfg := d.cfg
-	rng := megasim.NewRand(cfg.Seed<<20 + int64(id))
-	nodeEnv := d.eng.NodeEnv(id, rng)
+	shard, index := d.eng.ShardOf(id)
+	sh := &d.shards[shard]
+	n := sh.at(index)
+	n.src = xrand.Seeded(cfg.Seed<<20 + int64(id))
+	n.rng = *rand.New(&n.src)
+	nodeEnv := d.eng.NodeEnv(id, &n.rng)
 	var env core.Env = nodeEnv
 	if d.seam != nil {
 		env = d.seam.env(nodeEnv)
 	}
 	var sampler member.Sampler
-	var st *pss.State
 	if boot != nil {
-		var err error
-		st, err = pss.NewState(id, d.pssCfg, cfg.Seed<<20+0x707373+int64(id), boot)
-		if err != nil {
-			return nil, nil, err
+		n.state = sh.stateAt(index)
+		if err := n.state.Reset(id, d.pssCfg, cfg.Seed<<20+0x707373+int64(id), boot); err != nil {
+			return nil, err
 		}
-		sampler = st
+		sampler = n.state
 	} else {
-		sampler = member.NewSparseView(id, cfg.Nodes, rng)
+		n.view = member.MakeSparseView(id, cfg.Nodes, &n.rng)
+		sampler = &n.view
 	}
-	var p *core.Peer
 	var err error
 	if source {
-		p, err = core.NewSourcePeer(env, cfg.Protocol, sampler, d.src)
+		err = n.peer.ResetSource(sh.tab, env, cfg.Protocol, sampler, d.src)
 	} else {
 		proto := cfg.Protocol
 		proto.Leech = rider
-		p, err = core.NewPeer(env, proto, sampler, cfg.Layout)
+		err = n.peer.Reset(sh.tab, env, proto, sampler, cfg.Layout)
 	}
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	var handler megasim.Handler = p
+	var handler megasim.Handler = &n.peer
 	if d.seam != nil {
-		handler = d.seam.handler(p)
+		handler = d.seam.handler(&n.peer)
 	}
 	if got := d.eng.AddNode(handler, nodeCap(cfg, megasim.Slot(id)), cfg.QueueBytes); got != id {
-		return nil, nil, fmt.Errorf("experiment: node id drift: got %d, want %d", got, id)
+		return nil, fmt.Errorf("experiment: node id drift: got %d, want %d", got, id)
 	}
-	if st != nil {
-		d.eng.AttachSampler(id, st, d.pssCfg.Period)
+	if boot != nil {
+		d.eng.AttachSampler(id, n.state, d.pssCfg.Period)
 	}
-	return p, st, nil
+	return n, nil
 }
 
 // admit runs inside a join barrier: it registers one new peer — on the
@@ -418,26 +499,24 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	boot := d.liveBootstrapIDs(id, d.pssCfg.ShuffleLen, rng)
 	rider := freeRider(d.cfg.FreeRiders, d.nextOrdinal)
 	d.nextOrdinal++
-	p, st, err := d.buildNode(id, boot, false, rider)
+	n, err := d.buildNode(id, boot, false, rider)
 	if err != nil {
 		d.err = fmt.Errorf("experiment: admitting node %d: %w", id, err)
 		return
 	}
 	slot := megasim.Slot(id)
-	if slot == len(d.peers) {
-		d.peers = append(d.peers, nil)
+	if slot == len(d.nodes) {
+		d.nodes = append(d.nodes, nil)
 		d.ids = append(d.ids, 0)
 		d.joined = append(d.joined, 0)
 		d.riders = append(d.riders, false)
-		d.states = append(d.states, nil)
 	}
-	d.peers[slot] = p
+	d.nodes[slot] = n
 	d.ids[slot] = id
 	d.joined[slot] = at
 	d.riders[slot] = rider
-	d.states[slot] = st
 	d.fold.res.Joined++
-	p.Start()
+	n.peer.Start()
 }
 
 // leave runs inside a leave barrier: one uniformly random live non-source
@@ -465,8 +544,8 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 		return
 	}
 	victim := eligible[rng.Intn(len(eligible))]
-	if d.states != nil {
-		for _, em := range d.states[megasim.Slot(victim)].Goodbye() {
+	if d.cyclon {
+		for _, em := range d.nodes[megasim.Slot(victim)].state.Goodbye() {
 			d.eng.SendFrom(victim, em.To, em.Msg)
 		}
 	}
@@ -479,8 +558,8 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 // count deterministic regardless of how much of the population is dead.
 func (d *deployment) liveBootstrapIDs(self wire.NodeID, k int, rng *rand.Rand) []wire.NodeID {
 	alive := d.pool[:0]
-	for slot := 0; slot < len(d.peers); slot++ {
-		if d.peers[slot] == nil {
+	for slot := 0; slot < len(d.nodes); slot++ {
+		if d.nodes[slot] == nil {
 			continue
 		}
 		if id := d.ids[slot]; id != self && d.eng.Alive(id) {

@@ -118,6 +118,12 @@
 // schedule order and draw from the setup streams, runs with runtime churn
 // keep full replay determinism.
 //
+// A node's environment (NodeEnv) lives by value in an engine-owned table,
+// one per arena slot, in chunks that never move; a recycled slot's next
+// incarnation rebuilds it in place. ShardOf names the shard a slot's nodes
+// run on and the slot's index there, dense from zero per shard, so that a
+// caller can keep its own per-node state per shard the same way.
+//
 // Engine memory is O(live nodes), not O(nodes ever): a released slot
 // waits out one lookahead window in a quarantine ring — after that no
 // in-flight event can still address the old incarnation without crossing
@@ -307,6 +313,9 @@ type Engine struct {
 	cfg    Config
 	shards []*shard
 	nodes  []nodeState
+	// envs holds the nodes' environments by value, envChunk slots a chunk
+	// (NodeEnv).
+	envs []*[envChunk]NodeEnv
 	// live[slot] is the slot's liveness word (liveAlive above).
 	live      []uint32
 	setup     *rand.Rand
@@ -573,7 +582,7 @@ func (e *Engine) AttachSampler(id NodeID, d member.DynamicSampler, period time.D
 	}
 	nd.sampler = d
 	nd.tickEvery = period
-	sh := e.shards[Slot(id)%len(e.shards)]
+	sh := e.shards[e.shardOf(Slot(id))]
 	sh.pushMemberTick(e.now+time.Duration(e.tickRng.Int63n(int64(period))), id)
 }
 
@@ -816,9 +825,41 @@ func (e *Engine) AtBarrier(t time.Duration, fn func()) {
 // NodeEnv may be called before the node is added (PeekNextID names the
 // handle the next AddNode will assign), which lets node logic and its
 // environment be constructed together.
+//
+// The environments live by value in an engine-owned table, one per arena
+// slot, in chunks that never move: NodeEnv allocates only when the arena
+// outgrows its last chunk. The environment is the slot's, so NodeEnv for
+// a later incarnation of the slot rebuilds it in place: the earlier
+// incarnation's handle is then this one's. (Its node is gone by then: the
+// engine drops what it still had scheduled, and its logic, stopped, sends
+// nothing.)
 func (e *Engine) NodeEnv(id NodeID, rng *rand.Rand) *NodeEnv {
-	return &NodeEnv{eng: e, sh: e.shards[Slot(id)%len(e.shards)], id: id, rng: rng}
+	slot := Slot(id)
+	for len(e.envs) <= slot/envChunk {
+		//lint:pooled a fixed chunk of envChunk environments, allocated once per envChunk arena slots
+		e.envs = append(e.envs, new([envChunk]NodeEnv))
+	}
+	v := &e.envs[slot/envChunk][slot%envChunk]
+	*v = NodeEnv{eng: e, sh: e.shards[e.shardOf(slot)], id: id, rng: rng}
+	return v
 }
+
+// envChunk is the number of node environments per chunk of the table
+// NodeEnv keeps them in (32 bytes each).
+const envChunk = 256
+
+// ShardOf returns where the engine runs a node: its shard, and its index
+// among that shard's slots. Placement is round-robin by arena slot, so
+// every incarnation of a slot runs on the same shard at the same index,
+// and a shard's indexes are dense from zero: a caller keeping per-node
+// state per shard can index it by the second result.
+func (e *Engine) ShardOf(id NodeID) (shard, index int) {
+	slot := Slot(id)
+	return e.shardOf(slot), slot / len(e.shards)
+}
+
+// shardOf returns the shard an arena slot's nodes run on.
+func (e *Engine) shardOf(slot int) int { return slot % len(e.shards) }
 
 // minBase returns the smallest drawn base latency across all nodes.
 func (e *Engine) minBase() time.Duration {
@@ -1084,7 +1125,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		return false
 	}
 	at := depart + e.pairLatency(sh, from, to)
-	d := int(tslot) % len(e.shards)
+	d := e.shardOf(int(tslot))
 	if d == sh.id {
 		sh.pushDelivery(at, from, to, int32(size), p)
 		return true
@@ -1198,7 +1239,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 // shards) pair.
 func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.checkMutable("SendFrom")
-	sh := e.shards[Slot(from)%len(e.shards)]
+	sh := e.shards[e.shardOf(Slot(from))]
 	e.sendMsg(sh, from, to, msg)
 }
 

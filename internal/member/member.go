@@ -101,10 +101,17 @@ type SparseView struct {
 // NewSparseView returns a constant-memory full-membership sampler for a
 // system of n nodes.
 func NewSparseView(self wire.NodeID, n int, rng *rand.Rand) *SparseView {
+	v := MakeSparseView(self, n, rng)
+	return &v
+}
+
+// MakeSparseView returns NewSparseView's sampler by value, for owners that
+// hold their nodes' samplers in place.
+func MakeSparseView(self wire.NodeID, n int, rng *rand.Rand) SparseView {
 	if n <= 0 {
 		panic(fmt.Sprintf("member: system size %d", n))
 	}
-	return &SparseView{self: self, n: n, rng: rng}
+	return SparseView{self: self, n: n, rng: rng}
 }
 
 // Sample implements Sampler.
@@ -161,29 +168,45 @@ var _ DynamicSampler = (*SparseView)(nil)
 type View struct {
 	sampler Sampler
 	// into is sampler when it can draw into the View's own partner buffer
-	// (SparseView), sparing the allocation of a fresh list per refresh.
+	// (SparseView, pss.State), sparing the allocation of a fresh list per
+	// refresh.
 	into     intoSampler
 	fanout   int
 	refresh  int // X; Never = keep forever
 	calls    int
 	partners []wire.NodeID
-	rng      *rand.Rand
+	// buf is the backing every draw through into reuses; partners aliases
+	// it or is nil.
+	buf []wire.NodeID
+	rng *rand.Rand
 }
 
 // NewView returns a View selecting fanout partners through sampler,
 // re-drawing them every refreshEvery calls (X). refreshEvery = Never keeps
 // the first draw forever.
 func NewView(sampler Sampler, fanout, refreshEvery int, rng *rand.Rand) *View {
+	v := MakeView(sampler, fanout, refreshEvery, rng, nil)
+	return &v
+}
+
+// MakeView returns NewView's View by value, drawing its partners into
+// buf's backing (nil: one the first draw allocates) for an owner that
+// lends it one with room for fanout ids.
+func MakeView(sampler Sampler, fanout, refreshEvery int, rng *rand.Rand, buf []wire.NodeID) View {
 	if fanout <= 0 {
 		panic(fmt.Sprintf("member: fanout %d", fanout))
 	}
 	if refreshEvery < 0 {
 		panic(fmt.Sprintf("member: refresh rate %d", refreshEvery))
 	}
-	v := &View{sampler: sampler, fanout: fanout, refresh: refreshEvery, rng: rng}
+	v := View{sampler: sampler, fanout: fanout, refresh: refreshEvery, rng: rng, buf: buf[:0]}
 	v.into, _ = sampler.(intoSampler)
 	return v
 }
+
+// Buffer returns the backing the view draws its partners into, for an
+// owner that lent it one (MakeView) to take back.
+func (v *View) Buffer() []wire.NodeID { return v.buf }
 
 // intoSampler is a Sampler that can also draw into the caller's buffer.
 type intoSampler interface {
@@ -193,7 +216,10 @@ type intoSampler interface {
 // draw replaces the partner set with a fresh sample.
 func (v *View) draw() {
 	if v.into != nil {
-		v.partners = v.into.SampleInto(v.partners, v.fanout)
+		v.partners = v.into.SampleInto(v.buf, v.fanout)
+		if cap(v.partners) > cap(v.buf) {
+			v.buf = v.partners[:0]
+		}
 	} else {
 		v.partners = v.sampler.Sample(v.fanout)
 	}
@@ -229,7 +255,8 @@ func (v *View) Current() []wire.NodeID {
 func (v *View) Insert(requester wire.NodeID) {
 	cur := v.Current()
 	if len(cur) == 0 {
-		v.partners = []wire.NodeID{requester}
+		//lint:pooled a view with no partner at all takes its first from a feed-me; into buf's backing when there is one
+		v.partners = append(v.buf[:0:cap(v.buf)], requester)
 		return
 	}
 	for _, p := range cur {

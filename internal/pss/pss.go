@@ -145,22 +145,51 @@ type State struct {
 // partner sampling, Sample) comes from a private splitmix64 stream over
 // seed.
 func NewState(self wire.NodeID, cfg Config, seed int64, bootstrap []wire.NodeID) (*State, error) {
-	if err := cfg.Validate(); err != nil {
+	s := new(State)
+	if err := s.Reset(self, cfg, seed, bootstrap); err != nil {
 		return nil, err
 	}
-	s := &State{
+	return s, nil
+}
+
+// Reset makes s the record NewState(self, cfg, seed, bootstrap) would
+// return, in place: an owner that holds its nodes' records by value (the
+// zero State included) rebuilds a departed node's for its successor. The
+// record keeps the capacity of its view and scratch, so a reset record
+// that has run before allocates nothing, and behaves from then on exactly
+// as a new one would.
+func (s *State) Reset(self wire.NodeID, cfg Config, seed int64, bootstrap []wire.NodeID) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	view, out, pending, sent := s.view[:0], s.out.Entries[:0], s.pending[:0], s.sent[:0]
+	if cap(view) < cfg.ViewSize || cap(out) < cfg.ShuffleLen {
+		// The view and the emission scratch share one backing, the two id
+		// lists another: what a record ever holds, in two allocations.
+		entries := make([]wire.ShuffleEntry, cfg.ViewSize+cfg.ShuffleLen)
+		view, out = entries[:0:cfg.ViewSize], entries[cfg.ViewSize:cfg.ViewSize]
+	}
+	if cap(pending) < cfg.ShuffleLen || cap(sent) < cfg.ShuffleLen {
+		ids := make([]wire.NodeID, 2*cfg.ShuffleLen)
+		pending, sent = ids[:0:cfg.ShuffleLen], ids[cfg.ShuffleLen:cfg.ShuffleLen]
+	}
+	*s = State{
 		self:       self,
 		viewSize:   cfg.ViewSize,
 		shuffleLen: cfg.ShuffleLen,
 		rng:        xrand.Seeded(seed),
-		view:       make([]wire.ShuffleEntry, 0, cfg.ViewSize),
+		view:       view,
+		pending:    pending,
+		tombs:      s.tombs[:0],
+		out:        wire.Shuffle{Entries: out},
+		sent:       sent,
 	}
 	for _, id := range bootstrap {
 		if id != self {
 			s.insert(wire.ShuffleEntry{ID: id})
 		}
 	}
-	return s, nil
+	return nil
 }
 
 // Self returns the record's node id.

@@ -275,11 +275,13 @@ type Receiver struct {
 	layout    Layout
 	total     int      // layout.TotalPackets(): ids at or beyond it are outside the stream
 	seen      []uint64 // bit id set once packet id is delivered
-	windows   []windowState
+	windows   []WindowState
 	delivered int
 }
 
-type windowState struct {
+// WindowState is one window's entry in a Receiver's per-window backing:
+// its count of distinct packets and when the count became viewable.
+type WindowState struct {
 	completed time.Duration // time count reached DataPerWindow; 0 = never
 	count     int32
 }
@@ -294,14 +296,28 @@ func NewReceiver(layout Layout) *Receiver {
 // embed one. It allocates the two backings and nothing else, however long
 // the stream.
 func MakeReceiver(layout Layout) Receiver {
-	total := layout.TotalPackets()
-	return Receiver{
-		layout:  layout,
-		total:   total,
-		seen:    make([]uint64, (total+63)/64),
-		windows: make([]windowState, layout.Windows),
-	}
+	return MakeReceiverOver(layout, make([]uint64, SeenWords(layout)), make([]WindowState, layout.Windows))
 }
+
+// SeenWords returns the length of the bitset backing a Receiver for the
+// layout keeps: one bit per stream id.
+func SeenWords(layout Layout) int { return (layout.TotalPackets() + 63) / 64 }
+
+// MakeReceiverOver returns a Receiver for the layout over backings its
+// owner provides, zeroed: seen of SeenWords(layout) words and windows of
+// layout.Windows states. The Receiver uses them until Backings hands them
+// back.
+func MakeReceiverOver(layout Layout, seen []uint64, windows []WindowState) Receiver {
+	if len(seen) != SeenWords(layout) || len(windows) != layout.Windows {
+		panic(fmt.Sprintf("stream: receiver backings of %d words and %d windows, want %d and %d",
+			len(seen), len(windows), SeenWords(layout), layout.Windows))
+	}
+	return Receiver{layout: layout, total: layout.TotalPackets(), seen: seen, windows: windows}
+}
+
+// Backings returns the receiver's two backings, for an owner that lends
+// them out (MakeReceiverOver) to take back or clear and reuse.
+func (r *Receiver) Backings() (seen []uint64, windows []WindowState) { return r.seen, r.windows }
 
 // Snapshot returns a deep copy of the receiver's state, for readers that
 // poll metrics while another goroutine keeps delivering. The caller owning
