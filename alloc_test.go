@@ -8,10 +8,10 @@ import (
 
 // TestSteadyStateAllocBudget holds a whole sharded run to its allocation
 // budget per event: 0.05, against ≈0.0002 measured on one shard and two,
-// over the full view and over Cyclon views. What remains is the growth of
-// the engine's message slab, spill arenas and outboxes and of each shard's
-// core.Table slabs toward their peaks; peers no longer grow slabs of their
-// own. It was ≈0.008 while every peer grew its own request and batch slabs
+// over the full view and over Cyclon views. What remains is the chunks
+// the engine's message slab, spill pool and node tables and each shard's
+// core.Table slabs add as they grow toward their peaks, and the outboxes'
+// growth; peers no longer grow slabs of their own. It was ≈0.008 while every peer grew its own request and batch slabs
 // and propose queue, ≈0.1 while every in-flight record and retransmission
 // batch grew a backing of its own — and over Cyclon while every shuffle
 // built fresh, boxed emissions — 0.8 while every message was boxed and 3.8
@@ -72,12 +72,15 @@ func TestSteadyStateAllocBudget(t *testing.T) {
 // TestRunAllocBudget holds a whole run — building the deployment, the
 // stream and scoring included — to an allocation budget per node, at one
 // shard and two, over the full view and over Cyclon views: 4 and 10
-// against ≈1.6–2.2 and ≈4.6–4.9 measured at 500 nodes. A node's peer,
+// against ≈0.55–0.83 and ≈0.62–0.90 measured at 500 nodes. A node's peer,
 // random stream, sampler and environment live by value in per-shard
-// chunks and tables, so a run allocates per shard as those fill, not per
-// node; per node remain a fresh Cyclon record's two backings. It was ≈35 per
-// node on the full view and ≈40 over Cyclon while every node was a dozen
-// heap objects of its own and every peer grew its own slabs.
+// chunks and tables, and a fresh Cyclon record's backings come from its
+// shard's pools, so a run allocates per shard as those fill, not per node.
+// It was ≈1.6–2.2 and ≈4.6–4.9 while each Cyclon record allocated its two
+// backings, the scoring rows one lag slice per node and the slabs grew by
+// copying; ≈35 per node on the full view and ≈40 over Cyclon while every
+// node was a dozen heap objects of its own and every peer grew its own
+// slabs.
 func TestRunAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -109,6 +112,51 @@ func TestRunAllocBudget(t *testing.T) {
 			t.Logf("%.2f allocations per node over a whole %d-node run", perNode, nodes)
 			if perNode > leg.budget {
 				t.Fatalf("%.2f allocations per node over a whole run, budget %.0f", perNode, leg.budget)
+			}
+		})
+	}
+}
+
+// TestRunBytesBudget holds a whole run — building the deployment, the
+// stream and scoring included — to a budget of bytes allocated per node,
+// at one shard and two, over the full view and over Cyclon views. Every
+// slab on the run's path grows by chunks that are never copied, so a run
+// allocates its footprint about once: 7.9 / 9.9 KB per node on the full
+// view and 8.7 / 9.3 KB over Cyclon at one / two shards, budgets 5–8%
+// above that. With the message slab alone back on append, copying itself
+// at every growth step, the four were 9.4 / 11.2 and 10.2 / 10.5 KB, each
+// over its budget; before the run's slabs were chunked, 14.1–14.8 KB.
+func TestRunBytesBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation sizes are meaningless under the race detector")
+	}
+	const nodes = 500
+	for _, leg := range []struct {
+		name       string
+		shards     int
+		membership Membership
+		budget     float64 // bytes per node
+	}{
+		{"1-shards", 1, MembershipFull, 8_500},
+		{"2-shards", 2, MembershipFull, 10_500},
+		{"cyclon/1-shards", 1, MembershipCyclon, 9_300},
+		{"cyclon/2-shards", 2, MembershipCyclon, 9_900},
+	} {
+		t.Run(leg.name, func(t *testing.T) {
+			cfg := ScaledExperiment(nodes, leg.shards, 6*time.Second)
+			cfg.Membership = leg.membership
+			runtime.GC()
+			runtime.GC()
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			if _, err := RunExperiment(cfg); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&m1)
+			perNode := float64(m1.TotalAlloc-m0.TotalAlloc) / nodes
+			t.Logf("%.0f B allocated per node over a whole %d-node run", perNode, nodes)
+			if perNode > leg.budget {
+				t.Fatalf("%.0f B allocated per node over a whole run, budget %.0f", perNode, leg.budget)
 			}
 		})
 	}

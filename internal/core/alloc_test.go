@@ -234,9 +234,9 @@ func TestHandlerAllocBudget(t *testing.T) {
 				c.RetBatchesRetired != rounds || c.RetIdleWakeups != rounds || c.RetChecks != 0 {
 				t.Fatalf("the handlers were not exercised as planned: %+v", c)
 			}
-			if len(p.tab.reqs) != idsPerMessage || len(p.tab.batches) != 1 {
+			if p.tab.reqs.Len() != idsPerMessage || p.tab.batches.Len() != 1 {
 				t.Fatalf("slabs grew to %d request records and %d batches, want %d and 1: records are not recycled",
-					len(p.tab.reqs), len(p.tab.batches), idsPerMessage)
+					p.tab.reqs.Len(), p.tab.batches.Len(), idsPerMessage)
 			}
 			check(t,
 				budget{"a 12-id PROPOSE of fresh ids", float64(propose) / measured, tc.propose},

@@ -56,7 +56,9 @@
 // of a peer — known bits, request index, propose queue, receiver, partner
 // list — belong to a Table (table.go), which the simulation shares among
 // the peers of an engine shard: a run allocates as the shard's slabs and
-// chunks reach their peaks, not per node, and a node admitted into a
+// chunks reach their peaks, not per node — each byte once, as the slabs
+// grow by chunks of the chunked store (internal/slab) that are never
+// copied — and a node admitted into a
 // departed node's slot resets that peer in place (Reset) and allocates
 // nothing at all. Over a plain Env — the
 // real-time driver, any wrapper of Env's five methods — the adapter boxes
@@ -75,6 +77,7 @@ import (
 	"time"
 
 	"gossipstream/internal/member"
+	"gossipstream/internal/slab"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -246,8 +249,8 @@ func (c Config) Validate() error {
 // by-value record in the table's request slab, held from the first REQUEST
 // until the packet is delivered or its K-th request is spent, and always in
 // an armed batch meanwhile. With MaxRequests = 1 no id gets one. Under
-// RetryRandomProposer record i's proposers are stored inline at
-// Table.proposers[i*stride:], the first nproposers of them valid; the
+// RetryRandomProposer record i's proposers are stored in the table's
+// proposer slab (Table.proposer), the first nproposers of them valid; the
 // default policy never reads them.
 type requestState struct {
 	requests   int32 // REQUESTs issued so far (K cap)
@@ -274,23 +277,35 @@ type requestState struct {
 // a tombstone, so a lookup stops at the first empty slot.
 type reqIndex struct {
 	slots []uint64
-	n     int   // occupied slots
-	shift uint8 // 64 - log2(len(slots)): home keeps the hash's top bits
+	h     uint32 // the slots' block handle in pool
+	n     int    // occupied slots
+	shift uint8  // 64 - log2(len(slots)): home keeps the hash's top bits
 	// pool lends the slots a doubling moves to and takes back the old
 	// ones; nil makes and drops them.
-	pool *blockPool[uint64]
+	pool *slab.Pool[uint64]
 }
 
 // newReqIndex returns an empty index over slots, whose length must be a
-// power of two of at least 2; the slots must be zero.
+// power of two of at least 2; the slots must be zero. Its pool is nil
+// until its owner sets the pool and the handle the slots came with.
 func newReqIndex(slots []uint64) reqIndex {
 	return reqIndex{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
 }
 
-// home returns id's first probe: Fibonacci hashing, so that the runs of
-// consecutive ids a peer requests spread over the table.
+// fib is the Fibonacci hashing multiplier, 2^64 / φ.
+const fib = 0x9E3779B97F4A7C15
+
+// home returns id's first probe. Ids are hashed eight at a time: id>>3
+// picks a group of eight slots by Fibonacci hashing, so the runs of
+// consecutive ids a peer requests spread over the table, and id&7 the
+// slot within it, so the eight ids that share a group share a 64-byte
+// line and a PROPOSE's consecutive ids touch a line per eight. A table of
+// fewer than eight slots hashes each id on its own.
 func (x *reqIndex) home(id stream.PacketID) int {
-	return int((uint64(id) * 0x9E3779B97F4A7C15) >> x.shift)
+	if x.shift > 61 {
+		return int((uint64(id) * fib) >> x.shift)
+	}
+	return int((uint64(id>>3)*fib)>>(x.shift+3))<<3 | int(id&7)
 }
 
 // get returns the record of id, or zero when id has none.
@@ -310,15 +325,15 @@ func (x *reqIndex) get(id stream.PacketID) uint32 {
 // put records ri as the record of id, which has none.
 func (x *reqIndex) put(id stream.PacketID, ri uint32) {
 	if 2*(x.n+1) > len(x.slots) {
-		old := x.slots
-		x.slots = x.pool.get(2 * len(old))
+		old, oldH := x.slots, x.h
+		x.h, x.slots = x.pool.Get(2 * len(old))
 		x.shift--
 		for _, s := range old {
 			if s != 0 {
 				x.insert(s)
 			}
 		}
-		x.pool.put(old)
+		x.pool.Put(oldH, cap(old))
 	}
 	x.insert((uint64(id)+1)<<32 | uint64(ri))
 	x.n++
@@ -426,6 +441,9 @@ type Peer struct {
 	// record, so a peer holds a few rounds' worth of them however long the
 	// stream.
 	index reqIndex
+	// blocks holds the handles of the peer's blocks in its table's pools
+	// (the index keeps its own).
+	blocks peerBlocks
 	// batchHead is the first of the peer's armed batches (slab index plus
 	// one, zero when none), retStamp the arm order of its newest batch.
 	batchHead uint32
@@ -450,6 +468,13 @@ type Peer struct {
 	layoutTotal int
 }
 
+// peerBlocks are the handles of a peer's blocks: its known bits, its
+// propose queue, its receiver's delivery bits and window states, and its
+// partner list.
+type peerBlocks struct {
+	known, propose, seen, windows, partners uint32
+}
+
 // privatePeer is a peer together with the table it alone uses.
 type privatePeer struct {
 	Peer
@@ -459,7 +484,7 @@ type privatePeer struct {
 // NewPeer returns an ordinary (non-source) peer over the given sampler, on
 // a private table.
 func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) (*Peer, error) {
-	pp := new(privatePeer)
+	pp := &privatePeer{tab: makePrivateTable()}
 	if err := pp.Reset(&pp.tab, env, cfg, sampler, layout); err != nil {
 		return nil, err
 	}
@@ -470,7 +495,7 @@ func NewPeer(env Env, cfg Config, sampler member.Sampler, layout stream.Layout) 
 // publishes src's ids on the stream's schedule and gossips them with
 // SourceFanout.
 func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Source) (*Peer, error) {
-	pp := new(privatePeer)
+	pp := &privatePeer{tab: makePrivateTable()}
 	if err := pp.ResetSource(&pp.tab, env, cfg, sampler, src); err != nil {
 		return nil, err
 	}
@@ -530,29 +555,31 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 	}
 	total := layout.TotalPackets()
 	words := (total + 63) / 64
-	known, index := p.known, p.index.slots
+	b := p.blocks
+	known, index, indexH := p.known, p.index.slots, p.index.h
 	if len(known) == words {
 		clear(known)
 	} else {
-		tab.words.put(known)
-		known = tab.words.get(words)
+		tab.words.Put(b.known, cap(known))
+		b.known, known = tab.words.Get(words)
 	}
 	if index == nil { // else Stop has emptied it
-		index = tab.words.get(initialIndexSlots)
+		indexH, index = tab.words.Get(initialIndexSlots)
 	}
 	seen, windows := p.recv.Backings()
 	if len(seen) == stream.SeenWords(layout) && len(windows) == layout.Windows {
 		clear(seen)
 		clear(windows)
 	} else {
-		tab.words.put(seen)
-		tab.windows.put(windows)
-		seen, windows = tab.words.get(stream.SeenWords(layout)), tab.windows.get(layout.Windows)
+		tab.words.Put(b.seen, cap(seen))
+		tab.windows.Put(b.windows, cap(windows))
+		b.seen, seen = tab.words.Get(stream.SeenWords(layout))
+		b.windows, windows = tab.windows.Get(layout.Windows)
 	}
 	partners := p.view.Buffer()
 	if cap(partners) < fanout {
-		tab.nodes.put(partners)
-		partners = tab.nodes.get(fanout)
+		tab.nodes.Put(b.partners, cap(partners))
+		b.partners, partners = tab.nodes.Get(fanout)
 	}
 	*p = Peer{
 		tab:          tab,
@@ -566,9 +593,10 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 		toPropose:    p.toPropose[:0],
 		known:        known,
 		index:        newReqIndex(index),
+		blocks:       b,
 		layoutTotal:  total,
 	}
-	p.index.pool = &tab.words
+	p.index.h, p.index.pool = indexH, &tab.words
 	return nil
 }
 
@@ -576,14 +604,14 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 // zero Peer.
 func (p *Peer) release() {
 	p.Stop()
-	t := p.tab
+	t, b := p.tab, p.blocks
 	seen, windows := p.recv.Backings()
-	t.words.put(p.known)
-	t.words.put(p.index.slots)
-	t.words.put(seen)
-	t.windows.put(windows)
-	t.ids.put(p.toPropose)
-	t.nodes.put(p.view.Buffer())
+	t.words.Put(b.known, cap(p.known))
+	t.words.Put(p.index.h, cap(p.index.slots))
+	t.words.Put(b.seen, cap(seen))
+	t.windows.Put(b.windows, cap(windows))
+	t.ids.Put(b.propose, cap(p.toPropose))
+	t.nodes.Put(b.partners, cap(p.view.Buffer()))
 	*p = Peer{}
 }
 
@@ -617,8 +645,8 @@ func (p *Peer) Stop() {
 	t := p.tab
 	for p.batchHead != 0 {
 		bi := p.batchHead
-		for ri := t.batches[bi-1].head; ri != 0; {
-			st := &t.reqs[ri-1]
+		for ri := t.batch(bi).head; ri != 0; {
+			st := t.req(ri)
 			next := st.next
 			p.known[st.id/64] &^= 1 << (st.id % 64)
 			p.dropRequest(ri)
@@ -657,7 +685,7 @@ func (p *Peer) Counters() Counters { return p.counters }
 // a retransmission pending, each holding a request record, and the
 // batches armed to check on them.
 func (p *Peer) InFlight() (ids, batches int) {
-	for bi := p.batchHead; bi != 0; bi = p.tab.batches[bi-1].next {
+	for bi := p.batchHead; bi != 0; bi = p.tab.batch(bi).next {
 		batches++
 	}
 	return p.index.n, batches
@@ -826,7 +854,7 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 			if tail == 0 {
 				head = ri
 			} else {
-				t.reqs[tail-1].next = ri
+				t.req(tail).next = ri
 			}
 			tail = ri
 		}
@@ -840,8 +868,8 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 				continue
 			}
 		}
-		if st := &t.reqs[ri-1]; int(st.nproposers) < p.cfg.MaxProposers {
-			t.proposers[int(ri-1)*t.stride+int(st.nproposers)] = from
+		if st := t.req(ri); int(st.nproposers) < p.cfg.MaxProposers {
+			*t.proposer(ri, int(st.nproposers)) = from
 			st.nproposers++
 		}
 	}
@@ -868,14 +896,14 @@ func (p *Peer) newRequest(id stream.PacketID) uint32 {
 // index and returns it to the table: the packet was delivered, its K-th
 // request is spent, or a Stop gave up on it.
 func (p *Peer) dropRequest(ri uint32) {
-	p.index.del(p.tab.reqs[ri-1].id)
+	p.index.del(p.tab.req(ri).id)
 	p.tab.freeRequest(ri)
 }
 
 // queuePropose queues id, delivered, for the next round's PROPOSEs. The
 // queue's block grows to a round's worth of ids and is kept.
 func (p *Peer) queuePropose(id stream.PacketID) {
-	p.toPropose = p.tab.ids.grow(p.toPropose, minProposeBlock)
+	p.blocks.propose, p.toPropose = p.tab.ids.Grow(p.blocks.propose, p.toPropose, minProposeBlock)
 	//lint:pooled grow gave the block room for id
 	p.toPropose = append(p.toPropose, id)
 }
@@ -900,14 +928,14 @@ func (p *Peer) armBatch(proposer wire.NodeID, head uint32) (due time.Duration) {
 	t := p.tab
 	bi := t.newBatch() // index plus one
 	p.retStamp++
-	b := &t.batches[bi-1]
+	b := t.batch(bi)
 	*b = retBatch{head: head, next: p.batchHead, due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
 	if p.batchHead != 0 {
-		t.batches[p.batchHead-1].prev = bi
+		t.batch(p.batchHead).prev = bi
 	}
 	p.batchHead = bi
-	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, t.reqs[ri-1].next {
-		st := &t.reqs[ri-1]
+	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, t.req(ri).next {
+		st := t.req(ri)
 		st.batch, st.prev = bi, prev
 	}
 	return b.due
@@ -917,14 +945,14 @@ func (p *Peer) armBatch(proposer wire.NodeID, head uint32) (due time.Duration) {
 // returns it to the table.
 func (p *Peer) freeBatch(bi uint32) {
 	t := p.tab
-	b := &t.batches[bi-1]
+	b := t.batch(bi)
 	if b.prev != 0 {
-		t.batches[b.prev-1].next = b.next
+		t.batch(b.prev).next = b.next
 	} else {
 		p.batchHead = b.next
 	}
 	if b.next != 0 {
-		t.batches[b.next-1].prev = b.prev
+		t.batch(b.next).prev = b.prev
 	}
 	t.freeBatch(bi)
 }
@@ -947,15 +975,13 @@ func (p *Peer) wakeBy(due time.Duration) {
 // batches at a time, so it walks its list.
 func (p *Peer) earliestBatch() (first uint32) {
 	t := p.tab
-	for bi := p.batchHead; bi != 0; bi = t.batches[bi-1].next {
-		if first == 0 {
-			first = bi
-			continue
+	var f *retBatch // batch first; the slab's chunks never move
+	for bi := p.batchHead; bi != 0; {
+		b := t.batch(bi)
+		if f == nil || b.due < f.due || b.due == f.due && b.stamp < f.stamp {
+			first, f = bi, b
 		}
-		b, f := &t.batches[bi-1], &t.batches[first-1]
-		if b.due < f.due || b.due == f.due && b.stamp < f.stamp {
-			first = bi
-		}
+		bi = b.next
 	}
 	return first
 }
@@ -974,7 +1000,7 @@ func (p *Peer) retTimerFired(gen uint32) {
 	p.retArmed = false
 	now, checked := p.env.Now(), false
 	for bi := p.earliestBatch(); bi != 0; bi = p.earliestBatch() {
-		if due := p.tab.batches[bi-1].due; due > now {
+		if due := p.tab.batch(bi).due; due > now {
 			p.wakeBy(due)
 			break
 		}
@@ -998,14 +1024,14 @@ func (p *Peer) retTimerFired(gen uint32) {
 func (p *Peer) retransmit(bi uint32) {
 	p.counters.RetChecks++
 	t := p.tab
-	b := &t.batches[bi-1]
+	b := t.batch(bi)
 	proposer := b.proposer
 	// retry collects the ids to request again, targets[i] where retry[i]
 	// goes; their records stay chained, head to tail, for the next batch.
 	retry, targets := t.idScratch[:0], t.retTargets[:0]
 	var head, tail uint32
 	for ri, next := b.head, uint32(0); ri != 0; ri = next {
-		st := &t.reqs[ri-1]
+		st := t.req(ri)
 		next = st.next
 		if int(st.requests) >= p.cfg.MaxRequests {
 			p.dropRequest(ri)
@@ -1014,13 +1040,13 @@ func (p *Peer) retransmit(bi uint32) {
 		if tail == 0 {
 			head = ri
 		} else {
-			t.reqs[tail-1].next = ri
+			t.req(tail).next = ri
 		}
 		st.next, tail = 0, ri
 		st.requests++
 		target := proposer
 		if p.cfg.Retry == RetryRandomProposer && st.nproposers > 0 {
-			target = t.proposers[int(ri-1)*t.stride+p.env.Rand().Intn(int(st.nproposers))]
+			target = *t.proposer(ri, p.env.Rand().Intn(int(st.nproposers)))
 		}
 		//lint:pooled idScratch is the table's scratch, reused by every retransmission
 		retry = append(retry, st.id)
@@ -1108,15 +1134,15 @@ func (p *Peer) handleServe(ids []stream.PacketID) {
 			// The batch is one id closer to done; the last one retires it,
 			// and no timer will ever look at it.
 			t := p.tab
-			st := &t.reqs[ri-1]
-			b := &t.batches[st.batch-1]
+			st := t.req(ri)
+			b := t.batch(st.batch)
 			if st.prev != 0 {
-				t.reqs[st.prev-1].next = st.next
+				t.req(st.prev).next = st.next
 			} else {
 				b.head = st.next
 			}
 			if st.next != 0 {
-				t.reqs[st.next-1].prev = st.prev
+				t.req(st.next).prev = st.prev
 			}
 			if b.head == 0 {
 				p.freeBatch(st.batch)

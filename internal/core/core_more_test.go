@@ -135,10 +135,14 @@ func TestMaxProposersBounded(t *testing.T) {
 	if ri == 0 {
 		t.Fatal("no request state recorded")
 	}
-	if got := int(h.peer.tab.reqs[ri-1].nproposers); got != cfg.MaxProposers {
+	if got := int(h.peer.tab.req(ri).nproposers); got != cfg.MaxProposers {
 		t.Fatalf("recorded %d proposers, bound is %d", got, cfg.MaxProposers)
 	}
-	if got, want := h.peer.tab.proposers[:cfg.MaxProposers], []wire.NodeID{1, 2}; !slices.Equal(got, want) {
+	var got []wire.NodeID
+	for k := range cfg.MaxProposers {
+		got = append(got, *h.peer.tab.proposer(ri, k))
+	}
+	if want := []wire.NodeID{1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("recorded proposers %v, want the first two, %v", got, want)
 	}
 	h.peer.Stop()
@@ -164,7 +168,7 @@ func TestNoRetryTimersWhenKIsOne(t *testing.T) {
 	cfg.MaxRequests = 1
 	h := newHarness(t, cfg, tinyLayout())
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0, 1}})
-	if len(h.peer.tab.batches) != 0 {
+	if h.peer.tab.batches.Len() != 0 {
 		t.Fatal("ret timer armed although K=1 forbids retries")
 	}
 	h.sched.RunUntil(time.Minute)

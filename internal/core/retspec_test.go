@@ -440,13 +440,13 @@ func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
 	t := p.tab
 	isKnown := func(id stream.PacketID) bool { return p.known[id/64]&(1<<(id%64)) != 0 }
 	// listed[ri] marks the request records some batch's list reaches.
-	listed := make([]bool, len(t.reqs)+1)
+	listed := make([]bool, t.reqs.Len()+1)
 	earliest, armed, records := time.Duration(0), 0, 0
-	for prevB, bi := uint32(0), p.batchHead; bi != 0; prevB, bi = bi, t.batches[bi-1].next {
-		if int(bi) > len(t.batches) || armed >= len(t.batches) {
-			return fmt.Errorf("the peer's batch list loops or leaves the %d-batch slab", len(t.batches))
+	for prevB, bi := uint32(0), p.batchHead; bi != 0; prevB, bi = bi, t.batch(bi).next {
+		if int(bi) > t.batches.Len() || armed >= t.batches.Len() {
+			return fmt.Errorf("the peer's batch list loops or leaves the %d-batch slab", t.batches.Len())
 		}
-		b := &t.batches[bi-1]
+		b := t.batch(bi)
 		switch {
 		case !b.armed:
 			return fmt.Errorf("batch %d is on the peer's list and not armed", bi-1)
@@ -460,13 +460,13 @@ func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
 			return fmt.Errorf("batch %d is armed with no id undelivered", bi-1)
 		}
 		prev := uint32(0)
-		for ri := b.head; ri != 0; prev, ri = ri, t.reqs[ri-1].next {
-			if int(ri) > len(t.reqs) || listed[ri] {
-				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi-1, ri, len(t.reqs))
+		for ri := b.head; ri != 0; prev, ri = ri, t.req(ri).next {
+			if int(ri) > t.reqs.Len() || listed[ri] {
+				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi-1, ri, t.reqs.Len())
 			}
 			listed[ri] = true
 			records++
-			st := &t.reqs[ri-1]
+			st := t.req(ri)
 			switch {
 			case st.prev != prev:
 				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi-1, ri, prev, st.prev)
@@ -494,7 +494,7 @@ func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
 		}
 		occupied++
 		id, ri := stream.PacketID(slot>>32-1), uint32(slot)
-		if ri == 0 || int(ri) > len(t.reqs) || !listed[ri] || t.reqs[ri-1].id != id {
+		if ri == 0 || int(ri) > t.reqs.Len() || !listed[ri] || t.req(ri).id != id {
 			return fmt.Errorf("the index maps id %d to record %d, which no armed batch holds for it", id, ri)
 		}
 	}
@@ -547,36 +547,36 @@ func checkTable(t *Table, peers ...*Peer) error {
 			return fmt.Errorf("a peer checked against a table it is not on")
 		}
 		retrying = retrying || p.cfg.MaxRequests > 1
-		for bi := p.batchHead; bi != 0; bi = t.batches[bi-1].next {
+		for bi := p.batchHead; bi != 0; bi = t.batch(bi).next {
 			armed++
-			for ri := t.batches[bi-1].head; ri != 0; ri = t.reqs[ri-1].next {
+			for ri := t.batch(bi).head; ri != 0; ri = t.req(ri).next {
 				records++
 			}
 		}
 	}
-	if !retrying && len(t.reqs) > 0 {
-		return fmt.Errorf("K = 1 and %d request records made", len(t.reqs))
+	if !retrying && t.reqs.Len() > 0 {
+		return fmt.Errorf("K = 1 and %d request records made", t.reqs.Len())
 	}
 	freeReqs, freeBatches := 0, 0
-	for ri := t.reqFree; ri != 0; ri = t.reqs[ri-1].next {
-		if freeReqs++; int(ri) > len(t.reqs) || freeReqs > len(t.reqs) {
-			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", len(t.reqs))
+	for ri := t.reqFree; ri != 0; ri = t.req(ri).next {
+		if freeReqs++; int(ri) > t.reqs.Len() || freeReqs > t.reqs.Len() {
+			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", t.reqs.Len())
 		}
-		if st := t.reqs[ri-1]; st != (requestState{next: st.next}) {
+		if st := *t.req(ri); st != (requestState{next: st.next}) {
 			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
 		}
 	}
-	for bi := t.batchFree; bi != 0; bi = t.batches[bi-1].head {
-		if freeBatches++; int(bi) > len(t.batches) || freeBatches > len(t.batches) {
-			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", len(t.batches))
+	for bi := t.batchFree; bi != 0; bi = t.batch(bi).head {
+		if freeBatches++; int(bi) > t.batches.Len() || freeBatches > t.batches.Len() {
+			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", t.batches.Len())
 		}
-		if t.batches[bi-1].armed {
+		if t.batch(bi).armed {
 			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
 		}
 	}
-	if len(t.reqs)-freeReqs != records || len(t.batches)-freeBatches != armed {
+	if t.reqs.Len()-freeReqs != records || t.batches.Len()-freeBatches != armed {
 		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
-			freeReqs, len(t.reqs), freeBatches, len(t.batches), armed)
+			freeReqs, t.reqs.Len(), freeBatches, t.batches.Len(), armed)
 	}
 	if inReqs, inBatches, _ := t.InUse(); inReqs != records || inBatches != armed {
 		return fmt.Errorf("the table counts %d records and %d batches lent, its peers hold %d and %d", inReqs, inBatches, records, armed)

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"gossipstream/internal/member"
@@ -188,61 +187,4 @@ func FuzzRequestIndex(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestBlockPool pins the block pool's contract: blocks come zeroed, carved
-// from chunks that never move, each with its own capacity; a returned
-// block goes back out to a request of its size or of its class, cleared;
-// a request too large to carve gets a block of its own; grow swaps a full
-// block for one twice its size holding the same elements; and the pool
-// counts what it has lent.
-func TestBlockPool(t *testing.T) {
-	p := &blockPool[uint64]{chunkLen: 64}
-	a, b := p.get(11), p.get(11)
-	if len(a) != 11 || cap(a) != 11 || cap(b) != 11 {
-		t.Fatalf("carved blocks of len %d and caps %d and %d, want 11", len(a), cap(a), cap(b))
-	}
-	for i := range a {
-		a[i] = ^uint64(0)
-	}
-	if slices.ContainsFunc(b, func(w uint64) bool { return w != 0 }) {
-		t.Fatal("two blocks overlap")
-	}
-	chunk := &a[0]
-	p.put(a)
-	if c := p.get(11); &c[0] != chunk || slices.ContainsFunc(c, func(w uint64) bool { return w != 0 }) {
-		t.Fatal("a returned block of 11 did not go back out, cleared, to the next request of 11")
-	} else {
-		p.put(c)
-	}
-	if c := p.get(9); &c[0] != chunk || len(c) != 9 || cap(c) != 11 {
-		t.Fatalf("a request of 9 did not take the free block of 11 from its class: len %d cap %d", len(c), cap(c))
-	} else {
-		p.put(c)
-	}
-	if c := p.get(12); &c[0] == chunk {
-		t.Fatal("a request of 12 took a block of 11")
-	}
-	big := p.get(17) // more than a quarter chunk: a block of its own
-	if cap(big) != 17 {
-		t.Fatalf("a large block has capacity %d", cap(big))
-	}
-	grown := p.grow(b[:11], 0)
-	if len(grown) != 11 || cap(grown) < 22 {
-		t.Fatalf("grow gave len %d cap %d, want 11 and at least 22", len(grown), cap(grown))
-	}
-	if again := p.grow(grown, 0); &again[0] != &grown[0] {
-		t.Fatal("grow swapped a block that had room")
-	}
-	if p.inUse != 3 { // the 12, big and grown; grow took b back
-		t.Fatalf("%d blocks lent, want 3", p.inUse)
-	}
-	var none *blockPool[uint64]
-	if s := none.get(8); len(s) != 8 {
-		t.Fatal("a nil pool did not allocate")
-	}
-	none.put(make([]uint64, 8))
-	if p.get(0) != nil || p.inUse != 3 {
-		t.Fatal("an empty request lent a block")
-	}
 }

@@ -12,6 +12,7 @@ import (
 	"gossipstream/internal/member"
 	"gossipstream/internal/metrics"
 	"gossipstream/internal/pss"
+	"gossipstream/internal/slab"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
@@ -112,7 +113,7 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 		pool:        make([]wire.NodeID, 0, cfg.Nodes),
 	}
 	for i := range d.shards {
-		d.shards[i].tab = core.NewTable()
+		d.shards[i] = newShardNodes()
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		id := wire.NodeID(i)
@@ -230,9 +231,10 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 		if n == nil || n.state.Stopped() {
 			continue
 		}
-		for _, e := range n.state.View() {
-			slot := megasim.Slot(e.ID)
-			if slot < len(indeg) && d.nodes[slot] != nil && d.ids[slot] == e.ID {
+		for i := range n.state.ViewLen() {
+			id := n.state.ViewAt(i).ID
+			slot := megasim.Slot(id)
+			if slot < len(indeg) && d.nodes[slot] != nil && d.ids[slot] == id {
 				indeg[slot]++
 			}
 		}
@@ -263,32 +265,58 @@ type node struct {
 	state *pss.State
 }
 
-// nodeChunk is the number of records per chunk: about 26 KB of nodes, or
-// 6 KB of Cyclon records.
-const nodeChunk = 32
+// The chunk sizes of a shard's node store, as shifts: 32 node records
+// (about 26 KB) or Cyclon records a chunk, and 4,096 view entries (32 KB)
+// or ids (16 KB) of the records' backings.
+const (
+	nodeShift    = 5
+	backingShift = 12
+)
 
 // shardNodes is one engine shard's share of the deployment: the table its
-// peers keep their variable-size state in, and its node records and
-// Cyclon records in chunks that never move, indexed by the node's index on
-// the shard (megasim.Engine.ShardOf).
+// peers keep their variable-size state in, its node records and Cyclon
+// records in chunks that never move, indexed by the node's index on the
+// shard (megasim.Engine.ShardOf), and the pools a fresh Cyclon record's
+// backings are lent from. A record and its backings stay with their index
+// for the run.
 type shardNodes struct {
-	tab    *core.Table
-	nodes  []*[nodeChunk]node
-	states []*[nodeChunk]pss.State
+	tab     *core.Table
+	nodes   slab.Table[node]
+	states  slab.Table[pss.State]
+	entries slab.Pool[wire.ShuffleEntry]
+	viewIDs slab.Pool[wire.NodeID]
+}
+
+// newShardNodes returns an empty share.
+func newShardNodes() shardNodes {
+	return shardNodes{
+		tab:     core.NewTable(),
+		nodes:   slab.NewTable[node](nodeShift),
+		states:  slab.NewTable[pss.State](nodeShift),
+		entries: slab.NewPool[wire.ShuffleEntry](backingShift),
+		viewIDs: slab.NewPool[wire.NodeID](backingShift),
+	}
 }
 
 // at returns the node record at index i.
-func (s *shardNodes) at(i int) *node { return chunkAt(&s.nodes, i) }
+func (s *shardNodes) at(i int) *node {
+	s.nodes.Extend(i + 1)
+	return s.nodes.At(i)
+}
 
-// stateAt returns the Cyclon record at index i.
-func (s *shardNodes) stateAt(i int) *pss.State { return chunkAt(&s.states, i) }
-
-// chunkAt returns element i of the chunks, adding chunks up to it.
-func chunkAt[T any](chunks *[]*[nodeChunk]T, i int) *T {
-	for len(*chunks) <= i/nodeChunk {
-		*chunks = append(*chunks, new([nodeChunk]T))
+// stateAt returns the Cyclon record at index i; a record new to the share
+// gets its backings for cfg from the share's pools.
+func (s *shardNodes) stateAt(i int, cfg pss.Config) *pss.State {
+	if i < s.states.Len() {
+		return s.states.At(i)
 	}
-	return &(*chunks)[i/nodeChunk][i%nodeChunk]
+	s.states.Extend(i + 1)
+	st := s.states.At(i)
+	entries, ids := cfg.Backings()
+	_, e := s.entries.Get(entries)
+	_, v := s.viewIDs.Get(ids)
+	st.Lend(cfg, e, v)
+	return st
 }
 
 // deployment is the mutable state of one run. The per-node slices
@@ -326,6 +354,7 @@ type deployment struct {
 	// stays nil under StreamingMetrics.
 	fold  *streamFold
 	rows  []NodeResult
+	lags  []time.Duration      // the rows' lag backing not yet carved (lagRow)
 	snaps []telemetry.Snapshot // progress snapshots (Config.Telemetry)
 	err   error                // first admission failure, surfaced after Run
 }
@@ -380,12 +409,26 @@ func (d *deployment) closeLifetime(id wire.NodeID, slot int, leftAt time.Duratio
 		JoinedAt:      d.joined[slot],
 		LeftAt:        leftAt,
 		FreeRider:     d.riders[slot],
-		Quality:       metrics.Evaluate(recv, d.cfg.Layout),
+		Quality:       metrics.EvaluateInto(d.lagRow(), recv, d.cfg.Layout),
 		UploadKbps:    float64(stats.TotalSentBytes()) * 8 / d.end.Seconds() / 1000,
 		BaseLatencyMS: float64(d.eng.BaseLatency(id)) / float64(time.Millisecond),
 		Counters:      p.Counters(),
 		Stats:         stats,
 	})
+}
+
+// lagRow carves one retained row's window lags from the run's backing.
+// A backing holds a row for every node added so far and not yet scored:
+// one allocation covers the setup population, and one more each batch of
+// admissions after it runs out.
+func (d *deployment) lagRow() []time.Duration {
+	w := d.cfg.Layout.Windows
+	if len(d.lags) < w {
+		d.lags = make([]time.Duration, max(d.eng.Added()-1-len(d.rows), 1)*w)
+	}
+	row := d.lags[:w:w]
+	d.lags = d.lags[w:]
+	return row
 }
 
 // collect closes the survivors' lifetimes in ascending slot order
@@ -451,7 +494,7 @@ func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider
 	}
 	var sampler member.Sampler
 	if boot != nil {
-		n.state = sh.stateAt(index)
+		n.state = sh.stateAt(index, d.pssCfg)
 		if err := n.state.Reset(id, d.pssCfg, cfg.Seed<<20+0x707373+int64(id), boot); err != nil {
 			return nil, err
 		}

@@ -102,7 +102,7 @@ func TestEngineAllocBudget(t *testing.T) {
 		t.Run(fmt.Sprintf("typed-send-deliver/%d-shards", shards), func(t *testing.T) {
 			eng, envs := buildOn(t, shards, func(i int) Handler { return &ticker{next: NodeID((i + 1) % nodes)} })
 			for i, env := range envs {
-				k := eng.nodes[i].handler.(*ticker)
+				k := eng.nodes.At(i).handler.(*ticker)
 				k.env = env
 				env.SendIDs(k.next, wire.KindRequest, ids[:3])
 				env.SendIDs(k.next, wire.KindPropose, ids)
@@ -139,7 +139,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	t.Run("send-deliver", func(t *testing.T) {
 		eng, envs := build(t, func(i int) Handler { return &relay{next: NodeID((i + 1) % nodes)} })
 		for i, env := range envs {
-			eng.nodes[i].handler.(*relay).env = env
+			eng.nodes.At(i).handler.(*relay).env = env
 			env.Send(NodeID((i+1)%nodes), wire.FeedMe{})
 		}
 		if got := allocsPerEvent(t, eng, 3*time.Second); got > 0.01 {
@@ -150,7 +150,7 @@ func TestEngineAllocBudget(t *testing.T) {
 	t.Run("flat-timer-chain", func(t *testing.T) {
 		eng, envs := build(t, func(int) Handler { return &ticker{} })
 		for i, env := range envs {
-			eng.nodes[i].handler.(*ticker).env = env
+			eng.nodes.At(i).handler.(*ticker).env = env
 			if !env.FlatTimers() {
 				t.Fatal("a TimerHandler's NodeEnv does not offer flat timers")
 			}

@@ -430,8 +430,8 @@ func TestArenaChurnReplayDeterminism(t *testing.T) {
 	if !reflect.DeepEqual(a.TotalStats(), b.TotalStats()) {
 		t.Fatal("TotalStats differ across replays")
 	}
-	for i := range a.nodes {
-		if a.nodes[i].stats != b.nodes[i].stats {
+	for i := range a.nodes.Len() {
+		if a.nodes.At(i).stats != b.nodes.At(i).stats {
 			t.Fatalf("slot %d counters differ across replays", i)
 		}
 		if a.live[i] != b.live[i] {
@@ -651,8 +651,8 @@ func TestOneIDMessageDrops(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, s := range e.shards {
-			if len(s.msgs) != 0 {
-				t.Fatalf("shard %d drew %d slab records for one-id messages", s.id, len(s.msgs))
+			if s.msgs.Len() != 0 {
+				t.Fatalf("shard %d drew %d slab records for one-id messages", s.id, s.msgs.Len())
 			}
 		}
 		return e
@@ -757,7 +757,7 @@ func TestLivenessWordMatchesArena(t *testing.T) {
 					t.Fatalf("seed %d step %d: slot %d liveness word %#x, model %#x (%+v)", seed, step, s, e.live[s], want, m)
 				}
 				id := handle(s)
-				if e.Alive(id) != m.alive || e.lookup("check", id) != &e.nodes[s] || (e.liveNode(id) != nil) != m.alive {
+				if e.Alive(id) != m.alive || e.lookup("check", id) != e.nodes.At(s) || (e.liveNode(id) != nil) != m.alive {
 					t.Fatalf("seed %d step %d: slot %d handle %d: Alive %v, liveNode %v; model %+v", seed, step, s, id, e.Alive(id), e.liveNode(id) != nil, m)
 				}
 				if m.alive {

@@ -58,13 +58,13 @@
 //     and a copy of the id list — a SERVE's as the ids of its packets, a
 //     SHUFFLE's entries as (id, age) word pairs — inline for up to nine ids
 //     (nine in ten REQUESTs of a steady stream) or a SHUFFLE of up to four
-//     entries, otherwise in a range of the shard's spill arena (an
+//     entries, otherwise in a block of the shard's spill pool (an
 //     outbox's bump region on the way across) — or, for a boxed SERVE,
 //     LEAVE, FEED-ME (the last two zero-size, so boxing them allocates
 //     nothing) and foreign types, the boxed wire.Message as sent. Every
 //     send ends in exactly one delivery or drop, after which the record
 //     lets go of its message — a boxed SERVE's pooled backing back to
-//     wire's pool — and it and its range return to their free lists;
+//     wire's pool — and it and its block return to their free lists;
 //   - the closure of a NodeEnv.After timer waits in the After table.
 //
 // The typed route — NodeEnv.SendIDs/SendServe in, TimerHandler's
@@ -86,6 +86,11 @@
 // TestEventRecordIsPointerFree, TestEventRecordSize and
 // TestMessageRecordSize to the records' shapes, and CI fails on any "moved
 // to heap" the compiler reports in the package.
+//
+// What does grow — the message slab and its free stack, the spill pool,
+// the node and environment tables — grows by fixed-size chunks of the one
+// chunked store (internal/slab) that are never moved or copied, so a run
+// allocates each byte of its peak footprint once.
 //
 // # Membership
 //
@@ -153,6 +158,7 @@ import (
 	"gossipstream/internal/member"
 	"gossipstream/internal/shaping"
 	"gossipstream/internal/simnet"
+	"gossipstream/internal/slab"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
@@ -312,10 +318,10 @@ type globalEvent struct {
 type Engine struct {
 	cfg    Config
 	shards []*shard
-	nodes  []nodeState
-	// envs holds the nodes' environments by value, envChunk slots a chunk
-	// (NodeEnv).
-	envs []*[envChunk]NodeEnv
+	// nodes holds every arena slot's node state, envs its environment
+	// (NodeEnv), by value in chunks that never move.
+	nodes slab.Table[nodeState]
+	envs  slab.Table[NodeEnv]
 	// live[slot] is the slot's liveness word (liveAlive above).
 	live      []uint32
 	setup     *rand.Rand
@@ -401,7 +407,13 @@ func New(cfg Config) (*Engine, error) {
 	// from setup so attaching samplers never perturbs topology draws
 	// (base latencies stay identical across membership modes, keeping
 	// full-view and partial-view runs network-comparable).
-	e := &Engine{cfg: cfg, setup: NewRand(cfg.Seed), tickRng: NewRand(cfg.Seed ^ 0x6d656d62)}
+	e := &Engine{
+		cfg:     cfg,
+		nodes:   slab.NewTable[nodeState](nodeShift),
+		envs:    slab.NewTable[NodeEnv](envShift),
+		setup:   NewRand(cfg.Seed),
+		tickRng: NewRand(cfg.Seed ^ 0x6d656d62),
+	}
 	e.sup.wake = make(chan struct{}, 1)
 	e.pairSalt = e.setup.Uint64()
 	e.shards = make([]*shard, cfg.Shards)
@@ -450,7 +462,7 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	e.added++
 	e.alive++
 	if slot, ok := e.takeFree(); ok {
-		nd := &e.nodes[slot]
+		nd := e.nodes.At(slot)
 		// The retired incarnation's counters fold into the departed
 		// accumulator (TotalStats stays complete — including dead drops
 		// that accrued during quarantine, after any experiment-side fold)
@@ -463,11 +475,10 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 		e.recycled++
 		return id
 	}
-	if len(e.nodes) > slotMask {
-		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", len(e.nodes), slotMask+1))
+	if e.nodes.Len() > slotMask {
+		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", e.nodes.Len(), slotMask+1))
 	}
-	e.nodes = append(e.nodes, nodeState{handler: h, flat: flat, uplink: up, base: base})
-	id := NodeID(len(e.nodes) - 1)
+	id := NodeID(e.nodes.Push(nodeState{handler: h, flat: flat, uplink: up, base: base}))
 	e.live = append(e.live, aliveWord(id))
 	return id
 }
@@ -483,7 +494,7 @@ func (e *Engine) PeekNextID() NodeID {
 		slot := e.free[e.freeHead]
 		return makeID(int(slot), uint16(e.live[slot]>>liveGenShift+1))
 	}
-	return NodeID(len(e.nodes))
+	return NodeID(e.nodes.Len())
 }
 
 // drainQuarantine moves slots whose quarantine expired — one full
@@ -610,7 +621,7 @@ func (e *Engine) memberTick(sh *shard, id NodeID) {
 // tracked nodes, i.e. incarnations ever added (Added) minus slot reuses
 // (Recycled). While Release is never called this equals the number of
 // AddNode calls, as before.
-func (e *Engine) N() int { return len(e.nodes) }
+func (e *Engine) N() int { return e.nodes.Len() }
 
 // Added returns the number of node incarnations ever registered.
 func (e *Engine) Added() int { return e.added }
@@ -714,8 +725,8 @@ func (e *Engine) NodeStats(id NodeID) simnet.Stats { return e.lookup("NodeStats"
 func (e *Engine) TotalStats() simnet.Stats {
 	t := e.departed
 	t.DeadDrops += e.StaleDrops()
-	for i := range e.nodes {
-		t.Add(e.nodes[i].stats)
+	for i := range e.nodes.Len() {
+		t.Add(e.nodes.At(i).stats)
 	}
 	return t
 }
@@ -835,18 +846,18 @@ func (e *Engine) AtBarrier(t time.Duration, fn func()) {
 // nothing.)
 func (e *Engine) NodeEnv(id NodeID, rng *rand.Rand) *NodeEnv {
 	slot := Slot(id)
-	for len(e.envs) <= slot/envChunk {
-		//lint:pooled a fixed chunk of envChunk environments, allocated once per envChunk arena slots
-		e.envs = append(e.envs, new([envChunk]NodeEnv))
-	}
-	v := &e.envs[slot/envChunk][slot%envChunk]
+	e.envs.Extend(slot + 1)
+	v := e.envs.At(slot)
 	*v = NodeEnv{eng: e, sh: e.shards[e.shardOf(slot)], id: id, rng: rng}
 	return v
 }
 
-// envChunk is the number of node environments per chunk of the table
-// NodeEnv keeps them in (32 bytes each).
-const envChunk = 256
+// The chunk sizes of the node tables, as shifts: 256 slots a chunk,
+// ≈115 KB of node state and 8 KB of environments.
+const (
+	nodeShift = 8
+	envShift  = 8
+)
 
 // ShardOf returns where the engine runs a node: its shard, and its index
 // among that shard's slots. Placement is round-robin by arena slot, so
@@ -864,9 +875,9 @@ func (e *Engine) shardOf(slot int) int { return slot % len(e.shards) }
 // minBase returns the smallest drawn base latency across all nodes.
 func (e *Engine) minBase() time.Duration {
 	min := infTime
-	for i := range e.nodes {
-		if e.nodes[i].base < min {
-			min = e.nodes[i].base
+	for i := range e.nodes.Len() {
+		if b := e.nodes.At(i).base; b < min {
+			min = b
 		}
 	}
 	return min
@@ -882,7 +893,7 @@ func (e *Engine) Run(until time.Duration) error {
 	if until < 0 {
 		return fmt.Errorf("megasim: Run until %v, want >= 0", until)
 	}
-	if len(e.nodes) > 0 {
+	if e.nodes.Len() > 0 {
 		// Lookahead: no message can arrive sooner than the smallest pair
 		// latency, which the model bounds below by the smallest node base
 		// scaled by the worst-case spread and jitter factors.
@@ -1087,12 +1098,12 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 // holds), but panics under PanicOnStale.
 func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	tslot := uint32(to) & slotMask
-	if int32(to) < 0 || int(tslot) >= len(e.nodes) {
-		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", to, tslot, len(e.nodes)))
+	if int32(to) < 0 || int(tslot) >= e.nodes.Len() {
+		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", to, tslot, e.nodes.Len()))
 	}
 	fslot := uint32(from) & slotMask
-	if int32(from) < 0 || int(fslot) >= len(e.nodes) {
-		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", from, fslot, len(e.nodes)))
+	if int32(from) < 0 || int(fslot) >= e.nodes.Len() {
+		panic(fmt.Sprintf("megasim: send: unknown node %d (slot %d outside the %d-slot arena)", from, fslot, e.nodes.Len()))
 	}
 	fw := e.live[fslot]
 	if !sameGen(fw, from) {
@@ -1108,7 +1119,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	if fw&liveAlive == 0 {
 		return false
 	}
-	src := &e.nodes[fslot]
+	src := e.nodes.At(int(fslot))
 	// The bandwidth limiter throttles application bytes only.
 	size := p.wireSize() - wire.UDPOverheadBytes
 	now := sh.now
@@ -1124,7 +1135,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		src.stats.RandomDrops++
 		return false
 	}
-	at := depart + e.pairLatency(sh, from, to)
+	at := depart + e.pairLatency(sh, from, to, src.base)
 	d := e.shardOf(int(tslot))
 	if d == sh.id {
 		sh.pushDelivery(at, from, to, int32(size), p)
@@ -1189,11 +1200,11 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 		sh.one[0] = stream.PacketID(ev.ref)
 		p, size = payload{kind: wire.Kind(ev.tkind), ids: sh.one[:]}, int32(ev.size)
 	} else {
-		rec := &sh.msgs[ev.ref]
-		p, size = rec.payload(sh.ids.buf), rec.size
+		rec := sh.msgs.At(int(ev.ref))
+		p, size = sh.payload(rec), rec.size
 	}
 	k := p.kind
-	dst := &e.nodes[tslot]
+	dst := e.nodes.At(int(tslot))
 	if fw := e.live[uint32(ev.from)&slotMask]; !sameGen(fw, ev.from) || tw&liveAlive == 0 ||
 		(fw&liveAlive == 0 && k != wire.KindLeave) {
 		// A LEAVE from a dead (but not recycled) source still delivers: a
@@ -1246,19 +1257,20 @@ func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 // pairLatency is the model's pair latency: the mean of the node bases,
 // scaled by the ordered pair's fixed spread factor, plus per-message
 // jitter drawn from the executing shard's stream. The sender a is always
-// current (send gen-checks it), but b may be a stale handle — draining
+// current (send gen-checks it, and passes its base as aBase), but b may
+// be a stale handle — draining
 // traffic to a recycled slot — whose base lives in the slot's prevBase
 // side table; both bases respect the admit clamp, so the delivery time
 // stays inside the lookahead bound either way. PairFactor hashes the
 // full handles, so a stale pair's spread factor is deterministic too.
-func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
+func (e *Engine) pairLatency(sh *shard, a, b NodeID, aBase time.Duration) time.Duration {
 	bslot := uint32(b) & slotMask
-	sb := &e.nodes[bslot]
+	sb := e.nodes.At(int(bslot))
 	bb := sb.base
 	if !sameGen(e.live[bslot], b) {
 		bb = sb.prevBase
 	}
-	base := float64(e.nodes[uint32(a)&slotMask].base+bb) / 2
+	base := float64(aBase+bb) / 2
 	if e.cfg.Net.PairSpread > 0 {
 		base *= simnet.PairFactor(e.pairSalt, a, b, e.cfg.Net.PairSpread)
 	}
@@ -1275,7 +1287,7 @@ func (e *Engine) pairLatency(sh *shard, a, b NodeID) time.Duration {
 // once it has crashed or departed: whether its timers and ticks still run.
 func (e *Engine) liveNode(id NodeID) *nodeState {
 	if s := Slot(id); s < len(e.live) && e.live[s] == aliveWord(id) {
-		return &e.nodes[s]
+		return e.nodes.At(s)
 	}
 	return nil
 }
@@ -1286,13 +1298,13 @@ func (e *Engine) liveNode(id NodeID) *nodeState {
 // departed and its slot was recycled). op names the caller in the panic.
 func (e *Engine) lookup(op string, id NodeID) *nodeState {
 	slot := Slot(id)
-	if int32(id) < 0 || slot >= len(e.nodes) {
-		panic(fmt.Sprintf("megasim: %s: unknown node %d (slot %d outside the %d-slot arena)", op, id, slot, len(e.nodes)))
+	if int32(id) < 0 || slot >= e.nodes.Len() {
+		panic(fmt.Sprintf("megasim: %s: unknown node %d (slot %d outside the %d-slot arena)", op, id, slot, e.nodes.Len()))
 	}
 	if !sameGen(e.live[slot], id) {
 		panic(e.staleMsg(op, id))
 	}
-	return &e.nodes[slot]
+	return e.nodes.At(slot)
 }
 
 // NodeEnv adapts one node to the engine. It satisfies core.Env and, for
@@ -1358,7 +1370,7 @@ func (v *NodeEnv) FlatTimers() bool {
 	if slot >= len(v.eng.live) {
 		return false
 	}
-	return sameGen(v.eng.live[slot], v.id) && v.eng.nodes[slot].flat != nil
+	return sameGen(v.eng.live[slot], v.id) && v.eng.nodes.At(int(slot)).flat != nil
 }
 
 // AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once

@@ -66,8 +66,8 @@ func TestMessageRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(xmsg{}); size > 80 {
 		t.Errorf("xmsg is %d bytes, want at most 80", size)
 	}
-	if top := 8 << (spillClasses - 1); top < wire.MaxIDsPerMessage || top/2 >= wire.MaxIDsPerMessage {
-		t.Errorf("the largest spill class holds %d elements; the class that holds a full PROPOSE (%d ids) should be the last", top, wire.MaxIDsPerMessage)
+	if top := spillLen(wire.MaxIDsPerMessage); top < wire.MaxIDsPerMessage || 4*top > 1<<spillShift {
+		t.Errorf("a full PROPOSE (%d ids) spills into a block of %d, which a spill chunk of %d should carve", wire.MaxIDsPerMessage, top, 1<<spillShift)
 	}
 }
 
@@ -105,22 +105,16 @@ func recordShapes() []payload {
 // record references a message.
 func checkArenaDrained(t *testing.T, s *shard) {
 	t.Helper()
-	if len(s.msgFree) != len(s.msgs) {
-		t.Fatalf("shard %d: %d of %d slab records are free with nothing in flight", s.id, len(s.msgFree), len(s.msgs))
+	if s.msgFree.Len() != s.msgs.Len() {
+		t.Fatalf("shard %d: %d of %d slab records are free with nothing in flight", s.id, s.msgFree.Len(), s.msgs.Len())
 	}
-	for i := range s.msgs {
-		if s.msgs[i].other != nil {
+	for i := range s.msgs.Len() {
+		if s.msgs.At(i).other != nil {
 			t.Fatalf("shard %d: free slab record %d still references a message", s.id, i)
 		}
 	}
-	free := func(f [spillClasses][]uint32) (n int) {
-		for c, offs := range f {
-			n += len(offs) * 8 << c
-		}
-		return n
-	}
-	if got, want := free(s.ids.free), len(s.ids.buf); got != want {
-		t.Fatalf("shard %d: %d of %d arena ids are in free ranges with nothing in flight", s.id, got, want)
+	if lent := s.ids.Lent(); lent != 0 {
+		t.Fatalf("shard %d: %d spill blocks lent with nothing in flight", s.id, lent)
 	}
 }
 
@@ -209,7 +203,7 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 				// destination's slab shows the message.
 				dst.mergeInbound()
 			}
-			records = append(records, len(dst.msgs)-len(dst.msgFree))
+			records = append(records, dst.msgs.Len()-dst.msgFree.Len())
 		})
 	}
 	if err := e.Run(time.Duration(len(shapes)) * 10 * time.Millisecond); err != nil {
@@ -217,8 +211,8 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 	}
 	arrived(len(shapes) - 1)
 	for _, s := range e.shards {
-		if len(s.msgs) > 1 {
-			t.Fatalf("shard %d: %d slab records for one message at a time: records are not reused", s.id, len(s.msgs))
+		if s.msgs.Len() > 1 {
+			t.Fatalf("shard %d: %d slab records for one message at a time: records are not reused", s.id, s.msgs.Len())
 		}
 	}
 	return records
@@ -226,10 +220,10 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 
 // allAtOnce sends every shape from node 0 to node 1, a typedKept, in one
 // go — on one shard, or from shard 0 to shard 1 — so that the lists of
-// every spill class are live together, in the spill arena and, across
+// every spill class are live together, in the spill pool and, across
 // shards, first in the outbox's region. Each shape holds the slab records
 // roundTrip counted for it, all at once; they must arrive in order as
-// sent and leave every slab record and arena range free.
+// sent and leave every slab record and spill block free.
 func allAtOnce(t *testing.T, shards int, shapes []payload, records []int) {
 	t.Helper()
 	e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
@@ -256,7 +250,7 @@ func allAtOnce(t *testing.T, shards int, shapes []payload, records []int) {
 	for _, n := range records {
 		held += n
 	}
-	if got := len(dst.msgs) - len(dst.msgFree); got != held {
+	if got := dst.msgs.Len() - dst.msgFree.Len(); got != held {
 		t.Fatalf("%d slab records in flight with every shape sent, want %d", got, held)
 	}
 	if err := e.Run(time.Second); err != nil {

@@ -20,7 +20,7 @@ func TestNodeEnvTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := e.NodeEnv(0, NewRand(1))
-	n := 2*envChunk + 7
+	n := 2<<envShift + 7
 	next := make([]int, shards)
 	for i := 0; i < n; i++ {
 		id := e.AddNode(sink{}, shaping.Unlimited, 0)
@@ -39,7 +39,7 @@ func TestNodeEnvTable(t *testing.T) {
 	if again := e.NodeEnv(0, NewRand(1)); again != first {
 		t.Fatal("slot 0's environment moved as the table grew")
 	}
-	if got, want := len(e.envs), (n+envChunk-1)/envChunk; got != want {
+	if got, want := e.envs.Chunks(), (n+1<<envShift-1)>>envShift; got != want {
 		t.Fatalf("%d chunks for %d slots, want %d", got, n, want)
 	}
 	if allocs := testing.AllocsPerRun(100, func() { e.NodeEnv(5, nil) }); allocs != 0 {

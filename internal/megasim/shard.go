@@ -2,11 +2,13 @@ package megasim
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"time"
 
+	"gossipstream/internal/slab"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -151,8 +153,8 @@ func (p payload) wireSize() int {
 // advertise no more), and nine ids fill the record's 64 bytes, one cache
 // line. (A message of one id, such as a SERVE of the paper's packets, takes
 // no record at all: it rides in its event.) A longer list spills
-// into a list kept beside the record (spillArena, or an outbox's region),
-// and inl[0] holds its offset there.
+// into a list kept beside the record (a block of the shard's spill pool,
+// or an outbox's region), and inl[0] holds its handle or offset there.
 const inlineIDs = 9
 
 // msgRec is one in-flight message: the single representation a message
@@ -190,20 +192,47 @@ func (r *msgRec) fill(size int32, p payload) (spills bool) {
 // spilled reports whether the record's list lives outside it.
 func (r *msgRec) spilled() bool { return r.n > inlineIDs }
 
-// payload views the record's contents; a spilled list is read from ids,
-// the storage it was spilled into. The list aliases the record or that
-// storage: it is good until the record is released, and a slab or arena
-// that grows meanwhile leaves it reading the old copy, which nothing
-// writes to.
-func (r *msgRec) payload(ids []stream.PacketID) payload {
+// payload views the record's contents; spill is the list of a record
+// that spilled, read by its owner from where it was spilled to. The list
+// aliases the record or that storage: it is good until the record is
+// released.
+func (r *msgRec) payload(spill []stream.PacketID) payload {
 	p := payload{kind: r.kind, reply: r.reply, other: r.other}
-	if off, end := uint32(r.inl[0]), uint32(r.inl[0])+uint32(r.n); r.spilled() {
-		p.ids = ids[off:end:end]
+	if r.spilled() {
+		p.ids = spill
 	} else {
 		p.ids = r.inl[:r.n] // a boxed message carries no list: n is zero
 	}
 	return p
 }
+
+// payload views a slab record of the shard, its spilled list read from the
+// spill pool.
+func (s *shard) payload(r *msgRec) payload {
+	var spill []stream.PacketID
+	if r.spilled() {
+		spill = s.ids.Block(uint32(r.inl[0]), int(r.n))
+	}
+	return r.payload(spill)
+}
+
+// payload views a record of the outbox, its spilled list read from the
+// outbox's region.
+func (ob *outbox) payload(r *msgRec) payload {
+	var spill []stream.PacketID
+	if r.spilled() {
+		off, end := int(r.inl[0]), int(r.inl[0])+int(r.n)
+		spill = ob.ids[off:end:end]
+	}
+	return r.payload(spill)
+}
+
+// spillLen is the size of the block a spilled list of n ids takes: the
+// power of two at or above n, so that the blocks of a shard's spill pool
+// come in six sizes, 16 to 512 ids — the last a full PROPOSE's or
+// REQUEST's (wire.MaxIDsPerMessage ids; a SERVE names fewer packets) — and
+// a freed block fits the next list of its class.
+func spillLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 
 // xmsg is a cross-shard delivery in transit through an outbox: a
 // pointer-free header and the message in a record whose spilled list lives
@@ -308,11 +337,12 @@ type shard struct {
 
 	// msgs is the message slab: every evDeliver pending in q names its
 	// message here by index. msgFree stacks the released records, so a
-	// steady run cycles through the same few without allocating; ids holds
-	// the lists too long to fit in them.
-	msgs    []msgRec
-	msgFree []uint32
-	ids     spillArena
+	// steady run cycles through the same few without allocating; ids lends
+	// blocks to the lists too long to fit in them. All three grow by
+	// chunks, without copying, to the peak of messages in flight.
+	msgs    slab.Table[msgRec]
+	msgFree slab.Table[uint32]
+	ids     slab.Pool[stream.PacketID]
 
 	// one is the list an evDeliverID's id is handed over in, valid for
 	// the delivery's call only.
@@ -338,14 +368,27 @@ type shard struct {
 	park waiter
 }
 
+// The chunk sizes of a shard's message store, as shifts: 128 KB of
+// records, so that a 2,000-node run's peak of ≈29k messages in flight
+// takes fifteen chunks and a 230-node one a chunk or two; 16 KB of free
+// slots; and 64 KB of spilled ids.
+const (
+	msgShift     = 11
+	msgFreeShift = 12
+	spillShift   = 14
+)
+
 func newShard(e *Engine, id int, rng *rand.Rand) *shard {
 	return &shard{
-		id:     id,
-		eng:    e,
-		rng:    rng,
-		q:      newRadixQueue(),
-		outbox: make([]outbox, e.cfg.Shards),
-		park:   waiter{wake: make(chan struct{}, 1)},
+		id:      id,
+		eng:     e,
+		rng:     rng,
+		q:       newRadixQueue(),
+		msgs:    slab.NewTable[msgRec](msgShift),
+		msgFree: slab.NewTable[uint32](msgFreeShift),
+		ids:     slab.NewPool[stream.PacketID](spillShift),
+		outbox:  make([]outbox, e.cfg.Shards),
+		park:    waiter{wake: make(chan struct{}, 1)},
 	}
 }
 
@@ -446,7 +489,7 @@ func (s *shard) mergeInbound() {
 		s.outboxIn += uint64(len(ob.msgs))
 		for i := range ob.msgs {
 			m := &ob.msgs[i]
-			s.pushDelivery(m.at, m.from, m.to, m.rec.size, m.rec.payload(ob.ids))
+			s.pushDelivery(m.at, m.from, m.to, m.rec.size, ob.payload(&m.rec))
 			m.rec.other = nil // the slab record holds the message now
 		}
 		ob.msgs, ob.ids = ob.msgs[:0], ob.ids[:0]
@@ -509,36 +552,33 @@ func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p pa
 		return
 	}
 	var i uint32
-	if n := len(s.msgFree); n > 0 {
-		i = s.msgFree[n-1]
-		s.msgFree = s.msgFree[:n-1]
+	if s.msgFree.Len() > 0 {
+		i = s.msgFree.Pop()
 	} else {
-		i = uint32(len(s.msgs))
-		//lint:pooled the slab grows to the peak of messages in flight, then recycles through msgFree
-		s.msgs = append(s.msgs, msgRec{})
+		i = uint32(s.msgs.Push(msgRec{}))
 	}
-	r := &s.msgs[i]
+	r := s.msgs.At(int(i))
 	if r.fill(size, p) {
-		r.inl[0] = stream.PacketID(s.ids.put(p.ids))
+		h, b := s.ids.Get(spillLen(len(p.ids)))
+		copy(b, p.ids)
+		r.inl[0] = stream.PacketID(h)
 	}
 	s.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
 }
 
 // releaseMsg returns slab record i, delivered or dropped, and its spilled
 // list to their free lists, and a boxed SERVE's backing to wire's pool; a
-// free record references no message. The handler may have sent and grown
-// the slab, so the record is found again by index.
+// free record references no message.
 func (s *shard) releaseMsg(i uint32) {
-	r := &s.msgs[i]
+	r := s.msgs.At(int(i))
 	if r.spilled() {
-		s.ids.release(uint32(r.inl[0]), r.n)
+		s.ids.Put(uint32(r.inl[0]), spillLen(int(r.n)))
 	}
 	if serve, ok := r.other.(wire.Serve); ok {
 		wire.RecycleServe(serve)
 	}
 	r.other = nil
-	//lint:pooled the free list is bounded by the slab it indexes
-	s.msgFree = append(s.msgFree, i)
+	s.msgFree.Push(i)
 }
 
 // pushMemberTick schedules the node's next membership tick.

@@ -37,7 +37,14 @@ type Quality struct {
 
 // Evaluate derives a node's Quality from its receiver state.
 func Evaluate(recv *stream.Receiver, layout stream.Layout) Quality {
-	lags := make([]time.Duration, layout.Windows)
+	return EvaluateInto(make([]time.Duration, layout.Windows), recv, layout)
+}
+
+// EvaluateInto is Evaluate keeping the lags in dst, of at least
+// layout.Windows elements, which the Quality holds from then on: a caller
+// scoring many nodes carves their rows from one backing.
+func EvaluateInto(dst []time.Duration, recv *stream.Receiver, layout stream.Layout) Quality {
+	lags := dst[:layout.Windows:layout.Windows]
 	for w := 0; w < layout.Windows; w++ {
 		if lag, ok := recv.Lag(w); ok {
 			lags[w] = lag

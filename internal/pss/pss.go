@@ -162,17 +162,12 @@ func (s *State) Reset(self wire.NodeID, cfg Config, seed int64, bootstrap []wire
 	if err := cfg.Validate(); err != nil {
 		return err
 	}
+	if cap(s.view) < cfg.ViewSize || cap(s.out.Entries) < cfg.ShuffleLen ||
+		cap(s.pending) < cfg.ShuffleLen || cap(s.sent) < cfg.ShuffleLen {
+		entries, ids := cfg.Backings()
+		s.Lend(cfg, make([]wire.ShuffleEntry, entries), make([]wire.NodeID, ids))
+	}
 	view, out, pending, sent := s.view[:0], s.out.Entries[:0], s.pending[:0], s.sent[:0]
-	if cap(view) < cfg.ViewSize || cap(out) < cfg.ShuffleLen {
-		// The view and the emission scratch share one backing, the two id
-		// lists another: what a record ever holds, in two allocations.
-		entries := make([]wire.ShuffleEntry, cfg.ViewSize+cfg.ShuffleLen)
-		view, out = entries[:0:cfg.ViewSize], entries[cfg.ViewSize:cfg.ViewSize]
-	}
-	if cap(pending) < cfg.ShuffleLen || cap(sent) < cfg.ShuffleLen {
-		ids := make([]wire.NodeID, 2*cfg.ShuffleLen)
-		pending, sent = ids[:0:cfg.ShuffleLen], ids[cfg.ShuffleLen:cfg.ShuffleLen]
-	}
 	*s = State{
 		self:       self,
 		viewSize:   cfg.ViewSize,
@@ -192,6 +187,23 @@ func (s *State) Reset(self wire.NodeID, cfg Config, seed int64, bootstrap []wire
 	return nil
 }
 
+// Backings returns the lengths of the two backings a record under c
+// holds: its view and emission scratch share one of entries, its two id
+// lists one of ids. That is all a record ever holds but its tombstones.
+func (c Config) Backings() (entries, ids int) {
+	return c.ViewSize + c.ShuffleLen, 2 * c.ShuffleLen
+}
+
+// Lend hands the record the backings Reset would otherwise allocate for
+// cfg, of the lengths cfg.Backings names; the record keeps them from then
+// on. An owner that holds its records by value lends them from a pool of
+// its own, so that a fresh record costs no allocation of its own; it calls
+// Lend before the record's first Reset.
+func (s *State) Lend(cfg Config, entries []wire.ShuffleEntry, ids []wire.NodeID) {
+	s.view, s.out.Entries = entries[:0:cfg.ViewSize], entries[cfg.ViewSize:cfg.ViewSize]
+	s.pending, s.sent = ids[:0:cfg.ShuffleLen], ids[cfg.ShuffleLen:cfg.ShuffleLen]
+}
+
 // Self returns the record's node id.
 func (s *State) Self() wire.NodeID { return s.self }
 
@@ -202,6 +214,12 @@ func (s *State) Stop() { s.stopped = true }
 
 // Stopped reports whether the record has been stopped.
 func (s *State) Stopped() bool { return s.stopped }
+
+// ViewLen returns the number of descriptors in the view.
+func (s *State) ViewLen() int { return len(s.view) }
+
+// ViewAt returns the view's i-th descriptor, without copying the view.
+func (s *State) ViewAt(i int) wire.ShuffleEntry { return s.view[i] }
 
 // View returns a copy of the current view.
 func (s *State) View() []wire.ShuffleEntry {

@@ -109,3 +109,42 @@ func TestResetActsFresh(t *testing.T) {
 		t.Fatal("Reset accepted an invalid configuration")
 	}
 }
+
+// TestLentRecordActsFresh holds Lend to its promise: a zero record lent
+// backings of the lengths Config.Backings names, over contents left by an
+// earlier tenant, is reset without allocating and then says exactly what
+// a new record says; and it keeps the lent backings.
+func TestLentRecordActsFresh(t *testing.T) {
+	cfg := Config{ViewSize: 12, ShuffleLen: 5, Period: 1}
+	boot := []wire.NodeID{2, 5, 7, 11, 13, 3}
+	fresh, err := NewState(3, cfg, 77, boot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := playScript(fresh, 5, 400)
+
+	n, m := cfg.Backings()
+	entries, ids := make([]wire.ShuffleEntry, n), make([]wire.NodeID, m)
+	for i := range entries {
+		entries[i] = wire.ShuffleEntry{ID: 99, Age: 9}
+	}
+	for i := range ids {
+		ids[i] = 99
+	}
+	var lent State
+	if allocs := testing.AllocsPerRun(1, func() {
+		lent = State{}
+		lent.Lend(cfg, entries, ids)
+		if err := lent.Reset(3, cfg, 77, boot); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("resetting a record lent its backings allocates %.1f times, want 0", allocs)
+	}
+	if got := playScript(&lent, 5, 400); !slices.Equal(got, want) {
+		t.Fatal("a record lent used backings does not act as a new one")
+	}
+	if &lent.view[:1][0] != &entries[0] || &lent.pending[:1][0] != &ids[0] {
+		t.Fatal("the record let go of the backings it was lent")
+	}
+}

@@ -74,7 +74,7 @@ type Config struct {
 // runtime and the command mains may touch the wall clock.
 func Default() *Config {
 	return &Config{
-		Deterministic: []string{"megasim", "core", "pss", "experiment", "churn", "stream", "wire", "telemetry"},
+		Deterministic: []string{"megasim", "core", "pss", "experiment", "churn", "stream", "wire", "telemetry", "slab"},
 		Kernel:        []string{"gf256", "fec"},
 		// teleclock is telemetry's wall-clock edge: it mints the injected
 		// clock and progress printers, and must outrank its parent
@@ -107,6 +107,13 @@ func Default() *Config {
 				// — most of a run's events — and they copy into the message
 				// slab or an outbox record.
 				"(*NodeEnv).SendIDs", "(*NodeEnv).SendServe",
+			},
+			// The chunked store behind the message slab, the spill pool and
+			// the request and batch slabs: the engine and the handlers reach
+			// it per event, and only a chunk may be allocated there.
+			"slab": {
+				"(*Table).At", "(*Table).Push", "(*Table).Pop", "(*Table).Extend",
+				"(*Pool).Get", "(*Pool).Put", "(*Pool).Grow", "(*Pool).Block",
 			},
 			// The SERVE batch split runs once per request served, and every
 			// SERVE is recycled once — millions of times per simulated minute
