@@ -7,11 +7,12 @@
 //
 // Beyond the paper, Process models sustained churn: independent Poisson
 // streams of node arrivals and departures, expanded by Timeline into a
-// deterministic, seeded schedule of join/leave events. The catastrophic
-// bursts above fold into the same timeline as a degenerate case, so one
-// executor drives both shapes. Joins require an executor that can admit
-// nodes at runtime (the sharded engine's barrier admission) and a
-// membership substrate that can learn them (partial views, internal/pss).
+// deterministic, seeded schedule of join/leave events. A burst is one
+// more kind of TimelineEvent (OpBurst), so an executor can run the
+// catastrophic scenario and a process from one list. Joins require an
+// executor that can admit nodes at runtime (the engine's barrier
+// admission) and a membership substrate that can learn them (partial
+// views, internal/pss).
 package churn
 
 import (
@@ -59,7 +60,9 @@ const (
 	// crash: no goodbye message, descriptors elsewhere age out.
 	OpLeave
 	// OpBurst crashes Fraction of the live nodes at one instant — the
-	// paper's catastrophic scenario as a degenerate case of the process.
+	// paper's catastrophic scenario (an Event). Timeline never emits it:
+	// an executor that runs both shapes lists its bursts as OpBurst
+	// events beside the process's timeline.
 	OpBurst
 	// OpGracefulLeave removes one live node gracefully: before it stops,
 	// the node gossips a LEAVE so partners shed its descriptor immediately
@@ -123,8 +126,8 @@ func (f FlashCrowd) Validate() error {
 
 // Process describes sustained churn: two independent Poisson streams — node
 // arrivals at JoinPerSec and departures at LeavePerSec — plus optional
-// catastrophic bursts and flash-crowd join steps folded into the same
-// schedule. The zero value is a valid no-churn process.
+// flash-crowd join steps folded into the same schedule. The zero value is
+// a valid no-churn process.
 type Process struct {
 	// JoinPerSec is the expected number of node arrivals per simulated
 	// second (0 disables joins). Arrivals are a Poisson process: Timeline
@@ -139,15 +142,12 @@ type Process struct {
 	// twin of a crash run schedules departures at identical instants — the
 	// comparison isolates detection lag from unavoidable loss.
 	GracefulLeaves bool
-	// Bursts lists catastrophic events to merge into the timeline — the
-	// paper's burst schedule as a degenerate case of the process.
-	Bursts []Event
 	// Flash lists flash-crowd join steps to merge into the timeline.
 	Flash []FlashCrowd
 }
 
 // SustainedPoisson returns a process with the given Poisson join and leave
-// rates (events per simulated second) and no bursts.
+// rates (events per simulated second) and no flash crowds.
 func SustainedPoisson(joinPerSec, leavePerSec float64) Process {
 	return Process{JoinPerSec: joinPerSec, LeavePerSec: leavePerSec}
 }
@@ -166,11 +166,6 @@ func (p Process) Validate() error {
 	if bad := p.LeavePerSec; bad < 0 || math.IsNaN(bad) || bad > MaxRate {
 		return fmt.Errorf("churn: LeavePerSec = %v, want in [0, %g]", bad, float64(MaxRate))
 	}
-	for _, e := range p.Bursts {
-		if err := e.Validate(); err != nil {
-			return err
-		}
-	}
 	for _, f := range p.Flash {
 		if err := f.Validate(); err != nil {
 			return err
@@ -181,7 +176,7 @@ func (p Process) Validate() error {
 
 // IsZero reports whether the process describes no churn at all.
 func (p Process) IsZero() bool {
-	return p.JoinPerSec == 0 && p.LeavePerSec == 0 && len(p.Bursts) == 0 && len(p.Flash) == 0
+	return p.JoinPerSec == 0 && p.LeavePerSec == 0 && len(p.Flash) == 0
 }
 
 // HasJoins reports whether the process admits nodes at runtime — such a
@@ -202,9 +197,10 @@ func (p Process) HasJoins() bool {
 // Timeline expands the process into a deterministic event schedule over
 // [0, horizon): exponential inter-arrival times for the join and leave
 // streams are drawn from private splitmix64 streams over seed, merged with
-// the bursts in time order. The result is a pure function of (p, seed,
-// horizon) — the replay-determinism of sustained-churn experiments rests on
-// it. Events at equal instants order joins first, then leaves, then bursts.
+// the flash crowds' joins in time order. The result is a pure function of
+// (p, seed, horizon) — the replay-determinism of sustained-churn
+// experiments rests on it. Events at equal instants order joins first,
+// then leaves.
 func (p Process) Timeline(seed int64, horizon time.Duration) []TimelineEvent {
 	var out []TimelineEvent
 	appendPoisson := func(rate float64, op Op, salt int64) {
@@ -245,12 +241,7 @@ func (p Process) Timeline(seed int64, horizon time.Duration) []TimelineEvent {
 		}
 	}
 	appendPoisson(p.LeavePerSec, leaveOp, 0x6c656176) // "leav"
-	for _, e := range p.Bursts {
-		if e.At < horizon {
-			out = append(out, TimelineEvent{At: e.At, Op: OpBurst, Fraction: e.Fraction})
-		}
-	}
-	// Stable by time: the append order above (joins, leaves, bursts) is the
+	// Stable by time: the append order above (joins, then leaves) is the
 	// deterministic tie-break.
 	sort.SliceStable(out, func(i, j int) bool { return out[i].At < out[j].At })
 	return out

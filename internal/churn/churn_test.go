@@ -134,13 +134,11 @@ func TestProcessValidate(t *testing.T) {
 	}{
 		{"zero", Process{}, true},
 		{"rates", SustainedPoisson(2, 3), true},
-		{"with bursts", Process{Bursts: Catastrophic(time.Second, 0.5)}, true},
 		{"negative join", Process{JoinPerSec: -1}, false},
 		{"nan leave", Process{LeavePerSec: math.NaN()}, false},
 		{"inf join", Process{JoinPerSec: math.Inf(1)}, false},
 		{"rate at cap", SustainedPoisson(MaxRate, 0), true},
 		{"rate over cap", SustainedPoisson(0, 2*MaxRate), false},
-		{"bad burst", Process{Bursts: []Event{{At: -time.Second}}}, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -167,17 +165,17 @@ func TestTimelineDeterministic(t *testing.T) {
 	if reflect.DeepEqual(a, c) {
 		t.Fatal("different seeds produced identical timelines")
 	}
+	if got := (Process{}).Timeline(1, time.Minute); len(got) != 0 {
+		t.Fatalf("zero process produced %d events", len(got))
+	}
 }
 
 // TestTimelineOrderedAndBounded: events come sorted by time, inside the
 // horizon, and carry the right ops.
 func TestTimelineOrderedAndBounded(t *testing.T) {
-	p := Process{JoinPerSec: 4, LeavePerSec: 2, Bursts: []Event{
-		{At: 10 * time.Second, Fraction: 0.3},
-		{At: 90 * time.Second, Fraction: 0.1}, // beyond horizon: dropped
-	}}
+	p := Process{JoinPerSec: 4, LeavePerSec: 2}
 	tl := p.Timeline(7, time.Minute)
-	joins, leaves, bursts := 0, 0, 0
+	joins, leaves := 0, 0
 	for i, ev := range tl {
 		if ev.At < 0 || ev.At >= time.Minute {
 			t.Fatalf("event %d at %v outside [0, 1m)", i, ev.At)
@@ -190,17 +188,9 @@ func TestTimelineOrderedAndBounded(t *testing.T) {
 			joins++
 		case OpLeave:
 			leaves++
-		case OpBurst:
-			bursts++
-			if ev.Fraction != 0.3 {
-				t.Fatalf("burst fraction %v, want 0.3", ev.Fraction)
-			}
 		default:
-			t.Fatalf("event %d has unknown op %v", i, ev.Op)
+			t.Fatalf("event %d has op %v, want join or leave", i, ev.Op)
 		}
-	}
-	if bursts != 1 {
-		t.Fatalf("got %d bursts inside the horizon, want 1", bursts)
 	}
 	if joins == 0 || leaves == 0 {
 		t.Fatalf("got %d joins, %d leaves, want both > 0", joins, leaves)
@@ -227,28 +217,6 @@ func TestTimelinePoissonRates(t *testing.T) {
 	}
 	if leaves < 900 || leaves > 1100 {
 		t.Fatalf("leaves = %d over 1000 s at 1/s, want ≈1000", leaves)
-	}
-}
-
-// TestTimelineDegenerateBurst: a process with only bursts reproduces the
-// classic schedule exactly.
-func TestTimelineDegenerateBurst(t *testing.T) {
-	bursts := []Event{
-		{At: 10 * time.Second, Fraction: 0.1},
-		{At: 15 * time.Second, Fraction: 0.2},
-		{At: 20 * time.Second, Fraction: 0.3},
-	}
-	tl := Process{Bursts: bursts}.Timeline(1, time.Minute)
-	if len(tl) != len(bursts) {
-		t.Fatalf("got %d events, want %d", len(tl), len(bursts))
-	}
-	for i, ev := range tl {
-		if want := (TimelineEvent{At: bursts[i].At, Op: OpBurst, Fraction: bursts[i].Fraction}); ev != want {
-			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
-		}
-	}
-	if got := (Process{}).Timeline(1, time.Minute); len(got) != 0 {
-		t.Fatalf("zero process produced %d events", len(got))
 	}
 }
 

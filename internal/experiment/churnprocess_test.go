@@ -1,8 +1,10 @@
 package experiment
 
 import (
+	"cmp"
 	"math"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -148,6 +150,59 @@ func TestSustainedChurnReplayDeterministic(t *testing.T) {
 	}
 	if qualityHash(t, a) != qualityHash(t, b) {
 		t.Fatal("sustained churn: quality metrics not byte-identical")
+	}
+}
+
+// TestChurnTimelineBurstsFirst: a run's one churn schedule lists the
+// Config.Churn bursts ahead of the process's timeline, which it carries
+// unchanged, so a burst runs before a process event at the same instant
+// (AtBarrier keeps registration order among ties). That order is what
+// keeps runs that mix the two shapes replaying as before.
+func TestChurnTimelineBurstsFirst(t *testing.T) {
+	cfg := sustainedCfg(3, 1, 1)
+	at := cfg.Layout.Duration() / 2
+	cfg.Churn = churn.Catastrophic(at, 0.2)
+	cfg.ChurnProcess.Flash = []churn.FlashCrowd{{At: at, Joiners: 1}}
+
+	tl := cfg.churnTimeline()
+	if want := (churn.TimelineEvent{At: at, Op: churn.OpBurst, Fraction: 0.2}); len(tl) == 0 || tl[0] != want {
+		t.Fatalf("schedule starts %+v, want the burst %+v", tl[:min(len(tl), 1)], want)
+	}
+	if want := cfg.ChurnProcess.Timeline(cfg.Seed, cfg.Layout.Duration()); !reflect.DeepEqual(tl[1:], want) {
+		t.Fatalf("process part of the schedule differs from its Timeline: %d events, want %d", len(tl)-1, len(want))
+	}
+	byTime := slices.Clone(tl)
+	slices.SortStableFunc(byTime, func(a, b churn.TimelineEvent) int { return cmp.Compare(a.At, b.At) })
+	i := slices.IndexFunc(byTime, func(ev churn.TimelineEvent) bool { return ev.At == at })
+	if i < 0 || byTime[i].Op != churn.OpBurst || i+1 == len(byTime) || byTime[i+1] != (churn.TimelineEvent{At: at, Op: churn.OpJoin}) {
+		t.Fatalf("events at %v in time order: %+v, want the burst, then the flash join", at, byTime[max(i, 0):min(max(i, 0)+2, len(byTime))])
+	}
+	if again := cfg.churnTimeline(); !reflect.DeepEqual(tl, again) {
+		t.Fatal("two calls built different schedules")
+	}
+}
+
+// TestChurnTimelineDegenerateBurst: a run with bursts and no process
+// schedules exactly the classic bursts, in order, and nothing else.
+func TestChurnTimelineDegenerateBurst(t *testing.T) {
+	cfg := smallCfg(1)
+	cfg.Churn = []churn.Event{
+		{At: 10 * time.Second, Fraction: 0.1},
+		{At: 15 * time.Second, Fraction: 0.2},
+		{At: 20 * time.Second, Fraction: 0.3},
+	}
+	tl := cfg.churnTimeline()
+	if len(tl) != len(cfg.Churn) {
+		t.Fatalf("got %d events, want %d", len(tl), len(cfg.Churn))
+	}
+	for i, ev := range tl {
+		if want := (churn.TimelineEvent{At: cfg.Churn[i].At, Op: churn.OpBurst, Fraction: cfg.Churn[i].Fraction}); ev != want {
+			t.Fatalf("event %d = %+v, want %+v", i, ev, want)
+		}
+	}
+	cfg.Churn = nil
+	if got := cfg.churnTimeline(); len(got) != 0 {
+		t.Fatalf("no churn produced %d events", len(got))
 	}
 }
 

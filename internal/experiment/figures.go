@@ -281,9 +281,9 @@ func churnSweep(opts Options, churns []float64, refreshes []int) ([]float64, []i
 	}
 	results, err := sweep(opts, len(refreshes)*len(churns), func(i int, cfg *Config) {
 		cfg.Protocol.RefreshEvery = refreshes[i/len(churns)]
-		// The sweep owns the burst axis: clear any base bursts so the
-		// frac = 0 row is genuinely burst-free. A base ChurnProcess — the
-		// sustained-churn mode — stays in force across the grid.
+		// The sweep owns the burst axis: Config.Churn is a run's only
+		// source of bursts, so clearing it makes the frac = 0 row
+		// burst-free. A base ChurnProcess stays in force across the grid.
 		cfg.Churn = nil
 		if frac := churns[i%len(churns)]; frac > 0 {
 			cfg.Churn = churn.Catastrophic(cfg.Layout.Duration()/2, frac)

@@ -35,6 +35,11 @@ func TestConfigValidate(t *testing.T) {
 		{"no queue uncapped ok", func(c *Config) { c.QueueBytes = 0; c.UploadCapBps = shaping.Unlimited }, true},
 		{"negative drain", func(c *Config) { c.Drain = -time.Second }, false},
 		{"bad churn", func(c *Config) { c.Churn = []churn.Event{{At: 0, Fraction: 2}} }, false},
+		{"burst before start", func(c *Config) { c.Churn = []churn.Event{{At: -time.Second}} }, false},
+		{"bursts with process", func(c *Config) {
+			proc := churn.SustainedPoisson(0, 2)
+			c.Churn, c.ChurnProcess = churn.Catastrophic(time.Second, 0.5), &proc
+		}, true},
 		{"reserved queue", func(c *Config) { c.Queue = 1 }, false},
 	}
 	for _, tt := range tests {

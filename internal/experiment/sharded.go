@@ -51,10 +51,12 @@ type nodeSeam struct {
 //     and a node admitted into a departed node's slot rebuilds that
 //     slot's state in place.
 //
-// Churn runs at engine barriers. A sustained process (cfg.ChurnProcess) is
-// a deterministic Poisson timeline expanded before the run: joins admit a
-// node at runtime with a Cyclon view bootstrapped from live descriptors,
-// leaves crash one random live node, bursts reuse the catastrophic path.
+// Churn runs at engine barriers, from one schedule built before the run
+// (Config.churnTimeline): the catastrophic bursts of cfg.Churn, then the
+// deterministic Poisson timeline of a sustained process (cfg.ChurnProcess).
+// Bursts crash a fraction of the live nodes, joins admit a node at runtime
+// with a Cyclon view bootstrapped from live descriptors, leaves crash one
+// random live node.
 // Lifetimes are recorded so results can score quality over the windows each
 // node was actually present for (Result.LifetimeQualities).
 func runBehind(cfg Config, seam *nodeSeam) (*Result, error) {
@@ -104,9 +106,6 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 		fold:   newStreamFold(cfg, end),
 		shards: make([]shardNodes, cfg.Shards),
 		nodes:  make([]*node, cfg.Nodes),
-		ids:    make([]wire.NodeID, cfg.Nodes),
-		joined: make([]time.Duration, cfg.Nodes),
-		riders: make([]bool, cfg.Nodes),
 		// Setup node i has service-class ordinal i-1; runtime admissions
 		// continue the count from there.
 		nextOrdinal: cfg.Nodes - 1,
@@ -122,13 +121,11 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 			boot = bootstrapIDs(d.pool, id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
 		}
 		rider := i > 0 && freeRider(cfg.FreeRiders, i-1)
-		n, err := d.buildNode(id, boot, i == 0, rider)
+		n, err := d.buildNode(id, 0, boot, i == 0, rider)
 		if err != nil {
 			return nil, err
 		}
 		d.nodes[i] = n
-		d.ids[i] = id
-		d.riders[i] = rider
 	}
 
 	for _, n := range d.nodes {
@@ -137,41 +134,48 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 	return d, nil
 }
 
+// churnTimeline is the run's one churn schedule, in registration order:
+// the catastrophic bursts of Churn as OpBurst events, then the sustained
+// process's timeline over the stream's duration — churn while the content
+// flows is what exercises runtime bootstrap; the drain then measures how
+// the survivors settle. Registering bursts first keeps a burst ahead of a
+// process event at the same instant (AtBarrier runs ties in registration
+// order).
+func (c Config) churnTimeline() []churn.TimelineEvent {
+	out := make([]churn.TimelineEvent, 0, len(c.Churn))
+	for _, ev := range c.Churn {
+		out = append(out, churn.TimelineEvent{At: ev.At, Op: churn.OpBurst, Fraction: ev.Fraction})
+	}
+	if p := c.ChurnProcess; p != nil && !p.IsZero() {
+		out = append(out, p.Timeline(c.Seed, c.Layout.Duration())...)
+	}
+	return out
+}
+
 // schedule registers the run's churn and telemetry at engine barriers.
 func (d *deployment) schedule() error {
 	cfg, eng := d.cfg, d.eng
-	// Churn bursts run at engine barriers: every shard is quiescent, so a
-	// burst may crash nodes and stop their peers across all shards.
-	churnRng := xrand.New(cfg.Seed + 7919)
-	for _, ev := range cfg.Churn {
-		ev := ev
-		eng.AtBarrier(ev.At, func() { d.burst(ev, churnRng) })
-	}
-
-	// The sustained churn process: its deterministic timeline is expanded
-	// up front (AtBarrier is setup-only), then each event runs at its own
-	// engine barrier. The process covers the stream's duration — churn
-	// while the content flows is what exercises runtime bootstrap; the
-	// drain then measures how the survivors settle.
-	if p := cfg.ChurnProcess; p != nil && !p.IsZero() {
-		procRng := xrand.New(cfg.Seed + 8161)
-		for _, tev := range p.Timeline(cfg.Seed, cfg.Layout.Duration()) {
-			tev := tev
-			switch tev.Op {
-			case churn.OpJoin:
-				eng.AtBarrier(tev.At, func() { d.admit(tev.At, procRng) })
-			case churn.OpLeave:
-				eng.AtBarrier(tev.At, func() { d.leave(tev.At, procRng) })
-			case churn.OpGracefulLeave:
-				eng.AtBarrier(tev.At, func() { d.gracefulLeave(tev.At, procRng) })
-			case churn.OpBurst:
-				eng.AtBarrier(tev.At, func() {
-					d.burst(churn.Event{At: tev.At, Fraction: tev.Fraction}, procRng)
-				})
-			default:
-				return fmt.Errorf("experiment: unknown churn op %v", tev.Op)
-			}
+	// Churn runs at engine barriers: every shard is quiescent, so an event
+	// may admit nodes and crash them across all shards. The schedule is
+	// expanded up front (AtBarrier is setup-only), and bursts and process
+	// events keep their own victim streams.
+	burstRng := xrand.New(cfg.Seed + 7919)
+	procRng := xrand.New(cfg.Seed + 8161)
+	for _, tev := range cfg.churnTimeline() {
+		var fn func()
+		switch tev.Op {
+		case churn.OpBurst:
+			fn = func() { d.burst(tev.At, tev.Fraction, burstRng) }
+		case churn.OpJoin:
+			fn = func() { d.admit(tev.At, procRng) }
+		case churn.OpLeave:
+			fn = func() { d.leave(tev.At, procRng) }
+		case churn.OpGracefulLeave:
+			fn = func() { d.gracefulLeave(tev.At, procRng) }
+		default:
+			return fmt.Errorf("experiment: unknown churn op %v", tev.Op)
 		}
+		eng.AtBarrier(tev.At, fn)
 	}
 
 	// Introspection hooks: wall-clock sampling and progress snapshots run
@@ -234,7 +238,7 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 		for i := range n.state.ViewLen() {
 			id := n.state.ViewAt(i).ID
 			slot := megasim.Slot(id)
-			if slot < len(indeg) && d.nodes[slot] != nil && d.ids[slot] == id {
+			if slot < len(indeg) && d.nodes[slot] != nil && d.nodes[slot].id == id {
 				indeg[slot]++
 			}
 		}
@@ -250,16 +254,20 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 }
 
 // node is one node's state, held by value in its shard's chunks: its
-// peer, its protocol random stream (an xrand source behind a rand.Rand,
-// megasim.NewRand's stream) and its sampler — the static view under
-// MembershipFull, the Cyclon record under MembershipCyclon. The record
-// belongs to an arena slot: a node admitted into a departed node's slot
-// rebuilds it in place (buildNode).
+// handle, admission time and service class, its peer, its protocol random
+// stream (an xrand source behind a rand.Rand, megasim.NewRand's stream)
+// and its sampler — the static view under MembershipFull, the Cyclon
+// record under MembershipCyclon. The record belongs to an arena slot: a
+// node admitted into a departed node's slot rebuilds it in place
+// (buildNode).
 type node struct {
-	peer core.Peer
-	src  xrand.SplitMix64
-	rng  rand.Rand
-	view member.SparseView
+	id     wire.NodeID   // full handle of the slot's occupant
+	joined time.Duration // admission barrier time; 0 for setup nodes
+	rider  bool          // leeching service class (Config.FreeRiders)
+	peer   core.Peer
+	src    xrand.SplitMix64
+	rng    rand.Rand
+	view   member.SparseView
 	// state is the node's Cyclon record, held by value in its shard's
 	// state chunks, which a full-view run does not have; nil there.
 	state *pss.State
@@ -319,12 +327,11 @@ func (s *shardNodes) stateAt(i int, cfg pss.Config) *pss.State {
 	return st
 }
 
-// deployment is the mutable state of one run. The per-node slices
-// are indexed by arena slot and mirror the engine's slot recycling: a
-// departed node's entry in nodes is nilled at its crash barrier and a
-// runtime admission (which may reuse the slot under a new handle)
-// overwrites them, so deployment memory is O(live nodes) alongside the
-// engine's.
+// deployment is the mutable state of one run. Its one slot-indexed
+// slice, nodes, mirrors the engine's slot recycling: a departed node's
+// entry is nilled at its crash barrier and a runtime admission (which may
+// reuse the slot under a new handle) sets it again, so deployment memory
+// is O(live nodes) alongside the engine's.
 type deployment struct {
 	cfg  Config
 	eng  *megasim.Engine
@@ -335,12 +342,10 @@ type deployment struct {
 	cyclon bool // MembershipCyclon: nodes sample through their state
 	end    time.Duration
 	// shards holds every node's state, by engine shard; nodes points at
-	// each slot's record while its occupant is live, nil once it crashed.
+	// each slot's record while its occupant is live, nil once it crashed —
+	// the deployment's one liveness test.
 	shards []shardNodes
 	nodes  []*node
-	ids    []wire.NodeID   // full handle of each slot's live occupant
-	joined []time.Duration // admission barrier time; 0 for setup nodes
-	riders []bool          // service class of each slot's occupant (Config.FreeRiders)
 	// nextOrdinal is the stable service-class ordinal the next runtime
 	// admission consumes (freeRider); slot reuse never rewinds it.
 	nextOrdinal int
@@ -379,39 +384,39 @@ func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	if d.cyclon {
 		n.state.Stop()
 	}
-	d.closeLifetime(victim, slot, at, false)
+	d.closeLifetime(n, at, false)
 	d.nodes[slot] = nil
 	d.eng.Release(victim)
 }
 
-// burst executes one churn event: victims are picked from the non-source
-// nodes alive at burst time and depart ungracefully.
-func (d *deployment) burst(ev churn.Event, rng *rand.Rand) {
-	for _, victim := range churn.Pick(d.aliveVictims(), ev.Fraction, rng) {
-		d.crash(victim, ev.At)
+// burst runs inside a burst barrier: fraction of the non-source nodes
+// alive at time at are picked and depart ungracefully.
+func (d *deployment) burst(at time.Duration, fraction float64, rng *rand.Rand) {
+	for _, victim := range churn.Pick(d.aliveVictims(), fraction, rng) {
+		d.crash(victim, at)
 	}
 }
 
 // closeLifetime scores one node whose lifetime ends at leftAt — its crash
 // barrier, or run end for survivors; either way its receiver and counters
 // are final — and, unless the run retains no rows, captures its NodeResult.
-func (d *deployment) closeLifetime(id wire.NodeID, slot int, leftAt time.Duration, survived bool) {
-	p := &d.nodes[slot].peer
+func (d *deployment) closeLifetime(n *node, leftAt time.Duration, survived bool) {
+	p := &n.peer
 	recv := p.Receiver()
-	stats := d.eng.NodeStats(id)
-	d.fold.fold(d.joined[slot], leftAt, survived, d.riders[slot], recv, stats)
+	stats := d.eng.NodeStats(n.id)
+	d.fold.fold(n.joined, leftAt, survived, n.rider, recv, stats)
 	if d.cfg.StreamingMetrics {
 		return
 	}
 	d.rows = append(d.rows, NodeResult{
-		ID:            id,
+		ID:            n.id,
 		Survived:      survived,
-		JoinedAt:      d.joined[slot],
+		JoinedAt:      n.joined,
 		LeftAt:        leftAt,
-		FreeRider:     d.riders[slot],
+		FreeRider:     n.rider,
 		Quality:       metrics.EvaluateInto(d.lagRow(), recv, d.cfg.Layout),
 		UploadKbps:    float64(stats.TotalSentBytes()) * 8 / d.end.Seconds() / 1000,
-		BaseLatencyMS: float64(d.eng.BaseLatency(id)) / float64(time.Millisecond),
+		BaseLatencyMS: float64(d.eng.BaseLatency(n.id)) / float64(time.Millisecond),
 		Counters:      p.Counters(),
 		Stats:         stats,
 	})
@@ -438,9 +443,9 @@ func (d *deployment) collect() *Result {
 	if !d.cfg.StreamingMetrics {
 		d.rows = slices.Grow(d.rows, d.eng.Added()-1-len(d.rows))
 	}
-	for slot := 1; slot < len(d.nodes); slot++ {
-		if d.nodes[slot] != nil {
-			d.closeLifetime(d.ids[slot], slot, d.end, true)
+	for _, n := range d.nodes[1:] {
+		if n != nil {
+			d.closeLifetime(n, d.end, true)
 		}
 	}
 	return &Result{
@@ -460,9 +465,9 @@ func (d *deployment) collect() *Result {
 // is deterministic.
 func (d *deployment) aliveVictims() []wire.NodeID {
 	eligible := d.pool[:0]
-	for slot := 1; slot < len(d.nodes); slot++ {
-		if d.nodes[slot] != nil && d.eng.Alive(d.ids[slot]) {
-			eligible = append(eligible, d.ids[slot])
+	for _, n := range d.nodes[1:] {
+		if n != nil {
+			eligible = append(eligible, n.id)
 		}
 	}
 	d.pool = eligible
@@ -479,12 +484,14 @@ func (d *deployment) aliveVictims() []wire.NodeID {
 // non-nil boot selects a Cyclon record (seeded with a distinct salt to
 // decorrelate it from the protocol stream, and attached to the engine),
 // nil boot a static SparseView; source makes the node the stream source;
-// rider puts the node in the leeching service class (Config.FreeRiders).
-func (d *deployment) buildNode(id wire.NodeID, boot []wire.NodeID, source, rider bool) (*node, error) {
+// rider puts the node in the leeching service class (Config.FreeRiders);
+// joined is its admission time (0 at setup).
+func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire.NodeID, source, rider bool) (*node, error) {
 	cfg := d.cfg
 	shard, index := d.eng.ShardOf(id)
 	sh := &d.shards[shard]
 	n := sh.at(index)
+	n.id, n.joined, n.rider = id, joined, rider
 	n.src = xrand.Seeded(cfg.Seed<<20 + int64(id))
 	n.rng = *rand.New(&n.src)
 	nodeEnv := d.eng.NodeEnv(id, &n.rng)
@@ -542,7 +549,7 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	boot := d.liveBootstrapIDs(id, d.pssCfg.ShuffleLen, rng)
 	rider := freeRider(d.cfg.FreeRiders, d.nextOrdinal)
 	d.nextOrdinal++
-	n, err := d.buildNode(id, boot, false, rider)
+	n, err := d.buildNode(id, at, boot, false, rider)
 	if err != nil {
 		d.err = fmt.Errorf("experiment: admitting node %d: %w", id, err)
 		return
@@ -550,14 +557,8 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	slot := megasim.Slot(id)
 	if slot == len(d.nodes) {
 		d.nodes = append(d.nodes, nil)
-		d.ids = append(d.ids, 0)
-		d.joined = append(d.joined, 0)
-		d.riders = append(d.riders, false)
 	}
 	d.nodes[slot] = n
-	d.ids[slot] = id
-	d.joined[slot] = at
-	d.riders[slot] = rider
 	d.fold.res.Joined++
 	n.peer.Start()
 }
@@ -601,12 +602,9 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 // count deterministic regardless of how much of the population is dead.
 func (d *deployment) liveBootstrapIDs(self wire.NodeID, k int, rng *rand.Rand) []wire.NodeID {
 	alive := d.pool[:0]
-	for slot := 0; slot < len(d.nodes); slot++ {
-		if d.nodes[slot] == nil {
-			continue
-		}
-		if id := d.ids[slot]; id != self && d.eng.Alive(id) {
-			alive = append(alive, id)
+	for _, n := range d.nodes {
+		if n != nil && n.id != self {
+			alive = append(alive, n.id)
 		}
 	}
 	d.pool = alive

@@ -132,17 +132,18 @@
 // Engine memory is O(live nodes), not O(nodes ever): a released slot
 // waits out one lookahead window in a quarantine ring — after that no
 // in-flight event can still address the old incarnation without crossing
-// a barrier — then re-enters service through a FIFO free list. NodeID is
-// a generation-tagged handle (slot index + per-slot incarnation counter),
-// so any reference that survives its node — an in-flight delivery, an
-// outbox entry, a descriptor in a sampler's view, an experiment-side
-// index — fails the generation check instead of reaching the slot's new
-// occupant: deliveries to stale handles are counted (StaleDrops, folded
-// into TotalStats as dead traffic) or, under Config.PanicOnStale, panic.
-// Departed incarnations' traffic counters fold into a departed
-// accumulator at reuse and their base latencies move to a per-slot
-// prevBase side table (draining traffic keeps deterministic latencies),
-// so TotalStats conserves every counter across any amount of churn.
+// a barrier — and AddNode takes it from that one ring, oldest first,
+// before it grows the arena. NodeID is a generation-tagged handle (slot
+// index + per-slot incarnation counter), so any reference that survives
+// its node — an in-flight delivery, an outbox entry, a descriptor in a
+// sampler's view, an experiment-side index — fails the generation check
+// instead of reaching the slot's new occupant: deliveries to stale
+// handles are counted (StaleDrops, folded into TotalStats as dead
+// traffic) or, under Config.PanicOnStale, panic. Departed incarnations'
+// traffic counters fold into a departed accumulator at reuse and their
+// base latencies move to a per-slot prevBase side table (draining traffic
+// keeps deterministic latencies), so TotalStats conserves every counter
+// across any amount of churn.
 package megasim
 
 import (
@@ -169,7 +170,7 @@ import (
 // (the bits above). While no slot has ever been recycled — every run
 // without Release, and every run's setup phase — generations are all zero
 // and ids are dense integers starting at 0 in AddNode order, exactly as
-// before. Once Release returns slots to the free list, AddNode may mint a
+// before. Once Release queues slots for reuse, AddNode may mint a
 // handle for a recycled slot at the next generation: the slot bits repeat,
 // the generation bits differ, so any reference that outlives its node — an
 // in-flight delivery, an outbox entry, a descriptor in a sampler view, an
@@ -184,8 +185,9 @@ const (
 	slotBits = 21
 	slotMask = 1<<slotBits - 1
 	// maxGen is the last mintable generation. A slot that reaches it
-	// retires permanently instead of re-entering the free list: it could
-	// no longer mint a handle distinguishable from a stale one.
+	// retires permanently instead of being reused: the quarantine ring
+	// steps past it, since it could no longer mint a handle
+	// distinguishable from a stale one.
 	maxGen = 1<<(31-slotBits) - 1
 )
 
@@ -350,15 +352,13 @@ type Engine struct {
 	added    int
 	recycled int
 
-	// Slot recycling state, all touched only at quiescent points (setup,
+	// Slot recycling state, touched only at quiescent points (setup,
 	// barrier callbacks): released slots queue in the quarantine ring in
-	// Release order, drain to the free list once their window expires, and
-	// AddNode consumes the free list FIFO — a deterministic recycling
-	// order for a deterministic schedule of Releases.
+	// Release order and stay there until AddNode takes the oldest whose
+	// window expired — a deterministic recycling order for a
+	// deterministic schedule of Releases.
 	quar     []quarEntry
 	quarHead int
-	free     []int32
-	freeHead int
 	// departed accumulates the traffic counters of retired incarnations,
 	// folded out of a slot when it is recycled, so TotalStats stays
 	// complete across any amount of churn.
@@ -431,10 +431,11 @@ func New(cfg Config) (*Engine, error) {
 //
 // AddNode is legal during setup and — runtime admission, the substrate of
 // sustained-churn experiments — inside an AtBarrier callback, where every
-// shard is quiescent: the new node takes the oldest recyclable slot if the
-// free list has one (its handle carries the slot's next generation) and
-// extends the arena otherwise, and its first events (Start timers, sampler
-// ticks) are scheduled relative to the barrier time. A base latency drawn
+// shard is quiescent: the new node takes the oldest slot in the quarantine
+// ring whose window expired, if there is one (its handle carries the
+// slot's next generation), and extends the arena otherwise, and its first
+// events (Start timers, sampler ticks) are scheduled relative to the
+// barrier time. A base latency drawn
 // at runtime is clamped from below so the engine's conservative lookahead,
 // fixed at Run from the setup population, stays a valid lower bound on
 // every pair latency.
@@ -489,40 +490,40 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 // state (both seeded by id) before registering it use this to know the id
 // up front; the next AddNode is guaranteed to return the same handle.
 func (e *Engine) PeekNextID() NodeID {
-	e.drainQuarantine()
-	if e.freeHead < len(e.free) {
-		slot := e.free[e.freeHead]
-		return makeID(int(slot), uint16(e.live[slot]>>liveGenShift+1))
+	if slot, ok := e.nextFree(); ok {
+		return makeID(slot, uint16(e.live[slot]>>liveGenShift+1))
 	}
 	return NodeID(e.nodes.Len())
 }
 
-// drainQuarantine moves slots whose quarantine expired — one full
-// lookahead window past their Release — onto the free list, in Release
-// order. A slot whose generation space is exhausted retires permanently
-// instead of re-entering the list (it could no longer mint a handle
+// nextFree returns the oldest slot in the quarantine ring whose quarantine
+// expired — one full lookahead window past its Release — if there is one.
+// A slot whose generation space is exhausted retires permanently: the ring
+// steps past it for good (it could no longer mint a handle
 // distinguishable from a stale one); at 10 generation bits that leaks one
 // arena slot per 1023 reuses of the same slot, a bounded cost. Runs only
 // at quiescent points (AddNode, PeekNextID — setup or barrier callbacks),
 // where e.now is the barrier time every pending delivery is at or after.
-//
-// The ring reuses its backing: a full drain resets it, a partial one
-// compacts the un-expired tail to the front once the drained head passes
-// the midpoint (amortized O(1) per Release). Under steady churn there are
-// always fresh releases in the tail, so without the compaction the
-// backing would grow by one entry per departure forever — the arena would
-// be O(live nodes) but the quarantine ring O(total joins).
-func (e *Engine) drainQuarantine() {
-	for e.quarHead < len(e.quar) {
-		q := e.quar[e.quarHead]
-		if e.now < q.at+e.lookahead {
-			break
-		}
+func (e *Engine) nextFree() (int, bool) {
+	for e.quarHead < len(e.quar) && e.live[e.quar[e.quarHead].slot]>>liveGenShift >= maxGen {
 		e.quarHead++
-		if e.live[q.slot]>>liveGenShift < maxGen {
-			//lint:pooled free-list capacity is reused in place (takeFree resets or compacts it)
-			e.free = append(e.free, q.slot)
-		}
+	}
+	if e.quarHead == len(e.quar) || e.now < e.quar[e.quarHead].at+e.lookahead {
+		return 0, false
+	}
+	return int(e.quar[e.quarHead].slot), true
+}
+
+// takeFree pops the oldest recyclable slot, if any. The ring reuses its
+// backing: reset when exhausted, the tail compacted to the front once the
+// consumed head passes the midpoint (amortized O(1) per Release). Under
+// steady churn there are always fresh releases in the tail, so without the
+// compaction the backing would grow by one entry per departure forever —
+// the arena would be O(live nodes) but the ring O(total joins).
+func (e *Engine) takeFree() (int, bool) {
+	slot, ok := e.nextFree()
+	if ok {
+		e.quarHead++
 	}
 	if e.quarHead == len(e.quar) {
 		e.quar, e.quarHead = e.quar[:0], 0
@@ -530,26 +531,7 @@ func (e *Engine) drainQuarantine() {
 		n := copy(e.quar, e.quar[e.quarHead:])
 		e.quar, e.quarHead = e.quar[:n], 0
 	}
-}
-
-// takeFree pops the oldest recyclable slot, if any. Like the quarantine
-// ring, the list reuses its backing: reset when exhausted, compacted to
-// the front once the consumed head passes the midpoint (a population that
-// shrinks faster than it readmits would otherwise grow the backing by one
-// entry per departure forever).
-func (e *Engine) takeFree() (int, bool) {
-	e.drainQuarantine()
-	if e.freeHead >= len(e.free) {
-		e.free, e.freeHead = e.free[:0], 0
-		return 0, false
-	}
-	slot := e.free[e.freeHead]
-	e.freeHead++
-	if e.freeHead >= (len(e.free)+1)/2 {
-		n := copy(e.free, e.free[e.freeHead:])
-		e.free, e.freeHead = e.free[:n], 0
-	}
-	return int(slot), true
+	return slot, ok
 }
 
 // checkMutable panics unless the engine is in a state where topology may
@@ -676,14 +658,14 @@ func (e *Engine) Live() int { return e.alive }
 // O(live nodes) under sustained churn. The slot parks in a quarantine
 // ring for one full lookahead window (by then no in-flight event can
 // still be addressed to the old incarnation without crossing a barrier,
-// where the generation check catches it), then joins the free list;
-// AddNode consumes freed slots FIFO, bumping the generation so every
-// handle the old incarnation ever minted turns detectably stale. Until
-// the slot is actually reused the released node keeps its base latency
-// (pair latencies of draining traffic still read it) and its traffic
-// counters (NodeStats stays complete); at reuse the counters fold into
-// the engine-wide departed accumulator, so TotalStats is conserved
-// across any amount of churn. Only legal during setup or inside an
+// where the generation check catches it) and stays there until AddNode
+// takes it, oldest first, bumping the generation so every handle the old
+// incarnation ever minted turns detectably stale. Until the slot is
+// actually reused the released node keeps its base latency (pair
+// latencies of draining traffic still read it) and its traffic counters
+// (NodeStats stays complete); at reuse the counters fold into the
+// engine-wide departed accumulator, so TotalStats is conserved across any
+// amount of churn. Only legal during setup or inside an
 // AtBarrier callback, and only for a crashed, not-yet-released node.
 func (e *Engine) Release(id NodeID) {
 	e.checkMutable("Release")
@@ -700,7 +682,7 @@ func (e *Engine) Release(id NodeID) {
 	nd.flat = nil
 	nd.sampler = nil
 	nd.uplink = shaping.Shaper{}
-	//lint:pooled quarantine ring capacity is reused in place (drainQuarantine resets or compacts it)
+	//lint:pooled quarantine ring capacity is reused in place (takeFree resets or compacts it)
 	e.quar = append(e.quar, quarEntry{slot: int32(Slot(id)), at: e.now})
 }
 

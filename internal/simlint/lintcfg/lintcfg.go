@@ -92,11 +92,11 @@ func Default() *Config {
 				"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
 				// The arena-recycling paths: Release runs per departure
 				// (10k/s at 1%/s churn on a million nodes) and the
-				// quarantine/free-list drains run per admission. The
+				// quarantine ring's reads run per admission. The
 				// handle-decode checks on the event path are already
-				// reachable from runWindow; these roots pin the free-list
-				// side to reused capacity and flat slot arithmetic.
-				"(*Engine).Release", "(*Engine).drainQuarantine", "(*Engine).takeFree",
+				// reachable from runWindow; these roots pin the ring to
+				// reused capacity and flat slot arithmetic.
+				"(*Engine).Release", "(*Engine).nextFree", "(*Engine).takeFree",
 				// The LEAVE fan-out path: a graceful departure emits one
 				// SendFrom per view entry at its barrier (view-size × 10k/s
 				// at 1%/s graceful churn on a million nodes), entering the
