@@ -75,7 +75,8 @@ func TestGracefulLeaveMatchesCrashSchedule(t *testing.T) {
 }
 
 // TestGracefulLeaveReplayDeterministic: graceful departures — LEAVE
-// fan-out included — replay bit-identically for a fixed (seed, shards).
+// fan-out included — replay bit-identically for a fixed seed, and at one
+// shard compute what they do at three.
 func TestGracefulLeaveReplayDeterministic(t *testing.T) {
 	cfg := gracefulCfg(13, 2, 2)
 	a, err := Run(cfg)
@@ -92,6 +93,12 @@ func TestGracefulLeaveReplayDeterministic(t *testing.T) {
 	if qualityHash(t, a) != qualityHash(t, b) {
 		t.Fatal("graceful leaves: quality metrics not byte-identical")
 	}
+	cfg.Shards = 1
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardFree(t, one, a)
 }
 
 // flashCfg is a small flash-crowd deployment: the population triples over

@@ -134,7 +134,7 @@ func TestSustainedChurnJoinsAndLeaves(t *testing.T) {
 
 // TestSustainedChurnReplayDeterministic: the full Result of a churn-process
 // run — including every runtime-admitted node — replays bit-identically
-// for a fixed (seed, shards).
+// for a fixed seed, and at one shard computes what it does at three.
 func TestSustainedChurnReplayDeterministic(t *testing.T) {
 	cfg := sustainedCfg(7, 2, 2)
 	a, err := Run(cfg)
@@ -151,6 +151,12 @@ func TestSustainedChurnReplayDeterministic(t *testing.T) {
 	if qualityHash(t, a) != qualityHash(t, b) {
 		t.Fatal("sustained churn: quality metrics not byte-identical")
 	}
+	cfg.Shards = 1
+	one, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireShardFree(t, one, a)
 }
 
 // TestChurnTimelineBurstsFirst: a run's one churn schedule lists the

@@ -11,6 +11,8 @@ import (
 
 	"gossipstream/internal/churn"
 	"gossipstream/internal/metrics"
+	"gossipstream/internal/shaping"
+	"gossipstream/internal/telemetry"
 )
 
 // smallCfg is a quick deployment that still exercises shaping, loss,
@@ -107,35 +109,93 @@ func setProcs(t *testing.T, n int) {
 	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 }
 
+// shardFree returns a copy of r without what records its shard count: the
+// recorded count, the per-shard loads, the wall profile and the snapshots,
+// which fire at window ends, and those end where the shard count puts them.
+// What is left is what the run computed, which the seed alone fixes.
+func shardFree(r *Result) *Result {
+	c := *r
+	c.Config.Shards = 0
+	c.ShardLoads, c.Wall, c.Snapshots = nil, telemetry.WallProfile{}, nil
+	return &c
+}
+
+// requireShardFree fails unless r, run at some shard count, computed what
+// one, the one-shard run of the same config, computed.
+func requireShardFree(t *testing.T, one, r *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(shardFree(one), shardFree(r)) {
+		t.Fatalf("%d shards and one shard produced different Results", r.Config.Shards)
+	}
+	if qualityHash(t, one) != qualityHash(t, r) {
+		t.Fatalf("%d shards and one shard: quality metrics not byte-identical", r.Config.Shards)
+	}
+}
+
+// identicalLatency gives every message the same latency: no base spread,
+// no pair spread, no jitter. Same-instant arrivals are common then, and
+// only the queue's tie rule — by origin, then push order — keeps what a
+// node sees independent of the shard count.
+func identicalLatency(cfg Config) Config {
+	cfg.Net.BaseLatencySigma, cfg.Net.PairSpread, cfg.Net.JitterFrac = 0, 0, 0
+	return cfg
+}
+
 // TestRunShardedDeterministicReplay is the sharded-engine analogue: a
-// fixed (Seed, Shards) pair must reproduce the identical Result whatever
-// the goroutine schedule. Replays at GOMAXPROCS 1 (every barrier wait
-// parks) and 4 must be deep-equal to the run at the default.
+// seed must reproduce the identical Result whatever the goroutine schedule
+// and whatever the shard count. Replays at GOMAXPROCS 1 (every barrier
+// wait parks) and 4 must be deep-equal to the run at the default, and the
+// run at every shard count equal to the one-shard run but for what records
+// the count (shardFree). Besides a catastrophe under the default network
+// it runs two networks of identical latencies, one with unlimited caps,
+// where a node's whole fan-out arrives at one instant.
 func TestRunShardedDeterministicReplay(t *testing.T) {
-	for _, shards := range []int{1, 2, 3, 4} {
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			cfg := smallCfg(11)
-			cfg.Shards = shards
-			cfg.Churn = append(cfg.Churn, ChurnAt(cfg.Layout.Duration()/2, 0.3)...)
-			a, err := Run(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Events == 0 {
-				t.Fatal("sharded run executed no events")
-			}
-			for _, procs := range []int{1, 4} {
-				setProcs(t, procs)
-				b, err := Run(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("GOMAXPROCS %d: identical (seed, shards) produced different Results", procs)
-				}
-				if qualityHash(t, a) != qualityHash(t, b) {
-					t.Fatalf("GOMAXPROCS %d: quality metrics not byte-identical", procs)
-				}
+	catastrophe := smallCfg(11)
+	catastrophe.Churn = append(catastrophe.Churn, ChurnAt(catastrophe.Layout.Duration()/2, 0.3)...)
+	uncapped := identicalLatency(catastrophe)
+	uncapped.UploadCapBps = shaping.Unlimited
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"catastrophe", catastrophe},
+		{"identical-latency", identicalLatency(catastrophe)},
+		{"identical-latency-uncapped", uncapped},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			var one *Result
+			for _, shards := range []int{1, 2, 3, 4} {
+				t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+					cfg := c.cfg
+					cfg.Shards = shards
+					a, err := Run(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if a.Events == 0 {
+						t.Fatal("sharded run executed no events")
+					}
+					for _, procs := range []int{1, 4} {
+						setProcs(t, procs)
+						b, err := Run(cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !reflect.DeepEqual(a, b) {
+							t.Fatalf("GOMAXPROCS %d: identical (seed, shards) produced different Results", procs)
+						}
+						if qualityHash(t, a) != qualityHash(t, b) {
+							t.Fatalf("GOMAXPROCS %d: quality metrics not byte-identical", procs)
+						}
+					}
+					if shards == 1 {
+						one = a
+					} else if one == nil {
+						t.Skip("no one-shard Result to compare with")
+					} else {
+						requireShardFree(t, one, a)
+					}
+				})
 			}
 		})
 	}

@@ -12,7 +12,8 @@ import (
 // emits: the exact configuration, cost and load of the execution, and
 // the derived quality columns — enough to archive alongside a figure and
 // later answer "what produced this number". Everything in it except Wall
-// is deterministic for a fixed (Seed, Shards).
+// is a function of the configuration; the shard count moves only
+// Config.Shards, ShardLoads and the Snapshots, which fire at window ends.
 type Manifest struct {
 	// Tool names the emitting binary (e.g. "gossipsim").
 	Tool string `json:"tool"`

@@ -122,8 +122,10 @@ type Config struct {
 	// this way; higher counts are the scale path for 10k–100k+ node
 	// deployments. Run normalizes 0 to 1 (and clamps counts above Nodes)
 	// before recording the config, so Result.Config.Shards names what ran.
-	// Results are deterministic for a fixed (Seed, Shards) pair but not
-	// bit-identical across shard counts.
+	// The shard count changes only how fast a run goes: a Result is a
+	// function of the rest of the config, Seed included, except for what
+	// records the count — Config.Shards, ShardLoads, Wall and the
+	// Snapshots, which fire at window ends.
 	Shards int
 	// Queue is reserved and must be zero; it is removed with ROADMAP item
 	// 7. The engine has one event queue, the radix heap.

@@ -152,7 +152,7 @@ func TestAdmitNodeRespectsLookahead(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		e.AddNode(sink{}, shaping.Unlimited, 0)
 	}
-	const admitted = 64
+	const admitted = 256
 	e.AtBarrier(10*time.Millisecond, func() {
 		for i := 0; i < admitted; i++ {
 			e.AddNode(sink{}, shaping.Unlimited, 0)

@@ -111,9 +111,9 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 // to a node's handle after its Release but before its slot recycles,
 // arriving after the reuse. Returns the engine (not yet Run) and the new
 // incarnation's recorder.
-func staleDeliveryEngine(t *testing.T, shards int, panicOnStale bool) (*Engine, *recorder) {
+func staleDeliveryEngine(t *testing.T, shards int) (*Engine, *recorder) {
 	t.Helper()
-	e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), PanicOnStale: panicOnStale})
+	e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,10 +148,11 @@ func TestStaleReferenceDetection(t *testing.T) {
 	t.Run("delivery-same-shard", func(t *testing.T) { staleDeliveryCase(t, 1) })
 	t.Run("delivery-cross-shard-outbox", func(t *testing.T) { staleDeliveryCase(t, 2) })
 
-	// A timer chain belonging to the departed incarnation fires after the
-	// slot recycled and tries to send: the send is dropped silently — never
-	// counted sent, so conservation needs no balancing entry — and the new
-	// occupant's counters stay untouched.
+	// A timer the departed incarnation armed comes due after the slot
+	// recycled: it dies with its node, so the send it would make never
+	// happens — nothing is counted sent, conservation needs no balancing
+	// entry, and the new occupant's counters stay untouched. (A send that
+	// does reach the engine from a stale handle is send-from-stale-handle.)
 	t.Run("send-from-stale-timer", func(t *testing.T) {
 		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 		if err != nil {
@@ -169,6 +170,38 @@ func TestStaleReferenceDetection(t *testing.T) {
 		total := e.TotalStats()
 		if total.SentMsgs[wire.KindFeedMe] != 0 {
 			t.Fatalf("send from a stale handle was counted sent: %+v", total)
+		}
+		if e.StaleDrops() != 0 {
+			t.Fatalf("StaleDrops = %d; stale sends must not count (only deliveries balance sent)", e.StaleDrops())
+		}
+		assertConserved(t, total)
+	})
+
+	// A live node's timer sends from the departed node's handle after its
+	// slot recycled: the send drops silently, never counted sent, and the
+	// slot's new occupant sends nothing.
+	t.Run("send-from-stale-handle", func(t *testing.T) {
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.AddNode(sink{}, shaping.Unlimited, 0)
+		env0 := e.NodeEnv(0, NewRand(1))
+		env1 := e.NodeEnv(1, NewRand(2))
+		e.AddNode(&recorder{env: env1}, shaping.Unlimited, 0)
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		var newID NodeID
+		e.AtBarrier(30*time.Millisecond, func() { newID = e.AddNode(sink{}, shaping.Unlimited, 0) })
+		env0.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
+		if err := e.Run(60 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		total := e.TotalStats()
+		if total.SentMsgs != (simnet.Stats{}).SentMsgs || total.SentBytes != (simnet.Stats{}).SentBytes {
+			t.Fatalf("send from a stale handle was counted sent: %+v", total)
+		}
+		if st := e.NodeStats(newID); st != (simnet.Stats{}) {
+			t.Fatalf("the slot's new occupant was charged the stale send: %+v", st)
 		}
 		if e.StaleDrops() != 0 {
 			t.Fatalf("StaleDrops = %d; stale sends must not count (only deliveries balance sent)", e.StaleDrops())
@@ -212,12 +245,12 @@ func TestStaleReferenceDetection(t *testing.T) {
 	})
 
 	// The departed incarnation's membership tick chain must end at its
-	// first post-reuse tick — silently, even under PanicOnStale (this is
+	// first post-reuse tick — silently, uncounted as a stale drop (this is
 	// the designed end of the chain, not an error) — and must not tick the
 	// new occupant's sampler: a missing generation check would double the
 	// new sampler's rate.
 	t.Run("member-tick-chain", func(t *testing.T) {
-		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
+		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,11 +274,14 @@ func TestStaleReferenceDetection(t *testing.T) {
 		if c2.n < 20 || c2.n > 26 {
 			t.Fatalf("new incarnation's sampler ticked %d times, want ≈24 (its own chain only)", c2.n)
 		}
+		if e.StaleDrops() != 0 {
+			t.Fatalf("StaleDrops = %d: the chain's end was counted as a stale drop", e.StaleDrops())
+		}
 	})
 }
 
 func staleDeliveryCase(t *testing.T, shards int) {
-	e, r2 := staleDeliveryEngine(t, shards, false)
+	e, r2 := staleDeliveryEngine(t, shards)
 	if err := e.Run(60 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -272,36 +308,6 @@ func staleDeliveryCase(t *testing.T, shards int) {
 		t.Fatalf("stale delivery accounting: %+v (want 1 sent, 1 dead drop)", total)
 	}
 	assertConserved(t, total)
-}
-
-// TestPanicOnStale proves detection is promotable to a hard failure: the
-// same races that count drops in a run panic with the uniform stale-handle
-// message when Config.PanicOnStale is set.
-func TestPanicOnStale(t *testing.T) {
-	t.Run("deliver", func(t *testing.T) {
-		e, _ := staleDeliveryEngine(t, 1, true)
-		mustPanicContains(t, "Run with stale delivery", "megasim: deliver: stale handle", func() {
-			_ = e.Run(60 * time.Millisecond)
-		})
-	})
-	t.Run("send", func(t *testing.T) {
-		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond), PanicOnStale: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.AddNode(sink{}, shaping.Unlimited, 0)
-		env0 := e.NodeEnv(0, NewRand(1))
-		env1 := e.NodeEnv(1, NewRand(2))
-		e.AddNode(&recorder{env: env1}, shaping.Unlimited, 0)
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
-		e.AtBarrier(30*time.Millisecond, func() { e.AddNode(sink{}, shaping.Unlimited, 0) })
-		// The departed node's own timers die with it; a live node's timer
-		// uses the stale handle.
-		env0.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
-		mustPanicContains(t, "Run with stale send", "megasim: send: stale handle", func() {
-			_ = e.Run(60 * time.Millisecond)
-		})
-	})
 }
 
 // TestReleasePanicShapes pins the named, actionable panics on every way to
@@ -629,15 +635,14 @@ func sendOneID(v *NodeEnv, to NodeID, kind wire.Kind) {
 // TestOneIDMessageDrops takes one-id PROPOSEs, REQUESTs and SERVEs, which
 // ride in their events and never in a slab record, through every way the
 // liveness word ends a delivery, on one shard and across two: to a stale
-// destination (StaleDrops, or a panic under PanicOnStale), from a stale
-// source, and to a crashed destination (DeadDrops on the destination). In
+// destination (StaleDrops), from a stale source, and to a crashed destination (DeadDrops on the destination). In
 // each case the message is counted sent once and dropped once, so sent =
 // received + drops exactly, and no one else sees it.
 func TestOneIDMessageDrops(t *testing.T) {
 	// run plays the case's schedule and returns the engine after the run.
-	run := func(t *testing.T, shards int, panicOnStale bool, set func(e *Engine, env0, env1 *NodeEnv, kind wire.Kind), kind wire.Kind) *Engine {
+	run := func(t *testing.T, shards int, set func(e *Engine, env0, env1 *NodeEnv, kind wire.Kind), kind wire.Kind) *Engine {
 		t.Helper()
-		e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond), PanicOnStale: panicOnStale})
+		e, err := New(Config{Shards: shards, Net: flatNet(10 * time.Millisecond)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -695,7 +700,7 @@ func TestOneIDMessageDrops(t *testing.T) {
 		for _, c := range cases {
 			for _, kind := range []wire.Kind{wire.KindPropose, wire.KindRequest, wire.KindServe} {
 				t.Run(fmt.Sprintf("%d-shards/%s/%v", shards, c.name, kind), func(t *testing.T) {
-					e := run(t, shards, false, c.set, kind)
+					e := run(t, shards, c.set, kind)
 					total := e.TotalStats()
 					slot1 := makeID(1, uint16(e.live[1]>>liveGenShift))
 					if e.StaleDrops() != c.stale || e.NodeStats(0).DeadDrops != c.dead0 || e.NodeStats(slot1).DeadDrops != c.dead1 {
@@ -706,21 +711,6 @@ func TestOneIDMessageDrops(t *testing.T) {
 						t.Fatalf("%v: %d sent, %d received, %d dead drops; want 1, 0, 1", kind, total.SentMsgs[kind], total.RecvMsgs[kind], total.DeadDrops)
 					}
 					assertConserved(t, total)
-					if c.stale == 0 {
-						// Only a stale destination is worth a panic: the same
-						// run under PanicOnStale ends as it did.
-						if got := run(t, shards, true, c.set, kind).TotalStats(); got != total {
-							t.Fatalf("under PanicOnStale the run ended %+v, without %+v", got, total)
-						}
-						return
-					}
-					if shards == 1 {
-						// Slot 1 is shard 1's across two, whose worker
-						// goroutine a panic would take down with the test.
-						mustPanicContains(t, "Run with a stale one-id delivery", "megasim: deliver: stale handle", func() {
-							run(t, shards, true, c.set, kind)
-						})
-					}
 				})
 			}
 		}

@@ -8,35 +8,41 @@
 //
 // # Architecture
 //
-// Each shard owns a slice of the nodes, a private event scheduler, and a
-// private random stream. Shards advance together through conservative time
-// windows: the window length is the engine's lookahead — a lower bound on
-// the one-way latency of any message, derived from the latency model —
+// Each shard owns a slice of the nodes and a private event scheduler.
+// Shards advance together through conservative time windows: the window
+// length is the engine's lookahead — a lower bound on the one-way latency
+// of any message, derived from the latency model —
 // so an event executing anywhere inside the current window can only
 // produce cross-shard work for later windows. Within a window every shard
 // runs independently (no locks on the hot path); at the window barrier,
 // cross-shard messages are handed over through per-(source, destination)
-// outboxes and folded into the destination scheduler in (time, seq) order.
+// outboxes and folded into the destination scheduler.
 // The goroutine calling Run executes shard 0 and hands the other shards'
 // phases to worker goroutines through an atomic epoch (see waiter).
 //
 // # Determinism
 //
-// A run is a pure function of (seed, shard count, node/topology setup):
+// A run is a pure function of the seed and the node/topology setup; the
+// shard count changes only how fast it runs:
 //
-//   - every random draw comes from a per-shard or per-node stream, never
-//     from a source shared across goroutines;
-//   - each shard's scheduler is a strict (time, seq) priority queue, and
-//     cross-shard arrivals are merged at barriers in a fixed shard order,
-//     so sequence numbers — and therefore tie-breaks — never depend on
-//     goroutine interleaving;
+//   - every draw the engine makes belongs to a node: its base latency, and
+//     the loss and jitter draws of its sends, come from the node's own
+//     stream, seeded from (seed, handle) and drawn in the node's own
+//     program order (after Salmon et al.'s counter-based streams, SC 2011);
+//     the pair spread's salt is a function of the seed. The engine holds
+//     no stream of its own;
+//   - every event records its origin — the sender of a delivery, the node
+//     itself for a timer or a membership tick — and each shard's scheduler
+//     pops same-instant events by origin, then in push order. One origin's
+//     events reach a shard in the origin's program order, whether straight
+//     from its own shard or through an outbox, so a node sees the same
+//     event sequence however the nodes are partitioned, and nothing
+//     depends on goroutine interleaving;
 //   - global actions (churn bursts) run at barriers via AtBarrier, with
 //     every shard quiescent.
 //
-// Changing the shard count changes which RNG stream serves which draw, so
-// results are comparable but not bit-identical across shard counts; for a
-// fixed (seed, shards) pair they are bit-identical across runs and across
-// GOMAXPROCS settings.
+// So a run is bit-identical across runs, GOMAXPROCS settings and shard
+// counts; only the load tables (ShardLoads) and where windows end differ.
 //
 // # Event representation
 //
@@ -104,7 +110,7 @@
 // a Cyclon round allocates nothing (TestEngineAllocBudget's cyclon-shuffle
 // legs). Cross-shard shuffles are handed over at
 // barriers exactly like streaming messages, so runs with membership
-// enabled keep the bit-identical fixed-(seed, shards) guarantee.
+// enabled keep the same-seed, same-run guarantee.
 //
 // # Runtime admission and slot recycling
 //
@@ -120,8 +126,8 @@
 // descriptors elsewhere age out) followed, once the experiment has folded
 // the node's metrics, by Release, which queues the arena slot for reuse.
 // Because admission, crashes, and releases all run at barriers in
-// schedule order and draw from the setup streams, runs with runtime churn
-// keep full replay determinism.
+// schedule order, and an admitted node's draws are keyed by its handle,
+// runs with runtime churn keep full replay determinism.
 //
 // A node's environment (NodeEnv) lives by value in an engine-owned table,
 // one per arena slot, in chunks that never move; a recycled slot's next
@@ -139,11 +145,11 @@
 // sampler's view, an experiment-side index — fails the generation check
 // instead of reaching the slot's new occupant: deliveries to stale
 // handles are counted (StaleDrops, folded into TotalStats as dead
-// traffic) or, under Config.PanicOnStale, panic. Departed incarnations'
-// traffic counters fold into a departed accumulator at reuse and their
-// base latencies move to a per-slot prevBase side table (draining traffic
-// keeps deterministic latencies), so TotalStats conserves every counter
-// across any amount of churn.
+// traffic). Departed incarnations' traffic counters fold into a departed
+// accumulator at reuse, so TotalStats conserves every counter across any
+// amount of churn; a departed incarnation's base latency, which draining
+// traffic addressed to it still needs, is a function of its handle and is
+// drawn again.
 package megasim
 
 import (
@@ -163,6 +169,7 @@ import (
 	"gossipstream/internal/stream"
 	"gossipstream/internal/telemetry"
 	"gossipstream/internal/wire"
+	"gossipstream/internal/xrand"
 )
 
 // NodeID identifies a node incarnation: a generation-tagged handle packing
@@ -235,16 +242,11 @@ type Config struct {
 	Net simnet.Config
 	// Shards is the number of parallel partitions, normally GOMAXPROCS.
 	Shards int
-	// Seed drives the engine's internal random streams (latency draws,
-	// per-message jitter and loss). Node logic carries its own streams.
+	// Seed keys every draw the engine makes: each node's base latency and
+	// the loss and jitter of its sends, from a stream seeded by (Seed,
+	// handle), and the pair spread's salt. Node logic carries its own
+	// streams.
 	Seed int64
-	// PanicOnStale turns stale-handle events — a delivery addressed to a
-	// departed incarnation whose slot was recycled, or a send from one —
-	// into panics instead of drops (deliveries counted in StaleDrops,
-	// sends dropped silently like a crashed sender's). Tests set it to
-	// prove detection; long churn runs leave it off, where draining
-	// traffic addressed to recycled slots is expected and merely counted.
-	PanicOnStale bool
 }
 
 // infTime is the maximum representable virtual time, used as "no event".
@@ -263,14 +265,10 @@ type nodeState struct {
 	tickEvery time.Duration
 	uplink    shaping.Shaper
 	base      time.Duration
-	// prevBase is the compact side table for draining traffic: the base
-	// latency of the slot's previous incarnation, set when the slot is
-	// recycled. pairLatency reads it for sends still addressed to a stale
-	// handle, keeping their delivery times deterministic and inside the
-	// lookahead bound without retaining departed nodes' slots. (A handle
-	// two or more generations old reads the most recently departed base —
-	// an approximation for traffic that is dead on arrival anyway.)
-	prevBase time.Duration
+	// rng is the node's stream, seeded from (Config.Seed, handle): its
+	// base latency is drawn first, then its sends' loss and jitter and its
+	// sampler's first-tick offset, in the node's own program order.
+	rng xrand.SplitMix64
 	// stats is written only by the node's own shard (sends from the node,
 	// deliveries to the node), never concurrently.
 	stats simnet.Stats
@@ -325,15 +323,16 @@ type Engine struct {
 	nodes slab.Table[nodeState]
 	envs  slab.Table[NodeEnv]
 	// live[slot] is the slot's liveness word (liveAlive above).
-	live      []uint32
-	setup     *rand.Rand
-	tickRng   *rand.Rand
+	live []uint32
+	// pairSalt salts the pair spread factors; nodeKey keys the nodes'
+	// streams. Both are functions of Config.Seed.
 	pairSalt  uint64
+	nodeKey   uint64
 	lookahead time.Duration
 	// admitBase is the smallest base latency a node admitted at runtime may
 	// carry: the lookahead was derived from the setup population's minimum
 	// base, so a later draw below it would break the conservative window
-	// bound. Runtime draws clamp to it.
+	// bound. Runtime draws clamp to it; before Run it is zero.
 	admitBase time.Duration
 	globals   []globalEvent
 	now       time.Duration
@@ -370,7 +369,7 @@ type Engine struct {
 	// periodic snapshot hook called between conservative windows with every
 	// shard quiescent, deliberately NOT a barrier: it never truncates a
 	// parallel window, and a one-shard run cut at snapshot instants pops
-	// the same (at, seq) sequence, so runs with and without snapshots stay
+	// the same sequence, so runs with and without snapshots stay
 	// bit-identical.
 	wallNow  func() int64
 	wall     telemetry.WallProfile
@@ -403,29 +402,26 @@ func New(cfg Config) (*Engine, error) {
 	case cfg.Net.BaseLatencySigma < 0:
 		return nil, fmt.Errorf("megasim: BaseLatencySigma = %v, want >= 0", cfg.Net.BaseLatencySigma)
 	}
-	// tickRng de-phases membership tick schedules on a stream separate
-	// from setup so attaching samplers never perturbs topology draws
-	// (base latencies stay identical across membership modes, keeping
-	// full-view and partial-view runs network-comparable).
+	key := xrand.Seeded(cfg.Seed)
 	e := &Engine{
-		cfg:     cfg,
-		nodes:   slab.NewTable[nodeState](nodeShift),
-		envs:    slab.NewTable[NodeEnv](envShift),
-		setup:   NewRand(cfg.Seed),
-		tickRng: NewRand(cfg.Seed ^ 0x6d656d62),
+		cfg:      cfg,
+		nodes:    slab.NewTable[nodeState](nodeShift),
+		envs:     slab.NewTable[NodeEnv](envShift),
+		pairSalt: key.Uint64(),
+		nodeKey:  key.Uint64(),
 	}
 	e.sup.wake = make(chan struct{}, 1)
-	e.pairSalt = e.setup.Uint64()
 	e.shards = make([]*shard, cfg.Shards)
 	for i := range e.shards {
-		e.shards[i] = newShard(e, i, NewRand(cfg.Seed+0x5DEECE66D*int64(i+1)))
+		e.shards[i] = newShard(e, i)
 	}
 	return e, nil
 }
 
 // AddNode registers a node with the given upload cap (bits per second;
 // shaping.Unlimited for none) and uplink queue bound in bytes, drawing its
-// base latency from the configured distribution. Nodes are assigned to
+// base latency from the configured distribution off the stream its handle
+// keys. Nodes are assigned to
 // shards round-robin by arena slot, so a recycled slot's new incarnation
 // runs on the same shard as its predecessor.
 //
@@ -444,17 +440,6 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 		panic("megasim: nil handler")
 	}
 	e.checkMutable("AddNode")
-	base := e.cfg.Net.BaseLatencyMedian
-	if base <= 0 {
-		base = time.Millisecond
-	}
-	if e.cfg.Net.BaseLatencySigma > 0 {
-		factor := math.Exp(e.setup.NormFloat64() * e.cfg.Net.BaseLatencySigma)
-		base = time.Duration(float64(base) * factor)
-	}
-	if e.running && base < e.admitBase {
-		base = e.admitBase
-	}
 	var up shaping.Shaper
 	if upBps != shaping.Unlimited {
 		up = *shaping.NewShaper(upBps, queueBytes)
@@ -462,26 +447,48 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	flat, _ := h.(TimerHandler)
 	e.added++
 	e.alive++
+	var id NodeID
 	if slot, ok := e.takeFree(); ok {
-		nd := e.nodes.At(slot)
 		// The retired incarnation's counters fold into the departed
-		// accumulator (TotalStats stays complete — including dead drops
-		// that accrued during quarantine, after any experiment-side fold)
-		// and its base latency moves to the prevBase side table for
-		// traffic still addressed to its stale handles.
-		e.departed.Add(nd.stats)
-		*nd = nodeState{handler: h, flat: flat, uplink: up, base: base, prevBase: nd.base}
-		id := makeID(slot, uint16(e.live[slot]>>liveGenShift+1))
+		// accumulator: TotalStats stays complete, including dead drops that
+		// accrued during quarantine, after any experiment-side fold.
+		e.departed.Add(e.nodes.At(slot).stats)
+		id = makeID(slot, uint16(e.live[slot]>>liveGenShift+1))
 		e.live[slot] = aliveWord(id)
 		e.recycled++
-		return id
+	} else {
+		if e.nodes.Len() > slotMask {
+			panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", e.nodes.Len(), slotMask+1))
+		}
+		id = NodeID(e.nodes.Push(nodeState{}))
+		e.live = append(e.live, aliveWord(id))
 	}
-	if e.nodes.Len() > slotMask {
-		panic(fmt.Sprintf("megasim: arena full: %d slots in use (handle space holds %d); release departed nodes or raise slotBits", e.nodes.Len(), slotMask+1))
-	}
-	id := NodeID(e.nodes.Push(nodeState{handler: h, flat: flat, uplink: up, base: base}))
-	e.live = append(e.live, aliveWord(id))
+	rng := e.nodeRand(id)
+	*e.nodes.At(Slot(id)) = nodeState{handler: h, flat: flat, uplink: up, base: e.drawBase(&rng), rng: rng}
 	return id
+}
+
+// nodeRand returns the stream of the incarnation id names: a function of
+// Config.Seed and the handle alone.
+func (e *Engine) nodeRand(id NodeID) xrand.SplitMix64 {
+	return xrand.Seeded(int64(e.nodeKey ^ uint64(uint32(id))))
+}
+
+// drawBase draws a base latency from the configured lognormal distribution
+// off r — Box–Muller on two uniforms — and clamps it at admitBase, so
+// that every pair latency respects the lookahead. Setup nodes draw before
+// Run, while admitBase is zero, so the clamp changes none of them.
+func (e *Engine) drawBase(r *xrand.SplitMix64) time.Duration {
+	base := e.cfg.Net.BaseLatencyMedian
+	if base <= 0 {
+		base = time.Millisecond
+	}
+	if sigma := e.cfg.Net.BaseLatencySigma; sigma > 0 {
+		u, v := 1-r.Float64(), r.Float64()
+		z := math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
+		base = time.Duration(float64(base) * math.Exp(z*sigma))
+	}
+	return max(base, e.admitBase)
 }
 
 // PeekNextID returns the handle the next AddNode will assign — the oldest
@@ -550,13 +557,12 @@ func (e *Engine) checkMutable(op string) {
 
 // AttachSampler registers a dynamic membership record for an added node
 // and schedules its protocol: the engine calls d.Tick() every period
-// (first tick de-phased by a random offset so the population does not
-// shuffle in lock-step) and routes SHUFFLE deliveries to d.Handle instead
+// (first tick de-phased by an offset off the node's stream so the
+// population does not shuffle in lock-step) and routes SHUFFLE deliveries to d.Handle instead
 // of the node's handler. Emissions travel the normal lossy send path, so
 // membership traffic shares the node's capped uplink with the stream.
 // Cross-shard shuffles ride the same per-(src,dst) outboxes as every
-// other message and are folded in at barriers in deterministic shard
-// order. A crashed node's tick chain ends at its next tick; its
+// other message. A crashed node's tick chain ends at its next tick; its
 // descriptors elsewhere age out of live views. Legal during setup and,
 // like AddNode, inside an AtBarrier callback — a node admitted at runtime
 // (bootstrap over partial views) gets its first tick de-phased from the
@@ -576,7 +582,7 @@ func (e *Engine) AttachSampler(id NodeID, d member.DynamicSampler, period time.D
 	nd.sampler = d
 	nd.tickEvery = period
 	sh := e.shards[e.shardOf(Slot(id))]
-	sh.pushMemberTick(e.now+time.Duration(e.tickRng.Int63n(int64(period))), id)
+	sh.pushMemberTick(e.now+time.Duration(nd.rng.Intn(int(period))), id)
 }
 
 // memberTick runs one membership round for the node: dead nodes end their
@@ -717,7 +723,7 @@ func (e *Engine) TotalStats() simnet.Stats {
 func (e *Engine) Fired() uint64 {
 	var t uint64
 	for _, s := range e.shards {
-		t += s.fired
+		t += s.fired()
 	}
 	return t
 }
@@ -739,7 +745,7 @@ func (e *Engine) ShardLoads() []telemetry.ShardLoad {
 	for i, s := range e.shards {
 		out[i] = telemetry.ShardLoad{
 			Shard:       i,
-			Events:      s.fired,
+			Events:      s.fired(),
 			Timers:      s.timers,
 			Delivers:    s.delivers,
 			MemberTicks: s.memberTicks,
@@ -777,8 +783,8 @@ func (e *Engine) WallProfile() telemetry.WallProfile { return e.wall }
 // shards quiescent (accessors like Live, Fired, ShardLoads are safe).
 // Unlike AtBarrier it never truncates a parallel window. A one-shard run,
 // which would otherwise be one window to the horizon, is cut at each
-// snapshot instant; its pops keep their (at, seq) order, so a run with
-// snapshots enabled is bit-identical to the same run without.
+// snapshot instant; its pops keep their order, so a run with snapshots
+// enabled is bit-identical to the same run without.
 // Only legal before Run.
 func (e *Engine) SetSnapshot(every time.Duration, fn func(at time.Duration)) {
 	if e.ran || e.running {
@@ -975,8 +981,8 @@ func (e *Engine) Run(until time.Duration) error {
 			wEnd = t0 + e.lookahead
 		} else if !parallel && e.snapFn != nil && e.snapNext < wEnd {
 			// One shard runs to the horizon in one window; cut it where the
-			// next snapshot is due. Pops keep their (at, seq) order however
-			// the horizon is cut, so the run is the same.
+			// next snapshot is due. Pops keep their order however the
+			// horizon is cut, so the run is the same.
 			wEnd = e.snapNext
 		}
 		if tg < wEnd {
@@ -1049,18 +1055,7 @@ func (e *Engine) stop() {
 	e.running, e.inBarrier = false, false
 }
 
-// noteStale records a stale-handle event observed on a shard's hot path:
-// panic under Config.PanicOnStale (tests proving detection), else a flat
-// per-shard counter (long churn runs, where draining traffic addressed to
-// recycled slots is expected).
-func (e *Engine) noteStale(sh *shard, op string, id NodeID) {
-	if e.cfg.PanicOnStale {
-		panic(e.staleMsg(op, id))
-	}
-	sh.staleDrops++
-}
-
-// staleMsg formats the uniform stale-handle panic/diagnostic message.
+// staleMsg formats the uniform stale-handle panic message.
 func (e *Engine) staleMsg(op string, id NodeID) string {
 	//lint:coldpath only a stale-handle panic's message is formatted here
 	return fmt.Sprintf("megasim: %s: stale handle %d (slot %d is at generation %d, handle carries %d): the node departed and its slot was recycled", op, id, Slot(id), e.live[uint32(id)&slotMask]>>liveGenShift, Gen(id))
@@ -1076,8 +1071,9 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 // reports that it was kept; p's list is not referenced once send returns,
 // its boxed message only by the record. A send from a stale handle — node
 // logic that outlived its slot's recycling — drops silently exactly like a
-// send from a crashed node (it was never counted sent, so conservation
-// holds), but panics under PanicOnStale.
+// send from a crashed node: it was never counted sent, so conservation
+// holds. The loss and jitter draws are the sender's, so they follow its
+// own program order.
 func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	tslot := uint32(to) & slotMask
 	if int32(to) < 0 || int(tslot) >= e.nodes.Len() {
@@ -1093,9 +1089,6 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		// so TotalStats' conservation identity (sent == received + random +
 		// dead drops) stays exact. StaleDrops counts only *deliveries* to
 		// recycled slots — those were counted sent and must balance.
-		if e.cfg.PanicOnStale {
-			panic(e.staleMsg("send", from))
-		}
 		return false
 	}
 	if fw&liveAlive == 0 {
@@ -1113,11 +1106,11 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 	k := p.kind
 	src.stats.SentMsgs[k]++
 	src.stats.SentBytes[k] += uint64(size)
-	if e.cfg.Net.LossRate > 0 && sh.rng.Float64() < e.cfg.Net.LossRate {
+	if e.cfg.Net.LossRate > 0 && src.rng.Float64() < e.cfg.Net.LossRate {
 		src.stats.RandomDrops++
 		return false
 	}
-	at := depart + e.pairLatency(sh, from, to, src.base)
+	at := depart + e.pairLatency(src, from, to)
 	d := e.shardOf(int(tslot))
 	if d == sh.id {
 		sh.pushDelivery(at, from, to, int32(size), p)
@@ -1160,8 +1153,7 @@ func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
 //
 // A delivery addressed to a stale handle — the destination incarnation
 // departed and its slot was recycled while the message was in flight —
-// is counted on the shard (StaleDrops; panic under PanicOnStale): the
-// new occupant never sees it. A stale *source* with a live destination
+// is counted on the shard (StaleDrops): the new occupant never sees it. A stale *source* with a live destination
 // dead-drops normally — the sender was live when it sent, so the message
 // was counted sent, and its slot's recycling mid-flight changes nothing
 // about the destination-side accounting. One exemption: a LEAVE from a
@@ -1171,7 +1163,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 	tslot := uint32(ev.to) & slotMask
 	tw := e.live[tslot]
 	if !sameGen(tw, ev.to) {
-		e.noteStale(sh, "deliver", ev.to)
+		sh.staleDrops++
 		return
 	}
 	// p's list aliases the event's scratch or the record: a handler that
@@ -1226,38 +1218,37 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 // setup and inside an AtBarrier callback, where every shard is quiescent:
 // churn executors use it to transmit a gracefully departing node's LEAVE
 // emissions before crashing it. The send runs on the sender's shard — the
-// uplink shaping, loss draw, and jitter come from the same streams as the
-// node's own sends, and cross-shard deliveries fold through the regular
-// barrier outboxes — so runs stay bit-identical for a fixed (seed,
-// shards) pair.
+// uplink shaping, loss draw, and jitter come from the node's own stream,
+// as its other sends' do, and cross-shard deliveries fold through the
+// regular barrier outboxes — so runs stay bit-identical for a fixed seed.
 func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.checkMutable("SendFrom")
 	sh := e.shards[e.shardOf(Slot(from))]
 	e.sendMsg(sh, from, to, msg)
 }
 
-// pairLatency is the model's pair latency: the mean of the node bases,
-// scaled by the ordered pair's fixed spread factor, plus per-message
-// jitter drawn from the executing shard's stream. The sender a is always
-// current (send gen-checks it, and passes its base as aBase), but b may
-// be a stale handle — draining
-// traffic to a recycled slot — whose base lives in the slot's prevBase
-// side table; both bases respect the admit clamp, so the delivery time
-// stays inside the lookahead bound either way. PairFactor hashes the
-// full handles, so a stale pair's spread factor is deterministic too.
-func (e *Engine) pairLatency(sh *shard, a, b NodeID, aBase time.Duration) time.Duration {
+// pairLatency is the model's pair latency from the sender a, whose state
+// is src, to b: the mean of the node bases, scaled by the ordered pair's
+// fixed spread factor, plus per-message jitter drawn from the sender's
+// stream. The sender is always current (send gen-checks it), but b may be
+// a stale handle — draining traffic to a recycled slot — whose base is
+// drawn again from the stream its handle keys; both bases respect the
+// admit clamp, so the delivery time stays inside the lookahead bound
+// either way. PairFactor hashes the full handles, so a stale pair's spread
+// factor is deterministic too.
+func (e *Engine) pairLatency(src *nodeState, a, b NodeID) time.Duration {
 	bslot := uint32(b) & slotMask
-	sb := e.nodes.At(int(bslot))
-	bb := sb.base
+	bb := e.nodes.At(int(bslot)).base
 	if !sameGen(e.live[bslot], b) {
-		bb = sb.prevBase
+		r := e.nodeRand(b)
+		bb = e.drawBase(&r)
 	}
-	base := float64(aBase+bb) / 2
+	base := float64(src.base+bb) / 2
 	if e.cfg.Net.PairSpread > 0 {
 		base *= simnet.PairFactor(e.pairSalt, a, b, e.cfg.Net.PairSpread)
 	}
 	if e.cfg.Net.JitterFrac > 0 {
-		base *= 1 + e.cfg.Net.JitterFrac*(2*sh.rng.Float64()-1)
+		base *= 1 + e.cfg.Net.JitterFrac*(2*src.rng.Float64()-1)
 	}
 	if base < 0 {
 		base = 0
@@ -1358,8 +1349,8 @@ func (v *NodeEnv) FlatTimers() bool {
 // AfterTimer schedules OnTimer(kind, arg) on the node's TimerHandler once
 // after d, as one by-value event: no closure, no cancel function — the
 // handler ignores the timers it no longer wants. Like an After timer, it
-// dies with its node. Timer ids and sequence numbers are drawn as After
-// draws them, so a run is the same event for event over either call.
+// dies with its node, and it is queued as After queues one, by its time and
+// its node, so a run is the same event for event over either call.
 func (v *NodeEnv) AfterTimer(d time.Duration, kind uint8, arg uint32) {
 	v.sh.afterNode(d, v.id, kind, arg)
 }

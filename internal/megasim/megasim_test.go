@@ -48,7 +48,10 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestQueuePopsInTimeSeqOrder(t *testing.T) {
+// TestQueuePopsInTimeOriginOrder pins the shard queue's tie rule: events
+// pop by time, same-instant ones by origin, and one origin's events of one
+// instant in push order.
+func TestQueuePopsInTimeOriginOrder(t *testing.T) {
 	// The subtest is named for the queue under test, the radix heap.
 	t.Run("heap", func(t *testing.T) {
 		e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
@@ -57,22 +60,27 @@ func TestQueuePopsInTimeSeqOrder(t *testing.T) {
 		}
 		s := e.shards[0]
 		rng := rand.New(rand.NewSource(7))
+		// A hundred events an instant from eight origins: more than the
+		// dozen below which an unstable sort happens to keep ties in order.
 		const n = 500
 		for i := 0; i < n; i++ {
-			at := time.Duration(rng.Intn(50)) * time.Millisecond
-			s.push(event{at: at})
+			at := time.Duration(rng.Intn(5)) * time.Millisecond
+			s.q.push(event{at: at, from: NodeID(rng.Intn(8)), ref: uint32(i)})
 		}
-		var prevAt time.Duration
-		var prevSeq uint64
+		var prev event
 		for i := 0; i < n; i++ {
 			ev := s.q.pop()
-			if ev.at < prevAt {
-				t.Fatalf("pop %d: time went backwards: %v after %v", i, ev.at, prevAt)
+			if i > 0 {
+				switch {
+				case ev.at < prev.at:
+					t.Fatalf("pop %d: time went backwards: %v after %v", i, ev.at, prev.at)
+				case ev.at == prev.at && ev.from < prev.from:
+					t.Fatalf("pop %d: origin went backwards at %v: %d after %d", i, ev.at, ev.from, prev.from)
+				case ev.at == prev.at && ev.from == prev.from && ev.ref < prev.ref:
+					t.Fatalf("pop %d: origin %d's events at %v left push order: push %d after %d", i, ev.from, ev.at, ev.ref, prev.ref)
+				}
 			}
-			if ev.at == prevAt && i > 0 && ev.seq < prevSeq {
-				t.Fatalf("pop %d: seq went backwards at %v: %d after %d", i, ev.at, ev.seq, prevSeq)
-			}
-			prevAt, prevSeq = ev.at, ev.seq
+			prev = ev
 		}
 	})
 }

@@ -28,7 +28,7 @@ func benchQueueSetup(q *radixQueue) []time.Duration {
 		jitter[i] = time.Duration(rng.Int63n(int64(benchQueuePeriod / 4)))
 	}
 	for i := 0; i < benchQueueOccupancy; i++ {
-		q.push(event{at: time.Duration(rng.Int63n(int64(benchQueuePeriod))), seq: uint64(i)})
+		q.push(event{at: time.Duration(rng.Int63n(int64(benchQueuePeriod)))})
 	}
 	return jitter
 }
@@ -36,13 +36,10 @@ func benchQueueSetup(q *radixQueue) []time.Duration {
 func BenchmarkMegasimQueueOpsHeap(b *testing.B) {
 	q := newRadixQueue()
 	jitter := benchQueueSetup(q)
-	seq := uint64(benchQueueOccupancy)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ev := q.pop()
 		ev.at += benchQueuePeriod + jitter[i&1023]
-		ev.seq = seq
-		seq++
 		q.push(ev)
 	}
 	b.StopTimer()

@@ -9,14 +9,15 @@ import (
 )
 
 // radixQueue is each shard's event queue: a monotone radix heap (Ahuja,
-// Mehlhorn, Orlin & Tarjan, JACM 1990). It pops in the strict (at, seq)
-// total order, so for a fixed (seed, shards) pair the pop sequence, and
-// with it the whole simulated run, is fixed. It relies on the one
-// property a simulation clock gives for free: no event is ever scheduled
-// before the event being executed, so every push lands at or after last,
-// the timestamp of the latest pop. A push that breaks this panics; a
-// peekAt moves no such bound, so work staged at a barrier may still land
-// below a peeked minimum.
+// Mehlhorn, Orlin & Tarjan, JACM 1990). It pops by time, same-instant
+// events by origin (from), and events of one instant and one origin in
+// the order they were pushed: the engine's tie rule, which makes what a
+// node sees independent of which other nodes share its shard. It relies
+// on the one property a simulation clock gives for free: no event is ever
+// scheduled before the event being executed, so every push lands at or
+// after last, the timestamp of the latest pop. A push that breaks this
+// panics; a peekAt moves no such bound, so work staged at a barrier may
+// still land below a peeked minimum.
 //
 // A queue is owned by one shard goroutine; like all shard state it is
 // touched by the supervisor only at quiescent points (peekAt in the
@@ -35,7 +36,7 @@ import (
 // 256-bit occupancy mask finds that bucket with a TrailingZeros64 on the
 // first non-zero of its four words.
 //
-// Bucket 0 is served in seq order. When it runs dry, pop makes the lowest
+// Bucket 0 is served in origin order. When it runs dry, pop makes the lowest
 // non-empty bucket's minimum the new last and redistributes that bucket:
 // its events share every digit from position p up with the new last, so
 // each moves to a bucket of a strictly lower position, and those at the
@@ -46,10 +47,11 @@ import (
 // through log n random cache lines on every pop.
 //
 // Events at one instant always share a bucket, and every move keeps their
-// order, so when seq rises with every push — as the engine assigns it —
-// bucket 0 fills already sorted. Any other order marks bucket 0 unsorted,
-// and the next pop sorts what is pending there once: O(k log k) for a
-// burst of k, never a shift per push.
+// order, so bucket 0 holds its events in push order; while their origins
+// rise with it, bucket 0 fills already sorted. Any other order marks
+// bucket 0 unsorted, and the next pop sorts what is pending there once,
+// stably, so that one origin's events keep their push order: O(k log² k)
+// moves for a burst of k, never a shift per push.
 //
 // peekAt never moves last: barrier work (admissions, cross-shard merges)
 // may push below a peeked minimum. Each bucket keeps its own minimum
@@ -69,11 +71,11 @@ import (
 // place.
 type radixQueue struct {
 	last time.Duration // at of the latest pop; no push may precede it
-	// zero is bucket 0: the pending events at last, in seq order from
+	// zero is bucket 0: the pending events at last, in origin order from
 	// zhead.
 	zero     []event
 	zhead    int
-	unsorted bool // bucket 0 took an event out of seq order since pop last sorted it
+	unsorted bool // bucket 0 took an event out of origin order since pop last sorted it
 
 	mask    [radixBuckets / 64]uint64 // bit i%64 of word i/64 set: bucket i holds events (bit 0 unused)
 	buckets [radixBuckets]radixBucket
@@ -137,9 +139,8 @@ func newRadixQueue() *radixQueue {
 	return q
 }
 
-// push inserts ev; the caller has already assigned ev.seq. A push before
-// the last pop breaks the clock's monotonicity, which every bucket index
-// relies on, and panics.
+// push inserts ev. A push before the last pop breaks the clock's
+// monotonicity, which every bucket index relies on, and panics.
 func (q *radixQueue) push(ev event) {
 	if ev.at < q.last {
 		panic(fmt.Sprintf("megasim: radix queue push at %v precedes the last pop at %v", ev.at, q.last))
@@ -160,7 +161,7 @@ func (q *radixQueue) pushZero(ev event) {
 	if q.zhead == len(q.zero) {
 		q.zero, q.zhead = q.zero[:0], 0
 	}
-	if len(q.zero) > q.zhead && ev.seq < q.zero[len(q.zero)-1].seq {
+	if len(q.zero) > q.zhead && ev.from < q.zero[len(q.zero)-1].from {
 		q.unsorted = true
 	}
 	//lint:pooled bucket 0's backing persists for the shard's lifetime; growth amortizes to the most events one instant holds
@@ -208,7 +209,8 @@ func (q *radixQueue) extend(i int) {
 	b.tail, b.fill, b.tailChunk = c, 0, q.chunk(c)
 }
 
-// pop removes and returns the earliest pending event by (at, seq).
+// pop removes and returns the earliest pending event by (at, from), the
+// earliest pushed among those of one instant and origin.
 // Records hold no pointer, so a vacated slot is simply left behind. A pop
 // on an empty queue panics.
 func (q *radixQueue) pop() event {
@@ -219,9 +221,8 @@ func (q *radixQueue) pop() event {
 		q.redistribute(q.lowest())
 	}
 	if q.unsorted {
-		// pdqsort: no allocation, and O(k log k) however large the
-		// same-instant set is.
-		slices.SortFunc(q.zero[q.zhead:], evSeqCmp)
+		// Insertion sort and in-place merges: no allocation, and stable.
+		slices.SortStableFunc(q.zero[q.zhead:], evFromCmp)
 		q.unsorted = false
 	}
 	ev := q.zero[q.zhead]
@@ -273,7 +274,7 @@ func (q *radixQueue) redistribute(i int) {
 				}
 				continue
 			}
-			if len(zero) > 0 && ev.seq < zero[len(zero)-1].seq {
+			if len(zero) > 0 && ev.from < zero[len(zero)-1].from {
 				q.unsorted = true
 			}
 			//lint:pooled bucket 0's backing persists for the shard's lifetime; growth amortizes to the most events one instant holds
@@ -289,7 +290,7 @@ func (q *radixQueue) redistribute(i int) {
 	q.zero, q.zhead = zero, 0
 }
 
-func evSeqCmp(a, b event) int { return cmp.Compare(a.seq, b.seq) }
+func evFromCmp(a, b event) int { return cmp.Compare(a.from, b.from) }
 
 // peekAt returns the earliest pending timestamp without moving last.
 func (q *radixQueue) peekAt() (time.Duration, bool) {

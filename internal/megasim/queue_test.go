@@ -9,8 +9,9 @@ import (
 )
 
 // refHeap is the 4-ary min-heap the radix queue replaced, kept as the
-// differential's reference: O(log n) sifts over (at, seq), with no
-// assumption about the schedule's shape.
+// differential's reference: O(log n) sifts over (at, from, push order),
+// with no assumption about the schedule's shape. The driver tags each
+// event's ref with its push index, which stands for push order here.
 type refHeap struct {
 	h         []event
 	highWater int
@@ -46,7 +47,10 @@ func evLess(a, b *event) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	if a.from != b.from {
+		return a.from < b.from
+	}
+	return a.ref < b.ref
 }
 
 // evSiftUp and evSiftDown restore the 4-ary min-heap invariant over h
@@ -94,34 +98,34 @@ func evSiftDown(h []event, i int) {
 
 // driveQueues feeds an identical randomly generated schedule to a fresh
 // radix queue and the reference heap, and fails if their observable
-// behavior — lengths, peek timestamps, the exact (at, seq) pop sequence
-// and the pending peak — ever diverges.
+// behavior — lengths, peek timestamps, the exact pop sequence and the
+// pending peak — ever diverges. Each event's ref is its push index, and
+// its origin is drawn from a few, so that origins tie often.
 //
 // The generator covers the shapes the engine produces: stable ~periodic
 // gaps (the gossip common case), heavy-tailed gaps (occasional 1000x
-// spreads), same-timestamp bursts (barrier fan-out, where only seq breaks
-// ties), mid-run inserts behind or exactly at the peeked minimum (barrier
+// spreads), same-timestamp bursts (barrier fan-out, where origin and push
+// order break ties), mid-run inserts behind or exactly at the peeked minimum (barrier
 // admissions after a peek, which the bucket minimum must absorb), and a
 // drain to empty followed by a push far ahead. It adds the radix queue's
 // own edges: timestamps on both sides of a power-of-two boundary and of a
 // multiple of a power of 16 (a digit boundary), leads whose top 4-bit
 // digit is 15, at = 0, leads of 2^40 ns and more, and a same-instant burst
 // split across the redistribution that makes its instant the radix queue's
-// last, half of them with falling sequence numbers. Pushes never precede the last
+// last, half of them with falling origins. Pushes never precede the last
 // popped timestamp, matching the engine's invariant.
 func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	t.Helper()
 	q, ref := newRadixQueue(), &refHeap{}
-	var seq uint64
+	var pushed uint32
 	var lastPop time.Duration
-	pushSeq := func(at time.Duration, s uint64) {
-		q.push(event{at: at, seq: s})
-		ref.push(event{at: at, seq: s})
+	pushFrom := func(at time.Duration, from NodeID) {
+		ev := event{at: at, from: from, ref: pushed}
+		pushed++
+		q.push(ev)
+		ref.push(ev)
 	}
-	push := func(at time.Duration) {
-		pushSeq(at, seq)
-		seq++
-	}
+	push := func(at time.Duration) { pushFrom(at, NodeID(rng.Intn(6))) }
 	peek := func(op int) (time.Duration, bool) {
 		at, ok := ref.peekAt()
 		if qa, qok := q.peekAt(); qok != ok || qa != at {
@@ -131,8 +135,8 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 	}
 	pop := func(op int) {
 		want := ref.pop()
-		if ev := q.pop(); ev.at != want.at || ev.seq != want.seq {
-			t.Fatalf("op %d: pop diverged: radix (%v,%d), reference (%v,%d)", op, ev.at, ev.seq, want.at, want.seq)
+		if ev := q.pop(); ev != want {
+			t.Fatalf("op %d: pop diverged: radix (%v, from %d, push %d), reference (%v, from %d, push %d)", op, ev.at, ev.from, ev.ref, want.at, want.from, want.ref)
 		}
 		lastPop = want.at
 	}
@@ -153,7 +157,7 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 			}
 			push(lastPop + gap)
 			// Same-timestamp burst: several events at one instant, so the
-			// pop order is decided by seq alone.
+			// pop order is decided by origin and push order alone.
 			if rng.Intn(8) == 0 {
 				for b := rng.Intn(6); b > 0; b-- {
 					push(lastPop + gap)
@@ -200,18 +204,17 @@ func driveQueues(t *testing.T, rng *rand.Rand, ops int) {
 			// at the peeked minimum, a pop that makes it the radix queue's
 			// last, then more at the same instant — pushed into bucket 0 as
 			// it drains, and once it has drained. Every other burst takes
-			// its sequence numbers in falling order: the engine's rise
-			// with every push, but the contract does not ask for it.
+			// its origins in falling order, the rest a few origins at
+			// random, so that several events share one.
 			at, _ := peek(i)
-			n, falling := uint64(1+rng.Intn(40)), rng.Intn(2) == 0
-			for k := uint64(0); k < n; k++ {
+			n, falling := 1+rng.Intn(40), rng.Intn(2) == 0
+			for k := 0; k < n; k++ {
 				if falling {
-					pushSeq(at, seq+n-1-k)
+					pushFrom(at, NodeID(n-1-k))
 				} else {
-					pushSeq(at, seq+k)
+					push(at)
 				}
 			}
-			seq += n
 			pop(i)
 			for b := rng.Intn(5); b > 0; b-- {
 				push(at)
@@ -337,10 +340,11 @@ func TestRadixBucketOrder(t *testing.T) {
 // TestRadixQueueAllocBudget holds the shard's queue to its memory and
 // contract promises: a warm hold model at 100k pending allocates nothing,
 // the chunks in use never outgrow the pending peak by more than one
-// partial chunk per bucket, a 100k-event same-instant burst pops in seq order in
-// O(k log k) — even with falling sequence numbers, through a
-// redistribution and through pushes at the last pop — and a push before
-// the last pop or a pop on an empty queue panics by name.
+// partial chunk per bucket, a 200k-event same-instant burst pops by
+// origin, then push order, within a time budget — even with falling
+// origins, through a redistribution and through pushes at the last pop —
+// and a push before the last pop or a pop on an empty queue panics by
+// name.
 func TestRadixQueueAllocBudget(t *testing.T) {
 	t.Run("hold", func(t *testing.T) {
 		if raceEnabled {
@@ -348,15 +352,12 @@ func TestRadixQueueAllocBudget(t *testing.T) {
 		}
 		q := newRadixQueue()
 		jitter := benchQueueSetup(q)
-		seq := uint64(benchQueueOccupancy)
 		// AllocsPerRun calls the function once to warm up before the
 		// measured call: a million hold pops and pushes each.
 		allocs := testing.AllocsPerRun(1, func() {
 			for i := 0; i < 1_000_000; i++ {
 				ev := q.pop()
 				ev.at += benchQueuePeriod + jitter[i&1023]
-				ev.seq = seq
-				seq++
 				q.push(ev)
 			}
 		})
@@ -372,21 +373,24 @@ func TestRadixQueueAllocBudget(t *testing.T) {
 		const n = 100_000
 		q := newRadixQueue()
 		start := time.Now()
-		// Seqs 0..n-1 in falling order into a bucket; the first pop
-		// redistributes them into bucket 0.
+		// Origins 0..n-1 in falling order into a bucket, each the first
+		// event of its origin (ref 0); the first pop redistributes them
+		// into bucket 0.
 		for k := n - 1; k >= 0; k-- {
-			q.push(event{at: time.Second, seq: uint64(k)})
+			q.push(event{at: time.Second, from: NodeID(k)})
 		}
-		if ev := q.pop(); ev.seq != 0 {
-			t.Fatalf("first pop has seq %d, want 0", ev.seq)
+		if ev := q.pop(); ev.from != 0 {
+			t.Fatalf("first pop is from %d, want 0", ev.from)
 		}
-		// Seqs n..2n-1, falling, at the last pop itself.
-		for k := 2*n - 1; k >= n; k-- {
-			q.push(event{at: time.Second, seq: uint64(k)})
+		// Origins n-1..1, falling, at the last pop itself, each the second
+		// event of its origin (ref 1): it pops after the first.
+		for k := n - 1; k >= 1; k-- {
+			q.push(event{at: time.Second, from: NodeID(k), ref: 1})
 		}
-		for want := uint64(1); want < 2*n; want++ {
-			if ev := q.pop(); ev.at != time.Second || ev.seq != want {
-				t.Fatalf("pop (%v,%d), want (1s,%d)", ev.at, ev.seq, want)
+		for want := 2; want < 2*n; want++ {
+			from, ref := NodeID(want/2), uint32(want%2)
+			if ev := q.pop(); ev.at != time.Second || ev.from != from || ev.ref != ref {
+				t.Fatalf("pop (%v, from %d, ref %d), want (1s, from %d, ref %d)", ev.at, ev.from, ev.ref, from, ref)
 			}
 		}
 		if d := time.Since(start); d > time.Second {
@@ -408,6 +412,6 @@ func TestRadixQueueAllocBudget(t *testing.T) {
 		mustPanic("pop from empty radix queue", func() { q.pop() })
 		q.push(event{at: time.Second})
 		q.pop()
-		mustPanic("precedes the last pop", func() { q.push(event{at: time.Second - 1, seq: 1}) })
+		mustPanic("precedes the last pop", func() { q.push(event{at: time.Second - 1}) })
 	})
 }

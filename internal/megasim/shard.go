@@ -3,7 +3,6 @@ package megasim
 import (
 	"math"
 	"math/bits"
-	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -45,11 +44,16 @@ const (
 // (the message slab, the After closure table) — so the queue's chunks are
 // noscan memory: the collector never walks the pending set, moving records
 // pays no write barrier, and a popped slot needs no clearing. size takes
-// the record's last two bytes, which would otherwise be padding.
+// the record's last two bytes, which would otherwise be padding; eight
+// bytes of padding stay, so that a record is half a cache line and a
+// queue chunk a kilobyte.
+//
+// from is the event's origin, which the queue breaks same-instant ties by:
+// the sender of a delivery, the node itself for the other kinds.
 type event struct {
 	at   time.Duration
-	seq  uint64
-	from NodeID // deliveries: the sender
+	_    [8]byte
+	from NodeID // deliveries: the sender; the other kinds: the node
 	to   NodeID // deliveries: the destination; the other kinds: the node
 	// ref is the event's one argument: the message's one id (evDeliverID),
 	// its index in the shard's slab (evDeliver), the closure's slot in the
@@ -310,23 +314,21 @@ func (w *waiter) wakeup() {
 	}
 }
 
-// shard owns a partition of the nodes: their scheduler, random stream,
-// and pending events. Between barriers only the shard's own goroutine
-// touches its state.
+// shard owns a partition of the nodes: their scheduler and pending
+// events. Between barriers only the shard's own goroutine touches its
+// state.
 type shard struct {
 	id  int
 	eng *Engine
-	rng *rand.Rand
 	now time.Duration
 
-	// q is the event queue, popped in strict (at, seq) order.
-	q     *radixQueue
-	seq   uint64
-	fired uint64
+	// q is the event queue, popped by time, then origin, then push order.
+	q *radixQueue
 
 	// Load counters, flat increments on the per-event path (hotalloc
 	// audits this file) and read only at quiescent points (ShardLoads).
-	// The pending-event high-water mark lives in the queue (q.peak).
+	// Each executed event counts once, in one of the first three (fired);
+	// the pending-event high-water mark lives in the queue (q.peak).
 	timers      uint64 // evTimer and evNodeTimer events executed
 	delivers    uint64 // evDeliver and evDeliverID events executed
 	memberTicks uint64 // evMemberTick events executed
@@ -378,11 +380,10 @@ const (
 	spillShift   = 14
 )
 
-func newShard(e *Engine, id int, rng *rand.Rand) *shard {
+func newShard(e *Engine, id int) *shard {
 	return &shard{
 		id:      id,
 		eng:     e,
-		rng:     rng,
 		q:       newRadixQueue(),
 		msgs:    slab.NewTable[msgRec](msgShift),
 		msgFree: slab.NewTable[uint32](msgFreeShift),
@@ -445,12 +446,10 @@ func (s *shard) runWindow(end time.Duration) {
 				continue // cancelled, or its node departed: skipped uncounted
 			}
 			s.now = ev.at
-			s.fired++
 			s.timers++
 			fn()
 		case evDeliver, evDeliverID:
 			s.now = ev.at
-			s.fired++
 			s.delivers++
 			s.eng.deliver(s, &ev)
 			// Delivered or dropped, the message has had the one outcome every
@@ -460,7 +459,6 @@ func (s *shard) runWindow(end time.Duration) {
 			}
 		case evMemberTick:
 			s.now = ev.at
-			s.fired++
 			s.memberTicks++
 			s.eng.memberTick(s, ev.to)
 		case evNodeTimer:
@@ -469,17 +467,19 @@ func (s *shard) runWindow(end time.Duration) {
 				continue // the node departed: skipped uncounted
 			}
 			s.now = ev.at
-			s.fired++
 			s.timers++
 			nd.flat.OnTimer(ev.tkind, ev.ref)
 		}
 	}
 }
 
+// fired reports how many events the shard has executed.
+func (s *shard) fired() uint64 { return s.timers + s.delivers + s.memberTicks }
+
 // mergeInbound folds deliveries addressed to this shard into its queue.
-// Sources are visited in shard order and each outbox preserves send
-// order, so the sequence numbers assigned here — the tie-break for
-// same-instant events — are independent of goroutine interleaving.
+// Each outbox keeps its senders' program order, which is all the queue's
+// tie-break by origin needs: the order the outboxes are visited in never
+// shows.
 func (s *shard) mergeInbound() {
 	for _, src := range s.eng.shards {
 		ob := &src.outbox[s.id]
@@ -521,7 +521,7 @@ func (s *shard) after(d time.Duration, node NodeID, fn func()) func() {
 		s.afters = append(s.afters, timerSlot{})
 	}
 	s.afters[slot] = timerSlot{fn: fn, id: id}
-	s.push(event{at: s.now + d, to: node, ref: slot, kind: evTimer})
+	s.q.push(event{at: s.now + d, from: node, to: node, ref: slot, kind: evTimer})
 	return func() {
 		if t := &s.afters[slot]; t.id == id {
 			t.fn = nil
@@ -530,14 +530,13 @@ func (s *shard) after(d time.Duration, node NodeID, fn func()) func() {
 }
 
 // afterNode schedules the node's TimerHandler.OnTimer(kind, arg) at now+d
-// as one flat record. It draws a sequence number exactly as after does, so
-// a run schedules the same (at, seq) stream whichever of the two a node's
-// logic arms its timers through.
+// as one flat record, keyed as after keys its timer, so a run schedules the
+// same stream whichever of the two a node's logic arms its timers through.
 func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 	if d < 0 {
 		d = 0
 	}
-	s.push(event{at: s.now + d, to: id, ref: arg, kind: evNodeTimer, tkind: kind})
+	s.q.push(event{at: s.now + d, from: id, to: id, ref: arg, kind: evNodeTimer, tkind: kind})
 }
 
 // pushDelivery schedules the message's delivery at the given time: in the
@@ -548,7 +547,7 @@ func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
 	if p.other == nil && len(p.ids) == 1 && uint32(size) <= math.MaxUint16 {
 		// A SHUFFLE is never one id: its words come in (id, age) pairs.
-		s.push(event{at: at, from: from, to: to, ref: uint32(p.ids[0]), kind: evDeliverID, tkind: uint8(p.kind), size: uint16(size)})
+		s.q.push(event{at: at, from: from, to: to, ref: uint32(p.ids[0]), kind: evDeliverID, tkind: uint8(p.kind), size: uint16(size)})
 		return
 	}
 	var i uint32
@@ -563,7 +562,7 @@ func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p pa
 		copy(b, p.ids)
 		r.inl[0] = stream.PacketID(h)
 	}
-	s.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
+	s.q.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
 }
 
 // releaseMsg returns slab record i, delivered or dropped, and its spilled
@@ -583,14 +582,5 @@ func (s *shard) releaseMsg(i uint32) {
 
 // pushMemberTick schedules the node's next membership tick.
 func (s *shard) pushMemberTick(at time.Duration, id NodeID) {
-	s.push(event{at: at, to: id, kind: evMemberTick})
-}
-
-// push inserts ev into the shard's queue, assigning its sequence number.
-// Sequence assignment stays here — outside the queue — so the merge-order
-// determinism argument is independent of the queue implementation.
-func (s *shard) push(ev event) {
-	ev.seq = s.seq
-	s.seq++
-	s.q.push(ev)
+	s.q.push(event{at: at, from: id, to: id, kind: evMemberTick})
 }

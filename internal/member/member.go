@@ -53,11 +53,9 @@ type Emit struct {
 	Msg wire.Message
 }
 
-// DynamicSampler is the engine-facing contract every membership substrate
-// satisfies, static or live. A static sampler's view never changes, so its
-// dynamics are no-ops (embed Static); a live substrate (Cyclon partial
-// views, internal/pss) evolves its view through the protocol traffic the
-// engine routes through these methods:
+// DynamicSampler is the engine-facing contract of a live membership
+// substrate (Cyclon partial views, internal/pss), which evolves its view
+// through the protocol traffic the engine routes through these methods:
 //
 //   - Tick advances one protocol round (the engine calls it on the
 //     substrate's period) and returns at most one message to transmit.
@@ -75,24 +73,12 @@ type DynamicSampler interface {
 	Handle(from wire.NodeID, msg wire.Message) (Emit, bool)
 }
 
-// Static provides no-op dynamics. Embed it to lift a fixed-membership
-// Sampler into a DynamicSampler: such a view never emits traffic and
-// ignores all inbound membership messages.
-type Static struct{}
-
-// Tick implements DynamicSampler; a static view never emits.
-func (Static) Tick() (Emit, bool) { return Emit{}, false }
-
-// Handle implements DynamicSampler; a static view ignores all traffic.
-func (Static) Handle(wire.NodeID, wire.Message) (Emit, bool) { return Emit{}, false }
-
 // SparseView is a Sampler over static global membership [0, n) minus self
 // that stores O(1) state instead of an O(n) permutation array — at 100k+
 // nodes a per-node array would dominate all memory. Samples are drawn by
 // rejection, which is cheap while k ≪ n; for tiny systems (k close to n)
 // it degrades gracefully by enumerating.
 type SparseView struct {
-	Static
 	self wire.NodeID
 	n    int
 	rng  *rand.Rand
@@ -158,10 +144,6 @@ draw:
 	}
 	return out
 }
-
-// Compile-time check: the static view satisfies the engine-facing
-// dynamic-view contract through its embedded no-op dynamics.
-var _ DynamicSampler = (*SparseView)(nil)
 
 // View yields the communication partners for each gossip round, applying
 // the refresh-rate knob X and feed-me insertions.

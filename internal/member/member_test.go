@@ -260,18 +260,6 @@ func TestSparseViewInvalidSizePanics(t *testing.T) {
 	NewSparseView(0, 0, rand.New(rand.NewSource(1)))
 }
 
-func TestStaticDynamicsAreNoOps(t *testing.T) {
-	// The static view satisfies the engine-facing DynamicSampler contract
-	// through embedded no-op dynamics: it never emits and ignores traffic.
-	var s DynamicSampler = NewSparseView(0, 10, rand.New(rand.NewSource(1)))
-	if _, ok := s.Tick(); ok {
-		t.Fatal("static view emitted on Tick")
-	}
-	if _, ok := s.Handle(3, wire.FeedMe{}); ok {
-		t.Fatal("static view replied to traffic")
-	}
-}
-
 // sampleOnly hides everything of a sampler but Sample, as a wrapper that
 // knows only the Sampler interface does.
 type sampleOnly struct{ s Sampler }

@@ -1,7 +1,7 @@
 // Package maprange flags `range` over map types in determinism-critical
 // packages. Go randomizes map iteration order per run, so any map range
 // whose body is order-sensitive — picking a send order, building a slice,
-// emitting messages — silently breaks bit-identical fixed-(seed, shards)
+// emitting messages — silently breaks bit-identical fixed-seed
 // replay. Exactly this bug shipped once: core.retransmit iterated a Go map
 // to choose its retransmission order and twin runs diverged (fixed in
 // PR 2); the analyzer exists so the compiler loop catches the next one.

@@ -9,7 +9,7 @@
 // gigabyte at 100k nodes — and its state cannot be copied by value into
 // the engine's compact node records. Second, package-level RNG state:
 // a global stream is inherently shared across shards, so event order on
-// one shard perturbs draws on another and fixed-(seed, shards) replay
+// one shard perturbs draws on another and fixed-seed replay
 // breaks the moment scheduling changes.
 package rngstream
 

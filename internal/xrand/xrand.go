@@ -1,13 +1,14 @@
 // Package xrand provides the repository's compact deterministic random
 // streams: a splitmix64 generator whose whole state is 8 bytes, versus the
 // ~5 KB of math/rand's default source. At 100k+ simulated nodes — one
-// private stream per node, per shard, and per membership record — the
+// private stream per node and per membership record — the
 // default source alone would cost half a gigabyte; splitmix64 keeps
 // per-record RNG state negligible and trivially copyable.
 //
 // Two forms are offered: SplitMix64, an embeddable value type with direct
 // Intn/Float64 helpers for records that cannot afford a pointer to a
-// *rand.Rand (e.g. the per-node membership state in internal/pss), and
+// *rand.Rand (the per-node membership state in internal/pss, the engine's
+// per-node state in internal/megasim), and
 // New, which wraps the same stream in a *rand.Rand for code written
 // against the standard API (internal/megasim).
 package xrand
