@@ -60,13 +60,16 @@ type Table struct {
 	windows slab.Pool[stream.WindowState]
 }
 
-// The chunk sizes of a shared table, as shifts: about 200 KB of request
+// The chunk sizes of a shared table, as shifts: about 48 KB of request
 // records and 80 KB of batches, so that a 2,000-node shard at its peak of
-// ≈100k records holds a dozen chunks and a 230-node deployment one or two;
-// and 32 KB chunks of blocks, which a 230-node deployment holds a few
-// dozen of and a 100k-node shard allocates one of per few hundred peers.
+// ≈100k records holds about fifty chunks of records and a 500-node shard,
+// peaking near 8k records, a handful; and 32 KB chunks of blocks, which a
+// 230-node deployment holds a few dozen of and a 100k-node shard
+// allocates one of per few hundred peers. The tail chunk is allocated
+// whole, so a run pays up to one chunk past its peak: with 192 KB chunks
+// a 500-node shard peaking a few records past 8,192 paid 190 KB for them.
 const (
-	reqShift   = 13
+	reqShift   = 11
 	batchShift = 11
 	wordShift  = 12 // 8-byte words
 	idShift    = 13 // 4-byte ids and node ids
