@@ -110,13 +110,13 @@ func setProcs(t *testing.T, n int) {
 }
 
 // shardFree returns a copy of r without what records its shard count: the
-// recorded count, the per-shard loads, the wall profile and the snapshots,
-// which fire at window ends, and those end where the shard count puts them.
-// What is left is what the run computed, which the seed alone fixes.
+// recorded count, the per-shard loads and the wall profile. What is left
+// is what the run computed, snapshots included, which the seed alone
+// fixes.
 func shardFree(r *Result) *Result {
 	c := *r
 	c.Config.Shards = 0
-	c.ShardLoads, c.Wall, c.Snapshots = nil, telemetry.WallProfile{}, nil
+	c.ShardLoads, c.Wall = nil, telemetry.WallProfile{}
 	return &c
 }
 
@@ -146,12 +146,16 @@ func identicalLatency(cfg Config) Config {
 // and whatever the shard count. Replays at GOMAXPROCS 1 (every barrier
 // wait parks) and 4 must be deep-equal to the run at the default, and the
 // run at every shard count equal to the one-shard run but for what records
-// the count (shardFree). Besides a catastrophe under the default network
-// it runs two networks of identical latencies, one with unlimited caps,
-// where a node's whole fan-out arrives at one instant.
+// the count (shardFree), progress snapshots included: they are taken
+// every quarter of the stream, the second at the catastrophe's instant,
+// which it must see before the crash. Besides a
+// catastrophe under the default network it runs two networks of identical
+// latencies, one with unlimited caps, where a node's whole fan-out arrives
+// at one instant.
 func TestRunShardedDeterministicReplay(t *testing.T) {
 	catastrophe := smallCfg(11)
 	catastrophe.Churn = append(catastrophe.Churn, ChurnAt(catastrophe.Layout.Duration()/2, 0.3)...)
+	catastrophe.Telemetry = &TelemetryOptions{SnapshotEvery: catastrophe.Layout.Duration() / 4}
 	uncapped := identicalLatency(catastrophe)
 	uncapped.UploadCapBps = shaping.Unlimited
 	for _, c := range []struct {
@@ -174,6 +178,9 @@ func TestRunShardedDeterministicReplay(t *testing.T) {
 					}
 					if a.Events == 0 {
 						t.Fatal("sharded run executed no events")
+					}
+					if s := a.Snapshots; len(s) < 2 || s[1].Live != cfg.Nodes {
+						t.Fatalf("snapshots %+v: want the second, at the catastrophe, to see all %d nodes alive", s, cfg.Nodes)
 					}
 					for _, procs := range []int{1, 4} {
 						setProcs(t, procs)

@@ -13,7 +13,7 @@ import (
 // the derived quality columns — enough to archive alongside a figure and
 // later answer "what produced this number". Everything in it except Wall
 // is a function of the configuration; the shard count moves only
-// Config.Shards, ShardLoads and the Snapshots, which fire at window ends.
+// Config.Shards and ShardLoads.
 type Manifest struct {
 	// Tool names the emitting binary (e.g. "gossipsim").
 	Tool string `json:"tool"`

@@ -124,8 +124,7 @@ type Config struct {
 	// before recording the config, so Result.Config.Shards names what ran.
 	// The shard count changes only how fast a run goes: a Result is a
 	// function of the rest of the config, Seed included, except for what
-	// records the count — Config.Shards, ShardLoads, Wall and the
-	// Snapshots, which fire at window ends.
+	// records the count — Config.Shards, ShardLoads and Wall.
 	Shards int
 	// Queue is reserved and must be zero; it is removed with ROADMAP item
 	// 7. The engine has one event queue, the radix heap.
@@ -140,18 +139,19 @@ type Config struct {
 	StreamingMetrics bool
 	// Telemetry, when non-nil, enables run introspection (periodic
 	// progress snapshots, supervisor wall-clock profiling). It never
-	// changes the simulated run — snapshots are taken between conservative
-	// windows without adding barriers — and is never serialized with the
-	// config.
+	// changes the simulated run — a snapshot is an engine barrier that
+	// only observes, and a barrier moves no event — and is never
+	// serialized with the config.
 	Telemetry *TelemetryOptions `json:"-"`
 }
 
 // TelemetryOptions configures run introspection (Config.Telemetry). The
-// snapshot hook runs on the engine's supervisor goroutine; the clock is
-// also read by every shard goroutine.
+// snapshot hook runs in an engine barrier, on the goroutine calling Run;
+// the clock is also read by every shard goroutine.
 type TelemetryOptions struct {
 	// SnapshotEvery is the simulated-time spacing of progress snapshots
-	// (Result.Snapshots); 0 takes none.
+	// (Result.Snapshots), taken at each multiple of it up to the run's end,
+	// before any churn at the same instant; 0 takes none.
 	SnapshotEvery time.Duration
 	// Clock, when non-nil, is a wall-clock sampler (teleclock.Clock())
 	// injected into the engine; it fills Result.Wall with the
@@ -174,7 +174,7 @@ func Defaults() Config {
 		Layout:       stream.DefaultLayout(120), // ≈212 s of stream
 		UploadCapBps: 700_000,
 		SourceCapBps: shaping.Unlimited,
-		QueueBytes:   128 << 10,
+		QueueBytes:   shaping.DefaultQueueBytes,
 		Net:          simnet.DefaultConfig(),
 		Drain:        60 * time.Second,
 	}

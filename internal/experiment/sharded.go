@@ -152,9 +152,23 @@ func (c Config) churnTimeline() []churn.TimelineEvent {
 	return out
 }
 
-// schedule registers the run's churn and telemetry at engine barriers.
+// schedule registers the run's telemetry and churn at engine barriers.
 func (d *deployment) schedule() error {
 	cfg, eng := d.cfg, d.eng
+	// Introspection: the wall clock is sampled at phase edges, and a
+	// progress snapshot is an observing barrier at each multiple of
+	// SnapshotEvery, so it lands on its exact instant at any shard count.
+	// Registered ahead of the churn, a snapshot at a churn instant sees
+	// the state before it.
+	if t := cfg.Telemetry; t != nil {
+		if t.Clock != nil {
+			eng.SetWallClock(t.Clock)
+		}
+		for at := t.SnapshotEvery; t.SnapshotEvery > 0 && at <= d.end; at += t.SnapshotEvery {
+			eng.AtBarrier(at, func() { d.snapshot(at, t.OnSnapshot) })
+		}
+	}
+
 	// Churn runs at engine barriers: every shard is quiescent, so an event
 	// may admit nodes and crash them across all shards. The schedule is
 	// expanded up front (AtBarrier is setup-only), and bursts and process
@@ -177,30 +191,22 @@ func (d *deployment) schedule() error {
 		}
 		eng.AtBarrier(tev.At, fn)
 	}
-
-	// Introspection hooks: wall-clock sampling and progress snapshots run
-	// on the supervisor between phases, never perturbing the run.
-	if t := cfg.Telemetry; t != nil {
-		if t.Clock != nil {
-			eng.SetWallClock(t.Clock)
-		}
-		if t.SnapshotEvery > 0 {
-			onSnap := t.OnSnapshot
-			eng.SetSnapshot(t.SnapshotEvery, func(at time.Duration) {
-				s := telemetry.Snapshot{
-					AtSeconds: at.Seconds(),
-					Live:      eng.Live(),
-					Events:    eng.Fired(),
-					Pending:   eng.Pending(),
-				}
-				d.snaps = append(d.snaps, s)
-				if onSnap != nil {
-					onSnap(s)
-				}
-			})
-		}
-	}
 	return nil
+}
+
+// snapshot records the run's progress at barrier time at and hands it to
+// onSnap, if set.
+func (d *deployment) snapshot(at time.Duration, onSnap func(telemetry.Snapshot)) {
+	s := telemetry.Snapshot{
+		AtSeconds: at.Seconds(),
+		Live:      d.eng.Live(),
+		Events:    d.eng.Fired(),
+		Pending:   d.eng.Pending(),
+	}
+	d.snaps = append(d.snaps, s)
+	if onSnap != nil {
+		onSnap(s)
+	}
 }
 
 // run executes the deployment to its end and assembles the Result.

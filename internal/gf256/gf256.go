@@ -117,9 +117,6 @@ func Vandermonde(rows, cols int) *Matrix {
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
-// Cols returns the number of columns.
-func (m *Matrix) Cols() int { return m.cols }
-
 // At returns the element at row r, column c.
 func (m *Matrix) At(r, c int) byte { return m.data[r*m.cols+c] }
 

@@ -113,11 +113,11 @@ func settledGoroutines(want int) int {
 	return n
 }
 
-// panickingRun runs a 2-shard chatter population whose arm function
-// installs the panic, and returns what Run panicked with.
-func panickingRun(t *testing.T, arm func(e *Engine, envs []*NodeEnv)) (e *Engine, got any) {
+// panickingRun runs a chatter population on the given shards whose arm
+// function installs the panic, and returns what Run panicked with.
+func panickingRun(t *testing.T, shards int, arm func(e *Engine, envs []*NodeEnv)) (e *Engine, got any) {
 	t.Helper()
-	e, err := New(Config{Shards: 2, Seed: 3, Net: flatNet(2 * time.Millisecond)})
+	e, err := New(Config{Shards: shards, Seed: 3, Net: flatNet(2 * time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func panickingRun(t *testing.T, arm func(e *Engine, envs []*NodeEnv)) (e *Engine
 // AtBarrier callback, or in a handler of shard 0, which the supervisor
 // executes — propagates out of Run with every worker released and joined,
 // the engine no longer running, and the process's running-shard count
-// restored.
+// restored, at one shard (no worker) as at two.
 func TestRunReleasesWorkersOnPanic(t *testing.T) {
 	cases := map[string]func(e *Engine, envs []*NodeEnv){
 		"barrier callback": func(e *Engine, _ []*NodeEnv) {
@@ -151,23 +151,25 @@ func TestRunReleasesWorkersOnPanic(t *testing.T) {
 			envs[0].After(50*time.Millisecond+time.Microsecond, func() { panic("handler boom") })
 		},
 	}
-	for name, arm := range cases {
-		t.Run(name, func(t *testing.T) {
-			before := runtime.NumGoroutine()
-			shardsBefore := runningShards.Load()
-			e, got := panickingRun(t, arm)
-			if got == nil {
-				t.Fatal("Run returned without the panic")
-			}
-			if n := settledGoroutines(before); n > before {
-				t.Fatalf("%d goroutines after the panic, %d before Run: workers leaked", n, before)
-			}
-			if e.running || e.inBarrier {
-				t.Fatalf("after the panic: running %v, inBarrier %v, want both false", e.running, e.inBarrier)
-			}
-			if n := runningShards.Load(); n != shardsBefore {
-				t.Fatalf("running-shard count %d after the panic, want %d", n, shardsBefore)
-			}
-		})
+	for _, shards := range []int{1, 2} {
+		for name, arm := range cases {
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				before := runtime.NumGoroutine()
+				shardsBefore := runningShards.Load()
+				e, got := panickingRun(t, shards, arm)
+				if got == nil {
+					t.Fatal("Run returned without the panic")
+				}
+				if n := settledGoroutines(before); n > before {
+					t.Fatalf("%d goroutines after the panic, %d before Run: workers leaked", n, before)
+				}
+				if e.running || e.inBarrier {
+					t.Fatalf("after the panic: running %v, inBarrier %v, want both false", e.running, e.inBarrier)
+				}
+				if n := runningShards.Load(); n != shardsBefore {
+					t.Fatalf("running-shard count %d after the panic, want %d", n, shardsBefore)
+				}
+			})
+		}
 	}
 }

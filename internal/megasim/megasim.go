@@ -3,8 +3,7 @@
 // the network model internal/simnet defines (capped drop-tail uplinks,
 // heterogeneous lognormal latencies, ambient UDP loss, crash failures) and
 // can partition the nodes across per-core shards so 100k+-node deployments
-// complete in minutes instead of hours. One shard runs inline on the
-// calling goroutine.
+// complete in minutes instead of hours.
 //
 // # Architecture
 //
@@ -18,7 +17,10 @@
 // cross-shard messages are handed over through per-(source, destination)
 // outboxes and folded into the destination scheduler.
 // The goroutine calling Run executes shard 0 and hands the other shards'
-// phases to worker goroutines through an atomic epoch (see waiter).
+// phases to worker goroutines through an atomic epoch (see waiter). Every
+// shard count takes this one path; one shard has no worker to hand a
+// phase to, and nothing can cross to another shard, so its window runs to
+// the next barrier.
 //
 // # Determinism
 //
@@ -38,11 +40,13 @@
 //     from its own shard or through an outbox, so a node sees the same
 //     event sequence however the nodes are partitioned, and nothing
 //     depends on goroutine interleaving;
-//   - global actions (churn bursts) run at barriers via AtBarrier, with
-//     every shard quiescent.
+//   - global actions — churn, and observers such as progress snapshots —
+//     run at barriers via AtBarrier, with every shard quiescent, at their
+//     exact instants whatever the shard count.
 //
 // So a run is bit-identical across runs, GOMAXPROCS settings and shard
-// counts; only the load tables (ShardLoads) and where windows end differ.
+// counts, and so is what a barrier callback observes; only the load
+// tables (ShardLoads) and where windows end differ.
 //
 // # Event representation
 //
@@ -365,20 +369,13 @@ type Engine struct {
 
 	// Telemetry: wallNow is an injected wall-clock sampler (teleclock.Clock)
 	// read at phase edges by the supervisor and by each shard — never per
-	// event — so enabling it cannot perturb the simulated run; snapFn is a
-	// periodic snapshot hook called between conservative windows with every
-	// shard quiescent, deliberately NOT a barrier: it never truncates a
-	// parallel window, and a one-shard run cut at snapshot instants pops
-	// the same sequence, so runs with and without snapshots stay
-	// bit-identical.
-	wallNow  func() int64
-	wall     telemetry.WallProfile
-	snapFn   func(at time.Duration)
-	snapEach time.Duration
-	snapNext time.Duration
+	// event — so enabling it cannot perturb the simulated run.
+	wallNow func() int64
+	wall    telemetry.WallProfile
 
 	// The phase barrier: op and opT are written before epoch is bumped, and
-	// epoch e is done at done = e × (shards − 1). procs is GOMAXPROCS at Run.
+	// epoch e is done at done = e × (shards − 1), which one shard, with no
+	// worker, reaches at once. procs is GOMAXPROCS at Run.
 	op       uint8
 	opT      time.Duration
 	epoch    atomic.Uint64
@@ -738,8 +735,8 @@ func (e *Engine) Pending() int {
 }
 
 // ShardLoads snapshots every shard's load counters in shard order. Like
-// all accessors it is safe at quiescent points: setup, an AtBarrier or
-// snapshot callback, or after Run.
+// all accessors it is safe at quiescent points: setup, an AtBarrier
+// callback, or after Run.
 func (e *Engine) ShardLoads() []telemetry.ShardLoad {
 	out := make([]telemetry.ShardLoad, len(e.shards))
 	for i, s := range e.shards {
@@ -778,34 +775,15 @@ func (e *Engine) SetWallClock(fn func() int64) {
 // (zero without a clock).
 func (e *Engine) WallProfile() telemetry.WallProfile { return e.wall }
 
-// SetSnapshot registers fn to run on the supervisor goroutine at the
-// first inter-window point at or past each multiple of every, with all
-// shards quiescent (accessors like Live, Fired, ShardLoads are safe).
-// Unlike AtBarrier it never truncates a parallel window. A one-shard run,
-// which would otherwise be one window to the horizon, is cut at each
-// snapshot instant; its pops keep their order, so a run with snapshots
-// enabled is bit-identical to the same run without.
-// Only legal before Run.
-func (e *Engine) SetSnapshot(every time.Duration, fn func(at time.Duration)) {
-	if e.ran || e.running {
-		panic("megasim: SetSnapshot after Run started")
-	}
-	if every <= 0 {
-		panic(fmt.Sprintf("megasim: SetSnapshot every %v, want > 0", every))
-	}
-	if fn == nil {
-		panic("megasim: SetSnapshot with nil fn")
-	}
-	e.snapEach = every
-	e.snapNext = every
-	e.snapFn = fn
-}
-
 // AtBarrier schedules fn to run at virtual time t with every shard
-// quiescent: all events before t have executed, none at or after t has.
-// Callbacks may inspect or mutate any node (Crash, stopping node logic)
-// and may admit new ones (AddNode, AttachSampler). Events at exactly t run
-// after the callback. Only legal before Run.
+// quiescent: all events before t have executed, none at or after t has,
+// at any shard count. Callbacks may inspect any engine state (Live,
+// Fired, Pending, ShardLoads) — an observer such as a progress snapshot
+// is a callback that only reads — and may mutate any node (Crash,
+// stopping node logic) or admit new ones (AddNode, AttachSampler). Events
+// at exactly t run after the callback; callbacks at the same t run in
+// registration order. A barrier ends the window it falls in, so
+// registering one moves no event. Only legal before Run.
 func (e *Engine) AtBarrier(t time.Duration, fn func()) {
 	if t < 0 {
 		panic(fmt.Sprintf("megasim: barrier at negative time %v", t))
@@ -900,20 +878,17 @@ func (e *Engine) Run(until time.Duration) error {
 		((1 - e.cfg.Net.PairSpread) * (1 - e.cfg.Net.JitterFrac))))
 	sort.SliceStable(e.globals, func(i, j int) bool { return e.globals[i].at < e.globals[j].at })
 
-	parallel := len(e.shards) > 1
 	e.procs = int64(runtime.GOMAXPROCS(0))
 	runningShards.Add(int64(len(e.shards)))
 	e.running = true
 	defer e.stop()
-	if parallel {
-		e.workerWg.Add(len(e.shards) - 1)
-		for _, s := range e.shards[1:] {
-			go s.work()
-		}
-		// Fold any deliveries emitted during setup into the shard heaps so
-		// the first next-event scan sees them.
-		e.phase(&e.wall.MergeNS, opMerge, 0)
+	e.workerWg.Add(len(e.shards) - 1)
+	for _, s := range e.shards[1:] {
+		go s.work()
 	}
+	// Fold any deliveries emitted during setup into the shard heaps so
+	// the first next-event scan sees them.
+	e.phase(&e.wall.MergeNS, opMerge, 0)
 
 	// horizon is one past the inclusive deadline: windows are half-open,
 	// so events at exactly `until` execute in a final [until, until+1)
@@ -966,49 +941,28 @@ func (e *Engine) Run(until time.Duration) error {
 			// next epoch sequences these writes before the workers' reads.
 			// Without the fold a barrier-emitted delivery stays invisible to
 			// the next-event scan — lost outright if no later window runs.
-			if parallel {
-				for _, s := range e.shards {
-					s.mergeInbound()
-				}
+			for _, s := range e.shards {
+				s.mergeInbound()
 			}
 			continue
 		}
 		if t0 >= horizon {
 			break
 		}
+		// The one shard-count rule: a window lasts one lookahead only when
+		// its events can send to another shard. One shard runs to the next
+		// barrier or the horizon in one window; pops keep their order
+		// however a window is cut, so the run is the same either way.
 		wEnd := horizon
-		if parallel && t0 <= horizon-e.lookahead {
+		if len(e.shards) > 1 && t0 <= horizon-e.lookahead {
 			wEnd = t0 + e.lookahead
-		} else if !parallel && e.snapFn != nil && e.snapNext < wEnd {
-			// One shard runs to the horizon in one window; cut it where the
-			// next snapshot is due. Pops keep their order however the
-			// horizon is cut, so the run is the same.
-			wEnd = e.snapNext
 		}
 		if tg < wEnd {
 			wEnd = tg
 		}
-		if parallel {
-			e.phase(&e.wall.RunNS, opRun, wEnd)
-			e.phase(&e.wall.MergeNS, opMerge, 0)
-		} else if e.wallNow != nil {
-			t0w := e.wallNow()
-			e.shards[0].runPhase(opRun, wEnd)
-			e.wall.RunNS += e.wallNow() - t0w
-		} else {
-			e.shards[0].runWindow(wEnd)
-		}
+		e.phase(&e.wall.RunNS, opRun, wEnd)
+		e.phase(&e.wall.MergeNS, opMerge, 0)
 		e.now = wEnd
-		// Inter-window snapshot: every shard has finished the window and
-		// (in the parallel case) every worker waits for the next epoch, so
-		// the hook may read any engine state race-free. Runs never gain or
-		// lose a window from this — the schedule above is untouched.
-		if e.snapFn != nil && e.now >= e.snapNext {
-			for e.snapNext <= e.now {
-				e.snapNext += e.snapEach
-			}
-			e.snapFn(e.now)
-		}
 	}
 
 	for _, s := range e.shards {
@@ -1021,8 +975,9 @@ func (e *Engine) Run(until time.Duration) error {
 }
 
 // phase runs one barrier-delimited phase on every shard — publishes it to
-// the workers, runs shard 0's share, waits for the workers — and adds its
-// wall time to *ns when a clock is injected. opStop is only published.
+// the workers, runs shard 0's share, waits for the workers (one shard has
+// none to wait for) — and adds its wall time to *ns when a clock is
+// injected. opStop is only published.
 func (e *Engine) phase(ns *int64, op uint8, t time.Duration) {
 	var t0 int64
 	if e.wallNow != nil {
@@ -1046,11 +1001,9 @@ func (e *Engine) phase(ns *int64, op uint8, t time.Duration) {
 // stop ends Run on every exit path, a panic in an AtBarrier callback or a
 // shard-0 handler included: workers finish a phase in flight, then exit.
 func (e *Engine) stop() {
-	if n := uint64(len(e.shards)); n > 1 {
-		e.sup.await(&e.done, e.epoch.Load()*(n-1), false)
-		e.phase(nil, opStop, 0)
-		e.workerWg.Wait()
-	}
+	e.sup.await(&e.done, e.epoch.Load()*uint64(len(e.shards)-1), false)
+	e.phase(nil, opStop, 0)
+	e.workerWg.Wait()
 	runningShards.Add(-int64(len(e.shards)))
 	e.running, e.inBarrier = false, false
 }

@@ -413,6 +413,40 @@ func TestBarrierRunsBeforeSameInstantEvents(t *testing.T) {
 	}
 }
 
+// TestBarriersRunInTimeThenRegistrationOrder: barriers run at their own
+// instants, earliest first and, at one instant, in the order they were
+// registered — at one shard, whose window runs to the next barrier, as at
+// four.
+func TestBarriersRunInTimeThenRegistrationOrder(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range 4 {
+			e.AddNode(&recorder{env: e.NodeEnv(NodeID(i), NewRand(int64(i+1)))}, shaping.Unlimited, 0)
+		}
+		var order []string
+		for _, b := range []struct {
+			name string
+			at   time.Duration
+		}{{"a", 30 * time.Millisecond}, {"b", 10 * time.Millisecond}, {"c", 30 * time.Millisecond}, {"d", 10 * time.Millisecond}} {
+			e.AtBarrier(b.at, func() {
+				if e.Now() != b.at {
+					t.Errorf("%d shards: barrier %s at %v observed engine time %v", shards, b.name, b.at, e.Now())
+				}
+				order = append(order, b.name)
+			})
+		}
+		if err := e.Run(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if want := []string{"b", "d", "a", "c"}; !reflect.DeepEqual(order, want) {
+			t.Fatalf("%d shards: barriers ran in order %v, want %v", shards, order, want)
+		}
+	}
+}
+
 func TestRunTwiceFails(t *testing.T) {
 	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {

@@ -13,8 +13,9 @@ import (
 	"gossipstream/internal/wire"
 )
 
-// loadRun is a chatter population with telemetry hooks, returning the
-// engine after Run for accessor checks.
+// loadRun is a chatter population with telemetry hooks — a wall clock,
+// and observing barriers every snapEvery that record their instants in
+// snaps — returning the engine after Run for accessor checks.
 func loadRun(t *testing.T, shards int, snapEvery time.Duration, snaps *[]time.Duration, clock func() int64) *Engine {
 	t.Helper()
 	cfg := Config{
@@ -42,14 +43,20 @@ func loadRun(t *testing.T, shards int, snapEvery time.Duration, snaps *[]time.Du
 	for _, c := range nodes {
 		c.start()
 	}
-	e.AtBarrier(100*time.Millisecond, func() { e.Crash(NodeID(n - 1)) })
-	if snapEvery > 0 {
-		e.SetSnapshot(snapEvery, func(at time.Duration) { *snaps = append(*snaps, at) })
+	const until = 300 * time.Millisecond
+	for at := snapEvery; snapEvery > 0 && at <= until; at += snapEvery {
+		e.AtBarrier(at, func() {
+			if e.Now() != at {
+				t.Errorf("barrier at %v observed engine time %v", at, e.Now())
+			}
+			*snaps = append(*snaps, at)
+		})
 	}
+	e.AtBarrier(100*time.Millisecond, func() { e.Crash(NodeID(n - 1)) })
 	if clock != nil {
 		e.SetWallClock(clock)
 	}
-	if err := e.Run(300 * time.Millisecond); err != nil {
+	if err := e.Run(until); err != nil {
 		t.Fatal(err)
 	}
 	return e
@@ -176,9 +183,10 @@ func TestReleaseFreesOnlyDeadNodes(t *testing.T) {
 }
 
 // TestSnapshotsDoNotPerturbTheRun is the zero-observer-effect guarantee:
-// a run with snapshots enabled is bit-identical to the same run without,
-// and takes one snapshot per period — on four shards, whose windows are
-// the lookahead, and on one, whose single window snapshots cut.
+// a run with observing barriers is bit-identical to the same run without,
+// and each barrier runs once, in time order, at its own instant — on four
+// shards, whose windows are the lookahead, and on one, whose single window
+// the barriers cut.
 func TestSnapshotsDoNotPerturbTheRun(t *testing.T) {
 	const every, until = 20 * time.Millisecond, 300 * time.Millisecond
 	for _, shards := range []int{4, 1} {
@@ -193,15 +201,13 @@ func TestSnapshotsDoNotPerturbTheRun(t *testing.T) {
 				t.Fatalf("%d shards: snapshots changed node %d's counters", shards, i)
 			}
 		}
-		if len(snaps) < int(until/every) {
-			t.Fatalf("%d shards: %d snapshots over %v, want at least one per %v", shards, len(snaps), until, every)
+		if len(snaps) != int(until/every) {
+			t.Fatalf("%d shards: %d snapshots over %v, want one per %v", shards, len(snaps), until, every)
 		}
-		prev := time.Duration(-1)
-		for _, at := range snaps {
-			if at <= prev {
-				t.Fatalf("%d shards: snapshot times not increasing: %v after %v", shards, at, prev)
+		for i, at := range snaps {
+			if want := time.Duration(i+1) * every; at != want {
+				t.Fatalf("%d shards: snapshot %d at %v, want %v", shards, i, at, want)
 			}
-			prev = at
 		}
 	}
 }
@@ -245,7 +251,7 @@ func TestShardBusyTimeWithinPhaseTime(t *testing.T) {
 func TestTelemetryHooksRejectLateRegistration(t *testing.T) {
 	e := loadRun(t, 1, 0, nil, nil)
 	for name, fn := range map[string]func(){
-		"SetSnapshot":  func() { e.SetSnapshot(time.Second, func(time.Duration) {}) },
+		"AtBarrier":    func() { e.AtBarrier(time.Second, func() {}) },
 		"SetWallClock": func() { e.SetWallClock(func() int64 { return 0 }) },
 	} {
 		func() {

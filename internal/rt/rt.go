@@ -7,8 +7,11 @@
 //
 // Topology is a static directory of node id → UDP address, suitable for
 // LAN or localhost deployments and for the paper's fixed 230-node testbed
-// model. Upload caps are enforced by token-bucket pacing of outgoing
-// datagrams, mirroring the simulator's shaper.
+// model. Upload caps go through the simulator's own uplink model, a
+// shaping.Shaper bounded at shaping.DefaultQueueBytes and charged the
+// application bytes of each datagram: a datagram is written when the
+// shaper says it departs, and one that would overflow the queue is
+// dropped, as a simulated send is.
 package rt
 
 import (
@@ -35,7 +38,7 @@ type Config struct {
 	Core core.Config
 	// Layout describes the stream being gossiped.
 	Layout stream.Layout
-	// UploadCapBps paces outgoing datagrams (shaping.Unlimited disables).
+	// UploadCapBps caps the node's uplink (shaping.Unlimited disables).
 	UploadCapBps int64
 	// Seed drives the node's randomness; 0 derives one from the ID.
 	Seed int64
@@ -56,23 +59,28 @@ type Node struct {
 	rng   *rand.Rand
 	start time.Time
 
-	bucket  *shaping.Bucket
+	uplink  shaping.Shaper
 	sendQ   chan outgoing
 	done    chan struct{}
 	wg      sync.WaitGroup
 	started bool
 	stopped bool
 
-	dropped uint64 // sends dropped at the full queue
+	dropped uint64 // sends dropped at the full uplink or send queue
 }
 
-// sendQueueLen bounds a node's outgoing send queue in messages; beyond it
-// sends drop, emulating a full socket buffer.
+// sendQueueLen bounds a node's outgoing send queue in messages, as a full
+// socket buffer would. An unlimited uplink drops only here; a capped one
+// drops at its byte bound first unless its datagrams average under 32
+// application bytes.
 const sendQueueLen = 4096
 
+// outgoing is a datagram waiting in the send queue for its departure, a
+// time since Start.
 type outgoing struct {
-	to  wire.NodeID
-	msg wire.Message
+	to     wire.NodeID
+	msg    wire.Message
+	depart time.Duration
 }
 
 // New creates a node bound to bindAddr (e.g. "127.0.0.1:0"). If src is
@@ -100,9 +108,9 @@ func New(cfg Config, bindAddr string, src *stream.Source) (*Node, error) {
 		codec:  wire.NewCodec(cfg.Layout),
 		dir:    make(map[wire.NodeID]*net.UDPAddr),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		uplink: *shaping.NewShaper(cfg.UploadCapBps, shaping.DefaultQueueBytes),
 		sendQ:  make(chan outgoing, sendQueueLen),
 		done:   make(chan struct{}),
-		bucket: shaping.NewBucket(cfg.UploadCapBps, 64*1024, time.Now()),
 	}
 	env := &rtEnv{node: n}
 	sampler := &dirSampler{node: n}
@@ -132,13 +140,6 @@ func (n *Node) AddPeer(id wire.NodeID, addr *net.UDPAddr) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.dir[id] = addr
-}
-
-// Peers returns the number of known peers.
-func (n *Node) Peers() int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return len(n.dir)
 }
 
 // Start launches the receive loop, the paced sender, and the gossip rounds.
@@ -220,7 +221,7 @@ func (n *Node) recvLoop() {
 	}
 }
 
-// sendLoop paces outgoing messages through the token bucket.
+// sendLoop writes each outgoing datagram at its departure time.
 func (n *Node) sendLoop() {
 	defer n.wg.Done()
 	for {
@@ -236,14 +237,12 @@ func (n *Node) sendLoop() {
 				continue
 			}
 			data, err := n.codec.Encode(uint32(n.cfg.ID), out.msg)
-			size := out.msg.WireSize()
 			// The datagram holds its own copy of a SERVE's packets.
 			recycle(out.msg)
 			if err != nil {
 				continue
 			}
-			wait := n.bucket.Take(time.Now(), size)
-			if wait > 0 {
+			if wait := time.Until(n.start.Add(out.depart)); wait > 0 {
 				select {
 				case <-n.done:
 					return
@@ -264,7 +263,8 @@ func recycle(msg wire.Message) {
 	}
 }
 
-// Dropped reports messages discarded because the send queue was full.
+// Dropped reports messages discarded because the uplink queue or the
+// send queue was full.
 func (n *Node) Dropped() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -286,13 +286,19 @@ func (e *rtEnv) Now() time.Duration {
 	return time.Since(e.node.start)
 }
 
+// Send charges the uplink the message's application bytes, as the
+// simulator does, and queues the datagram for its departure.
 func (e *rtEnv) Send(to wire.NodeID, msg wire.Message) {
-	select {
-	case e.node.sendQ <- outgoing{to: to, msg: msg}:
-	default:
-		e.node.dropped++
-		recycle(msg)
+	n := e.node
+	if depart, ok := n.uplink.Enqueue(e.Now(), msg.WireSize()-wire.UDPOverheadBytes); ok {
+		select {
+		case n.sendQ <- outgoing{to: to, msg: msg, depart: depart}:
+			return
+		default:
+		}
 	}
+	n.dropped++
+	recycle(msg)
 }
 
 func (e *rtEnv) After(d time.Duration, fn func()) func() {
@@ -345,8 +351,8 @@ type Cluster struct {
 }
 
 // NewCluster builds a localhost cluster of n nodes gossiping the given
-// stream. Protocol parameters come from coreCfg; each node's upload is
-// paced to capBps.
+// stream. Protocol parameters come from coreCfg; each node's uplink is
+// capped at capBps.
 func NewCluster(n int, coreCfg core.Config, layout stream.Layout, capBps int64, seed int64) (*Cluster, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("rt: cluster of %d nodes", n)

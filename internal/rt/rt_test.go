@@ -80,7 +80,7 @@ func TestClusterPacedUpload(t *testing.T) {
 		t.Skip("real-time test")
 	}
 	// Capped nodes must still deliver, just slower; this exercises the
-	// token-bucket path.
+	// shaped send path.
 	layout := stream.Layout{
 		RateBps:         200_000,
 		PayloadBytes:    1000,
@@ -220,6 +220,96 @@ func TestDirSamplerIgnoresDirectoryOrder(t *testing.T) {
 		if a, b := samplers[0].Sample(5), samplers[1].Sample(5); !slices.Equal(a, b) {
 			t.Fatalf("draw %d: %v and %v from equal seeds", draw, a, b)
 		}
+	}
+}
+
+// TestUplinkDropsAtTheModelsQueueBound: a capped uplink holds what the
+// simulator's does, shaping.DefaultQueueBytes of backlog, and drops the
+// rest. A node that never starts drains nothing, so a burst of 400
+// PROPOSEs of 300 ids (≈1.2 KB each) through its 100 kbps uplink leaves
+// 128 KB of them queued and the others dropped.
+func TestUplinkDropsAtTheModelsQueueBound(t *testing.T) {
+	n, err := New(Config{ID: 1, Core: fastCore(), Layout: fastLayout(), UploadCapBps: 100_000}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	env := &rtEnv{node: n}
+	msg := wirepkg.Propose{IDs: make([]stream.PacketID, 300)}
+	const sends = 400
+	n.mu.Lock()
+	for range sends {
+		env.Send(2, msg)
+	}
+	n.mu.Unlock()
+	queued, dropped := len(n.sendQ), n.Dropped()
+	if queued+int(dropped) != sends {
+		t.Fatalf("%d queued + %d dropped of %d sends", queued, dropped, sends)
+	}
+	// The shaper charges application bytes and admits a message while the
+	// backlog stays within the bound; rounding may move one either way.
+	fit := int(shaping.DefaultQueueBytes) / (msg.WireSize() - wirepkg.UDPOverheadBytes)
+	if queued < fit-1 || queued > fit+1 {
+		t.Fatalf("%d of %d PROPOSEs queued (%d dropped), want the %d that fit in %d bytes", queued, sends, dropped, fit, shaping.DefaultQueueBytes)
+	}
+}
+
+// TestUnlimitedUplinkDropsOnlyAtTheSendQueue: an uncapped uplink admits
+// every send at once, so a burst that no sender drains fills the send
+// queue, and only what overflows it is dropped.
+func TestUnlimitedUplinkDropsOnlyAtTheSendQueue(t *testing.T) {
+	n, err := New(Config{ID: 1, Core: fastCore(), Layout: fastLayout(), UploadCapBps: shaping.Unlimited}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	env := &rtEnv{node: n}
+	msg := wirepkg.Propose{IDs: make([]stream.PacketID, 300)}
+	const over = 10
+	n.mu.Lock()
+	for range sendQueueLen + over {
+		env.Send(2, msg)
+	}
+	n.mu.Unlock()
+	if queued, dropped := len(n.sendQ), n.Dropped(); queued != sendQueueLen || dropped != over {
+		t.Fatalf("%d queued, %d dropped: want %d queued, %d dropped", queued, dropped, sendQueueLen, over)
+	}
+}
+
+// TestSendStampsTheShapersDepartures: each queued datagram carries the
+// departure the uplink model gives it. A burst through a capped uplink
+// leaves back to back, each one serialization of its application bytes
+// after the one before, and no earlier than it was sent.
+func TestSendStampsTheShapersDepartures(t *testing.T) {
+	const capBps = 100_000
+	n, err := New(Config{ID: 1, Core: fastCore(), Layout: fastLayout(), UploadCapBps: capBps}, "127.0.0.1:0", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	env := &rtEnv{node: n}
+	msg := wirepkg.Propose{IDs: make([]stream.PacketID, 100)}
+	const sends = 5
+	n.mu.Lock()
+	sentAt := env.Now()
+	for range sends {
+		env.Send(2, msg)
+	}
+	n.mu.Unlock()
+	if len(n.sendQ) != sends {
+		t.Fatalf("%d of %d sends queued", len(n.sendQ), sends)
+	}
+	ser := time.Duration(float64((msg.WireSize()-wirepkg.UDPOverheadBytes)*8) / capBps * float64(time.Second))
+	prev := sentAt
+	for i := range sends {
+		out := <-n.sendQ
+		if i == 0 && out.depart < sentAt+ser {
+			t.Fatalf("first datagram departs at %v, before %v sent plus %v serialization", out.depart, sentAt, ser)
+		}
+		if i > 0 && out.depart-prev != ser {
+			t.Fatalf("datagram %d departs %v after the one before, want %v", i, out.depart-prev, ser)
+		}
+		prev = out.depart
 	}
 }
 

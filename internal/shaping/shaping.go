@@ -3,15 +3,13 @@
 // The paper ("Stretching Gossip with Live Streaming", §4) caps each node's
 // upload bandwidth and notes that the limiter "implements a bandwidth
 // throttling mechanism" to limit loss from bursts. This package provides
-// exactly that mechanism in two forms:
-//
-//   - Shaper: an O(1) virtual-queue model for the discrete-event simulator.
-//     A message of size S bits occupies the uplink for S/rate seconds;
-//     bursts queue up to a bound (throttling) and overflow is dropped
-//     (drop-tail), which is the congestion-loss mode the paper observes at
-//     high fanouts.
-//   - Bucket: a token bucket for the real-time UDP driver, pacing actual
-//     sends to the same configured rate.
+// exactly that mechanism: Shaper, an O(1) virtual-queue model of the
+// uplink. A message of size S bits occupies the uplink for S/rate seconds;
+// bursts queue up to a bound (throttling) and overflow is dropped
+// (drop-tail), which is the congestion-loss mode the paper observes at
+// high fanouts. The discrete-event simulator schedules each delivery at
+// the departure time the Shaper returns; the real-time UDP driver
+// (internal/rt) writes each datagram at it.
 package shaping
 
 import (
@@ -19,8 +17,12 @@ import (
 	"time"
 )
 
-// Unlimited configures a Shaper or Bucket with no rate cap.
+// Unlimited configures a Shaper with no rate cap.
 const Unlimited int64 = 0
+
+// DefaultQueueBytes is the uplink queue bound of the paper's testbed model:
+// 128 KB, about 1.5 s of backlog at a 700 kbps cap.
+const DefaultQueueBytes int64 = 128 << 10
 
 // Shaper is a virtual FIFO uplink drained at a fixed bit rate with a bounded
 // buffer. It does not schedule events itself; Enqueue returns the departure
@@ -75,48 +77,4 @@ func (s *Shaper) Backlog(now time.Duration) time.Duration {
 		return 0
 	}
 	return s.busyUntil - now
-}
-
-// Bucket is a token bucket for pacing real sends. Tokens are bytes; the
-// bucket refills at rateBps/8 bytes per second up to burst bytes.
-//
-// Bucket is not safe for concurrent use; the rt driver guards it with the
-// node mutex.
-type Bucket struct {
-	rateBps int64
-	burst   int64
-	tokens  float64
-	last    time.Time
-}
-
-// NewBucket returns a token bucket with the given rate and burst. A rate of
-// Unlimited always admits immediately.
-func NewBucket(rateBps, burst int64, now time.Time) *Bucket {
-	if burst <= 0 {
-		burst = 64 * 1024
-	}
-	return &Bucket{rateBps: rateBps, burst: burst, tokens: float64(burst), last: now}
-}
-
-// Take consumes size bytes of tokens, returning how long the caller must
-// wait before the send conforms to the configured rate. A zero return means
-// send immediately.
-func (b *Bucket) Take(now time.Time, size int) time.Duration {
-	if b.rateBps == Unlimited {
-		return 0
-	}
-	rate := float64(b.rateBps) / 8 // bytes per second
-	elapsed := now.Sub(b.last).Seconds()
-	if elapsed > 0 {
-		b.tokens += elapsed * rate
-		if b.tokens > float64(b.burst) {
-			b.tokens = float64(b.burst)
-		}
-		b.last = now
-	}
-	b.tokens -= float64(size)
-	if b.tokens >= 0 {
-		return 0
-	}
-	return time.Duration(-b.tokens / rate * float64(time.Second))
 }

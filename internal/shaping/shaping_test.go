@@ -175,84 +175,23 @@ func TestShaperRateCapProperty(t *testing.T) {
 	}
 }
 
-func TestBucketImmediateWithinBurst(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBucket(800_000, 10_000, now)
-	if wait := b.Take(now, 5000); wait != 0 {
-		t.Fatalf("wait = %v within burst, want 0", wait)
-	}
-}
-
-func TestBucketThrottlesSustainedRate(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBucket(800_000, 1000, now) // 100 kB/s
-	b.Take(now, 1000)                  // drains the burst
-	wait := b.Take(now, 1000)
-	if wait != 10*time.Millisecond {
-		t.Fatalf("wait = %v, want 10ms", wait)
-	}
-	// Deeper debt accumulates linearly.
-	wait = b.Take(now, 1000)
-	if wait != 20*time.Millisecond {
-		t.Fatalf("wait = %v, want 20ms", wait)
-	}
-}
-
-func TestBucketRefills(t *testing.T) {
-	now := time.Unix(0, 0)
-	b := NewBucket(800_000, 1000, now)
-	b.Take(now, 1000)
-	b.Take(now, 1000) // 1000 bytes of debt
-	// After 100ms, 10000 bytes refilled (capped at burst 1000 after paying debt).
-	if wait := b.Take(now.Add(100*time.Millisecond), 500); wait != 0 {
-		t.Fatalf("wait = %v after refill, want 0", wait)
-	}
-}
-
-func TestBucketUnlimited(t *testing.T) {
-	b := NewBucket(Unlimited, 0, time.Unix(0, 0))
-	if wait := b.Take(time.Unix(0, 0), 1<<30); wait != 0 {
-		t.Fatalf("unlimited bucket wait = %v, want 0", wait)
-	}
-}
-
-func TestBucketDefaultBurst(t *testing.T) {
-	b := NewBucket(800_000, 0, time.Unix(0, 0))
-	if b.burst != 64*1024 {
-		t.Fatalf("default burst = %d, want 64KiB", b.burst)
-	}
-}
-
-// Property: over any send pattern, the bucket never admits a long-run rate
-// above the configured one: total bytes sent by time T obeys
-// bytes <= burst + rate*T where T includes the final mandated wait.
-func TestBucketRateProperty(t *testing.T) {
-	f := func(sizes []uint16, gapsMS []uint8) bool {
-		const rateBps = 400_000
-		const burst = 2000
-		start := time.Unix(0, 0)
-		now := start
-		b := NewBucket(rateBps, burst, now)
-		var total int64
-		var lastConform time.Time
-		for i, sz := range sizes {
-			if i < len(gapsMS) {
-				now = now.Add(time.Duration(gapsMS[i]) * time.Millisecond)
-			}
-			wait := b.Take(now, int(sz))
-			total += int64(sz)
-			if c := now.Add(wait); c.After(lastConform) {
-				lastConform = c
-			}
+// TestDefaultQueueBytesHoldsTheModelsBacklog: the default bound is the
+// paper's testbed uplink, about 1.5 s of backlog at a 700 kbps cap. A
+// burst at one instant queues until the next message would overflow it.
+func TestDefaultQueueBytesHoldsTheModelsBacklog(t *testing.T) {
+	s := NewShaper(700_000, DefaultQueueBytes)
+	accepted := 0
+	for {
+		if _, ok := s.Enqueue(0, 1000); !ok {
+			break
 		}
-		if total == 0 {
-			return true
-		}
-		elapsed := lastConform.Sub(start).Seconds()
-		allowed := float64(burst) + float64(rateBps)/8*elapsed
-		return float64(total) <= allowed+1
+		accepted++
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
+	if b := s.Backlog(0); b < 1450*time.Millisecond || b > 1550*time.Millisecond {
+		t.Fatalf("backlog %v when the queue drops, want about 1.5s", b)
+	}
+	// A message is admitted while the backlog ahead of it plus itself fits.
+	if want := int(DefaultQueueBytes) / 1000; accepted != want {
+		t.Fatalf("accepted %d 1000-byte messages, want %d", accepted, want)
 	}
 }

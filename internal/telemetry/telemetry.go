@@ -25,8 +25,8 @@ type ShardLoad struct {
 	MemberTicks uint64 `json:"member_ticks"` // evMemberTick events
 	// Windows counts the windows the shard ran. A sharded run's windows
 	// are conservative, the lookahead long; a one-shard run runs to the
-	// horizon in one window, cut only at barriers and, with snapshots on,
-	// at each snapshot instant, so there it counts those cuts.
+	// horizon in one window, cut only at barriers (churn and, with
+	// snapshots on, each snapshot instant), so there it counts those cuts.
 	Windows    uint64 `json:"windows"`
 	HeapPeak   int    `json:"heap_peak"`   // event-heap high-water mark
 	Pending    int    `json:"pending"`     // events still queued
@@ -42,18 +42,21 @@ type ShardLoad struct {
 // excluded from determinism comparisons — two bit-identical runs will
 // disagree here.
 type WallProfile struct {
-	RunNS     int64 `json:"run_ns"`     // inside conservative windows
-	MergeNS   int64 `json:"merge_ns"`   // cross-shard outbox handoff
-	BarrierNS int64 `json:"barrier_ns"` // AtBarrier callbacks (churn, folds)
+	RunNS int64 `json:"run_ns"` // inside windows
+	// MergeNS is the cross-shard outbox handoff, the phase after every
+	// window; a one-shard run records it too, though it has nothing to
+	// hand over.
+	MergeNS   int64 `json:"merge_ns"`
+	BarrierNS int64 `json:"barrier_ns"` // AtBarrier callbacks (churn, folds, snapshots)
 	// ShardBusyNS is, per shard, the time it spent executing windows and
 	// merges, read at the edges of each phase it ran; the rest of
 	// RunNS + MergeNS it spent waiting at the barrier.
 	ShardBusyNS []int64 `json:"shard_busy_ns"`
 }
 
-// Snapshot is one point of a run's progress, taken by the engine
-// supervisor between conservative windows. Everything in it derives
-// from simulated state, so snapshots are identical across replays.
+// Snapshot is one point of a run's progress, taken in an engine barrier
+// at its exact instant. Everything in it derives from simulated state, so
+// snapshots are identical across replays and shard counts.
 type Snapshot struct {
 	AtSeconds float64 `json:"at_seconds"` // simulated time
 	Live      int     `json:"live"`       // nodes alive
