@@ -372,16 +372,15 @@ type deployment struct {
 
 // crash executes one ungraceful departure at barrier time at, the path
 // bursts and sustained leaves share so crash semantics cannot diverge
-// between churn shapes. The victim is silenced in the network and its
-// protocol state and membership record stopped (the engine already ends a
-// crashed node's shuffle schedule and dead-drops its membership traffic).
-// Its lifetime is closed now — final, because a dead node's receiver and
-// sent-byte counters never change again — and then the whole node is
-// released: peer, membership record, and the engine arena slot, which
-// re-enters service after its quarantine; its record stays in place for
-// the slot's next occupant. Retaining rows changes nothing here, so a run
-// recycles the same slots at the same barriers with and without
-// StreamingMetrics.
+// between churn shapes. The engine silences the victim, ends its shuffle
+// schedule, dead-drops its traffic and queues its arena slot, which
+// re-enters service after its quarantine; the victim's protocol state and
+// membership record are stopped. Its lifetime is closed now — final,
+// because a dead node's receiver and counters never change again, and the
+// engine keeps the counters until the slot is reused — and its record
+// stays in place for the slot's next occupant. Retaining rows changes
+// nothing here, so a run recycles the same slots at the same barriers with
+// and without StreamingMetrics.
 func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	slot := megasim.Slot(victim)
 	n := d.nodes[slot]
@@ -392,7 +391,6 @@ func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
 	}
 	d.closeLifetime(n, at, false)
 	d.nodes[slot] = nil
-	d.eng.Release(victim)
 }
 
 // burst runs inside a burst barrier: fraction of the non-source nodes

@@ -47,7 +47,7 @@ func mustPanicContains(t *testing.T, name, want string, fn func()) {
 }
 
 // TestArenaSlotRecyclingLifecycle walks one slot through the full recycle
-// path at barriers: Release parks it in quarantine for a lookahead window,
+// path at barriers: Crash parks it in quarantine for a lookahead window,
 // PeekNextID keeps naming a fresh slot until the window expires, then the
 // next AddNode reuses the slot at the next generation and the old handle
 // turns detectably stale.
@@ -65,9 +65,8 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 	var reused NodeID
 	e.AtBarrier(20*time.Millisecond, func() {
 		e.Crash(old)
-		e.Release(old)
 		if got := e.PeekNextID(); got != NodeID(3) {
-			t.Fatalf("PeekNextID at the Release barrier = %d, want fresh slot 3 (quarantined)", got)
+			t.Fatalf("PeekNextID at the Crash barrier = %d, want fresh slot 3 (quarantined)", got)
 		}
 	})
 	e.AtBarrier(25*time.Millisecond, func() {
@@ -77,7 +76,7 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 		}
 	})
 	e.AtBarrier(30*time.Millisecond, func() {
-		// One full lookahead past the Release: the slot is recyclable.
+		// One full lookahead past the Crash: the slot is recyclable.
 		want := makeID(1, 1)
 		if got := e.PeekNextID(); got != want {
 			t.Fatalf("PeekNextID after quarantine = %d, want %d (slot 1, gen 1)", got, want)
@@ -108,7 +107,7 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 }
 
 // staleDeliveryEngine builds the canonical recycling race: a message sent
-// to a node's handle after its Release but before its slot recycles,
+// to a node's handle after its Crash but before its slot recycles,
 // arriving after the reuse. Returns the engine (not yet Run) and the new
 // incarnation's recorder.
 func staleDeliveryEngine(t *testing.T, shards int) (*Engine, *recorder) {
@@ -121,10 +120,7 @@ func staleDeliveryEngine(t *testing.T, shards int) (*Engine, *recorder) {
 	e.AddNode(&recorder{env: env0}, shaping.Unlimited, 0)
 	e.AddNode(sink{}, shaping.Unlimited, 0)
 	r2 := &recorder{}
-	e.AtBarrier(20*time.Millisecond, func() {
-		e.Crash(1)
-		e.Release(1)
-	})
+	e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 	// In flight at 25 ms, addressed to the gen-0 handle, arriving at 35 ms
 	// — after the slot recycles at the 30 ms barrier.
 	env0.After(25*time.Millisecond, func() { env0.Send(1, wire.FeedMe{}) })
@@ -161,7 +157,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		e.AddNode(&recorder{}, shaping.Unlimited, 0)
 		env1 := e.NodeEnv(1, NewRand(2))
 		e.AddNode(&recorder{env: env1}, shaping.Unlimited, 0)
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		e.AtBarrier(30*time.Millisecond, func() { e.AddNode(sink{}, shaping.Unlimited, 0) })
 		env1.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
 		if err := e.Run(60 * time.Millisecond); err != nil {
@@ -189,7 +185,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		env0 := e.NodeEnv(0, NewRand(1))
 		env1 := e.NodeEnv(1, NewRand(2))
 		e.AddNode(&recorder{env: env1}, shaping.Unlimited, 0)
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		var newID NodeID
 		e.AtBarrier(30*time.Millisecond, func() { newID = e.AddNode(sink{}, shaping.Unlimited, 0) })
 		env0.After(35*time.Millisecond, func() { env1.Send(0, wire.FeedMe{}) })
@@ -211,7 +207,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 
 	// A sampler's view retains the departed node's descriptor: shuffles
 	// keep flowing to the stale handle. Deliveries during quarantine
-	// dead-drop on the released slot; deliveries after reuse are stale
+	// dead-drop on the crashed slot; deliveries after reuse are stale
 	// drops; the new occupant sees none of it.
 	t.Run("sampler-held-descriptor", func(t *testing.T) {
 		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
@@ -223,7 +219,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		e.AttachSampler(0, h, 8*time.Millisecond)
 		e.AddNode(sink{}, shaping.Unlimited, 0)
 		var newID NodeID
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		e.AtBarrier(30*time.Millisecond, func() { newID = e.AddNode(sink{}, shaping.Unlimited, 0) })
 		// Silence the emitter before the horizon so in-flight shuffles
 		// drain and the conservation identity is exact at run end.
@@ -258,7 +254,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		c1, c2 := &countTick{}, &countTick{}
 		e.AddNode(sink{}, shaping.Unlimited, 0)
 		e.AttachSampler(1, c1, 7*time.Millisecond)
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		e.AtBarrier(30*time.Millisecond, func() {
 			id := e.AddNode(sink{}, shaping.Unlimited, 0)
 			e.AttachSampler(id, c2, 7*time.Millisecond)
@@ -310,32 +306,41 @@ func staleDeliveryCase(t *testing.T, shards int) {
 	assertConserved(t, total)
 }
 
-// TestReleasePanicShapes pins the named, actionable panics on every way to
-// misuse Release and the handle-resolving accessors.
-func TestReleasePanicShapes(t *testing.T) {
+// TestCrashPanicShapes pins the named, actionable panics on every way to
+// misuse Crash and the handle-resolving accessors: a handle the arena never
+// minted, a stale one, and a Crash while a window runs or after Run. A
+// second Crash of a node that is down changes nothing.
+func TestCrashPanicShapes(t *testing.T) {
 	e, err := New(Config{Shards: 1, Net: flatNet(time.Millisecond)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.AddNode(sink{}, shaping.Unlimited, 0)
 	e.AddNode(sink{}, shaping.Unlimited, 0)
-	mustPanicContains(t, "Release(out of range)", "megasim: Release: unknown node 99", func() { e.Release(99) })
-	mustPanicContains(t, "Release(negative)", "unknown node", func() { e.Release(-1) })
-	mustPanicContains(t, "Release(live)", "Release of live node", func() { e.Release(1) })
+	mustPanicContains(t, "Crash(out of range)", "megasim: Crash: unknown node 99", func() { e.Crash(99) })
+	mustPanicContains(t, "Crash(negative)", "unknown node", func() { e.Crash(-1) })
 	e.Crash(1)
-	e.Release(1)
-	mustPanicContains(t, "Release(released)", "already released", func() { e.Release(1) })
+	e.Crash(1)
+	if e.Live() != 1 || len(e.quar)-e.quarHead != 1 {
+		t.Fatalf("after two Crashes of node 1: %d live, %d slots queued; want 1 and 1", e.Live(), len(e.quar)-e.quarHead)
+	}
 	// During setup the lookahead is zero, so the quarantine drains
 	// immediately: the next AddNode recycles slot 1 and the old handle is
 	// stale from then on.
 	if id := e.AddNode(sink{}, shaping.Unlimited, 0); id != makeID(1, 1) {
 		t.Fatalf("setup-time recycle minted %d, want slot 1 gen 1", id)
 	}
-	mustPanicContains(t, "Release(stale)", "stale handle", func() { e.Release(1) })
+	mustPanicContains(t, "Crash(stale)", "megasim: Crash: stale handle", func() { e.Crash(1) })
+
+	// Node 0's timer fires inside a window, where no topology may change.
+	env0 := e.NodeEnv(0, NewRand(1))
+	env0.After(time.Millisecond, func() { e.Crash(0) })
+	mustPanicContains(t, "Crash(in a window)", "megasim: Crash during Run outside a barrier callback", func() { _ = e.Run(10 * time.Millisecond) })
+	mustPanicContains(t, "Crash(after Run)", "megasim: Crash after Run", func() { e.Crash(0) })
 }
 
 // churnRun drives a lossy, jittery multi-shard population through ten
-// release-and-admit cycles, the arena recycling slots throughout. Chatters
+// crash-and-admit cycles, the arena recycling slots throughout. Chatters
 // keep sending to the original dense gen-0 handles, so stale deliveries
 // occur by construction.
 func churnRun(t *testing.T) *Engine {
@@ -367,7 +372,6 @@ func churnRun(t *testing.T) *Engine {
 		seed := int64(500 + i)
 		e.AtBarrier(time.Duration(100+30*i)*time.Millisecond, func() {
 			e.Crash(victim)
-			e.Release(victim)
 			for j, id := range live {
 				if id == victim {
 					live = append(live[:j], live[j+1:]...)
@@ -464,7 +468,6 @@ func TestArenaMemoryStaysFlat(t *testing.T) {
 			victim := cur[0]
 			cur = cur[1:]
 			e.Crash(victim)
-			e.Release(victim)
 			cur = append(cur, e.AddNode(sink{}, shaping.Unlimited, 0))
 		})
 	}
@@ -509,8 +512,8 @@ func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) {
 	return member.Emit{}, false
 }
 
-// FuzzArenaRecycling interleaves AddNode / Crash / Release / sends to
-// arbitrary (possibly stale) handles at successive barriers, then checks
+// FuzzArenaRecycling interleaves AddNode / Crash / a second Crash / sends
+// to arbitrary (possibly stale) handles at successive barriers, then checks
 // the arena's invariants and replays the schedule for bit-identity. Each
 // input byte is one barrier action: the low two bits select the op, the
 // high six select the target.
@@ -542,7 +545,7 @@ func FuzzArenaRecycling(f *testing.F) {
 			// Model state, mutated by the barrier callbacks in order.
 			handles := []NodeID{0}      // every handle ever minted
 			liveIDs := []NodeID{0}      // currently alive
-			var crashed []NodeID        // crashed, not yet released
+			var crashed []NodeID        // crashed, their slots queued or reused
 			cur := map[int]NodeID{0: 0} // slot -> current incarnation
 			for i, b := range data {
 				b := b
@@ -567,14 +570,20 @@ func FuzzArenaRecycling(f *testing.F) {
 						liveIDs = append(liveIDs[:i], liveIDs[i+1:]...)
 						crashed = append(crashed, victim)
 						e.Crash(victim)
-					case 2: // release a crashed node
+					case 2: // crash a crashed node again: nothing changes
 						if len(crashed) == 0 {
 							return
 						}
-						i := sel % len(crashed)
-						victim := crashed[i]
-						crashed = append(crashed[:i], crashed[i+1:]...)
-						e.Release(victim)
+						victim := crashed[sel%len(crashed)]
+						if cur[Slot(victim)] != victim {
+							return // its slot was reused: the handle is stale
+						}
+						live, queued, next := e.Live(), len(e.quar)-e.quarHead, e.PeekNextID()
+						e.Crash(victim)
+						if e.Live() != live || len(e.quar)-e.quarHead != queued || e.PeekNextID() != next {
+							t.Fatalf("a second Crash of %d changed Live %d→%d, the queue %d→%d, the next id %d→%d",
+								victim, live, e.Live(), queued, len(e.quar)-e.quarHead, next, e.PeekNextID())
+						}
 					case 3: // hub sends to any handle ever minted
 						env0.Send(handles[sel%len(handles)], wire.FeedMe{})
 					}
@@ -662,10 +671,10 @@ func TestOneIDMessageDrops(t *testing.T) {
 		}
 		return e
 	}
-	// recycle crashes and releases node 1 at 20 ms and puts a new node in
-	// its slot at 30 ms, once the quarantine has run out.
+	// recycle crashes node 1 at 20 ms and puts a new node in its slot at
+	// 30 ms, once the quarantine has run out.
 	recycle := func(e *Engine) {
-		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1); e.Release(1) })
+		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		e.AtBarrier(30*time.Millisecond, func() {
 			if id := e.AddNode(sinkTyped{}, shaping.Unlimited, 0); id != makeID(1, 1) {
 				t.Fatalf("reuse minted %d, want slot 1 at generation 1", id)
@@ -717,17 +726,17 @@ func TestOneIDMessageDrops(t *testing.T) {
 	}
 }
 
-// TestLivenessWordMatchesArena plays random AddNode / Crash / Release
-// sequences — recycling slots FIFO, at setup where the quarantine expires
-// at once — against a plain model of the arena, long enough that slots
-// reach maxGen and retire. After every step each slot's liveness word is
-// the model's gen<<2 | released<<1 | alive, and Alive, lookup, liveNode,
-// Live and PeekNextID agree with the model for the slot's current handle,
-// its previous one and a handle past the arena.
+// TestLivenessWordMatchesArena plays random AddNode / Crash sequences —
+// recycling slots FIFO, at setup where the quarantine expires at once —
+// against a plain model of the arena, long enough that slots reach maxGen
+// and retire. After every step each slot's liveness word is the model's
+// gen<<1 | alive, and Alive, lookup, liveNode, Live and PeekNextID agree
+// with the model for the slot's current handle, its previous one and a
+// handle past the arena.
 func TestLivenessWordMatchesArena(t *testing.T) {
 	type slot struct {
-		gen             int
-		alive, released bool
+		gen   int
+		alive bool
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -742,7 +751,7 @@ func TestLivenessWordMatchesArena(t *testing.T) {
 			t.Helper()
 			live := 0
 			for s, m := range model {
-				want := uint32(m.gen)<<liveGenShift | map[bool]uint32{true: liveReleased}[m.released] | map[bool]uint32{true: liveAlive}[m.alive]
+				want := uint32(m.gen)<<liveGenShift | map[bool]uint32{true: liveAlive}[m.alive]
 				if e.live[s] != want {
 					t.Fatalf("seed %d step %d: slot %d liveness word %#x, model %#x (%+v)", seed, step, s, e.live[s], want, m)
 				}
@@ -777,22 +786,17 @@ func TestLivenessWordMatchesArena(t *testing.T) {
 		}
 		retired := 0
 		for step := 0; step < 40000; step++ {
-			var alive, crashed []int
-			inUse := 0
+			var alive, down []int
 			for s, m := range model {
-				switch {
-				case m.alive:
+				if m.alive {
 					alive = append(alive, s)
-				case !m.released:
-					crashed = append(crashed, s)
-				}
-				if !m.released {
-					inUse++
+				} else {
+					down = append(down, s)
 				}
 			}
 			touched := -1
 			switch r := rng.Intn(3); {
-			case r == 0 && inUse < 3 || len(alive)+len(crashed) == 0:
+			case r == 0 && len(alive) < 3 || len(model) == 0:
 				id := e.AddNode(sink{}, shaping.Unlimited, 0)
 				if len(free) > 0 {
 					touched, free = free[0], free[1:]
@@ -808,18 +812,14 @@ func TestLivenessWordMatchesArena(t *testing.T) {
 				touched = alive[rng.Intn(len(alive))]
 				e.Crash(handle(touched))
 				model[touched].alive = false
-			case len(crashed) > 0:
-				touched = crashed[rng.Intn(len(crashed))]
-				if rng.Intn(4) == 0 {
-					e.Crash(handle(touched)) // a second Crash changes nothing
-				}
-				e.Release(handle(touched))
-				model[touched].released = true
 				if model[touched].gen < maxGen {
 					free = append(free, touched)
 				} else {
 					retired++
 				}
+			case len(down) > 0:
+				touched = down[rng.Intn(len(down))]
+				e.Crash(handle(touched)) // a second Crash changes nothing
 			}
 			check(step, touched)
 		}

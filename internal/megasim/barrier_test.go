@@ -163,8 +163,8 @@ func TestRunReleasesWorkersOnPanic(t *testing.T) {
 				if n := settledGoroutines(before); n > before {
 					t.Fatalf("%d goroutines after the panic, %d before Run: workers leaked", n, before)
 				}
-				if e.running || e.inBarrier {
-					t.Fatalf("after the panic: running %v, inBarrier %v, want both false", e.running, e.inBarrier)
+				if e.stage != stageDone {
+					t.Fatalf("after the panic: the engine is at stage %d, want done (%d)", e.stage, stageDone)
 				}
 				if n := runningShards.Load(); n != shardsBefore {
 					t.Fatalf("running-shard count %d after the panic, want %d", n, shardsBefore)

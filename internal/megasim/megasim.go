@@ -13,9 +13,11 @@
 // of any message, derived from the latency model —
 // so an event executing anywhere inside the current window can only
 // produce cross-shard work for later windows. Within a window every shard
-// runs independently (no locks on the hot path); at the window barrier,
-// cross-shard messages are handed over through per-(source, destination)
-// outboxes and folded into the destination scheduler.
+// runs independently (no locks on the hot path): a message sent to another
+// shard waits in a per-(source, destination) outbox, and at the window's end
+// the destination folds it into its scheduler. That hand-off is the only
+// one. A send made while no window runs, at setup or in a barrier callback,
+// goes straight into the destination's scheduler: nothing else runs then.
 // The goroutine calling Run executes shard 0 and hands the other shards'
 // phases to worker goroutines through an atomic epoch (see waiter). Every
 // shard count takes this one path; one shard has no worker to hand a
@@ -42,7 +44,10 @@
 //     depends on goroutine interleaving;
 //   - global actions — churn, and observers such as progress snapshots —
 //     run at barriers via AtBarrier, with every shard quiescent, at their
-//     exact instants whatever the shard count.
+//     exact instants whatever the shard count. A send a callback makes is
+//     in its destination's scheduler when the call returns, on whichever
+//     shard the destination runs, so a later callback at the same instant
+//     sees it pending at every shard count.
 //
 // So a run is bit-identical across runs, GOMAXPROCS settings and shard
 // counts, and so is what a barrier callback observes; only the load
@@ -113,7 +118,7 @@
 // emissions through the same shaped, lossy send path as protocol traffic;
 // a Cyclon round allocates nothing (TestEngineAllocBudget's cyclon-shuffle
 // legs). Cross-shard shuffles are handed over at
-// barriers exactly like streaming messages, so runs with membership
+// window ends exactly like streaming messages, so runs with membership
 // enabled keep the same-seed, same-run guarantee.
 //
 // # Runtime admission and slot recycling
@@ -126,12 +131,12 @@
 // quiescent: the new node lands on its slot's round-robin shard, its
 // first events are scheduled at the barrier time plus de-phasing offsets,
 // and a runtime-drawn base latency is clamped so the lookahead fixed at
-// Run stays a valid bound. Departures are Crash (the tick chain ends,
-// descriptors elsewhere age out) followed, once the experiment has folded
-// the node's metrics, by Release, which queues the arena slot for reuse.
-// Because admission, crashes, and releases all run at barriers in
-// schedule order, and an admitted node's draws are keyed by its handle,
-// runs with runtime churn keep full replay determinism.
+// Run stays a valid bound. A departure is one call, Crash: the node stops,
+// its tick chain ends, its descriptors elsewhere age out, and its arena
+// slot queues for reuse, its traffic counters readable until then.
+// Because admissions and crashes all run at barriers in schedule order,
+// and an admitted node's draws are keyed by its handle, runs with runtime
+// churn keep full replay determinism.
 //
 // A node's environment (NodeEnv) lives by value in an engine-owned table,
 // one per arena slot, in chunks that never move; a recycled slot's next
@@ -139,7 +144,7 @@
 // run on and the slot's index there, dense from zero per shard, so that a
 // caller can keep its own per-node state per shard the same way.
 //
-// Engine memory is O(live nodes), not O(nodes ever): a released slot
+// Engine memory is O(live nodes), not O(nodes ever): a crashed slot
 // waits out one lookahead window in a quarantine ring — after that no
 // in-flight event can still address the old incarnation without crossing
 // a barrier — and AddNode takes it from that one ring, oldest first,
@@ -179,9 +184,9 @@ import (
 // NodeID identifies a node incarnation: a generation-tagged handle packing
 // an arena slot index (low slotBits bits) and the slot's generation counter
 // (the bits above). While no slot has ever been recycled — every run
-// without Release, and every run's setup phase — generations are all zero
-// and ids are dense integers starting at 0 in AddNode order, exactly as
-// before. Once Release queues slots for reuse, AddNode may mint a
+// without a crash — generations are all zero and ids are dense integers
+// starting at 0 in AddNode order. Once Crash queues slots for reuse,
+// AddNode may mint a
 // handle for a recycled slot at the next generation: the slot bits repeat,
 // the generation bits differ, so any reference that outlives its node — an
 // in-flight delivery, an outbox entry, a descriptor in a sampler view, an
@@ -278,8 +283,8 @@ type nodeState struct {
 	stats simnet.Stats
 }
 
-// A slot's liveness word, Engine.live[slot], holds its generation above two
-// flags: gen<<liveGenShift | released<<1 | alive. A handle resolves to the
+// A slot's liveness word, Engine.live[slot], holds its generation above
+// one flag: gen<<liveGenShift | alive. A handle resolves to the
 // slot's current incarnation only when its Gen matches the word's. The
 // generation is incremented when the slot is recycled, so every handle a
 // quarantined slot ever minted stays resolvable (and dead-drops normally)
@@ -290,8 +295,7 @@ type nodeState struct {
 // sender's.
 const (
 	liveAlive    = 1 << 0 // the incarnation runs: added and not crashed
-	liveReleased = 1 << 1 // Release queued the slot for reuse
-	liveGenShift = 2
+	liveGenShift = 1
 )
 
 // sameGen reports whether a handle names the incarnation whose liveness
@@ -299,17 +303,28 @@ const (
 func sameGen(w uint32, id NodeID) bool { return w>>liveGenShift == uint32(id)>>slotBits }
 
 // aliveWord is the liveness word of the incarnation id names while it is
-// alive: alive excludes released, so one comparison checks both.
+// alive, so one comparison checks both generation and liveness.
 func aliveWord(id NodeID) uint32 { return uint32(id)>>slotBits<<liveGenShift | liveAlive }
 
-// quarEntry parks a released slot until reuse is provably safe: one full
-// lookahead window after the Release barrier, by when every delivery the
+// quarEntry parks a crashed slot until reuse is provably safe: one full
+// lookahead window after the Crash barrier, by when every delivery the
 // old incarnation could still be addressed by has executed or crossed a
 // barrier (where the generation check catches it).
 type quarEntry struct {
 	slot int32
-	at   time.Duration // engine time of the Release
+	at   time.Duration // engine time of the Crash
 }
+
+// stage is where an engine is in its life, which decides what may change
+// and how a send reaches another shard.
+type stage uint8
+
+const (
+	stageSetup   stage = iota // before Run: nodes, barriers and first events are set up
+	stageWindow               // in Run, outside the barrier callbacks: windows run
+	stageBarrier              // in an AtBarrier callback: every shard is quiescent
+	stageDone                 // Run has returned
+)
 
 type globalEvent struct {
 	at time.Duration
@@ -340,12 +355,10 @@ type Engine struct {
 	admitBase time.Duration
 	globals   []globalEvent
 	now       time.Duration
-	running   bool
-	// inBarrier is true while AtBarrier callbacks execute: every shard is
-	// quiescent there, which is what makes runtime node admission
-	// (AddNode/AttachSampler from a callback) safe.
-	inBarrier bool
-	ran       bool
+	// stage gates topology changes (checkMutable) and picks a send's way
+	// to another shard: an outbox inside a window, straight into the
+	// destination's queue otherwise.
+	stage stage
 	// alive counts alive nodes incrementally (AddNode/Crash), so progress
 	// snapshots need no O(n) scan.
 	alive int
@@ -356,10 +369,10 @@ type Engine struct {
 	recycled int
 
 	// Slot recycling state, touched only at quiescent points (setup,
-	// barrier callbacks): released slots queue in the quarantine ring in
-	// Release order and stay there until AddNode takes the oldest whose
+	// barrier callbacks): crashed slots queue in the quarantine ring in
+	// Crash order and stay there until AddNode takes the oldest whose
 	// window expired — a deterministic recycling order for a
-	// deterministic schedule of Releases.
+	// deterministic schedule of crashes.
 	quar     []quarEntry
 	quarHead int
 	// departed accumulates the traffic counters of retired incarnations,
@@ -501,7 +514,7 @@ func (e *Engine) PeekNextID() NodeID {
 }
 
 // nextFree returns the oldest slot in the quarantine ring whose quarantine
-// expired — one full lookahead window past its Release — if there is one.
+// expired — one full lookahead window past its Crash — if there is one.
 // A slot whose generation space is exhausted retires permanently: the ring
 // steps past it for good (it could no longer mint a handle
 // distinguishable from a stale one); at 10 generation bits that leaks one
@@ -520,8 +533,8 @@ func (e *Engine) nextFree() (int, bool) {
 
 // takeFree pops the oldest recyclable slot, if any. The ring reuses its
 // backing: reset when exhausted, the tail compacted to the front once the
-// consumed head passes the midpoint (amortized O(1) per Release). Under
-// steady churn there are always fresh releases in the tail, so without the
+// consumed head passes the midpoint (amortized O(1) per Crash). Under
+// steady churn there are always fresh crashes in the tail, so without the
 // compaction the backing would grow by one entry per departure forever —
 // the arena would be O(live nodes) but the ring O(total joins).
 func (e *Engine) takeFree() (int, bool) {
@@ -541,13 +554,10 @@ func (e *Engine) takeFree() (int, bool) {
 // checkMutable panics unless the engine is in a state where topology may
 // change: setup (before Run) or an AtBarrier callback (shards quiescent).
 func (e *Engine) checkMutable(op string) {
-	if e.running {
-		if !e.inBarrier {
-			panic(fmt.Sprintf("megasim: %s during Run outside a barrier callback", op))
-		}
-		return
-	}
-	if e.ran {
+	switch e.stage {
+	case stageWindow:
+		panic(fmt.Sprintf("megasim: %s during Run outside a barrier callback", op))
+	case stageDone:
 		panic(fmt.Sprintf("megasim: %s after Run", op))
 	}
 }
@@ -604,8 +614,8 @@ func (e *Engine) memberTick(sh *shard, id NodeID) {
 
 // N returns the arena size: the high-water population of concurrently
 // tracked nodes, i.e. incarnations ever added (Added) minus slot reuses
-// (Recycled). While Release is never called this equals the number of
-// AddNode calls, as before.
+// (Recycled). While no node crashes this equals the number of AddNode
+// calls.
 func (e *Engine) N() int { return e.nodes.Len() }
 
 // Added returns the number of node incarnations ever registered.
@@ -643,44 +653,33 @@ func (e *Engine) Alive(id NodeID) bool {
 	return e.live[Slot(id)]&liveAlive != 0
 }
 
-// Crash silences a node: it stops sending and receiving. Only legal during
-// setup or inside an AtBarrier callback (shards are quiescent there).
-func (e *Engine) Crash(id NodeID) {
-	e.lookup("Crash", id)
-	if w := &e.live[Slot(id)]; *w&liveAlive != 0 {
-		*w &^= liveAlive
-		e.alive--
-	}
-}
-
 // Live returns the number of alive nodes.
 func (e *Engine) Live() int { return e.alive }
 
-// Release frees a crashed node's heavy state — handler, sampler, uplink
-// queue — and queues its arena slot for recycling, making engine memory
-// O(live nodes) under sustained churn. The slot parks in a quarantine
-// ring for one full lookahead window (by then no in-flight event can
-// still be addressed to the old incarnation without crossing a barrier,
-// where the generation check catches it) and stays there until AddNode
-// takes it, oldest first, bumping the generation so every handle the old
-// incarnation ever minted turns detectably stale. Until the slot is
-// actually reused the released node keeps its base latency (pair
-// latencies of draining traffic still read it) and its traffic counters
-// (NodeStats stays complete); at reuse the counters fold into the
-// engine-wide departed accumulator, so TotalStats is conserved across any
-// amount of churn. Only legal during setup or inside an
-// AtBarrier callback, and only for a crashed, not-yet-released node.
-func (e *Engine) Release(id NodeID) {
-	e.checkMutable("Release")
-	nd := e.lookup("Release", id)
+// Crash takes a node out of the run for good: it stops sending and
+// receiving, its timers and membership ticks die, and its heavy state —
+// handler, sampler, uplink queue — is dropped, which makes engine memory
+// O(live nodes) under sustained churn. Its arena slot parks in a
+// quarantine ring for one full lookahead window (by then no in-flight
+// event can still be addressed to the old incarnation without crossing a
+// barrier, where the generation check catches it) and stays there until
+// AddNode takes it, oldest first, bumping the generation so every handle
+// the old incarnation ever minted turns detectably stale. Until the slot
+// is reused the node keeps its base latency (pair latencies of draining
+// traffic still read it) and its traffic counters (NodeStats stays
+// complete); at reuse the counters fold into the engine-wide departed
+// accumulator, so TotalStats is conserved across any amount of churn.
+// Crashing a node that is already down does nothing. Only legal during
+// setup or inside an AtBarrier callback (shards are quiescent there).
+func (e *Engine) Crash(id NodeID) {
+	e.checkMutable("Crash")
+	nd := e.lookup("Crash", id)
 	w := &e.live[Slot(id)]
-	if *w&liveAlive != 0 {
-		panic(fmt.Sprintf("megasim: Release of live node %d", id))
+	if *w&liveAlive == 0 {
+		return
 	}
-	if *w&liveReleased != 0 {
-		panic(fmt.Sprintf("megasim: Release of already released node %d", id))
-	}
-	*w |= liveReleased
+	*w &^= liveAlive
+	e.alive--
 	nd.handler = nil
 	nd.flat = nil
 	nd.sampler = nil
@@ -696,7 +695,7 @@ func (e *Engine) BaseLatency(id NodeID) time.Duration { return e.lookup("BaseLat
 // — messages discarded because an endpoint crashed before delivery — are
 // counted on the receiving node (delivery is the only point where the
 // destination shard owns the check), not the sender. The counters stay
-// readable after Crash and Release; they fold into TotalStats' departed
+// readable after Crash; they fold into TotalStats' departed
 // accumulator — and the handle turns stale — only when the slot is
 // actually reused by a later AddNode.
 func (e *Engine) NodeStats(id NodeID) simnet.Stats { return e.lookup("NodeStats", id).stats }
@@ -764,7 +763,7 @@ func (e *Engine) ShardLoads() []telemetry.ShardLoad {
 // must be safe for concurrent use; the simulated run is bit-identical with
 // and without a clock. Only legal before Run.
 func (e *Engine) SetWallClock(fn func() int64) {
-	if e.ran || e.running {
+	if e.stage != stageSetup {
 		panic("megasim: SetWallClock after Run started")
 	}
 	e.wallNow = fn
@@ -788,7 +787,7 @@ func (e *Engine) AtBarrier(t time.Duration, fn func()) {
 	if t < 0 {
 		panic(fmt.Sprintf("megasim: barrier at negative time %v", t))
 	}
-	if e.ran || e.running {
+	if e.stage != stageSetup {
 		panic("megasim: AtBarrier after Run")
 	}
 	e.globals = append(e.globals, globalEvent{at: t, fn: fn})
@@ -850,12 +849,14 @@ func (e *Engine) minBase() time.Duration {
 }
 
 // Run executes every event due at or before virtual time until. It can be
-// called once per engine.
+// called once per engine. Everything set up before it — sends included —
+// is already in the shards' queues, so it goes straight to the first
+// window or barrier, whichever comes first, and repeats.
 func (e *Engine) Run(until time.Duration) error {
-	if e.ran {
+	if e.stage != stageSetup {
 		return fmt.Errorf("megasim: Run called twice")
 	}
-	e.ran = true
+	e.stage = stageDone
 	if until < 0 {
 		return fmt.Errorf("megasim: Run until %v, want >= 0", until)
 	}
@@ -880,15 +881,12 @@ func (e *Engine) Run(until time.Duration) error {
 
 	e.procs = int64(runtime.GOMAXPROCS(0))
 	runningShards.Add(int64(len(e.shards)))
-	e.running = true
+	e.stage = stageWindow
 	defer e.stop()
 	e.workerWg.Add(len(e.shards) - 1)
 	for _, s := range e.shards[1:] {
 		go s.work()
 	}
-	// Fold any deliveries emitted during setup into the shard heaps so
-	// the first next-event scan sees them.
-	e.phase(&e.wall.MergeNS, opMerge, 0)
 
 	// horizon is one past the inclusive deadline: windows are half-open,
 	// so events at exactly `until` execute in a final [until, until+1)
@@ -921,7 +919,7 @@ func (e *Engine) Run(until time.Duration) error {
 					s.now = tg
 				}
 			}
-			e.inBarrier = true
+			e.stage = stageBarrier
 			var tb int64
 			if e.wallNow != nil {
 				tb = e.wallNow()
@@ -933,17 +931,7 @@ func (e *Engine) Run(until time.Duration) error {
 			if e.wallNow != nil {
 				e.wall.BarrierNS += e.wallNow() - tb
 			}
-			e.inBarrier = false
-			// Fold cross-shard sends the callbacks emitted straight into
-			// the destination queues. Every worker waits for the next epoch
-			// here, so the supervisor-side fold is ordered: the done count
-			// sequenced all prior shard writes before this point, and the
-			// next epoch sequences these writes before the workers' reads.
-			// Without the fold a barrier-emitted delivery stays invisible to
-			// the next-event scan — lost outright if no later window runs.
-			for _, s := range e.shards {
-				s.mergeInbound()
-			}
+			e.stage = stageWindow
 			continue
 		}
 		if t0 >= horizon {
@@ -1005,7 +993,7 @@ func (e *Engine) stop() {
 	e.phase(nil, opStop, 0)
 	e.workerWg.Wait()
 	runningShards.Add(-int64(len(e.shards)))
-	e.running, e.inBarrier = false, false
+	e.stage = stageDone
 }
 
 // staleMsg formats the uniform stale-handle panic message.
@@ -1019,9 +1007,11 @@ func (e *Engine) staleMsg(op string, id NodeID) string {
 // silences. It executes on the sending node's shard and is the one body
 // every route into the network shares — the typed NodeEnv.SendIDs and
 // SendServe, and the generic Send, SendFrom and membership emissions
-// through unpack. A message that survives is copied into a record (the
-// destination shard's slab, or an outbox on the way there), and send
-// reports that it was kept; p's list is not referenced once send returns,
+// through unpack. A message that survives is queued for delivery on the
+// destination's shard — from inside a window, a message to another shard
+// waits in an outbox until the window ends; at setup or in a barrier
+// callback it goes straight into that shard's queue — and send reports
+// that it was kept; p's list is not referenced once send returns,
 // its boxed message only by the record. A send from a stale handle — node
 // logic that outlived its slot's recycling — drops silently exactly like a
 // send from a crashed node: it was never counted sent, so conservation
@@ -1064,20 +1054,23 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		return false
 	}
 	at := depart + e.pairLatency(src, from, to)
-	d := e.shardOf(int(tslot))
-	if d == sh.id {
+	switch d := e.shardOf(int(tslot)); {
+	case d == sh.id:
 		sh.pushDelivery(at, from, to, int32(size), p)
-		return true
-	}
-	sh.outboxOut++
-	ob := &sh.outbox[d]
-	//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
-	ob.msgs = append(ob.msgs, xmsg{at: at, from: from, to: to})
-	r := &ob.msgs[len(ob.msgs)-1].rec
-	if r.fill(int32(size), p) {
-		r.inl[0] = stream.PacketID(len(ob.ids))
-		//lint:pooled the region's capacity is reused across windows, reset with the outbox
-		ob.ids = append(ob.ids, p.ids...)
+	case e.stage != stageWindow:
+		// No window runs, so no other goroutine touches the destination.
+		e.shards[d].pushDelivery(at, from, to, int32(size), p)
+	default:
+		sh.outboxOut++
+		ob := &sh.outbox[d]
+		//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
+		ob.msgs = append(ob.msgs, xmsg{at: at, from: from, to: to})
+		r := &ob.msgs[len(ob.msgs)-1].rec
+		if r.fill(int32(size), p) {
+			r.inl[0] = stream.PacketID(len(ob.ids))
+			//lint:pooled the region's capacity is reused across windows, reset with the outbox
+			ob.ids = append(ob.ids, p.ids...)
+		}
 	}
 	return true
 }
@@ -1172,8 +1165,10 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 // churn executors use it to transmit a gracefully departing node's LEAVE
 // emissions before crashing it. The send runs on the sender's shard — the
 // uplink shaping, loss draw, and jitter come from the node's own stream,
-// as its other sends' do, and cross-shard deliveries fold through the
-// regular barrier outboxes — so runs stay bit-identical for a fixed seed.
+// as its other sends' do — and the delivery is in the destination's queue
+// when SendFrom returns, whichever shard that is, so runs, and what a
+// later callback at the same instant observes, stay bit-identical for a
+// fixed seed at every shard count.
 func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.checkMutable("SendFrom")
 	sh := e.shards[e.shardOf(Slot(from))]
@@ -1282,8 +1277,8 @@ func (v *NodeEnv) SendServe(to NodeID, ids []stream.PacketID, payloadBytes int) 
 
 // After schedules fn once after d on the node's shard; the returned
 // function cancels it. The timer dies with its node: once the node has
-// crashed or been released, fn is dropped unexecuted and uncounted, as a
-// cancelled timer is.
+// crashed, fn is dropped unexecuted and uncounted, as a cancelled timer
+// is.
 func (v *NodeEnv) After(d time.Duration, fn func()) func() { return v.sh.after(d, v.id, fn) }
 
 // FlatTimers reports whether the flat route reaches the node's logic: the

@@ -357,7 +357,7 @@ func TestTimerCancel(t *testing.T) {
 }
 
 // TestAfterTimersDieWithTheirNode: a NodeEnv.After timer armed by a node
-// that then crashes, or crashes and is released, neither runs nor counts —
+// that then crashes, once or twice, neither runs nor counts —
 // in Fired or in any shard's load — the way an AfterTimer timer of a
 // departed node is dropped. A live node's timer still runs.
 func TestAfterTimersDieWithTheirNode(t *testing.T) {
@@ -375,7 +375,7 @@ func TestAfterTimersDieWithTheirNode(t *testing.T) {
 		e.AtBarrier(10*time.Millisecond, func() {
 			e.Crash(1)
 			e.Crash(2)
-			e.Release(2)
+			e.Crash(2)
 		})
 		if err := e.Run(100 * time.Millisecond); err != nil {
 			t.Fatal(err)
@@ -443,6 +443,53 @@ func TestBarriersRunInTimeThenRegistrationOrder(t *testing.T) {
 		}
 		if want := []string{"b", "d", "a", "c"}; !reflect.DeepEqual(order, want) {
 			t.Fatalf("%d shards: barriers ran in order %v, want %v", shards, order, want)
+		}
+	}
+}
+
+// TestBarrierObservationsIndependentOfShardCount: a message sent to a node
+// on another shard at setup or in a barrier callback is in its
+// destination's queue when the send returns, so a later callback at the same
+// instant counts it pending, and no outbox carries it, at one, two and four
+// shards alike.
+func TestBarrierObservationsIndependentOfShardCount(t *testing.T) {
+	ids := make([]stream.PacketID, 2*inlineIDs) // a list that spills
+	for i := range ids {
+		ids[i] = stream.PacketID(i)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		e, err := New(Config{Shards: shards, Net: flatNet(50 * time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		env0 := e.NodeEnv(0, NewRand(1))
+		for range 4 {
+			e.AddNode(sinkTyped{}, shaping.Unlimited, 0)
+		}
+		e.SendFrom(0, 1, wire.FeedMe{})
+		var pending []int
+		observe := func() {
+			pending = append(pending, e.Pending())
+			for _, l := range e.ShardLoads() {
+				if l.OutboxOut != 0 || l.OutboxIn != 0 {
+					t.Errorf("%d shards: shard %d handed %d messages to an outbox and merged %d at a barrier", shards, l.Shard, l.OutboxOut, l.OutboxIn)
+				}
+			}
+		}
+		e.AtBarrier(0, observe)
+		e.AtBarrier(10*time.Millisecond, func() {
+			e.SendFrom(0, 3, wire.FeedMe{})
+			env0.SendIDs(2, wire.KindRequest, ids)
+		})
+		e.AtBarrier(10*time.Millisecond, observe)
+		if err := e.Run(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{1, 3}; !reflect.DeepEqual(pending, want) {
+			t.Errorf("%d shards: the barriers observed %v pending, want %v", shards, pending, want)
+		}
+		if got := e.TotalStats(); got.RecvMsgs[wire.KindFeedMe] != 2 || got.RecvMsgs[wire.KindRequest] != 1 || e.Fired() != 3 {
+			t.Errorf("%d shards: %d FEED-MEs and %d REQUESTs received in %d events, want 2, 1 and 3", shards, got.RecvMsgs[wire.KindFeedMe], got.RecvMsgs[wire.KindRequest], e.Fired())
 		}
 	}
 }

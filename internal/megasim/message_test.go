@@ -155,12 +155,15 @@ func deliveredAs(p payload) string {
 }
 
 // roundTrip sends the shapes from node 0 to node 1, a typedKept — on one
-// shard, or from shard 0 to shard 1 — one at a barrier of its own, 10 ms
-// apart over a 1 ms network, so the slab records and arena ranges of one
-// are reused by the next. At each barrier the previous shape must have
-// arrived as it was sent, counted sent and received once at its size, with
-// every record and range free again. It returns how many slab records each
-// shape held on the destination shard while it was in flight.
+// shard, or from shard 0 to shard 1 — one in the window after a barrier of
+// its own, 10 ms apart over a 1 ms network, so the slab records and arena
+// ranges of one are reused by the next. Sent inside a window, a shape bound
+// for the other shard waits in an outbox, its list, if it spills, in the
+// outbox's region, until the window ends. At each barrier the previous
+// shape must have arrived as it was sent, counted sent and received once at
+// its size, with every record and range free again. It returns how many
+// slab records each shape held on the destination shard while it was in
+// flight.
 func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 	t.Helper()
 	e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
@@ -172,14 +175,20 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 	recv := &typedKept{kept{typed: true}}
 	e.AddNode(recv, shaping.Unlimited, 0)
 	dst := e.shards[1%shards]
+	// What each shape must arrive as, and its size, taken before it is
+	// sent: a boxed SERVE whose backing has a pooled one's capacity goes
+	// back to wire's pool, cleared, once delivered.
+	want, sizes := make([]string, len(shapes)), make([]uint64, len(shapes))
+	for i, p := range shapes {
+		want[i], sizes[i] = deliveredAs(p), uint64(p.wireSize()-wire.UDPOverheadBytes)
+	}
 	var sent, got simnet.Stats
 	arrived := func(i int) {
 		t.Helper()
-		p, k := shapes[i], shapes[i].kind
-		if len(recv.got) != i+1 || recv.got[i] != deliveredAs(p) {
-			t.Fatalf("shape %d (%+v): delivered %q, want %q last", i, p, recv.got, deliveredAs(p))
+		p, k, size := shapes[i], shapes[i].kind, sizes[i]
+		if len(recv.got) != i+1 || recv.got[i] != want[i] {
+			t.Fatalf("shape %d (%+v): delivered %q, want %q last", i, p, recv.got, want[i])
 		}
-		size := uint64(p.wireSize() - wire.UDPOverheadBytes)
 		s, r := e.NodeStats(0), e.NodeStats(1)
 		if s.SentMsgs[k]-sent.SentMsgs[k] != 1 || s.SentBytes[k]-sent.SentBytes[k] != size ||
 			r.RecvMsgs[k]-got.RecvMsgs[k] != 1 || r.RecvBytes[k]-got.RecvBytes[k] != size {
@@ -192,17 +201,22 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 		}
 	}
 	for i, p := range shapes {
-		e.AtBarrier(time.Duration(i)*10*time.Millisecond, func() {
+		at := time.Duration(i) * 10 * time.Millisecond
+		e.AtBarrier(at, func() {
 			if i > 0 {
 				arrived(i - 1)
 			}
 			sent, got = e.NodeStats(0), e.NodeStats(1)
-			sendShape(sender, 1, p)
-			if shards > 1 {
-				// What Run does once the callback returns; done here so the
-				// destination's slab shows the message.
-				dst.mergeInbound()
-			}
+			sender.After(0, func() {
+				sendShape(sender, 1, p)
+				if shards > 1 {
+					checkInOutbox(t, &e.shards[0].outbox[1], 1)
+				}
+			})
+		})
+		// The window has ended, the outbox has been merged, and the message
+		// is on its way.
+		e.AtBarrier(at+time.Microsecond, func() {
 			records = append(records, dst.msgs.Len()-dst.msgFree.Len())
 		})
 	}
@@ -215,15 +229,38 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 			t.Fatalf("shard %d: %d slab records for one message at a time: records are not reused", s.id, s.msgs.Len())
 		}
 	}
+	if l := e.ShardLoads(); shards > 1 && (l[0].OutboxOut != uint64(len(shapes)) || l[1].OutboxIn != uint64(len(shapes))) {
+		t.Fatalf("%d shapes sent across shards, %d handed to an outbox and %d merged from one", len(shapes), l[0].OutboxOut, l[1].OutboxIn)
+	}
 	return records
 }
 
+// checkInOutbox checks, from the sending shard inside a window, that the
+// outbox holds the n messages last sent through it, and its region exactly
+// their spilled lists.
+func checkInOutbox(t *testing.T, ob *outbox, n int) {
+	t.Helper()
+	if len(ob.msgs) != n {
+		t.Fatalf("%d messages in the outbox, want %d", len(ob.msgs), n)
+	}
+	spilled := 0
+	for i := range ob.msgs {
+		if r := &ob.msgs[i].rec; r.spilled() {
+			spilled += int(r.n)
+		}
+	}
+	if len(ob.ids) != spilled {
+		t.Fatalf("the outbox's region holds %d ids, its records spilled %d", len(ob.ids), spilled)
+	}
+}
+
 // allAtOnce sends every shape from node 0 to node 1, a typedKept, in one
-// go — on one shard, or from shard 0 to shard 1 — so that the lists of
-// every spill class are live together, in the spill pool and, across
-// shards, first in the outbox's region. Each shape holds the slab records
-// roundTrip counted for it, all at once; they must arrive in order as
-// sent and leave every slab record and spill block free.
+// go from inside the first window — on one shard, or from shard 0 to
+// shard 1 — so that the lists of every spill class are live together, in
+// the spill pool and, across shards, first in the outbox's region. Each
+// shape holds the slab records roundTrip counted for it, all at once; they
+// must arrive in order as sent and leave every slab record and spill block
+// free.
 func allAtOnce(t *testing.T, shards int, shapes []payload, records []int) {
 	t.Helper()
 	e, err := New(Config{Shards: shards, Net: flatNet(time.Millisecond)})
@@ -235,24 +272,29 @@ func allAtOnce(t *testing.T, shards int, shapes []payload, records []int) {
 	recv := &typedKept{kept{typed: true}}
 	e.AddNode(recv, shaping.Unlimited, 0)
 	var want []string
-	for _, p := range shapes {
-		sendShape(sender, 1, p)
-		want = append(want, deliveredAs(p))
-	}
-	dst := e.shards[1%shards]
-	if shards > 1 {
-		if len(e.shards[0].outbox[1].ids) == 0 {
-			t.Fatal("no list spilled into the outbox's region")
+	sender.After(0, func() {
+		for _, p := range shapes {
+			sendShape(sender, 1, p)
+			want = append(want, deliveredAs(p))
 		}
-		dst.mergeInbound() // what Run does at its first barrier
-	}
+		if shards > 1 {
+			ob := &e.shards[0].outbox[1]
+			if len(ob.ids) == 0 {
+				t.Fatal("no list spilled into the outbox's region")
+			}
+			checkInOutbox(t, ob, len(shapes))
+		}
+	})
+	dst := e.shards[1%shards]
 	held := 0
 	for _, n := range records {
 		held += n
 	}
-	if got := dst.msgs.Len() - dst.msgFree.Len(); got != held {
-		t.Fatalf("%d slab records in flight with every shape sent, want %d", got, held)
-	}
+	e.AtBarrier(time.Microsecond, func() {
+		if got := dst.msgs.Len() - dst.msgFree.Len(); got != held {
+			t.Fatalf("%d slab records in flight with every shape sent, want %d", got, held)
+		}
+	})
 	if err := e.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -274,10 +316,10 @@ func slabRecords(inEvent bool) int {
 }
 
 // TestMessageRecordRoundTrip delivers every shape of recordShapes, one at
-// a time, on one shard and across two (through the outbox's records and
-// regions), to a recording handler: each must arrive with its kind and ids,
-// charged to RecvBytes at its size, and leave every slab record and arena
-// range free. A one-id PROPOSE, REQUEST or SERVE rides in its event and
+// a time, on one shard and across two (sent inside a window, through the
+// outbox's records and regions), to a recording handler: each must arrive
+// with its kind and ids, charged to RecvBytes at its size, and leave every
+// slab record and arena range free. A one-id PROPOSE, REQUEST or SERVE rides in its event and
 // takes no slab record; every other shape takes one, the one-id SERVE too
 // large for its event included. Then it sends them all at once
 // (allAtOnce), so that lists of every spill class are live together. Boxed
@@ -328,6 +370,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 	f.Add(uint8(2), uint16(1), uint32(hugeWidth), false, false)
 	f.Add(uint8(2), uint16(3), uint32(100), true, true)
 	f.Add(uint8(3), uint16(0), uint32(0), true, false)
+	// A boxed SERVE of as many packets as a pooled backing holds: delivered,
+	// its backing goes back to wire's pool, cleared.
+	f.Add(uint8(2), uint16(244), uint32(139), true, true)
 	f.Fuzz(func(t *testing.T, kind uint8, n uint16, width uint32, boxed, cross bool) {
 		ids := make([]stream.PacketID, int(n)%(wire.MaxIDsPerMessage+1))
 		for i := range ids {
@@ -578,7 +623,9 @@ func (sinkTyped) HandleIDs(NodeID, wire.Kind, []stream.PacketID) {}
 // packets, and SERVEs of their ids to typed handlers, are sent within a
 // shard and across, over a lossy net, into a shallow uplink queue and to a
 // crashed node, so that every way a message can end — delivery, dead drop,
-// random loss, congestion — is taken. Then, over the drained engine:
+// random loss, congestion — is taken. They are sent inside windows, so the
+// ones to the other shard cross through an outbox. Then, over the drained
+// engine:
 //
 //   - every boxed SERVE's pooled backing went back to wire's pool, cleared,
 //     when its message ended;
@@ -607,9 +654,17 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 
 	const packets = 400
 	var collected atomic.Int32
-	var pooled [][]*stream.Packet
-	send := func() {
+	// pooled holds, per shard, the backings of the boxed SERVEs the shard's
+	// nodes sent: the shards send at the same time.
+	pooled := make([][][]*stream.Packet, 2)
+	// sendOn sends the SERVEs of the nodes on shard sh, from a timer of a
+	// node there, which runs on that shard's goroutine.
+	sendOn := func(sh int) {
 		for i := 0; i < packets; i += 4 {
+			from, to := envs[i/4%nodes], NodeID((i/4+1+i/24)%nodes)
+			if shard, _ := e.ShardOf(from.ID()); shard != sh {
+				continue
+			}
 			batch := make([]*stream.Packet, 4)
 			ids := make([]stream.PacketID, 4)
 			for j := range batch {
@@ -617,16 +672,21 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 				ids[j] = batch[j].ID
 				runtime.SetFinalizer(batch[j], func(*stream.Packet) { collected.Add(1) })
 			}
-			from, to := envs[i/4%nodes], NodeID((i/4+1+i/24)%nodes)
 			if to%3 != 0 { // a typed handler
 				from.SendServe(to, ids[:1], 100)
 				from.SendServe(to, ids[1:], 100)
 			}
 			from.Send(to, wire.Serve{Packets: batch[:1]})
 			for _, serve := range wire.SplitServeInto(nil, batch) {
-				pooled = append(pooled, serve.Packets[:cap(serve.Packets)])
+				pooled[sh] = append(pooled[sh], serve.Packets[:cap(serve.Packets)])
 				from.Send(to, serve)
 			}
+		}
+	}
+	// Nodes 0 and 1 are alive, one on each shard.
+	send := func() {
+		for sh := range pooled {
+			envs[sh].After(0, func() { sendOn(sh) })
 		}
 	}
 	e.AtBarrier(0, send)
@@ -639,7 +699,7 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 		t.Fatalf("the run did not end messages every way, or did not drain: %+v, %d pending", st, e.Pending())
 	}
 
-	for _, backing := range pooled {
+	for _, backing := range slices.Concat(pooled...) {
 		if slices.IndexFunc(backing, func(p *stream.Packet) bool { return p != nil }) >= 0 {
 			t.Fatal("a boxed SERVE's pooled backing still holds packets after its message ended: it never went back to the pool")
 		}
@@ -772,9 +832,10 @@ func (k *shuffleKept) Handle(_ NodeID, msg wire.Message) (member.Emit, bool) {
 // every length around the record's layout edges — four entries (eight
 // words) inline, five (ten) spilled, up to wire.MaxShuffleEntries, the
 // largest that fits a datagram — requests and replies, with ages 0 and
-// 65535 and ids carrying generation bits, on one shard and across two. They
-// must arrive as sent, charged at their WireSize, and leave every record
-// and range free.
+// 65535 and ids carrying generation bits, on one shard and across two,
+// where, sent inside a window, they cross through an outbox. They must
+// arrive as sent, charged at their WireSize, and leave every record and
+// range free.
 func TestShuffleRecordRoundTrip(t *testing.T) {
 	var sent []wire.Shuffle
 	for _, n := range []int{0, 1, 3, 4, 5, 8, 20, wire.MaxShuffleEntries} {
@@ -804,19 +865,28 @@ func TestShuffleRecordRoundTrip(t *testing.T) {
 			recv := &shuffleKept{}
 			e.AttachSampler(1, recv, time.Hour)
 			bytes := 0
-			for i := range sent {
-				if i%2 == 0 {
-					sender.Send(1, sent[i])
-				} else {
-					sender.Send(1, &sent[i])
+			sender.After(0, func() {
+				for i := range sent {
+					if i%2 == 0 {
+						sender.Send(1, sent[i])
+					} else {
+						sender.Send(1, &sent[i])
+					}
+					bytes += sent[i].WireSize() - wire.UDPOverheadBytes
 				}
-				bytes += sent[i].WireSize() - wire.UDPOverheadBytes
-			}
-			if shards > 1 && len(e.shards[0].outbox[1].ids) == 0 {
-				t.Fatal("no SHUFFLE spilled into the outbox's region")
-			}
+				if shards > 1 {
+					ob := &e.shards[0].outbox[1]
+					if len(ob.ids) == 0 {
+						t.Fatal("no SHUFFLE spilled into the outbox's region")
+					}
+					checkInOutbox(t, ob, len(sent))
+				}
+			})
 			if err := e.Run(time.Second); err != nil {
 				t.Fatal(err)
+			}
+			if l := e.ShardLoads(); shards > 1 && l[0].OutboxOut != uint64(len(sent)) {
+				t.Fatalf("%d SHUFFLEs sent across shards, %d handed to an outbox", len(sent), l[0].OutboxOut)
 			}
 			if len(recv.got) != len(sent) {
 				t.Fatalf("%d of %d SHUFFLEs delivered", len(recv.got), len(sent))

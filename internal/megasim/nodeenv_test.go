@@ -49,7 +49,6 @@ func TestNodeEnvTable(t *testing.T) {
 	// A later incarnation of slot 5 gets slot 5's environment, rebuilt.
 	old := e.NodeEnv(5, NewRand(5))
 	e.Crash(5)
-	e.Release(5)
 	id := e.PeekNextID()
 	if Slot(id) != 5 || Gen(id) != 1 {
 		t.Fatalf("the next node is %d, want slot 5's next incarnation", id)

@@ -163,12 +163,13 @@ const inlineIDs = 9
 
 // msgRec is one in-flight message: the single representation a message
 // that does not ride in its event has between send and its delivery or
-// drop, in a shard's slab, and that of every message crossing shards, in
-// an outbox until the merge. It owns its contents: fill copies ids and a
-// SHUFFLE's word pairs in, inline when the list is short (a SHUFFLE of up
-// to four entries), and its owner copies a longer list into its spill
-// storage, so nothing the sender passed is referenced after send returns
-// and a steady run recycles records without allocating. A boxed message
+// drop, in a shard's slab, and that of every message crossing shards
+// inside a window, in an outbox until the merge. It owns its contents:
+// fill copies ids and a SHUFFLE's word pairs in, inline when the list is
+// short (a SHUFFLE of up to four entries), and its owner copies a longer
+// list into its spill storage, so nothing the sender passed is referenced
+// after send returns and a steady run recycles records without
+// allocating. A boxed message
 // rides in other; a boxed SERVE's pooled backing goes back to wire's pool
 // when the slab record is released.
 type msgRec struct {
@@ -333,8 +334,8 @@ type shard struct {
 	delivers    uint64 // evDeliver and evDeliverID events executed
 	memberTicks uint64 // evMemberTick events executed
 	windowsRun  uint64 // conservative windows run
-	outboxOut   uint64 // cross-shard messages handed to other shards
-	outboxIn    uint64 // cross-shard messages merged in
+	outboxOut   uint64 // cross-shard messages sent inside a window, through an outbox
+	outboxIn    uint64 // cross-shard messages merged in from outboxes
 	staleDrops  uint64 // deliveries addressed to recycled (stale) handles
 
 	// msgs is the message slab: every evDeliver pending in q names its
@@ -541,9 +542,10 @@ func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 
 // pushDelivery schedules the message's delivery at the given time: in the
 // event itself when it fits there (evDeliverID), else copied into a slab
-// record. Every delivery a shard queues comes through here, from its own
-// sends and from other shards' at the merge, so a message takes the same
-// form whichever shard sent it.
+// record. Every delivery a shard queues comes through here — from its own
+// sends, from sends made on other shards while no window runs, and from
+// outboxes at the merge — so a message takes the same form whichever
+// shard sent it.
 func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
 	if p.other == nil && len(p.ids) == 1 && uint32(size) <= math.MaxUint16 {
 		// A SHUFFLE is never one id: its words come in (id, age) pairs.

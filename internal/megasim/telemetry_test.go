@@ -140,7 +140,11 @@ func TestLiveTracksCrashes(t *testing.T) {
 	}
 }
 
-func TestReleaseFreesOnlyDeadNodes(t *testing.T) {
+// TestCrashFreesTheNode: Crash at a barrier, while messages are in flight
+// toward the node and after, drops its handler, and every delivery to it is
+// dead-dropped instead of reaching the cleared handler; it keeps its base
+// latency, which pair latencies of draining traffic still read.
+func TestCrashFreesTheNode(t *testing.T) {
 	const lat = 10 * time.Millisecond
 	e, err := New(Config{Shards: 2, Net: flatNet(lat)})
 	if err != nil {
@@ -150,32 +154,17 @@ func TestReleaseFreesOnlyDeadNodes(t *testing.T) {
 	e.AddNode(&recorder{env: env0}, shaping.Unlimited, 0)
 	e.AddNode(&recorder{env: e.NodeEnv(1, NewRand(2))}, 256_000, 4096)
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Release of a live node did not panic")
-			}
-		}()
-		e.Release(1)
-	}()
-
-	// Crash + release at a barrier while a message is in flight toward the
-	// released node: the delivery must be dead-dropped, not dereference
-	// the cleared handler.
 	env0.After(4*time.Millisecond, func() { env0.Send(1, wire.FeedMe{}) })
-	e.AtBarrier(5*time.Millisecond, func() {
-		e.Crash(1)
-		e.Release(1)
-	})
+	e.AtBarrier(5*time.Millisecond, func() { e.Crash(1) })
 	env0.After(30*time.Millisecond, func() { env0.Send(1, wire.FeedMe{}) })
 	if err := e.Run(100 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	if got := e.NodeStats(1).DeadDrops; got == 0 {
-		t.Fatal("messages to a released node were not dead-dropped")
+		t.Fatal("messages to a crashed node were not dead-dropped")
 	}
 	if e.BaseLatency(1) <= 0 {
-		t.Fatal("released node lost its base latency")
+		t.Fatal("crashed node lost its base latency")
 	}
 	if e.Live() != 1 {
 		t.Fatalf("Live = %d, want 1", e.Live())

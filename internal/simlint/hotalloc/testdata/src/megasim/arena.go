@@ -1,6 +1,6 @@
 // arena.go is the fixture twin of the engine's slot-recycling machinery:
-// (*Engine).Release, drainQuarantine, and takeFree are configured hot
-// roots — Release runs per departure, the drains per admission — so the
+// (*Engine).Crash, drainQuarantine, and takeFree are configured hot
+// roots — Crash runs per departure, the drains per admission — so the
 // free-list appends are audited (reused capacity asserts //lint:pooled)
 // while the generation-tagged handle decode stays flat bit arithmetic
 // with nothing to flag.
@@ -29,7 +29,7 @@ type Engine struct {
 
 // SendFrom is a hot root: the LEAVE fan-out path, called once per view
 // entry at a graceful-departure barrier. The handle decode it shares with
-// Release stays flat bit arithmetic; the outbox append is audited.
+// Crash stays flat bit arithmetic; the outbox append is audited.
 func (e *Engine) SendFrom(from, to uint32) {
 	if e.stale(from) {
 		return
@@ -40,20 +40,20 @@ func (e *Engine) SendFrom(from, to uint32) {
 	e.outbox = append(e.outbox, quarEntry{slot: int32(to & arenaSlotMask), at: e.now}) // annotated: fine
 }
 
-// Release is a hot root: it parks the slot in the quarantine ring.
-func (e *Engine) Release(id uint32) {
+// Crash is a hot root: it parks the slot in the quarantine ring.
+func (e *Engine) Crash(id uint32) {
 	if e.stale(id) {
 		// Cold paths stay exempt: the engine panics on programmer error,
 		// never per departure.
-		panic("megasim: Release of stale handle")
+		panic("megasim: Crash of stale handle")
 	}
-	e.quar = append(e.quar, quarEntry{slot: int32(id & arenaSlotMask), at: e.now}) // want `append in hot path \(\(\*Engine\)\.Release\)`
+	e.quar = append(e.quar, quarEntry{slot: int32(id & arenaSlotMask), at: e.now}) // want `append in hot path \(\(\*Engine\)\.Crash\)`
 
 	//lint:pooled quarantine ring capacity is reused once fully drained
 	e.quar = append(e.quar, quarEntry{slot: int32(id & arenaSlotMask), at: e.now}) // annotated: fine
 }
 
-// stale is the handle-decode fast path, reachable from the Release root:
+// stale is the handle-decode fast path, reachable from the Crash root:
 // pure shift-and-mask arithmetic, nothing for the analyzer to flag.
 func (e *Engine) stale(id uint32) bool {
 	return int(e.gens[id&arenaSlotMask]) != int(id>>arenaSlotBits)

@@ -82,7 +82,7 @@ func Default() *Config {
 		WallClockOK: []string{"rt", "cmd", "examples", "teleclock"},
 		HotRoots: map[string][]string{
 			// The shard loop executes every simulated event; mergeInbound
-			// queues every cross-shard delivery each window. The queue's
+			// queues every cross-shard delivery sent inside a window. The queue's
 			// methods are listed as their own roots: peekAt is also reached
 			// from the supervisor's next-event scan between windows, outside
 			// runWindow's walk, and listing all three keeps the queue audited
@@ -90,13 +90,13 @@ func Default() *Config {
 			"megasim": {
 				"(*shard).runWindow", "(*shard).mergeInbound",
 				"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
-				// The arena-recycling paths: Release runs per departure
+				// The arena-recycling paths: Crash runs per departure
 				// (10k/s at 1%/s churn on a million nodes) and the
 				// quarantine ring's reads run per admission. The
 				// handle-decode checks on the event path are already
 				// reachable from runWindow; these roots pin the ring to
 				// reused capacity and flat slot arithmetic.
-				"(*Engine).Release", "(*Engine).nextFree", "(*Engine).takeFree",
+				"(*Engine).Crash", "(*Engine).nextFree", "(*Engine).takeFree",
 				// The LEAVE fan-out path: a graceful departure emits one
 				// SendFrom per view entry at its barrier (view-size × 10k/s
 				// at 1%/s graceful churn on a million nodes), entering the

@@ -30,8 +30,8 @@ type ShardLoad struct {
 	Windows    uint64 `json:"windows"`
 	HeapPeak   int    `json:"heap_peak"`   // event-heap high-water mark
 	Pending    int    `json:"pending"`     // events still queued
-	OutboxOut  uint64 `json:"outbox_out"`  // cross-shard messages sent
-	OutboxIn   uint64 `json:"outbox_in"`   // cross-shard messages merged in
+	OutboxOut  uint64 `json:"outbox_out"`  // cross-shard messages sent inside a window, through an outbox
+	OutboxIn   uint64 `json:"outbox_in"`   // cross-shard messages merged in from outboxes
 	StaleDrops uint64 `json:"stale_drops"` // deliveries to recycled (stale) handles
 }
 
