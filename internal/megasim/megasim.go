@@ -57,7 +57,7 @@
 //
 // Rather than a closure and a heap node per message, megasim stores
 // events by value in the shard's scheduler: one
-// 32-byte record per in-flight message, timer or tick, holding no pointer,
+// 32-byte record per in-flight delivery, timer or tick, holding no pointer,
 // so the pending set is memory the collector never scans. What an event
 // carries lives in the record itself or in per-shard side tables the
 // record names by index:
@@ -68,18 +68,25 @@
 //     the id, the wire kind and the size take fields the record has
 //     anyway, and neither its send nor its delivery touches a slab record;
 //   - any other in-flight message is one 64-byte record of the shard's
-//     message slab (or, crossing shards, of an outbox until the merge; a
-//     one-id message moves into its event at the merge): kind, size,
+//     message slab (or, crossing shards, of an outbox until the merge, which
+//     copies it into the slab once): kind, size,
 //     and a copy of the id list — a SERVE's as the ids of its packets, a
 //     SHUFFLE's entries as (id, age) word pairs — inline for up to nine ids
 //     (nine in ten REQUESTs of a steady stream) or a SHUFFLE of up to four
 //     entries, otherwise in a block of the shard's spill pool (an
 //     outbox's bump region on the way across) — or, for a boxed SERVE,
 //     LEAVE, FEED-ME (the last two zero-size, so boxing them allocates
-//     nothing) and foreign types, the boxed wire.Message as sent. Every
-//     send ends in exactly one delivery or drop, after which the record
-//     lets go of its message — a boxed SERVE's pooled backing back to
-//     wire's pool — and it and its block return to their free lists;
+//     nothing) and foreign types, the boxed wire.Message as sent. A record
+//     is stored once per fan-out per destination shard: a send of the same
+//     unboxed message as the last record its shard's slab (or its outbox)
+//     filled, while that record is still held, names that record again, so
+//     a gossip round's PROPOSE to seven partners takes one record
+//     and one spill block per shard its partners run on, not seven; each
+//     partner's send still shapes, draws and queues its own event. Every
+//     send ends in exactly one delivery or drop; at the last of those of
+//     the sends that name a record, the record lets go of its message — a
+//     boxed SERVE's pooled backing back to wire's pool — and it and its
+//     block return to their free lists;
 //   - the closure of a NodeEnv.After timer waits in the After table.
 //
 // The typed route — NodeEnv.SendIDs/SendServe in, TimerHandler's
@@ -105,7 +112,11 @@
 // What does grow — the message slab and its free stack, the spill pool,
 // the node and environment tables — grows by fixed-size chunks of the one
 // chunked store (internal/slab) that are never moved or copied, so a run
-// allocates each byte of its peak footprint once.
+// allocates each byte of its peak footprint once. The outboxes — 32-byte
+// events, the records of the messages that do not ride in them, one per
+// fan-out, and a region of spilled ids — are the exception: they grow by
+// append, copying, to the most one window sends across, and keep that
+// capacity for the rest of the run.
 //
 // # Membership
 //
@@ -220,7 +231,8 @@ func makeID(slot int, gen uint16) NodeID {
 
 // Handler receives messages delivered to a node. PROPOSE and REQUEST
 // arrive boxed at delivery, their lists aliasing the engine's message
-// record: the lists are valid for the call only. A boxed SERVE arrives as
+// record, which the other deliveries of the same fan-out read too: the
+// lists are read-only and valid for the call only. A boxed SERVE arrives as
 // it was sent; its Packets backing is the engine's until the call returns
 // (the packets it points to are the sender's and may be kept). A SERVE
 // sent as ids (NodeEnv.SendServe) has no boxed form: only a TimerHandler
@@ -236,7 +248,8 @@ type Handler interface {
 // are the handler's own and opaque to the engine. A PROPOSE, REQUEST or
 // typed SERVE is delivered through HandleIDs instead of HandleMessage,
 // which still receives every other kind, a boxed SERVE included. The ids
-// alias the engine's message record and are valid for the call only: a
+// alias the engine's message record, shared with the other deliveries of
+// the same fan-out, and are read-only and valid for the call only: a
 // handler copies the ids it keeps.
 type TimerHandler interface {
 	OnTimer(kind uint8, arg uint32)
@@ -1062,15 +1075,7 @@ func (e *Engine) send(sh *shard, from, to NodeID, p payload) (kept bool) {
 		e.shards[d].pushDelivery(at, from, to, int32(size), p)
 	default:
 		sh.outboxOut++
-		ob := &sh.outbox[d]
-		//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
-		ob.msgs = append(ob.msgs, xmsg{at: at, from: from, to: to})
-		r := &ob.msgs[len(ob.msgs)-1].rec
-		if r.fill(int32(size), p) {
-			r.inl[0] = stream.PacketID(len(ob.ids))
-			//lint:pooled the region's capacity is reused across windows, reset with the outbox
-			ob.ids = append(ob.ids, p.ids...)
-		}
+		sh.outbox[d].push(at, from, to, int32(size), p)
 	}
 	return true
 }

@@ -57,14 +57,17 @@ func TestEventRecordSize(t *testing.T) {
 }
 
 // TestMessageRecordSize pins the in-flight records to one cache line: a
-// message record is 64 bytes and an outbox entry, its header included, at
-// most 80. A list that does not fit inline spills into the arenas.
+// message record is 64 bytes. A message that crosses shards inside a
+// window and shares its record with no other send takes an event and a
+// record in its outbox, at most 96 bytes; a one-id message takes its event
+// alone, and a fan-out one event per send and one record. A list that does
+// not fit inline spills into the arenas.
 func TestMessageRecordSize(t *testing.T) {
 	if size := unsafe.Sizeof(msgRec{}); size != 64 {
 		t.Errorf("msgRec is %d bytes, want 64", size)
 	}
-	if size := unsafe.Sizeof(xmsg{}); size > 80 {
-		t.Errorf("xmsg is %d bytes, want at most 80", size)
+	if size := unsafe.Sizeof(outbox{}.events[0]) + unsafe.Sizeof(outbox{}.recs[0]); size > 96 {
+		t.Errorf("an unshared message in an outbox takes %d bytes, want at most 96", size)
 	}
 	if top := spillLen(wire.MaxIDsPerMessage); top < wire.MaxIDsPerMessage || 4*top > 1<<spillShift {
 		t.Errorf("a full PROPOSE (%d ids) spills into a block of %d, which a spill chunk of %d should carve", wire.MaxIDsPerMessage, top, 1<<spillShift)
@@ -109,8 +112,8 @@ func checkArenaDrained(t *testing.T, s *shard) {
 		t.Fatalf("shard %d: %d of %d slab records are free with nothing in flight", s.id, s.msgFree.Len(), s.msgs.Len())
 	}
 	for i := range s.msgs.Len() {
-		if s.msgs.At(i).other != nil {
-			t.Fatalf("shard %d: free slab record %d still references a message", s.id, i)
+		if r := s.msgs.At(i); r.other != nil || r.refs != 0 {
+			t.Fatalf("shard %d: free slab record %d still references a message or is named by %d deliveries", s.id, i, r.refs)
 		}
 	}
 	if lent := s.ids.Lent(); lent != 0 {
@@ -176,8 +179,8 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 	e.AddNode(recv, shaping.Unlimited, 0)
 	dst := e.shards[1%shards]
 	// What each shape must arrive as, and its size, taken before it is
-	// sent: a boxed SERVE whose backing has a pooled one's capacity goes
-	// back to wire's pool, cleared, once delivered.
+	// sent: a boxed SERVE that wire.SplitServeInto cut goes back to wire's
+	// pool, cleared, once delivered.
 	want, sizes := make([]string, len(shapes)), make([]uint64, len(shapes))
 	for i, p := range shapes {
 		want[i], sizes[i] = deliveredAs(p), uint64(p.wireSize()-wire.UDPOverheadBytes)
@@ -240,12 +243,12 @@ func roundTrip(t *testing.T, shards int, shapes []payload) (records []int) {
 // their spilled lists.
 func checkInOutbox(t *testing.T, ob *outbox, n int) {
 	t.Helper()
-	if len(ob.msgs) != n {
-		t.Fatalf("%d messages in the outbox, want %d", len(ob.msgs), n)
+	if len(ob.events) != n {
+		t.Fatalf("%d messages in the outbox, want %d", len(ob.events), n)
 	}
 	spilled := 0
-	for i := range ob.msgs {
-		if r := &ob.msgs[i].rec; r.spilled() {
+	for i := range ob.recs {
+		if r := &ob.recs[i]; r.spilled() {
 			spilled += int(r.n)
 		}
 	}
@@ -362,24 +365,43 @@ func TestMessageRecordRoundTrip(t *testing.T) {
 // on one shard or across two: it must arrive as sent, be counted sent and
 // received once at its size, and leave the slab and arenas drained. It
 // rides in its event exactly when it is one id, not a boxed SERVE, and at
-// most 65,535 application bytes.
+// most 65,535 application bytes. A boxed SERVE the test built is the
+// test's: it arrives, and stays, intact.
+//
+// With fan above one, the message goes out as fan equal sends instead, to
+// partners the bits of partners pick among six nodes — one shard, or three
+// when cross is set — and the records in flight must be the distinct
+// (list, destination shard) pairs (fanOutTrip).
 func FuzzMessageRoundTrip(f *testing.F) {
-	f.Add(uint8(0), uint16(1), uint32(0), false, false)
-	f.Add(uint8(1), uint16(inlineIDs+1), uint32(0), true, true)
-	f.Add(uint8(2), uint16(1), uint32(1316), false, true)
-	f.Add(uint8(2), uint16(1), uint32(hugeWidth), false, false)
-	f.Add(uint8(2), uint16(3), uint32(100), true, true)
-	f.Add(uint8(3), uint16(0), uint32(0), true, false)
-	// A boxed SERVE of as many packets as a pooled backing holds: delivered,
-	// its backing goes back to wire's pool, cleared.
-	f.Add(uint8(2), uint16(244), uint32(139), true, true)
-	f.Fuzz(func(t *testing.T, kind uint8, n uint16, width uint32, boxed, cross bool) {
+	f.Add(uint8(0), uint16(1), uint32(0), false, false, uint8(1), uint32(0))
+	f.Add(uint8(1), uint16(inlineIDs+1), uint32(0), true, true, uint8(1), uint32(0))
+	f.Add(uint8(2), uint16(1), uint32(1316), false, true, uint8(1), uint32(0))
+	f.Add(uint8(2), uint16(1), uint32(hugeWidth), false, false, uint8(1), uint32(0))
+	f.Add(uint8(2), uint16(3), uint32(100), true, true, uint8(1), uint32(0))
+	f.Add(uint8(3), uint16(0), uint32(0), true, false, uint8(1), uint32(0))
+	// A boxed SERVE of as many packets as a pooled backing holds, built by
+	// the test: it is the test's, not wire's pool's, and survives delivery.
+	f.Add(uint8(2), uint16(244), uint32(139), true, true, uint8(1), uint32(0))
+	// Fan-outs: a PROPOSE to seven partners as a gossip round sends it,
+	// spilled and inline, typed and boxed, on one shard and across three; a
+	// REQUEST and a SERVE of ids sent twice to one partner; one-id and boxed
+	// messages, which share nothing.
+	f.Add(uint8(0), uint16(40), uint32(0), false, true, uint8(7), uint32(0o1234560))
+	f.Add(uint8(0), uint16(inlineIDs), uint32(0), true, false, uint8(7), uint32(0o6543210))
+	f.Add(uint8(0), uint16(wire.MaxIDsPerMessage), uint32(0), false, false, uint8(7), uint32(0o1234560))
+	f.Add(uint8(1), uint16(inlineIDs+1), uint32(0), true, true, uint8(2), uint32(0o33))
+	f.Add(uint8(2), uint16(5), uint32(1316), false, true, uint8(2), uint32(0o44))
+	f.Add(uint8(0), uint16(1), uint32(0), false, true, uint8(5), uint32(0o12345))
+	f.Add(uint8(2), uint16(3), uint32(100), true, true, uint8(3), uint32(0o123))
+	f.Add(uint8(3), uint16(0), uint32(0), true, true, uint8(4), uint32(0o1111))
+	f.Fuzz(func(t *testing.T, kind uint8, n uint16, width uint32, boxed, cross bool, fan uint8, partners uint32) {
 		ids := make([]stream.PacketID, int(n)%(wire.MaxIDsPerMessage+1))
 		for i := range ids {
 			ids[i] = stream.PacketID(uint32(n)*7919 + uint32(i)*104729)
 		}
 		w := int(width % (1 << 17))
 		var p payload
+		var pkts []*stream.Packet
 		switch kind % 4 {
 		case 0:
 			p = payload{kind: wire.KindPropose, ids: ids}
@@ -395,7 +417,7 @@ func FuzzMessageRoundTrip(f *testing.F) {
 			p = payload{kind: wire.KindServe, width: int32(w), ids: ids}
 			if boxed {
 				bytes := make([]byte, w) // shared: only its length counts
-				pkts := make([]*stream.Packet, len(ids))
+				pkts = make([]*stream.Packet, len(ids))
 				for i, id := range ids {
 					pkts[i] = &stream.Packet{ID: id, Payload: bytes}
 				}
@@ -404,15 +426,30 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		default:
 			p = payload{kind: wire.KindFeedMe, other: wire.FeedMe{}}
 		}
-		shards := 1
-		if cross {
-			shards = 2
-		}
-		records := roundTrip(t, shards, []payload{p})
 		_, boxedServe := p.other.(wire.Serve)
 		carried := len(ids) == 1 && kind%4 != 3 && !boxedServe && p.wireSize()-wire.UDPOverheadBytes <= math.MaxUint16
-		if records[0] != slabRecords(carried) {
-			t.Fatalf("%v of %d ids (boxed %v, width %d): %d slab records in flight, want %d", p.kind, len(ids), boxed, w, records[0], slabRecords(carried))
+		if k := int(fan % 9); k > 1 {
+			to := make([]NodeID, k)
+			for i := range to {
+				to[i] = NodeID(1 + (partners>>(3*i)&7)%fanPartners)
+			}
+			shards := 1
+			if cross {
+				shards = 3
+			}
+			fanOutTrip(t, shards, p, to, carried)
+		} else {
+			shards := 1
+			if cross {
+				shards = 2
+			}
+			records := roundTrip(t, shards, []payload{p})
+			if records[0] != slabRecords(carried) {
+				t.Fatalf("%v of %d ids (boxed %v, width %d): %d slab records in flight, want %d", p.kind, len(ids), boxed, w, records[0], slabRecords(carried))
+			}
+		}
+		if i := slices.Index(pkts, nil); i >= 0 {
+			t.Fatalf("the test's boxed SERVE of %d packets lost packet %d on delivery: its backing was taken for a pooled one", len(pkts), i)
 		}
 	})
 }
@@ -708,9 +745,9 @@ func TestMessageRecordsNeverPinPackets(t *testing.T) {
 	for _, s := range e.shards {
 		checkArenaDrained(t, s)
 		for d, ob := range s.outbox {
-			msgs := ob.msgs[:cap(ob.msgs)]
-			for i := range msgs {
-				if msgs[i].rec.other != nil {
+			recs := ob.recs[:cap(ob.recs)]
+			for i := range recs {
+				if recs[i].other != nil {
 					t.Fatalf("outbox %d→%d record %d still references a message after the run drained", s.id, d, i)
 				}
 			}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -158,7 +159,9 @@ func (p payload) wireSize() int {
 // line. (A message of one id, such as a SERVE of the paper's packets, takes
 // no record at all: it rides in its event.) A longer list spills
 // into a list kept beside the record (a block of the shard's spill pool,
-// or an outbox's region), and inl[0] holds its handle or offset there.
+// or an outbox's region), and inl[0] holds its handle or offset there. A
+// PROPOSE's fan-out spills once per destination shard, not once per
+// partner: its sends share one record there.
 const inlineIDs = 9
 
 // msgRec is one in-flight message: the single representation a message
@@ -172,20 +175,28 @@ const inlineIDs = 9
 // allocating. A boxed message
 // rides in other; a boxed SERVE's pooled backing goes back to wire's pool
 // when the slab record is released.
+//
+// One record stands for every delivery of one fan-out bound for its shard:
+// a send of the same unboxed message as the last record its store filled,
+// while a delivery still names that record, names it again (reuse), and
+// refs counts the deliveries that name it. The record is released with the
+// last of them, so a PROPOSE to seven partners takes one record, and one
+// spill block, per destination shard.
 type msgRec struct {
 	other wire.Message
 	size  int32 // application bytes: charged to the uplink at send, counted received at delivery
 	n     int32 // ids or words carried
 	kind  wire.Kind
 	reply bool                       // SHUFFLE: a reply (it takes a padding byte)
+	refs  uint16                     // pending deliveries that name the record (the last two padding bytes)
 	inl   [inlineIDs]stream.PacketID // the ids, or the spilled list's offset in inl[0]
 }
 
-// fill sets the record to a copy of p, except for a list that does not fit
-// inline: fill reports that it spills, and the caller stores it and puts
-// its offset in inl[0].
+// fill sets the record to a copy of p, named by one delivery, except for a
+// list that does not fit inline: fill reports that it spills, and the
+// caller stores it and puts its offset in inl[0].
 func (r *msgRec) fill(size int32, p payload) (spills bool) {
-	r.kind, r.reply, r.size, r.other = p.kind, p.reply, size, p.other
+	r.kind, r.reply, r.size, r.other, r.refs = p.kind, p.reply, size, p.other, 1
 	r.n = int32(len(p.ids))
 	if r.spilled() {
 		return true
@@ -196,6 +207,21 @@ func (r *msgRec) fill(size int32, p payload) (spills bool) {
 
 // spilled reports whether the record's list lives outside it.
 func (r *msgRec) spilled() bool { return r.n > inlineIDs }
+
+// reuse names the record for one more delivery, of p at size, and reports
+// whether it did: it does when the record is held by a delivery and has a
+// reference to spare, and holds, with list as its list, the same unboxed
+// message. What the deliveries of one record differ in — sender, receiver,
+// instant — lives in their events. A boxed message is never shared: its
+// record owns what it boxes.
+func (r *msgRec) reuse(list []stream.PacketID, size int32, p payload) bool {
+	if r.refs == 0 || r.refs == math.MaxUint16 || p.other != nil || r.other != nil ||
+		r.kind != p.kind || r.reply != p.reply || r.size != size || !slices.Equal(list, p.ids) {
+		return false
+	}
+	r.refs++
+	return true
+}
 
 // payload views the record's contents; spill is the list of a record
 // that spilled, read by its owner from where it was spilled to. The list
@@ -239,22 +265,48 @@ func (ob *outbox) payload(r *msgRec) payload {
 // a freed block fits the next list of its class.
 func spillLen(n int) int { return 1 << bits.Len(uint(n-1)) }
 
-// xmsg is a cross-shard delivery in transit through an outbox: a
-// pointer-free header and the message in a record whose spilled list lives
-// in the outbox's region.
-type xmsg struct {
-	at   time.Duration
-	from NodeID
-	to   NodeID
-	rec  msgRec
+// outbox buffers one window's deliveries from one shard to another as the
+// events that will deliver them, in the senders' program order: a one-id
+// message in its event (evDeliverID), any other in a record of recs that
+// the event names, one record for every delivery of a fan-out bound for the
+// destination shard, as in a slab. Lists that spill are appended to ids.
+// All three are reset once the destination has copied the messages in, each
+// record into its slab once.
+type outbox struct {
+	events []event
+	recs   []msgRec
+	ids    []stream.PacketID
 }
 
-// outbox buffers one window's deliveries from one shard to another. Lists
-// that spill are appended to ids, which is reset with msgs once the
-// destination has copied the messages in.
-type outbox struct {
-	msgs []xmsg
-	ids  []stream.PacketID
+// push appends the delivery of p to the outbox.
+func (ob *outbox) push(at time.Duration, from, to NodeID, size int32, p payload) {
+	ev, carried := delivery(at, from, to, size, p)
+	if !carried {
+		ev.ref = ob.store(size, p)
+	}
+	//lint:pooled outbox capacity is reused across windows; mergeInbound resets it to [:0]
+	ob.events = append(ob.events, ev)
+}
+
+// store puts p in an outbox record and returns the record's index: the
+// record filled last when it can be reused for p, else a new one, its
+// list, if it spills, appended to the outbox's region. Records are only
+// dropped with the whole outbox, so the last one is always held.
+func (ob *outbox) store(size int32, p payload) uint32 {
+	i := uint32(len(ob.recs))
+	if i > 0 {
+		if r := &ob.recs[i-1]; r.reuse(ob.payload(r).ids, size, p) {
+			return i - 1
+		}
+	}
+	//lint:pooled the records' capacity is reused across windows, reset with the outbox
+	ob.recs = append(ob.recs, msgRec{})
+	if r := &ob.recs[i]; r.fill(size, p) {
+		r.inl[0] = stream.PacketID(len(ob.ids))
+		//lint:pooled the region's capacity is reused across windows, reset with the outbox
+		ob.ids = append(ob.ids, p.ids...)
+	}
+	return i
 }
 
 // timerSlot holds the closure of one pending After timer. id tells the
@@ -342,10 +394,13 @@ type shard struct {
 	// message here by index. msgFree stacks the released records, so a
 	// steady run cycles through the same few without allocating; ids lends
 	// blocks to the lists too long to fit in them. All three grow by
-	// chunks, without copying, to the peak of messages in flight.
+	// chunks, without copying, to the peak of messages in flight. last
+	// is the record the shard's sends filled last, which the next send of
+	// the same fan-out reuses.
 	msgs    slab.Table[msgRec]
 	msgFree slab.Table[uint32]
 	ids     slab.Pool[stream.PacketID]
+	last    uint32
 
 	// one is the list an evDeliverID's id is handed over in, valid for
 	// the delivery's call only.
@@ -480,21 +535,40 @@ func (s *shard) fired() uint64 { return s.timers + s.delivers + s.memberTicks }
 // mergeInbound folds deliveries addressed to this shard into its queue.
 // Each outbox keeps its senders' program order, which is all the queue's
 // tie-break by origin needs: the order the outboxes are visited in never
-// shows.
+// shows. An outbox record goes into the slab once, with its count of
+// deliveries: the events that name a record follow one another among the
+// outbox's evDeliver events, since a record is only ever reused by the
+// sends right after the one that filled it.
 func (s *shard) mergeInbound() {
 	for _, src := range s.eng.shards {
 		ob := &src.outbox[s.id]
-		if len(ob.msgs) == 0 {
+		if len(ob.events) == 0 {
 			continue
 		}
-		s.outboxIn += uint64(len(ob.msgs))
-		for i := range ob.msgs {
-			m := &ob.msgs[i]
-			s.pushDelivery(m.at, m.from, m.to, m.rec.size, ob.payload(&m.rec))
-			m.rec.other = nil // the slab record holds the message now
+		s.outboxIn += uint64(len(ob.events))
+		copied, ref := -1, uint32(0) // the outbox record copied in last, and its slab index
+		for _, ev := range ob.events {
+			if ev.kind == evDeliver {
+				if int(ev.ref) != copied {
+					copied = int(ev.ref)
+					ref = s.adopt(ob, &ob.recs[copied])
+				}
+				ev.ref = ref
+			}
+			s.q.push(ev)
 		}
-		ob.msgs, ob.ids = ob.msgs[:0], ob.ids[:0]
+		ob.events, ob.recs, ob.ids = ob.events[:0], ob.recs[:0], ob.ids[:0]
 	}
+}
+
+// adopt copies outbox record r into a slab record, with the deliveries
+// that name it, and returns the slab record's index; the slab record holds
+// r's boxed message from then on.
+func (s *shard) adopt(ob *outbox, r *msgRec) uint32 {
+	i := s.newRec(r.size, ob.payload(r))
+	s.msgs.At(int(i)).refs = r.refs
+	r.other = nil
+	return i
 }
 
 // nextAt returns the timestamp of the earliest pending event.
@@ -540,38 +614,72 @@ func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 	s.q.push(event{at: s.now + d, from: id, to: id, ref: arg, kind: evNodeTimer, tkind: kind})
 }
 
-// pushDelivery schedules the message's delivery at the given time: in the
-// event itself when it fits there (evDeliverID), else copied into a slab
-// record. Every delivery a shard queues comes through here — from its own
-// sends, from sends made on other shards while no window runs, and from
-// outboxes at the merge — so a message takes the same form whichever
-// shard sent it.
-func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
+// delivery is the event that delivers p at at, and whether the message
+// rides in it (evDeliverID): one id, not boxed, at most 65,535 application
+// bytes. Otherwise the event is an evDeliver whose ref the caller sets to
+// the message's record. Every delivery a shard queues or an outbox holds
+// is shaped here, so a message takes the same form whichever shard sent
+// it.
+func delivery(at time.Duration, from, to NodeID, size int32, p payload) (ev event, carried bool) {
 	if p.other == nil && len(p.ids) == 1 && uint32(size) <= math.MaxUint16 {
 		// A SHUFFLE is never one id: its words come in (id, age) pairs.
-		s.q.push(event{at: at, from: from, to: to, ref: uint32(p.ids[0]), kind: evDeliverID, tkind: uint8(p.kind), size: uint16(size)})
-		return
+		return event{at: at, from: from, to: to, ref: uint32(p.ids[0]), kind: evDeliverID, tkind: uint8(p.kind), size: uint16(size)}, true
 	}
+	return event{at: at, from: from, to: to, kind: evDeliver}, false
+}
+
+// pushDelivery schedules the message's delivery at the given time: in the
+// event itself when it fits there, else in a slab record (store). Every
+// delivery a shard queues comes through here but those merged from
+// outboxes: its own sends, and sends made on other shards while no window
+// runs.
+func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p payload) {
+	ev, carried := delivery(at, from, to, size, p)
+	if !carried {
+		ev.ref = s.store(size, p)
+	}
+	s.q.push(ev)
+}
+
+// store puts p in a slab record and returns its index: the record the
+// shard filled last when it can be reused for p, else a new one. A freed
+// record has no reference, so reuse passes it by.
+func (s *shard) store(size int32, p payload) uint32 {
+	if s.msgs.Len() > 0 {
+		if r := s.msgs.At(int(s.last)); r.reuse(s.payload(r).ids, size, p) {
+			return s.last
+		}
+	}
+	s.last = s.newRec(size, p)
+	return s.last
+}
+
+// newRec fills a free slab record with p at size, its list spilled into a
+// block of the pool if it does not fit inline, and returns its index.
+func (s *shard) newRec(size int32, p payload) uint32 {
 	var i uint32
 	if s.msgFree.Len() > 0 {
 		i = s.msgFree.Pop()
 	} else {
 		i = uint32(s.msgs.Push(msgRec{}))
 	}
-	r := s.msgs.At(int(i))
-	if r.fill(size, p) {
+	if r := s.msgs.At(int(i)); r.fill(size, p) {
 		h, b := s.ids.Get(spillLen(len(p.ids)))
 		copy(b, p.ids)
 		r.inl[0] = stream.PacketID(h)
 	}
-	s.q.push(event{at: at, from: from, to: to, ref: i, kind: evDeliver})
+	return i
 }
 
-// releaseMsg returns slab record i, delivered or dropped, and its spilled
-// list to their free lists, and a boxed SERVE's backing to wire's pool; a
-// free record references no message.
+// releaseMsg lets go of one delivery's reference to slab record i,
+// delivered or dropped. With the last, it returns the record and its
+// spilled list to their free lists, and a boxed SERVE's backing to wire's
+// pool; a free record references no message.
 func (s *shard) releaseMsg(i uint32) {
 	r := s.msgs.At(int(i))
+	if r.refs--; r.refs > 0 {
+		return
+	}
 	if r.spilled() {
 		s.ids.Put(uint32(r.inl[0]), spillLen(int(r.n)))
 	}

@@ -107,6 +107,14 @@ func Default() *Config {
 				// — most of a run's events — and they copy into the message
 				// slab or an outbox record.
 				"(*NodeEnv).SendIDs", "(*NodeEnv).SendServe",
+				// Where a send's message is stored, once per fan-out per
+				// destination shard: the event a delivery takes, the compare
+				// that lets a fan-out's sends reuse the record filled last,
+				// the slab's and an outbox's stores, and the merge's copy of
+				// an outbox record into the slab.
+				"delivery", "(*msgRec).reuse",
+				"(*shard).store", "(*shard).newRec",
+				"(*outbox).push", "(*outbox).store", "(*shard).adopt",
 			},
 			// The chunked store behind the message slab, the spill pool and
 			// the request and batch slabs: the engine and the handlers reach

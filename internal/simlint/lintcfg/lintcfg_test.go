@@ -96,6 +96,17 @@ func TestRoots(t *testing.T) {
 			t.Errorf("hot roots missing typed message entry point %s", want)
 		}
 	}
+	// The message stores: a fan-out's sends share the record their store
+	// filled last, an outbox holds events and records, and the merge copies
+	// each outbox record into the slab once; all of it runs per send.
+	for _, want := range []string{
+		"delivery", "(*msgRec).reuse", "(*shard).store", "(*shard).newRec",
+		"(*outbox).push", "(*outbox).store", "(*shard).adopt", "(*shard).mergeInbound",
+	} {
+		if !roots[want] {
+			t.Errorf("megasim hot roots missing message store entry point %s", want)
+		}
+	}
 	// The membership layer, reached only through member.DynamicSampler and
 	// member.Sampler: a Cyclon round and a partner draw run per node per
 	// period and per gossip round.

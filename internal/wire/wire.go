@@ -122,6 +122,10 @@ func (r Request) WireSize() int {
 // Serve carries the actual packets (phase 3).
 type Serve struct {
 	Packets []*stream.Packet
+	// pool is the pool array Packets was cut from, set only by
+	// SplitServeInto: RecycleServe takes back a backing that carries it and
+	// nothing else.
+	pool *[maxPacketsPerServe]*stream.Packet
 }
 
 // Kind implements Message.
@@ -398,10 +402,10 @@ func CutIDs(ids []stream.PacketID) (chunk, rest []stream.PacketID) {
 // empty. Oversized single-packet messages hold one packet and also fit.
 const maxPacketsPerServe = (MTUBytes - headerBytes) / packetHeaderBytes
 
-// servePool recycles per-message Packets backings. The fixed array size
-// means RecycleServe can recover the array pointer from the slice alone
-// (no wrapper to thread through Serve), and pointers box into the pool's
-// interface without allocating.
+// servePool recycles per-message Packets backings. A Serve that
+// SplitServeInto cut carries its array's pointer, so RecycleServe knows a
+// backing of the pool from a caller's of the same capacity, and pointers
+// box into the pool's interface without allocating.
 var servePool = sync.Pool{
 	New: func() any { return new([maxPacketsPerServe]*stream.Packet) },
 }
@@ -454,19 +458,20 @@ func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 		chunk, packets = CutPackets(packets)
 		arr := servePool.Get().(*[maxPacketsPerServe]*stream.Packet)
 		//lint:pooled dst is the caller's reusable batch scratch
-		dst = append(dst, Serve{Packets: arr[:copy(arr[:], chunk)]})
+		dst = append(dst, Serve{Packets: arr[:copy(arr[:], chunk)], pool: arr})
 	}
 	return dst
 }
 
 // RecycleServe returns s's Packets backing to the pool. Only messages
-// produced by SplitServeInto are recycled (recognized by the pool's fixed
-// backing capacity); anything else is ignored, so drop paths can recycle
-// unconditionally. The packets themselves are untouched — retaining
-// *stream.Packet pointers past the recycle is fine, retaining the slice
-// is not.
+// produced by SplitServeInto are recycled: they carry the pool array their
+// Packets start at. Anything else — a decoded SERVE, or one a caller built
+// over a backing of its own, whatever its capacity — is ignored, so drop
+// paths can recycle unconditionally. The packets themselves are untouched
+// — retaining *stream.Packet pointers past the recycle is fine, retaining
+// the slice is not.
 func RecycleServe(s Serve) {
-	if cap(s.Packets) != maxPacketsPerServe {
+	if s.pool == nil || cap(s.Packets) != maxPacketsPerServe || &s.Packets[:1][0] != &s.pool[0] {
 		return
 	}
 	// Drop the packet references so pooled capacity does not pin payloads.
@@ -475,5 +480,5 @@ func RecycleServe(s Serve) {
 	// s.Packets — one slot with the paper's payloads — keeps it so without
 	// touching all 244.
 	clear(s.Packets)
-	servePool.Put((*[maxPacketsPerServe]*stream.Packet)(s.Packets[:maxPacketsPerServe]))
+	servePool.Put(s.pool)
 }

@@ -466,6 +466,24 @@ func TestSplitServeIntoPooledBackings(t *testing.T) {
 	RecycleServe(Serve{Packets: packets[:2:2]})
 }
 
+// TestRecycleServeIgnoresCallerBackings: a SERVE over a backing the caller
+// made is the caller's, even when that backing has a pooled one's
+// capacity, and so is a pooled SERVE whose Packets the caller pointed at
+// such a backing: RecycleServe neither clears nor pools either.
+func TestRecycleServeIgnoresCallerBackings(t *testing.T) {
+	pkts := make([]*stream.Packet, maxPacketsPerServe)
+	for i := range pkts {
+		pkts[i] = &stream.Packet{ID: stream.PacketID(i)}
+	}
+	RecycleServe(Serve{Packets: pkts})
+	pooled := SplitServeInto(nil, pkts[:2])[0]
+	pooled.Packets = pkts
+	RecycleServe(pooled)
+	if i := slices.Index(pkts, nil); i >= 0 {
+		t.Fatalf("a caller's %d-packet backing was cleared from slot %d: RecycleServe took it for a pooled one", len(pkts), i)
+	}
+}
+
 // TestRecycleServeNeverPinsPackets checks that a backing goes back to the
 // pool holding no packet reference in any of its slots, whatever share of
 // it the message used: RecycleServe clears only the written prefix, which
