@@ -238,7 +238,7 @@ func (d *deployment) run() (*Result, error) {
 func (d *deployment) inDegreeHist() telemetry.Hist {
 	indeg := make([]int64, len(d.nodes))
 	for _, n := range d.nodes {
-		if n == nil || n.state.Stopped() {
+		if n == nil {
 			continue
 		}
 		for i := range n.state.ViewLen() {
@@ -251,10 +251,9 @@ func (d *deployment) inDegreeHist() telemetry.Hist {
 	}
 	var h telemetry.Hist
 	for slot, n := range d.nodes {
-		if n == nil || n.state.Stopped() {
-			continue
+		if n != nil {
+			h.Observe(indeg[slot])
 		}
-		h.Observe(indeg[slot])
 	}
 	return h
 }
@@ -355,10 +354,10 @@ type deployment struct {
 	// nextOrdinal is the stable service-class ordinal the next runtime
 	// admission consumes (freeRider); slot reuse never rewinds it.
 	nextOrdinal int
-	// pool is the scratch bootstrapIDs, aliveVictims and liveBootstrapIDs
-	// fill; no result outlives the node it is drawn for or its barrier
-	// callback (churn.Pick and pss.State.Reset copy). Never nil, so an
-	// empty bootstrap list still selects a Cyclon record.
+	// pool is the scratch bootstrapIDs and liveIDs fill; no result
+	// outlives the node it is drawn for or its barrier callback
+	// (churn.Pick and pss.State.Reset copy). Never nil, so an empty
+	// bootstrap list still selects a Cyclon record.
 	pool []wire.NodeID
 	// fold scores every node as its lifetime closes; rows collects the
 	// per-node detail of the same nodes in the same order (Result.Nodes) and
@@ -373,9 +372,9 @@ type deployment struct {
 // crash executes one ungraceful departure at barrier time at, the path
 // bursts and sustained leaves share so crash semantics cannot diverge
 // between churn shapes. The engine silences the victim, ends its shuffle
-// schedule, dead-drops its traffic and queues its arena slot, which
-// re-enters service after its quarantine; the victim's protocol state and
-// membership record are stopped. Its lifetime is closed now — final,
+// schedule, dead-drops its traffic and queues its arena slot, which the
+// next admission reuses; the victim's protocol state and membership
+// record are stopped. Its lifetime is closed now — final,
 // because a dead node's receiver and counters never change again, and the
 // engine keeps the counters until the slot is reused — and its record
 // stays in place for the slot's next occupant. Retaining rows changes
@@ -463,20 +462,23 @@ func (d *deployment) collect() *Result {
 	}
 }
 
-// aliveVictims returns the non-source nodes currently alive — the victim
-// pool of every churn shape (bursts and sustained leaves). Slots are
-// scanned in ascending order, so the pool (and any rng.Intn pick from it)
-// is deterministic.
-func (d *deployment) aliveVictims() []wire.NodeID {
-	eligible := d.pool[:0]
-	for _, n := range d.nodes[1:] {
+// liveIDs lists the live nodes' ids in ascending slot order, so the list
+// (and any rng.Intn pick from it) is deterministic. Its head is the
+// source, in slot 0 and always live.
+func (d *deployment) liveIDs() []wire.NodeID {
+	live := d.pool[:0]
+	for _, n := range d.nodes {
 		if n != nil {
-			eligible = append(eligible, n.id)
+			live = append(live, n.id)
 		}
 	}
-	d.pool = eligible
-	return eligible
+	d.pool = live
+	return live
 }
+
+// aliveVictims returns the non-source nodes currently alive — the victim
+// pool of every churn shape (bursts and sustained leaves).
+func (d *deployment) aliveVictims() []wire.NodeID { return d.liveIDs()[1:] }
 
 // buildNode constructs and registers one node on the engine — the single
 // definition of a node's seeding and wiring, shared by the setup loop and
@@ -550,7 +552,7 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 		return
 	}
 	id := d.eng.PeekNextID()
-	boot := d.liveBootstrapIDs(id, d.pssCfg.ShuffleLen, rng)
+	boot := d.liveBootstrapIDs(d.pssCfg.ShuffleLen, rng)
 	rider := freeRider(d.cfg.FreeRiders, d.nextOrdinal)
 	d.nextOrdinal++
 	n, err := d.buildNode(id, at, boot, false, rider)
@@ -600,18 +602,13 @@ func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
 	d.crash(victim, at)
 }
 
-// liveBootstrapIDs samples up to k distinct live nodes (excluding self) to
-// seed a joining node's view — the runtime analogue of bootstrapIDs, which
-// can assume every id in [0, n) exists. Scanning the slots keeps the draw
-// count deterministic regardless of how much of the population is dead.
-func (d *deployment) liveBootstrapIDs(self wire.NodeID, k int, rng *rand.Rand) []wire.NodeID {
-	alive := d.pool[:0]
-	for _, n := range d.nodes {
-		if n != nil && n.id != self {
-			alive = append(alive, n.id)
-		}
-	}
-	d.pool = alive
+// liveBootstrapIDs samples up to k distinct live nodes to seed a joining
+// node's view — the runtime analogue of bootstrapIDs, which can assume
+// every id in [0, n) exists. The node being admitted is not live yet, so
+// it is never among them. Scanning the slots keeps the draw count
+// deterministic regardless of how much of the population is dead.
+func (d *deployment) liveBootstrapIDs(k int, rng *rand.Rand) []wire.NodeID {
+	alive := d.liveIDs()
 	if k > len(alive) {
 		k = len(alive)
 	}

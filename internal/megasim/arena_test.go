@@ -47,10 +47,9 @@ func mustPanicContains(t *testing.T, name, want string, fn func()) {
 }
 
 // TestArenaSlotRecyclingLifecycle walks one slot through the full recycle
-// path at barriers: Crash parks it in quarantine for a lookahead window,
-// PeekNextID keeps naming a fresh slot until the window expires, then the
-// next AddNode reuses the slot at the next generation and the old handle
-// turns detectably stale.
+// path at barriers: Crash queues it, PeekNextID names it at its next
+// generation at once and keeps naming it until an AddNode takes it, and
+// the old handle turns detectably stale.
 func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 	e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
 	if err != nil {
@@ -65,21 +64,15 @@ func TestArenaSlotRecyclingLifecycle(t *testing.T) {
 	var reused NodeID
 	e.AtBarrier(20*time.Millisecond, func() {
 		e.Crash(old)
-		if got := e.PeekNextID(); got != NodeID(3) {
-			t.Fatalf("PeekNextID at the Crash barrier = %d, want fresh slot 3 (quarantined)", got)
-		}
-	})
-	e.AtBarrier(25*time.Millisecond, func() {
-		// Half a lookahead window later the slot is still quarantined.
-		if got := e.PeekNextID(); got != NodeID(3) {
-			t.Fatalf("PeekNextID inside the quarantine window = %d, want 3", got)
+		if got, want := e.PeekNextID(), makeID(1, 1); got != want {
+			t.Fatalf("PeekNextID at the Crash barrier = %d, want %d (slot 1, gen 1)", got, want)
 		}
 	})
 	e.AtBarrier(30*time.Millisecond, func() {
-		// One full lookahead past the Crash: the slot is recyclable.
+		// Peeking consumed nothing: the queued slot is still the next.
 		want := makeID(1, 1)
 		if got := e.PeekNextID(); got != want {
-			t.Fatalf("PeekNextID after quarantine = %d, want %d (slot 1, gen 1)", got, want)
+			t.Fatalf("PeekNextID at a later barrier = %d, want %d (slot 1, gen 1)", got, want)
 		}
 		reused = e.AddNode(sink{}, shaping.Unlimited, 0)
 		if reused != want {
@@ -206,8 +199,8 @@ func TestStaleReferenceDetection(t *testing.T) {
 	})
 
 	// A sampler's view retains the departed node's descriptor: shuffles
-	// keep flowing to the stale handle. Deliveries during quarantine
-	// dead-drop on the crashed slot; deliveries after reuse are stale
+	// keep flowing to the stale handle. Deliveries before the reuse
+	// dead-drop on the crashed slot; deliveries after it are stale
 	// drops; the new occupant sees none of it.
 	t.Run("sampler-held-descriptor", func(t *testing.T) {
 		e, err := New(Config{Shards: 1, Net: flatNet(10 * time.Millisecond)})
@@ -235,7 +228,7 @@ func TestStaleReferenceDetection(t *testing.T) {
 		}
 		total := e.TotalStats()
 		if total.SentMsgs[wire.KindShuffle] == 0 || total.DeadDrops == 0 {
-			t.Fatalf("scenario did not exercise quarantine + stale paths: %+v", total)
+			t.Fatalf("scenario did not exercise both the dead and the stale paths: %+v", total)
 		}
 		assertConserved(t, total)
 	})
@@ -321,12 +314,11 @@ func TestCrashPanicShapes(t *testing.T) {
 	mustPanicContains(t, "Crash(negative)", "unknown node", func() { e.Crash(-1) })
 	e.Crash(1)
 	e.Crash(1)
-	if e.Live() != 1 || len(e.quar)-e.quarHead != 1 {
-		t.Fatalf("after two Crashes of node 1: %d live, %d slots queued; want 1 and 1", e.Live(), len(e.quar)-e.quarHead)
+	if e.Live() != 1 || len(e.free)-e.freeHead != 1 {
+		t.Fatalf("after two Crashes of node 1: %d live, %d slots queued; want 1 and 1", e.Live(), len(e.free)-e.freeHead)
 	}
-	// During setup the lookahead is zero, so the quarantine drains
-	// immediately: the next AddNode recycles slot 1 and the old handle is
-	// stale from then on.
+	// The next AddNode recycles slot 1 and the old handle is stale from
+	// then on.
 	if id := e.AddNode(sink{}, shaping.Unlimited, 0); id != makeID(1, 1) {
 		t.Fatalf("setup-time recycle minted %d, want slot 1 gen 1", id)
 	}
@@ -337,6 +329,132 @@ func TestCrashPanicShapes(t *testing.T) {
 	env0.After(time.Millisecond, func() { e.Crash(0) })
 	mustPanicContains(t, "Crash(in a window)", "megasim: Crash during Run outside a barrier callback", func() { _ = e.Run(10 * time.Millisecond) })
 	mustPanicContains(t, "Crash(after Run)", "megasim: Crash after Run", func() { e.Crash(0) })
+}
+
+// witness is a TimerHandler that notes every call the engine makes on
+// it: a delivery of either route, and a flat timer.
+type witness struct{ calls []string }
+
+func (w *witness) HandleMessage(from NodeID, msg wire.Message) {
+	w.calls = append(w.calls, fmt.Sprintf("%v from %d", msg.Kind(), from))
+}
+func (w *witness) OnTimer(kind uint8, arg uint32) {
+	w.calls = append(w.calls, fmt.Sprintf("timer %d/%d", kind, arg))
+}
+func (w *witness) HandleIDs(from NodeID, kind wire.Kind, ids []stream.PacketID) {
+	w.calls = append(w.calls, fmt.Sprintf("%v %v from %d", kind, ids, from))
+}
+
+// TestSlotReusedAtItsCrashBarrier crashes node 1 and admits a node into
+// its slot at the same barrier, while the old incarnation still has a
+// delivery of each form addressed to it, a flat timer, an After closure
+// and a membership tick pending, and a send of its own in flight. The new
+// occupant sees none of it: the deliveries to the old handle are stale
+// drops, its own send dead-drops at its live destination, and its timers
+// and tick die uncounted. Every message counted sent is received or
+// dropped once, and the run is the same at every shard count and on
+// replay.
+func TestSlotReusedAtItsCrashBarrier(t *testing.T) {
+	type outcome struct {
+		fired, stale uint64
+		total        simnet.Stats
+		slots        []simnet.Stats
+		live         []uint32
+		calls        [5][]string // nodes 0 to 3, then the new occupant
+		afterRan     bool
+		oldTicks     [2]int // the old sampler's ticks at the crash and at the end
+		newTicks     int
+	}
+	run := func(shards int) outcome {
+		e, err := New(Config{Shards: shards, Seed: 4, Net: flatNet(10 * time.Millisecond)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out outcome
+		var ws [5]*witness
+		envs := make([]*NodeEnv, 4)
+		for i := range envs {
+			ws[i] = &witness{}
+			envs[i] = e.NodeEnv(NodeID(i), NewRand(int64(i)+1))
+			e.AddNode(ws[i], shaping.Unlimited, 0)
+		}
+		old, fresh := &countTick{}, &countTick{}
+		e.AttachSampler(1, old, 7*time.Millisecond)
+		// At 15 ms, inside a window: node 0 sends node 1 a boxed FEED-ME
+		// (a slab record) and a one-id PROPOSE (carried in its event),
+		// node 1 sends node 2 a FEED-ME and arms both kinds of timer, all
+		// due at 25 ms, past the 20 ms barrier.
+		envs[0].After(15*time.Millisecond, func() {
+			envs[0].Send(1, wire.FeedMe{})
+			sendOneID(envs[0], 1, wire.KindPropose)
+		})
+		envs[1].After(15*time.Millisecond, func() {
+			envs[1].Send(2, wire.FeedMe{})
+			envs[1].AfterTimer(10*time.Millisecond, 7, 9)
+			envs[1].After(10*time.Millisecond, func() { out.afterRan = true })
+		})
+		e.AtBarrier(20*time.Millisecond, func() {
+			out.oldTicks[0] = old.n
+			e.Crash(1)
+			want := makeID(1, 1)
+			if got := e.PeekNextID(); got != want {
+				t.Fatalf("%d shards: PeekNextID at the Crash barrier = %d, want %d (slot 1, gen 1)", shards, got, want)
+			}
+			e.NodeEnv(want, NewRand(9))
+			ws[4] = &witness{}
+			if got := e.AddNode(ws[4], shaping.Unlimited, 0); got != want {
+				t.Fatalf("%d shards: AddNode minted %d, want %d", shards, got, want)
+			}
+			// An hour's period: the new sampler's own first tick falls
+			// past the run, so any tick it takes is the old chain's.
+			e.AttachSampler(want, fresh, time.Hour)
+		})
+		if err := e.Run(100 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		out.fired, out.stale, out.total = e.Fired(), e.StaleDrops(), e.TotalStats()
+		for i := range e.nodes.Len() {
+			out.slots = append(out.slots, e.nodes.At(i).stats)
+		}
+		out.live = append(out.live, e.live...)
+		for i, w := range ws {
+			out.calls[i] = w.calls
+		}
+		out.oldTicks[1], out.newTicks = old.n, fresh.n
+		return out
+	}
+	var first outcome
+	for _, shards := range []int{1, 2, 4} {
+		got := run(shards)
+		for i, calls := range got.calls {
+			if len(calls) != 0 {
+				t.Fatalf("%d shards: node %d's handler was called: %q", shards, i, calls)
+			}
+		}
+		if got.afterRan || got.oldTicks[0] < 2 || got.oldTicks[1] != got.oldTicks[0] || got.newTicks != 0 {
+			t.Fatalf("%d shards: the old incarnation's After ran %v, its sampler ticked %d→%d, the new sampler %d times",
+				shards, got.afterRan, got.oldTicks[0], got.oldTicks[1], got.newTicks)
+		}
+		if got.stale != 2 || got.slots[2].DeadDrops != 1 || got.total.DeadDrops != 3 {
+			t.Fatalf("%d shards: %d stale drops, %d dead drops at node 2, %d in all; want 2, 1, 3",
+				shards, got.stale, got.slots[2].DeadDrops, got.total.DeadDrops)
+		}
+		if got.slots[1] != (simnet.Stats{}) {
+			t.Fatalf("%d shards: the new occupant's counters moved: %+v", shards, got.slots[1])
+		}
+		if sent := got.total.SentMsgs; sent[wire.KindFeedMe] != 2 || sent[wire.KindPropose] != 1 {
+			t.Fatalf("%d shards: sent %v, want 2 FEED-MEs and 1 PROPOSE", shards, sent)
+		}
+		assertConserved(t, got.total)
+		if again := run(shards); !reflect.DeepEqual(got, again) {
+			t.Fatalf("%d shards: replay diverged:\n%+v\n%+v", shards, got, again)
+		}
+		if shards == 1 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("%d shards differ from one:\n%+v\n%+v", shards, got, first)
+		}
+	}
 }
 
 // churnRun drives a lossy, jittery multi-shard population through ten
@@ -408,8 +526,8 @@ func churnRun(t *testing.T) *Engine {
 // DeadDrops, and the identity sent == recv + drops holds exactly.
 func TestArenaStatsConservationUnderChurn(t *testing.T) {
 	e := churnRun(t)
-	if e.Added() != 40 || e.Recycled() != 9 || e.N() != 31 {
-		t.Fatalf("Added %d Recycled %d N %d, want 40/9/31 (first reuse waits out quarantine)",
+	if e.Added() != 40 || e.Recycled() != 10 || e.N() != 30 {
+		t.Fatalf("Added %d Recycled %d N %d, want 40/10/30 (each admission reuses the slot its barrier crashed)",
 			e.Added(), e.Recycled(), e.N())
 	}
 	if e.N() != e.Added()-e.Recycled() {
@@ -425,8 +543,8 @@ func TestArenaStatsConservationUnderChurn(t *testing.T) {
 	assertConserved(t, total)
 }
 
-// TestArenaChurnReplayDeterminism: the recycling machinery — quarantine
-// drains, FIFO slot reuse, generation bumps, stats folds — is part of the
+// TestArenaChurnReplayDeterminism: the recycling machinery — FIFO slot
+// reuse, generation bumps, stats folds — is part of the
 // deterministic schedule: twin runs are bit-identical.
 func TestArenaChurnReplayDeterminism(t *testing.T) {
 	a, b := churnRun(t), churnRun(t)
@@ -480,10 +598,9 @@ func TestArenaMemoryStaysFlat(t *testing.T) {
 	if e.Live() != live {
 		t.Fatalf("Live = %d, want steady %d", e.Live(), live)
 	}
-	// The 20 ms churn period dwarfs the 5 ms quarantine, so after the
-	// first round every admit reuses a slot: the arena grows by at most
-	// one slot over 100 joins.
-	if e.N() > live+1 {
+	// Every admit reuses the slot its barrier just crashed: the arena
+	// does not grow over 100 joins.
+	if e.N() > live {
 		t.Fatalf("arena grew to %d slots for %d live nodes over %d joins: recycling is not working",
 			e.N(), live, e.Added())
 	}
@@ -578,11 +695,11 @@ func FuzzArenaRecycling(f *testing.F) {
 						if cur[Slot(victim)] != victim {
 							return // its slot was reused: the handle is stale
 						}
-						live, queued, next := e.Live(), len(e.quar)-e.quarHead, e.PeekNextID()
+						live, queued, next := e.Live(), len(e.free)-e.freeHead, e.PeekNextID()
 						e.Crash(victim)
-						if e.Live() != live || len(e.quar)-e.quarHead != queued || e.PeekNextID() != next {
+						if e.Live() != live || len(e.free)-e.freeHead != queued || e.PeekNextID() != next {
 							t.Fatalf("a second Crash of %d changed Live %d→%d, the queue %d→%d, the next id %d→%d",
-								victim, live, e.Live(), queued, len(e.quar)-e.quarHead, next, e.PeekNextID())
+								victim, live, e.Live(), queued, len(e.free)-e.freeHead, next, e.PeekNextID())
 						}
 					case 3: // hub sends to any handle ever minted
 						env0.Send(handles[sel%len(handles)], wire.FeedMe{})
@@ -672,7 +789,7 @@ func TestOneIDMessageDrops(t *testing.T) {
 		return e
 	}
 	// recycle crashes node 1 at 20 ms and puts a new node in its slot at
-	// 30 ms, once the quarantine has run out.
+	// 30 ms.
 	recycle := func(e *Engine) {
 		e.AtBarrier(20*time.Millisecond, func() { e.Crash(1) })
 		e.AtBarrier(30*time.Millisecond, func() {
@@ -727,7 +844,7 @@ func TestOneIDMessageDrops(t *testing.T) {
 }
 
 // TestLivenessWordMatchesArena plays random AddNode / Crash sequences —
-// recycling slots FIFO, at setup where the quarantine expires at once —
+// recycling slots FIFO, at setup —
 // against a plain model of the arena, long enough that slots reach maxGen
 // and retire. After every step each slot's liveness word is the model's
 // gen<<1 | alive, and Alive, lookup, liveNode, Live and PeekNextID agree

@@ -144,7 +144,8 @@
 // and a runtime-drawn base latency is clamped so the lookahead fixed at
 // Run stays a valid bound. A departure is one call, Crash: the node stops,
 // its tick chain ends, its descriptors elsewhere age out, and its arena
-// slot queues for reuse, its traffic counters readable until then.
+// slot queues for the next admission — at the same barrier, if one
+// follows — its traffic counters readable until then.
 // Because admissions and crashes all run at barriers in schedule order,
 // and an admitted node's draws are keyed by its handle, runs with runtime
 // churn keep full replay determinism.
@@ -156,20 +157,19 @@
 // caller can keep its own per-node state per shard the same way.
 //
 // Engine memory is O(live nodes), not O(nodes ever): a crashed slot
-// waits out one lookahead window in a quarantine ring — after that no
-// in-flight event can still address the old incarnation without crossing
-// a barrier — and AddNode takes it from that one ring, oldest first,
-// before it grows the arena. NodeID is a generation-tagged handle (slot
-// index + per-slot incarnation counter), so any reference that survives
-// its node — an in-flight delivery, an outbox entry, a descriptor in a
-// sampler's view, an experiment-side index — fails the generation check
-// instead of reaching the slot's new occupant: deliveries to stale
-// handles are counted (StaleDrops, folded into TotalStats as dead
-// traffic). Departed incarnations' traffic counters fold into a departed
-// accumulator at reuse, so TotalStats conserves every counter across any
-// amount of churn; a departed incarnation's base latency, which draining
-// traffic addressed to it still needs, is a function of its handle and is
-// drawn again.
+// queues in one FIFO ring, and AddNode takes the oldest queued slot, at
+// once, before it grows the arena — even at the barrier that crashed it.
+// NodeID is a generation-tagged handle (slot index + per-slot incarnation
+// counter), so any reference that survives its node — an in-flight
+// delivery, an outbox entry, a timer, a descriptor in a sampler's view,
+// an experiment-side index — fails the generation check instead of
+// reaching the slot's new occupant: deliveries to stale handles are
+// counted (StaleDrops, folded into TotalStats as dead traffic), and a
+// stale node's timers and ticks are skipped. Departed incarnations'
+// traffic counters fold into a departed accumulator at reuse, so
+// TotalStats conserves every counter across any amount of churn; a
+// departed incarnation's base latency, which draining traffic addressed
+// to it still needs, is a function of its handle and is drawn again.
 package megasim
 
 import (
@@ -212,9 +212,9 @@ const (
 	slotBits = 21
 	slotMask = 1<<slotBits - 1
 	// maxGen is the last mintable generation. A slot that reaches it
-	// retires permanently instead of being reused: the quarantine ring
-	// steps past it, since it could no longer mint a handle
-	// distinguishable from a stale one.
+	// retires permanently instead of being reused: the free ring steps
+	// past it, since it could no longer mint a handle distinguishable
+	// from a stale one.
 	maxGen = 1<<(31-slotBits) - 1
 )
 
@@ -300,7 +300,7 @@ type nodeState struct {
 // one flag: gen<<liveGenShift | alive. A handle resolves to the
 // slot's current incarnation only when its Gen matches the word's. The
 // generation is incremented when the slot is recycled, so every handle a
-// quarantined slot ever minted stays resolvable (and dead-drops normally)
+// queued slot ever minted stays resolvable (and dead-drops normally)
 // until reuse actually happens. The words sit in one dense slice apart from
 // the nodes' records, so the checks on the event path — a delivery's
 // endpoints, a send's source, a timer's node — read four bytes a slot
@@ -318,15 +318,6 @@ func sameGen(w uint32, id NodeID) bool { return w>>liveGenShift == uint32(id)>>s
 // aliveWord is the liveness word of the incarnation id names while it is
 // alive, so one comparison checks both generation and liveness.
 func aliveWord(id NodeID) uint32 { return uint32(id)>>slotBits<<liveGenShift | liveAlive }
-
-// quarEntry parks a crashed slot until reuse is provably safe: one full
-// lookahead window after the Crash barrier, by when every delivery the
-// old incarnation could still be addressed by has executed or crossed a
-// barrier (where the generation check catches it).
-type quarEntry struct {
-	slot int32
-	at   time.Duration // engine time of the Crash
-}
 
 // stage is where an engine is in its life, which decides what may change
 // and how a send reaches another shard.
@@ -382,12 +373,11 @@ type Engine struct {
 	recycled int
 
 	// Slot recycling state, touched only at quiescent points (setup,
-	// barrier callbacks): crashed slots queue in the quarantine ring in
-	// Crash order and stay there until AddNode takes the oldest whose
-	// window expired — a deterministic recycling order for a
-	// deterministic schedule of crashes.
-	quar     []quarEntry
-	quarHead int
+	// barrier callbacks): crashed slots queue in the free ring in Crash
+	// order until AddNode takes the oldest — a deterministic recycling
+	// order for a deterministic schedule of crashes.
+	free     []int32
+	freeHead int
 	// departed accumulates the traffic counters of retired incarnations,
 	// folded out of a slot when it is recycled, so TotalStats stays
 	// complete across any amount of churn.
@@ -450,14 +440,13 @@ func New(cfg Config) (*Engine, error) {
 //
 // AddNode is legal during setup and — runtime admission, the substrate of
 // sustained-churn experiments — inside an AtBarrier callback, where every
-// shard is quiescent: the new node takes the oldest slot in the quarantine
-// ring whose window expired, if there is one (its handle carries the
-// slot's next generation), and extends the arena otherwise, and its first
-// events (Start timers, sampler ticks) are scheduled relative to the
-// barrier time. A base latency drawn
-// at runtime is clamped from below so the engine's conservative lookahead,
-// fixed at Run from the setup population, stays a valid lower bound on
-// every pair latency.
+// shard is quiescent: the new node takes the oldest slot in the free
+// ring, if there is one (its handle carries the slot's next generation),
+// even one crashed at this very barrier, and extends the arena otherwise;
+// its first events (Start timers, sampler ticks) are scheduled relative to
+// the barrier time. A base latency drawn at runtime is clamped from below
+// so the engine's conservative lookahead, fixed at Run from the setup
+// population, stays a valid lower bound on every pair latency.
 func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	if h == nil {
 		panic("megasim: nil handler")
@@ -474,7 +463,7 @@ func (e *Engine) AddNode(h Handler, upBps, queueBytes int64) NodeID {
 	if slot, ok := e.takeFree(); ok {
 		// The retired incarnation's counters fold into the departed
 		// accumulator: TotalStats stays complete, including dead drops that
-		// accrued during quarantine, after any experiment-side fold.
+		// accrued while the slot queued, after any experiment-side fold.
 		e.departed.Add(e.nodes.At(slot).stats)
 		id = makeID(slot, uint16(e.live[slot]>>liveGenShift+1))
 		e.live[slot] = aliveWord(id)
@@ -515,7 +504,7 @@ func (e *Engine) drawBase(r *xrand.SplitMix64) time.Duration {
 }
 
 // PeekNextID returns the handle the next AddNode will assign — the oldest
-// recyclable slot at its next generation, or a fresh arena append — without
+// queued slot at its next generation, or a fresh arena append — without
 // consuming it. Callers that construct a node's environment or protocol
 // state (both seeded by id) before registering it use this to know the id
 // up front; the next AddNode is guaranteed to return the same handle.
@@ -526,22 +515,22 @@ func (e *Engine) PeekNextID() NodeID {
 	return NodeID(e.nodes.Len())
 }
 
-// nextFree returns the oldest slot in the quarantine ring whose quarantine
-// expired — one full lookahead window past its Crash — if there is one.
-// A slot whose generation space is exhausted retires permanently: the ring
+// nextFree returns the oldest slot in the free ring, if there is one. A
+// slot whose generation space is exhausted retires permanently: the ring
 // steps past it for good (it could no longer mint a handle
 // distinguishable from a stale one); at 10 generation bits that leaks one
-// arena slot per 1023 reuses of the same slot, a bounded cost. Runs only
-// at quiescent points (AddNode, PeekNextID — setup or barrier callbacks),
-// where e.now is the barrier time every pending delivery is at or after.
+// arena slot per 1023 reuses of the same slot, a bounded cost. Nothing
+// else waits: whatever of the old incarnation is still in flight fails
+// the generation check. Runs only at quiescent points (AddNode,
+// PeekNextID — setup or barrier callbacks).
 func (e *Engine) nextFree() (int, bool) {
-	for e.quarHead < len(e.quar) && e.live[e.quar[e.quarHead].slot]>>liveGenShift >= maxGen {
-		e.quarHead++
+	for e.freeHead < len(e.free) && e.live[e.free[e.freeHead]]>>liveGenShift >= maxGen {
+		e.freeHead++
 	}
-	if e.quarHead == len(e.quar) || e.now < e.quar[e.quarHead].at+e.lookahead {
+	if e.freeHead == len(e.free) {
 		return 0, false
 	}
-	return int(e.quar[e.quarHead].slot), true
+	return int(e.free[e.freeHead]), true
 }
 
 // takeFree pops the oldest recyclable slot, if any. The ring reuses its
@@ -553,13 +542,13 @@ func (e *Engine) nextFree() (int, bool) {
 func (e *Engine) takeFree() (int, bool) {
 	slot, ok := e.nextFree()
 	if ok {
-		e.quarHead++
+		e.freeHead++
 	}
-	if e.quarHead == len(e.quar) {
-		e.quar, e.quarHead = e.quar[:0], 0
-	} else if e.quarHead >= (len(e.quar)+1)/2 {
-		n := copy(e.quar, e.quar[e.quarHead:])
-		e.quar, e.quarHead = e.quar[:n], 0
+	if e.freeHead == len(e.free) {
+		e.free, e.freeHead = e.free[:0], 0
+	} else if e.freeHead >= (len(e.free)+1)/2 {
+		n := copy(e.free, e.free[e.freeHead:])
+		e.free, e.freeHead = e.free[:n], 0
 	}
 	return slot, ok
 }
@@ -612,8 +601,7 @@ func (e *Engine) AttachSampler(id NodeID, d member.DynamicSampler, period time.D
 // silently: the tick belongs to a departed incarnation whose slot was
 // recycled, and letting it through would tick the new occupant's sampler
 // twice per period. This is the designed end of the chain, not a stale
-// event worth counting — ticks are scheduled a full period ahead, far
-// past the quarantine window.
+// event worth counting.
 func (e *Engine) memberTick(sh *shard, id NodeID) {
 	nd := e.liveNode(id)
 	if nd == nil || nd.sampler == nil {
@@ -672,16 +660,16 @@ func (e *Engine) Live() int { return e.alive }
 // Crash takes a node out of the run for good: it stops sending and
 // receiving, its timers and membership ticks die, and its heavy state —
 // handler, sampler, uplink queue — is dropped, which makes engine memory
-// O(live nodes) under sustained churn. Its arena slot parks in a
-// quarantine ring for one full lookahead window (by then no in-flight
-// event can still be addressed to the old incarnation without crossing a
-// barrier, where the generation check catches it) and stays there until
-// AddNode takes it, oldest first, bumping the generation so every handle
-// the old incarnation ever minted turns detectably stale. Until the slot
-// is reused the node keeps its base latency (pair latencies of draining
-// traffic still read it) and its traffic counters (NodeStats stays
-// complete); at reuse the counters fold into the engine-wide departed
-// accumulator, so TotalStats is conserved across any amount of churn.
+// O(live nodes) under sustained churn. Its arena slot queues in the free
+// ring until AddNode takes it, oldest first — at this same barrier, if
+// an admission follows — bumping the generation so every handle the old
+// incarnation ever minted turns detectably stale: its deliveries, timers
+// and ticks still in flight are dropped by the generation check. Until the
+// slot is reused the node keeps its base latency (pair latencies of
+// draining traffic still read it) and its traffic counters (NodeStats
+// stays complete); at reuse the counters fold into the engine-wide
+// departed accumulator, so TotalStats is conserved across any amount of
+// churn.
 // Crashing a node that is already down does nothing. Only legal during
 // setup or inside an AtBarrier callback (shards are quiescent there).
 func (e *Engine) Crash(id NodeID) {
@@ -697,8 +685,8 @@ func (e *Engine) Crash(id NodeID) {
 	nd.flat = nil
 	nd.sampler = nil
 	nd.uplink = shaping.Shaper{}
-	//lint:pooled quarantine ring capacity is reused in place (takeFree resets or compacts it)
-	e.quar = append(e.quar, quarEntry{slot: int32(Slot(id)), at: e.now})
+	//lint:pooled the free ring's capacity is reused in place (takeFree resets or compacts it)
+	e.free = append(e.free, int32(Slot(id)))
 }
 
 // BaseLatency returns the node's drawn base latency.
@@ -1104,12 +1092,14 @@ func (e *Engine) sendMsg(sh *shard, from, to NodeID, msg wire.Message) {
 //
 // A delivery addressed to a stale handle — the destination incarnation
 // departed and its slot was recycled while the message was in flight —
-// is counted on the shard (StaleDrops): the new occupant never sees it. A stale *source* with a live destination
-// dead-drops normally — the sender was live when it sent, so the message
-// was counted sent, and its slot's recycling mid-flight changes nothing
-// about the destination-side accounting. One exemption: a LEAVE from a
-// dead-but-not-recycled source delivers — delivering the farewell after
-// the sender is gone is the entire point of a graceful departure.
+// is counted on the shard (StaleDrops): the new occupant never sees it.
+// Past that, one rule: a LEAVE needs only a live destination, and every
+// other kind also needs its sender's incarnation alive. A graceful
+// departure hands its farewells to the network and crashes in the same
+// barrier, its slot perhaps reused at once, and a datagram in flight is
+// not recalled when its sender dies: delivering the LEAVE after the sender
+// is gone is the point of it. A message that fails the rule dead-drops on
+// the destination — it was counted sent while its sender was live.
 func (e *Engine) deliver(sh *shard, ev *event) {
 	tslot := uint32(ev.to) & slotMask
 	tw := e.live[tslot]
@@ -1130,12 +1120,7 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 	}
 	k := p.kind
 	dst := e.nodes.At(int(tslot))
-	if fw := e.live[uint32(ev.from)&slotMask]; !sameGen(fw, ev.from) || tw&liveAlive == 0 ||
-		(fw&liveAlive == 0 && k != wire.KindLeave) {
-		// A LEAVE from a dead (but not recycled) source still delivers: a
-		// graceful departure hands its farewells to the network and crashes
-		// in the same barrier, and a datagram in flight is not recalled
-		// when its sender dies. Every other kind dead-drops as before.
+	if tw&liveAlive == 0 || (k != wire.KindLeave && e.live[uint32(ev.from)&slotMask] != aliveWord(ev.from)) {
 		dst.stats.DeadDrops++
 		return
 	}

@@ -91,11 +91,11 @@ func Default() *Config {
 				"(*shard).runWindow", "(*shard).mergeInbound",
 				"(*radixQueue).push", "(*radixQueue).pop", "(*radixQueue).peekAt",
 				// The arena-recycling paths: Crash runs per departure
-				// (10k/s at 1%/s churn on a million nodes) and the
-				// quarantine ring's reads run per admission. The
-				// handle-decode checks on the event path are already
-				// reachable from runWindow; these roots pin the ring to
-				// reused capacity and flat slot arithmetic.
+				// (10k/s at 1%/s churn on a million nodes) and the free
+				// ring's reads run per admission. The handle-decode
+				// checks on the event path are already reachable from
+				// runWindow; these roots pin the ring to reused capacity
+				// and flat slot arithmetic.
 				"(*Engine).Crash", "(*Engine).nextFree", "(*Engine).takeFree",
 				// The LEAVE fan-out path: a graceful departure emits one
 				// SendFrom per view entry at its barrier (view-size × 10k/s
