@@ -10,10 +10,11 @@
 // blocking job; a finding is fixed or annotated (//lint:<verb> <why>),
 // never ignored.
 //
-// Exit codes: 0 clean, 1 findings reported, 2 usage or load error.
+// Exit codes: 0 clean (or -h), 1 findings reported, 2 usage or load error.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -23,7 +24,6 @@ import (
 
 	"gossipstream/internal/simlint/analysis"
 	"gossipstream/internal/simlint/hotalloc"
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/load"
 	"gossipstream/internal/simlint/maprange"
 	"gossipstream/internal/simlint/rngstream"
@@ -34,13 +34,17 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// analyzers builds the full suite over one shared configuration.
-func analyzers(cfg *lintcfg.Config) []*analysis.Analyzer {
+// analyzers builds the full suite. Each analyzer reads the contract from
+// the code: the packages marked //lint:deterministic and the functions
+// marked //lint:hot. The directive check reports an opt-in that would
+// silently mark nothing.
+func analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
-		maprange.New(cfg),
-		wallclock.New(cfg),
-		hotalloc.New(cfg),
-		rngstream.New(cfg),
+		maprange.New(),
+		wallclock.New(),
+		hotalloc.New(),
+		rngstream.New(),
+		analysis.Directives,
 	}
 }
 
@@ -49,25 +53,25 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("simlint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		list          = fs.Bool("list", false, "list analyzers and their package classes, then exit")
-		only          = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-		deterministic = fs.String("deterministic", "", "extra package segments to classify deterministic")
-		kernel        = fs.String("kernel", "", "extra package segments to classify as hot kernels")
-		wallclockOK   = fs.String("wallclock-ok", "", "extra package segments exempt from wall-clock checks")
+		list = fs.Bool("list", false, "list the analyzers and what each enforces, then exit")
+		only = fs.String("only", "", "comma-separated analyzer names to run (default: all)")
 	)
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: simlint [flags] [packages]\n\nruns the determinism/hot-path analyzer suite; packages default to ./...\n\n")
+	usage := func(w io.Writer) {
+		fmt.Fprintf(w, "usage: simlint [flags] [packages]\n\nruns the determinism/hot-path analyzer suite; packages default to ./...\n\n")
+		fs.SetOutput(w)
 		fs.PrintDefaults()
 	}
+	fs.Usage = func() {} // printed below, where -h and a bad flag part ways
 	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			usage(stdout) // -h/-help: asked for, not a failure
+			return 0
+		}
+		usage(stderr)
 		return 2
 	}
 
-	cfg := lintcfg.Default()
-	cfg.Deterministic = append(cfg.Deterministic, split(*deterministic)...)
-	cfg.Kernel = append(cfg.Kernel, split(*kernel)...)
-	cfg.WallClockOK = append(cfg.WallClockOK, split(*wallclockOK)...)
-	suite := analyzers(cfg)
+	suite := analyzers()
 
 	if *list {
 		for _, a := range suite {

@@ -13,6 +13,8 @@
 // executor that can admit nodes at runtime (the engine's barrier
 // admission) and a membership substrate that can learn them (partial
 // views, internal/pss).
+//
+//lint:deterministic churn schedules are drawn from the run's seed
 package churn
 
 import (

@@ -45,6 +45,8 @@ func (b *boxedEnv) FlatTimers() bool { return true }
 
 // AfterTimer arms OnTimer(kind, arg) through After and drops the cancel:
 // the peer ignores the timers it no longer wants.
+//
+//lint:hot arms every timer of a peer over a plain Env
 func (b *boxedEnv) AfterTimer(d time.Duration, kind uint8, arg uint32) {
 	fn := b.tick
 	if kind != timerTick || arg != b.tickEpoch {
@@ -60,6 +62,8 @@ func (b *boxedEnv) AfterTimer(d time.Duration, kind uint8, arg uint32) {
 
 // SendIDs boxes a PROPOSE or REQUEST over a copy of ids, which the message
 // in flight owns.
+//
+//lint:hot boxes every PROPOSE and REQUEST of a peer over a plain Env
 func (b *boxedEnv) SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.PacketID) {
 	if kind != wire.KindPropose {
 		//lint:boxed over a plain Env the boxed REQUEST is the in-flight message record
@@ -77,6 +81,8 @@ func (b *boxedEnv) SendIDs(to wire.NodeID, kind wire.Kind, ids []stream.PacketID
 // The Env owns a backing from then on: it recycles it once the message is
 // consumed, or leaves it to the collector. An id the peer holds no packet
 // for (it came as an id, not in a boxed SERVE) is skipped.
+//
+//lint:hot boxes every SERVE of a peer over a plain Env
 func (b *boxedEnv) SendServe(to wire.NodeID, ids []stream.PacketID, _ int) {
 	pkts := b.pkts[:0]
 	for _, id := range ids {

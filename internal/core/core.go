@@ -15,17 +15,19 @@
 //
 // Retransmission (lines 14–15/25): after requesting, a node arms a timer;
 // if some requested ids are still missing when it fires, they are requested
-// again from a remembered proposer, up to MaxRequests times per id. The
-// pseudocode replays the PROPOSE verbatim; we disambiguate by re-requesting
-// from a random recorded proposer of the id, which matches the paper's
-// implementation behaviour (recovering from congested or dead servers).
+// again from a remembered proposer, up to MaxRequests times per id. By
+// default (RetrySameProposer) the retry goes to the node first requested,
+// the literal reading of the pseudocode's replayed PROPOSE;
+// RetryRandomProposer, an extension beyond the paper, re-requests from a
+// random recorded proposer of the id instead, routing around congested or
+// dead servers.
 //
 // Proactiveness (paper §3) is delegated to internal/member: the view
 // refresh rate X and the feed-me rate Y.
 //
 // The engine is transport-agnostic: all interaction with time and the
 // network goes through Env, implemented by the discrete-event simulator
-// (internal/experiment) and the real-time UDP driver (internal/rt).
+// (megasim.NodeEnv) and the real-time UDP driver (internal/rt).
 //
 // # Allocation
 //
@@ -67,6 +69,8 @@
 // closure Env.After takes each time the retransmission timer is armed.
 // Either way the peer sends the same datagrams in the same order.
 // alloc_test.go holds the handlers to these budgets.
+//
+//lint:deterministic Algorithm 1's handlers run inside every simulated replay
 package core
 
 import (
@@ -664,6 +668,8 @@ func (p *Peer) armTick(d time.Duration) {
 // OnTimer is the peer's one timer entry point: the environment calls it
 // when a timer armed through TimerEnv.AfterTimer (or the adapter's closure
 // over After) fires.
+//
+//lint:hot runs once per timer; the engines reach it only through an interface
 func (p *Peer) OnTimer(kind uint8, arg uint32) {
 	switch kind {
 	case timerTick:
@@ -741,6 +747,8 @@ func (p *Peer) sendFeedMe() {
 }
 
 // HandleMessage dispatches a delivered message to the protocol handlers.
+//
+//lint:hot runs once per delivered message; the engines reach it only through an interface
 func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 	if !p.running {
 		return
@@ -772,6 +780,8 @@ func (p *Peer) HandleMessage(from wire.NodeID, msg wire.Message) {
 // HandleIDs is HandleMessage for a PROPOSE, REQUEST or SERVE (kind)
 // delivered unboxed, the counterpart of TimerEnv.SendIDs and SendServe.
 // ids is the environment's and valid for the call only.
+//
+//lint:hot the typed route of every PROPOSE and REQUEST, reached only through an interface
 func (p *Peer) HandleIDs(from wire.NodeID, kind wire.Kind, ids []stream.PacketID) {
 	if !p.running {
 		return
@@ -1021,6 +1031,8 @@ func (p *Peer) retTimerFired(gen uint32) {
 // (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
 // random recorded one. The ids re-requested form a new batch; seeing that
 // the timer fires for it is the caller's.
+//
+//lint:hot stays audited however the timer entry reaches it
 func (p *Peer) retransmit(bi uint32) {
 	p.counters.RetChecks++
 	t := p.tab

@@ -47,7 +47,7 @@ func admitRecycled(t *testing.T, cfg Config, cycles, k int, admitted func(d *dep
 		leave, join := time.Duration(2+2*c)*time.Second, time.Duration(3+2*c)*time.Second
 		d.eng.AtBarrier(leave, func() {
 			for range k {
-				d.leave(leave, rng)
+				d.leave(leave, rng, false)
 			}
 		})
 		d.eng.AtBarrier(join, func() {

@@ -14,6 +14,8 @@
 // engine's table. A run allocates per shard as these fill, not per node,
 // and a node admitted into a departed node's slot rebuilds the slot's
 // state in place, allocating nothing (TestJoinAllocBudget).
+//
+//lint:deterministic builds, churns and scores every simulated run from its seed
 package experiment
 
 import (

@@ -182,10 +182,8 @@ func (d *deployment) schedule() error {
 			fn = func() { d.burst(tev.At, tev.Fraction, burstRng) }
 		case churn.OpJoin:
 			fn = func() { d.admit(tev.At, procRng) }
-		case churn.OpLeave:
-			fn = func() { d.leave(tev.At, procRng) }
-		case churn.OpGracefulLeave:
-			fn = func() { d.gracefulLeave(tev.At, procRng) }
+		case churn.OpLeave, churn.OpGracefulLeave:
+			fn = func() { d.leave(tev.At, procRng, tev.Op == churn.OpGracefulLeave) }
 		default:
 			return fmt.Errorf("experiment: unknown churn op %v", tev.Op)
 		}
@@ -570,31 +568,22 @@ func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 }
 
 // leave runs inside a leave barrier: one uniformly random live non-source
-// node departs ungracefully — the crash path, exactly like a burst victim.
-// With nobody left to remove, the event is a no-op.
-func (d *deployment) leave(at time.Duration, rng *rand.Rand) {
-	eligible := d.aliveVictims()
-	if len(eligible) == 0 {
-		return
-	}
-	d.crash(eligible[rng.Intn(len(eligible))], at)
-}
-
-// gracefulLeave runs inside a graceful-departure barrier: one uniformly
-// random live non-source node announces its exit — its membership record
-// emits a LEAVE to every peer in its view, sent from the departing node
-// through its own shaped uplink — and then crashes. The victim draw is
-// identical to leave's (same pool scan, same single rng.Intn), and the
-// timeline keeps the leave salt, so a graceful run and a crash-leave run
-// at the same seed remove the same nodes at the same instants: comparing
-// the two isolates the cost of detection lag from unavoidable loss.
-func (d *deployment) gracefulLeave(at time.Duration, rng *rand.Rand) {
+// node departs — the crash path, exactly like a burst victim. A graceful
+// departure first announces its exit: its membership record emits a LEAVE
+// to every peer in its view, sent from the departing node through its own
+// shaped uplink. Both kinds draw their victim the same way (same pool
+// scan, same single rng.Intn), and the timeline keeps the leave salt, so
+// a graceful run and a crash-leave run at the same seed remove the same
+// nodes at the same instants: comparing the two isolates the cost of
+// detection lag from unavoidable loss. With nobody left to remove, the
+// event is a no-op.
+func (d *deployment) leave(at time.Duration, rng *rand.Rand, graceful bool) {
 	eligible := d.aliveVictims()
 	if len(eligible) == 0 {
 		return
 	}
 	victim := eligible[rng.Intn(len(eligible))]
-	if d.cyclon {
+	if graceful && d.cyclon {
 		for _, em := range d.nodes[megasim.Slot(victim)].state.Goodbye() {
 			d.eng.SendFrom(victim, em.To, em.Msg)
 		}

@@ -14,6 +14,8 @@
 // scratch state is drawn from a sync.Pool and decode-matrix inversions are
 // cached per received-share index set, which repeats heavily under steady
 // loss patterns.
+//
+//lint:deterministic encode and decode must give the same bytes on every run
 package fec
 
 import (
@@ -149,6 +151,8 @@ func (c *Code) Encode(data [][]byte) ([][]byte, error) {
 // parity buffers, which must be exactly m slices of the shares' common
 // length. It allocates nothing, so callers encoding a stream of windows can
 // cycle parity buffers through a pool instead of allocating per window.
+//
+//lint:hot the zero-allocation encode entry point, once per window
 func (c *Code) EncodeInto(data, parity [][]byte) error {
 	if len(data) != c.k {
 		return fmt.Errorf("fec: EncodeInto got %d data shares, want %d", len(data), c.k)
@@ -319,6 +323,8 @@ func (c *Code) Reconstruct(shares []Share) ([][]byte, error) {
 // afterwards — nothing aliases the input shares. In steady state (decode
 // matrix cached) it performs no heap allocations, letting receivers cycle
 // one window-sized buffer set through every window they repair.
+//
+//lint:hot the zero-allocation decode entry point, once per window
 func (c *Code) ReconstructInto(shares []Share, out [][]byte) error {
 	if len(out) != c.k {
 		return fmt.Errorf("fec: ReconstructInto got %d output buffers, want %d", len(out), c.k)

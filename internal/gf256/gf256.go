@@ -9,6 +9,8 @@
 // codec's hot path — use lazily built per-coefficient product tables, a
 // word-wide XOR fast path, and, on amd64 with AVX2, a PSHUFB kernel over
 // split low/high-nibble lookup tables; see kernels.go.
+//
+//lint:deterministic the FEC kernels' bytes must not depend on the host or the run
 package gf256
 
 import "fmt"

@@ -147,6 +147,8 @@ func mulAdd4(t0, t1, t2, t3 *mulTab, s0, s1, s2, s3, dst []byte) {
 // MulSlice computes dst[i] ^= c * src[i] for all i — the row operation at
 // the heart of Reed–Solomon encoding and Gaussian elimination. dst and src
 // must have equal length.
+//
+//lint:hot runs per byte of every encoded window
 func MulSlice(c byte, src, dst []byte) {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("gf256: MulSlice length mismatch %d != %d", len(src), len(dst)))
@@ -167,6 +169,8 @@ func MulSlice(c byte, src, dst []byte) {
 // four at a time (portable path) or streamed through the SIMD kernel, and
 // every coefficient's product table is resolved once up front. Every src
 // must have the same length as dst.
+//
+//lint:hot runs per byte of every encoded window
 func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 	if len(coeffs) != len(srcs) {
 		panic(fmt.Sprintf("gf256: MulAddSlices got %d coefficients for %d sources", len(coeffs), len(srcs)))
@@ -202,6 +206,8 @@ func MulAddSlices(coeffs []byte, srcs [][]byte, dst []byte) {
 }
 
 // ScaleSlice multiplies every byte of s in place by c.
+//
+//lint:hot runs per byte of every decoded window
 func ScaleSlice(c byte, s []byte) {
 	switch c {
 	case 1:

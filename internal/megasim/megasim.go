@@ -170,6 +170,8 @@
 // TotalStats conserves every counter across any amount of churn; a
 // departed incarnation's base latency, which draining traffic addressed
 // to it still needs, is a function of its handle and is drawn again.
+//
+//lint:deterministic the engine: its event order is the replay every digest pins
 package megasim
 
 import (
@@ -523,6 +525,8 @@ func (e *Engine) PeekNextID() NodeID {
 // else waits: whatever of the old incarnation is still in flight fails
 // the generation check. Runs only at quiescent points (AddNode,
 // PeekNextID — setup or barrier callbacks).
+//
+//lint:hot the free ring's read runs per admission
 func (e *Engine) nextFree() (int, bool) {
 	for e.freeHead < len(e.free) && e.live[e.free[e.freeHead]]>>liveGenShift >= maxGen {
 		e.freeHead++
@@ -539,6 +543,8 @@ func (e *Engine) nextFree() (int, bool) {
 // steady churn there are always fresh crashes in the tail, so without the
 // compaction the backing would grow by one entry per departure forever —
 // the arena would be O(live nodes) but the ring O(total joins).
+//
+//lint:hot the free ring's pop runs per admission
 func (e *Engine) takeFree() (int, bool) {
 	slot, ok := e.nextFree()
 	if ok {
@@ -672,6 +678,8 @@ func (e *Engine) Live() int { return e.alive }
 // churn.
 // Crashing a node that is already down does nothing. Only legal during
 // setup or inside an AtBarrier callback (shards are quiescent there).
+//
+//lint:hot runs per departure: 10k/s at 1%/s churn on a million nodes
 func (e *Engine) Crash(id NodeID) {
 	e.checkMutable("Crash")
 	nd := e.lookup("Crash", id)
@@ -1159,6 +1167,8 @@ func (e *Engine) deliver(sh *shard, ev *event) {
 // when SendFrom returns, whichever shard that is, so runs, and what a
 // later callback at the same instant observes, stay bit-identical for a
 // fixed seed at every shard count.
+//
+//lint:hot a graceful departure sends one LEAVE per view entry at its barrier
 func (e *Engine) SendFrom(from, to NodeID, msg wire.Message) {
 	e.checkMutable("SendFrom")
 	sh := e.shards[e.shardOf(Slot(from))]
@@ -1247,6 +1257,8 @@ func (v *NodeEnv) Send(to NodeID, msg wire.Message) { v.eng.sendMsg(v.sh, v.id, 
 // SendIDs transmits a PROPOSE or REQUEST (kind) of ids, as Send would the
 // boxed message, without boxing it: the ids are copied into the in-flight
 // record and the caller keeps the slice.
+//
+//lint:hot node logic sends every PROPOSE and REQUEST through core.TimerEnv
 func (v *NodeEnv) SendIDs(to NodeID, kind wire.Kind, ids []stream.PacketID) {
 	if kind != wire.KindPropose && kind != wire.KindRequest {
 		panic(fmt.Sprintf("megasim: SendIDs of a %v: only PROPOSE and REQUEST carry ids", kind))
@@ -1261,6 +1273,8 @@ func (v *NodeEnv) SendIDs(to NodeID, kind wire.Kind, ids []stream.PacketID) {
 // would, the ids are copied into the in-flight record and the caller
 // keeps the slice. The receiver gets the ids through HandleIDs; its
 // handler must be a TimerHandler.
+//
+//lint:hot node logic sends every SERVE through core.TimerEnv
 func (v *NodeEnv) SendServe(to NodeID, ids []stream.PacketID, payloadBytes int) {
 	v.eng.send(v.sh, v.id, to, payload{kind: wire.KindServe, width: int32(payloadBytes), ids: ids})
 }

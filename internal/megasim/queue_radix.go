@@ -141,6 +141,8 @@ func newRadixQueue() *radixQueue {
 
 // push inserts ev. A push before the last pop breaks the clock's
 // monotonicity, which every bucket index relies on, and panics.
+//
+//lint:hot the event queue takes every scheduled event
 func (q *radixQueue) push(ev event) {
 	if ev.at < q.last {
 		panic(fmt.Sprintf("megasim: radix queue push at %v precedes the last pop at %v", ev.at, q.last))
@@ -213,6 +215,8 @@ func (q *radixQueue) extend(i int) {
 // earliest pushed among those of one instant and origin.
 // Records hold no pointer, so a vacated slot is simply left behind. A pop
 // on an empty queue panics.
+//
+//lint:hot the event queue serves every executed event
 func (q *radixQueue) pop() event {
 	if q.zhead == len(q.zero) {
 		if q.n == 0 {
@@ -293,6 +297,8 @@ func (q *radixQueue) redistribute(i int) {
 func evFromCmp(a, b event) int { return cmp.Compare(a.from, b.from) }
 
 // peekAt returns the earliest pending timestamp without moving last.
+//
+//lint:hot the supervisor's next-event scan reaches it between windows, outside runWindow's walk
 func (q *radixQueue) peekAt() (time.Duration, bool) {
 	if q.zhead < len(q.zero) {
 		return q.last, true

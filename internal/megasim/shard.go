@@ -214,6 +214,8 @@ func (r *msgRec) spilled() bool { return r.n > inlineIDs }
 // message. What the deliveries of one record differ in — sender, receiver,
 // instant — lives in their events. A boxed message is never shared: its
 // record owns what it boxes.
+//
+//lint:hot lets a fan-out's sends share the record filled last, once per send
 func (r *msgRec) reuse(list []stream.PacketID, size int32, p payload) bool {
 	if r.refs == 0 || r.refs == math.MaxUint16 || p.other != nil || r.other != nil ||
 		r.kind != p.kind || r.reply != p.reply || r.size != size || !slices.Equal(list, p.ids) {
@@ -279,6 +281,8 @@ type outbox struct {
 }
 
 // push appends the delivery of p to the outbox.
+//
+//lint:hot queues every cross-shard send made inside a window
 func (ob *outbox) push(at time.Duration, from, to NodeID, size int32, p payload) {
 	ev, carried := delivery(at, from, to, size, p)
 	if !carried {
@@ -292,6 +296,8 @@ func (ob *outbox) push(at time.Duration, from, to NodeID, size int32, p payload)
 // record filled last when it can be reused for p, else a new one, its
 // list, if it spills, appended to the outbox's region. Records are only
 // dropped with the whole outbox, so the last one is always held.
+//
+//lint:hot stores a cross-shard send's message, once per fan-out per destination shard
 func (ob *outbox) store(size int32, p payload) uint32 {
 	i := uint32(len(ob.recs))
 	if i > 0 {
@@ -484,6 +490,8 @@ func (s *shard) runPhase(op uint8, t time.Duration) {
 // runWindow executes every local event with timestamp strictly before end.
 // Events scheduled mid-window (timers, same-shard deliveries, membership
 // ticks) run in the same window when they fall before end.
+//
+//lint:hot the shard loop executes every simulated event
 func (s *shard) runWindow(end time.Duration) {
 	s.windowsRun++
 	for {
@@ -539,6 +547,8 @@ func (s *shard) fired() uint64 { return s.timers + s.delivers + s.memberTicks }
 // deliveries: the events that name a record follow one another among the
 // outbox's evDeliver events, since a record is only ever reused by the
 // sends right after the one that filled it.
+//
+//lint:hot queues every cross-shard delivery sent inside a window
 func (s *shard) mergeInbound() {
 	for _, src := range s.eng.shards {
 		ob := &src.outbox[s.id]
@@ -564,6 +574,8 @@ func (s *shard) mergeInbound() {
 // adopt copies outbox record r into a slab record, with the deliveries
 // that name it, and returns the slab record's index; the slab record holds
 // r's boxed message from then on.
+//
+//lint:hot the merge copies every outbox record into the slab once
 func (s *shard) adopt(ob *outbox, r *msgRec) uint32 {
 	i := s.newRec(r.size, ob.payload(r))
 	s.msgs.At(int(i)).refs = r.refs
@@ -620,6 +632,8 @@ func (s *shard) afterNode(d time.Duration, id NodeID, kind uint8, arg uint32) {
 // the message's record. Every delivery a shard queues or an outbox holds
 // is shaped here, so a message takes the same form whichever shard sent
 // it.
+//
+//lint:hot builds the event every delivery takes, once per send
 func delivery(at time.Duration, from, to NodeID, size int32, p payload) (ev event, carried bool) {
 	if p.other == nil && len(p.ids) == 1 && uint32(size) <= math.MaxUint16 {
 		// A SHUFFLE is never one id: its words come in (id, age) pairs.
@@ -644,6 +658,8 @@ func (s *shard) pushDelivery(at time.Duration, from, to NodeID, size int32, p pa
 // store puts p in a slab record and returns its index: the record the
 // shard filled last when it can be reused for p, else a new one. A freed
 // record has no reference, so reuse passes it by.
+//
+//lint:hot stores a send's message in the slab, once per fan-out per destination shard
 func (s *shard) store(size int32, p payload) uint32 {
 	if s.msgs.Len() > 0 {
 		if r := s.msgs.At(int(s.last)); r.reuse(s.payload(r).ids, size, p) {
@@ -656,6 +672,8 @@ func (s *shard) store(size int32, p payload) uint32 {
 
 // newRec fills a free slab record with p at size, its list spilled into a
 // block of the pool if it does not fit inline, and returns its index.
+//
+//lint:hot fills a fresh slab record, once per fan-out per destination shard
 func (s *shard) newRec(size int32, p payload) uint32 {
 	var i uint32
 	if s.msgFree.Len() > 0 {

@@ -16,6 +16,8 @@
 // interface is the engine-facing contract such substrates (internal/pss)
 // satisfy, letting the simulation engine drive static and live views
 // through one abstraction.
+//
+//lint:deterministic holds the partner draw of every simulated gossip round
 package member
 
 import (
@@ -210,6 +212,8 @@ func (v *View) draw() {
 // Partners returns this round's communication partners, advancing the
 // refresh schedule by one call. The returned slice is owned by the View;
 // callers must not retain it across rounds.
+//
+//lint:hot a partner draw per gossip round, reached only through member.Sampler
 func (v *View) Partners() []wire.NodeID {
 	needRefresh := v.partners == nil
 	if v.refresh != Never && v.calls%v.refresh == 0 {

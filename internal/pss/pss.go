@@ -50,6 +50,8 @@
 // the request is simply lost, the initiator's view has already shed the
 // descriptor, and remaining copies elsewhere age out through later
 // shuffles. No reply ever wedges.
+//
+//lint:deterministic Cyclon's shuffles and samples pick every simulated partner
 package pss
 
 import (
@@ -121,8 +123,8 @@ type State struct {
 	// overwritten next period, and an unsolicited reply finds it empty
 	// and merges into free slots only. Capacity is reused across rounds.
 	pending []wire.NodeID
-	// tombs holds ids whose LEAVE this node has seen: merge and insert
-	// refuse to re-admit them, so stale copies still circulating in other
+	// tombs holds ids whose LEAVE this node has seen: merge refuses to
+	// re-admit them, so stale copies still circulating in other
 	// views cannot resurrect a departed descriptor here. The set is a
 	// bounded FIFO (tombCap × ViewSize): a tombstone only needs to outlive
 	// the stale copies of its descriptor, which age out of the overlay,
@@ -181,7 +183,7 @@ func (s *State) Reset(self wire.NodeID, cfg Config, seed int64, bootstrap []wire
 	}
 	for _, id := range bootstrap {
 		if id != self {
-			s.insert(wire.ShuffleEntry{ID: id})
+			s.insert(id)
 		}
 	}
 	return nil
@@ -242,6 +244,8 @@ func (s *State) Sample(k int) []wire.NodeID { return s.SampleInto(nil, k) }
 // one sample at a time (a member.View refreshing its partners every round):
 // the same draws, and no allocation once dst has room for k ids. An empty
 // sample is nil, as Sample's always was, so a View draws again next round.
+//
+//lint:hot a partner draw per gossip round, reached only through the member interfaces
 func (s *State) SampleInto(dst []wire.NodeID, k int) []wire.NodeID {
 	k = s.front(k)
 	if k == 0 {
@@ -256,6 +260,8 @@ func (s *State) SampleInto(dst []wire.NodeID, k int) []wire.NodeID {
 // target first is the failure-repair mechanism: if the target is dead the
 // descriptor is gone; if alive it will come back fresh via its own
 // shuffles.
+//
+//lint:hot a Cyclon round per node per period, reached only through the member interfaces
 func (s *State) Tick() (member.Emit, bool) {
 	if s.stopped || len(s.view) == 0 {
 		return member.Emit{}, false
@@ -300,6 +306,8 @@ func (s *State) Tick() (member.Emit, bool) {
 //
 // A SHUFFLE may come by value or by pointer, but not as this record's own
 // emission, which the reply is built over.
+//
+//lint:hot every received SHUFFLE, reached only through the member interfaces
 func (s *State) Handle(from wire.NodeID, msg wire.Message) (member.Emit, bool) {
 	if s.stopped {
 		return member.Emit{}, false
@@ -348,7 +356,7 @@ func (s *State) Goodbye() []member.Emit {
 }
 
 // noteLeave sheds a departed node: its descriptor leaves the view now and
-// its id joins the tombstone FIFO so merge and insert refuse stale copies.
+// its id joins the tombstone FIFO so merge refuses stale copies.
 func (s *State) noteLeave(id wire.NodeID) {
 	for i := range s.view {
 		if s.view[i].ID == id {
@@ -453,33 +461,17 @@ next:
 	}
 }
 
-// insert seeds one bootstrap descriptor: duplicates keep the younger
-// age; overflow evicts the oldest entry if the newcomer is younger.
-// Shuffle traffic merges through merge's swap rule instead. Tombstoned
-// ids are refused, like everywhere else.
-func (s *State) insert(e wire.ShuffleEntry) {
-	if s.tombstoned(e.ID) {
-		return
-	}
+// insert seeds one bootstrap descriptor. Reset calls it on an emptied
+// view with no tombstones, so a duplicate is skipped and the first
+// ViewSize distinct ids are kept. Shuffle traffic merges through merge's
+// swap rule instead.
+func (s *State) insert(id wire.NodeID) {
 	for i := range s.view {
-		if s.view[i].ID == e.ID {
-			if e.Age < s.view[i].Age {
-				s.view[i].Age = e.Age
-			}
+		if s.view[i].ID == id {
 			return
 		}
 	}
 	if len(s.view) < s.viewSize {
-		s.view = append(s.view, e)
-		return
-	}
-	oldest := 0
-	for i := range s.view {
-		if s.view[i].Age > s.view[oldest].Age {
-			oldest = i
-		}
-	}
-	if s.view[oldest].Age > e.Age {
-		s.view[oldest] = e
+		s.view = append(s.view, wire.ShuffleEntry{ID: id})
 	}
 }

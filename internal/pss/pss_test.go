@@ -154,6 +154,21 @@ func TestBootstrapExcludesSelf(t *testing.T) {
 	}
 }
 
+// TestBootstrapKeepsFirstDistinct: a bootstrap list longer than the view,
+// with self and duplicates among its ids, seeds the first ViewSize
+// distinct other ids, in list order, all at age 0.
+func TestBootstrapKeepsFirstDistinct(t *testing.T) {
+	cfg := Config{ViewSize: 4, ShuffleLen: 2, Period: 100 * time.Millisecond}
+	n, err := NewState(3, cfg, 1, []wire.NodeID{5, 3, 5, 7, 3, 2, 7, 9, 11, 2, 13})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []wire.ShuffleEntry{{ID: 5}, {ID: 7}, {ID: 2}, {ID: 9}}
+	if got := n.View(); !slices.Equal(got, want) {
+		t.Fatalf("view = %v, want %v", got, want)
+	}
+}
+
 func TestViewBounded(t *testing.T) {
 	cfg := Config{ViewSize: 4, ShuffleLen: 2, Period: 100 * time.Millisecond}
 	sched, b, nodes := overlay(t, 30, cfg)

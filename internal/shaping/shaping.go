@@ -10,6 +10,8 @@
 // high fanouts. The discrete-event simulator schedules each delivery at
 // the departure time the Shaper returns; the real-time UDP driver
 // (internal/rt) writes each datagram at it.
+//
+//lint:deterministic the uplink model queues every simulated send
 package shaping
 
 import (

@@ -12,6 +12,14 @@
 // directly above the flagged construct. Justification-free directives never
 // suppress anything — they are themselves reported — so every exemption in
 // the tree carries its reason next to the code.
+//
+// The same directives carry the suite's contract itself. A package joins
+// the determinism checks with //lint:deterministic <why> directly above
+// its package clause (Pass.Deterministic), and a function becomes a
+// hot-path root with //lint:hot <why> directly above its func
+// (Pass.Marked). A misspelled or misplaced opt-in would silently drop a
+// package or a root, so the Directives analyzer reports every verb outside
+// the suite's set and every bare or stray opt-in.
 package analysis
 
 import (
@@ -63,6 +71,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // directive is one parsed //lint:<verb> <justification> comment.
 type directive struct {
+	pos           token.Pos
 	line          int
 	verb          string
 	justification string
@@ -86,6 +95,7 @@ func (p *Pass) parseDirectives() {
 				verb, just, _ := strings.Cut(rest, " ")
 				pos := p.Fset.Position(c.Pos())
 				p.directives[pos.Filename] = append(p.directives[pos.Filename], directive{
+					pos:           c.Pos(),
 					line:          pos.Line,
 					verb:          verb,
 					justification: strings.TrimSpace(just),
@@ -103,19 +113,25 @@ func (p *Pass) parseDirectives() {
 // recorded justification and whether a directive was found at all; a found
 // directive with an empty justification must not suppress a finding.
 func (p *Pass) Directive(pos token.Pos, verb string) (justification string, found bool) {
+	if d := p.lookup(pos, verb); d != nil {
+		return d.justification, true
+	}
+	return "", false
+}
+
+// lookup returns the //lint:<verb> directive governing pos, or nil.
+func (p *Pass) lookup(pos token.Pos, verb string) *directive {
 	if p.directives == nil {
 		p.parseDirectives()
 	}
 	at := p.Fset.Position(pos)
-	for _, d := range p.directives[at.Filename] {
-		if d.verb != verb {
-			continue
-		}
-		if d.line == at.Line || d.line == at.Line-1 {
-			return d.justification, true
+	ds := p.directives[at.Filename]
+	for i := range ds {
+		if ds[i].verb == verb && (ds[i].line == at.Line || ds[i].line == at.Line-1) {
+			return &ds[i]
 		}
 	}
-	return "", false
+	return nil
 }
 
 // Suppressed reports whether a justified //lint:<verb> directive governs
@@ -133,6 +149,77 @@ func (p *Pass) Suppressed(pos token.Pos, verb string) bool {
 		return false
 	}
 	return true
+}
+
+// Marked reports whether a justified //lint:<verb> directive governs pos.
+// It reports nothing itself: the Directives analyzer reports a bare
+// opt-in once, however many analyzers ask.
+func (p *Pass) Marked(pos token.Pos, verb string) bool {
+	just, found := p.Directive(pos, verb)
+	return found && just != ""
+}
+
+// Deterministic reports whether the package opts into the determinism
+// contract: a justified //lint:deterministic directly above the package
+// clause of any of its files.
+func (p *Pass) Deterministic() bool {
+	for _, f := range p.Files {
+		if p.Marked(f.Package, "deterministic") {
+			return true
+		}
+	}
+	return false
+}
+
+// verbs is the suite's directive vocabulary: the suppressions each
+// analyzer honours and the opt-ins the framework reads.
+var verbs = map[string]bool{
+	"ordered": true, "pooled": true, "coldpath": true, "boxed": true,
+	"hot": true, "deterministic": true,
+}
+
+// optIns names what each opt-in verb must stand directly above.
+var optIns = map[string]string{"deterministic": "package clause", "hot": "func"}
+
+// Directives reports, once per package, the directives no analyzer would
+// read: a verb outside the suite's set, and an opt-in that is bare or
+// stands where it marks nothing.
+var Directives = &Analyzer{
+	Name: "directive",
+	Doc: "reports //lint: directives with an unknown verb, and //lint:deterministic or //lint:hot " +
+		"directives without a justification or not directly above a package clause or func",
+	Run: checkDirectives,
+}
+
+func checkDirectives(pass *Pass) error {
+	governed := map[*directive]bool{}
+	for _, f := range pass.Files {
+		governed[pass.lookup(f.Package, "deterministic")] = true
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok {
+				governed[pass.lookup(fd.Pos(), "hot")] = true
+			}
+		}
+	}
+	for _, ds := range pass.directives {
+		for i := range ds {
+			d := &ds[i]
+			anchor, optIn := optIns[d.verb]
+			switch {
+			case !verbs[d.verb]:
+				pass.Reportf(d.pos, "unknown directive %s%s: the verbs are ordered, pooled, coldpath, boxed, hot and deterministic",
+					DirectivePrefix, d.verb)
+			case !optIn:
+			case d.justification == "":
+				pass.Reportf(d.pos, "%s%s directive without a justification: write %s%s <why>",
+					DirectivePrefix, d.verb, DirectivePrefix, d.verb)
+			case !governed[d]:
+				pass.Reportf(d.pos, "%s%s directive marks nothing: put it directly above the %s",
+					DirectivePrefix, d.verb, anchor)
+			}
+		}
+	}
+	return nil
 }
 
 // Run applies one analyzer to one type-checked package and returns its

@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
+	"maps"
 	"strings"
 	"testing"
 )
@@ -150,5 +151,98 @@ func TestPkgPathOf(t *testing.T) {
 	universe := types.Universe.Lookup("true")
 	if got := PkgPathOf(universe); got != "" {
 		t.Errorf("PkgPathOf(universe true) = %q, want empty", got)
+	}
+}
+
+const optInSrc = `//lint:deterministic
+package p
+
+//lint:hot
+func a() {}
+
+//lint:hto misspelled
+func b() {}
+
+//lint:hot justified, but a blank line parts it from the func
+
+func c() {}
+
+// d is a root.
+//
+//lint:hot justified and in place
+func d() {}
+
+//lint:ordered a suppression is read by its analyzer, not here
+var x = 1
+`
+
+// TestDirectivesReportsStrayOptIns: an opt-in that would mark nothing is
+// reported once, and a bare one marks nothing.
+func TestDirectivesReportsStrayOptIns(t *testing.T) {
+	p, f := passFor(t, optInSrc)
+	diags, err := Run(Directives, p.Fset, []*ast.File{f}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"//lint:deterministic directive without a justification",
+		"//lint:hot directive without a justification",
+		"unknown directive //lint:hto",
+		"//lint:hot directive marks nothing",
+	}
+	if len(diags) != len(want) {
+		t.Fatalf("got %d diagnostics, want %d: %v", len(diags), len(want), diags)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(diags[i].Message, w) {
+			t.Errorf("diagnostic %d = %q, want prefix %q", i, diags[i].Message, w)
+		}
+	}
+	if p.Deterministic() {
+		t.Error("a bare //lint:deterministic must not mark the package")
+	}
+	marked := map[string]bool{}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok {
+			marked[fd.Name.Name] = p.Marked(fd.Pos(), "hot")
+		}
+	}
+	if want := map[string]bool{"a": false, "b": false, "c": false, "d": true}; !maps.Equal(marked, want) {
+		t.Errorf("marked //lint:hot = %v, want %v", marked, want)
+	}
+}
+
+func TestDeterministicTrailingForm(t *testing.T) {
+	p, _ := passFor(t, "package p //lint:deterministic the same line works too\n")
+	if !p.Deterministic() {
+		t.Error("a trailing //lint:deterministic must mark the package")
+	}
+}
+
+// TestDeterministicInAnyFile: one marked file marks the whole package,
+// whichever file it is; with none marked, the package is unchecked.
+func TestDeterministicInAnyFile(t *testing.T) {
+	fset := token.NewFileSet()
+	parse := func(name, src string) *ast.File {
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	plain := parse("a.go", "// Package p is documented here.\npackage p\n")
+	marked := parse("b.go", "//lint:deterministic its draws replay\npackage p\n")
+	for _, tc := range []struct {
+		files []*ast.File
+		want  bool
+	}{
+		{[]*ast.File{plain, marked}, true},
+		{[]*ast.File{marked, plain}, true},
+		{[]*ast.File{plain}, false},
+	} {
+		p := &Pass{Analyzer: &Analyzer{Name: "test"}, Fset: fset, Files: tc.files}
+		if got := p.Deterministic(); got != tc.want {
+			t.Errorf("%d files, marked one included %v: Deterministic() = %v", len(tc.files), tc.want, got)
+		}
 	}
 }

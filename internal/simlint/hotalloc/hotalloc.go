@@ -4,9 +4,10 @@
 // allocations per event dominate at 100k nodes; this analyzer keeps that
 // discipline honest as the scheduler and arenas are rewritten.
 //
-// The shared config names each package's hot roots (megasim's shard
-// dispatch loop, the gf256/fec kernels). Everything statically reachable
-// from a root within the package is audited for four allocation shapes:
+// A function marked `//lint:hot <why>` directly above its func is a hot
+// root (megasim's shard dispatch loop, the gf256/fec kernels, core's
+// handlers). Everything statically reachable from a root within the
+// package is audited for four allocation shapes:
 //
 //   - function literals: a closure capture is a heap allocation per event;
 //   - interface boxing: converting a non-pointer-shaped concrete value to
@@ -34,7 +35,7 @@
 //
 // Calls that cannot be resolved statically — interface-method dispatch
 // like handler.HandleMessage, and calls through function values — end the
-// audit at the call site; callee packages declare their own roots.
+// audit at the call site; callee packages mark their own roots.
 package hotalloc
 
 import (
@@ -43,25 +44,18 @@ import (
 	"go/types"
 
 	"gossipstream/internal/simlint/analysis"
-	"gossipstream/internal/simlint/lintcfg"
 )
 
-// New returns the analyzer configured with cfg's hot-root table.
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
+// New returns the analyzer; its roots are the functions marked //lint:hot.
+func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "hotalloc",
 		Doc: "flags closures, interface boxing, and unpooled append and make in functions reachable " +
-			"from the configured per-event hot roots (megasim dispatch, gf256/fec kernels)",
+			"from the //lint:hot per-event roots (megasim dispatch, core handlers, gf256/fec kernels)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		roots := cfg.Roots(pass.Pkg.Path())
-		if len(roots) == 0 {
-			return nil
-		}
-		decls := declIndex(pass)
-		reachable := reach(pass, decls, roots)
-		for decl := range reachable {
-			checkBody(pass, decl)
+		for fn, fd := range reach(pass) {
+			checkBody(pass, funcName(fn), fd)
 		}
 		return nil
 	}
@@ -86,46 +80,29 @@ func declIndex(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
 	return idx
 }
 
-// declName renders a declaration the way the config names roots:
-// "Func", "Type.Method", or "(*Type).Method".
-func declName(fd *ast.FuncDecl) string {
-	if fd.Recv == nil || len(fd.Recv.List) == 0 {
-		return fd.Name.Name
+// funcName names a function in findings as it is declared: "F",
+// "T.M" or "(*T).M", type parameters dropped.
+func funcName(fn *types.Func) string {
+	recv := fn.Signature().Recv()
+	if recv == nil {
+		return fn.Name()
 	}
-	t := fd.Recv.List[0].Type
-	if star, ok := t.(*ast.StarExpr); ok {
-		if id, ok := baseIdent(star.X); ok {
-			return fmt.Sprintf("(*%s).%s", id, fd.Name.Name)
-		}
+	t := types.Unalias(recv.Type())
+	if p, ok := t.(*types.Pointer); ok {
+		return fmt.Sprintf("(*%s).%s", types.Unalias(p.Elem()).(*types.Named).Obj().Name(), fn.Name())
 	}
-	if id, ok := baseIdent(t); ok {
-		return fmt.Sprintf("%s.%s", id, fd.Name.Name)
-	}
-	return fd.Name.Name
+	return fmt.Sprintf("%s.%s", t.(*types.Named).Obj().Name(), fn.Name())
 }
 
-func baseIdent(e ast.Expr) (string, bool) {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name, true
-	case *ast.IndexExpr: // generic receiver Type[T]
-		return baseIdent(e.X)
-	}
-	return "", false
-}
-
-// reach computes the set of package-local declarations statically
-// reachable from the named roots.
-func reach(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, roots []string) map[*ast.FuncDecl]bool {
-	byName := make(map[string]*ast.FuncDecl, len(decls))
-	for _, fd := range decls {
-		byName[declName(fd)] = fd
-	}
-	seen := make(map[*ast.FuncDecl]bool)
+// reach returns the package's declarations statically reachable from its
+// //lint:hot roots, roots included.
+func reach(pass *analysis.Pass) map[*types.Func]*ast.FuncDecl {
+	decls := declIndex(pass)
+	seen := make(map[*types.Func]*ast.FuncDecl)
 	var work []*ast.FuncDecl
-	for _, r := range roots {
-		if fd, ok := byName[r]; ok && !seen[fd] {
-			seen[fd] = true
+	for fn, fd := range decls {
+		if pass.Marked(fd.Pos(), "hot") {
+			seen[fn] = fd
 			work = append(work, fd)
 		}
 	}
@@ -145,8 +122,9 @@ func reach(pass *analysis.Pass, decls map[*types.Func]*ast.FuncDecl, roots []str
 				return true
 			}
 			// declIndex holds a generic callee under its declared object.
-			if callee, ok := decls[fn.Origin()]; ok && !seen[callee] {
-				seen[callee] = true
+			fn = fn.Origin()
+			if callee, ok := decls[fn]; ok && seen[fn] == nil {
+				seen[fn] = callee
 				work = append(work, callee)
 			}
 			return true
@@ -187,11 +165,10 @@ func staticCallee(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
 }
 
 // checkBody audits one reachable function body.
-func checkBody(pass *analysis.Pass, fd *ast.FuncDecl) {
+func checkBody(pass *analysis.Pass, name string, fd *ast.FuncDecl) {
 	if fd.Body == nil {
 		return
 	}
-	name := declName(fd)
 	analysis.WalkStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:

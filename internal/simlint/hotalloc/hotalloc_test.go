@@ -4,25 +4,24 @@ import (
 	"testing"
 
 	"gossipstream/internal/simlint/hotalloc"
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/linttest"
 )
 
 func TestHotAlloc(t *testing.T) {
-	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "megasim")
+	linttest.Run(t, hotalloc.New(), "testdata", "megasim")
 }
 
 // TestHotAllocTelemetry guards the streaming fold path: the accumulator
 // Observe/Add/Merge roots must stay flat counter arithmetic.
 func TestHotAllocTelemetry(t *testing.T) {
-	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "telemetry")
+	linttest.Run(t, hotalloc.New(), "testdata", "telemetry")
 }
 
 // TestHotAllocWire pins the pooled-backing contract on the SERVE batch
 // split: appends into pool-drawn capacity pass only with //lint:pooled,
 // and the recycle path outside the root stays free.
 func TestHotAllocWire(t *testing.T) {
-	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "wire")
+	linttest.Run(t, hotalloc.New(), "testdata", "wire")
 }
 
 // TestHotAllocPss pins the emission shapes of the Cyclon record's roots:
@@ -30,14 +29,11 @@ func TestHotAllocWire(t *testing.T) {
 // or not a return carries it, a pointer is free, error construction in a
 // return is exempt, and make passes only with //lint:pooled.
 func TestHotAllocPss(t *testing.T) {
-	linttest.Run(t, hotalloc.New(lintcfg.Default()), "testdata", "pss")
+	linttest.Run(t, hotalloc.New(), "testdata", "pss")
 }
 
-// TestCustomRoots exercises the config plumbing: the same fixture with no
-// hot roots configured must produce no findings at all.
-func TestCustomRoots(t *testing.T) {
-	cfg := lintcfg.Default()
-	cfg.HotRoots = map[string][]string{}
-	diagsFree := hotalloc.New(cfg)
-	linttest.Run(t, diagsFree, "testdata", "quiet")
+// TestUnmarkedPackageIsQuiet: a package with no //lint:hot function has
+// no roots, so even a fixture full of allocations produces no findings.
+func TestUnmarkedPackageIsQuiet(t *testing.T) {
+	linttest.Run(t, hotalloc.New(), "testdata", "quiet")
 }

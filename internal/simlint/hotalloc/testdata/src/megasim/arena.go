@@ -1,6 +1,6 @@
 // arena.go is the fixture twin of the engine's slot-recycling machinery:
-// (*Engine).Crash, drainQuarantine, and takeFree are configured hot
-// roots — Crash runs per departure, the drains per admission — so the
+// (*Engine).Crash and takeFree are marked hot roots, and takeFree reaches
+// drainQuarantine — Crash runs per departure, the drains per admission — so the
 // free-list appends are audited (reused capacity asserts //lint:pooled)
 // while the generation-tagged handle decode stays flat bit arithmetic
 // with nothing to flag.
@@ -30,6 +30,8 @@ type Engine struct {
 // SendFrom is a hot root: the LEAVE fan-out path, called once per view
 // entry at a graceful-departure barrier. The handle decode it shares with
 // Crash stays flat bit arithmetic; the outbox append is audited.
+//
+//lint:hot a graceful departure sends one LEAVE per view entry
 func (e *Engine) SendFrom(from, to uint32) {
 	if e.stale(from) {
 		return
@@ -41,6 +43,8 @@ func (e *Engine) SendFrom(from, to uint32) {
 }
 
 // Crash is a hot root: it parks the slot in the quarantine ring.
+//
+//lint:hot runs per departure
 func (e *Engine) Crash(id uint32) {
 	if e.stale(id) {
 		// Cold paths stay exempt: the engine panics on programmer error,
@@ -84,6 +88,8 @@ func (e *Engine) drainQuarantine() {
 // takeFree is a hot root reaching drainQuarantine; the FIFO pop and its
 // midpoint compaction are cursor arithmetic on reused backings and stay
 // clean.
+//
+//lint:hot the free ring's pop runs per admission
 func (e *Engine) takeFree() (int, bool) {
 	e.drainQuarantine()
 	if e.freeHead >= len(e.free) {

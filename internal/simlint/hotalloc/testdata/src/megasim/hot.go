@@ -1,5 +1,5 @@
 // Package megasim is a hotalloc fixture shaped like the sharded engine's
-// dispatch loop: (*shard).runWindow is the configured hot root, and the
+// dispatch loop: (*shard).runWindow is a marked hot root, and the
 // analyzer audits everything statically reachable from it.
 package megasim
 
@@ -22,8 +22,10 @@ type shard struct {
 	spill   arena[int]
 }
 
-// runWindow is the configured hot root; step and emit are reachable
+// runWindow is a marked hot root; step and emit are reachable
 // through static calls.
+//
+//lint:hot the shard loop executes every simulated event
 func (s *shard) runWindow(end int64) {
 	for len(s.heap) > 0 && s.heap[0].at < end {
 		ev := s.pop()
@@ -96,7 +98,7 @@ func (s *shard) setup(n int) {
 
 // sched puts an interface in front of the queue: interface dispatch ends
 // the static walk, so a queue reached only through it is audited only
-// because its methods are configured as roots of their own (below).
+// because its methods are marked as roots of their own (below).
 type sched interface {
 	push(ev *event)
 	pop() event
@@ -111,13 +113,14 @@ func (s *shard) dispatch(q sched, ev *event) {
 }
 
 // radixQueue is the fixture twin of the real event queue: its push and
-// pop are configured hot roots, so the bucket appends are audited
+// pop are marked hot roots, so the bucket appends are audited
 // directly rather than through the shard.
 type radixQueue struct {
 	bucket   []event
 	overflow []event
 }
 
+//lint:hot the event queue takes every scheduled event
 func (q *radixQueue) push(ev *event) {
 	q.bucket = append(q.bucket, *ev) // want `append in hot path \(\(\*radixQueue\)\.push\)`
 
@@ -125,6 +128,7 @@ func (q *radixQueue) push(ev *event) {
 	q.bucket = append(q.bucket, *ev) // annotated: fine
 }
 
+//lint:hot the event queue serves every executed event
 func (q *radixQueue) pop() event {
 	ev := q.bucket[0]
 	q.bucket = q.bucket[1:]

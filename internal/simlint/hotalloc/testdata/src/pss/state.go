@@ -1,6 +1,6 @@
 // Package pss is a hotalloc fixture shaped like the Cyclon record:
 // (*State).Tick, (*State).Handle and (*State).SampleInto are the
-// configured hot roots. It pins what an emission may cost: a SHUFFLE
+// marked hot roots. It pins what an emission may cost: a SHUFFLE
 // boxed by value into an Emit-style field is flagged, in a return or out
 // of one, while a pointer to the record's scratch passes; so does error
 // construction on a validation exit, and make only where it is asserted
@@ -31,6 +31,8 @@ type State struct {
 }
 
 // Tick boxes its emission by value: flagged.
+//
+//lint:hot a Cyclon round per node per period
 func (s *State) Tick() (Emit, bool) {
 	if err := s.check(); err != nil {
 		return Emit{}, false
@@ -42,6 +44,8 @@ func (s *State) Tick() (Emit, bool) {
 
 // Handle queues a boxed emission outside a return (flagged) and emits a
 // pointer to its scratch (free).
+//
+//lint:hot every received SHUFFLE
 func (s *State) Handle(from int32, msg Message) (Emit, bool) {
 	em := Emit{To: from, Msg: Shuffle{Reply: true}} // want `literal boxes Shuffle into Message in hot path \(\(\*State\)\.Handle\)`
 	//lint:pooled pending is drained every round and keeps its capacity
@@ -52,6 +56,8 @@ func (s *State) Handle(from int32, msg Message) (Emit, bool) {
 }
 
 // SampleInto grows its buffer with make only where asserted.
+//
+//lint:hot a partner draw per gossip round
 func (s *State) SampleInto(dst []int32, k int) []int32 {
 	if cap(dst) < k {
 		//lint:pooled dst is the caller's partner buffer, grown once to the fanout

@@ -1,5 +1,5 @@
-// Package quiet would trip every hotalloc check — if any hot roots were
-// configured for it. With none, the analyzer must stay silent.
+// Package quiet would trip every hotalloc check — if any function were
+// marked //lint:hot. With none, the analyzer must stay silent.
 package quiet
 
 type shard struct{ heap []int }

@@ -1,6 +1,6 @@
 // Package telemetry is a hotalloc fixture shaped like the streaming fold
 // accumulators: (*Hist).Observe, (*LagAccum).Observe, (*Hist).Add, and
-// (*LagAccum).Merge are the configured hot roots. The real accumulators
+// (*LagAccum).Merge are the marked hot roots. The real accumulators
 // are flat counter arithmetic; the violations below are the regressions
 // the analyzer must keep out of that path.
 package telemetry
@@ -27,12 +27,16 @@ func bucketOf(v int64) int {
 }
 
 // Observe is flat increments plus a reachable helper: clean.
+//
+//lint:hot runs per window per node as lifetimes close
 func (h *Hist) Observe(v int64) {
 	h.counts[bucketOf(v)]++
 	h.n++
 }
 
 // Add shows the audited regression shapes inside a barrier-merge root.
+//
+//lint:hot runs at every barrier reduction
 func (h *Hist) Add(o *Hist) {
 	undo := func() { h.n -= o.n } // want `function literal in hot path \(\(\*Hist\)\.Add\)`
 	_ = undo
@@ -54,6 +58,8 @@ type LagAccum struct {
 }
 
 // Observe replicates the real probe scan: flat, clean.
+//
+//lint:hot runs per window per node as lifetimes close
 func (a *LagAccum) Observe(lag int64) {
 	a.windows++
 	for i := len(probes) - 1; i >= 0; i-- {
@@ -65,6 +71,8 @@ func (a *LagAccum) Observe(lag int64) {
 }
 
 // Merge is bucket-wise addition: clean.
+//
+//lint:hot runs at every barrier reduction
 func (a *LagAccum) Merge(o LagAccum) {
 	a.windows += o.windows
 	for i := range a.complete {

@@ -1,5 +1,5 @@
 // Package wire is a hotalloc fixture shaped like the codec package's
-// SERVE batch split: SplitServeInto is the configured hot root, and the
+// SERVE batch split: SplitServeInto is the marked hot root, and the
 // fixture pins the clean/dirty contract for pooled backings — appends
 // into pool-drawn capacity pass only when asserted with //lint:pooled,
 // and the same append shape without the annotation is flagged.
@@ -20,7 +20,9 @@ func grab() []*packet {
 	return nil
 }
 
-// SplitServeInto is the configured hot root.
+// SplitServeInto is the marked hot root.
+//
+//lint:hot runs once per request served
 func SplitServeInto(dst []serve, packets []*packet) []serve {
 	batch := grab()
 	for _, p := range packets {

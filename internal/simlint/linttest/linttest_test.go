@@ -3,7 +3,6 @@ package linttest_test
 import (
 	"testing"
 
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/linttest"
 	"gossipstream/internal/simlint/maprange"
 )
@@ -15,5 +14,5 @@ import (
 // direction fails the inner test, so a plain green run certifies the
 // whole load-run-match pipeline.
 func TestHarnessLoadsFixtureGraph(t *testing.T) {
-	linttest.Run(t, maprange.New(lintcfg.Default()), "testdata", "churn")
+	linttest.Run(t, maprange.New(), "testdata", "churn")
 }

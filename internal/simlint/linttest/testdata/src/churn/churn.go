@@ -1,6 +1,8 @@
-// Package churn is the harness's own fixture: classified deterministic,
+// Package churn is the harness's own fixture: marked deterministic,
 // importing both a sibling fixture package and a real module package, so
 // loading exercises every import-resolution path.
+//
+//lint:deterministic the fixture stands for the churn schedules, drawn per seed
 package churn
 
 import (

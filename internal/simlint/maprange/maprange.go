@@ -16,11 +16,11 @@ import (
 	"go/types"
 
 	"gossipstream/internal/simlint/analysis"
-	"gossipstream/internal/simlint/lintcfg"
 )
 
-// New returns the analyzer configured with cfg's package classification.
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
+// New returns the analyzer; it checks the packages marked
+// //lint:deterministic.
+func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "maprange",
 		Doc: "flags range over maps in determinism-critical packages; map iteration order " +
@@ -28,9 +28,7 @@ func New(cfg *lintcfg.Config) *analysis.Analyzer {
 			"(annotate //lint:ordered <why>)",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		switch cfg.Classify(pass.Pkg.Path()) {
-		case lintcfg.Deterministic, lintcfg.Kernel:
-		default:
+		if !pass.Deterministic() {
 			return nil
 		}
 		for _, f := range pass.Files {

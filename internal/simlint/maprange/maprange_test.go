@@ -3,11 +3,10 @@ package maprange_test
 import (
 	"testing"
 
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/linttest"
 	"gossipstream/internal/simlint/maprange"
 )
 
 func TestMapRange(t *testing.T) {
-	linttest.Run(t, maprange.New(lintcfg.Default()), "testdata", "core", "util")
+	linttest.Run(t, maprange.New(), "testdata", "core", "util")
 }

@@ -1,4 +1,4 @@
-// Package util is unclassified: outside the determinism contract the
+// Package util carries no //lint:deterministic: outside the determinism contract the
 // analyzer stays silent even for order-sensitive map iteration.
 package util
 

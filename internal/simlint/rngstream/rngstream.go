@@ -19,25 +19,25 @@ import (
 	"strings"
 
 	"gossipstream/internal/simlint/analysis"
-	"gossipstream/internal/simlint/lintcfg"
 )
 
-// New returns the analyzer configured with cfg; cfg.XRandPath names the
-// blessed compact-RNG package.
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
+// XRandPath is the import path of the blessed compact-RNG package.
+const XRandPath = "gossipstream/internal/xrand"
+
+// New returns the analyzer; it checks the packages marked
+// //lint:deterministic.
+func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "rngstream",
 		Doc: "requires RNG streams in deterministic packages to be seeded from internal/xrand " +
 			"(8-byte splitmix64) and flags package-level RNG state shared across shard boundaries",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		switch cfg.Classify(pass.Pkg.Path()) {
-		case lintcfg.Deterministic, lintcfg.Kernel:
-		default:
+		if !pass.Deterministic() {
 			return nil
 		}
 		for _, f := range pass.Files {
-			checkGlobals(pass, cfg, f)
+			checkGlobals(pass, f)
 			ast.Inspect(f, func(n ast.Node) bool {
 				call, ok := n.(*ast.CallExpr)
 				if !ok {
@@ -55,9 +55,9 @@ func New(cfg *lintcfg.Config) *analysis.Analyzer {
 				case "NewSource", "NewPCG", "NewChaCha8":
 					pass.Reportf(call.Pos(),
 						"rand.%s constructs a non-xrand RNG source: seed streams from %s (8-byte splitmix64, value-copyable into node records) instead",
-						fn.Name(), cfg.XRandPath)
+						fn.Name(), XRandPath)
 				case "New":
-					if len(call.Args) == 1 && fromXRand(pass, cfg, call.Args[0]) {
+					if len(call.Args) == 1 && fromXRand(pass, call.Args[0]) {
 						return true // rand.New over an xrand source is the sanctioned wrapper
 					}
 					if len(call.Args) == 1 && isDirectRNGConstructor(pass, call.Args[0]) {
@@ -65,7 +65,7 @@ func New(cfg *lintcfg.Config) *analysis.Analyzer {
 					}
 					pass.Reportf(call.Pos(),
 						"rand.New over a non-xrand source: streams in deterministic packages must come from %s so their 8-byte state stays compact and replay-portable",
-						cfg.XRandPath)
+						XRandPath)
 				}
 				return true
 			})
@@ -76,7 +76,7 @@ func New(cfg *lintcfg.Config) *analysis.Analyzer {
 }
 
 // checkGlobals flags package-level variables holding RNG state.
-func checkGlobals(pass *analysis.Pass, cfg *lintcfg.Config, f *ast.File) {
+func checkGlobals(pass *analysis.Pass, f *ast.File) {
 	for _, decl := range f.Decls {
 		gd, ok := decl.(*ast.GenDecl)
 		if !ok {
@@ -92,7 +92,7 @@ func checkGlobals(pass *analysis.Pass, cfg *lintcfg.Config, f *ast.File) {
 				if !ok || obj.Parent() != pass.Pkg.Scope() {
 					continue
 				}
-				if holdsRNGState(obj.Type(), cfg) {
+				if holdsRNGState(obj.Type()) {
 					pass.Reportf(name.Pos(),
 						"package-level RNG state %q (%s) is shared across every shard and goroutine: draws interleave with scheduling and break fixed-(seed, shards) replay; thread a per-node or per-shard stream instead",
 						name.Name, types.TypeString(obj.Type(), types.RelativeTo(pass.Pkg)))
@@ -104,7 +104,7 @@ func checkGlobals(pass *analysis.Pass, cfg *lintcfg.Config, f *ast.File) {
 
 // holdsRNGState reports whether t is (or points to) RNG stream state:
 // math/rand's Rand or Source types, or xrand's generator types.
-func holdsRNGState(t types.Type, cfg *lintcfg.Config) bool {
+func holdsRNGState(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
@@ -119,7 +119,7 @@ func holdsRNGState(t types.Type, cfg *lintcfg.Config) bool {
 		case "Rand", "Source", "Source64", "PCG", "ChaCha8":
 			return true
 		}
-	case cfg.XRandPath:
+	case XRandPath:
 		return true
 	}
 	return false
@@ -128,16 +128,16 @@ func holdsRNGState(t types.Type, cfg *lintcfg.Config) bool {
 // fromXRand reports whether the expression's type is declared in (or is a
 // pointer into) the blessed RNG package, or the value was produced by one
 // of its constructors.
-func fromXRand(pass *analysis.Pass, cfg *lintcfg.Config, arg ast.Expr) bool {
+func fromXRand(pass *analysis.Pass, arg ast.Expr) bool {
 	t := pass.TypesInfo.TypeOf(arg)
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
 	}
-	if named, ok := t.(*types.Named); ok && analysis.PkgPathOf(named.Obj()) == cfg.XRandPath {
+	if named, ok := t.(*types.Named); ok && analysis.PkgPathOf(named.Obj()) == XRandPath {
 		return true
 	}
 	if call, ok := ast.Unparen(arg).(*ast.CallExpr); ok {
-		if fn := calleeFunc(pass, call); fn != nil && analysis.PkgPathOf(fn) == cfg.XRandPath {
+		if fn := calleeFunc(pass, call); fn != nil && analysis.PkgPathOf(fn) == XRandPath {
 			return true
 		}
 	}

@@ -3,11 +3,10 @@ package rngstream_test
 import (
 	"testing"
 
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/linttest"
 	"gossipstream/internal/simlint/rngstream"
 )
 
 func TestRNGStream(t *testing.T) {
-	linttest.Run(t, rngstream.New(lintcfg.Default()), "testdata", "pss")
+	linttest.Run(t, rngstream.New(), "testdata", "pss")
 }

@@ -1,6 +1,8 @@
 // Package pss is an rngstream fixture: RNG streams in deterministic
 // packages must be seeded from internal/xrand, and no stream may live in
 // package-level state where every shard shares it.
+//
+//lint:deterministic the fixture stands for the Cyclon package, which replays per seed
 package pss
 
 import (

@@ -1,4 +1,4 @@
-// Package rt is wall-clock-exempt: the real-time runtime's whole job is
+// Package rt carries no //lint:deterministic: the real-time runtime's whole job is
 // bridging simulated protocols onto the host clock.
 package rt
 

@@ -1,5 +1,7 @@
 // Package stream is a wallclock fixture: a simulation package reading
 // the host clock or the process-global RNG stream.
+//
+//lint:deterministic the fixture stands for a simulation package
 package stream
 
 import (

@@ -3,8 +3,8 @@
 // (core.Env.Now / megasim shard clocks): a time.Now read or a real timer
 // makes results depend on host scheduling, and the process-wide math/rand
 // stream makes them depend on whatever else drew from it. The process edge
-// — internal/rt and the command mains — is exempt via the shared package
-// classification; everything Deterministic or Kernel is checked.
+// — internal/rt and the command mains — carries no //lint:deterministic
+// and is not checked; every package that carries one is.
 package wallclock
 
 import (
@@ -12,7 +12,6 @@ import (
 	"go/types"
 
 	"gossipstream/internal/simlint/analysis"
-	"gossipstream/internal/simlint/lintcfg"
 )
 
 // bannedTime are the package-level time functions that read the wall
@@ -34,17 +33,16 @@ var bannedTime = map[string]string{
 // over an xrand source is the sanctioned way to build a stream.
 var rngConstructors = map[string]bool{"New": true, "NewSource": true}
 
-// New returns the analyzer configured with cfg's package classification.
-func New(cfg *lintcfg.Config) *analysis.Analyzer {
+// New returns the analyzer; it checks the packages marked
+// //lint:deterministic.
+func New() *analysis.Analyzer {
 	a := &analysis.Analyzer{
 		Name: "wallclock",
 		Doc: "bans time.Now/time.Since, real timer construction, and the global math/rand " +
 			"stream in simulation packages; virtual time and randomness must flow from the engine",
 	}
 	a.Run = func(pass *analysis.Pass) error {
-		switch cfg.Classify(pass.Pkg.Path()) {
-		case lintcfg.Deterministic, lintcfg.Kernel:
-		default:
+		if !pass.Deterministic() {
 			return nil
 		}
 		for _, f := range pass.Files {

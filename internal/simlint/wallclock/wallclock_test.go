@@ -3,11 +3,10 @@ package wallclock_test
 import (
 	"testing"
 
-	"gossipstream/internal/simlint/lintcfg"
 	"gossipstream/internal/simlint/linttest"
 	"gossipstream/internal/simlint/wallclock"
 )
 
 func TestWallClock(t *testing.T) {
-	linttest.Run(t, wallclock.New(lintcfg.Default()), "testdata", "stream", "rt")
+	linttest.Run(t, wallclock.New(), "testdata", "stream", "rt")
 }

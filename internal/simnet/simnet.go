@@ -18,6 +18,8 @@
 //
 // The package's tests state the model's properties and check them on the
 // engine (simnet_test.go).
+//
+//lint:deterministic its pair-spread hash sets the latency of every simulated send
 package simnet
 
 import (

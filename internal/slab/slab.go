@@ -11,6 +11,8 @@
 // small enough that a small run does not allocate more than it uses.
 //
 // Neither type is safe for concurrent use.
+//
+//lint:deterministic the engine's and the handlers' stores run inside every simulated run
 package slab
 
 import "math/bits"
@@ -42,11 +44,15 @@ func (t *Table[T]) Chunks() int { return len(t.chunks) }
 
 // At returns element i, which must be below Len. The pointer stays valid
 // while the table grows.
+//
+//lint:hot the engine and the handlers read the message, request and batch slabs per event
 func (t *Table[T]) At(i int) *T {
 	return &t.chunks[i>>(t.shift&63)][i&t.mask]
 }
 
 // Push appends v and returns its index.
+//
+//lint:hot the engine and the handlers fill the slabs per event; only a chunk may be allocated
 func (t *Table[T]) Push(v T) int {
 	i := t.n
 	if i>>(t.shift&63) == len(t.chunks) {
@@ -59,6 +65,8 @@ func (t *Table[T]) Push(v T) int {
 
 // Pop removes the last element, which it returns; the table must not be
 // empty. The vacated element is zeroed, so Extend hands it out zero.
+//
+//lint:hot the engine and the handlers free slab entries per event
 func (t *Table[T]) Pop() T {
 	t.n--
 	p := t.At(t.n)
@@ -69,6 +77,8 @@ func (t *Table[T]) Pop() T {
 }
 
 // Extend grows the table to n elements, if it is shorter, with zero ones.
+//
+//lint:hot the handlers grow the slabs per event; only a chunk may be allocated
 func (t *Table[T]) Extend(n int) {
 	for len(t.chunks)<<(t.shift&63) < n {
 		t.addChunk()
@@ -121,6 +131,8 @@ func NewPool[T any](shift uint8) Pool[T] {
 // newest there is large enough — blocks of one size, as a population of
 // one layout returns, go back out to requests of that size — or else from
 // the next class up, whose blocks all are; its capacity may exceed n.
+//
+//lint:hot the spill pool hands out a block per spilled message
 func (p *Pool[T]) Get(n int) (uint32, []T) {
 	if n == 0 {
 		return 0, nil
@@ -159,6 +171,8 @@ func (p *Pool[T]) Get(n int) (uint32, []T) {
 
 // Block returns the first n elements of block h, which must be lent and
 // hold at least n.
+//
+//lint:hot the spill pool's reads run per spilled message
 func (p *Pool[T]) Block(h uint32, n int) []T {
 	return p.slice(h, n)
 }
@@ -172,6 +186,8 @@ func (p *Pool[T]) slice(h uint32, n int) []T {
 // Put takes back block h, which Get lent, with n its capacity — the
 // capacity of the slice Get returned, which may exceed the length asked
 // for; n = 0 is ignored, as is every block of an unchunked pool.
+//
+//lint:hot the spill pool takes back a block per spilled message
 func (p *Pool[T]) Put(h uint32, n int) {
 	if n == 0 || p == nil || p.shift == 0 {
 		return
@@ -189,6 +205,8 @@ func (p *Pool[T]) Put(h uint32, n int) {
 // Grow returns block h, b with room for at least one more element: b
 // itself while it has room, otherwise a block of twice its capacity (at
 // least min) holding b's elements, b going back to the pool.
+//
+//lint:hot the spill pool grows a block per spilled message; only a chunk may be allocated
 func (p *Pool[T]) Grow(h uint32, b []T, min int) (uint32, []T) {
 	if len(b) < cap(b) {
 		return h, b

@@ -17,6 +17,8 @@
 // PayloadBytes and nothing simulated reads a payload byte, so no simulated
 // run builds a Packet. Payloads and FEC serve the real-time driver, which
 // puts them on a socket.
+//
+//lint:deterministic the source's packets and windows feed every simulated run
 package stream
 
 import (

@@ -44,6 +44,8 @@ func BucketLow(i int) int64 {
 }
 
 // Observe records one sample.
+//
+//lint:hot runs per window per node as lifetimes close
 func (h *Hist) Observe(v int64) {
 	h.counts[bucketOf(v)]++
 	if h.n == 0 || v < h.min {
@@ -57,6 +59,8 @@ func (h *Hist) Observe(v int64) {
 }
 
 // Add merges o into h.
+//
+//lint:hot runs at every barrier reduction
 func (h *Hist) Add(o *Hist) {
 	if o.n == 0 {
 		return

@@ -61,6 +61,8 @@ type LagAccum struct {
 // became viewable). LagProbes is sorted, so a linear scan from the
 // small end stops at the first probe ≥ lag; every later probe also
 // completes. No allocation — this is a HotRoot-audited path.
+//
+//lint:hot runs per window per node as lifetimes close
 func (a *LagAccum) Observe(lag time.Duration) {
 	a.Windows++
 	if lag == NeverCompleted {
@@ -75,6 +77,8 @@ func (a *LagAccum) Observe(lag time.Duration) {
 }
 
 // Merge folds o into a.
+//
+//lint:hot runs at every barrier reduction
 func (a *LagAccum) Merge(o LagAccum) {
 	a.Windows += o.Windows
 	for i := range a.Complete {

@@ -1,7 +1,6 @@
 // Package teleclock is the wall-clock edge of the telemetry suite. It
-// is the only telemetry code allowed to read real time — simlint
-// classifies it WallClockOK while the parent package stays
-// Deterministic. The injected clock samples wall time at the edges of
+// is the only telemetry code allowed to read real time — it carries no
+// //lint:deterministic, while the parent package does. The injected clock samples wall time at the edges of
 // the engine's phases, never per event, so enabling it cannot perturb a
 // run's simulated behavior.
 package teleclock

@@ -6,12 +6,14 @@
 //
 // The package is a leaf: it imports only the standard library, so the
 // engine (internal/megasim) can depend on it without dragging the
-// protocol stack into its import graph, and simlint classifies it
-// Deterministic — nothing here may touch the wall clock or allocate on
-// the per-event path (the fold entry points are registered HotRoots).
-// Wall-clock sampling lives in the telemetry/teleclock sub-package,
-// which is classified WallClockOK and is called only at the edges of the
-// engine's phases.
+// protocol stack into its import graph, and it is marked
+// //lint:deterministic — nothing here may touch the wall clock or
+// allocate on the per-event path (the fold entry points are marked
+// //lint:hot). Wall-clock sampling lives in the telemetry/teleclock
+// sub-package, which carries no such mark and is called only at the
+// edges of the engine's phases.
+//
+//lint:deterministic its folds score every simulated run
 package telemetry
 
 // ShardLoad is one shard's cumulative load counters, read at a quiescent

@@ -7,6 +7,8 @@
 // (internal/megasim) charges uplinks by WireSize (without materializing
 // bytes), and the real-time UDP transport (internal/rt) encodes/decodes the
 // same layouts, so the two agree byte-for-byte on bandwidth consumption.
+//
+//lint:deterministic message shapes and the SERVE split run inside every simulated run
 package wire
 
 import (
@@ -452,6 +454,8 @@ func CutServeIDs(ids []stream.PacketID, payloadBytes int) (chunk, rest []stream.
 // drop, the real-time driver when the datagram is encoded or dropped; a
 // backing that is never recycled falls to the garbage collector, which
 // costs the allocation but nothing else.
+//
+//lint:hot runs once per request served: millions of times per simulated minute at scale
 func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 	for len(packets) > 0 {
 		var chunk []*stream.Packet
@@ -470,6 +474,8 @@ func SplitServeInto(dst []Serve, packets []*stream.Packet) []Serve {
 // paths can recycle unconditionally. The packets themselves are untouched
 // — retaining *stream.Packet pointers past the recycle is fine, retaining
 // the slice is not.
+//
+//lint:hot every SERVE is recycled once
 func RecycleServe(s Serve) {
 	if s.pool == nil || cap(s.Packets) != maxPacketsPerServe || &s.Packets[:1][0] != &s.pool[0] {
 		return
