@@ -142,6 +142,29 @@ func TestSmokeRunSustainedChurn(t *testing.T) {
 	}
 }
 
+// TestFlashCrowdFarInstantsNeverPanic: flash crowds whose join instants
+// lie near the int64 limit — a span so long that j·Over overflows, a
+// start so late that start plus offset does — end in an error or a
+// completed run, not in a panic on a negative barrier instant.
+func TestFlashCrowdFarInstantsNeverPanic(t *testing.T) {
+	for _, args := range [][]string{
+		{"-nodes", "1000", "-windows", "2", "-membership", "cyclon", "-churn", "flash:2,10000000"},
+		{"-nodes", "20", "-windows", "2", "-membership", "cyclon", "-churn", "flash:2,1,9223372036"},
+	} {
+		t.Run(args[len(args)-1], func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("run(%v) panicked: %v", args, r)
+				}
+			}()
+			var out bytes.Buffer
+			if err := run(args, &out); err != nil {
+				t.Logf("run(%v): %v", args, err)
+			}
+		})
+	}
+}
+
 func TestVerbosePerNodeTable(t *testing.T) {
 	got := smoke(t, "-nodes", "10", "-windows", "1", "-shards", "2", "-v")
 	if !strings.Contains(got, "complete%") {

@@ -20,6 +20,7 @@ package churn
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 	"time"
@@ -232,14 +233,21 @@ func (p Process) Timeline(seed int64, horizon time.Duration) []TimelineEvent {
 	}
 	appendPoisson(p.JoinPerSec, OpJoin, 0x6a6f696e) // "join"
 	for _, f := range p.Flash {
+		if f.At >= horizon {
+			continue
+		}
 		for j := 0; j < f.Joiners; j++ {
-			at := f.At
-			if f.Joiners > 1 {
-				at += time.Duration(j) * f.Over / time.Duration(f.Joiners)
+			// j·Over/Joiners in 128 bits: the product overflows an int64
+			// for spans Validate accepts, the quotient (< Over) never does.
+			// Offsets grow with j, so the first one at or past the horizon
+			// ends the crowd, and At+off is formed only below it.
+			hi, lo := bits.Mul64(uint64(j), uint64(f.Over))
+			q, _ := bits.Div64(hi, lo, uint64(f.Joiners))
+			off := time.Duration(q)
+			if off >= horizon-f.At {
+				break
 			}
-			if at < horizon {
-				out = append(out, TimelineEvent{At: at, Op: OpJoin})
-			}
+			out = append(out, TimelineEvent{At: f.At + off, Op: OpJoin})
 		}
 	}
 	appendPoisson(p.LeavePerSec, leaveOp, 0x6c656176) // "leav"

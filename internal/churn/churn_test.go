@@ -2,6 +2,7 @@ package churn
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -284,6 +285,45 @@ func TestTimelineFlashCrowd(t *testing.T) {
 	}
 	if (Process{}).HasJoins() || !SustainedPoisson(1, 0).HasJoins() {
 		t.Fatal("HasJoins misclassifies Poisson streams")
+	}
+}
+
+// TestTimelineFlashCrowdFarInstants: crowds Validate accepts whose
+// instants lie near the int64 limit — a span so long that j·Over
+// overflows, and a start so late that At plus the offset does — expand to
+// the exact instants j·Over/Joiners after At, never to a negative one.
+func TestTimelineFlashCrowdFarInstants(t *testing.T) {
+	const maxD = time.Duration(math.MaxInt64)
+	cases := []struct {
+		name    string
+		f       FlashCrowd
+		horizon time.Duration
+		want    int
+	}{
+		// 1000 joiners over 10⁷ s: j·Over passes 2⁶³ from j = 923 on.
+		{"long span", FlashCrowd{At: 2 * time.Second, Joiners: 1000, Over: 10_000_000 * time.Second}, maxD, 1000},
+		// 20 joiners over 1 s, starting 0.85 s before the int64 limit.
+		{"late start", FlashCrowd{At: 9_223_372_036 * time.Second, Joiners: 20, Over: time.Second}, maxD, 18},
+		{"late start, short run", FlashCrowd{At: 9_223_372_036 * time.Second, Joiners: 20, Over: time.Second}, time.Minute, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.f.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			tl := Process{Flash: []FlashCrowd{tc.f}}.Timeline(1, tc.horizon)
+			if len(tl) != tc.want {
+				t.Fatalf("got %d joins, want %d", len(tl), tc.want)
+			}
+			for j, ev := range tl {
+				off := new(big.Int).Mul(big.NewInt(int64(j)), big.NewInt(int64(tc.f.Over)))
+				off.Quo(off, big.NewInt(int64(tc.f.Joiners)))
+				want := off.Add(off, big.NewInt(int64(tc.f.At)))
+				if ev.At < tc.f.At || ev.At >= tc.horizon || big.NewInt(int64(ev.At)).Cmp(want) != 0 {
+					t.Fatalf("join %d at %d ns, want %v ns in [%v, %v)", j, int64(ev.At), want, tc.f.At, tc.horizon)
+				}
+			}
+		})
 	}
 }
 

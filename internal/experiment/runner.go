@@ -201,7 +201,7 @@ func (c Config) Validate() error {
 			return fmt.Errorf("experiment: UploadCapMix[%d] = %d, want >= 0", i, capBps)
 		}
 	}
-	if c.QueueBytes <= 0 && c.UploadCapBps != shaping.Unlimited {
+	if c.QueueBytes <= 0 && c.cappedUplink() {
 		return fmt.Errorf("experiment: QueueBytes = %d with capped uplinks", c.QueueBytes)
 	}
 	if c.Drain < 0 {
@@ -459,6 +459,19 @@ func nodeCap(cfg Config, i int) int64 {
 	default:
 		return cfg.UploadCapBps
 	}
+}
+
+// cappedUplink reports whether any uplink the run builds is capped: the
+// source's, and one full cycle of what nodeCap assigns the others (runtime
+// admissions continue the same cycle). A capped uplink with no queue drops
+// every send made while it is busy.
+func (c Config) cappedUplink() bool {
+	for i := 0; i <= max(len(c.UploadCapMix), 1); i++ {
+		if nodeCap(c, i) != shaping.Unlimited {
+			return true
+		}
+	}
+	return false
 }
 
 // freeRider reports whether the node with the given stable ordinal (setup

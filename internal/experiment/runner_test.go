@@ -33,6 +33,15 @@ func TestConfigValidate(t *testing.T) {
 		{"negative cap", func(c *Config) { c.UploadCapBps = -1 }, false},
 		{"no queue with cap", func(c *Config) { c.QueueBytes = 0 }, false},
 		{"no queue uncapped ok", func(c *Config) { c.QueueBytes = 0; c.UploadCapBps = shaping.Unlimited }, true},
+		{"no queue with capped source", func(c *Config) {
+			c.QueueBytes, c.UploadCapBps, c.SourceCapBps = 0, shaping.Unlimited, 700_000
+		}, false},
+		{"no queue with capped mix entry", func(c *Config) {
+			c.QueueBytes, c.UploadCapBps, c.UploadCapMix = 0, shaping.Unlimited, []int64{shaping.Unlimited, 700_000}
+		}, false},
+		{"no queue under an uncapped mix", func(c *Config) {
+			c.QueueBytes, c.UploadCapMix = 0, []int64{shaping.Unlimited}
+		}, true},
 		{"negative drain", func(c *Config) { c.Drain = -time.Second }, false},
 		{"bad churn", func(c *Config) { c.Churn = []churn.Event{{At: 0, Fraction: 2}} }, false},
 		{"burst before start", func(c *Config) { c.Churn = []churn.Event{{At: -time.Second}} }, false},

@@ -9,7 +9,7 @@ import (
 )
 
 // encodeRef computes parity with the retained byte-at-a-time gf256
-// reference kernel — the baseline the vectorized codec is differentially
+// reference kernel — the baseline the table-driven codec is differentially
 // tested and benchmarked against.
 func encodeRef(c *Code, data [][]byte) [][]byte {
 	size := len(data[0])
@@ -323,7 +323,7 @@ func FuzzReconstruct(f *testing.F) {
 	})
 }
 
-// BenchmarkFECEncode measures the vectorized encoder on the paper's
+// BenchmarkFECEncode measures the table-driven encoder on the paper's
 // (101, 9) window of 1316-byte packets. Compare with BenchmarkFECEncodeRef
 // for the speedup over the byte-at-a-time baseline.
 func BenchmarkFECEncode(b *testing.B) {

@@ -6,9 +6,9 @@
 // (0x11d), the conventional choice for Reed–Solomon codes. Scalar
 // multiplication and division use 256-entry log/exp tables built once at
 // package load. The slice kernels behind MulSlice and MulAddSlices — the
-// codec's hot path — use lazily built per-coefficient product tables, a
-// word-wide XOR fast path, and, on amd64 with AVX2, a PSHUFB kernel over
-// split low/high-nibble lookup tables; see kernels.go.
+// codec's hot path — are one portable kernel on every platform: lazily
+// built per-coefficient product tables, four source rows folded per pass,
+// and a word-wide XOR for the coefficient 1; see kernels.go.
 //
 //lint:deterministic the FEC kernels' bytes must not depend on the host or the run
 package gf256
