@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at reduced scale, plus ablations of the design choices DESIGN.md calls
-// out. Run the full-scale versions with cmd/figures; these benches keep
+// at reduced scale, plus ablations of the protocol's design choices
+// (upload throttling, FEC, retransmission depth and target, membership
+// substrate). Run the full-scale versions with cmd/figures; these benches keep
 // each iteration to a few seconds so `go test -bench=.` stays tractable.
 //
 // Custom metrics reported per bench (beyond ns/op):

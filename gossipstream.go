@@ -320,20 +320,18 @@ func ApplyChurnFlag(cfg *ExperimentConfig, spec string) error {
 		if err != nil || math.IsNaN(mult) || mult < 1 {
 			return fmt.Errorf("churn %q: multiplier %q: want a population multiple >= 1", spec, parts[0])
 		}
-		secs, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-		if err != nil || math.IsNaN(secs) || secs < 0 {
-			return fmt.Errorf("churn %q: span %q: want seconds >= 0", spec, parts[1])
+		span, err := parseSeconds(spec, "span", parts[1])
+		if err != nil {
+			return err
 		}
 		start := cfg.Layout.Duration() / 4
 		if len(parts) == 3 {
-			s, err := strconv.ParseFloat(strings.TrimSpace(parts[2]), 64)
-			if err != nil || math.IsNaN(s) || s < 0 {
-				return fmt.Errorf("churn %q: start %q: want seconds >= 0", spec, parts[2])
+			if start, err = parseSeconds(spec, "start", parts[2]); err != nil {
+				return err
 			}
-			start = time.Duration(s * float64(time.Second))
 		}
 		joiners := int(math.Round((mult - 1) * float64(cfg.Nodes)))
-		cfg.ChurnProcess = FlashCrowdChurn(start, joiners, time.Duration(secs*float64(time.Second)))
+		cfg.ChurnProcess = FlashCrowdChurn(start, joiners, span)
 		return nil
 	}
 	frac, err := strconv.ParseFloat(spec, 64)
@@ -347,6 +345,21 @@ func ApplyChurnFlag(cfg *ExperimentConfig, spec string) error {
 		cfg.Churn = Catastrophe(cfg.Layout.Duration()/2, frac)
 	}
 	return nil
+}
+
+// parseSeconds parses the field of a flash: spec named what — a span or a
+// start — as seconds from zero up to the longest time.Duration (≈292
+// years), which is what converts to one without overflow.
+func parseSeconds(spec, what, field string) (time.Duration, error) {
+	s, err := strconv.ParseFloat(strings.TrimSpace(field), 64)
+	if err != nil || math.IsNaN(s) || s < 0 {
+		return 0, fmt.Errorf("churn %q: %s %q: want seconds >= 0", spec, what, field)
+	}
+	ns := s * float64(time.Second)
+	if ns >= math.MaxInt64 {
+		return 0, fmt.Errorf("churn %q: %s %q: want at most %.4g seconds, the longest duration", spec, what, field, math.MaxInt64/float64(time.Second))
+	}
+	return time.Duration(ns), nil
 }
 
 // parseChurnRates parses the "<join>,<leave>" tail shared by the poisson

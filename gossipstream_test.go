@@ -2,6 +2,7 @@ package gossipstream
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -169,6 +170,13 @@ func TestFacadeApplyChurnFlag(t *testing.T) {
 	for _, bad := range []string{"often", "NaN", "-0.1", "1.5", "poisson:", "poisson:1", "poisson:a,b", "poisson:0.1,-2", "poisson:2,0.5", "poisson:0.1,0.2,0.3"} {
 		if err := ApplyChurnFlag(&cfg, bad); err == nil {
 			t.Errorf("spec %q accepted", bad)
+		}
+	}
+	// A flash span or start past the longest time.Duration is refused
+	// before it is converted, not wrapped into a negative one.
+	for _, long := range []string{"flash:2,1e10", "flash:2,1,1e300", "flash:2,Inf", "flash:2,1,Inf"} {
+		if err := ApplyChurnFlag(&cfg, long); err == nil || !strings.Contains(err.Error(), "longest duration") {
+			t.Errorf("spec %q: err %v, want the longest-duration refusal", long, err)
 		}
 	}
 	if p := SustainedChurn(3, 4); p.JoinPerSec != 3 || p.LeavePerSec != 4 || p.IsZero() {

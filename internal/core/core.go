@@ -62,7 +62,10 @@
 // grow by chunks of the chunked store (internal/slab) that are never
 // copied — and a node admitted into a
 // departed node's slot resets that peer in place (Reset) and allocates
-// nothing at all. Over a plain Env — the
+// nothing at all. A peer built alone (NewPeer, NewSourcePeer) gets a
+// private Table of small chunks: it pays for its blocks about what it
+// would pay to allocate them, and its table lends and counts them (InUse)
+// as a shared one does. Over a plain Env — the
 // real-time driver, any wrapper of Env's five methods — the adapter boxes
 // what the same code sends: one exactly sized id list and one box per
 // PROPOSE chunk and per REQUEST, SERVE batches from wire's pool, and the
@@ -278,20 +281,21 @@ type requestState struct {
 // record; every id but the largest PacketID has a key, and a peer only
 // indexes ids inside its stream. It doubles before it passes half full,
 // and a deletion shifts the rest of its probe run back rather than leaving
-// a tombstone, so a lookup stops at the first empty slot.
+// a tombstone, so a lookup stops at the first empty slot. The small
+// fields come last, so the index packs into 48 bytes.
 type reqIndex struct {
 	slots []uint64
-	h     uint32 // the slots' block handle in pool
-	n     int    // occupied slots
-	shift uint8  // 64 - log2(len(slots)): home keeps the hash's top bits
+	n     int // occupied slots
 	// pool lends the slots a doubling moves to and takes back the old
-	// ones; nil makes and drops them.
-	pool *slab.Pool[uint64]
+	// ones.
+	pool  *slab.Pool[uint64]
+	h     uint32 // the slots' block handle in pool
+	shift uint8  // 64 - log2(len(slots)): home keeps the hash's top bits
 }
 
 // newReqIndex returns an empty index over slots, whose length must be a
-// power of two of at least 2; the slots must be zero. Its pool is nil
-// until its owner sets the pool and the handle the slots came with.
+// power of two of at least 2; the slots must be zero. Before the index
+// can grow, its owner sets the pool and the handle the slots came with.
 func newReqIndex(slots []uint64) reqIndex {
 	return reqIndex{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
 }

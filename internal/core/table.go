@@ -22,7 +22,8 @@ import (
 // back to its class when the peer grows it or leaves the table. Every
 // slab and pool is a slab store: its chunks never move, so the slabs grow
 // without copying, and a peer keeps plain slices of its blocks beside
-// their handles.
+// their handles. Every block a peer holds is lent by its table's pools,
+// so InUse counts it, on a private table too.
 //
 // A Table is not safe for concurrent use: the peers on it must be driven
 // from one goroutine at a time, as an engine shard drives its nodes.
@@ -76,11 +77,16 @@ const (
 	stateShift = 11 // 16-byte window states
 )
 
-// The slab chunks of a private table, whose one peer holds a few rounds'
-// worth of records: its blocks are allocations of their own.
+// The chunks of a private table, whose one peer holds a few rounds' worth
+// of records and one block of each kind: a block of more than one element
+// is over a quarter of a 4-element chunk, so it gets a chunk of its own,
+// sized exactly, and the peer pays for its blocks what it would pay to
+// allocate them — while its pools lend, count and take them back as a
+// shared table's do.
 const (
 	privateReqShift   = 6
 	privateBatchShift = 4
+	privateBlockShift = 2
 )
 
 // NewTable returns an empty table whose slabs and blocks are carved from
@@ -97,18 +103,22 @@ func NewTable() *Table {
 }
 
 // makePrivateTable returns the table of one peer: small slab chunks, and
-// unchunked block pools.
+// block pools of small chunks.
 func makePrivateTable() Table {
 	return Table{
 		reqs:    slab.NewTable[requestState](privateReqShift),
 		batches: slab.NewTable[retBatch](privateBatchShift),
+		words:   slab.NewPool[uint64](privateBlockShift),
+		ids:     slab.NewPool[stream.PacketID](privateBlockShift),
+		nodes:   slab.NewPool[wire.NodeID](privateBlockShift),
+		windows: slab.NewPool[stream.WindowState](privateBlockShift),
 	}
 }
 
 // InUse reports what the table has lent out: request records, armed
-// batches, and blocks. A table whose peers have all been stopped holds no
-// record and no batch; blocks stay with their peers until a peer leaves
-// the table (or grows one).
+// batches, and blocks, a private table's as a shared one's. A table whose
+// peers have all been stopped holds no record and no batch; blocks stay
+// with their peers until a peer leaves the table (or grows one).
 func (t *Table) InUse() (records, batches, blocks int) {
 	return t.liveReqs, t.liveBatches, t.words.Lent() + t.ids.Lent() + t.nodes.Lent() + t.windows.Lent()
 }

@@ -106,7 +106,7 @@ func TestRecycledSlotRandIsNewRand(t *testing.T) {
 	admitRecycled(t, cfg, 3, 3, func(d *deployment, _ int, id wire.NodeID, _ uint64) {
 		want := megasim.NewRand(cfg.Seed<<20 + int64(id))
 		want.Int63n(int64(cfg.Protocol.GossipPeriod)) // Start's draw: the first round's phase
-		got := &d.nodes[megasim.Slot(id)].rng
+		got := &d.node(id).rng
 		for i := range 1000 {
 			if g, w := got.Int63(), want.Int63(); g != w {
 				t.Fatalf("node %d: draw %d is %d, megasim.NewRand's is %d", id, i, g, w)
@@ -162,12 +162,14 @@ func TestChurnKeepsTablesBounded(t *testing.T) {
 		for s := range d.shards {
 			r := reading{at: at}
 			r.records, r.batches, r.blocks = d.shards[s].tab.InUse()
-			for slot, n := range d.nodes {
-				if shard, _ := d.eng.ShardOf(wire.NodeID(slot)); shard != s {
-					continue
+			for slot := range d.eng.N() {
+				if shard, _ := d.eng.ShardOf(wire.NodeID(slot)); shard == s {
+					r.slots++
 				}
-				if r.slots++; n != nil {
-					ids, batches := n.peer.InFlight()
+			}
+			for _, id := range d.liveIDs() {
+				if shard, _ := d.eng.ShardOf(id); shard == s {
+					ids, batches := d.node(id).peer.InFlight()
 					r.ids, r.armed, r.live = r.ids+ids, r.armed+batches, r.live+1
 				}
 			}

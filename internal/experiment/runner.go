@@ -4,16 +4,21 @@
 //
 // A Run builds one "testbed" on the simulation engine (internal/megasim,
 // under the network model of internal/simnet): a source node publishing
-// the stream and n-1 peers gossiping it (internal/core), optional churn
-// (internal/churn), and metric collection (internal/metrics). Figures are
-// parameter sweeps over Runs executed in parallel.
+// the stream and n-1 peers gossiping it (internal/core), and optional churn
+// (internal/churn). Every run is scored by one fold (internal/telemetry)
+// as node lifetimes close; internal/metrics computes the per-node detail
+// rows a run may retain. Figures are parameter sweeps over Runs executed
+// in parallel.
 //
 // A deployment holds every node by value: its peer, random stream and
 // sampler in fixed-size chunks per engine shard, the peer's variable-size
 // protocol state in its shard's core.Table, its environment in the
 // engine's table. A run allocates per shard as these fill, not per node,
 // and a node admitted into a departed node's slot rebuilds the slot's
-// state in place, allocating nothing (TestJoinAllocBudget).
+// state in place, allocating nothing (TestJoinAllocBudget). The engine
+// owns the arena: the deployment keeps no slot map of its own, finds a
+// node's record through the engine's placement (ShardOf) and asks the
+// engine which nodes are live (AppendLive) and how many it ever added.
 //
 //lint:deterministic builds, churns and scores every simulated run from its seed
 package experiment

@@ -105,11 +105,7 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 		end:    end,
 		fold:   newStreamFold(cfg, end),
 		shards: make([]shardNodes, cfg.Shards),
-		nodes:  make([]*node, cfg.Nodes),
-		// Setup node i has service-class ordinal i-1; runtime admissions
-		// continue the count from there.
-		nextOrdinal: cfg.Nodes - 1,
-		pool:        make([]wire.NodeID, 0, cfg.Nodes),
+		pool:   make([]wire.NodeID, 0, cfg.Nodes),
 	}
 	for i := range d.shards {
 		d.shards[i] = newShardNodes()
@@ -121,15 +117,13 @@ func newDeployment(cfg Config, seam *nodeSeam) (*deployment, error) {
 			boot = bootstrapIDs(d.pool, id, cfg.Nodes, pssCfg.ShuffleLen, bootRng)
 		}
 		rider := i > 0 && freeRider(cfg.FreeRiders, i-1)
-		n, err := d.buildNode(id, 0, boot, i == 0, rider)
-		if err != nil {
+		if err := d.buildNode(id, 0, boot, i == 0, rider); err != nil {
 			return nil, err
 		}
-		d.nodes[i] = n
 	}
 
-	for _, n := range d.nodes {
-		n.peer.Start()
+	for _, id := range d.liveIDs() {
+		d.node(id).peer.Start()
 	}
 	return d, nil
 }
@@ -229,29 +223,26 @@ func (d *deployment) run() (*Result, error) {
 
 // inDegreeHist measures the final Cyclon overlay: for every node still
 // live at run end, the number of live views holding its descriptor. Runs
-// once after the engine stops (all shards quiescent), iterating arena
-// slots in ascending order, so the histogram is deterministic. A stale
-// descriptor — same slot, older generation — never counts toward the
-// slot's current occupant.
+// once after the engine stops (all shards quiescent), iterating the live
+// nodes in ascending slot order, so the histogram is deterministic. A
+// descriptor counts toward its slot when it names the slot's last
+// occupant, so a stale one — same slot, older generation — never counts
+// toward the slot's current occupant, and one of a departed occupant
+// counts toward a slot the histogram never reads.
 func (d *deployment) inDegreeHist() telemetry.Hist {
-	indeg := make([]int64, len(d.nodes))
-	for _, n := range d.nodes {
-		if n == nil {
-			continue
-		}
-		for i := range n.state.ViewLen() {
-			id := n.state.ViewAt(i).ID
-			slot := megasim.Slot(id)
-			if slot < len(indeg) && d.nodes[slot] != nil && d.nodes[slot].id == id {
-				indeg[slot]++
+	live := d.liveIDs()
+	indeg := make([]int64, d.eng.N())
+	for _, id := range live {
+		st := d.node(id).state
+		for i := range st.ViewLen() {
+			if v := st.ViewAt(i).ID; megasim.Slot(v) < len(indeg) && d.node(v).id == v {
+				indeg[megasim.Slot(v)]++
 			}
 		}
 	}
 	var h telemetry.Hist
-	for slot, n := range d.nodes {
-		if n != nil {
-			h.Observe(indeg[slot])
-		}
+	for _, id := range live {
+		h.Observe(indeg[megasim.Slot(id)])
 	}
 	return h
 }
@@ -330,11 +321,10 @@ func (s *shardNodes) stateAt(i int, cfg pss.Config) *pss.State {
 	return st
 }
 
-// deployment is the mutable state of one run. Its one slot-indexed
-// slice, nodes, mirrors the engine's slot recycling: a departed node's
-// entry is nilled at its crash barrier and a runtime admission (which may
-// reuse the slot under a new handle) sets it again, so deployment memory
-// is O(live nodes) alongside the engine's.
+// deployment is the mutable state of one run. It mirrors nothing of the
+// engine's arena: a node's record is found through the engine's placement
+// (node), which nodes are live is the engine's to say (liveIDs), and so
+// is how many were ever added (the free-rider ordinals, Result's joins).
 type deployment struct {
 	cfg  Config
 	eng  *megasim.Engine
@@ -344,14 +334,8 @@ type deployment struct {
 	pssCfg pss.Config
 	cyclon bool // MembershipCyclon: nodes sample through their state
 	end    time.Duration
-	// shards holds every node's state, by engine shard; nodes points at
-	// each slot's record while its occupant is live, nil once it crashed —
-	// the deployment's one liveness test.
+	// shards holds every node's state, by engine shard.
 	shards []shardNodes
-	nodes  []*node
-	// nextOrdinal is the stable service-class ordinal the next runtime
-	// admission consumes (freeRider); slot reuse never rewinds it.
-	nextOrdinal int
 	// pool is the scratch bootstrapIDs and liveIDs fill; no result
 	// outlives the node it is drawn for or its barrier callback
 	// (churn.Pick and pss.State.Reset copy). Never nil, so an empty
@@ -369,25 +353,20 @@ type deployment struct {
 
 // crash executes one ungraceful departure at barrier time at, the path
 // bursts and sustained leaves share so crash semantics cannot diverge
-// between churn shapes. The engine silences the victim, ends its shuffle
-// schedule, dead-drops its traffic and queues its arena slot, which the
-// next admission reuses; the victim's protocol state and membership
-// record are stopped. Its lifetime is closed now — final,
+// between churn shapes. The engine silences the victim, detaches its
+// membership record (its shuffle schedule ends), dead-drops its traffic
+// and queues its arena slot, which the next admission reuses; the
+// victim's protocol state is stopped. Its lifetime is closed now — final,
 // because a dead node's receiver and counters never change again, and the
 // engine keeps the counters until the slot is reused — and its record
 // stays in place for the slot's next occupant. Retaining rows changes
 // nothing here, so a run recycles the same slots at the same barriers with
 // and without StreamingMetrics.
 func (d *deployment) crash(victim wire.NodeID, at time.Duration) {
-	slot := megasim.Slot(victim)
-	n := d.nodes[slot]
+	n := d.node(victim)
 	d.eng.Crash(victim)
 	n.peer.Stop()
-	if d.cyclon {
-		n.state.Stop()
-	}
 	d.closeLifetime(n, at, false)
-	d.nodes[slot] = nil
 }
 
 // burst runs inside a burst barrier: fraction of the non-source nodes
@@ -439,39 +418,43 @@ func (d *deployment) lagRow() []time.Duration {
 
 // collect closes the survivors' lifetimes in ascending slot order
 // (departed nodes were closed at their crash barriers) and assembles the
-// Result: the fold's state, and the rows when the run retained them.
+// Result: the fold's state, with every node the engine added past the
+// setup population counted as a join, and the rows when the run retained
+// them.
 func (d *deployment) collect() *Result {
 	if !d.cfg.StreamingMetrics {
 		d.rows = slices.Grow(d.rows, d.eng.Added()-1-len(d.rows))
 	}
-	for _, n := range d.nodes[1:] {
-		if n != nil {
-			d.closeLifetime(n, d.end, true)
-		}
+	for _, id := range d.aliveVictims() {
+		d.closeLifetime(d.node(id), d.end, true)
 	}
+	d.fold.res.Joined = d.eng.Added() - d.cfg.Nodes
 	return &Result{
 		Config:         d.cfg,
 		Duration:       d.end,
 		Nodes:          d.rows,
-		SourceCounters: d.nodes[0].peer.Counters(),
+		SourceCounters: d.node(0).peer.Counters(),
 		SourceStats:    d.eng.NodeStats(0),
 		Events:         d.eng.Fired(),
 		Streaming:      &d.fold.res,
 	}
 }
 
-// liveIDs lists the live nodes' ids in ascending slot order, so the list
-// (and any rng.Intn pick from it) is deterministic. Its head is the
-// source, in slot 0 and always live.
+// liveIDs lists the live nodes' ids in ascending slot order, as the
+// engine reads them off its liveness words, so the list (and any rng.Intn
+// pick from it) is deterministic. Its head is the source, in slot 0 and
+// always live.
 func (d *deployment) liveIDs() []wire.NodeID {
-	live := d.pool[:0]
-	for _, n := range d.nodes {
-		if n != nil {
-			live = append(live, n.id)
-		}
-	}
-	d.pool = live
-	return live
+	d.pool = d.eng.AppendLive(d.pool[:0])
+	return d.pool
+}
+
+// node returns the record of the node id names: its slot's, in the shard
+// the engine places the slot on. The record is the slot's last occupant's
+// while the slot waits for its next admission.
+func (d *deployment) node(id wire.NodeID) *node {
+	shard, index := d.eng.ShardOf(id)
+	return d.shards[shard].nodes.At(index)
 }
 
 // aliveVictims returns the non-source nodes currently alive — the victim
@@ -490,7 +473,7 @@ func (d *deployment) aliveVictims() []wire.NodeID { return d.liveIDs()[1:] }
 // nil boot a static SparseView; source makes the node the stream source;
 // rider puts the node in the leeching service class (Config.FreeRiders);
 // joined is its admission time (0 at setup).
-func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire.NodeID, source, rider bool) (*node, error) {
+func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire.NodeID, source, rider bool) error {
 	cfg := d.cfg
 	shard, index := d.eng.ShardOf(id)
 	sh := &d.shards[shard]
@@ -507,7 +490,7 @@ func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire
 	if boot != nil {
 		n.state = sh.stateAt(index, d.pssCfg)
 		if err := n.state.Reset(id, d.pssCfg, cfg.Seed<<20+0x707373+int64(id), boot); err != nil {
-			return nil, err
+			return err
 		}
 		sampler = n.state
 	} else {
@@ -523,19 +506,19 @@ func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire
 		err = n.peer.Reset(sh.tab, env, proto, sampler, cfg.Layout)
 	}
 	if err != nil {
-		return nil, err
+		return err
 	}
 	var handler megasim.Handler = &n.peer
 	if d.seam != nil {
 		handler = d.seam.handler(&n.peer)
 	}
 	if got := d.eng.AddNode(handler, nodeCap(cfg, megasim.Slot(id)), cfg.QueueBytes); got != id {
-		return nil, fmt.Errorf("experiment: node id drift: got %d, want %d", got, id)
+		return fmt.Errorf("experiment: node id drift: got %d, want %d", got, id)
 	}
 	if boot != nil {
 		d.eng.AttachSampler(id, n.state, d.pssCfg.Period)
 	}
-	return n, nil
+	return nil
 }
 
 // admit runs inside a join barrier: it registers one new peer — on the
@@ -545,26 +528,20 @@ func (d *deployment) buildNode(id wire.NodeID, joined time.Duration, boot []wire
 // protocol clock. PeekNextID names the handle before construction (node
 // RNG streams are keyed by it), and the engine's recycling order is
 // deterministic, so replays admit identical nodes onto identical slots.
+// The node's service-class ordinal is its place in the order of admission,
+// Added()-1 — setup node i's is i-1 — which slot reuse never rewinds.
 func (d *deployment) admit(at time.Duration, rng *rand.Rand) {
 	if d.err != nil {
 		return
 	}
 	id := d.eng.PeekNextID()
 	boot := d.liveBootstrapIDs(d.pssCfg.ShuffleLen, rng)
-	rider := freeRider(d.cfg.FreeRiders, d.nextOrdinal)
-	d.nextOrdinal++
-	n, err := d.buildNode(id, at, boot, false, rider)
-	if err != nil {
+	rider := freeRider(d.cfg.FreeRiders, d.eng.Added()-1)
+	if err := d.buildNode(id, at, boot, false, rider); err != nil {
 		d.err = fmt.Errorf("experiment: admitting node %d: %w", id, err)
 		return
 	}
-	slot := megasim.Slot(id)
-	if slot == len(d.nodes) {
-		d.nodes = append(d.nodes, nil)
-	}
-	d.nodes[slot] = n
-	d.fold.res.Joined++
-	n.peer.Start()
+	d.node(id).peer.Start()
 }
 
 // leave runs inside a leave barrier: one uniformly random live non-source
@@ -584,7 +561,7 @@ func (d *deployment) leave(at time.Duration, rng *rand.Rand, graceful bool) {
 	}
 	victim := eligible[rng.Intn(len(eligible))]
 	if graceful && d.cyclon {
-		for _, em := range d.nodes[megasim.Slot(victim)].state.Goodbye() {
+		for _, em := range d.node(victim).state.Goodbye() {
 			d.eng.SendFrom(victim, em.To, em.Msg)
 		}
 	}

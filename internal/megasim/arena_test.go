@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -631,7 +632,9 @@ func (c *countTick) Handle(wire.NodeID, wire.Message) (member.Emit, bool) {
 
 // FuzzArenaRecycling interleaves AddNode / Crash / a second Crash / sends
 // to arbitrary (possibly stale) handles at successive barriers, then checks
-// the arena's invariants and replays the schedule for bit-identity. Each
+// the arena's invariants and replays the schedule for bit-identity. After
+// every barrier and after Run, AppendLive must list exactly the model's
+// live handles, in slot order. Each
 // input byte is one barrier action: the low two bits select the op, the
 // high six select the target.
 func FuzzArenaRecycling(f *testing.F) {
@@ -664,9 +667,20 @@ func FuzzArenaRecycling(f *testing.F) {
 			liveIDs := []NodeID{0}      // currently alive
 			var crashed []NodeID        // crashed, their slots queued or reused
 			cur := map[int]NodeID{0: 0} // slot -> current incarnation
+			// checkLive holds AppendLive to the model: the live handles, in
+			// slot order, appended after what dst already holds.
+			checkLive := func(where string) {
+				want := slices.Clone(liveIDs)
+				slices.SortFunc(want, func(a, b NodeID) int { return Slot(a) - Slot(b) })
+				head := []NodeID{7}
+				if got := e.AppendLive(head); !slices.Equal(got[:1], head) || !slices.Equal(got[1:], want) {
+					t.Fatalf("%s: AppendLive = %v after its head, model says %v", where, got[1:], want)
+				}
+			}
 			for i, b := range data {
 				b := b
 				e.AtBarrier(time.Duration(i+1)*10*time.Millisecond, func() {
+					defer checkLive(fmt.Sprintf("barrier %d (op %d)", i, b&3))
 					sel := int(b >> 2)
 					switch b & 3 {
 					case 0: // admit
@@ -734,6 +748,7 @@ func FuzzArenaRecycling(f *testing.F) {
 			if out.live != len(liveIDs) {
 				t.Fatalf("Live = %d, model says %d", out.live, len(liveIDs))
 			}
+			checkLive("after Run")
 			if out.n != out.added-out.recycled {
 				t.Fatalf("N %d != Added %d - Recycled %d", out.n, out.added, out.recycled)
 			}

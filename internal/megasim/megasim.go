@@ -154,7 +154,10 @@
 // one per arena slot, in chunks that never move; a recycled slot's next
 // incarnation rebuilds it in place. ShardOf names the shard a slot's nodes
 // run on and the slot's index there, dense from zero per shard, so that a
-// caller can keep its own per-node state per shard the same way.
+// caller can keep its own per-node state per shard the same way. The
+// engine is the arena's one owner: a caller asks it which handles are
+// live (AppendLive, in slot order) and how many nodes it ever added
+// (Added) rather than mirroring either.
 //
 // Engine memory is O(live nodes), not O(nodes ever): a crashed slot
 // queues in one FIFO ring, and AddNode takes the oldest queued slot, at
@@ -662,6 +665,20 @@ func (e *Engine) Alive(id NodeID) bool {
 
 // Live returns the number of alive nodes.
 func (e *Engine) Live() int { return e.alive }
+
+// AppendLive appends the handle of every alive node to dst, in ascending
+// slot order, and returns the extended slice. The handles are minted from
+// the liveness words, so the list costs four bytes read per slot and no
+// node record. Like every accessor it is for quiescent points: setup, an
+// AtBarrier callback, or after Run.
+func (e *Engine) AppendLive(dst []NodeID) []NodeID {
+	for slot, w := range e.live {
+		if w&liveAlive != 0 {
+			dst = append(dst, makeID(slot, uint16(w>>liveGenShift)))
+		}
+	}
+	return dst
+}
 
 // Crash takes a node out of the run for good: it stops sending and
 // receiving, its timers and membership ticks die, and its heavy state —

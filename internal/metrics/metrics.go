@@ -249,7 +249,7 @@ type Series struct {
 
 // Chart renders series as a monospace scatter plot, one rune per series.
 // It is intentionally crude — enough to eyeball the shape of a figure in a
-// terminal or EXPERIMENTS.md.
+// terminal or in the text files cmd/figures writes.
 func Chart(title string, width, height int, series []Series) string {
 	if width < 16 {
 		width = 16

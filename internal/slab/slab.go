@@ -8,7 +8,10 @@
 //
 // A chunk size is a power of two fixed by the owner, a constant per use:
 // large enough that a big run allocates a chunk per many growth events,
-// small enough that a small run does not allocate more than it uses.
+// small enough that a small run does not allocate more than it uses. A
+// pool has one mode: every block it lends is carved from its chunks and
+// counted until it comes back, whether the pool serves an engine shard or
+// a single peer.
 //
 // Neither type is safe for concurrent use.
 //
@@ -25,7 +28,7 @@ type Table[T any] struct {
 	chunks [][]T
 	n      int
 	shift  uint8
-	mask   int
+	mask   int32 // int32, with shift, fits the padding of one word
 }
 
 // NewTable returns an empty table of 1<<shift elements per chunk.
@@ -47,7 +50,7 @@ func (t *Table[T]) Chunks() int { return len(t.chunks) }
 //
 //lint:hot the engine and the handlers read the message, request and batch slabs per event
 func (t *Table[T]) At(i int) *T {
-	return &t.chunks[i>>(t.shift&63)][i&t.mask]
+	return &t.chunks[i>>(t.shift&63)][i&int(t.mask)]
 }
 
 // Push appends v and returns its index.
@@ -103,25 +106,33 @@ func (t *Table[T]) addChunk() {
 // of capacity in [1<<c, 2<<c) — for the next request of a size it covers;
 // each list is last in, first out, so a block goes back out warm.
 //
-// A Pool whose shift is zero — the zero Pool, or nil — is unchunked: every
-// Get is an allocation of its own with handle zero, and Put drops the
-// block. An owner with no population to share blocks across (one peer on a
-// table of its own) uses it so as not to pay for a chunk.
+// Every block a Pool lends is counted (Lent) until it comes back. An owner
+// with little to lend — one peer on a table of its own — picks a small
+// chunk, so that its blocks are chunks of their own, each exactly sized.
+// The zero Pool is not ready for use: NewPool sets its chunk size. A Pool
+// must not be copied once it has lent a block, as its chunk list may point
+// into it.
 type Pool[T any] struct {
+	// chunks lists the chunks by the chunk field of a handle. Until it
+	// outgrows them it is backed by few, so a pool of a few chunks — a
+	// private table's — allocates nothing but its chunks.
 	chunks [][]T
-	shift  uint8
+	free   [][]freeBlock // free[c]: the free blocks of class c
 	// cur is the chunk blocks are being carved from (-1 while there is
-	// none), tail the elements carved from it.
-	cur, tail int
-	free      [][]freeBlock // free[c]: the free blocks of class c
-	lent      int
+	// none), tail the elements carved from it. The counters are int32, as
+	// handles are 32 bits, to keep the pools of a private table small.
+	cur, tail int32
+	lent      int32
+	shift     uint8
+	// few comes last, so that what Get and Put read shares a cache line.
+	few [3][]T
 }
 
 // freeBlock is a block on a free list: its handle and its capacity.
 type freeBlock struct{ h, n uint32 }
 
 // NewPool returns an empty pool carving chunks of 1<<shift elements; shift
-// must be at least 2.
+// must be at least 2, so that a quarter chunk holds an element.
 func NewPool[T any](shift uint8) Pool[T] {
 	return Pool[T]{shift: shift, cur: -1}
 }
@@ -137,10 +148,6 @@ func (p *Pool[T]) Get(n int) (uint32, []T) {
 	if n == 0 {
 		return 0, nil
 	}
-	if p == nil || p.shift == 0 {
-		//lint:pooled an unchunked pool's block is its owner's alone
-		return 0, make([]T, n)
-	}
 	p.lent++
 	for c := bits.Len(uint(n)) - 1; c <= bits.Len(uint(n-1)) && c < len(p.free); c++ {
 		if fl := p.free[c]; len(fl) > 0 && int(fl[len(fl)-1].n) >= n {
@@ -153,20 +160,28 @@ func (p *Pool[T]) Get(n int) (uint32, []T) {
 	}
 	chunkLen := 1 << (p.shift & 63)
 	if 4*n > chunkLen {
-		h := uint32(len(p.chunks)) << (p.shift & 63)
 		//lint:pooled a block too large to carve: its own chunk, allocated once, then reused through the free lists
-		p.chunks = append(p.chunks, make([]T, n))
-		return h, p.chunks[len(p.chunks)-1]
+		c := p.addChunk(make([]T, n))
+		return uint32(c) << (p.shift & 63), p.chunks[c]
 	}
-	if p.cur < 0 || p.tail+n > chunkLen {
-		p.cur, p.tail = len(p.chunks), 0
+	if p.cur < 0 || int(p.tail)+n > chunkLen {
 		//lint:pooled a fixed chunk, carved into blocks for as long as the pool lives
-		p.chunks = append(p.chunks, make([]T, chunkLen))
+		p.cur, p.tail = int32(p.addChunk(make([]T, chunkLen))), 0
 	}
-	h := uint32(p.cur<<(p.shift&63) | p.tail)
-	b := p.chunks[p.cur][p.tail : p.tail+n : p.tail+n]
-	p.tail += n
+	h := uint32(int(p.cur)<<(p.shift&63) | int(p.tail))
+	b := p.chunks[p.cur][p.tail : int(p.tail)+n : int(p.tail)+n]
+	p.tail += int32(n)
 	return h, b
+}
+
+// addChunk appends chunk c to the list and returns its index.
+func (p *Pool[T]) addChunk(c []T) int {
+	if p.chunks == nil {
+		p.chunks = p.few[:0]
+	}
+	//lint:pooled the chunk list grows by one entry per chunk, past few
+	p.chunks = append(p.chunks, c)
+	return len(p.chunks) - 1
 }
 
 // Block returns the first n elements of block h, which must be lent and
@@ -185,11 +200,11 @@ func (p *Pool[T]) slice(h uint32, n int) []T {
 
 // Put takes back block h, which Get lent, with n its capacity — the
 // capacity of the slice Get returned, which may exceed the length asked
-// for; n = 0 is ignored, as is every block of an unchunked pool.
+// for; n = 0 is ignored.
 //
 //lint:hot the spill pool takes back a block per spilled message
 func (p *Pool[T]) Put(h uint32, n int) {
-	if n == 0 || p == nil || p.shift == 0 {
+	if n == 0 {
 		return
 	}
 	p.lent--
@@ -218,6 +233,5 @@ func (p *Pool[T]) Grow(h uint32, b []T, min int) (uint32, []T) {
 	return nh, nb
 }
 
-// Lent returns the number of blocks lent and not put back (zero for an
-// unchunked pool).
-func (p *Pool[T]) Lent() int { return p.lent }
+// Lent returns the number of blocks lent and not put back.
+func (p *Pool[T]) Lent() int { return int(p.lent) }

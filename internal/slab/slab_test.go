@@ -44,8 +44,7 @@ func TestTableGrowthNeverMoves(t *testing.T) {
 // resolves to it; a returned block goes back out to a request of its size
 // or of its class, cleared; a request too large to carve gets a chunk of
 // its own; Grow swaps a full block for one twice its size holding the same
-// elements; the pool counts what it has lent; and an unchunked pool
-// allocates every block and keeps none.
+// elements; and the pool counts what it has lent.
 func TestPool(t *testing.T) {
 	p := NewPool[uint64](6) // 64 elements a chunk
 	ha, a := p.Get(11)
@@ -93,15 +92,6 @@ func TestPool(t *testing.T) {
 	}
 	if h, s := p.Get(0); s != nil || h != 0 || p.Lent() != 3 {
 		t.Fatal("an empty request lent a block")
-	}
-	for _, unchunked := range []*Pool[uint64]{nil, {}} {
-		if _, s := unchunked.Get(8); len(s) != 8 {
-			t.Fatal("an unchunked pool did not allocate")
-		}
-		unchunked.Put(0, 8)
-		if unchunked != nil && unchunked.Lent() != 0 {
-			t.Fatal("an unchunked pool counts its blocks")
-		}
 	}
 }
 

@@ -49,9 +49,8 @@ func ProbeIndex(lag time.Duration) (int, bool) {
 // window state) can be released the moment the node's lifetime closes.
 //
 // Folding the same window lags through Observe in any order yields the
-// same accumulator, and Merge is associative and commutative, so
-// per-shard partials merged in deterministic shard order equal a single
-// sequential fold.
+// same accumulator. A run folds each node once, when its lifetime closes
+// at a barrier or at run end, on one goroutine.
 type LagAccum struct {
 	Windows  int32
 	Complete [NumProbes]int32
@@ -73,16 +72,6 @@ func (a *LagAccum) Observe(lag time.Duration) {
 			break
 		}
 		a.Complete[i]++
-	}
-}
-
-// Merge folds o into a.
-//
-//lint:hot runs at every barrier reduction
-func (a *LagAccum) Merge(o LagAccum) {
-	a.Windows += o.Windows
-	for i := range a.Complete {
-		a.Complete[i] += o.Complete[i]
 	}
 }
 

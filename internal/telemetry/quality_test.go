@@ -90,44 +90,6 @@ func TestQualitySetMatchesMetrics(t *testing.T) {
 	}
 }
 
-// TestAccumMergeAssociative pins the barrier-merge contract across shard
-// counts: windows partitioned round-robin across any number of partial
-// accumulators and merged in shard order — or in a different grouping —
-// reproduce the sequential fold exactly.
-func TestAccumMergeAssociative(t *testing.T) {
-	rng := xrand.New(99)
-	lags := randomLags(rng, 4096)
-	whole := foldAccum(lags)
-	for _, shards := range []int{1, 2, 3, 5, 8, 16, 64} {
-		parts := make([]telemetry.LagAccum, shards)
-		for i, l := range lags {
-			parts[i%shards].Observe(l)
-		}
-		var flat telemetry.LagAccum
-		for _, p := range parts {
-			flat.Merge(p)
-		}
-		if flat != whole {
-			t.Fatalf("shards=%d: flat merge differs from sequential fold", shards)
-		}
-		// Tree-shaped merge (pairwise reduction) must agree too.
-		for len(parts) > 1 {
-			var next []telemetry.LagAccum
-			for i := 0; i < len(parts); i += 2 {
-				a := parts[i]
-				if i+1 < len(parts) {
-					a.Merge(parts[i+1])
-				}
-				next = append(next, a)
-			}
-			parts = next
-		}
-		if parts[0] != whole {
-			t.Fatalf("shards=%d: tree merge differs from sequential fold", shards)
-		}
-	}
-}
-
 func TestEmptySetScoresZero(t *testing.T) {
 	var set telemetry.QualitySet
 	set.Add(telemetry.LagAccum{}) // zero windows: dropped
