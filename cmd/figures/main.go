@@ -31,7 +31,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("figures", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var rf gossipstream.RunFlags
-	rf.Register(fs, 0)
+	rf.Register(fs)
 	fs.Lookup("streaming").Usage += ". Figure 4 and the churn claim read the rows and ignore it"
 	var (
 		scale   = fs.Float64("scale", 1.0, "scale factor for nodes and stream length (0,1]")

@@ -9,7 +9,9 @@
 //
 //	gossipsim -refresh 0 -churn 0.3
 //
-// Example — 100k nodes on the sharded engine, 8 shards, a short stream:
+// Example — 100k nodes on the sharded engine, 8 shards, a short stream;
+// the report ends with the engine's speed, the events each shard ran and
+// the network-wide message ledger:
 //
 //	gossipsim -nodes 100000 -shards 8 -windows 14
 //
@@ -57,7 +59,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("gossipsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var rf gossipstream.RunFlags
-	rf.Register(fs, 0)
+	rf.Register(fs)
 	rf.RegisterTelemetry(fs)
 	var (
 		nodes    = fs.Int("nodes", 230, "system size including the source")
@@ -141,6 +143,7 @@ func run(args []string, out io.Writer) error {
 		cfg.Protocol.Fanout, rate(cfg.Protocol.RefreshEvery), rate(cfg.Protocol.FeedEvery), cfg.UploadCapBps/1000, cfg.Membership)
 	fmt.Fprintln(out)
 	fmt.Fprintf(out, "%-28s %8s\n", "metric", "value")
+	fmt.Fprintf(out, "%-28s %7d / %d\n", "survivors / nodes", res.SurvivorCount(), res.NodeCount())
 	for _, lag := range []struct {
 		name string
 		d    time.Duration
@@ -190,6 +193,29 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintf(out, "%-28s %7d / %d / %d kbps\n", "upload max/median/min",
 			sum.Max, sum.P50, sum.Min)
 	}
+
+	fmt.Fprintln(out)
+	lo, hi := res.ShardLoads[0].Events, res.ShardLoads[0].Events
+	for _, l := range res.ShardLoads[1:] {
+		lo, hi = min(lo, l.Events), max(hi, l.Events)
+	}
+	fmt.Fprintf(out, "engine: %.0f events/s of wall time, %d..%d events per shard\n",
+		float64(res.Events)/wall.Seconds(), lo, hi)
+	// Network-wide conservation: every message is delivered, lands in a
+	// drop counter (UDP loss, crashed endpoint), or was still in flight
+	// when the simulation deadline hit; a congestion drop is never sent.
+	// The engine-wide aggregate is the ledger: it survives -streaming's
+	// per-node state release and keeps counting what dead-drops against a
+	// node after its result was captured.
+	total := res.TotalTraffic
+	var sent, recv uint64
+	for k := range total.SentMsgs {
+		sent += total.SentMsgs[k]
+		recv += total.RecvMsgs[k]
+	}
+	fmt.Fprintf(out, "messages: %d sent, %d delivered, %d congestion-dropped,\n", sent, recv, total.CongestionDrops)
+	fmt.Fprintf(out, "          %d lost (UDP), %d to/from crashed nodes, %d in flight at deadline\n",
+		total.RandomDrops, total.DeadDrops, sent-recv-total.RandomDrops-total.DeadDrops)
 
 	if *verbose {
 		fmt.Fprintln(out)

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -20,12 +21,14 @@ func TestFlagValidation(t *testing.T) {
 		args []string
 	}{
 		{"too few nodes", []string{"-nodes", "1"}},
+		{"negative nodes", []string{"-nodes", "-5"}},
 		{"negative shards", []string{"-shards", "-1"}},
 		{"zero fanout", []string{"-fanout", "0"}},
 		{"negative refresh", []string{"-refresh", "-1"}},
 		{"negative feed", []string{"-feed", "-2"}},
 		{"negative cap", []string{"-cap", "-5"}},
 		{"zero windows", []string{"-windows", "0"}},
+		{"negative windows", []string{"-windows", "-3"}},
 		{"churn above one", []string{"-churn", "1.5"}},
 		{"churn below zero", []string{"-churn", "-0.1"}},
 		{"churn gibberish", []string{"-churn", "sometimes"}},
@@ -43,24 +46,87 @@ func TestFlagValidation(t *testing.T) {
 			if err := run(tc.args, &out); err == nil {
 				t.Fatalf("args %v accepted, want error", tc.args)
 			}
+			// A rejected run prints at most the usage, never a report.
+			if out.Len() > 0 && !strings.Contains(out.String(), "Usage") {
+				t.Fatalf("args %v ran before failing:\n%s", tc.args, out.String())
+			}
 		})
 	}
 }
 
+// TestHelpIsNotAnError: -h is not an error, and it lists exactly these
+// flags. One tool runs one deployment, from the paper's testbed to 100k
+// nodes, so a new flag is a deliberate change to this list.
 func TestHelpIsNotAnError(t *testing.T) {
 	var out bytes.Buffer
 	if err := run([]string{"-h"}, &out); err != nil {
 		t.Fatalf("-h returned error: %v", err)
 	}
-	if !strings.Contains(out.String(), "-nodes") {
-		t.Fatalf("usage not printed:\n%s", out.String())
+	var got []string
+	for _, m := range regexp.MustCompile(`(?m)^  -(\w+)`).FindAllStringSubmatch(out.String(), -1) {
+		got = append(got, m[1])
+	}
+	want := []string{"cap", "churn", "cpuprofile", "fanout", "feed", "freeriders", "membership",
+		"memprofile", "nodes", "progress", "refresh", "seed", "shards", "streaming",
+		"telemetry", "trace", "v", "windows"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("-h lists flags %v, want %v:\n%s", got, want, out.String())
 	}
 }
 
-// wallRe matches the header's wall time, which differs run to run.
-var wallRe = regexp.MustCompile(`in [0-9.µnm]+s `)
+// wallRe matches what the report reads off the wall clock: the header's
+// wall time and the engine line's event rate.
+var wallRe = regexp.MustCompile(`in [0-9.µnm]+s |[0-9]+ events/s`)
 
-func stripWall(s string) string { return wallRe.ReplaceAllString(s, "in X ") }
+func stripWall(s string) string { return wallRe.ReplaceAllString(s, "X") }
+
+// ledgerRe captures the message ledger at the end of a report.
+var ledgerRe = regexp.MustCompile(`messages: (\d+) sent, (\d+) delivered, \d+ congestion-dropped,\n\s+(\d+) lost \(UDP\), (\d+) to/from crashed nodes, (\d+) in flight at deadline`)
+
+// TestReportLedger: a run reports its survivors and a message ledger that
+// balances — every message sent was delivered, lost, dropped at a crashed
+// endpoint or still in flight, none twice — and the events each shard ran.
+// Under a crash burst the ledger shows traffic to or from crashed nodes, on
+// one shard and across two; without one it shows none.
+func TestReportLedger(t *testing.T) {
+	cases := []struct {
+		name      string
+		args      []string
+		survivors string
+		crash     bool
+	}{
+		{"crash one shard", []string{"-churn", "0.2"}, "79 / 99", true},
+		{"crash two shards", []string{"-shards", "2", "-churn", "0.2"}, "79 / 99", true},
+		{"no crash two shards", []string{"-shards", "2"}, "99 / 99", false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := smoke(t, append([]string{"-nodes", "100", "-windows", "2", "-seed", "3"}, tc.args...)...)
+			if !regexp.MustCompile(`survivors / nodes +` + tc.survivors + `\n`).MatchString(got) {
+				t.Fatalf("want %s peers surviving:\n%s", tc.survivors, got)
+			}
+			if !regexp.MustCompile(`engine: \d+ events/s of wall time, [1-9]\d*\.\.\d+ events per shard`).MatchString(got) {
+				t.Fatalf("no engine line:\n%s", got)
+			}
+			m := ledgerRe.FindStringSubmatch(got)
+			if m == nil {
+				t.Fatalf("no message ledger:\n%s", got)
+			}
+			var n [5]uint64
+			for i := range n {
+				n[i], _ = strconv.ParseUint(m[i+1], 10, 64)
+			}
+			sent, delivered, lost, crashed, inFlight := n[0], n[1], n[2], n[3], n[4]
+			if delivered == 0 || inFlight > sent || delivered+lost+crashed+inFlight != sent {
+				t.Fatalf("ledger %d sent = %d delivered + %d lost + %d crashed + %d in flight does not balance:\n%s",
+					sent, delivered, lost, crashed, inFlight, got)
+			}
+			if (crashed > 0) != tc.crash {
+				t.Fatalf("%d messages to/from crashed nodes, want crash traffic %v:\n%s", crashed, tc.crash, got)
+			}
+		})
+	}
+}
 
 // completeRe captures the offline mean-complete percentage from the report.
 var completeRe = regexp.MustCompile(`mean complete windows offline\s+([0-9.]+)%`)

@@ -23,8 +23,9 @@
 // and result types, the experiment runner, and one generator per figure of
 // the paper's evaluation. RunFlags is the command-line front end the tools
 // share: one flag set for the run options, one telemetry wiring, and one
-// manifest writer. See README.md for build and run instructions and the
-// examples/ directory for runnable programs.
+// manifest writer. See README.md for build and run instructions, the
+// package examples for the paper's scenarios with their exact output, and
+// examples/liveudp for the real-time driver.
 package gossipstream
 
 import (

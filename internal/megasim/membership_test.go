@@ -121,7 +121,6 @@ func TestMembershipCrashedNodesAgeOut(t *testing.T) {
 	e.AtBarrier(2*time.Second, func() {
 		for i := 1; i <= dead; i++ {
 			e.Crash(NodeID(i))
-			states[i].Stop()
 		}
 	})
 	if err := e.Run(60 * time.Second); err != nil {

@@ -209,12 +209,8 @@ func (s *State) Lend(cfg Config, entries []wire.ShuffleEntry, ids []wire.NodeID)
 // Self returns the record's node id.
 func (s *State) Self() wire.NodeID { return s.self }
 
-// Stop makes the record inert: Tick emits nothing and Handle ignores all
-// traffic. Engines call it when the node crashes or departs; the node's
-// descriptors elsewhere then age out of the overlay.
-func (s *State) Stop() { s.stopped = true }
-
-// Stopped reports whether the record has been stopped.
+// Stopped reports whether the record has said Goodbye: from then on Tick
+// emits nothing and Handle ignores all traffic.
 func (s *State) Stopped() bool { return s.stopped }
 
 // ViewLen returns the number of descriptors in the view.

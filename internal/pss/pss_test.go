@@ -281,10 +281,11 @@ func TestDeadNodesAgeOut(t *testing.T) {
 	sched, b, nodes := overlay(t, 20, cfg)
 	b.startAll(nodes)
 	sched.RunUntil(20 * time.Second)
-	// Kill node 7: remove it from the bus and stop it. Its descriptors
-	// must eventually vanish from all views (they age, get picked as
-	// oldest, and are dropped without refresh).
-	nodes[7].Stop()
+	// Crash node 7: remove it from the bus and stop its record, dropping
+	// the LEAVEs Goodbye would announce. Its descriptors must eventually
+	// vanish from all views (they age, get picked as oldest, and are
+	// dropped without refresh).
+	nodes[7].Goodbye()
 	delete(b.nodes, 7)
 	sched.RunUntil(sched.Now() + 120*time.Second)
 	holders := 0
@@ -306,7 +307,7 @@ func TestDeadNodesAgeOut(t *testing.T) {
 func TestStoppedNodeSilent(t *testing.T) {
 	sched, b, nodes := overlay(t, 5, DefaultConfig())
 	b.start(nodes[0])
-	nodes[0].Stop()
+	nodes[0].Goodbye() // a crash: its LEAVEs are never sent
 	sched.RunUntil(10 * time.Second)
 	if b.sent != 0 {
 		t.Fatal("stopped node kept shuffling")

@@ -125,9 +125,9 @@ func TestStateIgnoresForeignMessages(t *testing.T) {
 
 func TestStateStoppedInert(t *testing.T) {
 	st := newState(t, 0, 1, 1, 2, 3)
-	st.Stop()
+	st.Goodbye() // the LEAVEs are dropped, as on a crash
 	if !st.Stopped() {
-		t.Fatal("Stopped() = false after Stop")
+		t.Fatal("Stopped() = false after Goodbye")
 	}
 	if _, ok := st.Tick(); ok {
 		t.Fatal("stopped record ticked")

@@ -68,7 +68,7 @@ func TestDeterministicPackages(t *testing.T) {
 			t.Errorf("internal/%s: marked deterministic = %v, want %v", path, got, want)
 		}
 	}
-	for _, path := range []string{"gossipstream", "gossipstream/cmd/gossipsim", "gossipstream/examples/megascale"} {
+	for _, path := range []string{"gossipstream", "gossipstream/cmd/gossipsim", "gossipstream/cmd/figures"} {
 		if p := ps[path]; p == nil || p.Deterministic() {
 			t.Errorf("%s: missing, or marked deterministic", path)
 		}

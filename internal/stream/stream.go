@@ -89,7 +89,7 @@ func (l Layout) Validate() error {
 		return fmt.Errorf("stream: window of %d shares exceeds GF(256) limit", l.DataPerWindow+l.ParityPerWindow)
 	case l.Windows <= 0:
 		return fmt.Errorf("stream: Windows = %d, want > 0", l.Windows)
-	case l.Windows > math.MaxUint32/l.WindowTotal():
+	case int64(l.Windows) > math.MaxUint32/int64(l.WindowTotal()):
 		return fmt.Errorf("stream: %d windows of %d packets overflow a PacketID", l.Windows, l.WindowTotal())
 	}
 	return nil

@@ -44,7 +44,7 @@ func TestLayoutValidate(t *testing.T) {
 		// MaxUint32 - 26, one more window overflows.
 		{"largest id space", func(l *Layout) { *l = DefaultLayout(math.MaxUint32 / 110) }, true},
 		{"id overflow", func(l *Layout) { *l = DefaultLayout(math.MaxUint32/110 + 1) }, false},
-		{"id overflow by far", func(l *Layout) { *l = DefaultLayout(1 << 40) }, false},
+		{"id overflow by far", func(l *Layout) { *l = DefaultLayout(math.MaxInt) }, false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

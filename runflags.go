@@ -11,10 +11,10 @@ import (
 	"gossipstream/internal/telemetry/teleclock"
 )
 
-// RunFlags is the command-line front end shared by cmd/gossipsim,
-// cmd/figures and examples/megascale: the run options every tool takes,
-// registered and applied in one place so their names, defaults, accepted
-// spellings and error wording cannot drift between the tools.
+// RunFlags is the command-line front end shared by cmd/gossipsim and
+// cmd/figures: the run options both tools take, registered and applied in
+// one place so their names, defaults, accepted spellings and error wording
+// cannot drift between the tools.
 type RunFlags struct {
 	Seed       int64
 	Shards     int
@@ -22,17 +22,17 @@ type RunFlags struct {
 	Churn      string
 	Streaming  bool
 	// Telemetry (a JSON run manifest path, - = stdout) and Progress (a
-	// live line on stderr) are registered by RegisterTelemetry, for the
-	// tools that run one deployment.
+	// live line on stderr) are registered by RegisterTelemetry, for
+	// gossipsim, which runs one deployment.
 	Telemetry string
 	Progress  bool
 }
 
 // Register declares -seed, -shards, -membership, -churn and -streaming
-// on fs; shards is the tool's -shards default.
-func (f *RunFlags) Register(fs *flag.FlagSet, shards int) {
+// on fs.
+func (f *RunFlags) Register(fs *flag.FlagSet) {
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed")
-	fs.IntVar(&f.Shards, "shards", shards, "parallel simulation shards (0 = default (1); one shard runs inline)")
+	fs.IntVar(&f.Shards, "shards", 0, "parallel simulation shards (0 = default (1); one shard runs inline)")
 	fs.StringVar(&f.Membership, "membership", "full", "membership substrate: full (the paper's global view) or cyclon (partial views)")
 	fs.StringVar(&f.Churn, "churn", "0", "churn: a fraction failing mid-stream; poisson:<join>,<leave> or graceful:<join>,<leave> fractions of the population per second (sustained; graceful leavers announce their exit); or flash:<mult>,<secs>[,<start-secs>] (a crowd joining at once; joins need -membership cyclon)")
 	fs.BoolVar(&f.Streaming, "streaming", false, "retain no per-node rows (the memory unlock at scale); every score is the same, only per-node detail needs the rows")

@@ -13,11 +13,11 @@ import (
 
 // parseRunFlags registers the shared run flags (with telemetry) on a
 // fresh flag set and parses args into them.
-func parseRunFlags(t *testing.T, shards int, args ...string) *RunFlags {
+func parseRunFlags(t *testing.T, args ...string) *RunFlags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	var rf RunFlags
-	rf.Register(fs, shards)
+	rf.Register(fs)
 	rf.RegisterTelemetry(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatalf("parse %v: %v", args, err)
@@ -27,7 +27,7 @@ func parseRunFlags(t *testing.T, shards int, args ...string) *RunFlags {
 
 func TestRunFlagsApply(t *testing.T) {
 	cfg := smallExperiment()
-	rf := parseRunFlags(t, 3, "-seed", "9", "-membership", "cyclon",
+	rf := parseRunFlags(t, "-shards", "3", "-seed", "9", "-membership", "cyclon",
 		"-churn", "poisson:0.01,0.02", "-streaming", "-telemetry", "-")
 	if err := rf.Apply(&cfg); err != nil {
 		t.Fatal(err)
@@ -45,7 +45,7 @@ func TestRunFlagsApply(t *testing.T) {
 	}
 
 	plain := smallExperiment()
-	if err := parseRunFlags(t, 0).Apply(&plain); err != nil {
+	if err := parseRunFlags(t).Apply(&plain); err != nil {
 		t.Fatal(err)
 	}
 	if plain.Telemetry != nil || plain.Membership != MembershipFull || plain.Shards != 0 {
@@ -61,7 +61,7 @@ func TestRunFlagsApplyRejects(t *testing.T) {
 		{"-churn", "poisson:0.01"},
 	} {
 		cfg := smallExperiment()
-		if err := parseRunFlags(t, 0, args...).Apply(&cfg); err == nil {
+		if err := parseRunFlags(t, args...).Apply(&cfg); err == nil {
 			t.Errorf("%v accepted", args)
 		}
 	}
