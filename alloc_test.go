@@ -10,7 +10,7 @@ import (
 // budget per event: 0.05, against ≈0.0002 measured on one shard and two,
 // over the full view and over Cyclon views. What remains is the chunks
 // the engine's message slab, spill pool and node tables and each shard's
-// core.Table slabs add as they grow toward their peaks, and the outboxes'
+// core.Table pools add as they grow toward their peaks, and the outboxes'
 // growth; peers no longer grow slabs of their own. It was ≈0.008 while every peer grew its own request and batch slabs
 // and propose queue, ≈0.1 while every in-flight record and retransmission
 // batch grew a backing of its own — and over Cyclon while every shuffle
@@ -122,12 +122,16 @@ func TestRunAllocBudget(t *testing.T) {
 // at one shard and two, over the full view and over Cyclon views. Every
 // slab on the run's path grows by chunks that are never copied, and a
 // fan-out's sends share one message record per destination shard, so a
-// run allocates its footprint about once: 7.1 / 8.1 KB per node on the
-// full view and 7.8 / 8.7 KB over Cyclon at one / two shards at seed 1,
-// and at most 7.3 / 8.5 and 7.8 / 8.8 KB over seeds 1–8, budgets about 5%
-// above the worst seed. With a record and a spill block per send of a
-// fan-out, the four read 7.9 / 8.9 and 8.5 / 9.6 KB at seed 1, each over
-// its budget; with the message slab back on append, copying itself at
+// run allocates its footprint about once: 6.2 / 7.1 KB per node on the
+// full view and 6.8 / 7.6 KB over Cyclon at one / two shards at seed 1,
+// and at most 6.2 / 7.2 and 6.8 / 7.6 KB over seeds 1–8, budgets about 5%
+// above the worst seed. While each shard's core.Table kept a request
+// record per id in flight, a request index per peer and a batch slab, in
+// place of each peer's batch buffers, the four read 7.1 / 8.0 and 7.8 /
+// 8.7 KB at seed 1 and at most 7.3 / 8.5 and 7.8 / 8.8 KB over seeds
+// 1–8, under budgets of 7,700 / 8,900 and 8,200 / 9,200 B. With a record
+// and a spill block per send of a fan-out, the four read 7.9 / 8.9 and
+// 8.5 / 9.6 KB at seed 1, each over its budget; with the message slab back on append, copying itself at
 // every growth step, as well, 9.5 / 10.2 and 10.0 / 10.8 KB; before the
 // run's slabs were chunked, 14.1–14.8 KB. With 192 KB request chunks,
 // whose tail a 500-node shard pays in full, the same legs spread ±12%
@@ -143,10 +147,10 @@ func TestRunBytesBudget(t *testing.T) {
 		membership Membership
 		budget     float64 // bytes per node
 	}{
-		{"1-shards", 1, MembershipFull, 7_700},
-		{"2-shards", 2, MembershipFull, 8_900},
-		{"cyclon/1-shards", 1, MembershipCyclon, 8_200},
-		{"cyclon/2-shards", 2, MembershipCyclon, 9_200},
+		{"1-shards", 1, MembershipFull, 6_550},
+		{"2-shards", 2, MembershipFull, 7_500},
+		{"cyclon/1-shards", 1, MembershipCyclon, 7_200},
+		{"cyclon/2-shards", 2, MembershipCyclon, 7_950},
 	} {
 		t.Run(leg.name, func(t *testing.T) {
 			cfg := ScaledExperiment(nodes, leg.shards, 6*time.Second)

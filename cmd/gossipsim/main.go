@@ -142,8 +142,8 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintf(out, "protocol: fanout %d, X=%s, Y=%s, cap %d kbps, membership %s\n",
 		cfg.Protocol.Fanout, rate(cfg.Protocol.RefreshEvery), rate(cfg.Protocol.FeedEvery), cfg.UploadCapBps/1000, cfg.Membership)
 	fmt.Fprintln(out)
-	fmt.Fprintf(out, "%-28s %8s\n", "metric", "value")
-	fmt.Fprintf(out, "%-28s %7d / %d\n", "survivors / nodes", res.SurvivorCount(), res.NodeCount())
+	fmt.Fprintf(out, "%-*s %8s\n", labelWidth, "metric", "value")
+	fmt.Fprintf(out, "%-*s %7d / %d\n", labelWidth, "survivors / nodes", res.SurvivorCount(), res.NodeCount())
 	for _, lag := range []struct {
 		name string
 		d    time.Duration
@@ -152,12 +152,12 @@ func run(args []string, out io.Writer) error {
 		{"viewable (<1% jitter) @20s", 20 * time.Second},
 		{"viewable (<1% jitter) offline", gossipstream.OfflineLag},
 	} {
-		fmt.Fprintf(out, "%-28s %7.1f%%\n", lag.name,
+		fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, lag.name,
 			res.SurvivorViewablePct(lag.d, gossipstream.JitterThreshold))
 	}
-	fmt.Fprintf(out, "%-28s %7.1f%%\n", "mean complete windows @20s",
+	fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, "mean complete windows @20s",
 		res.SurvivorMeanCompletePct(20*time.Second))
-	fmt.Fprintf(out, "%-28s %7.1f%%\n", "mean complete windows offline",
+	fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, "mean complete windows offline",
 		res.SurvivorMeanCompletePct(gossipstream.OfflineLag))
 
 	if cfg.ChurnProcess != nil && !cfg.ChurnProcess.IsZero() {
@@ -168,7 +168,7 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		fmt.Fprintf(out, "sustained churn: %d joined, %d left; %d of %d nodes present for >= 1 whole window\n",
 			res.JoinedCount(), res.DepartedCount(), res.PresentCount(), res.NodeCount())
-		fmt.Fprintf(out, "%-28s %7.1f%%\n", "complete windows (present)",
+		fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, "complete windows (present)",
 			res.PresentMeanCompletePct(gossipstream.OfflineLag))
 	}
 
@@ -178,19 +178,19 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 		fmt.Fprintf(out, "free-riders: %d of %d scored nodes leech (never propose or serve)\n",
 			res.ClassCount(true), res.ClassCount(true)+res.ClassCount(false))
-		fmt.Fprintf(out, "%-28s %7.1f%%\n", "complete windows (riders)",
+		fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, "complete windows (riders)",
 			res.ClassMeanCompletePct(true, gossipstream.OfflineLag))
-		fmt.Fprintf(out, "%-28s %7.1f%%\n", "complete windows (servers)",
+		fmt.Fprintf(out, "%-*s %7.1f%%\n", labelWidth, "complete windows (servers)",
 			res.ClassMeanCompletePct(false, gossipstream.OfflineLag))
 	}
 
 	if dist := res.UploadDistribution(); len(dist) > 0 {
-		fmt.Fprintf(out, "%-28s %7.0f / %.0f / %.0f kbps\n", "upload max/median/min",
+		fmt.Fprintf(out, "%-*s %7.0f / %.0f / %.0f kbps\n", labelWidth, "upload max/median/min",
 			dist[0], dist[len(dist)/2], dist[len(dist)-1])
 	} else if sum := res.UploadSummary(); sum.Count > 0 {
 		// No rows retained (-streaming): report the fold's histogram
 		// digest of the same rates.
-		fmt.Fprintf(out, "%-28s %7d / %d / %d kbps\n", "upload max/median/min",
+		fmt.Fprintf(out, "%-*s %7d / %d / %d kbps\n", labelWidth, "upload max/median/min",
 			sum.Max, sum.P50, sum.Min)
 	}
 
@@ -248,6 +248,11 @@ func run(args []string, out io.Writer) error {
 	}
 	return nil
 }
+
+// labelWidth is the width of the report's label column, which fits its
+// longest labels, "viewable (<1% jitter) offline" and "mean complete
+// windows offline".
+const labelWidth = 29
 
 // startProfiling starts the requested CPU profile and execution trace;
 // the returned stop func is safe to call once whether or not anything

@@ -231,6 +231,32 @@ func TestFlashCrowdFarInstantsNeverPanic(t *testing.T) {
 	}
 }
 
+// TestReportColumnsAlign: every labelled value of a report, churn and
+// free-rider lines included, starts in one column, and the header's
+// "value" ends where the percentages do.
+func TestReportColumnsAlign(t *testing.T) {
+	got := smoke(t, "-nodes", "60", "-windows", "3", "-membership", "cyclon", "-churn", "poisson:0.02,0.02", "-freeriders", "0.2")
+	pct := regexp.MustCompile(`^(.*\S) +-?[0-9.]+%$`)
+	rows := 0
+	for _, line := range strings.Split(got, "\n") {
+		if strings.HasPrefix(line, "metric ") {
+			if !strings.HasSuffix(line, "value") || len(line) != labelWidth+9 {
+				t.Errorf("header %q does not end at column %d", line, labelWidth+9)
+			}
+			continue
+		}
+		if m := pct.FindStringSubmatch(line); m != nil {
+			rows++
+			if len(m[1]) > labelWidth || len(line) != labelWidth+9 {
+				t.Errorf("%q: its value does not end at column %d", line, labelWidth+9)
+			}
+		}
+	}
+	if rows < 8 {
+		t.Fatalf("%d percentage rows, want the quality, churn and free-rider ones:\n%s", rows, got)
+	}
+}
+
 func TestVerbosePerNodeTable(t *testing.T) {
 	got := smoke(t, "-nodes", "10", "-windows", "1", "-shards", "2", "-v")
 	if !strings.Contains(got, "complete%") {

@@ -124,7 +124,7 @@ func mallocs() uint64 {
 // fresh ids (what a node learns per round of the paper's stream), the
 // twelve SERVEs that answer the REQUEST, the round that proposes them on,
 // a REQUEST for the twelve from a partner, and the retransmission timer
-// that fires to find its batch retired by the SERVEs. The retransmission
+// that fires to find its batch served in full. The retransmission
 // leg withholds the SERVEs past the deadline instead, so that the check
 // requests the twelve again — under RetryRandomProposer from the three
 // nodes that proposed them.
@@ -234,9 +234,9 @@ func TestHandlerAllocBudget(t *testing.T) {
 				c.RetBatchesRetired != rounds || c.RetIdleWakeups != rounds || c.RetChecks != 0 {
 				t.Fatalf("the handlers were not exercised as planned: %+v", c)
 			}
-			if p.tab.reqs.Len() != idsPerMessage || p.tab.batches.Len() != 1 {
-				t.Fatalf("slabs grew to %d request records and %d batches, want %d and 1: records are not recycled",
-					p.tab.reqs.Len(), p.tab.batches.Len(), idsPerMessage)
+			if cap(p.batches) != minBatchBlock || cap(p.batchIDs) != minBatchIDBlock {
+				t.Fatalf("the batch buffers grew to %d batches and %d ids, want their first blocks, %d and %d: served batches are not let go",
+					cap(p.batches), cap(p.batchIDs), minBatchBlock, minBatchIDBlock)
 			}
 			check(t,
 				budget{"a 12-id PROPOSE of fresh ids", float64(propose) / measured, tc.propose},

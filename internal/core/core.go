@@ -37,35 +37,34 @@
 // packets, and a peer serves an id exactly when it has been delivered it —
 // so it holds no packet; only the adapter that carries it over a plain Env
 // keeps the packets of the boxed SERVEs an ordinary peer is delivered, a
-// pointer per stream id. Pull state exists only while an id is being
-// retried: a by-value record in a request slab, found by id through a
-// small open-addressing index whose population is the ids in flight, not
-// the stream. Retransmission batches live in a second slab — a batch's
-// ids are a list linked through their request records, a peer's armed
-// batches a list of their own, and free records and batches chain through
-// the same links — and the gossip tick and the retransmission timer are
-// (kind, arg) timer records rather than closures. Retransmission deadlines
-// never leave the peer: a batch records when it is due, a SERVE that
-// delivers its last outstanding id frees it on the spot, and the engine
-// holds one retransmission timer per peer, armed for the earliest deadline
-// — not one event per REQUEST, nearly all of which would fire to find
-// everything served. Messages are flat too: PROPOSE, REQUEST and SERVE
-// leave through TimerEnv's SendIDs and SendServe from scratch and arrive
-// through HandleIDs, so on the simulation engine a handler and a round
-// allocate nothing at all in steady state.
+// pointer per stream id. Pull state exists only in the retransmission
+// batches: each owns the ids it asks about — under RetryRandomProposer
+// with their proposer lists — in buffers of its peer, headers and ids in
+// arm order (retBatch), so there is no per-id record and no index, and a
+// SERVE touches only the receiver, the known bit and the propose queue; a
+// batch served in full is retired lazily, the next time the peer looks
+// at it. The gossip tick and the retransmission timer are (kind, arg)
+// timer records rather than closures. Retransmission deadlines never
+// leave the peer: a batch records when it is due, and the engine holds
+// one retransmission timer per peer, armed for the earliest deadline of a
+// batch with an id still undelivered — not one event per REQUEST, nearly
+// all of which would fire to find everything served. Messages are flat
+// too: PROPOSE, REQUEST and SERVE leave through TimerEnv's SendIDs and
+// SendServe from scratch and arrive through HandleIDs, so on the
+// simulation engine a handler and a round allocate nothing at all in
+// steady state.
 //
-// The slabs, the scratch and the blocks behind every variable-size part
-// of a peer — known bits, request index, propose queue, receiver, partner
-// list — belong to a Table (table.go), which the simulation shares among
-// the peers of an engine shard: a run allocates as the shard's slabs and
-// chunks reach their peaks, not per node — each byte once, as the slabs
-// grow by chunks of the chunked store (internal/slab) that are never
-// copied — and a node admitted into a
-// departed node's slot resets that peer in place (Reset) and allocates
-// nothing at all. A peer built alone (NewPeer, NewSourcePeer) gets a
-// private Table of small chunks: it pays for its blocks about what it
-// would pay to allocate them, and its table lends and counts them (InUse)
-// as a shared one does. Over a plain Env — the
+// The scratch and the blocks behind every variable-size part of a peer —
+// known bits, batch buffers, propose queue, receiver, partner list —
+// belong to a Table (table.go), which the simulation shares among the
+// peers of an engine shard: a run allocates as the shard's pools reach
+// their peaks, not per node — each byte once, as the pools grow by chunks
+// of the chunked store (internal/slab) that are never copied — and a node
+// admitted into a departed node's slot resets that peer in place (Reset)
+// and allocates nothing at all. A peer built alone (NewPeer,
+// NewSourcePeer) gets a private Table of small chunks: it pays for its
+// blocks about what it would pay to allocate them, and its table lends and
+// counts them (InUse) as a shared one does. Over a plain Env — the
 // real-time driver, any wrapper of Env's five methods — the adapter boxes
 // what the same code sends: one exactly sized id list and one box per
 // PROPOSE chunk and per REQUEST, SERVE batches from wire's pool, and the
@@ -78,13 +77,11 @@ package core
 
 import (
 	"fmt"
-	"math/bits"
 	"math/rand"
 	"slices"
 	"time"
 
 	"gossipstream/internal/member"
-	"gossipstream/internal/slab"
 	"gossipstream/internal/stream"
 	"gossipstream/internal/wire"
 )
@@ -252,150 +249,26 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// requestState tracks the retransmission lifecycle of one packet id: a
-// by-value record in the table's request slab, held from the first REQUEST
-// until the packet is delivered or its K-th request is spent, and always in
-// an armed batch meanwhile. With MaxRequests = 1 no id gets one. Under
-// RetryRandomProposer record i's proposers are stored in the table's
-// proposer slab (Table.proposer), the first nproposers of them valid; the
-// default policy never reads them.
-type requestState struct {
-	requests   int32 // REQUESTs issued so far (K cap)
-	nproposers int32
-	// batch is the slab index plus one of the armed batch that will check
-	// on the id.
-	batch uint32
-	id    stream.PacketID
-	// prev and next link the record into its batch's list (request-slab
-	// indexes plus one, zero at either end). Before a batch takes them,
-	// the records a PROPOSE or a retransmission check made chain through
-	// next in request order; a free record chains the free list through
-	// next.
-	prev, next uint32
-}
-
-// reqIndex maps the id of every live request record to the record. It is
-// an open-addressing table with linear probing over a power-of-two number
-// of slots, each holding (id+1)<<32 | ri (ri the record's slab index plus
-// one) or zero when empty, so a probe compares keys without loading a
-// record; every id but the largest PacketID has a key, and a peer only
-// indexes ids inside its stream. It doubles before it passes half full,
-// and a deletion shifts the rest of its probe run back rather than leaving
-// a tombstone, so a lookup stops at the first empty slot. The small
-// fields come last, so the index packs into 48 bytes.
-type reqIndex struct {
-	slots []uint64
-	n     int // occupied slots
-	// pool lends the slots a doubling moves to and takes back the old
-	// ones.
-	pool  *slab.Pool[uint64]
-	h     uint32 // the slots' block handle in pool
-	shift uint8  // 64 - log2(len(slots)): home keeps the hash's top bits
-}
-
-// newReqIndex returns an empty index over slots, whose length must be a
-// power of two of at least 2; the slots must be zero. Before the index
-// can grow, its owner sets the pool and the handle the slots came with.
-func newReqIndex(slots []uint64) reqIndex {
-	return reqIndex{slots: slots, shift: uint8(64 - bits.TrailingZeros(uint(len(slots))))}
-}
-
-// fib is the Fibonacci hashing multiplier, 2^64 / φ.
-const fib = 0x9E3779B97F4A7C15
-
-// home returns id's first probe. Ids are hashed eight at a time: id>>3
-// picks a group of eight slots by Fibonacci hashing, so the runs of
-// consecutive ids a peer requests spread over the table, and id&7 the
-// slot within it, so the eight ids that share a group share a 64-byte
-// line and a PROPOSE's consecutive ids touch a line per eight. A table of
-// fewer than eight slots hashes each id on its own.
-func (x *reqIndex) home(id stream.PacketID) int {
-	if x.shift > 61 {
-		return int((uint64(id) * fib) >> x.shift)
-	}
-	return int((uint64(id>>3)*fib)>>(x.shift+3))<<3 | int(id&7)
-}
-
-// get returns the record of id, or zero when id has none.
-func (x *reqIndex) get(id stream.PacketID) uint32 {
-	key, mask := uint64(id)+1, len(x.slots)-1
-	for i := x.home(id); ; i = (i + 1) & mask {
-		s := x.slots[i]
-		if s>>32 == key {
-			return uint32(s)
-		}
-		if s == 0 {
-			return 0
-		}
-	}
-}
-
-// put records ri as the record of id, which has none.
-func (x *reqIndex) put(id stream.PacketID, ri uint32) {
-	if 2*(x.n+1) > len(x.slots) {
-		old, oldH := x.slots, x.h
-		x.h, x.slots = x.pool.Get(2 * len(old))
-		x.shift--
-		for _, s := range old {
-			if s != 0 {
-				x.insert(s)
-			}
-		}
-		x.pool.Put(oldH, cap(old))
-	}
-	x.insert((uint64(id)+1)<<32 | uint64(ri))
-	x.n++
-}
-
-// insert stores slot value s at the first empty slot of its probe run.
-func (x *reqIndex) insert(s uint64) {
-	mask := len(x.slots) - 1
-	i := x.home(stream.PacketID(s>>32 - 1))
-	for x.slots[i] != 0 {
-		i = (i + 1) & mask
-	}
-	x.slots[i] = s
-}
-
-// del removes id's record, if it has one. Each later slot of the probe
-// run whose home does not lie cyclically in (hole, slot] moves back into
-// the hole, which then moves to where it was.
-func (x *reqIndex) del(id stream.PacketID) {
-	key, mask := uint64(id)+1, len(x.slots)-1
-	hole := x.home(id)
-	for x.slots[hole]>>32 != key {
-		if x.slots[hole] == 0 {
-			return
-		}
-		hole = (hole + 1) & mask
-	}
-	for j := (hole + 1) & mask; x.slots[j] != 0; j = (j + 1) & mask {
-		if h := x.home(stream.PacketID(x.slots[j]>>32 - 1)); (j-h)&mask >= (j-hole)&mask {
-			x.slots[hole] = x.slots[j]
-			hole = j
-		}
-	}
-	x.slots[hole] = 0
-	x.n--
-}
-
-// retBatch is one pending retransmission check in the table's
-// retransmission slab: the ids a peer requested together from proposer, to
-// be looked at again at due. Its undelivered ids form a list, in arm
-// order, through their request records, head the first; the SERVE that
-// empties the list frees the slot, so a batch that reaches its deadline
-// always has something to ask about. The peer's armed batches form a list
-// of their own through prev and next (batch-slab indexes plus one, zero at
-// either end), which its earliest-deadline scan and Stop walk. A free slot
-// chains the free list through head. stamp is the peer's arm order, which
-// breaks ties between its batches due at the same instant.
+// retBatch is one armed retransmission check, a header in its peer's batch
+// buffer (Peer.batches): the ids the peer requested together from
+// proposer, to be looked at again at due. The batch owns its ids,
+// batchIDs[lo:hi] of its peer, in request order, and under
+// RetryRandomProposer their proposer lists. requests is how many REQUESTs
+// each of them has had — one count for all, as a batch's ids are requested
+// together and re-requested together — and zero once the batch is done
+// with. A SERVE does not touch the batch: lo moves past the ids found
+// delivered whenever the peer looks at it, and a batch found with none
+// left is retired then — by the round tick when it is the oldest, by the
+// retransmission timer's earliest-deadline scan, by a compaction or by
+// Stop. A check that re-requests keeps the undelivered ids in place and
+// re-arms the batch; stamp, the peer's arm order, breaks ties between
+// batches due at the same instant.
 type retBatch struct {
-	head       uint32
-	prev, next uint32
-	due        time.Duration
-	stamp      uint64
-	proposer   wire.NodeID
-	armed      bool
+	due      time.Duration
+	stamp    uint64
+	proposer wire.NodeID
+	requests int32
+	lo, hi   uint32
 }
 
 // Counters exposes protocol-level statistics of a peer.
@@ -411,8 +284,8 @@ type Counters struct {
 	// RetChecks counts the batches that reached their deadline with an id
 	// still missing and were examined, RetIdleWakeups the retransmission
 	// timers that fired with nothing due (superseded, or every batch they
-	// were armed for already served), RetBatchesRetired the batches a
-	// SERVE completed and freed before their deadline.
+	// were armed for already served), RetBatchesRetired the batches whose
+	// every id was delivered before their deadline.
 	RetChecks         int
 	RetIdleWakeups    int
 	RetBatchesRetired int
@@ -423,8 +296,8 @@ type Counters struct {
 //
 // Peer methods are not safe for concurrent use; drivers serialize calls.
 type Peer struct {
-	// tab holds the peer's request records, batches and scratch, and lends
-	// it the blocks behind known, index, toPropose, recv and view.
+	// tab holds the peer's scratch and lends it the blocks behind known,
+	// the batch buffers, toPropose, recv and view.
 	tab     *Table
 	env     Env
 	cfg     Config
@@ -444,18 +317,22 @@ type Peer struct {
 	// requested: handlePropose requests exactly the ids whose bit is clear.
 	// Stop clears the bits of the ids it gives up on.
 	known []uint64
-	// index finds an id's request record; only ids being retried have one.
-	// Only ids requested, undelivered and with requests left hold a
-	// record, so a peer holds a few rounds' worth of them however long the
-	// stream.
-	index reqIndex
-	// blocks holds the handles of the peer's blocks in its table's pools
-	// (the index keeps its own).
+	// batches holds the headers of the peer's armed batches in arm order,
+	// live from batchHead on (a batch before it is done with), and
+	// batchIDs the ids they own, each batch a range of it in the same
+	// order. Under RetryRandomProposer proposers holds each id's proposer
+	// list, stride MaxProposers+1 per id of batchIDs: the count, then the
+	// proposers. An append that finds a buffer full compacts them
+	// (makeRoom); Stop empties them. So a peer holds the batches of about
+	// one retransmission period however long the stream.
+	batches   []retBatch
+	batchHead int
+	batchIDs  []stream.PacketID
+	proposers []wire.NodeID
+	// retStamp is the arm order of the newest batch.
+	retStamp uint64
+	// blocks holds the handles of the peer's blocks in its table's pools.
 	blocks peerBlocks
-	// batchHead is the first of the peer's armed batches (slab index plus
-	// one, zero when none), retStamp the arm order of its newest batch.
-	batchHead uint32
-	retStamp  uint64
 	// One retransmission timer serves every batch: retGen is the generation
 	// of the newest one armed, retArmed whether it is still in flight and
 	// retDue when it fires. A batch due earlier than retDue arms a new
@@ -477,10 +354,11 @@ type Peer struct {
 }
 
 // peerBlocks are the handles of a peer's blocks: its known bits, its
-// propose queue, its receiver's delivery bits and window states, and its
-// partner list.
+// propose queue, its receiver's delivery bits and window states, its
+// partner list and its three batch buffers.
 type peerBlocks struct {
 	known, propose, seen, windows, partners uint32
+	batches, batchIDs, proposers            uint32
 }
 
 // privatePeer is a peer together with the table it alone uses.
@@ -509,11 +387,6 @@ func NewSourcePeer(env Env, cfg Config, sampler member.Sampler, src *stream.Sour
 	}
 	return &pp.Peer, nil
 }
-
-// initialIndexSlots is the request index's first size, which covers the
-// ids a peer has in flight at the paper's rates until it doubles once or
-// twice.
-const initialIndexSlots = 64
 
 // Reset makes p, in place, the ordinary peer NewPeer(env, cfg, sampler,
 // layout) would return, on tab. p may be the zero Peer, or a peer that ran
@@ -554,9 +427,6 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 	if err := layout.Validate(); err != nil {
 		return err
 	}
-	if cfg.Retry == RetryRandomProposer && !tab.setStride(cfg.MaxProposers) {
-		return fmt.Errorf("core: MaxProposers = %d on a table whose peers keep %d", cfg.MaxProposers, tab.stride)
-	}
 	fanout := cfg.Fanout
 	if src != nil {
 		fanout = cfg.SourceFanout
@@ -564,15 +434,12 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 	total := layout.TotalPackets()
 	words := (total + 63) / 64
 	b := p.blocks
-	known, index, indexH := p.known, p.index.slots, p.index.h
+	known := p.known
 	if len(known) == words {
 		clear(known)
 	} else {
 		tab.words.Put(b.known, cap(known))
 		b.known, known = tab.words.Get(words)
-	}
-	if index == nil { // else Stop has emptied it
-		indexH, index = tab.words.Get(initialIndexSlots)
 	}
 	seen, windows := p.recv.Backings()
 	if len(seen) == stream.SeenWords(layout) && len(windows) == layout.Windows {
@@ -600,11 +467,12 @@ func (p *Peer) reset(tab *Table, env Env, cfg Config, sampler member.Sampler, la
 		payloadBytes: layout.PayloadBytes,
 		toPropose:    p.toPropose[:0],
 		known:        known,
-		index:        newReqIndex(index),
+		batches:      p.batches, // Stop has emptied the batch buffers
+		batchIDs:     p.batchIDs,
+		proposers:    p.proposers,
 		blocks:       b,
 		layoutTotal:  total,
 	}
-	p.index.h, p.index.pool = indexH, &tab.words
 	return nil
 }
 
@@ -615,11 +483,13 @@ func (p *Peer) release() {
 	t, b := p.tab, p.blocks
 	seen, windows := p.recv.Backings()
 	t.words.Put(b.known, cap(p.known))
-	t.words.Put(p.index.h, cap(p.index.slots))
 	t.words.Put(b.seen, cap(seen))
 	t.windows.Put(b.windows, cap(windows))
 	t.ids.Put(b.propose, cap(p.toPropose))
 	t.nodes.Put(b.partners, cap(p.view.Buffer()))
+	t.batches.Put(b.batches, cap(p.batches))
+	t.ids.Put(b.batchIDs, cap(p.batchIDs))
+	t.nodes.Put(b.proposers, cap(p.proposers))
 	*p = Peer{}
 }
 
@@ -640,28 +510,33 @@ func (p *Peer) Start() {
 }
 
 // Stop halts gossip rounds and drops the pending retransmissions: every
-// armed batch is freed together with the request records of its
-// undelivered ids, whose known bits it clears, so that a PROPOSE after a
-// restart requests them afresh instead of finding them "already requested"
-// with no timer left to retry them. Already in-flight messages still
-// arrive; handlers on a stopped peer are no-ops. Stop cancels no timer: the
-// pending tick fires to find an old epoch, a retransmission timer to find
-// retArmed false.
+// armed batch is let go — retired if all its ids were delivered, else
+// with the known bits of its undelivered ids cleared, so that a PROPOSE
+// after a restart requests them afresh instead of finding them "already
+// requested" with no timer left to retry them — and the batch buffers are
+// emptied. Already in-flight messages still arrive; handlers on a stopped
+// peer are no-ops. Stop cancels no timer: the pending tick fires to find
+// an old epoch, a retransmission timer to find retArmed false.
 func (p *Peer) Stop() {
 	p.running = false
 	p.retArmed = false
-	t := p.tab
-	for p.batchHead != 0 {
-		bi := p.batchHead
-		for ri := t.batch(bi).head; ri != 0; {
-			st := t.req(ri)
-			next := st.next
-			p.known[st.id/64] &^= 1 << (st.id % 64)
-			p.dropRequest(ri)
-			ri = next
+	for i := p.batchHead; i < len(p.batches); i++ {
+		b := &p.batches[i]
+		if b.requests == 0 {
+			continue
 		}
-		p.freeBatch(bi)
+		if !p.pending(b) {
+			p.retire(b)
+			continue
+		}
+		for _, id := range p.batchIDs[b.lo:b.hi] {
+			if !p.recv.Has(id) {
+				p.known[id/64] &^= 1 << (id % 64)
+			}
+		}
+		p.drop(b)
 	}
+	p.emptyBatches()
 }
 
 // armTick schedules the next gossip round.
@@ -688,17 +563,32 @@ func (p *Peer) OnTimer(kind uint8, arg uint32) {
 // Receiver exposes per-window delivery state for metrics.
 func (p *Peer) Receiver() *stream.Receiver { return &p.recv }
 
-// Counters returns a snapshot of protocol statistics.
-func (p *Peer) Counters() Counters { return p.counters }
-
-// InFlight reports the peer's share of its table: the ids it awaits with
-// a retransmission pending, each holding a request record, and the
-// batches armed to check on them.
-func (p *Peer) InFlight() (ids, batches int) {
-	for bi := p.batchHead; bi != 0; bi = p.tab.batch(bi).next {
-		batches++
+// Counters returns a snapshot of protocol statistics. An armed batch
+// whose ids have all been delivered counts as retired already, though the
+// peer has not yet looked at it.
+func (p *Peer) Counters() Counters {
+	c := p.counters
+	for i := p.batchHead; i < len(p.batches); i++ {
+		b := &p.batches[i]
+		if b.requests != 0 && p.delivered(b) {
+			c.RetBatchesRetired++
+		}
 	}
-	return p.index.n, batches
+	return c
+}
+
+// InFlight reports the peer's share of what its table counts (InUse): the
+// ids and batches it holds for a retransmission check — the batches armed
+// and not yet retired, and the ids they own that the peer has not yet
+// found delivered.
+func (p *Peer) InFlight() (ids, batches int) {
+	for i := p.batchHead; i < len(p.batches); i++ {
+		if b := &p.batches[i]; b.requests != 0 {
+			ids += int(b.hi - b.lo)
+			batches++
+		}
+	}
+	return ids, batches
 }
 
 // IsSource reports whether this peer publishes the stream.
@@ -711,6 +601,7 @@ func (p *Peer) tick() {
 	}
 	p.round++
 	p.counters.Rounds++
+	p.trimBatches()
 
 	if p.source != nil {
 		p.publishNew()
@@ -847,77 +738,215 @@ func (p *Peer) handlePropose(from wire.NodeID, ids []stream.PacketID) {
 	if p.source != nil {
 		return // the source already has everything
 	}
-	// The ids to request collect in scratch, and their records — when a
-	// retransmission will need them — in a chain, which armBatch takes.
+	// The ids to request collect in a new batch opened at the end of the
+	// batch buffers, which the deadline drawn after the REQUESTs arms — or
+	// in scratch when no retransmission will need them (K = 1).
 	t := p.tab
 	fresh := t.idScratch[:0]
-	var head, tail uint32
+	retry := p.cfg.MaxRequests > 1
+	random := retry && p.cfg.Retry == RetryRandomProposer
+	stride := p.proposerStride()
+	if retry {
+		p.makeRoom(len(ids))
+	}
+	open := len(p.batchIDs)
 	for _, id := range ids {
 		if int(id) >= p.layoutTotal {
 			continue
 		}
-		ri := uint32(0)
 		if word, bit := &p.known[id/64], uint64(1)<<(id%64); *word&bit == 0 {
 			*word |= bit
-			//lint:pooled idScratch is the table's scratch, reused by every PROPOSE
-			fresh = append(fresh, id)
-			if p.cfg.MaxRequests == 1 {
-				continue // never retried: nothing to record
-			}
-			ri = p.newRequest(id)
-			if tail == 0 {
-				head = ri
-			} else {
-				t.req(tail).next = ri
-			}
-			tail = ri
-		}
-		if p.cfg.Retry != RetryRandomProposer {
-			continue // only the random policy ever reads the proposer lists
-		}
-		if ri == 0 {
-			// Delivered, or requested with no retry left, when it has no
-			// record.
-			if ri = p.index.get(id); ri == 0 {
+			if !retry {
+				//lint:pooled idScratch is the table's scratch, reused by every PROPOSE
+				fresh = append(fresh, id)
 				continue
 			}
+			//lint:pooled makeRoom left the buffer room for every id of the PROPOSE
+			p.batchIDs = append(p.batchIDs, id)
+			if random {
+				n := len(p.proposers)
+				p.proposers = p.proposers[:n+stride]
+				p.proposers[n], p.proposers[n+1] = 1, from
+			}
+			continue
 		}
-		if st := t.req(ri); int(st.nproposers) < p.cfg.MaxProposers {
-			*t.proposer(ri, int(st.nproposers)) = from
-			st.nproposers++
+		// Only the random policy ever reads the proposer lists, and only an
+		// id requested, undelivered and with requests left has one: in the
+		// batch this PROPOSE opens or in a live one.
+		if !random || p.recv.Has(id) {
+			continue
+		}
+		if list := p.proposerList(id, open); list != nil && int(list[0]) < p.cfg.MaxProposers {
+			list[0]++
+			list[list[0]] = from
 		}
 	}
 	t.idScratch = fresh[:0]
+	if retry {
+		fresh = p.batchIDs[open:]
+	}
 	if len(fresh) == 0 {
 		return
 	}
 	p.sendRequests(from, fresh)
-	if head != 0 {
-		p.wakeBy(p.armBatch(from, head))
+	if retry {
+		//lint:pooled makeRoom left the buffer room for one more batch
+		p.batches = append(p.batches, retBatch{proposer: from, requests: 1, lo: uint32(open), hi: uint32(len(p.batchIDs))})
+		t.liveIDs += len(fresh)
+		t.liveBatches++
+		p.wakeBy(p.arm(&p.batches[len(p.batches)-1]))
 	}
 }
 
-// newRequest takes a record from the table's request slab for id,
-// requested for the first time, enters it in the index, and returns its
-// index plus one.
-func (p *Peer) newRequest(id stream.PacketID) uint32 {
-	ri := p.tab.newRequest(id)
-	p.index.put(id, ri)
-	return ri
+// proposerStride is the length of an id's proposer list in the proposers
+// buffer: its count and MaxProposers proposers under RetryRandomProposer,
+// zero under the default policy, which keeps none.
+func (p *Peer) proposerStride() int {
+	if p.cfg.Retry != RetryRandomProposer {
+		return 0
+	}
+	return p.cfg.MaxProposers + 1
 }
 
-// dropRequest takes request record ri (slab index plus one) out of the
-// index and returns it to the table: the packet was delivered, its K-th
-// request is spent, or a Stop gave up on it.
-func (p *Peer) dropRequest(ri uint32) {
-	p.index.del(p.tab.req(ri).id)
-	p.tab.freeRequest(ri)
+// proposerList returns the proposer list of id, which is known and not
+// delivered, from the batch being opened at batchIDs[open:] or else from
+// the live batch that owns it, looked for newest first; nil when no batch
+// does (its K requests are spent). An id is owned by one batch at most.
+func (p *Peer) proposerList(id stream.PacketID, open int) []wire.NodeID {
+	at := -1
+	if i := slices.Index(p.batchIDs[open:], id); i >= 0 {
+		at = open + i
+	}
+	for i := len(p.batches) - 1; at < 0 && i >= p.batchHead; i-- {
+		if b := &p.batches[i]; b.requests != 0 {
+			if j := slices.Index(p.batchIDs[b.lo:b.hi], id); j >= 0 {
+				at = int(b.lo) + j
+			}
+		}
+	}
+	if at < 0 {
+		return nil
+	}
+	stride := p.proposerStride()
+	return p.proposers[at*stride : (at+1)*stride]
+}
+
+// The first blocks of the batch buffers: a few rounds' worth of batches
+// and of their ids at the paper's rates.
+const (
+	minBatchBlock   = 16
+	minBatchIDBlock = 64
+)
+
+// makeRoom sees that the batch buffers take one more batch of up to n ids.
+// When they would not, it compacts them, and a buffer that still lacks
+// the room, or is more than half full, doubles: so a compaction frees at
+// least half the buffer for the appends that follow it.
+func (p *Peer) makeRoom(n int) {
+	stride := p.proposerStride()
+	if len(p.batches) < cap(p.batches) && len(p.batchIDs)+n <= cap(p.batchIDs) && len(p.proposers)+n*stride <= cap(p.proposers) {
+		return
+	}
+	p.compactBatches()
+	t, b := p.tab, &p.blocks
+	b.batches, p.batches = t.batches.Grow(b.batches, p.batches, max(1, len(p.batches)), minBatchBlock)
+	b.batchIDs, p.batchIDs = t.ids.Grow(b.batchIDs, p.batchIDs, max(n, len(p.batchIDs)), minBatchIDBlock)
+	if stride > 0 {
+		b.proposers, p.proposers = t.nodes.Grow(b.proposers, p.proposers, cap(p.batchIDs)*stride-len(p.proposers), minBatchIDBlock*stride)
+	}
+}
+
+// compactBatches moves the live batches to the front of the batch buffers
+// in arm order, their ids and proposer lists with them, dropping the
+// batches done with and retiring those whose ids have all been delivered.
+func (p *Peer) compactBatches() {
+	stride := p.proposerStride()
+	kept, at := 0, uint32(0)
+	for i := p.batchHead; i < len(p.batches); i++ {
+		b := p.batches[i]
+		if b.requests == 0 {
+			continue
+		}
+		if !p.pending(&b) {
+			p.retire(&b)
+			continue
+		}
+		n := b.hi - b.lo
+		copy(p.batchIDs[at:], p.batchIDs[b.lo:b.hi])
+		if stride > 0 {
+			copy(p.proposers[int(at)*stride:], p.proposers[int(b.lo)*stride:int(b.hi)*stride])
+		}
+		b.lo, b.hi, at = at, at+n, at+n
+		p.batches[kept] = b
+		kept++
+	}
+	p.batches, p.batchIDs, p.proposers = p.batches[:kept], p.batchIDs[:at], p.proposers[:int(at)*stride]
+	p.batchHead = 0
+}
+
+// emptyBatches empties the batch buffers, whose batches are all done with.
+func (p *Peer) emptyBatches() {
+	p.batches, p.batchIDs, p.proposers = p.batches[:0], p.batchIDs[:0], p.proposers[:0]
+	p.batchHead = 0
+}
+
+// trimBatches lets go of the oldest batches while they are done with or
+// have had all their ids delivered, and empties the buffers once none is
+// left.
+func (p *Peer) trimBatches() {
+	for ; p.batchHead < len(p.batches); p.batchHead++ {
+		b := &p.batches[p.batchHead]
+		if b.requests != 0 {
+			if p.pending(b) {
+				return
+			}
+			p.retire(b)
+		}
+	}
+	p.emptyBatches()
+}
+
+// pending moves b's lo past the ids delivered since the peer last looked
+// and reports whether b still has an id to ask about. Delivery is never
+// undone, so each id is looked past once.
+func (p *Peer) pending(b *retBatch) bool {
+	lo := b.lo
+	for b.lo < b.hi && p.recv.Has(p.batchIDs[b.lo]) {
+		b.lo++
+	}
+	p.tab.liveIDs -= int(b.lo - lo)
+	return b.lo < b.hi
+}
+
+// delivered reports whether every id of b has been delivered.
+func (p *Peer) delivered(b *retBatch) bool {
+	for _, id := range p.batchIDs[b.lo:b.hi] {
+		if !p.recv.Has(id) {
+			return false
+		}
+	}
+	return true
+}
+
+// retire lets go of b, whose ids have all been delivered before its
+// deadline.
+func (p *Peer) retire(b *retBatch) {
+	p.counters.RetBatchesRetired++
+	p.drop(b)
+}
+
+// drop marks b done with and takes it and the ids it holds out of the
+// table's count.
+func (p *Peer) drop(b *retBatch) {
+	p.tab.liveIDs -= int(b.hi - b.lo)
+	p.tab.liveBatches--
+	b.requests = 0
 }
 
 // queuePropose queues id, delivered, for the next round's PROPOSEs. The
 // queue's block grows to a round's worth of ids and is kept.
 func (p *Peer) queuePropose(id stream.PacketID) {
-	p.blocks.propose, p.toPropose = p.tab.ids.Grow(p.blocks.propose, p.toPropose, minProposeBlock)
+	p.blocks.propose, p.toPropose = p.tab.ids.Grow(p.blocks.propose, p.toPropose, 1, minProposeBlock)
 	//lint:pooled grow gave the block room for id
 	p.toPropose = append(p.toPropose, id)
 }
@@ -926,49 +955,20 @@ func (p *Peer) queuePropose(id stream.PacketID) {
 // ids at the paper's rates.
 const minProposeBlock = 32
 
-// armBatch records a retransmission check for the ids just requested from
-// proposer (lines 14–15), whose records chain through next from head in
-// request order, and returns when it is due; the chain becomes the batch's
-// list. The delay is jittered over [1.0,
-// 1.5]×RetPeriod: a burst of requesters dropped together at one congested
-// uplink must not retry in lock-step or they re-create the very burst that
-// dropped them. Jitter only extends the delay — RetPeriod is chosen to exceed the worst-case
+// arm sets b's deadline for its ids, just requested (lines 14–15), and
+// returns it. The delay is jittered over [1.0, 1.5]×RetPeriod: a burst of
+// requesters dropped together at one congested uplink must not retry in
+// lock-step or they re-create the very burst that dropped them. Jitter
+// only extends the delay — RetPeriod is chosen to exceed the worst-case
 // honest delivery time, and firing earlier than that turns
 // queued-but-coming serves into duplicates. The deadline stays in the
 // batch; the caller sees to it that the peer's timer fires by then
 // (wakeBy).
-func (p *Peer) armBatch(proposer wire.NodeID, head uint32) (due time.Duration) {
+func (p *Peer) arm(b *retBatch) (due time.Duration) {
 	delay := time.Duration(float64(p.cfg.RetPeriod) * (1.0 + 0.5*p.env.Rand().Float64()))
-	t := p.tab
-	bi := t.newBatch() // index plus one
 	p.retStamp++
-	b := t.batch(bi)
-	*b = retBatch{head: head, next: p.batchHead, due: p.env.Now() + delay, stamp: p.retStamp, proposer: proposer, armed: true}
-	if p.batchHead != 0 {
-		t.batch(p.batchHead).prev = bi
-	}
-	p.batchHead = bi
-	for prev, ri := uint32(0), head; ri != 0; prev, ri = ri, t.req(ri).next {
-		st := t.req(ri)
-		st.batch, st.prev = bi, prev
-	}
+	b.due, b.stamp = p.env.Now()+delay, p.retStamp
 	return b.due
-}
-
-// freeBatch takes batch bi (slab index plus one) off the peer's list and
-// returns it to the table.
-func (p *Peer) freeBatch(bi uint32) {
-	t := p.tab
-	b := t.batch(bi)
-	if b.prev != 0 {
-		t.batch(b.prev).next = b.next
-	} else {
-		p.batchHead = b.next
-	}
-	if b.next != 0 {
-		t.batch(b.next).prev = b.prev
-	}
-	t.freeBatch(bi)
 }
 
 // wakeBy makes sure the peer's retransmission timer fires no later than
@@ -984,18 +984,28 @@ func (p *Peer) wakeBy(due time.Duration) {
 	p.flat.AfterTimer(due-p.env.Now(), timerRetransmit, p.retGen)
 }
 
-// earliestBatch returns the armed batch due first (slab index plus one,
-// zero when none), ties in arm order. A peer holds a handful of armed
-// batches at a time, so it walks its list.
-func (p *Peer) earliestBatch() (first uint32) {
-	t := p.tab
-	var f *retBatch // batch first; the slab's chunks never move
-	for bi := p.batchHead; bi != 0; {
-		b := t.batch(bi)
-		if f == nil || b.due < f.due || b.due == f.due && b.stamp < f.stamp {
-			first, f = bi, b
+// earliestBatch returns the index in batches of the live batch with an id
+// still to ask about that is due first, ties in arm order, or -1 when
+// there is none; the batches it finds fully delivered on the way it
+// retires. A peer holds a few dozen batches at a time, so it walks them.
+func (p *Peer) earliestBatch() (first int) {
+	p.trimBatches()
+	first = -1
+	for i := p.batchHead; i < len(p.batches); i++ {
+		b := &p.batches[i]
+		if b.requests == 0 {
+			continue
 		}
-		bi = b.next
+		if !p.pending(b) {
+			p.retire(b)
+			continue
+		}
+		if first >= 0 {
+			if f := &p.batches[first]; f.due < b.due || f.due == b.due && f.stamp < b.stamp {
+				continue
+			}
+		}
+		first = i
 	}
 	return first
 }
@@ -1005,7 +1015,7 @@ func (p *Peer) earliestBatch() (first uint32) {
 // that is due, in (deadline, arm order) order — the order a timer per
 // batch would have fired them in — and arms the timer once for the
 // earliest batch left. Arming waits for the end because each check that
-// re-requests arms a batch of its own.
+// re-requests re-arms its batch.
 func (p *Peer) retTimerFired(gen uint32) {
 	if gen != p.retGen || !p.retArmed {
 		p.counters.RetIdleWakeups++
@@ -1013,67 +1023,64 @@ func (p *Peer) retTimerFired(gen uint32) {
 	}
 	p.retArmed = false
 	now, checked := p.env.Now(), false
-	for bi := p.earliestBatch(); bi != 0; bi = p.earliestBatch() {
-		if due := p.tab.batch(bi).due; due > now {
+	for i := p.earliestBatch(); i >= 0; i = p.earliestBatch() {
+		if due := p.batches[i].due; due > now {
 			p.wakeBy(due)
 			break
 		}
 		checked = true
-		p.retransmit(bi)
+		p.retransmit(&p.batches[i])
 	}
 	if !checked {
 		p.counters.RetIdleWakeups++
 	}
 }
 
-// retransmit runs the retransmission check of batch bi (slab index plus
-// one), which is due: it
-// returns the slot and re-requests the batch's still-missing ids,
-// respecting the K = MaxRequests cap (line 25) — an id that has used its K
-// requests gives its record up here, and its known bit keeps it from being
-// requested again. The target is the original proposer
+// retransmit runs the retransmission check of batch b, which is due and
+// has an id still undelivered: it re-requests the batch's undelivered ids,
+// respecting the K = MaxRequests cap (line 25) — a batch whose ids have
+// used their K requests is dropped here, and their known bits keep them
+// from being requested again. The target is the original proposer
 // (RetrySameProposer, replaying the PROPOSE as the pseudocode does) or a
-// random recorded one. The ids re-requested form a new batch; seeing that
-// the timer fires for it is the caller's.
+// random recorded one. The batch keeps the ids re-requested, in order, and
+// is armed anew; seeing that the timer fires for it is the caller's.
 //
 //lint:hot stays audited however the timer entry reaches it
-func (p *Peer) retransmit(bi uint32) {
+func (p *Peer) retransmit(b *retBatch) {
 	p.counters.RetChecks++
+	if int(b.requests) >= p.cfg.MaxRequests {
+		p.drop(b)
+		return
+	}
+	b.requests++
 	t := p.tab
-	b := t.batch(bi)
-	proposer := b.proposer
-	// retry collects the ids to request again, targets[i] where retry[i]
-	// goes; their records stay chained, head to tail, for the next batch.
-	retry, targets := t.idScratch[:0], t.retTargets[:0]
-	var head, tail uint32
-	for ri, next := b.head, uint32(0); ri != 0; ri = next {
-		st := t.req(ri)
-		next = st.next
-		if int(st.requests) >= p.cfg.MaxRequests {
-			p.dropRequest(ri)
+	stride := p.proposerStride()
+	// The batch keeps the ids to request again, its undelivered ones, at
+	// the front of its range; targets[i] is where the i-th of them goes.
+	targets := t.retTargets[:0]
+	kept := b.lo
+	for i := b.lo; i < b.hi; i++ {
+		id := p.batchIDs[i]
+		if p.recv.Has(id) {
 			continue
 		}
-		if tail == 0 {
-			head = ri
-		} else {
-			t.req(tail).next = ri
+		p.batchIDs[kept] = id
+		target := b.proposer
+		if stride > 0 {
+			list := p.proposers[int(kept)*stride : int(kept+1)*stride]
+			copy(list, p.proposers[int(i)*stride:int(i+1)*stride])
+			if list[0] > 0 {
+				target = list[1+p.env.Rand().Intn(int(list[0]))]
+			}
 		}
-		st.next, tail = 0, ri
-		st.requests++
-		target := proposer
-		if p.cfg.Retry == RetryRandomProposer && st.nproposers > 0 {
-			target = *t.proposer(ri, p.env.Rand().Intn(int(st.nproposers)))
-		}
-		//lint:pooled idScratch is the table's scratch, reused by every retransmission
-		retry = append(retry, st.id)
+		kept++
 		//lint:pooled retTargets is the table's scratch, reused by every retransmission
 		targets = append(targets, target)
 	}
-	t.idScratch, t.retTargets = retry[:0], targets[:0]
-	p.freeBatch(bi) // the ids still wanted are in retry; the next batch may take the slot
-	if len(retry) == 0 {
-		return
-	}
+	t.liveIDs -= int(b.hi - kept)
+	b.hi = kept
+	t.retTargets = targets[:0]
+	retry := p.batchIDs[b.lo:b.hi]
 	// Targets are served in first-use order, each with its ids in batch
 	// order: send order feeds uplink queues and event sequence numbers, so
 	// it must be a pure function of the batch.
@@ -1085,7 +1092,7 @@ func (p *Peer) retransmit(bi uint32) {
 		if count(targets[i:], target) < len(retry) {
 			if cap(t.targetScratch) < len(retry) {
 				//lint:pooled the table's scratch grows to the longest retry list, then is reused
-				t.targetScratch = make([]stream.PacketID, 0, cap(retry))
+				t.targetScratch = make([]stream.PacketID, 0, len(retry))
 			}
 			toTarget = t.targetScratch[:0]
 			for j := i; j < len(targets); j++ {
@@ -1097,7 +1104,7 @@ func (p *Peer) retransmit(bi uint32) {
 		}
 		p.counters.Retransmissions += p.sendRequests(target, toTarget)
 	}
-	p.armBatch(proposer, head)
+	p.arm(b)
 }
 
 // count returns how many elements of s equal v.
@@ -1146,25 +1153,5 @@ func (p *Peer) handleServe(ids []stream.PacketID) {
 		}
 		p.known[id/64] |= 1 << (id % 64)
 		p.queuePropose(id)
-		if ri := p.index.get(id); ri != 0 { // retransmission state no longer needed
-			// The batch is one id closer to done; the last one retires it,
-			// and no timer will ever look at it.
-			t := p.tab
-			st := t.req(ri)
-			b := t.batch(st.batch)
-			if st.prev != 0 {
-				t.req(st.prev).next = st.next
-			} else {
-				b.head = st.next
-			}
-			if st.next != 0 {
-				t.req(st.next).prev = st.prev
-			}
-			if b.head == 0 {
-				p.freeBatch(st.batch)
-				p.counters.RetBatchesRetired++
-			}
-			p.dropRequest(ri)
-		}
 	}
 }

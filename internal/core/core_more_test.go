@@ -131,18 +131,14 @@ func TestMaxProposersBounded(t *testing.T) {
 	for from := wire.NodeID(1); from <= 8; from++ {
 		h.peer.HandleMessage(from, wire.Propose{IDs: []stream.PacketID{0}})
 	}
-	ri := h.peer.index.get(0)
-	if ri == 0 {
-		t.Fatal("no request state recorded")
+	list := h.peer.proposerList(0, len(h.peer.batchIDs))
+	if list == nil {
+		t.Fatal("no proposer list recorded")
 	}
-	if got := int(h.peer.tab.req(ri).nproposers); got != cfg.MaxProposers {
+	if got := int(list[0]); got != cfg.MaxProposers {
 		t.Fatalf("recorded %d proposers, bound is %d", got, cfg.MaxProposers)
 	}
-	var got []wire.NodeID
-	for k := range cfg.MaxProposers {
-		got = append(got, *h.peer.tab.proposer(ri, k))
-	}
-	if want := []wire.NodeID{1, 2}; !slices.Equal(got, want) {
+	if got, want := list[1:1+cfg.MaxProposers], []wire.NodeID{1, 2}; !slices.Equal(got, want) {
 		t.Fatalf("recorded proposers %v, want the first two, %v", got, want)
 	}
 	h.peer.Stop()
@@ -168,7 +164,7 @@ func TestNoRetryTimersWhenKIsOne(t *testing.T) {
 	cfg.MaxRequests = 1
 	h := newHarness(t, cfg, tinyLayout())
 	h.peer.HandleMessage(3, wire.Propose{IDs: []stream.PacketID{0, 1}})
-	if h.peer.tab.batches.Len() != 0 {
+	if len(h.peer.batches) != 0 || cap(h.peer.batchIDs) != 0 {
 		t.Fatal("ret timer armed although K=1 forbids retries")
 	}
 	h.sched.RunUntil(time.Minute)

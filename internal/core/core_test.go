@@ -545,10 +545,10 @@ func TestStopIsIdempotentAndRestartable(t *testing.T) {
 }
 
 // TestRestartRequestsAgainWhatWasPending: Stop drops the pending
-// retransmissions, so it must drop their request records with them. It used
-// to keep the records, and after a restart a fresh PROPOSE of such an id
-// found it "already requested" — with no timer left to retry it, the id
-// was never asked for again.
+// retransmissions, so it must forget that their ids were requested. It
+// used to keep their request state, and after a restart a fresh PROPOSE
+// of such an id found it "already requested" — with no timer left to
+// retry it, the id was never asked for again.
 func TestRestartRequestsAgainWhatWasPending(t *testing.T) {
 	sched := &clock{}
 	b := newBus(sched, time.Millisecond)

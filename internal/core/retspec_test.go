@@ -18,8 +18,8 @@ import (
 // perBatchPeer below implements the obvious way. Scripts of PROPOSEs,
 // SERVEs, clock advances, Stops and Starts are played to both, on either
 // timer route; the REQUESTs sent (target, ids, instant), the random draws
-// and the counters must agree, and after every step the peer's slabs must
-// be consistent (checkRetStructure).
+// and the counters must agree, and after every step the peer's batch
+// buffers and its table must be consistent (checkRetStructure).
 
 // specEnv is a scripted Env: a virtual clock, timers fired in (deadline,
 // arm order) order by advance, REQUESTs recorded, everything else dropped.
@@ -433,82 +433,75 @@ func checkRetStructure(p *Peer, env *specEnv, flat bool) error {
 	return checkTable(p.tab, p)
 }
 
-// checkPeerRet verifies p's armed batches and their request records
-// against each other, against the request index and the known bits, and
-// against the timers pending in its environment.
+// checkPeerRet verifies p's batch buffers: the live batches, from
+// batchHead on, against each other, the known bits, the receiver and K,
+// and the one retransmission timer against the batches still waiting on
+// an id and against the timers pending in its environment.
 func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
-	t := p.tab
 	isKnown := func(id stream.PacketID) bool { return p.known[id/64]&(1<<(id%64)) != 0 }
-	// listed[ri] marks the request records some batch's list reaches.
-	listed := make([]bool, t.reqs.Len()+1)
-	earliest, armed, records := time.Duration(0), 0, 0
-	for prevB, bi := uint32(0), p.batchHead; bi != 0; prevB, bi = bi, t.batch(bi).next {
-		if int(bi) > t.batches.Len() || armed >= t.batches.Len() {
-			return fmt.Errorf("the peer's batch list loops or leaves the %d-batch slab", t.batches.Len())
+	stride := p.proposerStride()
+	switch {
+	case p.batchHead < 0 || p.batchHead > len(p.batches):
+		return fmt.Errorf("the batch head %d lies outside the %d batches", p.batchHead, len(p.batches))
+	case len(p.proposers) != len(p.batchIDs)*stride:
+		return fmt.Errorf("%d proposer slots for %d ids at %d per id", len(p.proposers), len(p.batchIDs), stride)
+	case p.cfg.MaxRequests == 1 && cap(p.batches)+cap(p.batchIDs)+cap(p.proposers) > 0:
+		return fmt.Errorf("K = 1 and the peer holds batch buffers")
+	}
+	// owner[id] is the live batch that owns id, plus one.
+	owner := make(map[stream.PacketID]int)
+	stamps := make(map[uint64]bool)
+	earliest, waiting, end := time.Duration(0), 0, uint32(0)
+	for i := p.batchHead; i < len(p.batches); i++ {
+		b := p.batches[i]
+		if b.lo > b.hi || b.lo < end || int(b.hi) > len(p.batchIDs) {
+			return fmt.Errorf("batch %d holds ids [%d, %d), out of arm order or outside the %d ids", i, b.lo, b.hi, len(p.batchIDs))
 		}
-		b := t.batch(bi)
+		end = b.hi
+		if b.requests == 0 {
+			continue // done with, its ids left for the next compaction
+		}
 		switch {
-		case !b.armed:
-			return fmt.Errorf("batch %d is on the peer's list and not armed", bi-1)
-		case b.prev != prevB:
-			return fmt.Errorf("batch %d follows batch %d on the peer's list but links back to %d", bi-1, int(prevB)-1, int(b.prev)-1)
+		case int(b.requests) > p.cfg.MaxRequests:
+			return fmt.Errorf("batch %d: its ids have used %d of %d requests", i, b.requests, p.cfg.MaxRequests)
+		case b.lo == b.hi:
+			return fmt.Errorf("batch %d is live with no id left", i)
+		case b.stamp == 0 || b.stamp > p.retStamp || stamps[b.stamp]:
+			return fmt.Errorf("batch %d has arm order %d, newest %d, or shares it", i, b.stamp, p.retStamp)
 		}
-		if armed++; armed == 1 || b.due < earliest {
+		stamps[b.stamp] = true
+		for j := b.lo; j < b.hi; j++ {
+			id := p.batchIDs[j]
+			switch {
+			case int(id) >= p.layoutTotal:
+				return fmt.Errorf("batch %d owns id %d, outside the stream", i, id)
+			case !isKnown(id):
+				return fmt.Errorf("batch %d owns id %d, whose known bit is clear", i, id)
+			case owner[id] != 0:
+				return fmt.Errorf("id %d is owned by batches %d and %d", id, owner[id]-1, i)
+			}
+			owner[id] = i + 1
+			if stride > 0 {
+				if n := p.proposers[int(j)*stride]; n < 1 || int(n) > p.cfg.MaxProposers {
+					return fmt.Errorf("id %d of batch %d has %d proposers, bound %d", id, i, n, p.cfg.MaxProposers)
+				}
+			}
+		}
+		if p.delivered(&b) {
+			continue // served in time: retired as soon as the peer looks
+		}
+		if waiting++; waiting == 1 || b.due < earliest {
 			earliest = b.due
 		}
-		if b.head == 0 {
-			return fmt.Errorf("batch %d is armed with no id undelivered", bi-1)
-		}
-		prev := uint32(0)
-		for ri := b.head; ri != 0; prev, ri = ri, t.req(ri).next {
-			if int(ri) > t.reqs.Len() || listed[ri] {
-				return fmt.Errorf("batch %d: the list reaches record %d twice or outside the %d-record slab", bi-1, ri, t.reqs.Len())
-			}
-			listed[ri] = true
-			records++
-			st := t.req(ri)
-			switch {
-			case st.prev != prev:
-				return fmt.Errorf("batch %d: record %d follows %d but links back to %d", bi-1, ri, prev, st.prev)
-			case st.batch != bi:
-				return fmt.Errorf("batch %d holds record %d, which names batch %d", bi-1, ri, int(st.batch)-1)
-			case p.index.get(st.id) != ri:
-				return fmt.Errorf("batch %d holds record %d for id %d, whose record in the index is %d", bi-1, ri, st.id, p.index.get(st.id))
-			case !isKnown(st.id):
-				return fmt.Errorf("batch %d holds record %d for id %d, whose known bit is clear", bi-1, ri, st.id)
-			case p.recv.Has(st.id):
-				return fmt.Errorf("id %d is delivered and still has a request record", st.id)
-			case st.requests < 1 || int(st.requests) > p.cfg.MaxRequests:
-				return fmt.Errorf("id %d has used %d of %d requests", st.id, st.requests, p.cfg.MaxRequests)
-			}
-		}
-	}
-	if p.cfg.MaxRequests == 1 && records > 0 {
-		return fmt.Errorf("K = 1 and %d request records held", records)
-	}
-	// The index holds exactly the listed records, each under its own id.
-	occupied := 0
-	for _, slot := range p.index.slots {
-		if slot == 0 {
-			continue
-		}
-		occupied++
-		id, ri := stream.PacketID(slot>>32-1), uint32(slot)
-		if ri == 0 || int(ri) > t.reqs.Len() || !listed[ri] || t.req(ri).id != id {
-			return fmt.Errorf("the index maps id %d to record %d, which no armed batch holds for it", id, ri)
-		}
-	}
-	if occupied != records || p.index.n != records {
-		return fmt.Errorf("the index holds %d ids (counts %d), the armed batches %d records", occupied, p.index.n, records)
 	}
 	for id := 0; id < p.layoutTotal; id++ {
 		if p.recv.Has(stream.PacketID(id)) && !isKnown(stream.PacketID(id)) {
 			return fmt.Errorf("id %d is delivered and its known bit is clear", id)
 		}
 	}
-	if armed > 0 && (!p.running || !p.retArmed || p.retDue > earliest || p.retDue < env.now) {
-		return fmt.Errorf("%d batches armed, earliest due %v at %v: running %v, timer armed %v for %v",
-			armed, earliest, env.now, p.running, p.retArmed, p.retDue)
+	if waiting > 0 && (!p.running || !p.retArmed || p.retDue > earliest || p.retDue < env.now) {
+		return fmt.Errorf("%d batches waiting, earliest due %v at %v: running %v, timer armed %v for %v",
+			waiting, earliest, env.now, p.running, p.retArmed, p.retDue)
 	}
 	// While the peer counts on its retransmission timer, one is in flight
 	// for retDue. On the flat route it is the one timer of the newest
@@ -536,50 +529,28 @@ func checkPeerRet(p *Peer, env *specEnv, flat bool) error {
 	return nil
 }
 
-// checkTable verifies t's free chains and counts against the records and
-// batches peers — every peer on t — hold: each record and batch is held
-// by exactly one peer or free, and a table whose peers never retry (K =
-// 1) has made no record.
+// checkTable verifies t's counts against peers, every peer on t: the ids
+// and batches it counts lent are the sum of what they hold for a
+// retransmission check, and the blocks its pools lend those they hold.
 func checkTable(t *Table, peers ...*Peer) error {
-	records, armed, retrying := 0, 0, false
+	ids, batches, blocks := 0, 0, 0
 	for _, p := range peers {
 		if p.tab != t {
 			return fmt.Errorf("a peer checked against a table it is not on")
 		}
-		retrying = retrying || p.cfg.MaxRequests > 1
-		for bi := p.batchHead; bi != 0; bi = t.batch(bi).next {
-			armed++
-			for ri := t.batch(bi).head; ri != 0; ri = t.req(ri).next {
-				records++
+		i, b := p.InFlight()
+		ids, batches = ids+i, batches+b
+		seen, windows := p.recv.Backings()
+		for _, c := range []int{cap(p.known), cap(seen), cap(windows), cap(p.view.Buffer()), cap(p.toPropose),
+			cap(p.batches), cap(p.batchIDs), cap(p.proposers)} {
+			if c > 0 {
+				blocks++
 			}
 		}
 	}
-	if !retrying && t.reqs.Len() > 0 {
-		return fmt.Errorf("K = 1 and %d request records made", t.reqs.Len())
-	}
-	freeReqs, freeBatches := 0, 0
-	for ri := t.reqFree; ri != 0; ri = t.req(ri).next {
-		if freeReqs++; int(ri) > t.reqs.Len() || freeReqs > t.reqs.Len() {
-			return fmt.Errorf("the request free chain loops or leaves the %d-record slab", t.reqs.Len())
-		}
-		if st := *t.req(ri); st != (requestState{next: st.next}) {
-			return fmt.Errorf("free request record %d is still in use: %+v", ri, st)
-		}
-	}
-	for bi := t.batchFree; bi != 0; bi = t.batch(bi).head {
-		if freeBatches++; int(bi) > t.batches.Len() || freeBatches > t.batches.Len() {
-			return fmt.Errorf("the batch free chain loops or leaves the %d-batch slab", t.batches.Len())
-		}
-		if t.batch(bi).armed {
-			return fmt.Errorf("batch %d is armed and on the free chain", bi-1)
-		}
-	}
-	if t.reqs.Len()-freeReqs != records || t.batches.Len()-freeBatches != armed {
-		return fmt.Errorf("free chains out of step: %d/%d request records free, %d/%d batches free with %d armed",
-			freeReqs, t.reqs.Len(), freeBatches, t.batches.Len(), armed)
-	}
-	if inReqs, inBatches, _ := t.InUse(); inReqs != records || inBatches != armed {
-		return fmt.Errorf("the table counts %d records and %d batches lent, its peers hold %d and %d", inReqs, inBatches, records, armed)
+	if inIDs, inBatches, inBlocks := t.InUse(); inIDs != ids || inBatches != batches || inBlocks != blocks {
+		return fmt.Errorf("the table counts %d ids, %d batches and %d blocks lent, its peers hold %d, %d and %d",
+			inIDs, inBatches, inBlocks, ids, batches, blocks)
 	}
 	return nil
 }
@@ -615,6 +586,28 @@ func specScenarios() map[string][]specOp {
 			{kind: 'P', from: 4, ids: ids(5)}, {kind: 'A', dt: 30 * time.Millisecond}, {kind: 'X'}, {kind: 'G'},
 			{kind: 'P', from: 5, ids: ids(5, 6)}, {kind: 'A', dt: time.Minute},
 		},
+		// An id twice in one PROPOSE, and again in later ones: under
+		// RetryRandomProposer each copy is one more proposer of it, the
+		// second found in the batch the PROPOSE is still opening.
+		"repeated-in-one-propose": {
+			{kind: 'P', from: 3, ids: ids(2, 2, 5)}, {kind: 'P', from: 4, ids: ids(2, 5, 5)}, {kind: 'A', dt: 110 * time.Millisecond},
+			{kind: 'P', from: 5, ids: ids(5, 2)}, {kind: 'A', dt: time.Minute},
+		},
+		// Batches armed later are served in full while earlier ones wait:
+		// the earliest-deadline scan meets served batches among pending ones,
+		// due before and after them.
+		"later-served-first": {
+			{kind: 'P', from: 3, ids: ids(0)}, {kind: 'A', dt: 5 * time.Millisecond}, {kind: 'P', from: 4, ids: ids(1, 2)},
+			{kind: 'A', dt: 5 * time.Millisecond}, {kind: 'P', from: 5, ids: ids(3, 4)}, {kind: 'P', from: 3, ids: ids(6)},
+			{kind: 'S', ids: ids(1, 2, 6)}, {kind: 'A', dt: 60 * time.Millisecond}, {kind: 'S', ids: ids(4)},
+			{kind: 'A', dt: 45 * time.Millisecond}, {kind: 'S', ids: ids(3)}, {kind: 'A', dt: time.Minute},
+		},
+		// Stop with a batch served in full still armed: it counts as
+		// retired, and only the unserved batch's id is requested afresh.
+		"stop-with-served-batch": {
+			{kind: 'P', from: 3, ids: ids(0, 1)}, {kind: 'P', from: 4, ids: ids(2)}, {kind: 'S', ids: ids(0, 1)}, {kind: 'X'},
+			{kind: 'G'}, {kind: 'P', from: 5, ids: ids(0, 1, 2)}, {kind: 'A', dt: time.Minute},
+		},
 	}
 	// Deadlines 1 ms apart under 50 ms of jitter: later batches come due
 	// before earlier ones, so timers are superseded, and some instants
@@ -627,6 +620,21 @@ func specScenarios() map[string][]specOp {
 	crowd = append(crowd, specOp{kind: 'S', ids: ids(1, 4, 9)}, specOp{kind: 'A', dt: 140 * time.Millisecond},
 		specOp{kind: 'S', ids: ids(0, 2, 3, 5, 6, 7)}, specOp{kind: 'A', dt: time.Minute})
 	scenarios["crowd"] = crowd
+	// A never-served batch at the head of the batch buffer and another
+	// among 16 served ones (all the scripts' id space leaves room for):
+	// the 17th batch finds the headers full and compacts them, the second
+	// unserved batch moving up with its proposer list, and PROPOSEs after
+	// the compaction still find both.
+	compact := []specOp{{kind: 'P', from: 3, ids: ids(0)}, {kind: 'P', from: 4, ids: ids(0)}}
+	for i := stream.PacketID(1); i < 18; i++ {
+		if i == 9 {
+			compact = append(compact, specOp{kind: 'P', from: 5, ids: ids(9)}, specOp{kind: 'P', from: 3, ids: ids(9)})
+			continue
+		}
+		compact = append(compact, specOp{kind: 'P', from: 3 + wire.NodeID(i%3), ids: ids(i)}, specOp{kind: 'S', ids: ids(i)})
+	}
+	scenarios["compaction"] = append(compact, specOp{kind: 'P', from: 4, ids: ids(9, 0)}, specOp{kind: 'P', from: 5, ids: ids(0)},
+		specOp{kind: 'A', dt: time.Minute})
 	return scenarios
 }
 
@@ -708,10 +716,10 @@ func newSpecPeer(t *testing.T, tab *Table, flat bool, cfg Config, seed int64) sp
 // to the peer it names, and likewise to the same peers on private tables
 // and to a per-batch-timer reference per peer. Sharing must be invisible:
 // each peer sends, draws and counts what its private twin and its
-// reference do, its own state stays consistent (checkPeerRet), and every
-// record and batch of the table is held by exactly one peer or free
+// reference do, its own state stays consistent (checkPeerRet), and the
+// table counts exactly the ids, batches and blocks its peers hold
 // (checkTable). Once every peer has stopped the table has lent out no
-// record and no batch, and once every peer has left it, no block.
+// id and no batch, and once every peer has left it, no block.
 func runShared(t *testing.T, npeers int, flat bool, retry RetryPolicy, k int, ops []specOp) {
 	t.Helper()
 	cfg := testConfig()
@@ -826,7 +834,7 @@ func eachSharedSetting(fn func(npeers int, flat bool, retry RetryPolicy, k int))
 }
 
 // spread deals a scenario's steps out to the peers sharing a table in
-// turn, so that their records and batches interleave in the slabs.
+// turn, so that their blocks interleave in the table's pools.
 func spread(ops []specOp) []specOp {
 	out := slices.Clone(ops)
 	for i := range out {

@@ -123,9 +123,9 @@ func TestRecycledSlotRandIsNewRand(t *testing.T) {
 // joining and 2% leaving per second while a 96-second stream plays, on two
 // shards, two simulated minutes in all — and reads every shard's
 // core.Table every five seconds. What a table lends must not grow beyond
-// what its live peers hold: its records and batches are exactly those its
-// live peers have in flight, a departed peer having given its own back at
-// its crash. Its blocks are a fixed number per slot the shard has used,
+// what its live peers hold: the ids and batches it counts are exactly
+// those its live peers hold for a retransmission check, a departed peer
+// having given its own back at its crash. Its blocks are a fixed number per slot the shard has used,
 // recycled slots included, so blocks per slot never rise in the second
 // minute above the first's. (Ids in flight themselves keep rising under
 // sustained churn, by about a fifth from the first minute of a stream to
@@ -206,6 +206,6 @@ func TestChurnKeepsTablesBounded(t *testing.T) {
 		for _, r := range rs {
 			peak = max(peak, r.records)
 		}
-		t.Logf("shard %d: at most %d records in flight; %.2f blocks per slot, %d over %d slots at the end", s, peak, perSlot, last.blocks, last.slots)
+		t.Logf("shard %d: at most %d ids in flight; %.2f blocks per slot, %d over %d slots at the end", s, peak, perSlot, last.blocks, last.slots)
 	}
 }

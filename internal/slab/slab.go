@@ -39,16 +39,13 @@ func NewTable[T any](shift uint8) Table[T] {
 // Len returns the number of elements in the table.
 func (t *Table[T]) Len() int { return t.n }
 
-// Shift returns the table's chunk size as a power of two.
-func (t *Table[T]) Shift() uint8 { return t.shift }
-
 // Chunks returns the number of chunks the table has allocated.
 func (t *Table[T]) Chunks() int { return len(t.chunks) }
 
 // At returns element i, which must be below Len. The pointer stays valid
 // while the table grows.
 //
-//lint:hot the engine and the handlers read the message, request and batch slabs per event
+//lint:hot the engine reads the message slab per event
 func (t *Table[T]) At(i int) *T {
 	return &t.chunks[i>>(t.shift&63)][i&int(t.mask)]
 }
@@ -217,16 +214,21 @@ func (p *Pool[T]) Put(h uint32, n int) {
 	p.free[c] = append(p.free[c], freeBlock{h: h, n: uint32(n)})
 }
 
-// Grow returns block h, b with room for at least one more element: b
-// itself while it has room, otherwise a block of twice its capacity (at
-// least min) holding b's elements, b going back to the pool.
+// Grow returns block h, b with room for at least n more elements: b
+// itself while it has room, otherwise a block of b's capacity (at least
+// min) doubled until it has, holding b's elements, b going back to the
+// pool.
 //
 //lint:hot the spill pool grows a block per spilled message; only a chunk may be allocated
-func (p *Pool[T]) Grow(h uint32, b []T, min int) (uint32, []T) {
-	if len(b) < cap(b) {
+func (p *Pool[T]) Grow(h uint32, b []T, n, min int) (uint32, []T) {
+	if len(b)+n <= cap(b) {
 		return h, b
 	}
-	nh, nb := p.Get(max(2*cap(b), min))
+	c := max(cap(b), min, 1)
+	for c < len(b)+n {
+		c *= 2
+	}
+	nh, nb := p.Get(c)
 	nb = nb[:len(b)]
 	copy(nb, b)
 	p.Put(h, cap(b))

@@ -44,7 +44,8 @@ func TestTableGrowthNeverMoves(t *testing.T) {
 // resolves to it; a returned block goes back out to a request of its size
 // or of its class, cleared; a request too large to carve gets a chunk of
 // its own; Grow swaps a full block for one twice its size holding the same
-// elements; and the pool counts what it has lent.
+// elements, and doubles further to make room for more; and the pool counts
+// what it has lent.
 func TestPool(t *testing.T) {
 	p := NewPool[uint64](6) // 64 elements a chunk
 	ha, a := p.Get(11)
@@ -80,12 +81,17 @@ func TestPool(t *testing.T) {
 	if cap(big) != 17 || &p.Block(hbig, 17)[16] != &big[16] {
 		t.Fatalf("a large block has capacity %d, or its handle does not resolve", cap(big))
 	}
-	hg, grown := p.Grow(hb, b[:11], 0)
+	hg, grown := p.Grow(hb, b[:11], 1, 0)
 	if len(grown) != 11 || cap(grown) < 22 {
 		t.Fatalf("Grow gave len %d cap %d, want 11 and at least 22", len(grown), cap(grown))
 	}
-	if hagain, again := p.Grow(hg, grown, 0); &again[0] != &grown[0] || hagain != hg {
+	if hagain, again := p.Grow(hg, grown, cap(grown)-len(grown), 0); &again[0] != &grown[0] || hagain != hg {
 		t.Fatal("Grow swapped a block that had room")
+	}
+	if hg2, grown2 := p.Grow(hg, grown, 4*cap(grown), 0); len(grown2) != 11 || cap(grown2) < 11+4*cap(grown) || grown2[10] != grown[10] {
+		t.Fatalf("Grow for %d more gave len %d cap %d, want 11 and room, holding the same elements", 4*cap(grown), len(grown2), cap(grown2))
+	} else {
+		hg, grown = hg2, grown2
 	}
 	if p.Lent() != 3 { // the 12, big and grown; Grow took b back
 		t.Fatalf("%d blocks lent, want 3", p.Lent())
@@ -164,7 +170,7 @@ func FuzzStore(f *testing.F) {
 			case 5: // grow a block by one element
 				if k := pickBlock(blocks, arg); k >= 0 {
 					l := blocks[k]
-					l.h, l.b = pool.Grow(l.h, l.b, 2)
+					l.h, l.b = pool.Grow(l.h, l.b, 1, 2)
 					l.b = append(l.b, 1<<31|uint32(k))
 					l.want = append(l.want, 1<<31|uint32(k))
 				}
